@@ -1,5 +1,5 @@
 (* Hot-path experiment: the workloads the CLOCK eviction, cached key
-   directories and WAL group commit target.
+   directories and the WAL commit flush target.
 
    - evict:  point reads over a working set much larger than a tiny
      buffer pool.  Reports wall time plus the counters that certify the
@@ -7,10 +7,9 @@
      evictions (O(1) amortized, where the old policy scanned every frame
      per eviction), and the keydir hit/miss split shows search-hot pages
      being served by binary search.
-   - commit: single-update transactions against a file-backed log, swept
-     over the group-commit window.  window=1 is the classic
-     one-sync-per-commit protocol — the "before" column — and wider
-     windows amortize the sync across the batch.
+   - commit: single-update transactions against a file-backed log.  Every
+     commit syncs the log through its own commit record before it
+     returns, so one session pays one sync per commit.
 
    BENCH_hotpath.json carries only the deterministic logical counters
    (never wall time), so scripts/bench_check.sh can hold them to a tight
@@ -83,21 +82,16 @@ let evict_phase ~scale =
 
 (* --- commit-heavy ----------------------------------------------------------
 
-   A file-backed log makes each sync a real system call, so sharing it is
-   the measurable effect. *)
+   A file-backed log makes each sync a real system call. *)
 
-let commit_phase ~scale ~window =
+let commit_phase ~scale =
   let txns = Harness.scaled ~scale 2000 in
   let path = Filename.temp_file "imdb_hotpath" ".wal" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
       let config =
-        {
-          E.default_config with
-          E.group_commit_window = window;
-          auto_checkpoint_every = 0;
-        }
+{ E.default_config with E.auto_checkpoint_every = 0 }
       in
       let clock = Imdb_clock.Clock.create_logical () in
       let disk = Imdb_storage.Disk.in_memory ~page_size:config.E.page_size () in
@@ -114,7 +108,6 @@ let commit_phase ~scale ~window =
               Db.exec db (fun txn -> Db.update_row db txn ~table:"t" (row 0 "y"))
             done)
       in
-      (* drain the open batch so the counters cover every commit *)
       Db.checkpoint db;
       let m = Db.metrics db in
       let flushes = M.get m M.log_flushes in
@@ -125,8 +118,6 @@ let commit_phase ~scale ~window =
       in
       Db.close db;
       (elapsed, txns, flushes, batches, batched))
-
-let windows = [ 1; 4; 16 ]
 
 let run ~scale =
   let evict_s, evict_counters = evict_phase ~scale in
@@ -144,48 +135,34 @@ let run ~scale =
             (lookup "keydir_hits" + lookup "keydir_misses");
         ];
       ]);
-  let commit_results =
-    List.map (fun window -> (window, commit_phase ~scale ~window)) windows
-  in
-  let base_s =
-    match commit_results with (_, (s, _, _, _, _)) :: _ -> s | [] -> 0.0
-  in
-  Harness.print_table
-    ~title:"hotpath: commit-heavy (file-backed log; window=1 is the old protocol)"
-    ~header:
-      [ "window"; "wall ms"; "vs window=1"; "log syncs"; "commits/sync"; "avg batch" ]
-    (List.map
-       (fun (window, (s, txns, flushes, batches, batched)) ->
-         [
-           string_of_int window;
-           Harness.ms s;
-           Harness.pct s base_s;
-           string_of_int flushes;
-           ratio txns flushes;
-           ratio batched batches;
-         ])
-       commit_results);
+  let s, txns, flushes, batches, batched = commit_phase ~scale in
+  Harness.print_table ~title:"hotpath: commit-heavy (file-backed log)"
+    ~header:[ "wall ms"; "log syncs"; "commits/sync"; "avg batch" ]
+    [
+      [ Harness.ms s; string_of_int flushes; ratio txns flushes; ratio batched batches ];
+    ];
   let module J = Imdb_obs.Json in
   Harness.emit_json ~name:"hotpath"
     (J.Obj
        [
          ("schema_version", J.Int M.schema_version);
          ("evict", Harness.json_of_counters evict_counters);
+         (* one entry, tagged window 1 like the baseline entry it is
+            compared against *)
          ( "commit",
            J.List
-             (List.map
-                (fun (window, (_, txns, flushes, batches, batched)) ->
-                  J.Obj
-                    [
-                      ("window", J.Int window);
-                      ("txns", J.Int txns);
-                      ("log_flushes", J.Int flushes);
-                      ("batches", J.Int batches);
-                      ("batched_commits", J.Int batched);
-                    ])
-                commit_results) );
+             [
+               J.Obj
+                 [
+                   ("window", J.Int 1);
+                   ("txns", J.Int txns);
+                   ("log_flushes", J.Int flushes);
+                   ("batches", J.Int batches);
+                   ("batched_commits", J.Int batched);
+                 ];
+             ] );
        ])
 
 let () =
   Harness.register ~name:"hotpath"
-    ~doc:"CLOCK eviction, keydir cache & group commit hot paths" run
+    ~doc:"CLOCK eviction, keydir cache & commit flush hot paths" run

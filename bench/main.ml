@@ -12,7 +12,7 @@
 (* Force linking of the experiment modules (registration side effects). *)
 let _modules =
   [ Fig_structs.fig1; Fig5.fig5; Fig6.fig6; Ablations.tsb; Hotpath.run; Micro.run;
-    Parscan.run; Compress.run; Traceov.run; Ingest.run; Mtbench.run; Monitorov.run ]
+    Parscan.run; Compress.run; Obsov.run; Ingest.run; Mtbench.run ]
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

@@ -54,9 +54,6 @@ let config =
     (* Real waits, not fail-fast: sessions are partitioned so conflicts
        are rare, but table intent locks still meet. *)
     lock_wait_timeout_ms = 2000;
-    (* Window 1 = every commit demands durability before returning; all
-       batching observed below comes from concurrency alone. *)
-    group_commit_window = 1;
   }
 
 (* One session's closed loop: [txns] transactions over keys

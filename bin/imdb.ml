@@ -615,8 +615,8 @@ let torture_cmd =
     Arg.(value & opt int 1 & info [ "sessions" ] ~docv:"N"
            ~doc:"Run N concurrent sessions on separate domains (partitioned \
                  keys, commits merged into the oracle in timestamp order, \
-                 plug pulled mid-group-commit).  Default 1: the classic \
-                 deterministic serial loop.")
+                 plug pulled mid-transaction between bursts).  Default 1: \
+                 the classic deterministic serial loop.")
   in
   let flight_dir_arg =
     Arg.(value & opt (some string) None & info [ "flight-dir" ] ~docv:"DIR"

@@ -25,14 +25,12 @@ type config = {
   key_split_threshold : float; (* the paper's T, default 0.7 *)
   auto_checkpoint_every : int; (* commits between checkpoints; 0 = manual *)
   tsb_enabled : bool; (* maintain the TSB index on time splits *)
-  group_commit_window : int;
-      (* commits sharing one log sync; <= 1 syncs at every commit *)
   scan_parallelism : int;
       (* domains serving AS OF scans and history walks; 1 = the serial
          path, bit-for-bit identical to pre-parallel behavior *)
   histcache_capacity : int;
-      (* pages in the immutable-history cache (only used when
-         scan_parallelism > 1) *)
+      (* pages in the immutable-history cache (scan_parallelism > 1) and
+         the bound, at least 64, on the serial decoded-history memo *)
   history_compression : bool;
       (* delta-compress historical pages at time splits; false = the
          plain P_history format, bit-for-bit identical to pre-compression
@@ -50,10 +48,6 @@ type config = {
   ingest_buffer_rows : int;
       (* messages accumulated before a fill-triggered flush (the page
          itself caps the buffer regardless) *)
-  ingest_split_hint : bool;
-      (* let batch-arrival occupancy trigger early key splits at flush
-         time; changes page layout (never results), so off by default to
-         keep buffered==unbuffered structures identical *)
   lock_wait_timeout_ms : int;
       (* 0 = fail-fast lock acquisition (a conflict raises immediately
          — the historical single-session behavior, where parking would
@@ -80,7 +74,6 @@ let default_config =
     key_split_threshold = 0.7;
     auto_checkpoint_every = 0;
     tsb_enabled = true;
-    group_commit_window = 1;
     scan_parallelism = 1;
     histcache_capacity = 1024;
     history_compression = true;
@@ -88,7 +81,6 @@ let default_config =
     slow_op_threshold_us = 10_000;
     ingest_buffering = true;
     ingest_buffer_rows = 64;
-    ingest_split_hint = false;
     lock_wait_timeout_ms = 0;
     monitor_interval_ms = 0;
     monitor_capacity = 600;
@@ -833,7 +825,6 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
   Mx.ensure_counter metrics Mx.ingest_flush_messages;
   Mx.ensure_counter metrics Mx.ingest_flush_pages;
   Mx.ensure_counter metrics Mx.ingest_deferred_splits;
-  Mx.ensure_counter metrics Mx.ingest_hint_key_splits;
   Mx.ensure_counter metrics Mx.lock_acquires;
   Mx.ensure_counter metrics Mx.lock_conflicts;
   Mx.ensure_counter metrics Mx.lock_deadlocks;

@@ -15,11 +15,6 @@ type config = {
   key_split_threshold : float;  (** the paper's T (Section 3.3), default 0.7 *)
   auto_checkpoint_every : int;  (** commits between checkpoints; 0 = manual *)
   tsb_enabled : bool;  (** maintain the TSB index on time splits *)
-  group_commit_window : int;
-      (** commits sharing one log sync (group commit); [<= 1] syncs at
-          every commit.  A window [> 1] defers the commit acknowledgment
-          ([tx_durable]) until the shared sync — a crash before it rolls
-          the unacknowledged transactions back. *)
   scan_parallelism : int;
       (** domains serving AS OF scans and history walks.  [1] (the
           default) is the serial path, bit-for-bit identical to the
@@ -29,8 +24,9 @@ type config = {
           identical at any setting — only the work distribution (and the
           wall clock) changes. *)
   histcache_capacity : int;
-      (** pages held by the immutable-history cache (used only when
-          [scan_parallelism > 1]) *)
+      (** pages held by the immutable-history cache when
+          [scan_parallelism > 1]; also bounds (at no fewer than 64) the
+          serial path's memo of decoded compressed history pages *)
   history_compression : bool;
       (** delta-compress historical pages at time splits ({!Imdb_storage.Vcompress});
           readers decompress lazily and results are identical either way.
@@ -54,9 +50,6 @@ type config = {
   ingest_buffer_rows : int;
       (** messages accumulated before a fill-triggered flush (the buffer
           page's own capacity caps this regardless) *)
-  ingest_split_hint : bool;
-      (** let batch-arrival occupancy trigger early key splits at flush
-          time; changes page layout (never results), so off by default *)
   lock_wait_timeout_ms : int;
       (** [0] (the default) keeps the historical fail-fast lock protocol:
           a conflict raises immediately — correct for one session, where
@@ -71,7 +64,7 @@ type config = {
           [> 0] runs a background thread capturing a counter snapshot
           into a bounded ring every this many milliseconds.  The monitor
           only {e reads} the registry, so engine counters are identical
-          either way (proved by the BENCH_monitorov gate). *)
+          either way (proved by the BENCH_obsov gate). *)
   monitor_capacity : int;  (** samples retained by the monitor ring *)
   flight_recorder_dir : string option;
       (** when set, recovery-after-crash writes a post-mortem JSON

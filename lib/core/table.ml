@@ -179,9 +179,8 @@ let drop eng name =
    [split_at] is the deferred split time a buffer flush carries: the
    clock reading recorded when the overflowing message arrived, advanced
    past it — exactly the time an unbuffered descent would have chosen at
-   that write.  [incoming] (bytes still destined for this page in the
-   in-flight flush run) feeds the batch-occupancy key-split hint. *)
-let split_data_page ?split_at ?(incoming = 0) eng ti ~pid ~low ~high =
+   that write. *)
+let split_data_page ?split_at eng ti ~pid ~low ~high =
   let threshold = eng.E.config.E.key_split_threshold in
   let key_split_page fr =
     Imdb_obs.Tracer.with_span eng.E.tracer "split.key"
@@ -275,18 +274,9 @@ let split_data_page ?split_at ?(incoming = 0) eng ti ~pid ~low ~high =
                   }
                 ~child:hist_pid
           | None -> ());
-          (match
-             Imdb_tsb.Tsb.should_key_split
-               ~utilization:(P.utilization (BP.bytes fr))
-               ~threshold ~incoming_bytes:incoming
-               ~capacity:(eng.E.config.E.page_size - P.header_size)
-           with
-          | `Utilization -> key_split_page fr
-          | `Batch_hint when List.length (V.keys (BP.bytes fr)) >= 2 ->
-              Imdb_obs.Metrics.incr eng.E.metrics
-                Imdb_obs.Metrics.ingest_hint_key_splits;
-              key_split_page fr
-          | `Batch_hint | `No -> ())
+          (* key split when current utilization stays above the
+             threshold T after the time split (Section 3.3) *)
+          if P.utilization (BP.bytes fr) > threshold then key_split_page fr
       | Catalog.Snapshot_table ->
           let snapshots = E.active_snapshots eng in
           let img, dropped = V.gc_versions ~page ~snapshots in
@@ -432,20 +422,10 @@ let apply_messages eng ti msgs =
         (match leftover with
         | [] -> go 4 rest
         | m :: _ ->
-            let incoming =
-              if eng.E.config.E.ingest_split_hint then
-                List.fold_left
-                  (fun acc m ->
-                    acc
-                    + V.version_size ~key:m.Ingest.m_key
-                        ~payload:m.Ingest.m_payload)
-                  0 leftover
-              else 0
-            in
             Imdb_obs.Metrics.incr eng.E.metrics
               Imdb_obs.Metrics.ingest_deferred_splits;
             split_data_page eng ti ~pid ~low ~high
-              ~split_at:(Ts.succ m.Ingest.m_clock) ~incoming;
+              ~split_at:(Ts.succ m.Ingest.m_clock);
             let progressed = List.length leftover < List.length run in
             go (if progressed then 4 else budget - 1) (leftover @ rest))
   in

@@ -113,7 +113,6 @@ val history :
 
 val split_data_page :
   ?split_at:Imdb_clock.Timestamp.t ->
-  ?incoming:int ->
   Engine.t ->
   Catalog.table_info ->
   pid:int ->
@@ -122,9 +121,8 @@ val split_data_page :
   unit
 (** Make room in a full data page: time split + optional key split
     (immortal) or version GC + fallback key split (snapshot).
-    [split_at] is a buffer flush's deferred split time; [incoming] feeds
-    the batch-occupancy key-split hint (both default to the classic
-    per-row behavior). *)
+    [split_at] is a buffer flush's deferred split time (default: the
+    classic per-row split time). *)
 
 val flush_ingest : Engine.t -> Catalog.table_info -> unit
 (** Drain the table's ingest buffer (no-op when empty or absent): apply

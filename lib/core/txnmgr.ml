@@ -62,13 +62,9 @@ let commit eng txn =
     let commit_lsn =
       Imdb_wal.Wal.append eng.E.wal (LR.Commit { tid = txn.E.tx_tid; ts })
     in
-    (* Group commit: the durability acknowledgment ([tx_durable]) fires
-       only from the flush that syncs the commit record.  A window <= 1
-       forces that flush now — one sync per commit, the classic protocol.
-       A wider window lets up to [window] commits share one sync, forced
-       here when the batch fills (or sooner by any WAL-before-data or
-       checkpoint flush); a crash before the shared sync finds the batch
-       unacknowledged and recovery rolls it back. *)
+    (* The durability acknowledgment ([tx_durable]) fires only from the
+       flush that syncs the commit record.  [commit] forces that flush
+       below, so every commit it returns is in the durable log. *)
     Imdb_wal.Wal.register_commit eng.E.wal ~lsn:commit_lsn ~on_durable:(fun () ->
         txn.E.tx_durable <- true);
     (* our position in the forming group-commit batch: 1 = leader (our
@@ -77,24 +73,25 @@ let commit eng txn =
     (* The VTT commit — the visibility switch — happens here, in the same
        gate section that issued the timestamp, so concurrent sessions can
        never observe a timestamp-ordered commit before an earlier one.
-       Durability may lag visibility by one flush: exactly the contract a
-       group-commit window already established.  (The flush itself does
-       not append, so [end_of_log] is the same either side of it.) *)
+       Visibility precedes durability by the one flush below: a
+       concurrent session may see this commit before its record is
+       synced, which is why access-path stamping forces the log
+       ({!Imdb_tstamp.Lazy_stamper.resolve_for_stamping}).  (The flush
+       itself does not append, so [end_of_log] is the same either side
+       of it.) *)
     Imdb_tstamp.Vtt.commit (E.vtt eng) txn.E.tx_tid ~ts ~persistent:!persistent
       ~end_of_log:(Imdb_wal.Wal.next_lsn eng.E.wal);
     Imdb_tstamp.Vtt.drop_if_drained_snapshot (E.vtt eng) txn.E.tx_tid;
-    let window = eng.E.config.E.group_commit_window in
-    if window <= 1 || Imdb_wal.Wal.pending_commits eng.E.wal >= window then
-      (* the fsync is where committing sessions overlap: the gate is
-         released around it, so concurrent commits batch on the WAL's
-         flush mutex and share one device sync (this transaction's locks
-         stay held — 2PL conflicts are still excluded).  Flushing through
-         our own commit record — not the whole buffered tail — lets a
-         committer whose record a concurrent leader's sync already
-         covered return without paying a second sync for records newer
-         than its own; serially the commit record is the end of the
-         buffered tail, so the two are the same flush. *)
-      E.without_gate eng (fun () -> Imdb_wal.Wal.flush ~lsn:commit_lsn eng.E.wal);
+    (* the fsync is where committing sessions overlap: the gate is
+       released around it, so concurrent commits batch on the WAL's
+       flush and share one device sync (this transaction's locks stay
+       held — 2PL conflicts are still excluded).  Flushing through our
+       own commit record — not the whole buffered tail — lets a
+       committer whose record a concurrent leader's sync already covered
+       return without paying a second sync for records newer than its
+       own; serially the commit record is the end of the buffered tail,
+       so the two are the same flush. *)
+    E.without_gate eng (fun () -> Imdb_wal.Wal.flush ~lsn:commit_lsn eng.E.wal);
     ignore (Imdb_wal.Wal.append eng.E.wal (LR.End { tid = txn.E.tx_tid }));
     release eng txn;
     let m = eng.E.metrics in

@@ -266,8 +266,11 @@ let trace_dropped t = locked t (fun () -> t.ring_dropped)
    v9: live introspection — the session.* commit-time counters
    (rows_read, rows_written: per-txn tallies folded in at commit) and the
    monitor.* counters (samples, dropped) fed by the continuous monitor
-   sampler when one is running. *)
-let schema_version = 9
+   sampler when one is running.
+
+   v10: the ingest.hint_key_splits counter is gone with the batch-hint
+   key-split policy it counted (key splits follow utilization alone). *)
+let schema_version = 10
 
 let sorted_int_obj tbl =
   Hashtbl.fold (fun k r acc -> (k, Json.Int !r) :: acc) tbl [] |> List.sort compare
@@ -428,7 +431,6 @@ let ingest_flushes = "ingest.flushes"
 let ingest_flush_messages = "ingest.flush_messages"
 let ingest_flush_pages = "ingest.flush_pages"
 let ingest_deferred_splits = "ingest.deferred_splits"
-let ingest_hint_key_splits = "ingest.hint_key_splits"
 let lock_acquires = "lock.acquires"
 let lock_conflicts = "lock.conflicts"
 let lock_deadlocks = "lock.deadlocks"

@@ -116,7 +116,7 @@ val trace_dropped : t -> int
     [imdb stats --json], the SQL [METRICS] pragma and the bench harness:
 
     {v
-    { "schema_version": 9,
+    { "schema_version": 10,
       "counters":   { "<name>": <int>, ... },              (sorted)
       "gauges":     { "<name>": <int>, ... },              (sorted)
       "histograms": { "<name>": { "count": n, "sum": n, "max": n,
@@ -221,10 +221,6 @@ val ingest_flush_pages : string
 
 val ingest_deferred_splits : string
 (** Time splits performed during a flush at a message's recorded clock. *)
-
-val ingest_hint_key_splits : string
-(** Key splits taken early because batch-arrival occupancy predicted
-    overflow ([ingest_split_hint]). *)
 
 val lock_acquires : string
 (** Lock requests granted (fresh grants, upgrades and re-requests). *)

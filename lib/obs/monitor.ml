@@ -10,7 +10,7 @@
 
    The shared [null] monitor keeps the same contract as [Metrics.null]:
    when [on] is false every operation short-circuits on one branch, so an
-   engine built without monitoring pays nothing and — the monitorov gate
+   engine built without monitoring pays nothing and — the obsov gate
    proves this — perturbs no counters.
 
    The background thread sleeps in short slices and re-checks a stop flag

@@ -6,7 +6,7 @@
     background thread ([start]/[stop]) on a wall-clock interval.  The
     shared [null] monitor short-circuits every operation on one branch,
     so an engine without monitoring pays nothing and perturbs no
-    counters (proved by the BENCH_monitorov gate). *)
+    counters (proved by the BENCH_obsov gate). *)
 
 type t
 

@@ -65,7 +65,6 @@ type config = {
   keys_per_table : int;
   page_size : int;
   pool_capacity : int;
-  group_commit_window : int;
   auto_checkpoint_every : int;
   history_compression : bool;
   verify_every : int;
@@ -87,7 +86,6 @@ let default =
     keys_per_table = 48;
     page_size = 1024;
     pool_capacity = 12;
-    group_commit_window = 4;
     auto_checkpoint_every = 40;
     history_compression = true;
     verify_every = 0;
@@ -138,7 +136,7 @@ type report = {
   r_torn : int;
   r_recoveries : int;
   r_double_recoveries : int;
-  r_lost_commits : int;
+  r_volatile_drops : int;
   r_asof_checks : int;
   r_boundary_checks : int;
   r_history_checks : int;
@@ -186,7 +184,6 @@ let run cfg =
       E.default_config with
       E.page_size = cfg.page_size;
       pool_capacity = cfg.pool_capacity;
-      group_commit_window = cfg.group_commit_window;
       auto_checkpoint_every = cfg.auto_checkpoint_every;
       history_compression = cfg.history_compression;
       (* multi-session runs park on lock conflicts instead of failing
@@ -218,17 +215,13 @@ let run cfg =
   let torn = ref 0 in
   let recoveries = ref 0 in
   let double_recoveries = ref 0 in
-  let lost_commits = ref 0 in
+  let volatile_drops = ref 0 in
   let asof_checks = ref 0 in
   let boundary_checks = ref 0 in
   let history_checks = ref 0 in
   let spot_checks = ref 0 in
   let kind_fired = List.map (fun k -> (k, ref 0)) all_crash_kinds in
 
-  (* commits whose durability we have not yet observed: (ts, txn, writes).
-     The writes are the transaction's actual writes (pre-sabotage), kept
-     so a crash can probe the recovered engine for the commit's fate. *)
-  let watch : (Ts.t * E.txn * Model.write list) list ref = ref [] in
   (* the transaction a crash may interrupt, with the writes it applied *)
   let inflight : (E.txn * Model.write list) option ref = ref None in
 
@@ -281,7 +274,6 @@ let run cfg =
         Db.scan_as_of !db txn ~table ~ts (fun k v -> out := (k, v) :: !out));
     List.rev !out
   in
-  let get_at table key ts = Db.as_of !db ts (fun txn -> Db.get !db txn ~table ~key) in
 
   let compare_states ~what ~table want got =
     if want <> got then begin
@@ -366,16 +358,22 @@ let run cfg =
     Printf.sprintf "v%d.%d|%s" !commit_seq !ops_done (String.make (Rng.int rng 64) 'x')
   in
 
+  (* [Db.commit] may only return once the commit record is durable; the
+     run fails on any returned commit not yet acknowledged. *)
+  let check_durable ~what txn ts =
+    if not txn.E.tx_durable then
+      fail "%s ts=%s returned before its commit record was durable" what (Ts.to_string ts)
+  in
+
   (* One transaction: 1..4 writes on distinct keys, chosen to be valid
      against the oracle's current state (insert absent keys, update or
      delete present ones), with read-your-writes checks inline.  About
-     one in twelve deliberately aborts. *)
-  let txn_step ?size ?(no_abort = false) () =
+     one in twelve deliberately aborts.  [leave_open] stops after the
+     writes, leaving the transaction in [inflight] for a plug pull. *)
+  let txn_step ?(leave_open = false) () =
     let budget = cfg.ops - !ops_done in
     if budget > 0 then begin
-      let size =
-        match size with Some s -> min s budget | None -> min (1 + Rng.int rng 4) budget
-      in
+      let size = min (1 + Rng.int rng 4) budget in
       tick ();
       let txn = Db.begin_txn !db in
       inflight := Some (txn, []);
@@ -432,11 +430,12 @@ let run cfg =
           end
         end
       done;
-      if !writes = [] then begin
+      if leave_open then ()
+      else if !writes = [] then begin
         Db.abort !db txn;
         inflight := None
       end
-      else if (not no_abort) && Rng.int rng 12 = 0 then begin
+      else if Rng.int rng 12 = 0 then begin
         Db.abort !db txn;
         incr aborts;
         inflight := None;
@@ -446,10 +445,8 @@ let run cfg =
         match Db.commit !db txn with
         | Some ts ->
             inflight := None;
+            check_durable ~what:(Printf.sprintf "op %d: commit" !ops_done) txn ts;
             record_commit ~ts (List.rev !writes);
-            watch :=
-              (ts, txn, List.rev !writes)
-              :: List.filter (fun (_, t, _) -> not t.E.tx_durable) !watch;
             act "op %d: commit ts=%s (%d writes)" !ops_done (Ts.to_string ts)
               (List.length !writes)
         | None -> fail "op %d: commit of a writing transaction returned no timestamp" !ops_done
@@ -494,10 +491,8 @@ let run cfg =
         match Db.commit !db txn with
         | Some ts ->
             inflight := None;
+            check_durable ~what:(Printf.sprintf "op %d: bulk commit" !ops_done) txn ts;
             record_commit ~ts (List.rev !writes);
-            watch :=
-              (ts, txn, List.rev !writes)
-              :: List.filter (fun (_, t, _) -> not t.E.tx_durable) !watch;
             act "op %d: bulk commit ts=%s (%d upserts)" !ops_done (Ts.to_string ts)
               (List.length !writes)
         | None ->
@@ -523,21 +518,6 @@ let run cfg =
   in
 
   (* ---- crashes ------------------------------------------------------ *)
-  (* Settle the fate of an unacknowledged commit after a crash: probe its
-     first write at its exact timestamp.  The write targets a key whose
-     prior state the oracle knows (values are unique per op), so presence
-     of the written value — or absence, for a delete of a key live before
-     the commit — proves the commit was recovered. *)
-  let survived_probe ts = function
-    | [] -> (false, "commit had no writes to probe")
-    | w :: _ ->
-        let got = get_at w.Model.w_table w.Model.w_key ts in
-        ( got = w.Model.w_value,
-          Printf.sprintf "probe %s/%s AS OF %s: want=%s got=%s" w.Model.w_table
-            w.Model.w_key (Ts.to_string ts)
-            (Option.fold ~none:"<absent>" ~some:short w.Model.w_value)
-            (Option.fold ~none:"<absent>" ~some:short got) )
-  in
   let point_rng cp =
     Rng.create ((cfg.seed * 1_000_003) lxor (cp.cp_commit * 7919) lxor kind_index cp.cp_kind)
   in
@@ -546,52 +526,24 @@ let run cfg =
   let armed : (crash_point * int) option ref = ref None in
   let meta_force = ref false in
 
-  (* The crash proper.  Durability semantics: an {e acknowledged} commit
-     MUST survive; an {e unacknowledged} one MAY — its log record can
-     reach the device before the group-commit ack that would have set
-     [tx_durable] (the flush race).  So the harness cannot decide the
-     fate of the unacknowledged tail a priori.  It crashes, recovers
-     (twice, for Crash_recovery), then probes the engine for each at-risk
-     commit oldest-first with an exact-timestamp AS OF point read; the
-     survivors must form a log prefix, and the oracle is truncated at the
-     first commit recovery actually lost.  Then everything is verified. *)
+  (* The crash proper.  Every commit that returned is durable (checked as
+     it returned), so the oracle already holds exactly what must survive.
+     The one open question is a commit the crash interrupted: it enters
+     the oracle iff its commit record was synced ([tx_durable]); any
+     other interrupted transaction is a loser that recovery must roll
+     back.  The crash then recovers (twice, for Crash_recovery) and
+     [verify_full] judges the outcome. *)
   let do_crash cp =
     incr crashes;
     incr (List.assq cp.cp_kind kind_fired);
     if cp.cp_torn then incr torn;
     Disk.lift plan;
-    let inflight_entry =
-      match !inflight with
-      | Some (txn, writes) -> (
-          match txn.E.tx_commit_ts with Some ts -> Some (ts, txn, writes) | None -> None)
-      | None -> None
-    in
-    let entries =
-      !watch
-      @ (match inflight_entry with Some (ts, txn, ws) -> [ (ts, txn, ws) ] | None -> [])
-    in
-    let durable, casualties = List.partition (fun (_, t, _) -> t.E.tx_durable) entries in
-    let casualties =
-      List.sort (fun (a, _, _) (b, _, _) -> Ts.compare a b) casualties
-    in
-    (match casualties with
-    | [] -> ()
-    | (min_cas, _, _) :: _ ->
-        List.iter
-          (fun (dts, _, _) ->
-            if Ts.compare dts min_cas > 0 then
-              fail
-                "crash: acknowledged commit %s is newer than unacknowledged commit %s — \
-                 acknowledgments are not a log prefix"
-                (Ts.to_string dts) (Ts.to_string min_cas))
-          durable;
-        act "crash: %d unacknowledged commits in the balance (oldest %s)"
-          (List.length casualties) (Ts.to_string min_cas));
-    let adopt_inflight =
-      match inflight_entry with Some (ts, txn, _) -> Some (ts, txn.E.tx_durable) | None -> None
-    in
+    (match !inflight with
+    | Some ({ E.tx_durable = true; tx_commit_ts = Some ts; _ }, writes) ->
+        record_commit ~ts writes;
+        act "crash: in-flight commit ts=%s was durable; adopted" (Ts.to_string ts)
+    | Some _ | None -> ());
     inflight := None;
-    watch := [];
     (* pull the plug: volatile state evaporates, the devices persist *)
     Wal.crash_volatile (Db.engine !db).E.wal;
     Imdb_buffer.Buffer_pool.drop_all (Db.engine !db).E.pool;
@@ -619,46 +571,6 @@ let run cfg =
     incr recoveries;
     if Wal.pending_commits (Db.engine !db).E.wal <> 0 then
       fail "crash: recovery left group-commit acknowledgments pending";
-    (* Settle the fate of the unacknowledged tail, oldest first. *)
-    let rec settle = function
-      | [] -> ()
-      | (ts, _txn, writes) :: rest ->
-          let survived, detail = survived_probe ts writes in
-          if survived then begin
-            (match adopt_inflight with
-            | Some (its, _) when Ts.equal its ts ->
-                (* the commit the crash interrupted: never recorded *)
-                record_commit ~ts writes;
-                act "crash: in-flight commit ts=%s survived the flush race; adopted"
-                  (Ts.to_string ts)
-            | _ ->
-                act "crash: unacknowledged commit ts=%s survived the flush race (%s)"
-                  (Ts.to_string ts) detail);
-            settle rest
-          end
-          else begin
-            (* first loss: everything newer must be gone too (log prefix) *)
-            let lost = Model.truncate_after model (just_before ts) in
-            lost_commits := !lost_commits + lost;
-            act "crash: %d commits lost (oldest %s, %d at-risk survived; %s)" lost
-              (Ts.to_string ts)
-              (List.length casualties - List.length rest - 1)
-              detail
-          end
-    in
-    (* A durable (acknowledged) in-flight commit implies an empty casualty
-       list: group commit acknowledges in log order, so everything older
-       was acknowledged first.  A non-durable one is simply the newest
-       casualty and is settled by the probe like any other. *)
-    (match (casualties, adopt_inflight) with
-    | [], Some (ts, true) -> (
-        match inflight_entry with
-        | Some (_, _, writes) ->
-            record_commit ~ts writes;
-            act "crash: in-flight commit ts=%s already acknowledged; adopted"
-              (Ts.to_string ts)
-        | None -> ())
-    | _ -> settle casualties);
     act "crash #%d (%s%s): recovered; model has %d commits" !crashes
       (crash_kind_name cp.cp_kind)
       (if cp.cp_torn then ", torn page" else "")
@@ -666,22 +578,39 @@ let run cfg =
     verify_full ~label:(Printf.sprintf "post-recovery #%d" !crashes) ()
   in
 
+  (* Power loss mid-transaction: open a transaction, write, and pull the
+     plug while its newest log record is still in the volatile tail.  A
+     write can itself flush the log (WAL-before-data on an eviction it
+     causes), so a transaction left fully durable is rolled back and
+     another one tried. *)
+  let wal_tail_crash cp =
+    let volatile () =
+      match !inflight with
+      | Some (txn, _) ->
+          Int64.compare txn.E.tx_last_lsn (Wal.flushed_lsn (Db.engine !db).E.wal) >= 0
+      | None -> false
+    in
+    let rec open_txn tries =
+      txn_step ~leave_open:true ();
+      match !inflight with
+      | Some (txn, _) when tries > 1 && not (volatile ()) ->
+          Db.abort !db txn;
+          inflight := None;
+          open_txn (tries - 1)
+      | _ -> ()
+    in
+    open_txn 4;
+    if volatile () then begin
+      incr volatile_drops;
+      act "crash point: wal-tail with an open transaction's record volatile"
+    end
+    else act "crash point: wal-tail with no volatile transaction record";
+    do_crash cp
+  in
+
   let initiate cp =
     match cp.cp_kind with
-    | Crash_wal_tail ->
-        (* build up a pending group-commit batch, then pull the plug *)
-        let tries = ref 0 in
-        while
-          Wal.pending_commits (Db.engine !db).E.wal = 0
-          && !tries < (2 * cfg.group_commit_window) + 2
-          && !ops_done < cfg.ops
-        do
-          incr tries;
-          txn_step ~size:1 ~no_abort:true ()
-        done;
-        act "crash point: wal-tail with %d commits pending"
-          (Wal.pending_commits (Db.engine !db).E.wal);
-        do_crash cp
+    | Crash_wal_tail -> wal_tail_crash cp
     | Crash_recovery -> do_crash cp
     | Crash_data_write ->
         let prng = point_rng cp in
@@ -737,7 +666,7 @@ let run cfg =
         r_torn = !torn;
         r_recoveries = !recoveries;
         r_double_recoveries = !double_recoveries;
-        r_lost_commits = !lost_commits;
+        r_volatile_drops = !volatile_drops;
         r_asof_checks = !asof_checks;
         r_boundary_checks = !boundary_checks;
         r_history_checks = !history_checks;
@@ -781,7 +710,7 @@ let run cfg =
            meta_force := false;
            act "crash point (%s) did not fire within 300 commits; pulling the plug"
              (crash_kind_name cp.cp_kind);
-           do_crash { cp with cp_kind = Crash_wal_tail; cp_torn = false }
+           wal_tail_crash { cp with cp_kind = Crash_wal_tail; cp_torn = false }
        | _ -> ());
        if !meta_force then begin
          (* a checkpoint writes the meta page; make the armed plan fire *)
@@ -830,11 +759,11 @@ let run cfg =
      switches visibility and appends the commit record in one gate
      section, so timestamp order {e is} a serial order consistent with
      what every session observed, and partitioned keys make each
-     session's writes valid against it by construction.  Between bursts
-     the main domain spot-checks, verifies, and pulls the plug
-     wal-tail-style while group-commit acknowledgments are pending; the
-     unacknowledged tail is settled by probing, exactly as in the serial
-     driver.  The interleaving (and so the report's counters) is not
+     session's writes valid against it by construction.  Every commit a
+     session saw return must be durable by the join.  Between bursts the
+     main domain spot-checks, verifies, and occasionally pulls the plug
+     mid-transaction exactly as the serial driver's wal-tail crash does.
+     The interleaving (and so the report's counters) is not
      deterministic — only the per-session workloads are — but every
      verification failure is still a real engine or oracle bug. *)
   let concurrent_main () =
@@ -981,71 +910,20 @@ let run cfg =
         results;
       let prev = ref Ts.zero in
       List.iter
-        (fun (ts, _, writes) ->
+        (fun (ts, txn, writes) ->
           if Ts.compare ts !prev <= 0 then
             fail "burst %d: commit timestamps not strictly increasing (%s after %s)"
               !burst (Ts.to_string ts) (Ts.to_string !prev);
           prev := ts;
+          check_durable ~what:(Printf.sprintf "burst %d: commit" !burst) txn ts;
           record_commit ~ts writes)
         all;
-      watch :=
-        List.filter (fun (_, t, _) -> not t.E.tx_durable) all
-        @ List.filter (fun (_, t, _) -> not t.E.tx_durable) !watch;
-      act "burst %d: %d sessions committed %d txns (%d pending acks)" !burst sessions
-        (List.length all)
-        (Wal.pending_commits (Db.engine !db).E.wal);
-      (* between bursts: occasionally pull the plug mid-group-commit,
+      act "burst %d: %d sessions committed %d txns" !burst sessions (List.length all);
+      (* between bursts: occasionally pull the plug mid-transaction,
          otherwise spot-check or verify on schedule *)
       if !crash_budget > 0 && Rng.int rng 3 = 0 then begin
         decr crash_budget;
-        incr crashes;
-        incr (List.assq Crash_wal_tail kind_fired);
-        let entries =
-          List.sort (fun (a, _, _) (b, _, _) -> Ts.compare a b) !watch
-        in
-        let durable, casualties =
-          List.partition (fun (_, t, _) -> t.E.tx_durable) entries
-        in
-        (match casualties with
-        | [] -> ()
-        | (min_cas, _, _) :: _ ->
-            List.iter
-              (fun (dts, _, _) ->
-                if Ts.compare dts min_cas > 0 then
-                  fail
-                    "crash: acknowledged commit %s is newer than unacknowledged commit \
-                     %s — acknowledgments are not a log prefix"
-                    (Ts.to_string dts) (Ts.to_string min_cas))
-              durable;
-            act "crash: %d unacknowledged commits in the balance (oldest %s)"
-              (List.length casualties) (Ts.to_string min_cas));
-        watch := [];
-        Wal.crash_volatile (Db.engine !db).E.wal;
-        Imdb_buffer.Buffer_pool.drop_all (Db.engine !db).E.pool;
-        db := reopen ();
-        incr recoveries;
-        if Wal.pending_commits (Db.engine !db).E.wal <> 0 then
-          fail "crash: recovery left group-commit acknowledgments pending";
-        let rec settle = function
-          | [] -> ()
-          | (ts, _txn, writes) :: rest ->
-              let survived, detail = survived_probe ts writes in
-              if survived then begin
-                act "crash: unacknowledged commit ts=%s survived the flush race (%s)"
-                  (Ts.to_string ts) detail;
-                settle rest
-              end
-              else begin
-                let lost = Model.truncate_after model (just_before ts) in
-                lost_commits := !lost_commits + lost;
-                act "crash: %d commits lost (oldest %s; %s)" lost (Ts.to_string ts)
-                  detail
-              end
-        in
-        settle casualties;
-        act "crash #%d (wal-tail, %d sessions): recovered; model has %d commits"
-          !crashes sessions (Model.commit_count model);
-        verify_full ~label:(Printf.sprintf "post-recovery #%d" !crashes) ()
+        wal_tail_crash { cp_commit = !commits; cp_kind = Crash_wal_tail; cp_torn = false }
       end
       else if Rng.int rng 3 = 0 then spot_check ();
       if cfg.verify_every > 0 && !commits - !last_verified >= cfg.verify_every then begin
@@ -1093,11 +971,11 @@ let minimize cfg failure =
 let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>torture PASS: seed=%d@,\
-     ops=%d commits=%d aborts=%d lost-commits=%d@,\
+     ops=%d commits=%d aborts=%d volatile-drops=%d@,\
      crashes=%d (%s) torn=%d recoveries=%d double=%d@,\
      checks: as-of=%d boundary=%d history=%d spot=%d@,\
      engine: time-splits=%d checkpoints=%d torn-pages-rebuilt=%d@]" r.r_seed r.r_ops
-    r.r_commits r.r_aborts r.r_lost_commits r.r_crashes
+    r.r_commits r.r_aborts r.r_volatile_drops r.r_crashes
     (String.concat ", "
        (List.map (fun (k, n) -> Printf.sprintf "%s:%d" k n) r.r_crash_kinds))
     r.r_torn r.r_recoveries r.r_double_recoveries r.r_asof_checks r.r_boundary_checks
@@ -1114,10 +992,10 @@ let pp_failure ppf f =
 let describe_config cfg =
   let sched = schedule_of cfg in
   Printf.sprintf
-    "seed=%d ops=%d crashes=%d tables=%dx%d page=%dB pool=%d window=%d ckpt-every=%d \
+    "seed=%d ops=%d crashes=%d tables=%dx%d page=%dB pool=%d ckpt-every=%d \
      compression=%b verify-every=%d verify-limit=%d bulk=%b sessions=%d schedule=[%s]"
     cfg.seed cfg.ops cfg.crashes cfg.tables cfg.keys_per_table cfg.page_size
-    cfg.pool_capacity cfg.group_commit_window cfg.auto_checkpoint_every
+    cfg.pool_capacity cfg.auto_checkpoint_every
     cfg.history_compression cfg.verify_every cfg.verify_limit cfg.bulk cfg.sessions
     (String.concat "; "
        (List.map

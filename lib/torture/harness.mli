@@ -4,7 +4,7 @@
     INSERT/UPDATE/DELETE transactions (with aborts, AS OF reads,
     checkpoints and vacuums mixed in) against a real engine over a
     failure-injecting in-memory disk, crashes it at targeted points —
-    mid-group-commit, mid-time-split, mid-checkpoint, during recovery
+    mid-transaction, mid-time-split, mid-checkpoint, during recovery
     itself, with or without a torn page on the failing write — recovers,
     and verifies {e every} past AS OF time, every record history and the
     current state against the linearized {!Model} oracle.
@@ -18,8 +18,9 @@ module Ts := Imdb_clock.Timestamp
 (** Where a scheduled crash aims. *)
 type crash_kind =
   | Crash_wal_tail
-      (** power loss with an open group-commit batch: no injected I/O
-          error, just dropped volatile state while commits are pending *)
+      (** power loss mid-transaction: no injected I/O error, just dropped
+          volatile state while an open transaction's newest log record is
+          still in the volatile tail *)
   | Crash_data_write  (** a data-page write fails after a short countdown *)
   | Crash_history_write
       (** the next history-page write fails: mid-time-split, exactly when
@@ -57,7 +58,6 @@ type config = {
   keys_per_table : int;
   page_size : int;
   pool_capacity : int;
-  group_commit_window : int;
   auto_checkpoint_every : int;
   history_compression : bool;
   verify_every : int;
@@ -73,7 +73,7 @@ type config = {
       (** > 1: concurrent mode — each burst runs this many domains, one
           session each over a disjoint key partition, then merges their
           commits into the oracle in timestamp order and occasionally
-          pulls the plug mid-group-commit.  The interleaving is not
+          pulls the plug mid-transaction.  The interleaving is not
           deterministic, but every per-session workload is, and every
           verification failure is a real bug.  1 (the default): the
           classic deterministic single-session loop. *)
@@ -88,7 +88,7 @@ type config = {
 
 val default : config
 (** The capped profile: 10_000 ops, 60 crashes, 2 tables × 48 keys,
-    1 KiB pages, group-commit window 4, full verification. *)
+    1 KiB pages, a 12-frame pool, full verification. *)
 
 val schedule_of : config -> crash_point list
 (** The crash schedule a run will use (derived from the seed unless
@@ -104,7 +104,9 @@ type report = {
   r_torn : int;  (** crashes that tore the failing write *)
   r_recoveries : int;
   r_double_recoveries : int;  (** recoveries that crashed and re-ran *)
-  r_lost_commits : int;  (** unacknowledged commits erased by crashes *)
+  r_volatile_drops : int;
+      (** wal-tail crashes that dropped a volatile log record of an open
+          transaction *)
   r_asof_checks : int;  (** full-state AS OF comparisons *)
   r_boundary_checks : int;  (** comparisons just below a commit timestamp *)
   r_history_checks : int;  (** per-key history comparisons *)

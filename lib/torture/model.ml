@@ -1,11 +1,9 @@
 (* The linearized oracle: committed history as data.
 
-   Commits live in a growable array ordered by timestamp (the harness is
-   single-session, so commit order is serialization order).  A crash that
-   loses the unacknowledged group-commit tail is [truncate_after]: the
-   surviving history is always a prefix.  The per-table current state is
-   maintained incrementally for the generator's benefit and rebuilt by
-   replay after a truncation (truncations are rare — one per crash). *)
+   Commits live in a growable array ordered by timestamp, which is the
+   serialization order.  Only acknowledged (durable) commits are
+   recorded, so the array only ever grows.  The per-table current state
+   is maintained incrementally for the generator's benefit. *)
 
 module Ts = Imdb_clock.Timestamp
 
@@ -57,30 +55,6 @@ let record t ~ts ~tag writes =
 let commit_count t = t.len
 let commits t = Array.to_list (Array.sub t.arr 0 t.len)
 let last_ts t = if t.len = 0 then None else Some t.arr.(t.len - 1).c_ts
-
-let rebuild_current t =
-  List.iter (fun name -> Hashtbl.reset (table_state t name)) t.table_names;
-  for i = 0 to t.len - 1 do
-    List.iter (apply_write t) t.arr.(i).c_writes
-  done
-
-let truncate_after t ts =
-  let keep = ref t.len in
-  (* commits are ts-ordered: find the first index past [ts] *)
-  (try
-     for i = 0 to t.len - 1 do
-       if Ts.compare t.arr.(i).c_ts ts > 0 then begin
-         keep := i;
-         raise Exit
-       end
-     done
-   with Exit -> ());
-  let lost = t.len - !keep in
-  if lost > 0 then begin
-    t.len <- !keep;
-    rebuild_current t
-  end;
-  lost
 
 let sorted_bindings h =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []

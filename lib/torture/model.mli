@@ -2,17 +2,17 @@
     against.
 
     The model is the committed history itself: an append-only array of
-    commits, each a timestamp plus the writes it applied.  Because the
-    harness drives one session at a time, serialization order equals
-    commit-timestamp order and every query the engine supports has an
+    commits, each a timestamp plus the writes it applied.  Serialization
+    order equals commit-timestamp order (concurrent sessions' commits are
+    merged in timestamp order), so every query the engine supports has an
     obvious reference answer:
 
     - the state {e as of} [ts] is the fold of all commits with
       [c_ts <= ts];
-    - a record's history is the subsequence of commits touching its key;
-    - a crash erases a suffix of commits (the unacknowledged group-commit
-      tail), never an interior subset — [truncate_after] models exactly
-      that.
+    - a record's history is the subsequence of commits touching its key.
+
+    Every commit recorded here was acknowledged durable, so no crash may
+    erase any of them.
 
     The model never looks at the engine; the harness compares the two. *)
 
@@ -47,10 +47,6 @@ val commits : t -> commit list
 
 val last_ts : t -> Ts.t option
 
-val truncate_after : t -> Ts.t -> int
-(** Drop every commit with [c_ts > ts] — the model of a crash that loses
-    the unacknowledged log tail.  Returns the number of commits lost. *)
-
 val current_state : t -> table:string -> (string * string) list
 (** Live keys and their latest values, sorted by key. *)
 
@@ -71,6 +67,6 @@ val iter_states :
     [state_at]. *)
 
 val histories : t -> table:string -> (string, (Ts.t * string option) list) Hashtbl.t
-(** Every key ever written (and surviving truncation) mapped to its
+(** Every key ever written mapped to its
     version history, newest first, [None] marking deletions — the
     reference answer for [history]. *)

@@ -80,8 +80,8 @@ let resolve t tid : Imdb_version.Vpage.resolution =
    phantom committed version.  Forcing the log first restores the
    invariant that any stamp that can reach disk names a durably
    committed transaction.  The force is rare: it fires only when an
-   access stamps a commit younger than the last flush (e.g. inside an
-   open group-commit window).  The PTT fallback needs no gate — a PTT
+   access stamps a commit younger than the last flush (another session's
+   commit between its VTT switch and its sync).  The PTT fallback needs no gate — a PTT
    entry consulted here is covered by a durable commit record (losers'
    entries are removed during recovery, before any access-path
    stamping). *)

@@ -13,13 +13,12 @@
 # the baselines with
 #
 #   dune exec bench/main.exe -- --quick --json RESULTS_DIR \
-#     fig5 fig6 hotpath parscan ablations compress traceov ingest mtbench \
-#     monitorov
+#     fig5 fig6 hotpath parscan ablations compress obsov ingest mtbench
 #   cp RESULTS_DIR/BENCH_fig5.json RESULTS_DIR/BENCH_fig6.json \
 #      RESULTS_DIR/BENCH_hotpath.json RESULTS_DIR/BENCH_parscan.json \
 #      RESULTS_DIR/BENCH_ablations.json RESULTS_DIR/BENCH_compress.json \
-#      RESULTS_DIR/BENCH_traceov.json RESULTS_DIR/BENCH_ingest.json \
-#      RESULTS_DIR/BENCH_mtbench.json RESULTS_DIR/BENCH_monitorov.json \
+#      RESULTS_DIR/BENCH_obsov.json RESULTS_DIR/BENCH_ingest.json \
+#      RESULTS_DIR/BENCH_mtbench.json \
 #      bench/baselines/
 #
 # (The mtbench baseline is kept free of the wall-clock percentile

@@ -125,8 +125,8 @@ let test_torn_meta_page () =
 (* --- torn-page twin regressions --------------------------------------------
 
    Run the same deterministic workload on a crash engine and an uncrashed
-   twin, tear a targeted page write on the crash engine (mid-group-commit
-   data flush, or mid-time-split history write), recover it, and require
+   twin, tear a targeted page write on the crash engine (a data-page
+   flush, or a mid-time-split history write), recover it, and require
    (a) the checksum scrub detected and rebuilt the torn page and (b) every
    AS OF answer over the durable prefix is identical to the twin's. *)
 
@@ -137,7 +137,7 @@ let twin_config =
   (* small pages + small pool: frequent evictions and time splits, so the
      targeted write arrives within a few phase-2 transactions *)
   { E.default_config with
-    E.page_size = 1024; pool_capacity = 8; group_commit_window = 4 }
+    E.page_size = 1024; pool_capacity = 8 }
 
 let twin_value u = Printf.sprintf "v%03d-%s" u (String.make 180 'x')
 

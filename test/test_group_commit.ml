@@ -1,15 +1,14 @@
-(* Group commit at the engine level: a window of N commits shares one log
-   sync.  The invariant under test is the acknowledgment protocol —
-   [tx_durable] is set only by the flush that syncs the commit record, so
-   a crash before the shared sync finds the batch unacknowledged and
-   recovery rolls it back.  Nothing a client was told is lost. *)
+(* Group commit at the engine level.  Every writing commit flushes the
+   log through its own commit record before [Db.commit] returns, so the
+   acknowledgment ([tx_durable]) is always set by the time a caller sees
+   the timestamp.  Concurrent committers may share one sync (the WAL's
+   leader/follower flush); they never skip it. *)
 
 open Helpers
 module M = Imdb_obs.Metrics
 module Wal = Imdb_wal.Wal
 
-let gc_config window =
-  { default_config with E.group_commit_window = window; auto_checkpoint_every = 0 }
+let gc_config = { default_config with E.auto_checkpoint_every = 0 }
 
 (* Commit a single row write and keep the transaction handle so the test
    can watch its durability acknowledgment. *)
@@ -19,24 +18,18 @@ let commit_keep db i v =
   ignore (Db.commit db txn);
   txn
 
-let batch_hist m =
-  match M.histogram m M.h_group_commit_batch with
-  | Some h -> (h.M.h_count, h.M.h_sum)
-  | None -> (0, 0)
-
 (* Fresh db with table "t", all setup-time commit waiters drained so the
    counters under test start from a clean batch. *)
-let setup_db window =
-  let config = gc_config window in
-  let db, clock = fresh_db ~config () in
+let setup_db () =
+  let db, clock = fresh_db ~config:gc_config () in
   Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
   Db.checkpoint db;
   Alcotest.(check int) "setup waiters drained" 0
     (Wal.pending_commits (Db.engine db).E.wal);
-  (db, clock, config)
+  (db, clock)
 
 let test_window_one_syncs_every_commit () =
-  let db, clock, _ = setup_db 1 in
+  let db, clock = setup_db () in
   let m = Db.metrics db in
   let f0 = M.get m M.log_flushes in
   tick clock;
@@ -47,68 +40,54 @@ let test_window_one_syncs_every_commit () =
     (Wal.pending_commits (Db.engine db).E.wal);
   Db.close db
 
-let test_batched_acks () =
-  let db, clock, _ = setup_db 3 in
+(* Two sessions on two domains commit over a log whose sync sleeps 1 ms,
+   so their commit flushes overlap.  Once both domains have joined, every
+   commit either returned must be acknowledged, no waiter may be left
+   queued, and sharing may only ever save syncs. *)
+let test_sessions_durable_at_return () =
+  let base = Wal.Device.in_memory () in
+  let log_device =
+    { base with Wal.Device.sync = (fun () -> Unix.sleepf 0.001; base.Wal.Device.sync ()) }
+  in
+  let config = { gc_config with E.lock_wait_timeout_ms = 2000 } in
+  let db =
+    Db.open_devices ~config ~disk:(Imdb_storage.Disk.in_memory ~page_size:config.E.page_size ())
+      ~log_device ()
+  in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+  Db.checkpoint db;
   let m = Db.metrics db in
   let f0 = M.get m M.log_flushes in
-  let c0, s0 = batch_hist m in
-  tick clock;
-  let t1 = commit_keep db 1 "a" in
-  let t2 = commit_keep db 2 "b" in
-  Alcotest.(check bool) "no ack before the batch fills" false
-    (t1.E.tx_durable || t2.E.tx_durable);
-  Alcotest.(check int) "no commit-path sync yet" f0 (M.get m M.log_flushes);
-  Alcotest.(check int) "two waiters queued" 2
+  let per_session = 40 in
+  let worker sid () =
+    let s = Db.session db in
+    List.init per_session (fun i ->
+        let txn = Db.Session.begin_txn s in
+        Db.Session.upsert s txn ~table:"t"
+          ~key:(Imdb_core.Schema.encode_key (Imdb_core.Schema.V_int ((sid * 1000) + i)))
+          ~payload:(Printf.sprintf "s%d-%d" sid i);
+        match Db.Session.commit s txn with
+        | Some _ -> txn
+        | None -> Alcotest.fail "a writing commit returned no timestamp")
+  in
+  let domains = List.init 2 (fun sid -> Domain.spawn (worker sid)) in
+  let txns = List.concat_map Domain.join domains in
+  let commits = List.length txns in
+  Alcotest.(check int) "every commit returned" (2 * per_session) commits;
+  Alcotest.(check bool) "every returned commit is durable" true
+    (List.for_all (fun t -> t.E.tx_durable) txns);
+  Alcotest.(check int) "no waiter left behind" 0
     (Wal.pending_commits (Db.engine db).E.wal);
-  let t3 = commit_keep db 3 "c" in
-  Alcotest.(check bool) "the filling commit acknowledges all three" true
-    (t1.E.tx_durable && t2.E.tx_durable && t3.E.tx_durable);
-  Alcotest.(check int) "three commits shared one sync" (f0 + 1)
-    (M.get m M.log_flushes);
-  let c1, s1 = batch_hist m in
-  Alcotest.(check int) "one batch observed" (c0 + 1) c1;
-  Alcotest.(check int) "of size three" (s0 + 3) s1;
+  let flushes = M.get m M.log_flushes - f0 in
+  if flushes > commits then
+    Alcotest.failf "%d log syncs for %d commits: sharing may only save syncs" flushes
+      commits;
   Db.close db
-
-let test_any_flush_drains_the_batch () =
-  (* WAL-before-data or checkpoint flushes arrive before the window
-     fills; they must acknowledge the open batch rather than strand it *)
-  let db, clock, _ = setup_db 8 in
-  tick clock;
-  let t1 = commit_keep db 1 "a" in
-  Alcotest.(check bool) "still volatile" false t1.E.tx_durable;
-  Db.checkpoint db;
-  Alcotest.(check bool) "checkpoint flush acknowledges" true t1.E.tx_durable;
-  Db.close db
-
-let test_crash_mid_batch_rolls_back () =
-  let db, clock, config = setup_db 8 in
-  tick clock;
-  (* one commit made durable by an intervening checkpoint flush *)
-  let td = commit_keep db 1 "durable" in
-  Db.checkpoint db;
-  Alcotest.(check bool) "first commit acknowledged" true td.E.tx_durable;
-  tick clock;
-  (* two more stay in the open batch: never acknowledged to anyone *)
-  let t2 = commit_keep db 2 "volatile" in
-  let t3 = commit_keep db 1 "changed" in
-  Alcotest.(check bool) "open batch unacknowledged" false
-    (t2.E.tx_durable || t3.E.tx_durable);
-  (* crash before the batch fills: the unsynced commits must vanish *)
-  let db2 = Db.crash_and_reopen ~config ~clock db in
-  check_row db2 ~table:"t" ~id:1 (Some (row 1 "durable"));
-  check_row db2 ~table:"t" ~id:2 None;
-  Alcotest.(check bool) "never acknowledged, even after recovery" false
-    (t2.E.tx_durable || t3.E.tx_durable);
-  Db.close db2
 
 let suite =
   [
     Alcotest.test_case "window 1 syncs every commit" `Quick
       test_window_one_syncs_every_commit;
-    Alcotest.test_case "batched acknowledgment" `Quick test_batched_acks;
-    Alcotest.test_case "any flush drains the batch" `Quick
-      test_any_flush_drains_the_batch;
-    Alcotest.test_case "crash mid-batch rolls back" `Quick
-      test_crash_mid_batch_rolls_back;
+    Alcotest.test_case "2 sessions: durable at return" `Quick
+      test_sessions_durable_at_return;
   ]

@@ -13,7 +13,7 @@
      sessions) merges every domain's commits into the linearized Model
      oracle in timestamp order and verifies every AS OF state, boundary
      and history against it — with crash points pulling the plug
-     mid-group-commit along the way.  A Passed outcome IS the
+     mid-transaction along the way.  A Passed outcome IS the
      equivalence claim; any nonserializable interleaving the engine
      admitted would surface as an oracle mismatch. *)
 
@@ -159,9 +159,9 @@ let prop_concurrent_equals_serial sessions =
           QCheck.Test.fail_reportf "seed %d diverged from serial order: %a" seed
             H.pp_failure f)
 
-let test_concurrent_crash_settlement () =
-  (* a fixed seed known to fire wal-tail crashes mid-burst: lost commits
-     must be settled (probed, then truncated from the oracle) without a
+let test_concurrent_crash_recovery () =
+  (* a fixed seed known to fire wal-tail crashes between bursts: every
+     commit a session saw return must survive recovery, with no
      verification failure *)
   match H.run { (concurrent_cfg ~sessions:3 ~seed:7) with H.ops = 900; crashes = 10 } with
   | H.Passed r ->
@@ -174,5 +174,6 @@ let suite =
     Alcotest.test_case "sessions=1 bit-identical to plain API" `Quick test_session_bit_identical;
     QCheck_alcotest.to_alcotest ~long:false (prop_concurrent_equals_serial 2);
     QCheck_alcotest.to_alcotest ~long:false (prop_concurrent_equals_serial 4);
-    Alcotest.test_case "concurrent crashes settle lost commits" `Slow test_concurrent_crash_settlement;
+    Alcotest.test_case "concurrent crashes keep acknowledged commits" `Slow
+      test_concurrent_crash_recovery;
   ]

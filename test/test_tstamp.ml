@@ -159,6 +159,36 @@ let test_eager_mode () =
   check_row db ~table:"t" ~id:1 (Some (row 1 "b"));
   Db.close db
 
+(* The stamping gate: a commit is visible to other sessions between its
+   VTT switch and the sync of its commit record.  Stamping it then must
+   not outrun the log — access-path stamping forces the log first, and
+   flush-time stamping declines. *)
+let test_stamping_gate () =
+  let module LS = Imdb_tstamp.Lazy_stamper in
+  let module Vp = Imdb_version.Vpage in
+  let st = LS.create () in
+  let flushed = ref 100L in
+  let forces = ref 0 in
+  LS.set_flushed_lsn st (fun () -> !flushed);
+  LS.set_force_log st (fun () ->
+      incr forces;
+      flushed := 200L);
+  let v = LS.vtt st in
+  Vtt.begin_txn v (tid 1);
+  Vtt.incr_ref v (tid 1);
+  (* the commit record ends at LSN 150; the log is durable through 100 *)
+  Vtt.commit v (tid 1) ~ts:(ts 100) ~persistent:true ~end_of_log:150L;
+  Alcotest.(check bool) "flush-time stamping declines a volatile commit" true
+    (LS.resolve_volatile_only st (tid 1) = Vp.Active);
+  Alcotest.(check bool) "access-path stamping sees the commit" true
+    (LS.resolve_for_stamping st (tid 1) = Vp.Committed (ts 100));
+  Alcotest.(check int) "after forcing the log once" 1 !forces;
+  Alcotest.(check bool) "access-path stamping, horizon past the commit" true
+    (LS.resolve_for_stamping st (tid 1) = Vp.Committed (ts 100));
+  Alcotest.(check int) "needs no further force" 1 !forces;
+  Alcotest.(check bool) "flush-time stamping proceeds once durable" true
+    (LS.resolve_volatile_only st (tid 1) = Vp.Committed (ts 100))
+
 let suite =
   [
     Alcotest.test_case "VTT four stages" `Quick test_vtt_stages;
@@ -169,4 +199,5 @@ let suite =
     Alcotest.test_case "GC bounds the PTT" `Quick test_gc_bounds_ptt;
     Alcotest.test_case "no GC without checkpoints" `Quick test_no_gc_without_checkpoints;
     Alcotest.test_case "eager mode" `Quick test_eager_mode;
+    Alcotest.test_case "stamping gate forces a volatile commit" `Quick test_stamping_gate;
   ]
