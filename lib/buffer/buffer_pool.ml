@@ -37,14 +37,13 @@
 
    Concurrency: one pool mutex guards the shared lookup/replacement state
    (frame table, CLOCK ring, free list, pin counts, dirty transitions) —
-   held only for O(1)-ish bookkeeping, never across a caller's page work.
-   Frame *writeback* (pre-flush stamping, the WAL-before-data flush, the
-   checksum seal, the disk write) runs under a striped frame latch keyed
-   by page id, so flushers of different pages proceed in parallel while
-   two writers of the same frame serialize and the WAL rule holds per
-   frame.  Page *content* accessed through a pinned frame is synchronized
-   by the engine's session gate, exactly like before; [with_latch] is
-   available where content work must exclude a concurrent writeback. *)
+   held for that bookkeeping and across frame writeback, never across a
+   caller's page work.  Frame writeback (pre-flush stamping, the WAL-before-data flush, the
+   checksum seal, the disk write) runs only from eviction ([make_room]),
+   [flush_page], [flush_all] and [flush_older_than], all of which hold the
+   pool mutex, so the image that reaches disk is the image the WAL rule
+   was checked against.  Page *content* accessed through a pinned frame
+   is synchronized by the engine's session gate. *)
 
 module M = Imdb_obs.Metrics
 
@@ -68,14 +67,11 @@ type frame = {
   mutable f_probes : int; (* linear searches since last invalidation *)
 }
 
-let latch_stripes = 16 (* power of two: page id maps by low bits *)
-
 type t = {
   disk : Imdb_storage.Disk.t;
   wal : Imdb_wal.Wal.t;
   capacity : int;
   pool_mu : Mutex.t; (* frame table, ring, free list, pins, dirty bits *)
-  latches : Mutex.t array; (* striped frame latches for writeback *)
   frames : (int, frame) Hashtbl.t;
   ring : frame option array; (* capacity slots, swept by the hand *)
   mutable hand : int;
@@ -87,7 +83,6 @@ type t = {
 let create ?(capacity = 256) ?(metrics = M.null) ~disk ~wal () =
   if capacity < 4 then invalid_arg "Buffer_pool.create: capacity too small";
   { disk; wal; capacity; pool_mu = Mutex.create ();
-    latches = Array.init latch_stripes (fun _ -> Mutex.create ());
     frames = Hashtbl.create (2 * capacity);
     ring = Array.make capacity None; hand = 0;
     free = List.init capacity Fun.id; pre_flush = ignore; metrics }
@@ -95,16 +90,6 @@ let create ?(capacity = 256) ?(metrics = M.null) ~disk ~wal () =
 let locked t f =
   Mutex.lock t.pool_mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.pool_mu) f
-
-let latch_of t page_id = t.latches.(page_id land (latch_stripes - 1))
-
-(* Run [f] holding the frame's stripe latch — excludes a concurrent
-   writeback of any frame on the same stripe.  Never taken while waiting
-   on [pool_mu] (lock order: pool mutex, then stripe latch, then WAL). *)
-let with_latch t fr f =
-  let mu = latch_of t fr.f_page_id in
-  Mutex.lock mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock mu) f
 
 let set_metrics t m = t.metrics <- m
 
@@ -145,17 +130,15 @@ let detach t f =
   t.free <- f.f_slot :: t.free;
   Hashtbl.remove t.frames f.f_page_id
 
-(* Write [f] out: pre-flush hook, WAL rule, checksum seal — all under the
-   frame's stripe latch so the image that hits disk is the image the WAL
-   rule was checked against.  Caller holds [pool_mu]. *)
+(* Write [f] out: pre-flush hook, WAL rule, checksum seal.  Caller holds
+   [pool_mu]. *)
 let write_frame t f =
-  with_latch t f (fun () ->
-      t.pre_flush f.f_bytes;
-      let page_lsn = Imdb_storage.Page.lsn f.f_bytes in
-      Imdb_wal.Wal.flush ~lsn:page_lsn t.wal;
-      Imdb_storage.Page.seal f.f_bytes;
-      t.disk.Imdb_storage.Disk.write_page f.f_page_id f.f_bytes;
-      f.f_dirty <- false)
+  t.pre_flush f.f_bytes;
+  let page_lsn = Imdb_storage.Page.lsn f.f_bytes in
+  Imdb_wal.Wal.flush ~lsn:page_lsn t.wal;
+  Imdb_storage.Page.seal f.f_bytes;
+  t.disk.Imdb_storage.Disk.write_page f.f_page_id f.f_bytes;
+  f.f_dirty <- false
 
 (* CLOCK sweep: clear reference bits until an unreferenced unpinned frame
    comes under the hand.  Two revolutions suffice — the first clears every
@@ -275,7 +258,7 @@ let flush_all t =
 (* Flush pages that have been dirty since before [rec_lsn_limit] — the
    checkpoint-time sweep that moves the redo-scan start point forward (and
    with it, the PTT garbage-collection horizon).  Pinned pages are written
-   in place, like a real background writer under a latch. *)
+   in place. *)
 let flush_older_than t ~rec_lsn_limit =
   locked t (fun () ->
       let victims =

@@ -14,12 +14,10 @@
     collector — cannot outrun them.
 
     The pool is domain-safe: a pool mutex guards lookup/replacement state
-    (frame table, CLOCK ring, pins, dirty bits), and frame writeback runs
-    under striped frame latches keyed by page id, so the WAL-before-data
-    check and the disk write are atomic per frame while different pages
-    flush in parallel.  Page content reached through a pinned frame is
-    synchronized by the engine's session gate; [with_latch] additionally
-    excludes a concurrent writeback of the same stripe. *)
+    (frame table, CLOCK ring, pins, dirty bits) and is held across every
+    frame writeback (eviction and the flush calls), so the WAL-before-data
+    check and the disk write are atomic per frame.  Page content reached
+    through a pinned frame is synchronized by the engine's session gate. *)
 
 type t
 type frame
@@ -62,12 +60,6 @@ val with_page : t -> int -> (frame -> 'a) -> 'a
 
 val bytes : frame -> bytes
 val page_id : frame -> int
-
-val with_latch : t -> frame -> (unit -> 'a) -> 'a
-(** Run [f] holding the frame's stripe latch (shared by every page id on
-    the same stripe), excluding a concurrent writeback of those frames.
-    Lock order is pool mutex, then stripe latch, then WAL — so [f] must
-    not call back into pool operations that take the pool mutex. *)
 
 (** {1 Key-directory cache}
 

@@ -25,12 +25,8 @@ type config = {
   key_split_threshold : float; (* the paper's T, default 0.7 *)
   auto_checkpoint_every : int; (* commits between checkpoints; 0 = manual *)
   tsb_enabled : bool; (* maintain the TSB index on time splits *)
-  scan_parallelism : int;
-      (* domains serving AS OF scans and history walks; 1 = the serial
-         path, bit-for-bit identical to pre-parallel behavior *)
   histcache_capacity : int;
-      (* pages in the immutable-history cache (scan_parallelism > 1) and
-         the bound, at least 64, on the serial decoded-history memo *)
+      (* the bound, at least 64, on the decoded history-page memo *)
   history_compression : bool;
       (* delta-compress historical pages at time splits; false = the
          plain P_history format, bit-for-bit identical to pre-compression
@@ -74,7 +70,6 @@ let default_config =
     key_split_threshold = 0.7;
     auto_checkpoint_every = 0;
     tsb_enabled = true;
-    scan_parallelism = 1;
     histcache_capacity = 1024;
     history_compression = true;
     trace_sampling = 0;
@@ -163,17 +158,11 @@ type t = {
   mutable cur_txn : txn option; (* logging context for undoable ops *)
   mutable commits_since_checkpoint : int;
   mutable in_recovery : bool;
-  histcache : Imdb_histcache.Histcache.t option;
-      (* Some iff scan_parallelism > 1: the read-only page cache worker
-         domains are allowed to touch *)
-  mutable scan_pool : Imdb_parallel.Pool.t option;
-      (* worker domains, spawned lazily by the first parallel scan *)
   hist_decoded : (int, bytes) Hashtbl.t;
-      (* memoized decoded images of compressed history pages, for the
-         serial read path (coordinator domain only — workers decode at
-         histcache admission instead).  Entries never go stale: a
-         compressed page is immutable from the moment its time split
-         writes it. *)
+      (* page id -> decoded image of a fully stamped history page, the
+         memo [history_page] serves; gate-guarded.  Entries never go
+         stale: a history page is immutable from the moment its time
+         split writes it. *)
   hist_decoded_order : int Queue.t; (* FIFO bound for [hist_decoded] *)
   ingest_bufs : (int, Ingest.buf) Hashtbl.t;
       (* table id -> volatile mirror of the table's message-buffer page;
@@ -363,10 +352,7 @@ let alloc_page t ~ptype ~level ~table_id =
 let free_page t pid =
   (* the freed id may be reused for a mutable page: make sure no stale
      immutable image can be served (belt and braces — only btree pages
-     are ever freed, and those are never admitted) *)
-  (match t.histcache with
-  | Some hc -> Imdb_histcache.Histcache.remove hc pid
-  | None -> ());
+     are ever freed, and those are never memoized) *)
   Hashtbl.remove t.hist_decoded pid;
   BP.with_page t.pool pid (fun fr ->
       exec_op t fr ~undoable:false
@@ -641,43 +627,6 @@ let lock_record t txn ~table_id ~key mode =
   | Snapshot_isolation | As_of _ -> () (* versioned reads never lock *)
 
 (* ------------------------------------------------------------------ *)
-(* Compressed-history decoding                                          *)
-(* ------------------------------------------------------------------ *)
-
-(* Expand a compressed history image, timing the decode. *)
-let decode_with ?(tracer = Imdb_obs.Tracer.null) metrics b =
-  Imdb_obs.Tracer.with_span tracer "compress.decode" (fun sp ->
-      let t0 = Unix.gettimeofday () in
-      let img = Imdb_storage.Vcompress.decode b in
-      Imdb_obs.Metrics.observe metrics Imdb_obs.Metrics.h_compress_decode_ns
-        (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
-      Imdb_obs.Tracer.add_attr sp "page" (string_of_int (P.page_id b));
-      img)
-
-(* Decoded view of a history page image for the serial read path: plain
-   pages pass through untouched; [P_history_compressed] images expand to
-   the equivalent [P_history] image.  Memoized — compressed pages are
-   immutable, so entries never go stale; the FIFO bound keeps memory in
-   check.  Coordinator domain only. *)
-let decoded_history t page =
-  if not (Imdb_storage.Vcompress.is_compressed page) then page
-  else begin
-    let pid = P.page_id page in
-    match Hashtbl.find_opt t.hist_decoded pid with
-    | Some img -> img
-    | None ->
-        let img = decode_with ~tracer:t.tracer t.metrics page in
-        if Queue.length t.hist_decoded_order >= max 64 t.config.histcache_capacity
-        then begin
-          let victim = Queue.pop t.hist_decoded_order in
-          Hashtbl.remove t.hist_decoded victim
-        end;
-        Hashtbl.replace t.hist_decoded pid img;
-        Queue.push pid t.hist_decoded_order;
-        img
-  end
-
-(* ------------------------------------------------------------------ *)
 (* Stamping helpers                                                     *)
 (* ------------------------------------------------------------------ *)
 
@@ -707,6 +656,74 @@ let stamp_record t fr ~key =
             ~on_stamp:(Imdb_tstamp.Lazy_stamper.on_stamp t.stamper)
         in
         Imdb_obs.Tracer.add_attr sp "stamped" (string_of_int n))
+
+(* ------------------------------------------------------------------ *)
+(* History pages                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Expand a compressed history image, timing the decode. *)
+let decode_history t b =
+  Imdb_obs.Tracer.with_span t.tracer "compress.decode" (fun sp ->
+      let t0 = Unix.gettimeofday () in
+      let img = Imdb_storage.Vcompress.decode b in
+      Imdb_obs.Metrics.observe t.metrics Imdb_obs.Metrics.h_compress_decode_ns
+        (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
+      Imdb_obs.Tracer.add_attr sp "page" (string_of_int (P.page_id b));
+      img)
+
+let memoize_history t pid img =
+  let module M = Imdb_obs.Metrics in
+  if Queue.length t.hist_decoded_order >= max 64 t.config.histcache_capacity
+  then begin
+    Hashtbl.remove t.hist_decoded (Queue.pop t.hist_decoded_order);
+    M.incr t.metrics M.histcache_evictions
+  end;
+  Hashtbl.replace t.hist_decoded pid img;
+  Queue.push pid t.hist_decoded_order
+
+(* The decoded image of history page [pid] for a temporal read.  A time
+   split writes a history page once and never again, so its image is
+   memoized by page id and later reads skip the buffer pool entirely.  A
+   miss pins the page through the pool (checksum verification, torn-page
+   repair), stamps it, and decodes a compressed image or copies a plain
+   one — the result never aliases a frame.  Only a history-type image
+   with no unstamped version is memoized. *)
+let history_page t pid =
+  let module M = Imdb_obs.Metrics in
+  match Hashtbl.find_opt t.hist_decoded pid with
+  | Some img ->
+      M.incr t.metrics M.histcache_hits;
+      img
+  | None ->
+      M.incr t.metrics M.histcache_misses;
+      BP.with_page t.pool pid (fun fr ->
+          stamp_page t fr;
+          let b = BP.bytes fr in
+          let img =
+            if Imdb_storage.Vcompress.is_compressed b then decode_history t b
+            else Bytes.copy b
+          in
+          (match P.page_type b with
+          | (P.P_history | P.P_history_compressed)
+            when not (Imdb_version.Vpage.has_unstamped img) ->
+              memoize_history t pid img
+          | _ -> ());
+          img)
+
+(* The two header fields a chain walk steps by — (split time, history
+   pointer) of page [pid] — from the memo when it holds the page, else
+   straight from the pinned frame: a page the walk only passes through is
+   neither decoded nor memoized. *)
+let history_link t pid =
+  let module M = Imdb_obs.Metrics in
+  let link page = (P.split_time page, P.history_pointer page) in
+  match Hashtbl.find_opt t.hist_decoded pid with
+  | Some img ->
+      M.incr t.metrics M.histcache_hits;
+      link img
+  | None ->
+      M.incr t.metrics M.histcache_misses;
+      BP.with_page t.pool pid (fun fr -> link (BP.bytes fr))
 
 (* ------------------------------------------------------------------ *)
 (* Checkpointing and PTT garbage collection                             *)
@@ -810,7 +827,6 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
   Mx.ensure_counter metrics Mx.histcache_hits;
   Mx.ensure_counter metrics Mx.histcache_misses;
   Mx.ensure_counter metrics Mx.histcache_evictions;
-  Mx.ensure_counter metrics Mx.scan_parallel_fallbacks;
   Mx.ensure_counter metrics Mx.hist_bytes_written;
   Mx.ensure_counter metrics Mx.compress_pages;
   Mx.ensure_counter metrics Mx.compress_fallbacks;
@@ -836,7 +852,6 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
   Mx.set_gauge metrics Mx.recovery_redo_lsn 0;
   Mx.ensure_histogram metrics Mx.h_lock_wait_us;
   Mx.ensure_histogram metrics Mx.h_group_commit_batch;
-  Mx.ensure_histogram metrics Mx.h_scan_fanout;
   Mx.ensure_histogram metrics Mx.h_compress_decode_ns;
   Mx.ensure_histogram metrics Mx.h_ptt_gc_batch;
   Mx.ensure_histogram metrics Mx.h_ingest_flush_run;
@@ -847,13 +862,6 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
     else
       Imdb_obs.Tracer.create ~sampling:config.trace_sampling
         ~slow_threshold_us:config.slow_op_threshold_us ~metrics ()
-  in
-  (* Parallel scans share the device between the coordinator (via the
-     buffer pool) and worker-domain cache misses: serialize it.  At the
-     default scan_parallelism = 1 the device is untouched, so the serial
-     path stays bit-for-bit identical. *)
-  let disk =
-    if config.scan_parallelism > 1 then Imdb_storage.Disk.serialized disk else disk
   in
   Imdb_storage.Disk.set_metrics disk metrics;
   let wal = Imdb_wal.Wal.open_device ~metrics log_device in
@@ -866,16 +874,6 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
       Imdb_wal.Wal.flushed_lsn wal);
   Imdb_tstamp.Lazy_stamper.set_force_log stamper (fun () ->
       Imdb_wal.Wal.flush wal);
-  let histcache =
-    if config.scan_parallelism > 1 then
-      Some
-        (Imdb_histcache.Histcache.create ~tracer
-           ~capacity:config.histcache_capacity
-           ~load:(fun pid -> disk.Imdb_storage.Disk.read_page pid)
-           ~decode:(fun b -> decode_with ~tracer metrics b)
-           ())
-    else None
-  in
   let t =
     {
       disk;
@@ -904,8 +902,6 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
       cur_txn = None;
       commits_since_checkpoint = 0;
       in_recovery = false;
-      histcache;
-      scan_pool = None;
       hist_decoded = Hashtbl.create 64;
       hist_decoded_order = Queue.create ();
       ingest_bufs = Hashtbl.create 8;
@@ -994,20 +990,6 @@ let attach_system t =
       end)
     (list_tables t)
 
-(* The worker-domain pool, spawned on first use so engines that never run
-   a parallel scan never pay for domains.  [None] when scan_parallelism
-   <= 1: callers take the serial path. *)
-let scan_pool t =
-  match t.scan_pool with
-  | Some p -> Some p
-  | None ->
-      if t.config.scan_parallelism > 1 then begin
-        let p = Imdb_parallel.Pool.create ~workers:(t.config.scan_parallelism - 1) in
-        t.scan_pool <- Some p;
-        Some p
-      end
-      else None
-
 let close t =
   (* join the sampler thread first: the domain must stay joinable, and a
      sample racing device close would read a half-torn-down engine *)
@@ -1015,11 +997,6 @@ let close t =
   (* a clean-shutdown checkpoint: the next open recovers from (nearly)
      the end of the log *)
   (if t.ptt <> None then try ignore (checkpoint t) with _ -> ());
-  (match t.scan_pool with
-  | Some p ->
-      Imdb_parallel.Pool.shutdown p;
-      t.scan_pool <- None
-  | None -> ());
   BP.flush_all t.pool;
   Imdb_wal.Wal.close t.wal;
   t.disk.Imdb_storage.Disk.sync ();

@@ -15,18 +15,9 @@ type config = {
   key_split_threshold : float;  (** the paper's T (Section 3.3), default 0.7 *)
   auto_checkpoint_every : int;  (** commits between checkpoints; 0 = manual *)
   tsb_enabled : bool;  (** maintain the TSB index on time splits *)
-  scan_parallelism : int;
-      (** domains serving AS OF scans and history walks.  [1] (the
-          default) is the serial path, bit-for-bit identical to the
-          pre-parallel engine; [> 1] fans historical page work out to
-          [scan_parallelism - 1] worker domains plus the coordinator,
-          serving immutable pages from the histcache.  Results are
-          identical at any setting — only the work distribution (and the
-          wall clock) changes. *)
   histcache_capacity : int;
-      (** pages held by the immutable-history cache when
-          [scan_parallelism > 1]; also bounds (at no fewer than 64) the
-          serial path's memo of decoded compressed history pages *)
+      (** decoded history pages held by the memo {!history_page} serves
+          (FIFO; never fewer than 64) *)
   history_compression : bool;
       (** delta-compress historical pages at time splits ({!Imdb_storage.Vcompress});
           readers decompress lazily and results are identical either way.
@@ -150,14 +141,10 @@ type t = {
   mutable cur_txn : txn option;  (** logging context for undoable ops *)
   mutable commits_since_checkpoint : int;
   mutable in_recovery : bool;
-  histcache : Imdb_histcache.Histcache.t option;
-      (** [Some] iff [config.scan_parallelism > 1]: the only page store
-          worker domains may read *)
-  mutable scan_pool : Imdb_parallel.Pool.t option;
-      (** worker domains, spawned lazily by the first parallel scan *)
   hist_decoded : (int, bytes) Hashtbl.t;
-      (** memoized decoded images of compressed history pages (serial
-          path, coordinator domain only; immutable so never stale) *)
+      (** page id -> decoded image of a fully stamped history page, the
+          memo {!history_page} serves (gate-guarded; history pages are
+          immutable, so entries never go stale) *)
   hist_decoded_order : int Queue.t;  (** FIFO bound for [hist_decoded] *)
   ingest_bufs : (int, Ingest.buf) Hashtbl.t;
       (** table id -> volatile mirror of its message-buffer page *)
@@ -272,14 +259,6 @@ val lock_record : t -> txn -> table_id:int -> key:string -> Imdb_lock.Lock_manag
 (** Isolation-aware locking: 2PL takes intent + record locks; snapshot
     writers take X only; versioned reads don't lock. *)
 
-(** {1 Compressed history} *)
-
-val decoded_history : t -> bytes -> bytes
-(** Decoded view of a history page image: plain pages pass through;
-    [P_history_compressed] images expand (memoized) to the equivalent
-    [P_history] image.  Never mutate the result.  Coordinator domain
-    only. *)
-
 (** {1 Stamping triggers} *)
 
 val stamp_page : t -> Imdb_buffer.Buffer_pool.frame -> unit
@@ -288,6 +267,24 @@ val stamp_page : t -> Imdb_buffer.Buffer_pool.frame -> unit
 
 val stamp_record : t -> Imdb_buffer.Buffer_pool.frame -> key:string -> unit
 (** Per-record variant for the read/write paths. *)
+
+(** {1 History pages} *)
+
+val history_page : t -> int -> bytes
+(** The decoded ([P_history]-format) image of history page [pid]: from
+    the memo without pinning when it holds the page (a
+    [histcache.hits]); otherwise pinned through the buffer pool, stamped,
+    decoded if compressed or copied if plain, and memoized when it is a
+    history page with no unstamped version (a [histcache.misses]).  The
+    memo is FIFO-bounded by [config.histcache_capacity]
+    ([histcache.evictions]).  The result never aliases a frame; never
+    mutate it. *)
+
+val history_link : t -> int -> Imdb_clock.Timestamp.t * int
+(** [(split_time, history_pointer)] of history page [pid], what a chain
+    walk steps by: from the memo when it holds the page, else read from
+    the pinned frame without decoding or memoizing.  Counts like
+    {!history_page}. *)
 
 (** {1 Checkpoints} *)
 
@@ -324,10 +321,6 @@ val bootstrap : t -> unit
 
 val attach_system : t -> unit
 (** Attach catalog/PTT from recovered metadata and load the table cache. *)
-
-val scan_pool : t -> Imdb_parallel.Pool.t option
-(** The worker-domain pool when [scan_parallelism > 1] (spawning it on
-    first call), [None] on serial engines. *)
 
 val close : t -> unit
 (** Stops the monitor sampler thread, checkpoints, flushes and closes

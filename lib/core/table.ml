@@ -13,7 +13,10 @@
    - snapshot reads at the transaction's snapshot time;
    - AS OF reads at an arbitrary past time, first probing the current
      page's split time, then either walking the time-split page chain or
-     probing the TSB index directly. *)
+     probing the TSB index directly.
+   Current pages are pinned and stamped in the buffer pool; history pages,
+   immutable once written, are read through [Engine.history_page] and
+   [Engine.history_link], which serve them from a decoded-image memo. *)
 
 module Ts = Imdb_clock.Timestamp
 module Tid = Imdb_clock.Tid
@@ -593,20 +596,15 @@ let write_version eng txn ti ~key ~payload ~kind =
                      history.  First-committer-wins must still see it. *)
                   let rec probe pid' =
                     if pid' <> P.no_page then
-                      let newest, next =
-                        BP.with_page eng.E.pool pid' (fun hfr ->
-                            let hp = E.decoded_history eng (BP.bytes hfr) in
-                            let best = ref None in
-                            List.iter
-                              (fun slot ->
-                                match R.in_page_timestamp hp slot with
-                                | Some ts -> (
-                                    match !best with
-                                    | Some b when Ts.compare b ts >= 0 -> ()
-                                    | _ -> best := Some ts)
-                                | None -> ())
-                              (V.all_versions_of hp ~key);
-                            (!best, P.history_pointer hp))
+                      let hp = E.history_page eng pid' in
+                      let newest =
+                        List.fold_left
+                          (fun best slot ->
+                            match (R.in_page_timestamp hp slot, best) with
+                            | Some ts, Some b when Ts.compare b ts >= 0 -> best
+                            | Some ts, _ -> Some ts
+                            | None, _ -> best)
+                          None (V.all_versions_of hp ~key)
                       in
                       match newest with
                       | Some ts ->
@@ -615,12 +613,8 @@ let write_version eng txn ti ~key ~payload ~kind =
                       | None ->
                           (* keep walking only through ranges that can
                              still hold post-snapshot versions *)
-                          if
-                            BP.with_page eng.E.pool pid' (fun hfr ->
-                                Ts.compare
-                                  (P.split_time (BP.bytes hfr))
-                                  txn.E.tx_snapshot > 0)
-                          then probe next
+                          if Ts.compare (P.split_time hp) txn.E.tx_snapshot > 0
+                          then probe (P.history_pointer hp)
                   in
                   probe (P.history_pointer page)
           | _ -> ());
@@ -759,18 +753,15 @@ let historical_page eng ti ~key ~t ~current_page =
   (* asof.pages_visited counts actual pages visited on the temporal
      access path: one per chain page examined, one per TSB target found.
      (The chain walk used to double-count its entry page.) *)
-  (* walk the chain one page at a time — pin, read the two header
-     fields, unpin, step — so a deep walk never holds more than one
-     frame (the chain can exceed the buffer pool) *)
+  (* walk the chain one page at a time, reading only the two header
+     fields — from the history memo, or from a frame pinned just for the
+     read — so a deep walk never holds more than one frame (the chain can
+     exceed the buffer pool) and never decodes a page it does not scan *)
   let rec walk pid =
     if pid = P.no_page then None
     else begin
       Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_pages;
-      let split, next =
-        BP.with_page eng.E.pool pid (fun fr ->
-            let page = BP.bytes fr in
-            (P.split_time page, P.history_pointer page))
-      in
+      let split, next = E.history_link eng pid in
       if Ts.compare t split >= 0 then Some pid else walk next
     end
   in
@@ -818,21 +809,18 @@ let read_versioned_at eng txn ti ~key ~t =
       match own with
       | Some result -> result
       | None ->
-          let lookup_in pid' =
-            BP.with_page eng.E.pool pid' (fun fr' ->
-                if pid' <> pid then E.stamp_record eng fr' ~key;
-                let page' = E.decoded_history eng (BP.bytes fr') in
-                Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_versions;
-                match V.find_stamped_as_of page' ~key ~asof:t with
-                | None -> None
-                | Some slot ->
-                    if R.in_page_flags page' slot land R.f_delete_stub <> 0 then None
-                    else Some (R.in_page_payload page' slot))
+          let lookup_in page' =
+            Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_versions;
+            match V.find_stamped_as_of page' ~key ~asof:t with
+            | None -> None
+            | Some slot ->
+                if R.in_page_flags page' slot land R.f_delete_stub <> 0 then None
+                else Some (R.in_page_payload page' slot)
           in
-          if Ts.compare t (P.split_time page) >= 0 then lookup_in pid
+          if Ts.compare t (P.split_time page) >= 0 then lookup_in page
           else (
             match historical_page eng ti ~key ~t ~current_page:page with
-            | Some hpid -> lookup_in hpid
+            | Some hpid -> lookup_in (E.history_page eng hpid)
             | None -> None))
 
 (* Current-state read under 2PL. *)
@@ -931,9 +919,8 @@ let scan_current eng ?(lo = "") ?hi txn ti f =
    overlaid with [own]'s uncommitted writes (snapshot-isolation scans must
    see the transaction's own changes).  The page covering [t] is the
    current page itself when t >= its split time, otherwise the chain/TSB
-   target.  Also the coordinator's fallback for ranges the parallel path
-   cannot serve from stable storage. *)
-let scan_range_serial eng ?own ti ~t (low, high, pid) =
+   target. *)
+let scan_range eng ?own ti ~t (low, high, pid) =
   let pending = ref [] in
   let f key payload = pending := (key, payload) :: !pending in
   (* own uncommitted state of a key: present/absent/not-written-by-us *)
@@ -967,206 +954,34 @@ let scan_range_serial eng ?own ti ~t (low, high, pid) =
                 | `Deleted -> Hashtbl.replace overlaid key ()
                 | `Not_mine -> ())
             (V.keys page));
-      let scan_page pid' =
-        BP.with_page eng.E.pool pid' (fun fr' ->
-            if pid' <> pid then E.stamp_page eng fr';
-            let page' = E.decoded_history eng (BP.bytes fr') in
-            List.iter
-              (fun key ->
-                if in_range key ~low ~high && not (Hashtbl.mem overlaid key) then begin
-                  Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_versions;
-                  match V.find_stamped_as_of page' ~key ~asof:t with
-                  | Some slot
-                    when R.in_page_flags page' slot land R.f_delete_stub = 0 ->
-                      f key (payload_of page' slot key)
-                  | Some _ | None -> ()
-                end)
-              (V.keys page'))
+      let scan_page page' =
+        List.iter
+          (fun key ->
+            if in_range key ~low ~high && not (Hashtbl.mem overlaid key) then begin
+              Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_versions;
+              match V.find_stamped_as_of page' ~key ~asof:t with
+              | Some slot when R.in_page_flags page' slot land R.f_delete_stub = 0 ->
+                  f key (payload_of page' slot key)
+              | Some _ | None -> ()
+            end)
+          (V.keys page')
       in
-      if Ts.compare t (P.split_time page) >= 0 then scan_page pid
+      if Ts.compare t (P.split_time page) >= 0 then scan_page page
       else
         match historical_page eng ti ~key:low ~t ~current_page:page with
-        | Some hpid -> scan_page hpid
+        | Some hpid -> scan_page (E.history_page eng hpid)
         | None -> ());
   List.sort compare !pending
 
-let scan_versioned_at_serial eng ?own ?lo ?hi ti ~t emit =
+(* Core of temporal scans: every clipped router range in key order, each
+   range's rows sorted. *)
+let scan_versioned_at eng ?own ?lo ?hi ti ~t emit =
   Imdb_obs.Tracer.with_span eng.E.tracer "scan.asof"
-    ~attrs:[ ("table", ti.Catalog.ti_name); ("parallel", "false") ]
+    ~attrs:[ ("table", ti.Catalog.ti_name) ]
   @@ fun _ ->
   List.iter
-    (fun range ->
-      List.iter (fun (k, p) -> emit k p) (scan_range_serial eng ?own ti ~t range))
+    (fun range -> List.iter (fun (k, p) -> emit k p) (scan_range eng ?own ti ~t range))
     (clipped_ranges eng ti ?lo ?hi ())
-
-(* --- the parallel AS OF read path ------------------------------------------
-
-   When [scan_parallelism > 1] and no own-write overlay is needed, the
-   historical part of a temporal scan fans out across worker domains.
-   The invariant that makes this safe: a historical page is immutable
-   from the moment its time split commits — every version it holds was
-   stamped before [Vpage.time_split] classified it, inserts only ever
-   route to current pages, stamping no-ops on fully stamped pages, and
-   history pages are never freed.  Workers therefore read history
-   straight from stable storage through the histcache and never touch
-   the buffer pool or the stamping machinery.  Any page that is not yet
-   servable that way (still dirty-only in the pool, or failing the
-   admission check) sends its whole range back to the coordinating
-   domain, where [scan_range_serial] — and thus [stamp_record] /
-   [stamp_page] — remains legal. *)
-
-(* What the coordinator decided for one clipped range. *)
-type range_plan =
-  | Plan_rows of (string * string) list  (* served from the current page *)
-  | Plan_page of int  (* scan exactly this historical page (TSB target) *)
-  | Plan_walk of int  (* walk the history chain from this page id *)
-
-(* Pure image scan: the visible versions of every in-window key of one
-   page at [t].  Runs on worker domains — the metrics registry is
-   domain-safe, the page image is immutable. *)
-let scan_page_image_at eng ~low ~high ~t page =
-  let out = ref [] in
-  List.iter
-    (fun key ->
-      if in_range key ~low ~high then begin
-        Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_versions;
-        match V.find_stamped_as_of page ~key ~asof:t with
-        | Some slot when R.in_page_flags page slot land R.f_delete_stub = 0 ->
-            out := (key, payload_of page slot key) :: !out
-        | Some _ | None -> ()
-      end)
-    (V.keys page);
-  List.sort compare !out
-
-(* Worker-side body: serve one range's historical work from the
-   histcache.  [None] = some needed page is not servable from stable
-   storage; the coordinator falls back to the serial body. *)
-let run_range_task eng hc ti ~t ~low ~high plan =
-  let table_id = ti.Catalog.ti_id in
-  match plan with
-  | Plan_rows rows -> Some rows
-  | Plan_page hpid -> (
-      match Imdb_histcache.Histcache.get hc ~table_id hpid with
-      | Some page -> Some (scan_page_image_at eng ~low ~high ~t page)
-      | None -> None)
-  | Plan_walk start ->
-      let rec walk pid =
-        if pid = P.no_page then Some []
-        else
-          match Imdb_histcache.Histcache.get hc ~table_id pid with
-          | None -> None
-          | Some page ->
-              Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_pages;
-              if Ts.compare t (P.split_time page) >= 0 then
-                Some (scan_page_image_at eng ~low ~high ~t page)
-              else walk (P.history_pointer page)
-      in
-      walk start
-
-(* Fold the histcache's atomic counters into the engine registry.  Only
-   the coordinator publishes (engine operations are serial), so the
-   deltas are race-free and the exposed counters deterministic. *)
-let publish_histcache_delta eng ~before hc =
-  let module M = Imdb_obs.Metrics in
-  let module HC = Imdb_histcache.Histcache in
-  let a = HC.stats hc in
-  M.incr ~by:(a.HC.hits - before.HC.hits) eng.E.metrics M.histcache_hits;
-  M.incr ~by:(a.HC.misses - before.HC.misses) eng.E.metrics M.histcache_misses;
-  M.incr ~by:(a.HC.evictions - before.HC.evictions) eng.E.metrics M.histcache_evictions
-
-let scan_versioned_at_parallel eng pool hc ?lo ?hi ti ~t emit =
-  let module M = Imdb_obs.Metrics in
-  (* The coordinator span is threaded into the worker closures as the
-     explicit parent: workers run on other domains, where the implicit
-     (stack-based) parent would be wrong. *)
-  Imdb_obs.Tracer.with_span eng.E.tracer "scan.asof"
-    ~attrs:[ ("table", ti.Catalog.ti_name); ("parallel", "true") ]
-  @@ fun coord ->
-  let s0 = Imdb_histcache.Histcache.stats hc in
-  (* Phase 1 (coordinator): pin each range's current page — stamping is
-     legal here — and either scan it in place (t falls in its time range)
-     or plan the historical work. *)
-  let plans =
-    List.map
-      (fun (low, high, pid) ->
-        BP.with_page eng.E.pool pid (fun fr ->
-            let page = BP.bytes fr in
-            E.stamp_page eng fr;
-            M.incr eng.E.metrics M.asof_pages;
-            let plan =
-              if Ts.compare t (P.split_time page) >= 0 then
-                Plan_rows (scan_page_image_at eng ~low ~high ~t page)
-              else
-                match tsb eng ti with
-                | Some index -> (
-                    match Imdb_tsb.Tsb.find index ~key:low ~ts:t with
-                    | Some hpid ->
-                        M.incr eng.E.metrics M.asof_pages;
-                        Plan_page hpid
-                    | None -> Plan_rows [])
-                | None -> Plan_walk (P.history_pointer page)
-            in
-            (low, high, pid, plan)))
-      (clipped_ranges eng ti ?lo ?hi ())
-  in
-  let tasks = Array.of_list plans in
-  let fanout =
-    Array.fold_left
-      (fun acc (_, _, _, plan) ->
-        match plan with Plan_rows _ -> acc | Plan_page _ | Plan_walk _ -> acc + 1)
-      0 tasks
-  in
-  M.observe eng.E.metrics M.h_scan_fanout fanout;
-  Imdb_obs.Tracer.add_attr coord "ranges" (string_of_int (Array.length tasks));
-  Imdb_obs.Tracer.add_attr coord "fanout" (string_of_int fanout);
-  (* Phase 2: fan the ranges out across the worker domains (the
-     coordinator participates in the drain). *)
-  let results =
-    Imdb_parallel.Pool.run pool
-      (fun i ->
-        let low, high, _, plan = tasks.(i) in
-        Imdb_obs.Tracer.with_span eng.E.tracer ~parent:coord "scan.range"
-          ~attrs:[ ("range", string_of_int i) ]
-        @@ fun _ -> run_range_task eng hc ti ~t ~low ~high plan)
-      (Array.length tasks)
-  in
-  (* Phase 3 (coordinator): ranges the workers could not serve fall back
-     to the serial body. *)
-  let rows =
-    Array.mapi
-      (fun i res ->
-        match res with
-        | Some rows -> rows
-        | None ->
-            M.incr eng.E.metrics M.scan_parallel_fallbacks;
-            let low, high, pid, _ = tasks.(i) in
-            scan_range_serial eng ti ~t (low, high, pid))
-      results
-  in
-  publish_histcache_delta eng ~before:s0 hc;
-  (* Ranges are emitted in router order, each sorted: the output is
-     identical to the serial path's. *)
-  Array.iter (fun rs -> List.iter (fun (k, p) -> emit k p) rs) rows
-
-(* Core of temporal scans: dispatch to the parallel path when it is both
-   enabled and applicable (no own-write overlay: AS OF scans), otherwise
-   run serially.  [scan_parallelism = 1] never constructs the parallel
-   machinery at all. *)
-let scan_versioned_at eng ?own ?lo ?hi ti ~t emit =
-  let parallel_ctx =
-    match own with
-    | Some _ -> None
-    | None -> (
-        match eng.E.histcache with
-        | None -> None
-        | Some hc -> (
-            match E.scan_pool eng with
-            | Some pool -> Some (pool, hc)
-            | None -> None))
-  in
-  match parallel_ctx with
-  | Some (pool, hc) -> scan_versioned_at_parallel eng pool hc ?lo ?hi ti ~t emit
-  | None -> scan_versioned_at_serial eng ?own ?lo ?hi ti ~t emit
 
 (* AS OF scan at time [t] (the paper's Section 5.2 experiment),
    optionally bounded to a key window — the access path of the paper's
@@ -1192,138 +1007,48 @@ let scan eng ?lo ?hi txn ti f =
   | _, E.As_of t -> scan_as_of eng ?lo ?hi txn ti ~t f
 
 (* Time travel: the full version history of [key], newest first, as
-   (timestamp, payload option) — None marks a deletion. *)
-let history_serial eng ti ~key =
-  Imdb_obs.Tracer.with_span eng.E.tracer "history.walk"
-    ~attrs:[ ("table", ti.Catalog.ti_name); ("parallel", "false") ]
-  @@ fun _ ->
-  let pid = locate_page eng ti ~key in
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  let collect_page pid' =
-    BP.with_page eng.E.pool pid' (fun fr ->
-        E.stamp_page eng fr;
-        let page = E.decoded_history eng (BP.bytes fr) in
-        List.iter
-          (fun slot ->
-            match R.in_page_timestamp page slot with
-            | Some ts ->
-                (* redundant copies from time splits appear in two pages;
-                   dedupe on the start timestamp, unique per version *)
-                if not (Hashtbl.mem seen ts) then begin
-                  Hashtbl.add seen ts ();
-                  let v =
-                    if R.in_page_flags page slot land R.f_delete_stub <> 0 then None
-                    else Some (payload_of page slot key)
-                  in
-                  out := (ts, v) :: !out
-                end
-            | None -> () (* uncommitted: not part of history *))
-          (V.all_versions_of page ~key);
-        P.history_pointer page)
-  in
-  let rec walk pid' = if pid' <> P.no_page then walk (collect_page pid') in
-  walk pid;
-  List.sort (fun (a, _) (b, _) -> Ts.compare b a) !out
-
-(* Pure image read for the parallel history walk: [key]'s committed
-   versions in one page, (start ts, payload option), None = delete stub.
-   Uncommitted versions (still carrying a TID) are not part of history. *)
-let versions_of_key_image page ~key =
-  List.filter_map
-    (fun slot ->
-      match R.in_page_timestamp page slot with
-      | Some ts ->
-          let v =
-            if R.in_page_flags page slot land R.f_delete_stub <> 0 then None
-            else Some (payload_of page slot key)
-          in
-          Some (ts, v)
-      | None -> None)
-    (V.all_versions_of page ~key)
-
-(* Parallel history: the coordinator reads the (mutable) current page
-   under the buffer pool and collects the chain as immutable images from
-   the histcache; version extraction from those images fans out.  A chain
-   page the histcache cannot serve is read — and stamped — inline by the
-   coordinator, counted as a fallback. *)
-let history_parallel eng pool hc ti ~key =
-  let module M = Imdb_obs.Metrics in
-  let module HC = Imdb_histcache.Histcache in
-  Imdb_obs.Tracer.with_span eng.E.tracer "history.walk"
-    ~attrs:[ ("table", ti.Catalog.ti_name); ("parallel", "true") ]
-  @@ fun coord ->
-  let table_id = ti.Catalog.ti_id in
-  let s0 = HC.stats hc in
-  let pid = locate_page eng ti ~key in
-  let current_versions, first_hist =
-    BP.with_page eng.E.pool pid (fun fr ->
-        let page = BP.bytes fr in
-        E.stamp_page eng fr;
-        (versions_of_key_image page ~key, P.history_pointer page))
-  in
-  (* Walk the chain once on the coordinator, capturing page images in
-     chain order (newest first).  Frame bytes must not outlive the pin,
-     so the fallback extracts inside [with_page]. *)
-  let chain = ref [] in
-  let p = ref first_hist in
-  while !p <> P.no_page do
-    let pid' = !p in
-    match HC.get hc ~table_id pid' with
-    | Some page ->
-        chain := `Image page :: !chain;
-        p := P.history_pointer page
-    | None ->
-        M.incr eng.E.metrics M.scan_parallel_fallbacks;
-        let rows, next =
-          BP.with_page eng.E.pool pid' (fun fr ->
-              E.stamp_page eng fr;
-              let page = E.decoded_history eng (BP.bytes fr) in
-              (versions_of_key_image page ~key, P.history_pointer page))
-        in
-        chain := `Rows rows :: !chain;
-        p := next
-  done;
-  let chain = Array.of_list (List.rev !chain) in
-  Imdb_obs.Tracer.add_attr coord "chain" (string_of_int (Array.length chain));
-  let extracted =
-    Imdb_parallel.Pool.run pool
-      (fun i ->
-        Imdb_obs.Tracer.with_span eng.E.tracer ~parent:coord "history.page"
-          ~attrs:[ ("link", string_of_int i) ]
-        @@ fun _ ->
-        match chain.(i) with
-        | `Image page -> versions_of_key_image page ~key
-        | `Rows rows -> rows)
-      (Array.length chain)
-  in
-  publish_histcache_delta eng ~before:s0 hc;
-  (* Merge newest page first, deduping on the start timestamp (redundant
-     copies from time splits appear in two pages) — the same order the
-     serial walk visits, so the result is identical. *)
-  let seen = Hashtbl.create 16 in
-  let out = ref [] in
-  let add (ts, v) =
-    if not (Hashtbl.mem seen ts) then begin
-      Hashtbl.add seen ts ();
-      out := (ts, v) :: !out
-    end
-  in
-  List.iter add current_versions;
-  Array.iter (fun rows -> List.iter add rows) extracted;
-  List.sort (fun (a, _) (b, _) -> Ts.compare b a) !out
-
+   (timestamp, payload option) — None marks a deletion.  The current page
+   is pinned and stamped; the chain behind it is read through the history
+   memo. *)
 let history eng txn ti ~key =
   E.check_running txn;
   if ti.Catalog.ti_mode <> Catalog.Immortal then
     raise (Not_versioned (ti.Catalog.ti_name ^ ": history needs an IMMORTAL table"));
   flush_ingest eng ti;
-  match eng.E.histcache with
-  | Some hc -> (
-      match E.scan_pool eng with
-      | Some pool -> history_parallel eng pool hc ti ~key
-      | None -> history_serial eng ti ~key)
-  | None -> history_serial eng ti ~key
+  Imdb_obs.Tracer.with_span eng.E.tracer "history.walk"
+    ~attrs:[ ("table", ti.Catalog.ti_name) ]
+  @@ fun _ ->
+  let seen = Hashtbl.create 16 in
+  let out = ref [] in
+  (* collect [key]'s committed versions in one page; returns the page's
+     history pointer *)
+  let collect page =
+    List.iter
+      (fun slot ->
+        match R.in_page_timestamp page slot with
+        | Some ts ->
+            (* redundant copies from time splits appear in two pages;
+               dedupe on the start timestamp, unique per version *)
+            if not (Hashtbl.mem seen ts) then begin
+              Hashtbl.add seen ts ();
+              let v =
+                if R.in_page_flags page slot land R.f_delete_stub <> 0 then None
+                else Some (payload_of page slot key)
+              in
+              out := (ts, v) :: !out
+            end
+        | None -> () (* uncommitted: not part of history *))
+      (V.all_versions_of page ~key);
+    P.history_pointer page
+  in
+  let first =
+    BP.with_page eng.E.pool (locate_page eng ti ~key) (fun fr ->
+        E.stamp_page eng fr;
+        collect (BP.bytes fr))
+  in
+  let rec walk pid = if pid <> P.no_page then walk (collect (E.history_page eng pid)) in
+  walk first;
+  List.sort (fun (a, _) (b, _) -> Ts.compare b a) !out
 
 (* --- maintenance hooks used by commit (eager timestamping) ------------------ *)
 

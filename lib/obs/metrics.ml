@@ -7,9 +7,8 @@
    result is a pure function — deterministic under the logical clock.
 
    The registry is domain-safe: every mutation and read of the hashtables
-   runs under one internal mutex, because the parallel scan path lets
-   worker domains record work (disk reads, visit counters) concurrently
-   with the coordinator.  The [null] registry short-circuits on [on]
+   runs under one internal mutex, because sessions on several domains (and
+   the monitor's sampler thread) record and read concurrently.  The [null] registry short-circuits on [on]
    before touching the lock, so disabled recording stays one branch. *)
 
 type hist = {
@@ -242,8 +241,8 @@ let trace_dropped t = locked t (fun () -> t.ring_dropped)
 
 (* v2: hot-path overhaul counters (buffer.clock_sweeps, the keydir
    hit/miss pair) and the txn.group_commit_batch histogram.
-   v3: parallel read path — the histcache hit/miss/eviction counters,
-   scan.parallel_fallbacks, and the scan.fanout histogram.
+   v3: parallel read path — the histcache hit/miss/eviction counters, a
+   fallback counter and a fan-out histogram (the last two gone in v11).
    v4: history compression — the compress.* counters/gauge, the
    hist.bytes_written counter, the compress.decode_ns histogram — and
    the ptt.gc_batch histogram for batched checkpoint-time GC.
@@ -269,8 +268,13 @@ let trace_dropped t = locked t (fun () -> t.ring_dropped)
    sampler when one is running.
 
    v10: the ingest.hint_key_splits counter is gone with the batch-hint
-   key-split policy it counted (key splits follow utilization alone). *)
-let schema_version = 10
+   key-split policy it counted (key splits follow utilization alone).
+
+   v11: one temporal read path — the parallel scan's fallback counter
+   and scan.fanout histogram are gone with it; the histcache
+   hit/miss/eviction counters now count the engine's decoded
+   history-page memo. *)
+let schema_version = 11
 
 let sorted_int_obj tbl =
   Hashtbl.fold (fun k r acc -> (k, Json.Int !r) :: acc) tbl [] |> List.sort compare
@@ -414,7 +418,6 @@ let compress_fallbacks = "compress.fallbacks"
 let compress_raw_bytes = "compress.raw_bytes"
 let compress_written_bytes = "compress.written_bytes"
 let compress_ratio = "compress.ratio"
-let scan_parallel_fallbacks = "scan.parallel_fallbacks"
 let txn_commits = "txn.commits"
 let txn_aborts = "txn.aborts"
 let btree_node_splits = "btree.node_splits"
@@ -445,7 +448,6 @@ let h_log_flush_bytes = "log.flush_bytes"
 let h_commit_writes = "txn.commit_writes"
 let h_group_commit_batch = "txn.group_commit_batch"
 let h_commit_latency_ms = "txn.commit_latency_ms"
-let h_scan_fanout = "scan.fanout"
 let h_compress_decode_ns = "compress.decode_ns"
 let h_ptt_gc_batch = "ptt.gc_batch"
 let h_split_current_live = "split.current_live"

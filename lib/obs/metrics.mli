@@ -10,8 +10,8 @@
     for bit.  See DESIGN.md "Deterministic observability".
 
     The registry is domain-safe: recording and reading may happen from
-    worker domains concurrently with the coordinator (an internal mutex
-    guards the tables; [null] short-circuits before it). *)
+    several domains concurrently (an internal mutex guards the tables;
+    [null] short-circuits before it). *)
 
 type t
 
@@ -116,7 +116,7 @@ val trace_dropped : t -> int
     [imdb stats --json], the SQL [METRICS] pragma and the bench harness:
 
     {v
-    { "schema_version": 10,
+    { "schema_version": 11,
       "counters":   { "<name>": <int>, ... },              (sorted)
       "gauges":     { "<name>": <int>, ... },              (sorted)
       "histograms": { "<name>": { "count": n, "sum": n, "max": n,
@@ -168,6 +168,9 @@ val asof_versions : string
 val histcache_hits : string
 val histcache_misses : string
 val histcache_evictions : string
+(** The engine's decoded history-page memo ([Engine.history_page]):
+    reads served without touching the buffer pool, reads that pinned the
+    page, and FIFO evictions. *)
 
 val hist_bytes_written : string
 (** Bytes logged for history page images at time splits (the permanent
@@ -181,7 +184,6 @@ val compress_written_bytes : string
 val compress_ratio : string
 (** Gauge: cumulative compressed/raw percentage for history images. *)
 
-val scan_parallel_fallbacks : string
 val txn_commits : string
 val txn_aborts : string
 val btree_node_splits : string
@@ -257,7 +259,6 @@ val h_group_commit_batch : string
 (* [h_commit_latency_ms] records clock ticks between a writer's snapshot
    and its commit timestamp — logical-clock ticks, not wall time. *)
 val h_commit_latency_ms : string
-val h_scan_fanout : string
 val h_compress_decode_ns : string
 val h_ptt_gc_batch : string
 val h_split_current_live : string

@@ -128,15 +128,11 @@ let push_slow t c =
 
 let add_attr sp k v = if sp.sp_sampled then sp.sp_attrs <- (k, v) :: sp.sp_attrs
 
-let open_span t ?parent ~attrs name =
+let open_span t ~attrs name =
   locked t (fun () ->
       let did = (Domain.self () :> int) in
       let stack = stack_for t did in
-      let parent_sp =
-        match parent with
-        | Some _ as p -> p
-        | None -> ( match !stack with sp :: _ -> Some sp | [] -> None)
-      in
+      let parent_sp = match !stack with sp :: _ -> Some sp | [] -> None in
       let sampled =
         match parent_sp with Some p -> p.sp_sampled | None -> sample_root t
       in
@@ -190,10 +186,10 @@ let close_span t sp =
         end
       end)
 
-let with_span t ?(attrs = []) ?parent name f =
+let with_span t ?(attrs = []) name f =
   if not t.on then f null_span
   else begin
-    let sp = open_span t ?parent ~attrs name in
+    let sp = open_span t ~attrs name in
     Fun.protect ~finally:(fun () -> close_span t sp) (fun () -> f sp)
   end
 

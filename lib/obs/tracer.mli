@@ -26,9 +26,8 @@
     - {b Cheap when off.} The shared [null] tracer short-circuits on one
       immutable boolean before any lock or allocation.
     - {b Domain-safe.} One internal mutex guards the rings and the
-      per-domain stacks of open spans; parallel-scan workers may record
-      spans concurrently with the coordinator.  Cross-domain causality is
-      expressed by passing the coordinator's span as [~parent].
+      per-domain stacks of open spans, so sessions on several domains
+      may record spans concurrently.
     - {b Durations are clamped monotone} ([max 0]) and the clock is
       injectable ([set_clock]) so tests run the tracer under a
       deterministic microsecond clock. *)
@@ -68,12 +67,11 @@ val set_clock : t -> (unit -> int) -> unit
     Test hook — lets span durations be deterministic. *)
 
 val with_span :
-  t -> ?attrs:(string * string) list -> ?parent:span -> string -> (span -> 'a) -> 'a
+  t -> ?attrs:(string * string) list -> string -> (span -> 'a) -> 'a
 (** [with_span t name f] opens a span, runs [f], and closes the span when
     [f] returns or raises.  The parent is the innermost open span of the
-    calling domain unless [?parent] is given explicitly (used to link
-    worker-domain spans to the coordinator span that fanned them out).
-    When [t] is disabled this is a single branch: [f null_span]. *)
+    calling domain.  When [t] is disabled this is a single branch:
+    [f null_span]. *)
 
 val add_attr : span -> string -> string -> unit
 (** Attach a key/value to an open span (no-op on unsampled handles).
@@ -131,7 +129,7 @@ val to_chrome_json : t -> Json.t
 (** Chrome trace-event format (loadable in Perfetto /
     [chrome://tracing]): complete "X" events with [ts]/[dur] in
     microseconds, instants as "i" events; [tid] is the recording domain
-    so coordinator and scan workers land on separate rows, and [args]
+    so sessions on different domains land on separate rows, and [args]
     carries the span/parent ids plus attrs. *)
 
 val to_json_string : t -> string

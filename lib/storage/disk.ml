@@ -130,37 +130,6 @@ let file ?(metrics = M.null) ~path ~page_size () =
   t
 
 (* ------------------------------------------------------------------ *)
-(* Serialization wrapper                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* Neither built-in device is safe to call from two domains at once (the
-   in-memory platter is a bare hashtable; the file device shares one fd
-   across lseek+read).  [serialized] funnels every operation through one
-   mutex — coarse, but the parallel read path uses it only for cache
-   misses, which the histcache already serializes per shard. *)
-let serialized inner =
-  let m = Mutex.create () in
-  let locked f =
-    Mutex.lock m;
-    match f () with
-    | v ->
-        Mutex.unlock m;
-        v
-    | exception e ->
-        Mutex.unlock m;
-        raise e
-  in
-  {
-    inner with
-    read_page = (fun id -> locked (fun () -> inner.read_page id));
-    write_page = (fun id b -> locked (fun () -> inner.write_page id b));
-    page_exists = (fun id -> locked (fun () -> inner.page_exists id));
-    page_count = (fun () -> locked inner.page_count);
-    sync = (fun () -> locked inner.sync);
-    close = (fun () -> locked inner.close);
-  }
-
-(* ------------------------------------------------------------------ *)
 (* Failure injection                                                   *)
 (* ------------------------------------------------------------------ *)
 

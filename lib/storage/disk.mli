@@ -36,11 +36,6 @@ val in_memory : ?metrics:Imdb_obs.Metrics.t -> page_size:int -> unit -> t
 val file : ?metrics:Imdb_obs.Metrics.t -> path:string -> page_size:int -> unit -> t
 (** File-backed device; [sync] is fsync. *)
 
-val serialized : t -> t
-(** Wrap a device so every operation runs under one mutex, making it safe
-    to share across domains (the built-in devices are single-domain).
-    The engine applies this automatically when [scan_parallelism > 1]. *)
-
 (** Which writes a {!failure_plan}'s countdown counts — operation-targeted
     triggers, so a crash can be aimed at "the Nth history-page write"
     (mid-time-split) or "the next meta-page write" (mid-checkpoint)

@@ -1,12 +1,15 @@
-(* Parallel time-travel reads (PR 3).
+(* The temporal read path: AS OF scans, point reads and history walks
+   over a history larger than the buffer pool.
 
-   The fan-out AS OF path must be observationally identical to the serial
-   path at any [scan_parallelism]; the histcache must only ever hold
-   fully-stamped immutable history pages that match stable storage; and
-   ranges the cache cannot serve must fall back to the coordinator
-   without losing rows.  Also the satellite regression: a windowed AS OF
-   scan whose answer spans several historical pages must agree with
-   pointwise lookups. *)
+   Current pages are pinned and stamped in the pool; history pages,
+   immutable once a time split writes them, are served from the engine's
+   decoded-image memo ([Engine.history_page]).  Answers and the visit
+   accounting (asof.pages / asof.versions) must not depend on where a
+   history page came from — cold memo, warm memo, or a freshly recovered
+   engine — and the memo must only ever hold fully stamped history
+   images equal to the page they were read from.  Also the regression: a
+   windowed AS OF scan whose answer spans several historical pages must
+   agree with pointwise lookups. *)
 
 open Helpers
 module Db = Imdb_core.Db
@@ -15,29 +18,20 @@ module M = Imdb_obs.Metrics
 module P = Imdb_storage.Page
 module V = Imdb_version.Vpage
 module BP = Imdb_buffer.Buffer_pool
-module HC = Imdb_histcache.Histcache
 
-let config ?(pool_capacity = 16) ?(tsb = false) p =
-  {
-    default_config with
-    E.page_size = 1024;
-    pool_capacity;
-    tsb_enabled = tsb;
-    scan_parallelism = p;
-    histcache_capacity = 256;
-  }
+let config ?(pool_capacity = 16) ?(tsb = false) () =
+  { default_config with E.page_size = 1024; pool_capacity; tsb_enabled = tsb }
 
-let fresh ?pool_capacity p =
-  let db, clock = fresh_db ~config:(config ?pool_capacity p) () in
+let fresh ?pool_capacity () =
+  let db, clock = fresh_db ~config:(config ?pool_capacity ()) () in
   Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
   (db, clock)
 
 let k i = Printf.sprintf "k%03d" i
 
 (* Apply [ops] as one-commit transactions; a delete of an absent key is
-   rewritten to an upsert so any generated sequence is total.  The clock
-   ticks identically per commit, so two databases fed the same ops get
-   the same commit timestamps. *)
+   rewritten to an upsert so any generated sequence is total.  Payload
+   lengths vary with the step so pages fill and time-split. *)
 let apply db clock ops =
   let present = Hashtbl.create 32 in
   List.mapi
@@ -52,7 +46,8 @@ let apply db clock ops =
             | _ ->
                 Hashtbl.replace present key ();
                 Db.upsert db txn ~table:"t" ~key
-                  ~payload:(Printf.sprintf "v%d-%s" step key))
+                  ~payload:
+                    (Printf.sprintf "v%d-%s-%s" step key (String.make (step mod 48) 'x')))
       in
       tick clock;
       ts)
@@ -85,112 +80,149 @@ let collect ?lo ?hi db ts =
 
 let hist db key = Db.exec db (fun txn -> Db.history db txn ~table:"t" ~key)
 let flush db = BP.flush_all (Db.engine db).E.pool
+let memo_size db = Hashtbl.length (Db.engine db).E.hist_decoded
 
-(* --- property: parallel == serial ------------------------------------- *)
+let history_pages db =
+  let disk = (Db.engine db).E.disk in
+  List.length
+    (List.filter
+       (fun pid ->
+         match P.page_type (disk.Imdb_storage.Disk.read_page pid) with
+         | P.P_history | P.P_history_compressed -> true
+         | _ -> false)
+       (List.init (disk.Imdb_storage.Disk.page_count ()) Fun.id))
 
-let prop_parallel_equals_serial =
+(* --- property: the memo never changes an answer or the accounting ------ *)
+
+type observation = {
+  o_answers : string list;  (* every query result, printed *)
+  o_pages : int;
+  o_versions : int;
+}
+
+(* Full and windowed AS OF scans and point reads at [probes], plus the
+   history of a few keys; the answers and the asof visit counters. *)
+let observe db probes =
+  let m = Db.metrics db in
+  let before = M.snapshot m in
+  let pr = Fmt.str "%a" Fmt.(Dump.list (Dump.pair string string)) in
+  let answers =
+    List.concat_map
+      (fun ts ->
+        [
+          pr (collect db ts);
+          pr (collect ~lo:(k 5) ~hi:(k 22) db ts);
+          Fmt.str "%a"
+            Fmt.(Dump.list (Dump.option string))
+            (List.map
+               (fun i -> Db.as_of db ts (fun txn -> Db.get db txn ~table:"t" ~key:(k i)))
+               [ 0; 3; 11; 29 ]);
+        ])
+      probes
+    @ List.map
+        (fun i ->
+          Fmt.str "%a"
+            Fmt.(Dump.list (Dump.pair Ts.pp (Dump.option string)))
+            (hist db (k i)))
+        [ 0; 7; 15; 29 ]
+  in
+  let d = M.diff ~before ~after:(M.snapshot m) in
+  let get name = Option.value ~default:0 (List.assoc_opt name d) in
+  { o_answers = answers; o_pages = get M.asof_pages; o_versions = get M.asof_versions }
+
+let prop_memo_transparent =
   let gen =
     QCheck.Gen.(
-      list_size (int_range 60 120)
+      list_size (int_range 150 250)
         (pair
            (frequency [ (4, return `Upsert); (1, return `Delete) ])
            (int_bound 30)))
   in
-  QCheck.Test.make ~name:"parallel AS OF/history == serial (p in {1,2,4})"
-    ~count:8 (QCheck.make gen) (fun ops ->
-      let db1, c1 = fresh 1 in
-      let db2, c2 = fresh 2 in
-      let db4, c4 = fresh 4 in
-      let ts1 = apply db1 c1 ops in
-      let ts2 = apply db2 c2 ops in
-      let ts4 = apply db4 c4 ops in
-      if ts1 <> ts2 || ts1 <> ts4 then
-        QCheck.Test.fail_report "commit timestamps diverged across engines";
-      List.iter flush [ db1; db2; db4 ];
-      let n = List.length ts1 in
-      let probes =
-        List.map (List.nth ts1) [ 0; n / 4; n / 2; 3 * n / 4; n - 1 ]
-      in
+  let pool_capacity = 8 in
+  QCheck.Test.make
+    ~name:"AS OF/get/history identical: cold memo, warm memo, after crash" ~count:8
+    (QCheck.make gen) (fun ops ->
+      let db, clock = fresh ~pool_capacity () in
+      let tss = apply db clock ops in
+      (* land buffered writes with a current read, then put everything on
+         stable storage: the three observations see one page structure *)
+      ignore (Db.exec db (fun txn -> Db.get db txn ~table:"t" ~key:(k 0)));
+      flush db;
+      if history_pages db <= pool_capacity then
+        QCheck.Test.fail_reportf "history (%d pages) fits the %d-frame pool"
+          (history_pages db) pool_capacity;
+      let n = List.length tss in
+      let probes = List.map (List.nth tss) [ 0; n / 4; n / 2; 3 * n / 4; n - 1 ] in
+      if memo_size db <> 0 then QCheck.Test.fail_report "memo not cold";
+      let cold = observe db probes in
+      if memo_size db = 0 then QCheck.Test.fail_report "memo still empty";
+      let hits0 = M.get (Db.metrics db) M.histcache_hits in
+      let warm = observe db probes in
+      if M.get (Db.metrics db) M.histcache_hits = hits0 then
+        QCheck.Test.fail_report "warm pass never hit the memo";
+      let db' = Db.crash_and_reopen ~clock db in
+      if memo_size db' <> 0 then QCheck.Test.fail_report "memo survived a crash";
+      let reopened = observe db' probes in
+      Db.close db';
       List.iter
-        (fun ts ->
-          let full1 = collect db1 ts in
-          if full1 <> collect db2 ts || full1 <> collect db4 ts then
-            QCheck.Test.fail_report "full AS OF scan diverged";
-          let w1 = collect ~lo:(k 5) ~hi:(k 22) db1 ts in
-          if
-            w1 <> collect ~lo:(k 5) ~hi:(k 22) db2 ts
-            || w1 <> collect ~lo:(k 5) ~hi:(k 22) db4 ts
-          then QCheck.Test.fail_report "windowed AS OF scan diverged")
-        probes;
-      List.iter
-        (fun i ->
-          let h1 = hist db1 (k i) in
-          if h1 <> hist db2 (k i) || h1 <> hist db4 (k i) then
-            QCheck.Test.fail_reportf "history diverged for %s" (k i))
-        [ 0; 7; 15; 29 ];
-      Db.close db1;
-      Db.close db2;
-      Db.close db4;
+        (fun (what, o) ->
+          if o.o_answers <> cold.o_answers then
+            QCheck.Test.fail_reportf "%s answers diverged from cold" what;
+          if o.o_pages <> cold.o_pages || o.o_versions <> cold.o_versions then
+            QCheck.Test.fail_reportf
+              "%s accounting diverged: pages %d vs %d, versions %d vs %d" what
+              o.o_pages cold.o_pages o.o_versions cold.o_versions)
+        [ ("warm", warm); ("reopened", reopened) ];
       true)
 
-(* --- histcache only ever holds immutable, stamped, stable pages -------- *)
+(* --- the memo holds only immutable, stamped history -------------------- *)
 
-let test_histcache_immutable () =
-  let db, clock = fresh 2 in
+let test_memo_immutable () =
+  (* a pool that never evicts and is never flushed: history exists only
+     as dirty frames *)
+  let db, clock = fresh ~pool_capacity:512 () in
   let tss = churn db clock ~keys:24 ~rounds:20 in
-  flush db;
-  (* warm the cache through temporal reads at many depths *)
-  List.iteri (fun i ts -> if i mod 17 = 0 then ignore (collect db ts)) tss;
-  List.iter (fun i -> ignore (hist db (k i))) [ 0; 5; 11; 23 ];
-  (* keep writing and stamping after the cache is warm: none of it may
-     leak into cached images *)
-  ignore (churn db clock ~keys:24 ~rounds:4);
-  Db.exec db (fun txn ->
-      List.iter (fun i -> ignore (Db.get db txn ~table:"t" ~key:(k i))) [ 0; 1; 2 ]);
+  let read_history () =
+    List.iteri (fun i ts -> if i mod 17 = 0 then ignore (collect db ts)) tss;
+    List.iter (fun i -> ignore (hist db (k i))) [ 0; 5; 11; 23 ];
+    List.iteri
+      (fun i ts ->
+        if i mod 29 = 0 then
+          ignore (Db.as_of db ts (fun txn -> Db.get db txn ~table:"t" ~key:(k (i mod 24)))))
+      tss
+  in
+  read_history ();
+  (* a live transaction leaves unstamped versions in current pages (and
+     time-splits some of them) while the memo is warm and refilled *)
+  let live = Db.begin_txn db in
+  List.iter
+    (fun i ->
+      Db.upsert db live ~table:"t" ~key:(k i) ~payload:(String.make 60 (Char.chr (65 + i))))
+    (List.init 12 (fun i -> 12 + i));
+  ignore (churn db clock ~keys:12 ~rounds:2);
+  read_history ();
   let eng = Db.engine db in
-  let hc = Option.get eng.E.histcache in
-  Alcotest.(check bool) "cache populated" true (HC.length hc > 0);
-  HC.iter hc (fun pid b ->
-      (* the cache holds the decoded form; the raw disk image is the one
-         whose checksum seals it (and may be delta-compressed) *)
-      let disk_img = eng.E.disk.Imdb_storage.Disk.read_page pid in
-      Alcotest.(check bool) "disk image verifies" true (P.verify disk_img);
-      Alcotest.(check bool) "is a history page" true (P.page_type b = P.P_history);
-      Alcotest.(check bool) "fully stamped" true (not (V.has_unstamped b));
-      let expected =
-        match P.page_type disk_img with
-        | P.P_history_compressed -> Imdb_storage.Vcompress.decode disk_img
-        | _ -> disk_img
+  Alcotest.(check bool) "memo populated" true (memo_size db > 0);
+  Alcotest.(check bool) "history never flushed" true (history_pages db = 0);
+  Hashtbl.iter
+    (fun pid img ->
+      Alcotest.(check bool) "a history image" true (P.page_type img = P.P_history);
+      Alcotest.(check bool) "fully stamped" true (not (V.has_unstamped img));
+      let pooled =
+        BP.with_page eng.E.pool pid (fun fr ->
+            let b = BP.bytes fr in
+            if Imdb_storage.Vcompress.is_compressed b then Imdb_storage.Vcompress.decode b
+            else Bytes.copy b)
       in
-      Alcotest.(check bool)
-        "matches decoded stable storage" true (Bytes.equal b expected));
+      Alcotest.(check bool) "equals the decoded pool page" true (Bytes.equal img pooled))
+    eng.E.hist_decoded;
+  ignore (Db.commit db live);
+  let victim = Hashtbl.fold (fun pid _ _ -> pid) eng.E.hist_decoded 0 in
+  E.free_page eng victim;
+  Alcotest.(check bool) "free_page evicts its id" false (Hashtbl.mem eng.E.hist_decoded victim);
   Db.close db
 
-(* --- unflushed history: the cache cannot serve it; fall back ----------- *)
-
-let test_fallback_unflushed () =
-  (* A pool large enough that nothing is ever evicted (and no flush):
-     history pages exist only as dirty frames, stable storage cannot
-     serve them, so every fanned-out historical range must bounce back
-     to the coordinator — and the answer must not change. *)
-  let db1, c1 = fresh ~pool_capacity:512 1 in
-  let db2, c2 = fresh ~pool_capacity:512 2 in
-  let ops = List.init 200 (fun i -> (`Upsert, i mod 12)) in
-  let ts1 = apply db1 c1 ops in
-  let ts2 = apply db2 c2 ops in
-  Alcotest.(check bool) "same timestamps" true (ts1 = ts2);
-  let early = List.nth ts1 10 in
-  let r1 = collect db1 early in
-  let r2 = collect db2 early in
-  Alcotest.(check (list (pair string string))) "fallback scan identical" r1 r2;
-  Alcotest.(check bool) "rows returned" true (List.length r1 > 0);
-  Alcotest.(check bool)
-    "fallbacks counted" true
-    (M.get (Db.metrics db2) M.scan_parallel_fallbacks > 0);
-  Db.close db1;
-  Db.close db2
-
-(* --- satellite regression: window spanning several history pages ------- *)
+(* --- regression: window spanning several history pages ----------------- *)
 
 let scan_vs_pointwise db ts ~lo_i ~hi_i =
   let got = collect ~lo:(k lo_i) ~hi:(k hi_i) db ts in
@@ -204,7 +236,7 @@ let scan_vs_pointwise db ts ~lo_i ~hi_i =
   Alcotest.(check (list (pair string string))) "window vs pointwise" expected got
 
 let test_range_spans_history_pages ~tsb () =
-  let db, clock = fresh_db ~config:(config ~pool_capacity:32 ~tsb 1) () in
+  let db, clock = fresh_db ~config:(config ~pool_capacity:32 ~tsb ()) () in
   Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
   (* enough keys for router key splits, enough rounds for deep chains:
      a window's answer then lives in several historical pages *)
@@ -220,11 +252,9 @@ let test_range_spans_history_pages ~tsb () =
 
 let suite =
   [
-    QCheck_alcotest.to_alcotest prop_parallel_equals_serial;
-    Alcotest.test_case "histcache holds only immutable stamped pages" `Quick
-      test_histcache_immutable;
-    Alcotest.test_case "unflushed history falls back, identically" `Quick
-      test_fallback_unflushed;
+    QCheck_alcotest.to_alcotest prop_memo_transparent;
+    Alcotest.test_case "memo holds only immutable stamped history" `Quick
+      test_memo_immutable;
     Alcotest.test_case "AS OF window spans history pages (chain)" `Quick
       (test_range_spans_history_pages ~tsb:false);
     Alcotest.test_case "AS OF window spans history pages (TSB)" `Quick

@@ -137,20 +137,6 @@ let test_sampling () =
           (List.exists (fun r -> r.Tr.c_id = c.Tr.c_parent) roots))
     spans
 
-(* --- explicit parents (the cross-domain link) -------------------------------- *)
-
-let test_explicit_parent () =
-  let tr, _ = fresh_tracer () in
-  let coord_id = ref 0 in
-  (* simulate a worker that has no stack context linking back to the
-     coordinator span by handle *)
-  (Tr.with_span tr "coord" @@ fun coord ->
-   coord_id := Tr.span_id coord;
-   Tr.with_span tr ~parent:coord "worker" (fun _ -> ()));
-  let worker = List.find (fun c -> c.Tr.c_name = "worker") (Tr.spans tr) in
-  Alcotest.(check int) "worker parented to coordinator" !coord_id
-    worker.Tr.c_parent
-
 (* --- slow-op promotion -------------------------------------------------------- *)
 
 let test_slow_ops () =
@@ -329,7 +315,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_forest;
     Alcotest.test_case "ring overflow accounting" `Quick test_ring_overflow;
     Alcotest.test_case "root sampling, whole trees" `Quick test_sampling;
-    Alcotest.test_case "explicit parent link" `Quick test_explicit_parent;
     Alcotest.test_case "slow-op promotion" `Quick test_slow_ops;
     Alcotest.test_case "disabled runs deterministic" `Quick test_disabled_deterministic;
     Alcotest.test_case "tracing leaves counters unchanged" `Quick
