@@ -397,7 +397,7 @@ let locks_cmd =
   Cmd.v
     (Cmd.info "locks"
        ~doc:"Dump the lock manager: current holders and the live wait-for \
-             graph, as one consistent cut across all shards.")
+             graph, as one consistent cut.")
     Term.(const run $ dir_arg)
 
 (* --- monitor ---------------------------------------------------------------- *)

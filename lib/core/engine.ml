@@ -741,11 +741,17 @@ let checkpoint t =
   let swept =
     BP.flush_older_than t.pool ~rec_lsn_limit:t.meta.Meta.last_checkpoint_lsn
   in
+  (* A committer out of the gate for its sync already has its commit
+     record in the log, below this checkpoint: recovery starting here
+     would never see it, so listing it would make it a loser.  The flush
+     below makes that commit record durable with the checkpoint. *)
   let att =
     Tid.Table.fold
       (fun tid txn acc ->
         match txn.tx_state with
-        | Running | Rolling_back when txn.tx_begun -> (tid, txn.tx_last_lsn) :: acc
+        | Running when txn.tx_begun && txn.tx_commit_ts = None ->
+            (tid, txn.tx_last_lsn) :: acc
+        | Rolling_back when txn.tx_begun -> (tid, txn.tx_last_lsn) :: acc
         | _ -> acc)
       t.active []
   in
@@ -872,8 +878,8 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
   Imdb_tstamp.Lazy_stamper.set_end_of_log stamper (fun () -> Imdb_wal.Wal.next_lsn wal);
   Imdb_tstamp.Lazy_stamper.set_flushed_lsn stamper (fun () ->
       Imdb_wal.Wal.flushed_lsn wal);
-  Imdb_tstamp.Lazy_stamper.set_force_log stamper (fun () ->
-      Imdb_wal.Wal.flush wal);
+  Imdb_tstamp.Lazy_stamper.set_force_log stamper (fun commit_end ->
+      Imdb_wal.Wal.flush ~lsn:(Int64.pred commit_end) wal);
   let t =
     {
       disk;

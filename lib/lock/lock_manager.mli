@@ -2,10 +2,11 @@
     with multigranularity intention locks and wait-for-graph deadlock
     detection.
 
-    The lock table is sharded by resource hash (per-shard mutex +
-    condition variable), so sessions on different domains contending for
-    different resources never serialize on one lock.  Two acquisition
-    disciplines share the grant logic: the fail-fast path ([acquire] /
+    The lock table, the held index and the wait-for graph share one
+    mutex and one condition variable.  The engine's session gate already
+    serializes every caller except parked waiters, so one mutex costs
+    nothing, and it keeps the manager safe to call from any domain on
+    its own.  Two acquisition disciplines share the grant logic: the fail-fast path ([acquire] /
     [acquire_exn]) the single-session engine has always used — a
     conflicting request never parks a thread — and real blocking waits
     ([acquire_wait]) for concurrent sessions, with deadlock detection at
@@ -60,7 +61,7 @@ val acquire_exn : t -> Imdb_clock.Tid.t -> resource -> mode -> unit
 (** Like [acquire] but a block erases the edge and raises [Conflict]. *)
 
 val acquire_wait : ?timeout_us:int -> t -> Imdb_clock.Tid.t -> resource -> mode -> int
-(** Acquire, parking on the shard's condition variable while blocked.
+(** Acquire, parking on the manager's condition variable while blocked.
     Releases of conflicting locks re-probe the grant; a process-wide
     ticker thread (spawned on the first blocking wait) bounds the delay
     until the deadline is noticed.  Returns the wall-clock microseconds
@@ -72,13 +73,9 @@ val holds : t -> Imdb_clock.Tid.t -> resource -> mode option
 
 val release_all : t -> Imdb_clock.Tid.t -> unit
 (** Strict 2PL: everything is released together at commit/abort; every
-    touched shard's waiters are woken. *)
+    parked waiter is woken to re-probe. *)
 
 val held_by : t -> Imdb_clock.Tid.t -> resource list
-
-val active_locks : t -> (resource * Imdb_clock.Tid.t * mode) list
-(** Holder triples, collected shard by shard — cheap, but not a
-    consistent cross-shard cut; use [dump] for that. *)
 
 (** {1 Introspection} *)
 
@@ -91,9 +88,8 @@ type dump = {
 }
 
 val dump : t -> dump
-(** One consistent cut of the whole lock table: all 16 shard mutexes are
-    held together (plus the wait-for index) while holders and waiters are
-    collected, so every blocker named by a waiter edge appears among
+(** One consistent cut of the whole lock table, taken under the
+    manager's mutex: every blocker named by a waiter edge appears among
     [d_holders] for the waited-on resource in the same dump. *)
 
 val dump_json : t -> Imdb_obs.Json.t

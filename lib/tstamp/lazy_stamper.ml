@@ -21,7 +21,8 @@ type t = {
   mutable ptt : Ptt.t option; (* None until the engine wires storage up *)
   mutable end_of_log : unit -> int64; (* for lsn_at_zero bookkeeping *)
   mutable flushed_lsn : unit -> int64; (* durable log horizon (flush-time gate) *)
-  mutable force_log : unit -> unit; (* flush the log tail (stamping gate) *)
+  mutable force_log : int64 -> unit;
+      (* make the log durable up to a commit record's end (stamping gate) *)
   mutable unknown_tids : int; (* integrity counter: should stay 0 *)
   mutable metrics : Imdb_obs.Metrics.t;
   mutable tracer : Imdb_obs.Tracer.t;
@@ -29,7 +30,7 @@ type t = {
 
 let create ?(metrics = Imdb_obs.Metrics.null) () =
   { vtt = Vtt.create ~metrics (); ptt = None; end_of_log = (fun () -> 0L);
-    flushed_lsn = (fun () -> 0L); force_log = (fun () -> ());
+    flushed_lsn = (fun () -> 0L); force_log = (fun _ -> ());
     unknown_tids = 0; metrics; tracer = Imdb_obs.Tracer.null }
 
 let set_metrics t m =
@@ -81,7 +82,10 @@ let resolve t tid : Imdb_version.Vpage.resolution =
    invariant that any stamp that can reach disk names a durably
    committed transaction.  The force is rare: it fires only when an
    access stamps a commit younger than the last flush (another session's
-   commit between its VTT switch and its sync).  The PTT fallback needs no gate — a PTT
+   commit between its VTT switch and its sync).  It asks for that
+   commit record only ([commit_end]), not the whole tail, so a force
+   landing during the committer's own sync waits for that sync instead
+   of paying another.  The PTT fallback needs no gate — a PTT
    entry consulted here is covered by a durable commit record (losers'
    entries are removed during recovery, before any access-path
    stamping). *)
@@ -89,7 +93,8 @@ let resolve_for_stamping t tid : Imdb_version.Vpage.resolution =
   match Vtt.resolve t.vtt tid with
   | Some (`Committed ts) ->
       if not (Vtt.commit_durable t.vtt tid ~flushed_lsn:(t.flushed_lsn ()))
-      then t.force_log ();
+      then
+        Option.iter (fun e -> t.force_log e.Vtt.commit_end) (Vtt.find t.vtt tid);
       Imdb_version.Vpage.Committed ts
   | Some `Active | Some `Aborted -> Imdb_version.Vpage.Active
   | None -> (

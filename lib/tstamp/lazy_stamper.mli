@@ -28,10 +28,12 @@ val set_flushed_lsn : t -> (unit -> int64) -> unit
     lose the commit record while the stamped page survives — a phantom
     committed version that guarded undo cannot remove. *)
 
-val set_force_log : t -> (unit -> unit) -> unit
-(** Flush the log tail.  Normal-access stamping calls this before
+val set_force_log : t -> (int64 -> unit) -> unit
+(** Make the log durable up to the given end of a commit record (its
+    VTT [commit_end]).  Normal-access stamping calls this before
     stamping a commit above the durable horizon (see
-    {!resolve_for_stamping}); the engine wires it to [Wal.flush]. *)
+    {!resolve_for_stamping}); the engine wires it to [Wal.flush] through
+    that record, not the whole tail. *)
 
 val vtt : t -> Vtt.t
 

@@ -14,17 +14,15 @@
    The buffer-pool's WAL-before-data rule calls [flush ~lsn:(page lsn)]
    before any page write, and commit calls [flush] at the commit record.
 
-   Concurrency: appenders on different domains do not queue on one
-   append lock.  An atomic sequencer hands out contiguous LSN ranges
-   (frames are fixed before reservation, so a reservation is the byte
-   range it will occupy), and each domain buffers its frames in its own
-   append buffer.  A flush — serialized by [flush_mu], so concurrent
-   committers batch into one device sync — drains every domain buffer,
-   writes the longest contiguous prefix from [durable_end] in LSN order
-   (spinning briefly over a reservation still between its fetch-and-add
-   and its buffer insert), and advances the durable horizon.  At one
-   session this degenerates to exactly the old single-list protocol:
-   same appends, same flush boundaries, same counters. *)
+   Concurrency: one volatile tail, under [tail_mu].  An append reserves
+   its LSN and queues its frame in the same critical section, so the
+   tail always holds every frame from [durable_end] up to [next], with
+   no gaps, and a flush leader's batch is simply the whole tail.  Device access is
+   serialized by [flush_mu]; concurrent committers whose record a
+   leader's sync will cover wait for the durable horizon instead of
+   syncing again (group commit).  Every engine append already runs under
+   the session gate, so one mutex costs nothing there; it keeps the log
+   safe for any caller on any domain without relying on the gate. *)
 
 open Imdb_util
 module M = Imdb_obs.Metrics
@@ -106,28 +104,17 @@ module Device = struct
     }
 end
 
-(* One domain's append buffer: only its owner appends, only a flusher
-   (holding [tail_mu]) drains, so [db_mu] sees owner-vs-flusher traffic
-   at most — never cross-domain append contention. *)
-type dbuf = {
-  db_mu : Mutex.t;
-  mutable db_frames : (int64 * bytes) list; (* newest first *)
-  db_index : (int64, bytes) Hashtbl.t; (* the same frames, by LSN *)
-}
-
 type t = {
   device : Device.t;
-  seq : int Atomic.t; (* next LSN: end of log including volatile tails *)
   tail_mu : Mutex.t;
-      (* guards [durable_end], [flushing], and the move of frames out of
-         domain buffers — so a volatile-frame lookup under it is atomic
-         with respect to collection and the durable horizon *)
+      (* guards [next], [durable_end], [tail] and [volatile]: a
+         volatile-frame lookup under it is atomic with respect to appends
+         and the durable horizon *)
+  mutable next : int64; (* next LSN: end of log including the volatile tail *)
   mutable durable_end : int64; (* bytes durable on the device *)
-  flushing : (int64, bytes) Hashtbl.t;
-      (* frames collected from domain buffers by an in-progress (or
-         partially contiguous) flush, still volatile *)
-  bufs_mu : Mutex.t;
-  mutable bufs : dbuf list; (* every domain buffer ever registered *)
+  mutable tail : (int64 * bytes) list;
+      (* every frame from [durable_end] up to [next], newest first *)
+  volatile : (int64, bytes) Hashtbl.t; (* the same frames, by LSN *)
   flush_mu : Mutex.t;
       (* serializes device append+sync (and durable reads against them);
          concurrent committers queue here and find their records already
@@ -137,7 +124,7 @@ type t = {
          redo iterates the log and reads it again from inside the
          callback, so device access must be reentrant per domain *)
   mutable flush_active : bool;
-      (* a leader's collect+sync is in flight (guarded by [tail_mu]).
+      (* a leader's append+sync is in flight (guarded by [tail_mu]).
          Followers whose LSN the leader will cover wait on [flush_cv]
          for [durable_end] to move instead of queueing on [flush_mu]: a
          hot leader re-syncing in a loop barges an OS mutex queue and
@@ -185,12 +172,11 @@ let open_device ?(metrics = M.null) device =
   if valid < device.Device.size () then device.Device.truncate valid;
   {
     device;
-    seq = Atomic.make valid;
     tail_mu = Mutex.create ();
+    next = Int64.of_int valid;
     durable_end = Int64.of_int valid;
-    flushing = Hashtbl.create 64;
-    bufs_mu = Mutex.create ();
-    bufs = [];
+    tail = [];
+    volatile = Hashtbl.create 64;
     flush_mu = Mutex.create ();
     flush_owner = Atomic.make 0;
     flush_active = false;
@@ -201,7 +187,7 @@ let open_device ?(metrics = M.null) device =
     tracer = Imdb_obs.Tracer.null;
   }
 
-let next_lsn t = Int64.of_int (Atomic.get t.seq)
+let next_lsn t = Mutex.protect t.tail_mu (fun () -> t.next)
 
 let with_flush_mu t f =
   let me = (Domain.self () :> int) + 1 in
@@ -216,56 +202,21 @@ let with_flush_mu t f =
       f
   end
 
-let durable t =
-  Mutex.lock t.tail_mu;
-  let d = t.durable_end in
-  Mutex.unlock t.tail_mu;
-  d
+let durable t = Mutex.protect t.tail_mu (fun () -> t.durable_end)
 
 let flushed_lsn t = durable t
-
-(* The calling domain's append buffer, cached in domain-local storage so
-   the registry mutex is touched once per (domain, log) pair.  The cache
-   is a small MRU list: an evicted entry's buffer stays registered in
-   [bufs] and is simply drained by the next flush, so losing a cache slot
-   can never lose frames. *)
-let dbuf_cache : (Obj.t * dbuf) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let dbuf_cache_slots = 8
-
-let dbuf_for t =
-  let cache = Domain.DLS.get dbuf_cache in
-  let key = Obj.repr t in
-  match List.assq_opt key !cache with
-  | Some b -> b
-  | None ->
-      let b =
-        { db_mu = Mutex.create (); db_frames = []; db_index = Hashtbl.create 64 }
-      in
-      Mutex.lock t.bufs_mu;
-      t.bufs <- b :: t.bufs;
-      Mutex.unlock t.bufs_mu;
-      let trimmed =
-        if List.length !cache >= dbuf_cache_slots then
-          List.filteri (fun i _ -> i < dbuf_cache_slots - 1) !cache
-        else !cache
-      in
-      cache := (key, b) :: trimmed;
-      b
 
 let append t body =
   let payload = Log_record.encode body in
   let frame = frame_of payload in
-  let b = dbuf_for t in
-  (* the reservation and the buffer insert share one critical section on
-     the domain-local mutex, so a flusher that drains this buffer sees
-     every reservation the buffer's owner has made *)
-  Mutex.lock b.db_mu;
-  let lsn = Int64.of_int (Atomic.fetch_and_add t.seq (Bytes.length frame)) in
-  b.db_frames <- (lsn, frame) :: b.db_frames;
-  Hashtbl.replace b.db_index lsn frame;
-  Mutex.unlock b.db_mu;
+  let lsn =
+    Mutex.protect t.tail_mu (fun () ->
+        let lsn = t.next in
+        t.next <- Int64.add lsn (Int64.of_int (Bytes.length frame));
+        t.tail <- (lsn, frame) :: t.tail;
+        Hashtbl.replace t.volatile lsn frame;
+        lsn)
+  in
   M.incr t.metrics M.log_appends;
   M.incr ~by:(Bytes.length frame) t.metrics M.log_bytes;
   M.observe t.metrics M.h_log_record_bytes (Bytes.length frame);
@@ -304,79 +255,37 @@ let drain_pending t =
     List.iter (fun (_, ack) -> ack ()) (List.rev durable_now)
   end
 
-(* Move every buffered frame into [flushing].  Holding [tail_mu] across
-   the move keeps volatile lookups coherent: a frame is always findable
-   in exactly one place until it is durable. *)
-let collect t =
-  Mutex.lock t.tail_mu;
-  Mutex.lock t.bufs_mu;
-  let bufs = t.bufs in
-  Mutex.unlock t.bufs_mu;
-  List.iter
-    (fun b ->
-      Mutex.lock b.db_mu;
-      List.iter (fun (lsn, fr) -> Hashtbl.replace t.flushing lsn fr) b.db_frames;
-      b.db_frames <- [];
-      Hashtbl.reset b.db_index;
-      Mutex.unlock b.db_mu)
-    bufs;
-  Mutex.unlock t.tail_mu
-
-(* The longest LSN-contiguous run of [flushing] frames starting at
-   [durable_end]: what the device write can cover.  A gap means a
-   reservation is still between its fetch-and-add and its insert. *)
-let contiguous_prefix t =
-  let frames =
-    Hashtbl.fold (fun lsn fr acc -> (lsn, fr) :: acc) t.flushing []
-    |> List.sort (fun (a, _) (b, _) -> Int64.compare a b)
-  in
-  let rec take acc expect = function
-    | (lsn, fr) :: rest when Int64.equal lsn expect ->
-        take ((lsn, fr) :: acc)
-          (Int64.add lsn (Int64.of_int (Bytes.length fr)))
-          rest
-    | _ -> (List.rev acc, expect)
-  in
-  take [] t.durable_end frames
-
-(* One leader's collect+append+sync.  Caller has claimed leadership
-   ([flush_active] set); runs under [flush_mu] to serialize device
-   access against readers and other (reentrant) flushers. *)
+(* One leader's append+sync of the whole tail.  Caller has claimed
+   leadership ([flush_active] set); runs under [flush_mu] to serialize
+   device access against readers and other (reentrant) flushers.  The
+   batch stays in [tail] and [volatile] until the sync returns, so a
+   frame is findable until it is durable and a failed write leaves the
+   tail intact for the next leader. *)
 let flush_as_leader t needed =
   with_flush_mu t (fun () ->
       (* the flush that held leadership before us may have covered our
          record already *)
-      if Int64.compare needed (durable t) >= 0 then begin
-        collect t;
-        let prefix = ref (contiguous_prefix t) in
-        (* a gap below [needed] resolves as soon as the appender's
-           buffer insert lands; never spin for frames past [needed] *)
-        while
-          Int64.compare (snd !prefix) needed <= 0
-          && Int64.compare (next_lsn t) (snd !prefix) > 0
-        do
-          Domain.cpu_relax ();
-          collect t;
-          prefix := contiguous_prefix t
-        done;
-        let frames, new_end = !prefix in
-        if frames <> [] then
-          Imdb_obs.Tracer.with_span t.tracer "wal.flush" (fun sp ->
-              let bytes =
-                List.fold_left (fun acc (_, f) -> acc + Bytes.length f) 0 frames
-              in
-              List.iter (fun (_, frame) -> t.device.Device.append frame) frames;
-              t.device.Device.sync ();
-              Mutex.lock t.tail_mu;
-              List.iter (fun (lsn, _) -> Hashtbl.remove t.flushing lsn) frames;
-              t.durable_end <- new_end;
-              Mutex.unlock t.tail_mu;
-              M.incr t.metrics M.log_flushes;
-              M.observe t.metrics M.h_log_flush_bytes bytes;
-              Imdb_obs.Tracer.add_attr sp "bytes" (string_of_int bytes);
-              Imdb_obs.Tracer.add_attr sp "frames"
-                (string_of_int (List.length frames)))
-      end)
+      let frames, new_end =
+        Mutex.protect t.tail_mu (fun () ->
+            if Int64.compare needed t.durable_end < 0 then ([], t.next)
+            else (List.rev t.tail, t.next))
+      in
+      if frames <> [] then
+        Imdb_obs.Tracer.with_span t.tracer "wal.flush" (fun sp ->
+            let bytes =
+              List.fold_left (fun acc (_, f) -> acc + Bytes.length f) 0 frames
+            in
+            List.iter (fun (_, frame) -> t.device.Device.append frame) frames;
+            t.device.Device.sync ();
+            Mutex.protect t.tail_mu (fun () ->
+                List.iter (fun (lsn, _) -> Hashtbl.remove t.volatile lsn) frames;
+                t.tail <-
+                  List.filter (fun (lsn, _) -> Int64.compare lsn new_end >= 0) t.tail;
+                t.durable_end <- new_end);
+            M.incr t.metrics M.log_flushes;
+            M.observe t.metrics M.h_log_flush_bytes bytes;
+            Imdb_obs.Tracer.add_attr sp "bytes" (string_of_int bytes);
+            Imdb_obs.Tracer.add_attr sp "frames" (string_of_int (List.length frames))))
 
 (* Make everything up to and including the record at [lsn] durable.  A
    record at a given LSN is durable iff [lsn < durable_end] (both are
@@ -427,24 +336,13 @@ let flush ?lsn t =
 
 (* Drop the volatile tail: crash simulation.  Unacknowledged group-commit
    waiters are dropped unfired — their transactions were never durable.
-   The sequencer rewinds to the durable horizon (as a reopen would), so
-   the dropped reservations do not read as a permanent gap to flush. *)
+   The end of log rewinds to the durable horizon, as a reopen would. *)
 let crash_volatile t =
-  Mutex.lock t.tail_mu;
-  Atomic.set t.seq (Int64.to_int t.durable_end);
-  Hashtbl.reset t.flushing;
-  Mutex.lock t.bufs_mu;
-  let bufs = t.bufs in
-  Mutex.unlock t.bufs_mu;
-  List.iter
-    (fun b ->
-      Mutex.lock b.db_mu;
-      b.db_frames <- [];
-      Hashtbl.reset b.db_index;
-      Mutex.unlock b.db_mu)
-    bufs;
-  Condition.broadcast t.flush_cv;
-  Mutex.unlock t.tail_mu;
+  Mutex.protect t.tail_mu (fun () ->
+      t.next <- t.durable_end;
+      t.tail <- [];
+      Hashtbl.reset t.volatile;
+      Condition.broadcast t.flush_cv);
   Mutex.lock t.pending_mu;
   t.pending <- [];
   Mutex.unlock t.pending_mu
@@ -466,34 +364,9 @@ let iter_from t ~from_lsn f =
       in
       go (Int64.to_int from_lsn))
 
-(* A still-volatile frame, wherever it currently lives: mid-flush
-   ([flushing]) or in some domain's append buffer. *)
-let find_volatile t lsn =
-  Mutex.lock t.tail_mu;
-  let r =
-    match Hashtbl.find_opt t.flushing lsn with
-    | Some f -> Some f
-    | None ->
-        Mutex.lock t.bufs_mu;
-        let bufs = t.bufs in
-        Mutex.unlock t.bufs_mu;
-        List.fold_left
-          (fun acc b ->
-            match acc with
-            | Some _ -> acc
-            | None ->
-                Mutex.lock b.db_mu;
-                let r = Hashtbl.find_opt b.db_index lsn in
-                Mutex.unlock b.db_mu;
-                r)
-          None bufs
-  in
-  Mutex.unlock t.tail_mu;
-  r
-
 (* Read the single record at [lsn] (durable or volatile). *)
 let read_at t lsn =
-  match find_volatile t lsn with
+  match Mutex.protect t.tail_mu (fun () -> Hashtbl.find_opt t.volatile lsn) with
   | Some frame ->
       let len = Codec.get_u32 frame 0 in
       Log_record.decode (Bytes.sub frame frame_header len)

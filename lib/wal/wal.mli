@@ -5,7 +5,12 @@
     makes the prefix durable (the buffer pool calls it before any page
     write — WAL before data — and commit calls it at the commit record).
     Reopening after a crash scans the durable stream and truncates the
-    first torn or corrupt frame. *)
+    first torn or corrupt frame.
+
+    Safe to share across domains: an append reserves its LSN and queues
+    its frame on the one volatile tail under one mutex, and device
+    access is serialized separately, so concurrent commits batch into
+    one sync (group commit). *)
 
 (** Log storage devices. *)
 module Device : sig

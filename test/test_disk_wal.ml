@@ -397,6 +397,43 @@ let test_wal_file_device () =
       Alcotest.(check int) "record survives reopen" 1 !seen;
       Wal.close w2)
 
+(* The log takes appends and flushes from several domains at once with no
+   engine (and no session gate) around it: every returned LSN names its
+   own record, and the durable stream is exactly the returned LSNs. *)
+let test_wal_multi_domain_appends () =
+  let dev = Wal.Device.in_memory () in
+  let w = Wal.open_device dev in
+  let domains = 4 and per_domain = 500 in
+  let appender d () =
+    List.init per_domain (fun i ->
+        let tid = Tid.of_int ((d * per_domain) + i + 1) in
+        let lsn = Wal.append w (LR.Begin { tid }) in
+        if i mod 50 = 49 then Wal.flush w;
+        (lsn, tid))
+  in
+  let appended =
+    List.init domains (fun d -> Domain.spawn (appender d))
+    |> List.concat_map Domain.join
+  in
+  Alcotest.(check int) "every append returned" (domains * per_domain)
+    (List.length appended);
+  List.iter
+    (fun (lsn, tid) ->
+      match Wal.read_at w lsn with
+      | LR.Begin { tid = t } when Tid.equal t tid -> ()
+      | body -> Alcotest.failf "lsn %Ld: %a" lsn LR.pp body)
+    appended;
+  Wal.flush w;
+  let w2 = Wal.open_device dev in
+  let durable = ref [] in
+  Wal.iter_from w2 ~from_lsn:0L (fun lsn _ -> durable := lsn :: !durable);
+  Alcotest.(check (list int64)) "durable log = returned lsns"
+    (List.sort Int64.compare (List.map fst appended))
+    (List.sort Int64.compare !durable);
+  Alcotest.(check int64) "next lsn = device size"
+    (Int64.of_int (dev.Wal.Device.size ()))
+    (Wal.next_lsn w2)
+
 let suite =
   [
     Alcotest.test_case "mem disk" `Quick test_mem_disk;
@@ -416,4 +453,5 @@ let suite =
     Alcotest.test_case "group-commit acks" `Quick test_wal_group_commit_acks;
     Alcotest.test_case "crash drops waiters" `Quick test_wal_crash_drops_waiters;
     Alcotest.test_case "wal file device" `Quick test_wal_file_device;
+    Alcotest.test_case "wal appends from 4 domains" `Quick test_wal_multi_domain_appends;
   ]

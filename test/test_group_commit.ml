@@ -84,10 +84,52 @@ let test_sessions_durable_at_return () =
       commits;
   Db.close db
 
+(* A checkpoint taken while a committer is out of the gate for its sync
+   must not list that committer as active.  Its commit record precedes
+   the checkpoint record, so recovery starting at the checkpoint never
+   sees it; once the End record is lost with the volatile tail, an ATT
+   entry would roll the committed transaction back as a loser.  The log
+   device's sync starts the checkpoint on a second domain and waits until
+   it holds the gate, so the checkpoint always lands inside the window. *)
+let test_checkpoint_during_commit_sync () =
+  let base = Wal.Device.in_memory () in
+  let on_sync = ref ignore in
+  let log_device =
+    { base with Wal.Device.sync = (fun () -> !on_sync (); base.Wal.Device.sync ()) }
+  in
+  let clock = Imdb_clock.Clock.create_logical () in
+  let db =
+    Db.open_devices ~config:gc_config ~clock
+      ~disk:(Imdb_storage.Disk.in_memory ~page_size:gc_config.E.page_size ())
+      ~log_device ()
+  in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+  Db.checkpoint db;
+  let eng = Db.engine db in
+  let checkpointer = ref None in
+  on_sync :=
+    (fun () ->
+      on_sync := ignore;
+      checkpointer := Some (Domain.spawn (fun () -> Db.checkpoint db));
+      while Atomic.get eng.E.gate_owner = 0 do
+        Domain.cpu_relax ()
+      done);
+  tick clock;
+  let txn = commit_keep db 1 "x" in
+  Option.iter Domain.join !checkpointer;
+  Alcotest.(check bool) "checkpoint ran inside the commit's sync" true
+    (Option.is_some !checkpointer);
+  Alcotest.(check bool) "durable at commit return" true txn.E.tx_durable;
+  let db = Db.crash_and_reopen ~clock db in
+  check_row db ~table:"t" ~id:1 (Some (row 1 "x"));
+  Db.close db
+
 let suite =
   [
     Alcotest.test_case "window 1 syncs every commit" `Quick
       test_window_one_syncs_every_commit;
     Alcotest.test_case "2 sessions: durable at return" `Quick
       test_sessions_durable_at_return;
+    Alcotest.test_case "checkpoint during a commit's sync" `Quick
+      test_checkpoint_during_commit_sync;
   ]
