@@ -5,8 +5,9 @@
      buffer pool.  Reports wall time plus the counters that certify the
      behaviour: CLOCK sweep steps stay within a small constant of
      evictions (O(1) amortized, where the old policy scanned every frame
-     per eviction), and the keydir hit/miss split shows search-hot pages
-     being served by binary search.
+     per eviction), and the keydir hit/miss split shows routing-node
+     searches being served by binary search (leaves are scanned and
+     count in neither).
    - commit: single-update transactions against a file-backed log.  Every
      commit syncs the log through its own commit record before it
      returns, so one session pays one sync per commit.

@@ -16,7 +16,8 @@
    - The root page id is stable for the lifetime of the tree (root splits
      move the root's contents into a new child).
 
-   Cells within a page are *unsorted*; lookups scan the slot array.  With
+   Cells within a page are *unsorted*; leaf lookups scan the slot array
+   (routing nodes cache a sorted directory, see below).  With
    8 KB pages a node holds at most a few hundred cells, and the scan cost
    is dwarfed by page access cost; in exchange, insertion never shifts
    slots, which keeps the physiological WAL format trivial.
@@ -32,6 +33,7 @@ open Imdb_util
 module P = Imdb_storage.Page
 module M = Imdb_obs.Metrics
 module BP = Imdb_buffer.Buffer_pool
+module T = Imdb_obs.Tracer
 
 type io = {
   exec : Imdb_buffer.Buffer_pool.frame -> undoable:bool -> Imdb_wal.Log_record.page_op -> unit;
@@ -40,6 +42,9 @@ type io = {
   alloc : ptype:P.page_type -> level:int -> int;
       (** allocate, format and redo-log a fresh page; returns its id *)
   free : int -> unit;  (** return a page to the allocator (redo-logged) *)
+  atomic : 'a. (unit -> 'a) -> 'a;
+      (** run a structure modification so that a crash keeps all of its
+          log records or none *)
 }
 
 type t = {
@@ -49,6 +54,7 @@ type t = {
   table_id : int;
   name : string; (* for diagnostics *)
   metrics : M.t;
+  tracer : T.t;
 }
 
 (* --- cell codecs -------------------------------------------------------- *)
@@ -84,7 +90,7 @@ let cell_key page slot =
 (* Allocation-free comparison of a cell's key with [key]: byte-lexicographic,
    shorter-is-smaller on equal prefixes (same order as String.compare).
    The loops are top-level functions so no closure is allocated per call —
-   these run for every cell of every node on every descent. *)
+   these run for every cell of a leaf on every point search. *)
 let rec bytes_vs_string page off klen key n i =
   if i >= klen then if i >= n then 0 else -1
   else if i >= n then 1
@@ -99,21 +105,19 @@ let cell_key_compare page slot key =
 
 (* --- construction ------------------------------------------------------- *)
 
-let attach ?(metrics = M.null) ~pool ~io ~root ~table_id ~name () =
-  { pool; io; root; table_id; name; metrics }
+let attach ?(metrics = M.null) ?(tracer = T.null) ~pool ~io ~root ~table_id ~name () =
+  { pool; io; root; table_id; name; metrics; tracer }
 
 (* A new tree: the root starts life as an (empty) leaf. *)
-let create ?metrics ~pool ~io ~table_id ~name () =
+let create ?metrics ?tracer ~pool ~io ~table_id ~name () =
   let root = io.alloc ~ptype:P.P_heap ~level:0 in
-  attach ?metrics ~pool ~io ~root ~table_id ~name ()
+  attach ?metrics ?tracer ~pool ~io ~root ~table_id ~name ()
 
 let root t = t.root
 let is_leaf page = P.level page = 0
 
 (* --- descent ------------------------------------------------------------ *)
 
-(* In an internal node, the live slot whose separator is the greatest one
-   <= [key].  The leftmost "" separator guarantees existence. *)
 (* Compare the keys of two cells of the same page, allocation-free. *)
 let rec bytes_vs_bytes page ba ka bb kb i =
   if i >= ka then if i >= kb then 0 else -1
@@ -127,45 +131,17 @@ let cell_cell_compare page a b =
   let ka = Codec.get_u16 page ba and kb = Codec.get_u16 page bb in
   bytes_vs_bytes page (ba + 2) ka (bb + 2) kb 0
 
-(* Manual scan over the slot array: these node searches run on every
-   descent and dominate point-operation cost, so they avoid closures,
-   bounds-checked codecs and repeated offset computation. *)
-let node_floor_slot page key =
-  let psize = Bytes.length page in
-  let n = P.slot_count page in
-  let klen = String.length key in
-  let best = ref (-1) in
-  let best_koff = ref 0 in
-  let best_klen = ref 0 in
-  for slot = 0 to n - 1 do
-    let off = Bytes.get_uint16_le page (psize - 2 - (2 * slot)) in
-    if off <> P.dead_slot then begin
-      let ck = Bytes.get_uint16_le page (off + 2) in
-      if bytes_vs_string page (off + 4) ck key klen 0 <= 0 then
-        if !best < 0 || bytes_vs_bytes page (off + 4) ck !best_koff !best_klen 0 >= 0
-        then begin
-          best := slot;
-          best_koff := off + 4;
-          best_klen := ck
-        end
-    end
-  done;
-  if !best >= 0 then !best
-  else
-    failwith
-      (Printf.sprintf "Btree: internal page %d lacks a floor for %S" (P.page_id page) key)
+(* --- the routing-node key directory --------------------------------------
 
-(* --- the per-frame key directory ----------------------------------------
-
-   Cells within a page are unsorted, so the scans above decode every live
-   cell.  For search-hot pages we build a sorted (key, slot) directory
-   and cache it on the buffer-pool frame, turning every later search into
-   a binary search.  The directory is volatile cache only — never logged,
-   never moving the page LSN — and the pool invalidates it on any
-   dirtying, so write-hot pages (which would rebuild constantly) never
-   accumulate enough probes to pay the build cost. *)
-
-let keydir_probe_threshold = 2
+   Cells within a page are unsorted, so a search decodes every live cell.
+   Internal (routing) nodes are searched on every descent but dirtied
+   only when a child splits, so each one caches a sorted (key, slot)
+   directory on its buffer-pool frame, built on the first search after
+   an invalidation, and later searches binary-search it.  The directory
+   is volatile cache only — never logged, never moving the page LSN —
+   and the pool drops it on any dirtying.  Leaves keep the linear scan:
+   most leaf searches precede a write to the same leaf, which would throw
+   a freshly built directory away. *)
 
 let build_keydir page =
   let n = P.live_count page in
@@ -186,21 +162,16 @@ let build_keydir page =
     kd_slots = Array.map (fun j -> slots.(j)) idx;
   }
 
-(* The frame's directory if present (hit); on a miss, build it once the
-   frame has seen enough linear probes since its last invalidation. *)
 let frame_keydir t fr =
   match BP.keydir fr with
   | Some kd ->
       M.incr t.metrics M.keydir_hits;
-      Some kd
+      kd
   | None ->
       M.incr t.metrics M.keydir_misses;
-      if BP.keydir_probe fr >= keydir_probe_threshold then begin
-        let kd = build_keydir (BP.bytes fr) in
-        BP.set_keydir fr kd;
-        Some kd
-      end
-      else None
+      let kd = build_keydir (BP.bytes fr) in
+      BP.set_keydir fr kd;
+      kd
 
 (* Greatest index with kd_keys.(i) <= key, or -1. *)
 let kd_floor kd key =
@@ -216,21 +187,15 @@ let kd_floor kd key =
   done;
   !best
 
-let kd_find kd key =
+(* In an internal node, the live slot whose separator is the greatest one
+   <= [key].  The leftmost "" separator guarantees existence. *)
+let node_floor_slot t fr key =
+  let kd = frame_keydir t fr in
   let i = kd_floor kd key in
-  if i >= 0 && String.equal kd.BP.kd_keys.(i) key then Some kd.BP.kd_slots.(i)
-  else None
-
-let node_floor_slot_fr t fr page key =
-  match frame_keydir t fr with
-  | None -> node_floor_slot page key
-  | Some kd ->
-      let i = kd_floor kd key in
-      if i >= 0 then kd.BP.kd_slots.(i)
-      else
-        failwith
-          (Printf.sprintf "Btree: internal page %d lacks a floor for %S"
-             (P.page_id page) key)
+  if i >= 0 then kd.BP.kd_slots.(i)
+  else
+    failwith
+      (Printf.sprintf "Btree: internal page %d lacks a floor for %S" (BP.page_id fr) key)
 
 (* Path from root to the leaf responsible for [key]:
    [(page_id, slot_taken); ...] from root downwards, leaf id last. *)
@@ -239,11 +204,11 @@ let rec descend t page_id key path =
       let page = Imdb_buffer.Buffer_pool.bytes fr in
       if is_leaf page then (page_id, List.rev path)
       else
-        let slot = node_floor_slot_fr t fr page key in
+        let slot = node_floor_slot t fr key in
         let _, child = decode_node_cell (P.read_cell page slot) in
         descend t child key ((page_id, slot) :: path))
 
-let find_leaf t key = descend t t.root key []
+let find_leaf t key = T.with_span t.tracer "btree.descend" (fun _ -> descend t t.root key [])
 
 (* --- lookups ------------------------------------------------------------ *)
 
@@ -264,16 +229,11 @@ let leaf_find_slot page key =
   in
   go 0
 
-let leaf_find_slot_fr t fr page key =
-  match frame_keydir t fr with
-  | None -> leaf_find_slot page key
-  | Some kd -> kd_find kd key
-
 let find t ~key =
   let leaf_id, _ = find_leaf t key in
   Imdb_buffer.Buffer_pool.with_page t.pool leaf_id (fun fr ->
       let page = Imdb_buffer.Buffer_pool.bytes fr in
-      match leaf_find_slot_fr t fr page key with
+      match leaf_find_slot page key with
       | Some slot -> Some (snd (decode_leaf_cell (P.read_cell page slot)))
       | None -> None)
 
@@ -535,10 +495,17 @@ let insert ?(undoable = true) t ~key ~value =
          (Bytes.length cell));
   let rec attempt () =
     let leaf_id, path = find_leaf t key in
+    (* split the full leaf and post its separator as one atomic group *)
+    let split fr =
+      t.io.atomic (fun () ->
+          let sep, right_id = split_page t fr in
+          insert_into_node t (List.rev path) ~sep ~child:right_id);
+      `Split
+    in
     let outcome =
       Imdb_buffer.Buffer_pool.with_page t.pool leaf_id (fun fr ->
           let page = Imdb_buffer.Buffer_pool.bytes fr in
-          match leaf_find_slot_fr t fr page key with
+          match leaf_find_slot page key with
           | Some slot when
               (* replacing may grow the value past the page's capacity *)
               P.free_space page + P.cell_length page slot + 2
@@ -552,9 +519,7 @@ let insert ?(undoable = true) t ~key ~value =
               in
               t.io.exec fr ~undoable op;
               `Done
-          | Some _ ->
-              let sep, right_id = split_page t fr in
-              `Split (sep, right_id, path)
+          | Some _ -> split fr
           | None ->
               if P.fits page (Bytes.length cell) then begin
                 let slot = P.choose_insert_slot page in
@@ -567,15 +532,11 @@ let insert ?(undoable = true) t ~key ~value =
                 t.io.exec fr ~undoable op;
                 `Done
               end
-              else begin
-                let sep, right_id = split_page t fr in
-                `Split (sep, right_id, path)
-              end)
+              else split fr)
     in
     match outcome with
     | `Done -> ()
-    | `Split (sep, right_id, path) ->
-        insert_into_node t (List.rev path) ~sep ~child:right_id;
+    | `Split ->
         (* Re-descend: the responsible leaf may now be the new sibling. *)
         attempt ()
   in
@@ -619,6 +580,15 @@ let unlink_leaf t page =
         Codec.set_u32 new_b 0 prev;
         t.io.exec nf ~undoable:false (Imdb_wal.Log_record.Op_header { at = 44; old_b; new_b }))
 
+(* Unlink an emptied leaf, drop its separator and free it: one atomic
+   structure modification. *)
+let reclaim_leaf t ~path leaf_id =
+  t.io.atomic (fun () ->
+      Imdb_buffer.Buffer_pool.with_page t.pool leaf_id (fun fr ->
+          unlink_leaf t (Imdb_buffer.Buffer_pool.bytes fr));
+      remove_separator t (List.rev path) leaf_id;
+      t.io.free leaf_id)
+
 (* Delete [key].  By default logged redo-only, which suits
    non-transactional maintenance (PTT garbage collection, DROP TABLE at
    commit).  Transactional deletes from conventional tables pass
@@ -629,7 +599,7 @@ let delete ?(undoable = false) t ~key =
   let emptied =
     Imdb_buffer.Buffer_pool.with_page t.pool leaf_id (fun fr ->
         let page = Imdb_buffer.Buffer_pool.bytes fr in
-        match leaf_find_slot_fr t fr page key with
+        match leaf_find_slot page key with
         | None -> `Absent
         | Some slot ->
             let body = P.read_cell page slot in
@@ -654,12 +624,7 @@ let delete ?(undoable = false) t ~key =
                 String.equal (cell_key page slot) "")
         | [] -> true
       in
-      if not is_leftmost then begin
-        Imdb_buffer.Buffer_pool.with_page t.pool leaf_id (fun fr ->
-            unlink_leaf t (Imdb_buffer.Buffer_pool.bytes fr));
-        remove_separator t (List.rev path) leaf_id;
-        t.io.free leaf_id
-      end;
+      if not is_leftmost then reclaim_leaf t ~path leaf_id;
       true
 
 (* Delete many keys in one pass: sort them, descend once per leaf run and
@@ -682,7 +647,7 @@ let delete_batch ?(undoable = false) t ~keys =
           Imdb_buffer.Buffer_pool.with_page t.pool leaf_id (fun fr ->
               let page = Imdb_buffer.Buffer_pool.bytes fr in
               let del k =
-                match leaf_find_slot_fr t fr page k with
+                match leaf_find_slot page k with
                 | None -> false
                 | Some slot ->
                     let body = P.read_cell page slot in
@@ -717,12 +682,7 @@ let delete_batch ?(undoable = false) t ~keys =
                     String.equal (cell_key page slot) "")
             | [] -> true
           in
-          if not is_leftmost then begin
-            Imdb_buffer.Buffer_pool.with_page t.pool leaf_id (fun fr ->
-                unlink_leaf t (Imdb_buffer.Buffer_pool.bytes fr));
-            remove_separator t (List.rev path) leaf_id;
-            t.io.free leaf_id
-          end
+          if not is_leftmost then reclaim_leaf t ~path leaf_id
         end;
         run !remaining
   in
@@ -783,21 +743,3 @@ let check_invariants t =
         end)
   in
   walk t.root ~low:"" ~high:None ~expect_level:None
-
-let pp_stats ppf t =
-  let leaves = ref 0 and nodes = ref 0 and keys = ref 0 in
-  let rec walk page_id =
-    Imdb_buffer.Buffer_pool.with_page t.pool page_id (fun fr ->
-        let page = Imdb_buffer.Buffer_pool.bytes fr in
-        if is_leaf page then begin
-          incr leaves;
-          keys := !keys + P.live_count page
-        end
-        else begin
-          incr nodes;
-          P.iter_live page (fun slot ->
-              walk (snd (decode_node_cell (P.read_cell page slot))))
-        end)
-  in
-  walk t.root;
-  Fmt.pf ppf "btree %s: %d keys, %d leaves, %d internal nodes" t.name !keys !leaves !nodes

@@ -23,10 +23,14 @@ type io = {
   alloc : ptype:Imdb_storage.Page.page_type -> level:int -> int;
       (** allocate, format and redo-log a fresh page *)
   free : int -> unit;  (** return an empty page to the allocator *)
+  atomic : 'a. (unit -> 'a) -> 'a;
+      (** run a structure modification (split, leaf reclaim) so that a
+          crash keeps all of its log records or none *)
 }
 
 val create :
   ?metrics:Imdb_obs.Metrics.t ->
+  ?tracer:Imdb_obs.Tracer.t ->
   pool:Imdb_buffer.Buffer_pool.t ->
   io:io ->
   table_id:int ->
@@ -37,6 +41,7 @@ val create :
 
 val attach :
   ?metrics:Imdb_obs.Metrics.t ->
+  ?tracer:Imdb_obs.Tracer.t ->
   pool:Imdb_buffer.Buffer_pool.t ->
   io:io ->
   root:int ->
@@ -96,14 +101,12 @@ val check_invariants : t -> int
     and level monotonicity; returns the number of keys.
     @raise Invariant_violation *)
 
-val pp_stats : Format.formatter -> t -> unit
-
 (**/**)
 
 (** Internal surfaces used by the engine's rollback and by tests. *)
 
 val decode_leaf_cell : bytes -> string * bytes
-val leaf_cell : key:string -> value:bytes -> bytes
-val node_floor_slot : bytes -> string -> int
-val cell_key_compare : bytes -> int -> string -> int
-val find_leaf : t -> string -> int * (int * int) list
+val node_floor_slot : t -> Imdb_buffer.Buffer_pool.frame -> string -> int
+(* The routing search: in the internal node held by the frame, the live
+   slot with the greatest separator <= the key, found through the frame's
+   key directory (built on a miss). *)

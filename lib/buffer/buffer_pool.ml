@@ -30,10 +30,16 @@
      checkpoints").
 
    Frames also carry an optional key directory: a sorted (key, slot)
-   array the B-tree builds over a page's unsorted cells so point searches
-   binary-search instead of decoding every cell.  The directory is pure
-   cache — volatile, never logged, never moving the page LSN (the same
-   discipline as lazy timestamping) — and any dirtying invalidates it.
+   array the B-tree builds over a routing node's unsorted cells so
+   descents binary-search instead of decoding every cell.  The directory
+   is pure cache — volatile, never logged, never moving the page LSN (the
+   same discipline as lazy timestamping) — and any dirtying invalidates
+   it.
+
+   A page dirtied inside the WAL's open atomic group ([Wal.atomically])
+   cannot be written until the group closes; when only such pages are
+   left to evict, the pool overcommits past [capacity] instead of
+   failing, and later evictions bring it back down.
 
    Concurrency: one pool mutex guards the shared lookup/replacement state
    (frame table, CLOCK ring, free list, pin counts, dirty transitions) —
@@ -64,7 +70,6 @@ type frame = {
   mutable f_ref : bool; (* CLOCK reference bit *)
   mutable f_slot : int; (* position in the ring *)
   mutable f_keydir : keydir option;
-  mutable f_probes : int; (* linear searches since last invalidation *)
 }
 
 type t = {
@@ -73,7 +78,8 @@ type t = {
   capacity : int;
   pool_mu : Mutex.t; (* frame table, ring, free list, pins, dirty bits *)
   frames : (int, frame) Hashtbl.t;
-  ring : frame option array; (* capacity slots, swept by the hand *)
+  mutable ring : frame option array;
+      (* capacity slots, swept by the hand; grows only on overcommit *)
   mutable hand : int;
   mutable free : int list; (* unoccupied ring slots *)
   mutable pre_flush : bytes -> unit;
@@ -101,18 +107,7 @@ let touch _t f = f.f_ref <- true
 
 let keydir f = f.f_keydir
 let set_keydir f kd = f.f_keydir <- Some kd
-
-(* One more linear search ran against this frame; returns the count since
-   the last invalidation so callers can build the directory only once a
-   page proves search-hot (write-hot pages invalidate faster than they
-   accumulate probes and keep the cheap scan). *)
-let keydir_probe f =
-  f.f_probes <- f.f_probes + 1;
-  f.f_probes
-
-let invalidate_keydir f =
-  f.f_keydir <- None;
-  f.f_probes <- 0
+let invalidate_keydir f = f.f_keydir <- None
 
 (* --- frame ring ----------------------------------------------------- *)
 
@@ -142,11 +137,21 @@ let write_frame t f =
 
 (* CLOCK sweep: clear reference bits until an unreferenced unpinned frame
    comes under the hand.  Two revolutions suffice — the first clears every
-   reference bit, so the second can only fail on pinned frames. *)
+   reference bit, so the second can only fail on pinned frames.  A frame
+   dirtied inside the WAL's open atomic group is passed over too: its log
+   records cannot be made durable until the group closes.  Returns false
+   when only such frames stood in the way. *)
 let evict_one t =
-  let n = t.capacity in
+  let n = Array.length t.ring in
   let steps = ref 0 in
   let victim = ref None in
+  let held_by_group = ref false in
+  let in_group =
+    match Imdb_wal.Wal.group_floor t.wal with
+    | None -> fun _ -> false
+    | Some floor ->
+        fun f -> f.f_dirty && Int64.compare (Imdb_storage.Page.lsn f.f_bytes) floor >= 0
+  in
   while !victim = None && !steps < 2 * n do
     incr steps;
     let i = t.hand in
@@ -154,18 +159,31 @@ let evict_one t =
     match t.ring.(i) with
     | None -> ()
     | Some f when f.f_pin > 0 -> ()
+    | Some f when in_group f -> held_by_group := true
     | Some f when f.f_ref -> f.f_ref <- false
     | Some f -> victim := Some f
   done;
   M.incr ~by:!steps t.metrics M.buf_clock_sweeps;
   match !victim with
-  | None -> raise Buffer_full
+  | None -> if !held_by_group then false else raise Buffer_full
   | Some f ->
       if f.f_dirty then write_frame t f;
       detach t f;
-      M.incr t.metrics M.buf_evictions
+      M.incr t.metrics M.buf_evictions;
+      true
 
-let make_room t = while Hashtbl.length t.frames >= t.capacity do evict_one t done
+(* Overcommit: double the ring so a frame can be attached past capacity. *)
+let grow t =
+  let n = Array.length t.ring in
+  t.ring <- Array.append t.ring (Array.make n None);
+  t.free <- List.init n (fun i -> n + i) @ t.free
+
+let make_room t =
+  let rec go () =
+    if Hashtbl.length t.frames >= t.capacity then
+      if evict_one t then go () else if t.free = [] then grow t
+  in
+  go ()
 
 (* Pin an existing page, reading (and verifying) it from disk on a miss. *)
 let pin t page_id =
@@ -184,8 +202,7 @@ let pin t page_id =
             raise (Corrupt_page page_id);
           let f =
             { f_page_id = page_id; f_bytes = bytes; f_pin = 1; f_dirty = false;
-              f_rec_lsn = 0L; f_ref = true; f_slot = -1; f_keydir = None;
-              f_probes = 0 }
+              f_rec_lsn = 0L; f_ref = true; f_slot = -1; f_keydir = None }
           in
           attach t f;
           f)
@@ -201,7 +218,7 @@ let pin_new t page_id =
       let f =
         { f_page_id = page_id; f_bytes = Bytes.make (page_size t) '\000';
           f_pin = 1; f_dirty = false; f_rec_lsn = 0L; f_ref = true; f_slot = -1;
-          f_keydir = None; f_probes = 0 }
+          f_keydir = None }
       in
       attach t f;
       f)
@@ -290,7 +307,7 @@ let is_cached t page_id = locked t (fun () -> Hashtbl.mem t.frames page_id)
 let drop_all t =
   locked t (fun () ->
       Hashtbl.reset t.frames;
-      Array.fill t.ring 0 t.capacity None;
+      t.ring <- Array.make t.capacity None;
       t.free <- List.init t.capacity Fun.id;
       t.hand <- 0)
 
@@ -304,7 +321,3 @@ let invalidate t page_id =
           if f.f_pin > 0 then
             invalid_arg "Buffer_pool.invalidate: page is pinned";
           detach t f)
-
-let pinned_count t =
-  locked t (fun () ->
-      Hashtbl.fold (fun _ f acc -> if f.f_pin > 0 then acc + 1 else acc) t.frames 0)

@@ -13,6 +13,11 @@
     table so the redo-scan start point — and with it the PTT garbage
     collector — cannot outrun them.
 
+    A page dirtied inside the WAL's open atomic group
+    ({!Imdb_wal.Wal.atomically}) is never evicted before the group
+    closes; when only such pages stand in the way, the pool overcommits
+    past [capacity] rather than fail.
+
     The pool is domain-safe: a pool mutex guards lookup/replacement state
     (frame table, CLOCK ring, pins, dirty bits) and is held across every
     frame writeback (eviction and the flush calls), so the WAL-before-data
@@ -63,12 +68,12 @@ val page_id : frame -> int
 
 (** {1 Key-directory cache}
 
-    A sorted (key, slot) directory the B-tree attaches to a frame so
-    point searches binary-search instead of decoding every cell of the
-    unsorted slot array.  Pure cache: volatile, never logged, never
-    moving the page LSN (the same discipline as lazy timestamping).  Any
-    dirtying — logged or unlogged — invalidates it; eviction discards it
-    with the frame. *)
+    A sorted (key, slot) directory the B-tree attaches to the frame of a
+    routing (internal) node so descents binary-search instead of decoding
+    every cell of the unsorted slot array.  Pure cache: volatile, never
+    logged, never moving the page LSN (the same discipline as lazy
+    timestamping).  Any dirtying — logged or unlogged — invalidates it;
+    eviction discards it with the frame. *)
 
 type keydir = {
   kd_keys : string array;  (** sorted ascending *)
@@ -77,11 +82,6 @@ type keydir = {
 
 val keydir : frame -> keydir option
 val set_keydir : frame -> keydir -> unit
-
-val keydir_probe : frame -> int
-(** Count one linear search against this frame; returns the number since
-    the last invalidation, so callers build the directory only for pages
-    that stay search-hot between modifications. *)
 
 (** {1 Dirty tracking} *)
 
@@ -116,4 +116,3 @@ val drop_all : t -> unit
 
 val is_cached : t -> int -> bool
 val cached_page_ids : t -> int list
-val pinned_count : t -> int

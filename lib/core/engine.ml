@@ -367,18 +367,12 @@ let free_page t pid =
 (* io adapters for the index structures                                *)
 (* ------------------------------------------------------------------ *)
 
-let btree_io t : Imdb_btree.Btree.io =
-  {
-    exec = (fun fr ~undoable op -> exec_op t fr ~undoable op);
-    alloc = (fun ~ptype ~level -> alloc_page t ~ptype ~level ~table_id:0);
-    free = (fun pid -> free_page t pid);
-  }
-
 let btree_io_for t table_id : Imdb_btree.Btree.io =
   {
     exec = (fun fr ~undoable op -> exec_op t fr ~undoable op);
     alloc = (fun ~ptype ~level -> alloc_page t ~ptype ~level ~table_id);
     free = (fun pid -> free_page t pid);
+    atomic = (fun f -> Imdb_wal.Wal.atomically t.wal f);
   }
 
 let tsb_io t table_id : Imdb_tsb.Tsb.io =
@@ -457,21 +451,6 @@ let active_snapshots t =
       | Running, (Snapshot_isolation | As_of _) -> txn.tx_snapshot :: acc
       | _ -> acc)
     t.active []
-
-let oldest_active_snapshot t =
-  let oldest = ref None in
-  Tid.Table.iter
-    (fun _ txn ->
-      match (txn.tx_state, txn.tx_isolation) with
-      | Running, (Snapshot_isolation | As_of _) -> (
-          match !oldest with
-          | Some o when Ts.compare o txn.tx_snapshot <= 0 -> ()
-          | _ -> oldest := Some txn.tx_snapshot)
-      | _ -> ())
-    t.active;
-  match !oldest with
-  | Some o -> o
-  | None -> Imdb_clock.Clock.last_issued t.clock
 
 let note_write t txn ~table_id ~key ~immortal =
   check_running txn;
@@ -946,7 +925,7 @@ let bootstrap t =
       exec_op t fr ~undoable:false
         (LR.Op_insert { slot = Meta.meta_slot; body = Meta.encode t.meta }));
   let catalog =
-    Imdb_btree.Btree.create ~metrics:t.metrics ~pool:t.pool
+    Imdb_btree.Btree.create ~metrics:t.metrics ~tracer:t.tracer ~pool:t.pool
       ~io:(btree_io_for t Meta.catalog_table_id) ~table_id:Meta.catalog_table_id
       ~name:"catalog" ()
   in
@@ -966,7 +945,7 @@ let bootstrap t =
 (* Attach system structures from an existing meta (after recovery). *)
 let attach_system t =
   let catalog =
-    Imdb_btree.Btree.attach ~metrics:t.metrics ~pool:t.pool
+    Imdb_btree.Btree.attach ~metrics:t.metrics ~tracer:t.tracer ~pool:t.pool
       ~io:(btree_io_for t Meta.catalog_table_id) ~root:t.meta.Meta.catalog_root
       ~table_id:Meta.catalog_table_id ~name:"catalog" ()
   in

@@ -221,7 +221,6 @@ val update_meta : t -> (Meta.t -> unit) -> unit
 val alloc_page : t -> ptype:Imdb_storage.Page.page_type -> level:int -> table_id:int -> int
 val free_page : t -> int -> unit
 
-val btree_io : t -> Imdb_btree.Btree.io
 val btree_io_for : t -> int -> Imdb_btree.Btree.io
 val tsb_io : t -> int -> Imdb_tsb.Tsb.io
 
@@ -239,8 +238,6 @@ val is_read_only : txn -> bool
 val active_snapshots : t -> Imdb_clock.Timestamp.t list
 (** Snapshot times of running snapshot/as-of transactions — the
     visibility horizon set for snapshot-table version GC. *)
-
-val oldest_active_snapshot : t -> Imdb_clock.Timestamp.t
 
 val note_write : t -> txn -> table_id:int -> key:string -> immortal:bool -> unit
 (** Record a write in the transaction (dedup'd); raises on AS OF txns. *)

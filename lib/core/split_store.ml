@@ -88,10 +88,10 @@ let create eng ~table_id =
   {
     eng;
     current =
-      Imdb_btree.Btree.create ~metrics:eng.E.metrics ~pool:eng.E.pool
+      Imdb_btree.Btree.create ~metrics:eng.E.metrics ~tracer:eng.E.tracer ~pool:eng.E.pool
         ~io:(E.btree_io_for eng table_id) ~table_id ~name:"split.current" ();
     history =
-      Imdb_btree.Btree.create ~metrics:eng.E.metrics ~pool:eng.E.pool
+      Imdb_btree.Btree.create ~metrics:eng.E.metrics ~tracer:eng.E.tracer ~pool:eng.E.pool
         ~io:(E.btree_io_for eng table_id) ~table_id ~name:"split.history" ();
     table_id;
   }

@@ -41,13 +41,13 @@ let is_versioned ti =
 (* --- structure handles --------------------------------------------------- *)
 
 let router eng ti =
-  Imdb_btree.Btree.attach ~metrics:eng.E.metrics ~pool:eng.E.pool
+  Imdb_btree.Btree.attach ~metrics:eng.E.metrics ~tracer:eng.E.tracer ~pool:eng.E.pool
     ~io:(E.btree_io_for eng ti.Catalog.ti_id) ~root:ti.Catalog.ti_root
     ~table_id:ti.Catalog.ti_id
     ~name:(ti.Catalog.ti_name ^ ".router") ()
 
 let conv_tree eng ti =
-  Imdb_btree.Btree.attach ~metrics:eng.E.metrics ~pool:eng.E.pool
+  Imdb_btree.Btree.attach ~metrics:eng.E.metrics ~tracer:eng.E.tracer ~pool:eng.E.pool
     ~io:(E.btree_io_for eng ti.Catalog.ti_id) ~root:ti.Catalog.ti_root
     ~table_id:ti.Catalog.ti_id ~name:ti.Catalog.ti_name ()
 
@@ -115,7 +115,7 @@ let create eng ~name ~mode ~schema =
     match mode with
     | Catalog.Conventional ->
         let tree =
-          Imdb_btree.Btree.create ~metrics:eng.E.metrics ~pool:eng.E.pool
+          Imdb_btree.Btree.create ~metrics:eng.E.metrics ~tracer:eng.E.tracer ~pool:eng.E.pool
             ~io:(E.btree_io_for eng id) ~table_id:id ~name ()
         in
         {
@@ -129,7 +129,7 @@ let create eng ~name ~mode ~schema =
         }
     | Catalog.Immortal | Catalog.Snapshot_table ->
         let rt =
-          Imdb_btree.Btree.create ~metrics:eng.E.metrics ~pool:eng.E.pool
+          Imdb_btree.Btree.create ~metrics:eng.E.metrics ~tracer:eng.E.tracer ~pool:eng.E.pool
             ~io:(E.btree_io_for eng id) ~table_id:id ~name:(name ^ ".router") ()
         in
         let first_page = E.alloc_page eng ~ptype:P.P_data ~level:0 ~table_id:id in
@@ -182,8 +182,13 @@ let drop eng name =
    [split_at] is the deferred split time a buffer flush carries: the
    clock reading recorded when the overflowing message arrived, advanced
    past it — exactly the time an unbuffered descent would have chosen at
-   that write. *)
+   that write.
+
+   The split is one atomic WAL group: a crash that kept only a prefix of
+   its images and router separator could lose the keys moved to a right
+   half the router never learned of. *)
 let split_data_page ?split_at eng ti ~pid ~low ~high =
+  Imdb_wal.Wal.atomically eng.E.wal @@ fun () ->
   let threshold = eng.E.config.E.key_split_threshold in
   let key_split_page fr =
     Imdb_obs.Tracer.with_span eng.E.tracer "split.key"
@@ -438,7 +443,10 @@ let apply_messages eng ti msgs =
    the buffer page with a redo-only reformat (recovery replays the same
    sequence).  Readers call this before descending, so buffered state is
    never visible — a buffered engine answers every query exactly like an
-   unbuffered one. *)
+   unbuffered one.  The flush is one atomic WAL group: a crash that kept
+   its batches but not the truncation would apply the still-buffered
+   messages a second time, and the duplicates can overflow a page into
+   a deferred split dated after versions it leaves on the current page. *)
 let flush_ingest eng ti =
   match E.ingest_buf eng ti with
   | None -> ()
@@ -447,6 +455,7 @@ let flush_ingest eng ti =
         buf.Ingest.b_flushing <- true;
         Fun.protect ~finally:(fun () -> buf.Ingest.b_flushing <- false)
         @@ fun () ->
+        Imdb_wal.Wal.atomically eng.E.wal @@ fun () ->
         Imdb_obs.Tracer.with_span eng.E.tracer "ingest.flush"
           ~attrs:[ ("table", ti.Catalog.ti_name) ]
         @@ fun sp ->
@@ -714,7 +723,7 @@ let enable_snapshot eng ti =
   let id = ti.Catalog.ti_id in
   let old_tree = conv_tree eng ti in
   let rt =
-    Imdb_btree.Btree.create ~metrics:eng.E.metrics ~pool:eng.E.pool
+    Imdb_btree.Btree.create ~metrics:eng.E.metrics ~tracer:eng.E.tracer ~pool:eng.E.pool
       ~io:(E.btree_io_for eng id) ~table_id:id
       ~name:(ti.Catalog.ti_name ^ ".router") ()
   in

@@ -396,6 +396,7 @@ let buf_hits = "buffer.hits"
 let buf_misses = "buffer.misses"
 let buf_evictions = "buffer.evictions"
 let buf_clock_sweeps = "buffer.clock_sweeps"
+(* routing-node searches: served by the cached directory / built one *)
 let keydir_hits = "buffer.keydir_hits"
 let keydir_misses = "buffer.keydir_misses"
 let pages_allocated = "pages.allocated"

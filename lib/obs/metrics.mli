@@ -152,8 +152,15 @@ val buf_hits : string
 val buf_misses : string
 val buf_evictions : string
 val buf_clock_sweeps : string
+
 val keydir_hits : string
+(** Routing (internal B-tree node) searches served by the node's cached
+    key directory.  Leaf searches are linear scans and count nowhere. *)
+
 val keydir_misses : string
+(** Routing searches that found no directory and built one: the first
+    search of an internal node after it was read in or dirtied. *)
+
 val pages_allocated : string
 val stamps_applied : string
 val ptt_inserts : string

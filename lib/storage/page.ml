@@ -337,8 +337,3 @@ let live_bytes b =
 
 let utilization b =
   float_of_int (live_bytes b) /. float_of_int (Bytes.length b - header_size)
-
-let pp_summary ppf b =
-  Fmt.pf ppf "page %d type=%a lsn=%Ld slots=%d live=%d free=%d hist=%d split=%a"
-    (page_id b) pp_page_type (page_type b) (lsn b) (slot_count b) (live_count b)
-    (free_space b) (history_pointer b) Imdb_clock.Timestamp.pp (split_time b)

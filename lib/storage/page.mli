@@ -147,4 +147,3 @@ val iter_live : bytes -> (int -> unit) -> unit
 val fold_live : bytes -> init:'a -> f:('a -> int -> 'a) -> 'a
 val live_bytes : bytes -> int
 val utilization : bytes -> float
-val pp_summary : Format.formatter -> bytes -> unit

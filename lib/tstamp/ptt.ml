@@ -37,12 +37,12 @@ let ts_of_value v = Ts.read v 0
 
 let create ?(metrics = M.null) ?(tracer = Imdb_obs.Tracer.null) ~pool ~io
     ~table_id () =
-  { tree = Imdb_btree.Btree.create ~metrics ~pool ~io ~table_id ~name:"ptt" ();
+  { tree = Imdb_btree.Btree.create ~metrics ~tracer ~pool ~io ~table_id ~name:"ptt" ();
     metrics; tracer }
 
 let attach ?(metrics = M.null) ?(tracer = Imdb_obs.Tracer.null) ~pool ~io ~root
     ~table_id () =
-  { tree = Imdb_btree.Btree.attach ~metrics ~pool ~io ~root ~table_id ~name:"ptt" ();
+  { tree = Imdb_btree.Btree.attach ~metrics ~tracer ~pool ~io ~root ~table_id ~name:"ptt" ();
     metrics; tracer }
 
 let root t = Imdb_btree.Btree.root t.tree

@@ -17,12 +17,18 @@
    Concurrency: one volatile tail, under [tail_mu].  An append reserves
    its LSN and queues its frame in the same critical section, so the
    tail always holds every frame from [durable_end] up to [next], with
-   no gaps, and a flush leader's batch is simply the whole tail.  Device access is
+   no gaps, and a flush leader's batch is simply the whole tail (up to
+   an open atomic group).  Device access is
    serialized by [flush_mu]; concurrent committers whose record a
    leader's sync will cover wait for the durable horizon instead of
    syncing again (group commit).  Every engine append already runs under
    the session gate, so one mutex costs nothing there; it keeps the log
-   safe for any caller on any domain without relying on the gate. *)
+   safe for any caller on any domain without relying on the gate.
+
+   Atomic groups: a structure modification logs several redo-only
+   records that are consistent only together.  While [atomically] holds
+   a group open, a flush stops at its first record, so a crash keeps all
+   of the group or none; the buffer pool keeps its pages in memory. *)
 
 open Imdb_util
 module M = Imdb_obs.Metrics
@@ -131,6 +137,9 @@ type t = {
          can starve parked waiters for many sync periods, but it cannot
          stop them from observing the durable horizon. *)
   flush_cv : Condition.t;
+  mutable group_floor : int64 option;
+      (* first LSN of the open atomic group: no flush passes it *)
+  mutable group_depth : int; (* nesting of [atomically]; both under [tail_mu] *)
   pending_mu : Mutex.t;
   mutable pending : (int64 * (unit -> unit)) list;
       (* group-commit waiters (commit LSN, durability ack), newest first *)
@@ -181,6 +190,8 @@ let open_device ?(metrics = M.null) device =
     flush_owner = Atomic.make 0;
     flush_active = false;
     flush_cv = Condition.create ();
+    group_floor = None;
+    group_depth = 0;
     pending_mu = Mutex.create ();
     pending = [];
     metrics;
@@ -203,6 +214,19 @@ let with_flush_mu t f =
   end
 
 let durable t = Mutex.protect t.tail_mu (fun () -> t.durable_end)
+
+let group_floor t = Mutex.protect t.tail_mu (fun () -> t.group_floor)
+
+let atomically t f =
+  Mutex.protect t.tail_mu (fun () ->
+      if t.group_depth = 0 then t.group_floor <- Some t.next;
+      t.group_depth <- t.group_depth + 1);
+  Fun.protect
+    ~finally:(fun () ->
+      Mutex.protect t.tail_mu (fun () ->
+          t.group_depth <- t.group_depth - 1;
+          if t.group_depth = 0 then t.group_floor <- None))
+    f
 
 let flushed_lsn t = durable t
 
@@ -255,12 +279,13 @@ let drain_pending t =
     List.iter (fun (_, ack) -> ack ()) (List.rev durable_now)
   end
 
-(* One leader's append+sync of the whole tail.  Caller has claimed
-   leadership ([flush_active] set); runs under [flush_mu] to serialize
-   device access against readers and other (reentrant) flushers.  The
-   batch stays in [tail] and [volatile] until the sync returns, so a
-   frame is findable until it is durable and a failed write leaves the
-   tail intact for the next leader. *)
+(* One leader's append+sync of the whole tail, or of the part before an
+   open atomic group.  Caller has claimed leadership ([flush_active]
+   set); runs under [flush_mu] to serialize device access against
+   readers and other (reentrant) flushers.  The batch stays in [tail]
+   and [volatile] until the sync returns, so a frame is findable until
+   it is durable and a failed write leaves the tail intact for the next
+   leader. *)
 let flush_as_leader t needed =
   with_flush_mu t (fun () ->
       (* the flush that held leadership before us may have covered our
@@ -268,7 +293,12 @@ let flush_as_leader t needed =
       let frames, new_end =
         Mutex.protect t.tail_mu (fun () ->
             if Int64.compare needed t.durable_end < 0 then ([], t.next)
-            else (List.rev t.tail, t.next))
+            else
+              match t.group_floor with
+              | None -> (List.rev t.tail, t.next)
+              | Some floor ->
+                  ( List.filter (fun (lsn, _) -> Int64.compare lsn floor < 0) (List.rev t.tail),
+                    floor ))
       in
       if frames <> [] then
         Imdb_obs.Tracer.with_span t.tracer "wal.flush" (fun sp ->
@@ -332,6 +362,10 @@ let flush ?lsn t =
     end
   in
   run ();
+  (match group_floor t with
+  | Some floor when Int64.compare needed floor >= 0 ->
+      invalid_arg "Wal.flush: record inside an open atomic group"
+  | _ -> ());
   drain_pending t
 
 (* Drop the volatile tail: crash simulation.  Unacknowledged group-commit
@@ -340,6 +374,8 @@ let flush ?lsn t =
 let crash_volatile t =
   Mutex.protect t.tail_mu (fun () ->
       t.next <- t.durable_end;
+      t.group_floor <- None;
+      t.group_depth <- 0;
       t.tail <- [];
       Hashtbl.reset t.volatile;
       Condition.broadcast t.flush_cv);

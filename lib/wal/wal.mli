@@ -51,6 +51,16 @@ val flush : ?lsn:int64 -> t -> unit
     otherwise one append+sync covers the whole tail and acknowledges
     every registered group-commit waiter it made durable. *)
 
+val atomically : t -> (unit -> 'a) -> 'a
+(** Run [f] as one atomic group: no flush makes any of the records [f]
+    appends durable until [f] returns, so a crash keeps all of them or
+    none.  Nests; the outermost call defines the group.  A flush that
+    needs a record inside the open group raises [Invalid_argument]. *)
+
+val group_floor : t -> int64 option
+(** First LSN of the open atomic group, if any.  The buffer pool does not
+    evict a page whose LSN is at or past it. *)
+
 val register_commit : t -> lsn:int64 -> on_durable:(unit -> unit) -> unit
 (** Group commit: register a commit record's LSN and a durability
     acknowledgment.  [on_durable] fires synchronously if the record is

@@ -11,7 +11,7 @@ module B = Imdb_btree.Btree
 
 (* A standalone btree over a fresh pool with a trivial redo-only logger
    and a bump allocator: enough to exercise the structure in isolation. *)
-let standalone ?(page_size = 512) ?(capacity = 64) () =
+let standalone_with_pool ?(page_size = 512) ?(capacity = 64) () =
   let disk = Disk.in_memory ~page_size () in
   let wal = Wal.open_device (Wal.Device.in_memory ()) in
   let pool = BP.create ~capacity ~disk ~wal () in
@@ -34,9 +34,12 @@ let standalone ?(page_size = 512) ?(capacity = 64) () =
           BP.unpin pool fr;
           pid);
       free = (fun pid -> BP.invalidate pool pid);
+      atomic = (fun f -> Wal.atomically wal f);
     }
   in
-  B.create ~pool ~io ~table_id:1 ~name:"test" ()
+  (B.create ~pool ~io ~table_id:1 ~name:"test" (), pool)
+
+let standalone ?page_size ?capacity () = fst (standalone_with_pool ?page_size ?capacity ())
 
 let v s = Bytes.of_string s
 let k i = Printf.sprintf "key%05d" i
@@ -201,6 +204,133 @@ let prop_vs_map =
         !model
       && B.count t = M.cardinal !model)
 
+
+(* The routing search binary-searches a directory built from the node's
+   live cells; it must pick the same slot as a plain floor scan over the
+   unsorted slot array, dead slots and the leftmost "" separator
+   included. *)
+let test_routing_directory_matches_scan () =
+  let t, pool = standalone_with_pool ~page_size:4096 () in
+  let rng = Imdb_util.Rng.create 11 in
+  let node_cell key =
+    let w = Imdb_util.Codec.Writer.create () in
+    Imdb_util.Codec.Writer.lstring w key;
+    Imdb_util.Codec.Writer.u32 w 7;
+    Imdb_util.Codec.Writer.contents w
+  in
+  let rand_key () =
+    String.init (1 + Imdb_util.Rng.int rng 4) (fun _ ->
+        "abcd".[Imdb_util.Rng.int rng 4])
+  in
+  let scan_floor page key =
+    let best = ref None in
+    for slot = 0 to P.slot_count page - 1 do
+      if P.slot_live page slot then begin
+        let k = fst (Imdb_util.Codec.read_lstring (P.read_cell page slot) 0) in
+        if String.compare k key <= 0 then
+          match !best with
+          | Some (bk, _) when String.compare bk k >= 0 -> ()
+          | _ -> best := Some (k, slot)
+      end
+    done;
+    Option.map snd !best
+  in
+  for round = 1 to 40 do
+    let fr = BP.pin_new pool (1000 + round) in
+    let page = BP.bytes fr in
+    P.format page ~page_id:(1000 + round) ~page_type:P.P_index ~level:1 ();
+    let used = Hashtbl.create 64 in
+    let add key =
+      if not (Hashtbl.mem used key) then begin
+        Hashtbl.replace used key ();
+        ignore (P.insert page (node_cell key))
+      end
+    in
+    (* the "" cell sits at a random position in the slot array *)
+    let n = 5 + Imdb_util.Rng.int rng 60 in
+    let lead = Imdb_util.Rng.int rng n in
+    for i = 0 to n - 1 do
+      if i = lead then add "" else add (rand_key ())
+    done;
+    for slot = 0 to P.slot_count page - 1 do
+      if P.slot_live page slot && Imdb_util.Rng.int rng 3 = 0 then begin
+        let k = fst (Imdb_util.Codec.read_lstring (P.read_cell page slot) 0) in
+        if k <> "" then begin
+          P.delete_slot page slot;
+          Hashtbl.remove used k
+        end
+      end
+    done;
+    (* later inserts may reuse dead slots *)
+    for _ = 1 to Imdb_util.Rng.int rng 10 do
+      add (rand_key ())
+    done;
+    let check phase =
+      for _ = 1 to 50 do
+        let key =
+          match Imdb_util.Rng.int rng 10 with
+          | 0 -> ""
+          | 1 | 2 | 3 -> rand_key () ^ "b"
+          | _ -> rand_key ()
+        in
+        match scan_floor page key with
+        | None -> Alcotest.failf "round %d: no floor for %S" round key
+        | Some want ->
+            Alcotest.(check int)
+              (Printf.sprintf "round %d %s floor of %S" round phase key)
+              want (B.node_floor_slot t fr key)
+      done
+    in
+    Alcotest.(check bool) "no directory before the first search" true (BP.keydir fr = None);
+    check "fresh";
+    Alcotest.(check bool) "first search builds the directory" true (BP.keydir fr <> None);
+    (* a structure change dirties the node; the next search rebuilds *)
+    add (rand_key () ^ "c");
+    BP.mark_dirty_unlogged pool fr;
+    Alcotest.(check bool) "dirtying drops the directory" true (BP.keydir fr = None);
+    check "rebuilt";
+    BP.unpin pool fr
+  done
+
+(* Conventional writes search their leaf twice (existence check, then
+   insert) and then dirty it: no leaf may ever carry a directory, and on
+   a warm tree the routing nodes' directories survive leaf writes. *)
+let test_conventional_updates_build_no_directories () =
+  let module Db = Imdb_core.Db in
+  let module Mx = Imdb_obs.Metrics in
+  let db, _ = Helpers.fresh_db () in
+  Db.create_table db ~name:"c" ~mode:Db.Conventional ~schema:Helpers.kv_schema;
+  let payload i = Printf.sprintf "%-100d" i in
+  for batch = 0 to 5 do
+    Db.exec db (fun txn ->
+        for i = batch * 100 to (batch * 100) + 99 do
+          Db.insert_row db txn ~table:"c" (Helpers.row i (payload i))
+        done)
+  done;
+  let pool = (Db.engine db).Imdb_core.Engine.pool in
+  let root = (Db.table_info db "c").Imdb_core.Catalog.ti_root in
+  Alcotest.(check int) "two-level tree" 1
+    (BP.with_page pool root (fun fr -> P.level (BP.bytes fr)));
+  let update i =
+    Db.exec db (fun txn -> Db.update_row db txn ~table:"c" (Helpers.row i (payload (i + 1))))
+  in
+  (* warm: every routing node has been searched once *)
+  for i = 0 to 9 do update (i * 60) done;
+  let m = Db.metrics db in
+  let misses0 = Mx.get m Mx.keydir_misses and hits0 = Mx.get m Mx.keydir_hits in
+  let rng = Imdb_util.Rng.create 3 in
+  for _ = 1 to 200 do update (Imdb_util.Rng.int rng 600) done;
+  Alcotest.(check int) "no directory builds" 0 (Mx.get m Mx.keydir_misses - misses0);
+  Alcotest.(check bool) "routing searches hit" true (Mx.get m Mx.keydir_hits - hits0 >= 200);
+  List.iter
+    (fun pid ->
+      BP.with_page pool pid (fun fr ->
+          if P.level (BP.bytes fr) = 0 && BP.keydir fr <> None then
+            Alcotest.failf "leaf frame %d holds a key directory" pid))
+    (BP.cached_page_ids pool);
+  Alcotest.(check bool) "root keeps its directory" true
+    (BP.with_page pool root (fun fr -> BP.keydir fr <> None))
+
 let suite =
   [
     Alcotest.test_case "insert & find" `Quick test_insert_find;
@@ -210,5 +340,8 @@ let suite =
     Alcotest.test_case "floor & next" `Quick test_floor_next;
     Alcotest.test_case "delete & reclaim" `Quick test_delete;
     Alcotest.test_case "large values" `Quick test_large_values;
+    Alcotest.test_case "routing directory = floor scan" `Quick test_routing_directory_matches_scan;
+    Alcotest.test_case "conventional updates build no directories" `Quick
+      test_conventional_updates_build_no_directories;
     QCheck_alcotest.to_alcotest prop_vs_map;
   ]

@@ -434,6 +434,40 @@ let test_wal_multi_domain_appends () =
     (Int64.of_int (dev.Wal.Device.size ()))
     (Wal.next_lsn w2)
 
+(* An atomic group is all-or-nothing across a crash: a flush that runs
+   while the group is open — here a committer on another domain making
+   its own earlier record durable — stops at the group's first record,
+   and a flush that needs a record inside the group is refused. *)
+let test_wal_atomic_group () =
+  let dev = Wal.Device.in_memory () in
+  let w = Wal.open_device dev in
+  let before = Wal.append w (LR.Begin { tid = Tid.of_int 1 }) in
+  let inside = ref 0L in
+  Wal.atomically w (fun () ->
+      inside := Wal.append w (LR.Begin { tid = Tid.of_int 2 });
+      ignore (Wal.append w (LR.End { tid = Tid.of_int 2 }));
+      Domain.join (Domain.spawn (fun () -> Wal.flush ~lsn:before w));
+      Alcotest.(check int64) "flush stops at the group" !inside (Wal.flushed_lsn w);
+      (match Wal.flush ~lsn:!inside w with
+      | () -> Alcotest.fail "flushed a record inside the open group"
+      | exception Invalid_argument _ -> ());
+      Alcotest.(check (option int64)) "group floor" (Some !inside) (Wal.group_floor w));
+  Alcotest.(check (option int64)) "group closed" None (Wal.group_floor w);
+  Wal.crash_volatile w;
+  let seen = ref 0 in
+  Wal.iter_from (Wal.open_device dev) ~from_lsn:0L (fun _ _ -> incr seen);
+  Alcotest.(check int) "no record of the group survives" 1 !seen;
+  (* once closed, the group flushes as a whole *)
+  let w = Wal.open_device dev in
+  Wal.atomically w (fun () ->
+      ignore (Wal.append w (LR.Begin { tid = Tid.of_int 3 }));
+      ignore (Wal.append w (LR.End { tid = Tid.of_int 3 })));
+  Wal.flush w;
+  Wal.crash_volatile w;
+  let seen = ref 0 in
+  Wal.iter_from (Wal.open_device dev) ~from_lsn:0L (fun _ _ -> incr seen);
+  Alcotest.(check int) "whole group durable" 3 !seen
+
 let suite =
   [
     Alcotest.test_case "mem disk" `Quick test_mem_disk;
@@ -454,4 +488,5 @@ let suite =
     Alcotest.test_case "crash drops waiters" `Quick test_wal_crash_drops_waiters;
     Alcotest.test_case "wal file device" `Quick test_wal_file_device;
     Alcotest.test_case "wal appends from 4 domains" `Quick test_wal_multi_domain_appends;
+    Alcotest.test_case "wal atomic group" `Quick test_wal_atomic_group;
   ]

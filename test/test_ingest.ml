@@ -305,6 +305,80 @@ let test_mixed_flushed_and_buffered_crash () =
         (List.length (Db.history_rows db txn ~table:"t" ~key:(S.V_int 3))));
   Db.close db
 
+(* A flush is one atomic WAL group: no log sync may fall strictly inside
+   it.  With a pool far smaller than the table, the flush's own page
+   visits evict dirty pages, and each eviction flushes the log.  A sync
+   between the flush's batches and its buffer truncation, followed by a
+   crash, would leave messages on the buffer page whose versions are
+   already applied; the next flush would apply them again, and the
+   duplicates can overflow a page into a deferred split dated after
+   versions it leaves on the current page. *)
+let test_flush_is_atomic_in_the_log () =
+  let config =
+    { lazy_config with E.pool_capacity = 6; auto_checkpoint_every = 0 }
+  in
+  let mem = Imdb_wal.Wal.Device.in_memory () in
+  let syncs = ref [] in
+  let log_device =
+    {
+      mem with
+      Imdb_wal.Wal.Device.sync =
+        (fun () ->
+          mem.Imdb_wal.Wal.Device.sync ();
+          syncs := mem.Imdb_wal.Wal.Device.size () :: !syncs);
+    }
+  in
+  let clock = Imdb_clock.Clock.create_logical () in
+  let disk = Imdb_storage.Disk.in_memory ~page_size:config.E.page_size () in
+  let db = Db.open_devices ~config ~clock ~disk ~log_device () in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+  for batch = 0 to 3 do
+    tick clock;
+    ignore
+      (commit_write db (fun txn ->
+           for i = 0 to 49 do
+             let k = (batch * 50) + i in
+             Db.upsert_row db txn ~table:"t" (row k (Printf.sprintf "v%d" k))
+           done))
+  done;
+  check_row db ~table:"t" ~id:0 (Some (row 0 "v0"));
+  (* one buffered write per 4 keys, spread over every data page *)
+  tick clock;
+  ignore
+    (commit_write db (fun txn ->
+         for k = 0 to 49 do
+           Db.upsert_row db txn ~table:"t" (row (k * 4) "w")
+         done));
+  let m = Db.metrics db in
+  let flushes = M.get m M.ingest_flushes and evictions = M.get m M.buf_evictions in
+  syncs := [];
+  check_row db ~table:"t" ~id:4 (Some (row 4 "w"));
+  Alcotest.(check int) "the read flushed the buffer" (flushes + 1) (M.get m M.ingest_flushes);
+  Alcotest.(check bool) "the flush evicted pages" true (M.get m M.buf_evictions > evictions);
+  let during = !syncs in
+  let wal = (Db.engine db).E.wal in
+  Imdb_wal.Wal.flush wal;
+  (* the last flush's records: its first version batch to its truncation *)
+  let first = ref None and range = ref (0L, 0L) in
+  Imdb_wal.Wal.iter_from wal ~from_lsn:0L (fun lsn body ->
+      match body with
+      | Imdb_wal.Log_record.Redo_only { op = Imdb_wal.Log_record.Op_version_batch _; _ } ->
+          if !first = None then first := Some lsn
+      | Imdb_wal.Log_record.Redo_only
+          { op = Imdb_wal.Log_record.Op_format { page_type = Imdb_storage.Page.P_msg_buffer; _ }; _ }
+        ->
+          Option.iter (fun f -> range := (f, lsn)) !first;
+          first := None
+      | _ -> ());
+  let lo, hi = !range in
+  List.iter
+    (fun s ->
+      let s = Int64.of_int s in
+      if Int64.compare s lo > 0 && Int64.compare s hi <= 0 then
+        Alcotest.failf "log synced to %Ld, inside the flush [%Ld, %Ld]" s lo hi)
+    during;
+  Db.close db
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_twin_engines;
@@ -316,4 +390,5 @@ let suite =
       test_loser_with_half_flushed_buffer_rolls_back;
     Alcotest.test_case "mixed flushed/buffered state recovers" `Quick
       test_mixed_flushed_and_buffered_crash;
+    Alcotest.test_case "flush is atomic in the log" `Quick test_flush_is_atomic_in_the_log;
   ]
