@@ -362,9 +362,6 @@ let snapshot ~scale =
                [ S.V_int (1 + (i mod 100)); S.V_int i; S.V_int i ]
            with
           | () -> ignore (Db.commit db w)
-          | exception Imdb_lock.Lock_manager.Conflict _ ->
-              incr ser_conflicts;
-              Db.abort db w
           | exception E.Deadlock_abort _ ->
               incr ser_conflicts;
               Db.abort db w)

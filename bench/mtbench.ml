@@ -51,7 +51,7 @@ let config =
     E.default_config with
     E.pool_capacity = 512;
     auto_checkpoint_every = 0;
-    (* Real waits, not fail-fast: sessions are partitioned so conflicts
+    (* Real waits, not timeout 0: sessions are partitioned so conflicts
        are rare, but table intent locks still meet. *)
     lock_wait_timeout_ms = 2000;
   }

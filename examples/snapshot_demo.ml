@@ -48,7 +48,7 @@ let () =
   | exception Imdb_core.Table.Write_conflict _ ->
       Fmt.pr "  writer 2: write conflict (first committer wins) -> abort@.";
       Db.abort db w2
-  | exception Imdb_lock.Lock_manager.Conflict _ ->
+  | exception Imdb_core.Engine.Deadlock_abort _ ->
       Fmt.pr "  writer 2: lock conflict -> abort@.";
       Db.abort db w2);
   Db.exec db (fun txn -> show db txn "final state");

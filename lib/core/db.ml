@@ -342,10 +342,10 @@ let as_of t ts f = with_txn ~isolation:(As_of ts) t f
    ownership explicit (a txn begun on a session is that session's to
    finish) and give each thread-of-control an id for observability.
 
-   Concurrency behavior is governed by the engine config: with
-   [lock_wait_timeout_ms = 0] conflicting sessions fail fast (as the
-   single-session engine always has); with a timeout they park until the
-   holder releases, with deadlock detection and timeout-victim abort. *)
+   Concurrency behavior is governed by the engine config: a conflicting
+   session parks for up to [lock_wait_timeout_ms] until the holder
+   releases, with deadlock detection and timeout-victim abort; at 0 it
+   gives up at once, as the single-session engine always has. *)
 module Session = struct
   type db = t
 

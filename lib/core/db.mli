@@ -20,8 +20,9 @@
     session parks on a lock conflict and across the commit-record fsync
     (where concurrent committers batch one device sync).  Give each
     domain its own {!Session}; set
-    [config.lock_wait_timeout_ms > 0] so conflicting sessions wait
-    instead of failing fast. *)
+    [config.lock_wait_timeout_ms > 0] so conflicting sessions park
+    instead of giving up at once (timeout 0, the default).  Either way a
+    deadlock or a timeout raises {!Engine.Deadlock_abort}. *)
 
 type t
 (** An open database handle. *)

@@ -45,12 +45,10 @@ type config = {
       (* messages accumulated before a fill-triggered flush (the page
          itself caps the buffer regardless) *)
   lock_wait_timeout_ms : int;
-      (* 0 = fail-fast lock acquisition (a conflict raises immediately
-         — the historical single-session behavior, where parking would
-         self-deadlock); > 0 = concurrent sessions block on conflicts up
-         to this many milliseconds, releasing the engine gate while
-         parked, with deadlock detection at edge insert and the waiter
-         as timeout victim *)
+      (* how long a conflicting lock request parks (releasing the engine
+         gate while parked) before its waiter is the timeout victim;
+         0 = give up at once — the single-session behavior, where
+         parking would self-deadlock *)
   monitor_interval_ms : int;
       (* 0 = no continuous monitor (the null monitor: one dead branch
          per site); > 0 = a background thread samples the counter
@@ -212,31 +210,28 @@ let exclusively t f =
   gate_enter t;
   Fun.protect ~finally:(fun () -> gate_exit t) f
 
-(* Fully release the gate (returning the saved depth) and retake it —
-   for the two places a session must get out of every other session's
-   way: parking on a lock conflict, and the commit-record fsync. *)
-let gate_release_all t =
-  let d = t.gate_depth in
-  t.gate_depth <- 0;
-  Atomic.set t.gate_owner 0;
-  Mutex.unlock t.gate_mu;
-  d
-
-let gate_reacquire t depth =
-  Mutex.lock t.gate_mu;
-  Atomic.set t.gate_owner ((Domain.self () :> int) + 1);
-  t.gate_depth <- depth
+(* Fully release the gate if this domain holds it, returning the
+   function that retakes it at the same depth — for the two places a
+   session must get out of every other session's way: parking on a lock
+   conflict, and the commit-record fsync.  A caller that never held the
+   gate (engine-level use outside [Db]) gets a no-op back. *)
+let gate_suspend t =
+  let me = (Domain.self () :> int) + 1 in
+  if Atomic.get t.gate_owner <> me then ignore
+  else begin
+    let depth = t.gate_depth in
+    t.gate_depth <- 0;
+    Atomic.set t.gate_owner 0;
+    Mutex.unlock t.gate_mu;
+    fun () ->
+      Mutex.lock t.gate_mu;
+      Atomic.set t.gate_owner me;
+      t.gate_depth <- depth
+  end
 
 (* Run [f] (a blocking or long operation) with the gate released, then
-   retake it at the same depth — exception-safe in both directions.  A
-   caller that never held the gate (engine-level use outside [Db]) just
-   runs [f]. *)
-let without_gate t f =
-  if Atomic.get t.gate_owner = (Domain.self () :> int) + 1 then begin
-    let depth = gate_release_all t in
-    Fun.protect ~finally:(fun () -> gate_reacquire t depth) f
-  end
-  else f ()
+   retake it at the same depth — exception-safe in both directions. *)
+let without_gate t f = Fun.protect ~finally:(gate_suspend t) f
 
 (* ------------------------------------------------------------------ *)
 (* Ingest buffering state                                              *)
@@ -562,47 +557,37 @@ let sessions_json t =
 (* Locking helpers                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Take one lock for [tid].  With [lock_wait_timeout_ms = 0] this is the
-   historical fail-fast protocol (a conflict raises immediately).  With a
-   timeout configured, the session parks until the conflicting holders
-   release — crucially with the engine gate released, so the holder can
-   make progress and release — and a deadlock or a passed deadline
-   selects this requester as the victim. *)
-let lock_resource ?txn t tid res mode =
-  let open Imdb_lock.Lock_manager in
-  let timeout_ms = t.config.lock_wait_timeout_ms in
-  try
-    if timeout_ms <= 0 then acquire_exn t.locks tid res mode
-    else begin
-      let waited_us =
-        without_gate t (fun () ->
-            acquire_wait ~timeout_us:(timeout_ms * 1000) t.locks tid res mode)
-      in
-      if waited_us > 0 then
-        match txn with
-        | Some txn ->
-            txn.tx_lock_waits <- txn.tx_lock_waits + 1;
-            txn.tx_lock_wait_us <- txn.tx_lock_wait_us + waited_us
-        | None -> ()
-    end
+(* Take one lock for [txn].  A conflict parks the session for up to
+   [lock_wait_timeout_ms] — with the gate released only while it is
+   parked, so the holder can make progress and release — and gives up at
+   once at timeout 0.  A deadlock or a timeout selects this requester as
+   the victim. *)
+let lock_resource t txn res mode =
+  let module L = Imdb_lock.Lock_manager in
+  match
+    L.acquire
+      ~on_park:(fun () -> gate_suspend t)
+      ~timeout_us:(t.config.lock_wait_timeout_ms * 1000)
+      t.locks txn.tx_tid res mode
   with
-  | Deadlock tid -> raise (Deadlock_abort tid)
-  | Lock_timeout { tid; _ } -> raise (Deadlock_abort tid)
+  | 0 -> ()
+  | waited_us ->
+      txn.tx_lock_waits <- txn.tx_lock_waits + 1;
+      txn.tx_lock_wait_us <- txn.tx_lock_wait_us + waited_us
+  | exception (L.Deadlock tid | L.Lock_timeout { tid; _ }) -> raise (Deadlock_abort tid)
 
 let lock_record t txn ~table_id ~key mode =
   match txn.tx_isolation with
   | Serializable ->
       let open Imdb_lock.Lock_manager in
       let intent = match mode with X -> IX | _ -> IS in
-      lock_resource ~txn t txn.tx_tid (Table table_id) intent;
-      lock_resource ~txn t txn.tx_tid (Record (table_id, key)) mode
+      lock_resource t txn (Table table_id) intent;
+      lock_resource t txn (Record (table_id, key)) mode
   | Snapshot_isolation when mode = Imdb_lock.Lock_manager.X ->
       (* SI writers take write locks so that concurrent writers are
          detected immediately (first-committer-wins is enforced by
          timestamp validation; the lock merely serializes the attempt) *)
-      lock_resource ~txn t txn.tx_tid
-        (Record (table_id, key))
-        Imdb_lock.Lock_manager.X
+      lock_resource t txn (Record (table_id, key)) Imdb_lock.Lock_manager.X
   | Snapshot_isolation | As_of _ -> () (* versioned reads never lock *)
 
 (* ------------------------------------------------------------------ *)
@@ -709,8 +694,7 @@ let history_link t pid =
 (* ------------------------------------------------------------------ *)
 
 (* The span closes on exception too ([Tracer.with_span] wraps the body
-   in [Fun.protect]) — the old ad-hoc [Metrics.trace Span_begin/Span_end]
-   pair leaked its begin if anything between the two raised. *)
+   in [Fun.protect]). *)
 let checkpoint t =
   let module M = Imdb_obs.Metrics in
   Imdb_obs.Tracer.with_span t.tracer "checkpoint" @@ fun sp ->

@@ -42,13 +42,13 @@ type config = {
       (** messages accumulated before a fill-triggered flush (the buffer
           page's own capacity caps this regardless) *)
   lock_wait_timeout_ms : int;
-      (** [0] (the default) keeps the historical fail-fast lock protocol:
-          a conflict raises immediately — correct for one session, where
-          parking would self-deadlock.  [> 0] lets concurrent sessions
-          block on conflicts up to this many milliseconds (releasing the
-          session gate while parked), with wait-for-graph deadlock
-          detection at edge insert and the waiter as timeout victim;
-          deadlock and timeout both surface as {!Deadlock_abort}. *)
+      (** How long a conflicting lock request parks, in milliseconds,
+          before the waiter is the timeout victim.  The session gate is
+          released while parked, and wait-for-graph deadlock detection
+          runs at edge insert.  [0] (the default) gives up at once
+          without parking — correct for one session, where parking would
+          self-deadlock.  Deadlock and timeout both surface as
+          {!Deadlock_abort}. *)
   monitor_interval_ms : int;
       (** [0] (the default) disables the continuous monitor — every
           sampling site short-circuits on {!Imdb_obs.Monitor.null};
@@ -243,14 +243,13 @@ val note_write : t -> txn -> table_id:int -> key:string -> immortal:bool -> unit
 (** Record a write in the transaction (dedup'd); raises on AS OF txns. *)
 
 val lock_resource :
-  ?txn:txn ->
-  t -> Imdb_clock.Tid.t -> Imdb_lock.Lock_manager.resource -> Imdb_lock.Lock_manager.mode -> unit
-(** Take one lock, honoring [config.lock_wait_timeout_ms]: fail-fast at 0
-    (the historical protocol), else a blocking wait with the session gate
-    released while parked.  When [txn] is given, a wait that actually
-    parked is tallied into its [tx_lock_waits]/[tx_lock_wait_us].
-    Deadlock and timeout raise {!Deadlock_abort} naming the victim (the
-    requester). *)
+  t -> txn -> Imdb_lock.Lock_manager.resource -> Imdb_lock.Lock_manager.mode -> unit
+(** Take one lock for [txn] through {!Imdb_lock.Lock_manager.acquire}
+    with [config.lock_wait_timeout_ms] as the timeout: a conflict gives
+    up at once at 0, else parks with the session gate released only
+    while parked.  A wait that parked is tallied into the transaction's
+    [tx_lock_waits]/[tx_lock_wait_us].  Deadlock and timeout raise
+    {!Deadlock_abort} naming the victim (the requester). *)
 
 val lock_record : t -> txn -> table_id:int -> key:string -> Imdb_lock.Lock_manager.mode -> unit
 (** Isolation-aware locking: 2PL takes intent + record locks; snapshot

@@ -204,9 +204,7 @@ let read_meta_from_disk eng =
       try Some (Meta.decode (P.read_cell b Meta.meta_slot)) with _ -> None
 
 (* The recovery span (and its per-phase children) close on exception too
-   — [Tracer.with_span] is [Fun.protect]-based, replacing the old ad-hoc
-   [Metrics.trace Span_begin/Span_end] pair that leaked its begin if any
-   phase raised. *)
+   — [Tracer.with_span] is [Fun.protect]-based. *)
 let recover eng =
   let module Tr = Imdb_obs.Tracer in
   eng.E.in_recovery <- true;

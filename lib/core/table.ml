@@ -832,9 +832,8 @@ let read_versioned_at eng txn ti ~key ~t =
             | Some hpid -> lookup_in (E.history_page eng hpid)
             | None -> None))
 
-(* Current-state read under 2PL. *)
-let read_current eng txn ti ~key =
-  E.lock_record eng txn ~table_id:ti.Catalog.ti_id ~key Imdb_lock.Lock_manager.S;
+(* Current-state read under 2PL (the caller holds the S lock). *)
+let read_current eng ti ~key =
   let pid = locate_page eng ti ~key in
   BP.with_page eng.E.pool pid (fun fr ->
       let page = BP.bytes fr in
@@ -850,16 +849,18 @@ let read_current eng txn ti ~key =
                     ~at:(5 + String.length key)
                     ~len:(P.cell_length page slot - R.fixed_overhead - String.length key))))
 
+(* Lock before flushing: a reader that parks on the lock must see the
+   writes its blocker buffers while it is parked. *)
 let read eng txn ti ~key =
   E.check_running txn;
+  E.lock_record eng txn ~table_id:ti.Catalog.ti_id ~key Imdb_lock.Lock_manager.S;
   flush_ingest eng ti;
   match ti.Catalog.ti_mode with
   | Catalog.Conventional ->
-      E.lock_record eng txn ~table_id:ti.Catalog.ti_id ~key Imdb_lock.Lock_manager.S;
       Option.map Bytes.to_string (Imdb_btree.Btree.find (conv_tree eng ti) ~key)
   | Catalog.Immortal | Catalog.Snapshot_table -> (
       match txn.E.tx_isolation with
-      | E.Serializable -> read_current eng txn ti ~key
+      | E.Serializable -> read_current eng ti ~key
       | E.Snapshot_isolation -> read_versioned_at eng txn ti ~key ~t:txn.E.tx_snapshot
       | E.As_of t ->
           if ti.Catalog.ti_mode <> Catalog.Immortal then
@@ -890,25 +891,23 @@ let clipped_ranges eng ti ?(lo = "") ?hi () =
 let payload_of page slot _key = R.in_page_payload page slot
 
 (* Scan of the current state (2PL path), optionally bounded to the key
-   window [lo, hi). *)
+   window [lo, hi).  The table lock comes before the ingest flush, as in
+   [read]. *)
 let scan_current eng ?(lo = "") ?hi txn ti f =
   E.check_running txn;
-  let table_lock () =
-    match txn.E.tx_isolation with
-    | E.Serializable ->
-        E.lock_resource eng txn.E.tx_tid
-          (Imdb_lock.Lock_manager.Table ti.Catalog.ti_id)
-          Imdb_lock.Lock_manager.S
-    | E.Snapshot_isolation | E.As_of _ -> ()
-  in
+  (match txn.E.tx_isolation with
+  | E.Serializable ->
+      E.lock_resource eng txn
+        (Imdb_lock.Lock_manager.Table ti.Catalog.ti_id)
+        Imdb_lock.Lock_manager.S
+  | E.Snapshot_isolation | E.As_of _ -> ());
+  flush_ingest eng ti;
   match ti.Catalog.ti_mode with
   | Catalog.Conventional ->
-      table_lock ();
       (* Btree.iter's upto is inclusive; hi is exclusive — filter. *)
       Imdb_btree.Btree.iter ~from:lo ?upto:hi (conv_tree eng ti) (fun k v ->
           if in_range k ~low:lo ~high:hi then f k (Bytes.to_string v))
   | Catalog.Immortal | Catalog.Snapshot_table ->
-      table_lock ();
       List.iter
         (fun (low, high, pid) ->
           BP.with_page eng.E.pool pid (fun fr ->
@@ -1008,10 +1007,10 @@ let scan_as_of eng ?lo ?hi txn ti ~t f =
    snapshot (own writes visible); AS OF transactions scan history. *)
 let scan eng ?lo ?hi txn ti f =
   E.check_running txn;
-  flush_ingest eng ti;
   match (ti.Catalog.ti_mode, txn.E.tx_isolation) with
   | Catalog.Conventional, _ | _, E.Serializable -> scan_current eng ?lo ?hi txn ti f
   | _, E.Snapshot_isolation ->
+      flush_ingest eng ti;
       scan_versioned_at eng ~own:txn ?lo ?hi ti ~t:txn.E.tx_snapshot f
   | _, E.As_of t -> scan_as_of eng ?lo ?hi txn ti ~t f
 

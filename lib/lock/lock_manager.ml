@@ -11,21 +11,16 @@
    Every engine call already runs under the session gate, so only parked
    waiters ever contend for it; the mutex keeps the manager safe to call
    from any domain without relying on the gate, and it makes every read
-   of the three structures one consistent cut.  Two acquisition
-   disciplines share the same grant logic:
+   of the three structures one consistent cut.
 
-   - fail fast ([acquire] / [acquire_exn]): a conflicting request never
-     parks — it returns [Would_block] (recording its wait-for edge) or
-     raises, exactly the protocol the single-session engine has always
-     used for logically interleaved transactions;
-
-   - blocking ([acquire_wait]): the requester parks on the condition
-     variable until a release makes the grant possible, a wait-for cycle
-     is detected at edge insert (raising [Deadlock]), or the deadline
-     passes (raising [Lock_timeout] — timeout-based victim selection,
-     the waiter is the victim).  A lazily-spawned global ticker thread
-     bounds the time between deadline checks, since the stdlib condition
-     variable has no timed wait. *)
+   There is one acquisition path.  A conflicting request records its
+   wait-for edge, and a cycle through it raises [Deadlock] (the
+   requester is the victim).  With a zero timeout the request then
+   gives up at once ([Lock_timeout]) without parking; otherwise it parks
+   on the condition variable until a release makes the grant possible,
+   a later re-probe closes a cycle, or the deadline passes.  A
+   lazily-spawned global ticker thread bounds the time between deadline
+   checks, since the stdlib condition variable has no timed wait. *)
 
 module M = Imdb_obs.Metrics
 
@@ -96,10 +91,7 @@ let create () =
 let set_metrics t m = t.metrics <- m
 let set_tracer t tr = t.tracer <- tr
 
-type outcome = Granted | Would_block of Imdb_clock.Tid.t list
-
 exception Deadlock of Imdb_clock.Tid.t
-exception Conflict of { tid : Imdb_clock.Tid.t; blockers : Imdb_clock.Tid.t list }
 exception Lock_timeout of { tid : Imdb_clock.Tid.t; res : resource }
 
 (* --- the wake-up ticker --------------------------------------------- *)
@@ -222,83 +214,67 @@ let grant t e tid res requested =
   Hashtbl.remove t.waits tid;
   M.incr t.metrics M.lock_acquires
 
-(* --- fail-fast acquisition ------------------------------------------ *)
+(* --- acquisition -------------------------------------------------------- *)
 
-let acquire t tid res mode =
-  Mutex.protect t.mu (fun () ->
-      let e, requested, conflicts = probe t tid res mode in
-      match conflicts with
-      | [] ->
-          grant t e tid res requested;
-          Granted
-      | blockers ->
-          M.incr t.metrics M.lock_conflicts;
-          if note_wait_or_cycle t tid ~res ~mode blockers then begin
-            M.incr t.metrics M.lock_deadlocks;
-            raise (Deadlock tid)
-          end;
-          Would_block blockers)
+(* Record [tid]'s wait-for edge, or refuse it when it closes a cycle. *)
+let wait_or_deadlock t tid ~res ~mode blockers =
+  if note_wait_or_cycle t tid ~res ~mode blockers then begin
+    M.incr t.metrics M.lock_deadlocks;
+    raise (Deadlock tid)
+  end
 
-(* Acquire or raise: the engine's normal path, where a block is surfaced
-   to the caller as an exception (no thread parks).  Because the
-   requester does not actually wait, its wait-for edge is erased before
-   raising — otherwise stale edges would accumulate into phantom
-   deadlocks.  True waiting callers use [acquire] (keeping their edge) or
-   [acquire_wait]. *)
-let acquire_exn t tid res mode =
-  match acquire t tid res mode with
-  | Granted -> ()
-  | Would_block blockers ->
-      Mutex.protect t.mu (fun () -> Hashtbl.remove t.waits tid);
-      raise (Conflict { tid; blockers })
+(* Park until granted (caller holds [mu] and has recorded its edge).
+   Returns the microseconds spent parked; a deadlock or a passed
+   deadline raises instead, leaving no edge behind. *)
+let park_until_granted t ~timeout_us tid res mode =
+  let started = Unix.gettimeofday () in
+  let deadline = started +. (float_of_int timeout_us /. 1e6) in
+  let rec loop () =
+    park t;
+    let e, requested, conflicts = probe t tid res mode in
+    match conflicts with
+    | [] -> grant t e tid res requested
+    | blockers ->
+        wait_or_deadlock t tid ~res ~mode blockers;
+        if Unix.gettimeofday () >= deadline then begin
+          Hashtbl.remove t.waits tid;
+          M.incr t.metrics M.lock_timeouts;
+          raise (Lock_timeout { tid; res })
+        end;
+        loop ()
+  in
+  Imdb_obs.Tracer.with_span t.tracer "lock.wait"
+    ~attrs:[ ("res", Fmt.str "%a" pp_resource res); ("mode", Fmt.str "%a" pp_mode mode) ]
+  @@ fun _ ->
+  let waited_us = ref 0 in
+  Fun.protect loop ~finally:(fun () ->
+      waited_us := int_of_float ((Unix.gettimeofday () -. started) *. 1e6);
+      M.observe t.metrics M.h_lock_wait_us !waited_us);
+  !waited_us
 
-(* --- blocking acquisition ------------------------------------------- *)
-
-let acquire_wait ?(timeout_us = 100_000) t tid res mode =
-  Mutex.protect t.mu (fun () ->
-      let e0, requested0, conflicts0 = probe t tid res mode in
-      match conflicts0 with
-      | [] ->
-          grant t e0 tid res requested0;
-          0
-      | first_blockers ->
-          M.incr t.metrics M.lock_conflicts;
-          let started = Unix.gettimeofday () in
-          let deadline = started +. (float_of_int timeout_us /. 1e6) in
-          let waited () =
-            int_of_float ((Unix.gettimeofday () -. started) *. 1e6)
-          in
-          let finish_wait w = M.observe t.metrics M.h_lock_wait_us w in
-          Imdb_obs.Tracer.with_span t.tracer "lock.wait"
-            ~attrs:
-              [
-                ("res", Fmt.str "%a" pp_resource res);
-                ("mode", Fmt.str "%a" pp_mode mode);
-              ]
-          @@ fun _ ->
-          let rec loop blockers =
-            if note_wait_or_cycle t tid ~res ~mode blockers then begin
-              M.incr t.metrics M.lock_deadlocks;
-              finish_wait (waited ());
-              raise (Deadlock tid)
-            end;
-            if Unix.gettimeofday () >= deadline then begin
-              Hashtbl.remove t.waits tid;
-              M.incr t.metrics M.lock_timeouts;
-              finish_wait (waited ());
-              raise (Lock_timeout { tid; res })
-            end;
-            park t;
-            let e, requested, conflicts = probe t tid res mode in
-            match conflicts with
-            | [] ->
-                grant t e tid res requested;
-                let w = waited () in
-                finish_wait w;
-                w
-            | blockers -> loop blockers
-          in
-          loop first_blockers)
+(* [on_park] runs once, under [mu], just before the requester first
+   parks; what it returns runs after [mu] is released, however the
+   request ends.  The engine releases its session gate in the first and
+   retakes it in the second: other sessions take the gate before [mu],
+   so the gate must never be awaited while [mu] is held. *)
+let acquire ?(on_park = fun () -> ignore) ~timeout_us t tid res mode =
+  let resume = ref ignore in
+  Fun.protect ~finally:(fun () -> !resume ()) @@ fun () ->
+  Mutex.protect t.mu @@ fun () ->
+  let e, requested, conflicts = probe t tid res mode in
+  match conflicts with
+  | [] ->
+      grant t e tid res requested;
+      0
+  | blockers ->
+      M.incr t.metrics M.lock_conflicts;
+      wait_or_deadlock t tid ~res ~mode blockers;
+      if timeout_us <= 0 then begin
+        Hashtbl.remove t.waits tid;
+        raise (Lock_timeout { tid; res })
+      end;
+      resume := on_park ();
+      park_until_granted t ~timeout_us tid res mode
 
 (* --- queries and release --------------------------------------------- *)
 

@@ -6,11 +6,10 @@
     mutex and one condition variable.  The engine's session gate already
     serializes every caller except parked waiters, so one mutex costs
     nothing, and it keeps the manager safe to call from any domain on
-    its own.  Two acquisition disciplines share the grant logic: the fail-fast path ([acquire] /
-    [acquire_exn]) the single-session engine has always used — a
-    conflicting request never parks a thread — and real blocking waits
-    ([acquire_wait]) for concurrent sessions, with deadlock detection at
-    edge insert and timeout-based victim selection (the waiter is the
+    its own.  There is one acquisition function, {!acquire}: a conflict
+    runs deadlock detection at edge insert, then either gives up at once
+    (timeout 0, the single-session engine's fail-fast protocol) or parks
+    until granted, with timeout-based victim selection (the waiter is the
     victim).  Snapshot-isolation readers never call in at all — that is
     the point of the versioning machinery. *)
 
@@ -38,36 +37,43 @@ val set_metrics : t -> Imdb_obs.Metrics.t -> unit
     deadlocks, timeouts and the blocking-wait duration histogram. *)
 
 val set_tracer : t -> Imdb_obs.Tracer.t -> unit
-(** Blocking waits record a "lock.wait" span (res/mode attrs) spanning
+(** Parked waits record a "lock.wait" span (res/mode attrs) spanning
     park-to-grant (or to deadlock/timeout). *)
-
-type outcome = Granted | Would_block of Imdb_clock.Tid.t list
 
 exception Deadlock of Imdb_clock.Tid.t
 (** Raised (naming the requester, the victim) when granting the wait
     would close a cycle. *)
 
-exception Conflict of { tid : Imdb_clock.Tid.t; blockers : Imdb_clock.Tid.t list }
-
 exception Lock_timeout of { tid : Imdb_clock.Tid.t; res : resource }
-(** A blocking wait passed its deadline: the waiter is selected as the
-    victim and should abort. *)
+(** The request gave up: at once on a conflict under timeout 0, or at
+    the deadline of a parked wait.  The waiter is the victim and should
+    abort. *)
 
-val acquire : t -> Imdb_clock.Tid.t -> resource -> mode -> outcome
-(** Acquire or upgrade; re-requests are idempotent.  A block records the
-    requester's wait-for edge and returns.  @raise Deadlock *)
+val acquire :
+  ?on_park:(unit -> unit -> unit) ->
+  timeout_us:int ->
+  t -> Imdb_clock.Tid.t -> resource -> mode -> int
+(** Acquire or upgrade; re-requests are idempotent.  Returns the
+    wall-clock microseconds spent parked (0 when granted without
+    parking), which callers fold into per-transaction wait accounting.
 
-val acquire_exn : t -> Imdb_clock.Tid.t -> resource -> mode -> unit
-(** Like [acquire] but a block erases the edge and raises [Conflict]. *)
+    A conflict records the requester's wait-for edge; closing a cycle
+    raises [Deadlock].  With [timeout_us = 0] the request then erases
+    its edge and raises [Lock_timeout] at once: no park, no "lock.wait"
+    span, no [lock.wait_us] observation, and it counts as a conflict,
+    not a timeout.  Otherwise it parks on the manager's condition
+    variable; releases of conflicting locks re-probe the grant, and a
+    process-wide ticker thread (spawned on the first park) bounds the
+    delay until the deadline is noticed.
 
-val acquire_wait : ?timeout_us:int -> t -> Imdb_clock.Tid.t -> resource -> mode -> int
-(** Acquire, parking on the manager's condition variable while blocked.
-    Releases of conflicting locks re-probe the grant; a process-wide
-    ticker thread (spawned on the first blocking wait) bounds the delay
-    until the deadline is noticed.  Returns the wall-clock microseconds
-    spent parked (0 when granted immediately), which callers fold into
-    per-transaction wait accounting.  @raise Deadlock at edge insert,
-    @raise Lock_timeout at the deadline (default 100 ms). *)
+    [on_park ()] runs once, under the manager's mutex, just before the
+    first park; the function it returns runs after that mutex is
+    released, whatever the outcome.  The engine releases its session
+    gate there and retakes it after, so the gate is released exactly
+    while the session is parked.
+
+    @raise Deadlock at edge insert
+    @raise Lock_timeout at once (timeout 0) or at the deadline *)
 
 val holds : t -> Imdb_clock.Tid.t -> resource -> mode option
 

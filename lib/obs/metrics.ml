@@ -18,27 +18,12 @@ type hist = {
   buckets : int array;
 }
 
-type phase = Span_begin | Span_end | Instant
-
-type event = {
-  ev_seq : int;
-  ev_name : string;
-  ev_phase : phase;
-  ev_attrs : (string * string) list;
-}
-
-let default_trace_capacity = 1024
-
 type t = {
   on : bool;
   lock : Mutex.t;
   counters : (string, int ref) Hashtbl.t;
   gauges : (string, int ref) Hashtbl.t;
   hists : (string, hist) Hashtbl.t;
-  ring : event Queue.t;
-  mutable ring_cap : int;
-  mutable ring_seq : int;
-  mutable ring_dropped : int;
 }
 
 let make on =
@@ -48,10 +33,6 @@ let make on =
     counters = Hashtbl.create 64;
     gauges = Hashtbl.create 8;
     hists = Hashtbl.create 16;
-    ring = Queue.create ();
-    ring_cap = default_trace_capacity;
-    ring_seq = 0;
-    ring_dropped = 0;
   }
 
 let create () = make true
@@ -72,9 +53,7 @@ let reset t =
   locked t (fun () ->
       Hashtbl.reset t.counters;
       Hashtbl.reset t.gauges;
-      Hashtbl.reset t.hists;
-      Queue.clear t.ring;
-      t.ring_dropped <- 0)
+      Hashtbl.reset t.hists)
 
 (* --- counters ------------------------------------------------------ *)
 
@@ -211,32 +190,6 @@ let diff ~(before : snapshot) ~(after : snapshot) : snapshot =
 let pp_snapshot ppf (s : snapshot) =
   List.iter (fun (k, v) -> Fmt.pf ppf "%-28s %d@." k v) s
 
-(* --- trace ring ---------------------------------------------------- *)
-
-let set_trace_capacity t cap =
-  if t.on then
-    locked t (fun () ->
-        t.ring_cap <- max 1 cap;
-        Queue.clear t.ring;
-        t.ring_dropped <- 0)
-
-let trace t ?(attrs = []) phase name =
-  if t.on then
-    locked t (fun () ->
-        let ev =
-          { ev_seq = t.ring_seq; ev_name = name; ev_phase = phase; ev_attrs = attrs }
-        in
-        t.ring_seq <- t.ring_seq + 1;
-        if Queue.length t.ring >= t.ring_cap then begin
-          ignore (Queue.pop t.ring);
-          t.ring_dropped <- t.ring_dropped + 1
-        end;
-        Queue.push ev t.ring)
-
-let trace_events_unlocked t = List.of_seq (Queue.to_seq t.ring)
-let trace_events t = locked t (fun () -> trace_events_unlocked t)
-let trace_dropped t = locked t (fun () -> t.ring_dropped)
-
 (* --- JSON exposition ----------------------------------------------- *)
 
 (* v2: hot-path overhaul counters (buffer.clock_sweeps, the keydir
@@ -279,12 +232,7 @@ let schema_version = 11
 let sorted_int_obj tbl =
   Hashtbl.fold (fun k r acc -> (k, Json.Int !r) :: acc) tbl [] |> List.sort compare
 
-let phase_string = function
-  | Span_begin -> "begin"
-  | Span_end -> "end"
-  | Instant -> "instant"
-
-let to_json ?(traces = false) t =
+let to_json t =
   locked t @@ fun () ->
   let hists =
     Hashtbl.fold
@@ -304,42 +252,15 @@ let to_json ?(traces = false) t =
       t.hists []
     |> List.sort compare
   in
-  let base =
+  Json.Obj
     [
       ("schema_version", Json.Int schema_version);
       ("counters", Json.Obj (sorted_int_obj t.counters));
       ("gauges", Json.Obj (sorted_int_obj t.gauges));
       ("histograms", Json.Obj hists);
     ]
-  in
-  let tr =
-    if not traces then []
-    else
-      [
-        ( "traces",
-          Json.Obj
-            [
-              ("dropped", Json.Int t.ring_dropped);
-              ( "events",
-                Json.List
-                  (List.map
-                     (fun ev ->
-                       Json.Obj
-                         [
-                           ("seq", Json.Int ev.ev_seq);
-                           ("name", Json.String ev.ev_name);
-                           ("phase", Json.String (phase_string ev.ev_phase));
-                           ( "attrs",
-                             Json.Obj
-                               (List.map (fun (k, v) -> (k, Json.String v)) ev.ev_attrs) );
-                         ])
-                     (trace_events_unlocked t)) );
-            ] );
-      ]
-  in
-  Json.Obj (base @ tr)
 
-let to_json_string ?traces t = Json.to_string (to_json ?traces t)
+let to_json_string t = Json.to_string (to_json t)
 
 (* --- Prometheus text exposition ------------------------------------ *)
 

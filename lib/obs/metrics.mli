@@ -25,9 +25,8 @@ val null : t
 val enabled : t -> bool
 
 val reset : t -> unit
-(** Zero all counters, gauges and histograms and clear the trace ring of
-    [t] only — unlike the old [Stats.reset_all] this cannot touch another
-    engine's registry. *)
+(** Zero all counters, gauges and histograms of [t] only — unlike the old
+    [Stats.reset_all] this cannot touch another engine's registry. *)
 
 (** {1 Counters} — named, monotonic. *)
 
@@ -87,31 +86,6 @@ val diff : before:snapshot -> after:snapshot -> snapshot
 
 val pp_snapshot : Format.formatter -> snapshot -> unit
 
-(** {1 Trace events} — a bounded ring buffer of span begin/end/instant
-    events for post-hoc inspection of a run.  When full, the oldest event
-    is dropped and [trace_dropped] counts it. *)
-
-type phase = Span_begin | Span_end | Instant
-
-type event = {
-  ev_seq : int;  (** monotonic per registry, never reused *)
-  ev_name : string;
-  ev_phase : phase;
-  ev_attrs : (string * string) list;
-}
-
-val default_trace_capacity : int
-
-val set_trace_capacity : t -> int -> unit
-(** Also clears the ring. Capacity < 1 is clamped to 1. *)
-
-val trace : t -> ?attrs:(string * string) list -> phase -> string -> unit
-
-val trace_events : t -> event list
-(** Oldest first. *)
-
-val trace_dropped : t -> int
-
 (** {1 JSON exposition} — the stable schema consumed by
     [imdb stats --json], the SQL [METRICS] pragma and the bench harness:
 
@@ -120,18 +94,12 @@ val trace_dropped : t -> int
       "counters":   { "<name>": <int>, ... },              (sorted)
       "gauges":     { "<name>": <int>, ... },              (sorted)
       "histograms": { "<name>": { "count": n, "sum": n, "max": n,
-                                  "p50": n, "p90": n, "p99": n }, ... },
-      "traces":     { "dropped": n,
-                      "events": [ { "seq": n, "name": s,
-                                    "phase": "begin"|"end"|"instant",
-                                    "attrs": { ... } }, ... ] }
-    v}
-
-    [traces] is omitted unless [~traces:true]. *)
+                                  "p50": n, "p90": n, "p99": n }, ... } }
+    v} *)
 
 val schema_version : int
-val to_json : ?traces:bool -> t -> Json.t
-val to_json_string : ?traces:bool -> t -> string
+val to_json : t -> Json.t
+val to_json_string : t -> string
 
 val to_prometheus : t -> string
 (** Prometheus text exposition (version 0.0.4): every counter and gauge
@@ -235,13 +203,14 @@ val lock_acquires : string
 (** Lock requests granted (fresh grants, upgrades and re-requests). *)
 
 val lock_conflicts : string
-(** Requests that found an incompatible holder (fail-fast or blocking). *)
+(** Requests that found an incompatible holder (timeout 0 or parked). *)
 
 val lock_deadlocks : string
 (** Requests refused because granting the wait would close a cycle. *)
 
 val lock_timeouts : string
-(** Blocking waits abandoned at the deadline (the waiter is the victim). *)
+(** Parked waits abandoned at the deadline (the waiter is the victim).
+    A timeout-0 conflict counts in [lock_conflicts] only. *)
 
 val session_rows_read : string
 (** Rows returned to readers, folded in per transaction at commit/abort
@@ -275,7 +244,7 @@ val h_ingest_flush_run : string
 
 val h_lock_wait_us : string
 (** Wall-clock microseconds a blocking lock wait parked before grant,
-    deadline or deadlock.  Never fed by the fail-fast path. *)
+    deadline or deadlock.  Never fed by a timeout-0 conflict. *)
 
 val span_hist : string -> string
 (** [span_hist name] is the duration histogram ["span." ^ name ^ "_us"]

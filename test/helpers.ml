@@ -43,3 +43,20 @@ let check_row db ~table ~id expected =
         (Printf.sprintf "row %d" id)
         (Fmt.str "%a" (Fmt.Dump.option pp_row) expected)
         (Fmt.str "%a" (Fmt.Dump.option pp_row) got))
+
+(* Poll [lm]'s dump until at least [n] requests are parked (or 5 s
+   pass) and return the last dump.  A wait-for edge is visible only once
+   its waiter has released the manager's mutex to park, so this is how a
+   test knows another domain is parked without sleeping. *)
+let await_waiters lm n =
+  let module L = Imdb_lock.Lock_manager in
+  let deadline = Unix.gettimeofday () +. 5.0 in
+  let rec go () =
+    let d = L.dump lm in
+    if List.length d.L.d_waiters >= n || Unix.gettimeofday () >= deadline then d
+    else begin
+      Thread.delay 0.002;
+      go ()
+    end
+  in
+  go ()

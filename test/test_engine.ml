@@ -171,7 +171,7 @@ let test_serializable_interleaving () =
   let t2 = Db.begin_txn db in
   (match Db.update_row db t2 ~table:"t" (row 1 "y") with
   | () -> Alcotest.fail "write granted over reader's S lock"
-  | exception Imdb_lock.Lock_manager.Conflict _ -> ());
+  | exception E.Deadlock_abort _ -> ());
   ignore (Db.commit db t1);
   (* with the lock released, the writer proceeds *)
   Db.update_row db t2 ~table:"t" (row 1 "y");

@@ -145,7 +145,7 @@ let run_script ~seed ~steps =
                   Alcotest.failf
                     "step %d: first-committer-wins violated on key %d (no conflict raised)"
                     step k
-            | exception Imdb_lock.Lock_manager.Conflict _ ->
+            | exception E.Deadlock_abort _ ->
                 if not other_active_writer then
                   Alcotest.failf "step %d: spurious lock conflict on key %d" step k
             | exception Imdb_core.Table.Write_conflict _ ->

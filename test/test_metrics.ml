@@ -1,5 +1,5 @@
 (* The per-engine observability registry: counter and histogram semantics,
-   percentile determinism, the trace ring, JSON round-trips, and — the
+   percentile determinism, JSON round-trips, and — the
    reason the registry replaced the old process-global Stats table —
    isolation between two databases open in the same process. *)
 
@@ -27,11 +27,9 @@ let test_null_registry () =
   Alcotest.(check bool) "null is disabled" false (M.enabled M.null);
   M.incr M.null "a";
   M.observe M.null "h" 5;
-  M.trace M.null M.Instant "ev";
   Alcotest.(check int) "null records nothing" 0 (M.get M.null "a");
   Alcotest.(check (option reject)) "null has no histograms" None
-    (Option.map ignore (M.histogram M.null "h"));
-  Alcotest.(check int) "null has no events" 0 (List.length (M.trace_events M.null))
+    (Option.map ignore (M.histogram M.null "h"))
 
 (* --- histograms ------------------------------------------------------------- *)
 
@@ -156,24 +154,6 @@ let test_prometheus_exposition () =
   has "imdb_lat_ms_sum 5050\n";
   has "imdb_lat_ms_count 100\n"
 
-(* --- trace ring ------------------------------------------------------------- *)
-
-let test_trace_ring_truncation () =
-  let m = M.create () in
-  M.set_trace_capacity m 4;
-  for i = 1 to 10 do
-    M.trace m M.Instant (Printf.sprintf "ev%d" i)
-  done;
-  let evs = M.trace_events m in
-  Alcotest.(check int) "ring holds capacity" 4 (List.length evs);
-  Alcotest.(check int) "oldest were dropped" 6 (M.trace_dropped m);
-  Alcotest.(check (list string)) "newest survive, oldest first"
-    [ "ev7"; "ev8"; "ev9"; "ev10" ]
-    (List.map (fun e -> e.M.ev_name) evs);
-  (* sequence numbers keep rising across drops *)
-  Alcotest.(check (list int)) "seqs monotonic" [ 6; 7; 8; 9 ]
-    (List.map (fun e -> e.M.ev_seq) evs)
-
 (* --- JSON ------------------------------------------------------------------- *)
 
 let test_json_roundtrip () =
@@ -184,8 +164,8 @@ let test_json_roundtrip () =
   for v = 1 to 50 do
     M.observe m "lat" v
   done;
-  M.trace m ~attrs:[ ("k", "v\"with\nescapes") ] M.Span_begin "span";
-  let str = M.to_json_string ~traces:true m in
+  M.incr m "v\"with\nescapes";
+  let str = M.to_json_string m in
   match J.parse str with
   | Error e -> Alcotest.fail ("unparseable exposition: " ^ e)
   | Ok j ->
@@ -207,29 +187,11 @@ let test_json_roundtrip () =
           let keys = List.map fst kvs in
           Alcotest.(check (list string)) "sorted keys" (List.sort compare keys) keys
       | _ -> Alcotest.fail "counters not an object");
-      (* the escaped attribute survived the round-trip *)
-      (match
-         Option.bind (J.member "traces" j) (fun t ->
-             Option.bind (J.member "events" t) (fun evs ->
-                 Option.bind (J.to_list evs) (fun l ->
-                     Option.bind (List.nth_opt l 0) (fun ev ->
-                         Option.bind (J.member "attrs" ev) (J.member "k")))))
-       with
-      | Some (J.String s) ->
-          Alcotest.(check string) "escape round-trip" "v\"with\nescapes" s
-      | _ -> Alcotest.fail "trace attrs missing");
+      (* the escaped name survived the round-trip *)
+      Alcotest.(check int) "escape round-trip" 1
+        (int_at [ "counters"; "v\"with\nescapes" ]);
       (* re-printing the parsed value reproduces the document byte for byte *)
       Alcotest.(check string) "byte-stable" str (J.to_string j)
-
-let test_json_traces_opt_in () =
-  let m = M.create () in
-  M.trace m M.Instant "ev";
-  (match J.parse (M.to_json_string m) with
-  | Ok j -> Alcotest.(check bool) "traces omitted" true (J.member "traces" j = None)
-  | Error e -> Alcotest.fail e);
-  match J.parse (M.to_json_string ~traces:true m) with
-  | Ok j -> Alcotest.(check bool) "traces present" true (J.member "traces" j <> None)
-  | Error e -> Alcotest.fail e
 
 (* --- per-engine isolation ---------------------------------------------------
 
@@ -317,9 +279,7 @@ let suite =
     Alcotest.test_case "snapshot/diff under concurrent domains" `Quick
       test_snapshot_diff_concurrent_domains;
     Alcotest.test_case "prometheus exposition" `Quick test_prometheus_exposition;
-    Alcotest.test_case "trace ring truncation" `Quick test_trace_ring_truncation;
     Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
-    Alcotest.test_case "JSON traces opt-in" `Quick test_json_traces_opt_in;
     Alcotest.test_case "two DBs isolated" `Quick test_two_dbs_isolated;
     Alcotest.test_case "fresh registry after crash" `Quick test_crash_reopen_fresh_registry;
     Alcotest.test_case "hot-path instruments pre-registered" `Quick

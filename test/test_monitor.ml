@@ -181,9 +181,11 @@ let test_session_stats () =
       | None -> Alcotest.fail "sessions key missing"));
   Db.close db
 
-let test_session_lock_waits () =
-  (* two sessions on two domains colliding on one row: the loser's wait
-     must be visible in its session stats *)
+(* Two sessions on two domains: [s1] holds an open transaction that
+   wrote row 1 while [s2] runs [contend] on another domain and parks on
+   one of its locks.  Once the dump shows [s2] parked, [s1] commits; the
+   wait must be visible in [s2]'s session stats. *)
+let session_lock_wait contend =
   let config = { default_config with E.lock_wait_timeout_ms = 5_000 } in
   let clock = Imdb_clock.Clock.create_logical () in
   let db = Db.open_memory ~config ~clock () in
@@ -195,21 +197,26 @@ let test_session_lock_waits () =
   Db.Session.update s1 txn1 ~table:"t"
     ~key:(Imdb_core.Schema.encode_key (Imdb_core.Schema.V_int 1))
     ~payload:"held";
-  let d =
-    Domain.spawn (fun () ->
-        (* blocks on s1's X lock until s1 commits *)
-        Db.Session.with_txn s2 (fun txn ->
-            Db.Session.update s2 txn ~table:"t"
-              ~key:(Imdb_core.Schema.encode_key (Imdb_core.Schema.V_int 1))
-              ~payload:"contender"))
-  in
-  Unix.sleepf 0.1;
+  let d = Domain.spawn (fun () -> Db.Session.with_txn s2 (contend s2)) in
+  let dump = await_waiters (Db.engine db).E.locks 1 in
+  Alcotest.(check int) "s2 parked" 1 (List.length dump.L.d_waiters);
   ignore (Db.Session.commit s1 txn1);
   Domain.join d;
   let st2 = E.session_stats_for (Db.engine db) (Db.Session.id s2) in
-  Alcotest.(check bool) "s2 waited at least once" true (st2.E.ss_lock_waits >= 1);
+  Alcotest.(check int) "s2 waited once" 1 st2.E.ss_lock_waits;
   Alcotest.(check bool) "s2 wait time recorded" true (st2.E.ss_lock_wait_us > 0);
   Db.close db
+
+let test_session_lock_waits () =
+  (* blocks on s1's record X lock until s1 commits *)
+  session_lock_wait (fun s2 txn ->
+      Db.Session.update s2 txn ~table:"t"
+        ~key:(Imdb_core.Schema.encode_key (Imdb_core.Schema.V_int 1))
+        ~payload:"contender")
+
+let test_session_scan_lock_waits () =
+  (* a serializable scan blocks on its table S lock against s1's IX *)
+  session_lock_wait (fun s2 txn -> Db.Session.scan s2 txn ~table:"t" (fun _ _ -> ()))
 
 (* --- lock dumps ------------------------------------------------------------ *)
 
@@ -217,26 +224,17 @@ let test_lock_dump_basic () =
   let lm = L.create () in
   let t1 = Tid.of_int 1 and t2 = Tid.of_int 2 and t3 = Tid.of_int 3 in
   let res = L.Record (1, "a") in
-  ignore (L.acquire lm t1 res L.X);
+  ignore (L.acquire ~timeout_us:0 lm t1 res L.X);
   let spawned =
     List.map
       (fun tid ->
         Domain.spawn (fun () ->
-            ignore (L.acquire_wait ~timeout_us:5_000_000 lm tid res L.X);
+            ignore (L.acquire ~timeout_us:5_000_000 lm tid res L.X);
             L.release_all lm tid))
       [ t2; t3 ]
   in
   (* wait until both waiters are parked and visible *)
-  let deadline = Unix.gettimeofday () +. 5.0 in
-  let rec settle () =
-    let d = L.dump lm in
-    if List.length d.L.d_waiters >= 2 || Unix.gettimeofday () >= deadline then d
-    else begin
-      Thread.delay 0.005;
-      settle ()
-    end
-  in
-  let d = settle () in
+  let d = await_waiters lm 2 in
   Alcotest.(check int) "two waiters visible" 2 (List.length d.L.d_waiters);
   Alcotest.(check bool) "t1 holds X" true
     (List.exists (fun (r, tid, m) -> r = res && Tid.equal tid t1 && m = L.X) d.L.d_holders);
@@ -433,4 +431,5 @@ let suite =
     Alcotest.test_case "flight recorder" `Quick test_flight_recorder;
     Alcotest.test_case "flight recorder on recovery" `Quick
       test_flight_recorder_on_recovery;
+    Alcotest.test_case "session scan lock waits" `Quick test_session_scan_lock_waits;
   ]

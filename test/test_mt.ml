@@ -169,6 +169,41 @@ let test_concurrent_crash_recovery () =
       Alcotest.(check bool) "recovered each one" true (r.H.r_recoveries >= r.H.r_crashes)
   | H.Failed f -> Alcotest.failf "concurrent crash run failed: %a" H.pp_failure f
 
+(* --- a parked serializable reader sees its blocker's last write ------------
+
+   A serializable read or scan parks on the lock of a writer whose writes
+   still sit in the ingest buffer.  While it is parked the writer writes
+   the key again and commits; the reader must return that last write,
+   so buffered writes may only be applied to the pages once the reader
+   holds its lock. *)
+
+let parked_reader_sees_last_write read =
+  let config = { E.default_config with E.lock_wait_timeout_ms = 5_000 } in
+  let db = Db.open_memory ~config ~clock:(Imdb_clock.Clock.create_logical ()) () in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema;
+  let writer = Db.session db and reader = Db.session db in
+  Db.Session.with_txn writer (fun txn ->
+      Db.Session.insert writer txn ~table:"t" ~key:"k1" ~payload:"v0");
+  let w = Db.Session.begin_txn writer in
+  Db.Session.update writer w ~table:"t" ~key:"k1" ~payload:"v1";
+  let d = Domain.spawn (fun () -> Db.Session.with_txn reader (read reader)) in
+  let dump = Helpers.await_waiters (Db.engine db).E.locks 1 in
+  Alcotest.(check int) "reader parked" 1 (List.length dump.Imdb_lock.Lock_manager.d_waiters);
+  Db.Session.update writer w ~table:"t" ~key:"k1" ~payload:"v2";
+  ignore (Db.Session.commit writer w);
+  let got = Domain.join d in
+  Db.close db;
+  Alcotest.(check (option string)) "the blocker's last write" (Some "v2") got
+
+let test_parked_point_read () =
+  parked_reader_sees_last_write (fun s txn -> Db.Session.get s txn ~table:"t" ~key:"k1")
+
+let test_parked_scan () =
+  parked_reader_sees_last_write (fun s txn ->
+      let got = ref None in
+      Db.Session.scan s txn ~table:"t" (fun k v -> if k = "k1" then got := Some v);
+      !got)
+
 let suite =
   [
     Alcotest.test_case "sessions=1 bit-identical to plain API" `Quick test_session_bit_identical;
@@ -176,4 +211,6 @@ let suite =
     QCheck_alcotest.to_alcotest ~long:false (prop_concurrent_equals_serial 4);
     Alcotest.test_case "concurrent crashes keep acknowledged commits" `Slow
       test_concurrent_crash_recovery;
+    Alcotest.test_case "parked point read sees the last write" `Quick test_parked_point_read;
+    Alcotest.test_case "parked scan sees the last write" `Quick test_parked_scan;
   ]
