@@ -127,6 +127,12 @@ type session_stats = {
   mutable ss_max_batch_pos : int;
 }
 
+(* A decoded history image as temporal reads see it, with the page's
+   version directory, built the first time a scan or history walk forces
+   it.  A memo entry's directory is never invalidated: the image it
+   indexes never changes. *)
+type history_image = { hi_image : bytes; hi_dir : Imdb_version.Vpage.directory Lazy.t }
+
 type t = {
   disk : Imdb_storage.Disk.t;
   wal : Imdb_wal.Wal.t;
@@ -156,11 +162,11 @@ type t = {
   mutable cur_txn : txn option; (* logging context for undoable ops *)
   mutable commits_since_checkpoint : int;
   mutable in_recovery : bool;
-  hist_decoded : (int, bytes) Hashtbl.t;
-      (* page id -> decoded image of a fully stamped history page, the
-         memo [history_page] serves; gate-guarded.  Entries never go
-         stale: a history page is immutable from the moment its time
-         split writes it. *)
+  hist_decoded : (int, history_image) Hashtbl.t;
+      (* page id -> decoded image of a fully stamped history page and its
+         version directory once built, the memo [history_page] serves;
+         gate-guarded.  Entries never go stale: a history page is
+         immutable from the moment its time split writes it. *)
   hist_decoded_order : int Queue.t; (* FIFO bound for [hist_decoded] *)
   ingest_bufs : (int, Ingest.buf) Hashtbl.t;
       (* table id -> volatile mirror of the table's message-buffer page;
@@ -346,8 +352,8 @@ let alloc_page t ~ptype ~level ~table_id =
 
 let free_page t pid =
   (* the freed id may be reused for a mutable page: make sure no stale
-     immutable image can be served (belt and braces — only btree pages
-     are ever freed, and those are never memoized) *)
+     immutable image or directory can be served (belt and braces — only
+     btree pages are ever freed, and those are never memoized) *)
   Hashtbl.remove t.hist_decoded pid;
   BP.with_page t.pool pid (fun fr ->
       exec_op t fr ~undoable:false
@@ -635,14 +641,14 @@ let decode_history t b =
       Imdb_obs.Tracer.add_attr sp "page" (string_of_int (P.page_id b));
       img)
 
-let memoize_history t pid img =
+let memoize_history t pid h =
   let module M = Imdb_obs.Metrics in
   if Queue.length t.hist_decoded_order >= max 64 t.config.histcache_capacity
   then begin
     Hashtbl.remove t.hist_decoded (Queue.pop t.hist_decoded_order);
     M.incr t.metrics M.histcache_evictions
   end;
-  Hashtbl.replace t.hist_decoded pid img;
+  Hashtbl.replace t.hist_decoded pid h;
   Queue.push pid t.hist_decoded_order
 
 (* The decoded image of history page [pid] for a temporal read.  A time
@@ -655,9 +661,9 @@ let memoize_history t pid img =
 let history_page t pid =
   let module M = Imdb_obs.Metrics in
   match Hashtbl.find_opt t.hist_decoded pid with
-  | Some img ->
+  | Some h ->
       M.incr t.metrics M.histcache_hits;
-      img
+      h
   | None ->
       M.incr t.metrics M.histcache_misses;
       BP.with_page t.pool pid (fun fr ->
@@ -667,12 +673,13 @@ let history_page t pid =
             if Imdb_storage.Vcompress.is_compressed b then decode_history t b
             else Bytes.copy b
           in
+          let h = { hi_image = img; hi_dir = lazy (Imdb_version.Vpage.directory img) } in
           (match P.page_type b with
           | (P.P_history | P.P_history_compressed)
             when not (Imdb_version.Vpage.has_unstamped img) ->
-              memoize_history t pid img
+              memoize_history t pid h
           | _ -> ());
-          img)
+          h)
 
 (* The two header fields a chain walk steps by — (split time, history
    pointer) of page [pid] — from the memo when it holds the page, else
@@ -682,9 +689,9 @@ let history_link t pid =
   let module M = Imdb_obs.Metrics in
   let link page = (P.split_time page, P.history_pointer page) in
   match Hashtbl.find_opt t.hist_decoded pid with
-  | Some img ->
+  | Some h ->
       M.incr t.metrics M.histcache_hits;
-      link img
+      link h.hi_image
   | None ->
       M.incr t.metrics M.histcache_misses;
       BP.with_page t.pool pid (fun fr -> link (BP.bytes fr))

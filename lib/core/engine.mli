@@ -115,6 +115,16 @@ type session_stats = {
     transaction's tallies.  Gate-guarded — read via {!sessions_json} or
     under {!exclusively}. *)
 
+type history_image = {
+  hi_image : bytes;  (** decoded ([P_history]-format); never mutate it *)
+  hi_dir : Imdb_version.Vpage.directory Lazy.t;
+      (** the image's version directory, built the first time a scan or
+          history walk forces it (gate-guarded, like the memo) *)
+}
+(** A history page as temporal reads see it.  For a memo entry the
+    directory is built at most once and never invalidated: the image it
+    indexes never changes. *)
+
 type t = {
   disk : Imdb_storage.Disk.t;
   wal : Imdb_wal.Wal.t;
@@ -141,10 +151,11 @@ type t = {
   mutable cur_txn : txn option;  (** logging context for undoable ops *)
   mutable commits_since_checkpoint : int;
   mutable in_recovery : bool;
-  hist_decoded : (int, bytes) Hashtbl.t;
-      (** page id -> decoded image of a fully stamped history page, the
-          memo {!history_page} serves (gate-guarded; history pages are
-          immutable, so entries never go stale) *)
+  hist_decoded : (int, history_image) Hashtbl.t;
+      (** page id -> decoded image of a fully stamped history page and
+          its directory once built, the memo {!history_page} serves
+          (gate-guarded; history pages are immutable, so entries never go
+          stale) *)
   hist_decoded_order : int Queue.t;  (** FIFO bound for [hist_decoded] *)
   ingest_bufs : (int, Ingest.buf) Hashtbl.t;
       (** table id -> volatile mirror of its message-buffer page *)
@@ -266,15 +277,14 @@ val stamp_record : t -> Imdb_buffer.Buffer_pool.frame -> key:string -> unit
 
 (** {1 History pages} *)
 
-val history_page : t -> int -> bytes
+val history_page : t -> int -> history_image
 (** The decoded ([P_history]-format) image of history page [pid]: from
     the memo without pinning when it holds the page (a
     [histcache.hits]); otherwise pinned through the buffer pool, stamped,
     decoded if compressed or copied if plain, and memoized when it is a
     history page with no unstamped version (a [histcache.misses]).  The
     memo is FIFO-bounded by [config.histcache_capacity]
-    ([histcache.evictions]).  The result never aliases a frame; never
-    mutate it. *)
+    ([histcache.evictions]).  The image never aliases a frame. *)
 
 val history_link : t -> int -> Imdb_clock.Timestamp.t * int
 (** [(split_time, history_pointer)] of history page [pid], what a chain

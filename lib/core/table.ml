@@ -195,7 +195,7 @@ let split_data_page ?split_at eng ti ~pid ~low ~high =
       ~attrs:[ ("table", ti.Catalog.ti_name); ("page", string_of_int pid) ]
     @@ fun sp ->
     let page = BP.bytes fr in
-    if List.length (V.keys page) < 2 then
+    if Array.length (V.directory page).V.vd_keys < 2 then
       raise
         (Page_overflow
            (Printf.sprintf "table %s: page %d holds one giant key chain"
@@ -605,7 +605,7 @@ let write_version eng txn ti ~key ~payload ~kind =
                      history.  First-committer-wins must still see it. *)
                   let rec probe pid' =
                     if pid' <> P.no_page then
-                      let hp = E.history_page eng pid' in
+                      let hp = (E.history_page eng pid').E.hi_image in
                       let newest =
                         List.fold_left
                           (fun best slot ->
@@ -829,7 +829,7 @@ let read_versioned_at eng txn ti ~key ~t =
           if Ts.compare t (P.split_time page) >= 0 then lookup_in page
           else (
             match historical_page eng ti ~key ~t ~current_page:page with
-            | Some hpid -> lookup_in (E.history_page eng hpid)
+            | Some hpid -> lookup_in (E.history_page eng hpid).E.hi_image
             | None -> None))
 
 (* Current-state read under 2PL (the caller holds the S lock). *)
@@ -927,7 +927,9 @@ let scan_current eng ?(lo = "") ?hi txn ti f =
    overlaid with [own]'s uncommitted writes (snapshot-isolation scans must
    see the transaction's own changes).  The page covering [t] is the
    current page itself when t >= its split time, otherwise the chain/TSB
-   target. *)
+   target.  Either page is read through its version directory: the
+   memo's for a history page, one built for this call for the mutable
+   current page. *)
 let scan_range eng ?own ti ~t (low, high, pid) =
   let pending = ref [] in
   let f key payload = pending := (key, payload) :: !pending in
@@ -946,13 +948,14 @@ let scan_range eng ?own ti ~t (low, high, pid) =
       let page = BP.bytes fr in
       E.stamp_page eng fr;
       Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_pages;
+      let current_dir = lazy (V.directory page) in
       (* overlay: keys written by [own] in this range, decided from the
          current page regardless of which page serves time t *)
       let overlaid = Hashtbl.create 4 in
       (match own with
       | None -> ()
       | Some _ ->
-          List.iter
+          Array.iter
             (fun key ->
               if in_range key ~low ~high then
                 match own_state page key with
@@ -961,25 +964,28 @@ let scan_range eng ?own ti ~t (low, high, pid) =
                     f key payload
                 | `Deleted -> Hashtbl.replace overlaid key ()
                 | `Not_mine -> ())
-            (V.keys page));
-      let scan_page page' =
-        List.iter
-          (fun key ->
+            (Lazy.force current_dir).V.vd_keys);
+      let scan_page page' dir =
+        Array.iteri
+          (fun i key ->
             if in_range key ~low ~high && not (Hashtbl.mem overlaid key) then begin
               Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_versions;
-              match V.find_stamped_as_of page' ~key ~asof:t with
+              match V.stamped_as_of page' dir.V.vd_slots.(i) ~asof:t with
               | Some slot when R.in_page_flags page' slot land R.f_delete_stub = 0 ->
                   f key (payload_of page' slot key)
               | Some _ | None -> ()
             end)
-          (V.keys page')
+          dir.V.vd_keys
       in
-      if Ts.compare t (P.split_time page) >= 0 then scan_page page
+      if Ts.compare t (P.split_time page) >= 0 then scan_page page (Lazy.force current_dir)
       else
         match historical_page eng ti ~key:low ~t ~current_page:page with
-        | Some hpid -> scan_page (E.history_page eng hpid)
+        | Some hpid ->
+            let h = E.history_page eng hpid in
+            scan_page h.E.hi_image (Lazy.force h.E.hi_dir)
         | None -> ());
-  List.sort compare !pending
+  (* directory keys come in order; only an overlay interleaves *)
+  match own with None -> List.rev !pending | Some _ -> List.sort compare !pending
 
 (* Core of temporal scans: every clipped router range in key order, each
    range's rows sorted. *)
@@ -1017,7 +1023,8 @@ let scan eng ?lo ?hi txn ti f =
 (* Time travel: the full version history of [key], newest first, as
    (timestamp, payload option) — None marks a deletion.  The current page
    is pinned and stamped; the chain behind it is read through the history
-   memo. *)
+   memo, finding [key] in each page through the page's directory (a walk
+   reads every chain page, so it builds the ones still missing). *)
 let history eng txn ti ~key =
   E.check_running txn;
   if ti.Catalog.ti_mode <> Catalog.Immortal then
@@ -1028,10 +1035,10 @@ let history eng txn ti ~key =
   @@ fun _ ->
   let seen = Hashtbl.create 16 in
   let out = ref [] in
-  (* collect [key]'s committed versions in one page; returns the page's
-     history pointer *)
-  let collect page =
-    List.iter
+  (* collect [key]'s committed versions ([slots]) in one page; returns the
+     page's history pointer *)
+  let collect page slots =
+    Array.iter
       (fun slot ->
         match R.in_page_timestamp page slot with
         | Some ts ->
@@ -1046,15 +1053,21 @@ let history eng txn ti ~key =
               out := (ts, v) :: !out
             end
         | None -> () (* uncommitted: not part of history *))
-      (V.all_versions_of page ~key);
+      slots;
     P.history_pointer page
   in
   let first =
     BP.with_page eng.E.pool (locate_page eng ti ~key) (fun fr ->
         E.stamp_page eng fr;
-        collect (BP.bytes fr))
+        let page = BP.bytes fr in
+        collect page (Array.of_list (V.all_versions_of page ~key)))
   in
-  let rec walk pid = if pid <> P.no_page then walk (collect (E.history_page eng pid)) in
+  let rec walk pid =
+    if pid <> P.no_page then begin
+      let h = E.history_page eng pid in
+      walk (collect h.E.hi_image (V.directory_versions (Lazy.force h.E.hi_dir) ~key))
+    end
+  in
   walk first;
   List.sort (fun (a, _) (b, _) -> Ts.compare b a) !out
 

@@ -140,6 +140,7 @@ type report = {
   r_asof_checks : int;
   r_boundary_checks : int;
   r_history_checks : int;
+  r_point_checks : int;
   r_spot_checks : int;
   r_time_splits : int;
   r_checkpoints : int;
@@ -219,6 +220,7 @@ let run cfg =
   let asof_checks = ref 0 in
   let boundary_checks = ref 0 in
   let history_checks = ref 0 in
+  let point_checks = ref 0 in
   let spot_checks = ref 0 in
   let kind_fired = List.map (fun k -> (k, ref 0)) all_crash_kinds in
 
@@ -293,9 +295,36 @@ let run cfg =
     end
   in
 
+  (* One AS OF state against [state], the model's rows as of [ts], in
+     one [Db.as_of ts] transaction: the full scan, then point reads of two
+     keys — one drawn from the key space, present or not at [ts], and one
+     never written.  The draw has its own seeded stream, so verification
+     never shifts the workload's. *)
+  let sample_rng = Rng.create (cfg.seed lxor 0x9017) in
+  let check_state ~what ~table ts state =
+    let keys =
+      [ key_name (Rng.int sample_rng cfg.keys_per_table); key_name cfg.keys_per_table ]
+    in
+    Db.as_of !db ts (fun txn ->
+        let out = ref [] in
+        Db.scan !db txn ~table (fun k v -> out := (k, v) :: !out);
+        compare_states ~what ~table state (List.rev !out);
+        List.iter
+          (fun key ->
+            let want = List.assoc_opt key state in
+            let got = Db.get !db txn ~table ~key in
+            if got <> want then
+              fail "%s: point read of %s/%s: model=%s engine=%s" what table key
+                (Option.fold ~none:"-" ~some:short want)
+                (Option.fold ~none:"-" ~some:short got);
+            incr point_checks)
+          keys)
+  in
+
   (* Full verification: current state, the state as of EVERY commit
-     timestamp (subject to [verify_limit]), boundary states just below
-     commit timestamps, and every key's version history. *)
+     timestamp (subject to [verify_limit]) with point reads of a key
+     sample there, boundary states just below commit timestamps, and
+     every key's version history. *)
   let verify_full ~label () =
     List.iter
       (fun table ->
@@ -314,21 +343,20 @@ let run cfg =
           Model.iter_states model ~table ~f:(fun ~ts ~tag ~state ->
               incr idx;
               if !idx >= dense_from || !idx mod stride = 0 then begin
-                compare_states
-                  ~what:
-                    (Printf.sprintf "%s: AS OF %s (commit #%d, op %d)" label (Ts.to_string ts)
-                       !idx tag)
-                  ~table state (scan_at table ts);
+                let what =
+                  Printf.sprintf "%s: AS OF %s (commit #%d, op %d)" label (Ts.to_string ts)
+                    !idx tag
+                in
+                check_state ~what ~table ts state;
                 incr asof_checks;
                 (* just below the commit timestamp the commit must be
                    invisible: catches stamps leaking backward in time *)
                 if !idx land 3 = 0 then begin
-                  compare_states
-                    ~what:
-                      (Printf.sprintf "%s: AS OF just below %s (commit #%d)" label
-                         (Ts.to_string ts) !idx)
-                    ~table !prev
-                    (scan_at table (just_before ts));
+                  let what =
+                    Printf.sprintf "%s: AS OF just below %s (commit #%d)" label
+                      (Ts.to_string ts) !idx
+                  in
+                  check_state ~what ~table (just_before ts) !prev;
                   incr boundary_checks
                 end
               end;
@@ -670,6 +698,7 @@ let run cfg =
         r_asof_checks = !asof_checks;
         r_boundary_checks = !boundary_checks;
         r_history_checks = !history_checks;
+        r_point_checks = !point_checks;
         r_spot_checks = !spot_checks;
         r_time_splits = Mx.get metrics Mx.time_splits;
         r_checkpoints = Mx.get metrics Mx.checkpoints;
@@ -973,13 +1002,14 @@ let pp_report ppf r =
     "@[<v>torture PASS: seed=%d@,\
      ops=%d commits=%d aborts=%d volatile-drops=%d@,\
      crashes=%d (%s) torn=%d recoveries=%d double=%d@,\
-     checks: as-of=%d boundary=%d history=%d spot=%d@,\
+     checks: as-of=%d boundary=%d history=%d point=%d spot=%d@,\
      engine: time-splits=%d checkpoints=%d torn-pages-rebuilt=%d@]" r.r_seed r.r_ops
     r.r_commits r.r_aborts r.r_volatile_drops r.r_crashes
     (String.concat ", "
        (List.map (fun (k, n) -> Printf.sprintf "%s:%d" k n) r.r_crash_kinds))
     r.r_torn r.r_recoveries r.r_double_recoveries r.r_asof_checks r.r_boundary_checks
-    r.r_history_checks r.r_spot_checks r.r_time_splits r.r_checkpoints r.r_torn_rebuilt
+    r.r_history_checks r.r_point_checks r.r_spot_checks r.r_time_splits r.r_checkpoints
+    r.r_torn_rebuilt
 
 let pp_failure ppf f =
   Format.fprintf ppf

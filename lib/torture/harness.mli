@@ -110,6 +110,7 @@ type report = {
   r_asof_checks : int;  (** full-state AS OF comparisons *)
   r_boundary_checks : int;  (** comparisons just below a commit timestamp *)
   r_history_checks : int;  (** per-key history comparisons *)
+  r_point_checks : int;  (** AS OF point reads of sampled keys *)
   r_spot_checks : int;  (** inline mid-run AS OF spot checks *)
   r_time_splits : int;
   r_checkpoints : int;

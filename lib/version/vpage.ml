@@ -106,23 +106,68 @@ let all_versions_of page ~key =
   done;
   !acc
 
-(* Distinct keys present in the page. *)
-let keys page =
-  P.fold_live page ~init:[] ~f:(fun acc slot -> R.in_page_key page slot :: acc)
-  |> List.sort_uniq String.compare
+(* A page's version directory: its distinct keys, sorted, and for each
+   key the slots [all_versions_of] returns for it, in the same order
+   (highest slot first — the tie-break in [stamped_as_of] depends on
+   it).  One pass over the slot array builds it, so reading every key of
+   a page costs the page once instead of once per key. *)
+type directory = { vd_keys : string array; vd_slots : int array array }
 
-(* The version of [key] visible at time [asof] among the *stamped*
-   versions of this page: the one with the largest start <= asof.  Among
+let directory page =
+  (* runs of consecutive live slots holding one key, newest run first,
+     each run's slots highest first.  A time split writes each chain
+     contiguously, so a history page has about one run per key and the
+     sort below orders keys, not versions; the manual slot loop compares
+     keys in place and copies one string per run. *)
+  let psize = Bytes.length page in
+  let runs = ref [] in
+  for slot = 0 to P.slot_count page - 1 do
+    let off = Bytes.get_uint16_le page (psize - 2 - (2 * slot)) in
+    if off <> P.dead_slot then begin
+      let klen = Bytes.get_uint16_le page (off + 3) in
+      match !runs with
+      | (key, slots) :: rest
+        when String.length key = klen && R.key_bytes_equal page (off + 7) key klen 0 ->
+          runs := (key, slot :: slots) :: rest
+      | _ -> runs := (Bytes.sub_string page (off + 7) klen, [ slot ]) :: !runs
+    end
+  done;
+  (* the stable sort keeps one key's runs highest first, so joining them
+     keeps its slots in [all_versions_of] order *)
+  let rec join = function
+    | (k1, s1) :: (k2, s2) :: rest when String.equal k1 k2 -> join ((k1, s1 @ s2) :: rest)
+    | run :: rest -> run :: join rest
+    | [] -> []
+  in
+  let keyed = join (List.stable_sort (fun (a, _) (b, _) -> String.compare a b) !runs) in
+  {
+    vd_keys = Array.of_list (List.map fst keyed);
+    vd_slots = Array.of_list (List.map (fun (_, slots) -> Array.of_list slots) keyed);
+  }
+
+(* [key]'s version slots through the directory (binary search). *)
+let directory_versions dir ~key =
+  let rec go lo hi =
+    if lo >= hi then [||]
+    else
+      let mid = (lo + hi) / 2 in
+      let c = String.compare key dir.vd_keys.(mid) in
+      if c = 0 then dir.vd_slots.(mid) else if c < 0 then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Array.length dir.vd_keys)
+
+(* The version visible at time [asof] among one key's version [slots]
+   (as [all_versions_of] or a directory returns them), counting only
+   *stamped* versions: the one with the largest start <= asof.  Among
    equal starts (several updates by one transaction) the newest is the one
    no other equal-start version points to through VP.  Returns the slot;
    the caller interprets delete stubs.  Unstamped versions are ignored —
    callers stamp committed versions first and handle own-transaction
    visibility separately. *)
-let find_stamped_as_of page ~key ~asof =
+let stamped_as_of page slots ~asof =
   (* array-based: one pass collects the candidates and their newest start;
      tie-breaking then touches only the (tiny) tied set instead of the old
      quadratic List.mem membership scans over rebuilt lists *)
-  let slots = Array.of_list (all_versions_of page ~key) in
   let n = Array.length slots in
   let ts = Array.make n Ts.zero in
   let ok = Array.make n false in
@@ -163,6 +208,9 @@ let find_stamped_as_of page ~key ~asof =
         end
       done;
       (match !result with Some _ as r -> r | None -> !fallback)
+
+let find_stamped_as_of page ~key ~asof =
+  stamped_as_of page (Array.of_list (all_versions_of page ~key)) ~asof
 
 (* ------------------------------------------------------------------ *)
 (* Inserting versions                                                  *)

@@ -32,13 +32,30 @@ val all_versions_of : bytes -> key:string -> int list
 (** Every live version of [key] in the page, regardless of chain position
     — the search mode for history pages. *)
 
-val keys : bytes -> string list
-(** Distinct keys present, sorted. *)
+(** A page's version directory, built in one pass over the slot array:
+    its distinct keys in sorted order, and for each key the slots
+    {!all_versions_of} returns for it, in the same order.  A directory
+    describes one image; it is only reused for images that never change
+    (immutable history pages). *)
+type directory = {
+  vd_keys : string array;  (** distinct keys, sorted *)
+  vd_slots : int array array;  (** [vd_slots.(i)]: the versions of [vd_keys.(i)] *)
+}
+
+val directory : bytes -> directory
+
+val directory_versions : directory -> key:string -> int array
+(** [key]'s version slots (binary search); empty when absent. *)
+
+val stamped_as_of : bytes -> int array -> asof:Imdb_clock.Timestamp.t -> int option
+(** Among one key's version [slots] (as {!all_versions_of} or a
+    directory lists them), counting only {e stamped} versions: the one
+    with the largest start <= asof (ties — several updates by one
+    transaction — resolve to the newest).  The caller interprets delete
+    stubs. *)
 
 val find_stamped_as_of : bytes -> key:string -> asof:Imdb_clock.Timestamp.t -> int option
-(** Among the {e stamped} versions of [key]: the one with the largest
-    start <= asof (ties — several updates by one transaction — resolve to
-    the newest).  The caller interprets delete stubs. *)
+(** {!stamped_as_of} over [all_versions_of page ~key]. *)
 
 (** {1 Inserting versions} *)
 

@@ -3,11 +3,13 @@
 
    Current pages are pinned and stamped in the pool; history pages,
    immutable once a time split writes them, are served from the engine's
-   decoded-image memo ([Engine.history_page]).  Answers and the visit
-   accounting (asof.pages / asof.versions) must not depend on where a
-   history page came from — cold memo, warm memo, or a freshly recovered
-   engine — and the memo must only ever hold fully stamped history
-   images equal to the page they were read from.  Also the regression: a
+   decoded-image memo ([Engine.history_page]), each entry with the
+   version directory scans and history walks build for it (point reads
+   never do).  Answers and the visit accounting (asof.pages /
+   asof.versions) must not depend on where a history page came from —
+   cold memo, warm memo, or a freshly recovered engine — and the memo
+   must only ever hold fully stamped history images (and directories)
+   equal to the page they were read from.  Also the regression: a
    windowed AS OF scan whose answer spans several historical pages must
    agree with pointwise lookups. *)
 
@@ -82,6 +84,12 @@ let hist db key = Db.exec db (fun txn -> Db.history db txn ~table:"t" ~key)
 let flush db = BP.flush_all (Db.engine db).E.pool
 let memo_size db = Hashtbl.length (Db.engine db).E.hist_decoded
 
+(* memo entries whose version directory a scan or history walk built *)
+let memo_indexed db =
+  Hashtbl.fold
+    (fun _ h n -> if Lazy.is_val h.E.hi_dir then n + 1 else n)
+    (Db.engine db).E.hist_decoded 0
+
 let history_pages db =
   let disk = (Db.engine db).E.disk in
   List.length
@@ -98,27 +106,34 @@ type observation = {
   o_answers : string list;  (* every query result, printed *)
   o_pages : int;
   o_versions : int;
+  o_indexed_before_scans : int;  (* memo directories after the point reads *)
 }
 
-(* Full and windowed AS OF scans and point reads at [probes], plus the
-   history of a few keys; the answers and the asof visit counters. *)
+(* Point reads at [probes], then full and windowed AS OF scans, then the
+   history of a few keys; the answers, the asof visit counters, and how
+   many memo entries had a directory once the point reads were done. *)
 let observe db probes =
   let m = Db.metrics db in
   let before = M.snapshot m in
   let pr = Fmt.str "%a" Fmt.(Dump.list (Dump.pair string string)) in
-  let answers =
-    List.concat_map
+  let points =
+    List.map
       (fun ts ->
-        [
-          pr (collect db ts);
-          pr (collect ~lo:(k 5) ~hi:(k 22) db ts);
-          Fmt.str "%a"
-            Fmt.(Dump.list (Dump.option string))
-            (List.map
-               (fun i -> Db.as_of db ts (fun txn -> Db.get db txn ~table:"t" ~key:(k i)))
-               [ 0; 3; 11; 29 ]);
-        ])
+        Fmt.str "%a"
+          Fmt.(Dump.list (Dump.option string))
+          (List.map
+             (fun i -> Db.as_of db ts (fun txn -> Db.get db txn ~table:"t" ~key:(k i)))
+             [ 0; 3; 11; 29; 31 ]))
       probes
+  in
+  let indexed = memo_indexed db in
+  let scans =
+    List.concat_map
+      (fun ts -> [ pr (collect db ts); pr (collect ~lo:(k 5) ~hi:(k 22) db ts) ])
+      probes
+  in
+  let answers =
+    points @ scans
     @ List.map
         (fun i ->
           Fmt.str "%a"
@@ -128,7 +143,12 @@ let observe db probes =
   in
   let d = M.diff ~before ~after:(M.snapshot m) in
   let get name = Option.value ~default:0 (List.assoc_opt name d) in
-  { o_answers = answers; o_pages = get M.asof_pages; o_versions = get M.asof_versions }
+  {
+    o_answers = answers;
+    o_pages = get M.asof_pages;
+    o_versions = get M.asof_versions;
+    o_indexed_before_scans = indexed;
+  }
 
 let prop_memo_transparent =
   let gen =
@@ -156,6 +176,9 @@ let prop_memo_transparent =
       if memo_size db <> 0 then QCheck.Test.fail_report "memo not cold";
       let cold = observe db probes in
       if memo_size db = 0 then QCheck.Test.fail_report "memo still empty";
+      if cold.o_indexed_before_scans <> 0 then
+        QCheck.Test.fail_report "a point read built a directory";
+      if memo_indexed db = 0 then QCheck.Test.fail_report "no scan built a directory";
       let hits0 = M.get (Db.metrics db) M.histcache_hits in
       let warm = observe db probes in
       if M.get (Db.metrics db) M.histcache_hits = hits0 then
@@ -163,6 +186,8 @@ let prop_memo_transparent =
       let db' = Db.crash_and_reopen ~clock db in
       if memo_size db' <> 0 then QCheck.Test.fail_report "memo survived a crash";
       let reopened = observe db' probes in
+      if reopened.o_indexed_before_scans <> 0 then
+        QCheck.Test.fail_report "a point read built a directory after the crash";
       Db.close db';
       List.iter
         (fun (what, o) ->
@@ -204,8 +229,10 @@ let test_memo_immutable () =
   let eng = Db.engine db in
   Alcotest.(check bool) "memo populated" true (memo_size db > 0);
   Alcotest.(check bool) "history never flushed" true (history_pages db = 0);
+  Alcotest.(check bool) "directories built" true (memo_indexed db > 0);
   Hashtbl.iter
-    (fun pid img ->
+    (fun pid h ->
+      let img = h.E.hi_image in
       Alcotest.(check bool) "a history image" true (P.page_type img = P.P_history);
       Alcotest.(check bool) "fully stamped" true (not (V.has_unstamped img));
       let pooled =
@@ -214,12 +241,20 @@ let test_memo_immutable () =
             if Imdb_storage.Vcompress.is_compressed b then Imdb_storage.Vcompress.decode b
             else Bytes.copy b)
       in
-      Alcotest.(check bool) "equals the decoded pool page" true (Bytes.equal img pooled))
+      Alcotest.(check bool) "equals the decoded pool page" true (Bytes.equal img pooled);
+      if Lazy.is_val h.E.hi_dir then
+        Alcotest.(check bool) "directory of the decoded pool page" true
+          (Lazy.force h.E.hi_dir = V.directory pooled))
     eng.E.hist_decoded;
   ignore (Db.commit db live);
-  let victim = Hashtbl.fold (fun pid _ _ -> pid) eng.E.hist_decoded 0 in
+  let victim =
+    Hashtbl.fold
+      (fun pid h acc -> if Lazy.is_val h.E.hi_dir then pid else acc)
+      eng.E.hist_decoded 0
+  in
   E.free_page eng victim;
-  Alcotest.(check bool) "free_page evicts its id" false (Hashtbl.mem eng.E.hist_decoded victim);
+  Alcotest.(check bool) "free_page evicts its id and directory" false
+    (Hashtbl.mem eng.E.hist_decoded victim);
   Db.close db
 
 (* --- regression: window spanning several history pages ----------------- *)

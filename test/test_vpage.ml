@@ -45,7 +45,11 @@ let test_multiple_keys () =
   ignore (write page ~key:"b" ~payload:"b1" ~tid:1 ());
   ignore (write page ~key:"a" ~payload:"a2" ~tid:2 ());
   Alcotest.(check int) "two heads" 2 (List.length (V.current_slots page));
-  Alcotest.(check (list string)) "keys" [ "a"; "b" ] (V.keys page)
+  let dir = V.directory page in
+  Alcotest.(check (list string)) "directory keys" [ "a"; "b" ] (Array.to_list dir.V.vd_keys);
+  Alcotest.(check (list int)) "directory versions of a"
+    (V.all_versions_of page ~key:"a")
+    (Array.to_list (V.directory_versions dir ~key:"a"))
 
 let test_stamping () =
   let page = fresh () in
@@ -279,7 +283,8 @@ let prop_key_split =
           raw
       in
       let page = build_page specs in
-      if List.length (V.keys page) < 2 then true
+      let keys = Array.to_list (V.directory page).V.vd_keys in
+      if List.length keys < 2 then true
       else begin
         let ks = V.key_split ~page ~right_page_id:7 () in
         let count_versions img key = List.length (V.all_versions_of img ~key) in
@@ -297,8 +302,63 @@ let prop_key_split =
               QCheck.Test.fail_reportf "key %s: %d = %d + %d (sep %s)" key total left
                 right ks.V.ks_separator;
             correct_side)
-          (V.keys page)
+          keys
       end)
+
+(* Property: on random pages — dead slots, several versions per key,
+   delete stubs, unstamped and tied versions, the empty page — the
+   one-pass directory answers exactly what the per-key slot scans do. *)
+let prop_directory =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (list_size (int_range 0 40)
+           (quad (int_range 0 5) bool (int_range 0 12) (int_range 0 5)))
+        (list_size (int_range 0 8) (int_range 0 39)))
+  in
+  QCheck.Test.make ~name:"version directory = per-key slot scans" ~count:300
+    (QCheck.make gen) (fun (writes, kills) ->
+      let page = fresh ~size:4096 () in
+      (* stamp 0 leaves a version unstamped; small stamp ranges make ties *)
+      List.iteri
+        (fun i (k, stub, ms, tid) ->
+          let slot =
+            write page ~key:(Printf.sprintf "k%d" k) ~stub ~payload:(string_of_int i)
+              ~tid:(1 + tid) ()
+          in
+          if ms > 0 then stamp page slot (ms * 10))
+        writes;
+      List.iter
+        (fun slot ->
+          if slot < P.slot_count page && P.slot_live page slot then P.delete_slot page slot)
+        kills;
+      let dir = V.directory page in
+      let live_keys =
+        P.fold_live page ~init:[] ~f:(fun acc slot -> R.in_page_key page slot :: acc)
+        |> List.sort_uniq String.compare
+      in
+      if Array.to_list dir.V.vd_keys <> live_keys then
+        QCheck.Test.fail_report "directory keys are not the sorted distinct live keys";
+      (* every stamp (ties resolve there), just below and just after *)
+      let times =
+        List.concat_map
+          (fun (_, _, ms, _) -> if ms > 0 then [ (ms * 10) - 1; ms * 10; (ms * 10) + 5 ] else [])
+          writes
+      in
+      List.iter
+        (fun key ->
+          let slots = V.directory_versions dir ~key in
+          if Array.to_list slots <> V.all_versions_of page ~key then
+            QCheck.Test.fail_reportf "key %s: directory slots differ from all_versions_of" key;
+          List.iter
+            (fun t ->
+              if
+                V.stamped_as_of page slots ~asof:(ts t)
+                <> V.find_stamped_as_of page ~key ~asof:(ts t)
+              then QCheck.Test.fail_reportf "key %s as of %d: directory answer differs" key t)
+            (0 :: 1000 :: times))
+        ("absent" :: live_keys);
+      true)
 
 let test_gc_versions () =
   let specs =
@@ -350,5 +410,6 @@ let suite =
     Alcotest.test_case "split preserves slots" `Quick test_split_preserves_current_slots;
     QCheck_alcotest.to_alcotest prop_time_split_completeness;
     QCheck_alcotest.to_alcotest prop_key_split;
+    QCheck_alcotest.to_alcotest prop_directory;
     Alcotest.test_case "snapshot version GC" `Quick test_gc_versions;
   ]
