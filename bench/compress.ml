@@ -1,17 +1,19 @@
-(* compress: delta-compressed history pages (PR 4).
+(* compress: delta-compressed history pages.
 
-   The same moving-objects history is built twice — identical seed,
-   identical logical clock — once with [history_compression] off and
-   once with it on, then probed with full-table AS OF scans at several
-   depths into history.
+   A moving-objects history is built under a fixed seed and logical
+   clock, then probed with full-table AS OF scans at several depths into
+   history.
 
-   The claim under test is twofold.  Storage: the bytes logged for
-   history images at time splits ([hist.bytes_written], the permanent
-   footprint of versioned storage) must shrink by >= 30% on this
-   workload.  Transparency: the scans must return identical rows and do
-   identical logical work — [asof.pages] and [asof.versions] are equal
-   in both modes because compression never changes the page graph, only
-   the encoding of immutable images.
+   The claim under test: the bytes logged for history images at time
+   splits ([hist.bytes_written], the permanent footprint of versioned
+   storage) are >= 30% below what the plain [P_history] format would
+   log for the same splits.  That plain-equivalent footprint comes from
+   the same run's counters, exactly: each compressed page would have
+   been logged at its raw size ([compress.raw_bytes] in place of
+   [compress.written_bytes]), and a page the codec declines is plain
+   either way.  Compression never changes the page graph, so the AS OF
+   rows and work counters ([asof.pages], [asof.versions]) are pinned by
+   the baseline as they are.
 
    Every emitted quantity is deterministic: byte counts are fixed by the
    workload and the codec, work counters by the access path.  Wall time
@@ -27,7 +29,6 @@ module Mo = Imdb_workload.Moving_objects
 let depths = List.init 10 (fun i -> 10 * (i + 1)) (* 10%, ..., 100% *)
 
 type series = {
-  c_on : bool;
   c_rows : int;
   c_pages : int;
   c_versions : int;
@@ -40,15 +41,9 @@ type series = {
   c_elapsed : float; (* printed only, never emitted *)
 }
 
-let run_mode ~on ~inserts ~total =
+let run_once ~inserts ~total =
   let config =
-    {
-      E.default_config with
-      E.tsb_enabled = false;
-      E.page_size = 4096;
-      pool_capacity = 48;
-      history_compression = on;
-    }
+    { E.default_config with E.tsb_enabled = false; E.page_size = 4096; pool_capacity = 48 }
   in
   let db, clock = Driver.fresh_moving_objects ~config ~mode:Db.Immortal () in
   let events = Mo.generate ~seed:7 ~inserts ~total () in
@@ -81,7 +76,6 @@ let run_mode ~on ~inserts ~total =
   let get name = Option.value ~default:0 (List.assoc_opt name d) in
   let s =
     {
-      c_on = on;
       c_rows = !rows;
       c_pages = get M.asof_pages;
       c_versions = get M.asof_versions;
@@ -100,12 +94,10 @@ let run_mode ~on ~inserts ~total =
 let compress ~scale =
   let total = Harness.scaled ~scale 36000 in
   let inserts = Harness.scaled ~scale 500 in
-  let plain = run_mode ~on:false ~inserts ~total in
-  let packed = run_mode ~on:true ~inserts ~total in
+  let s = run_once ~inserts ~total in
+  let plain_bytes = s.c_hist_bytes - s.c_written_bytes + s.c_raw_bytes in
   let reduction_pct =
-    if plain.c_hist_bytes = 0 then 0
-    else
-      100 * (plain.c_hist_bytes - packed.c_hist_bytes) / plain.c_hist_bytes
+    if plain_bytes = 0 then 0 else 100 * (plain_bytes - s.c_hist_bytes) / plain_bytes
   in
   if reduction_pct < 30 then
     failwith
@@ -113,27 +105,28 @@ let compress ~scale =
          "compress: history-byte reduction %d%% is below the 30%% floor"
          reduction_pct);
   let module J = Imdb_obs.Json in
-  let series s =
-    J.Obj
-      [
-        ("compression", J.Bool s.c_on);
-        ("rows", J.Int s.c_rows);
-        ("pages", J.Int s.c_pages);
-        ("versions", J.Int s.c_versions);
-        ("time_splits", J.Int s.c_splits);
-        ("hist_bytes", J.Int s.c_hist_bytes);
-        ("compressed_pages", J.Int s.c_zpages);
-        ("fallbacks", J.Int s.c_fallbacks);
-        ("raw_bytes", J.Int s.c_raw_bytes);
-        ("written_bytes", J.Int s.c_written_bytes);
-      ]
-  in
   Harness.emit_json ~name:"compress"
     (J.Obj
        [
          ("schema_version", J.Int M.schema_version);
          ("txns", J.Int total);
-         ("series", J.List [ series plain; series packed ]);
+         ( "series",
+           J.List
+             [
+               J.Obj
+                 [
+                   ("compression", J.Bool true);
+                   ("rows", J.Int s.c_rows);
+                   ("pages", J.Int s.c_pages);
+                   ("versions", J.Int s.c_versions);
+                   ("time_splits", J.Int s.c_splits);
+                   ("hist_bytes", J.Int s.c_hist_bytes);
+                   ("compressed_pages", J.Int s.c_zpages);
+                   ("fallbacks", J.Int s.c_fallbacks);
+                   ("raw_bytes", J.Int s.c_raw_bytes);
+                   ("written_bytes", J.Int s.c_written_bytes);
+                 ];
+             ] );
          ("reduction_pct", J.Int reduction_pct);
        ]);
   Harness.print_table
@@ -143,35 +136,24 @@ let compress ~scale =
           probes at %d depths"
          total (List.length depths))
     ~header:
-      [ "mode"; "ms"; "rows"; "pages"; "versions"; "splits"; "hist_bytes";
-        "zpages"; "fallbk" ]
-    (List.map
-       (fun s ->
-         [
-           (if s.c_on then "delta" else "plain");
-           Harness.ms s.c_elapsed;
-           string_of_int s.c_rows;
-           string_of_int s.c_pages;
-           string_of_int s.c_versions;
-           string_of_int s.c_splits;
-           string_of_int s.c_hist_bytes;
-           string_of_int s.c_zpages;
-           string_of_int s.c_fallbacks;
-         ])
-       [ plain; packed ]);
-  let transparent =
-    plain.c_rows = packed.c_rows
-    && plain.c_pages = packed.c_pages
-    && plain.c_versions = packed.c_versions
-    && plain.c_splits = packed.c_splits
-  in
-  Fmt.pr "scan results and work counters identical across modes: %s@."
-    (if transparent then "yes" else "NO — compression is not transparent!");
-  Fmt.pr "history bytes: %d plain -> %d delta (%d%% reduction)@."
-    plain.c_hist_bytes packed.c_hist_bytes reduction_pct
+      [ "ms"; "rows"; "pages"; "versions"; "splits"; "hist_bytes"; "zpages"; "fallbk" ]
+    [
+      [
+        Harness.ms s.c_elapsed;
+        string_of_int s.c_rows;
+        string_of_int s.c_pages;
+        string_of_int s.c_versions;
+        string_of_int s.c_splits;
+        string_of_int s.c_hist_bytes;
+        string_of_int s.c_zpages;
+        string_of_int s.c_fallbacks;
+      ];
+    ];
+  Fmt.pr "history bytes: %d plain-equivalent -> %d delta (%d%% reduction)@."
+    plain_bytes s.c_hist_bytes reduction_pct
 
 let run = compress
 
 let () =
   Harness.register ~name:"compress"
-    ~doc:"delta-compressed history pages: footprint vs plain (PR 4)" compress
+    ~doc:"delta-compressed history pages: footprint vs the plain format" compress

@@ -1,10 +1,11 @@
 (* Write-optimized ingestion experiment: buffered message appends vs
    per-row descents.
 
-   The same bulk-load workload runs twice — once with
-   [ingest_buffering = false] (the pre-buffering per-row path: one
-   router descent, one page probe and one stamping pass per row) and
-   once with it on (one O(1) message append per row, batch flushes
+   The same bulk-load workload runs twice on the same config — once
+   through snapshot-isolation transactions, whose writes take the
+   per-row path (one router descent, one page probe and one stamping
+   pass per row; only serializable writers buffer), and once through
+   serializable ones (one O(1) message append per row, batch flushes
    applying a whole run per page visit).  Reported: rows/sec for both,
    the speedup, and the counters that certify the mechanism (appends,
    flushes, messages per page visit).
@@ -31,13 +32,12 @@ let schema =
 
 let row i v = [ S.V_int i; S.V_string v ]
 
-let config ~buffered =
+let config =
   {
     E.default_config with
     E.page_size = 8192;
     pool_capacity = 256;
     auto_checkpoint_every = 0;
-    ingest_buffering = buffered;
     ingest_buffer_rows = 256;
   }
 
@@ -48,14 +48,15 @@ let rows_per_txn = 200
    time plus the counters of interest. *)
 let load_phase ~buffered ~rows =
   let clock = Imdb_clock.Clock.create_logical () in
-  let db = Db.open_memory ~config:(config ~buffered) ~clock () in
+  let db = Db.open_memory ~config ~clock () in
+  let isolation = if buffered then Db.Serializable else Db.Snapshot_isolation in
   Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema;
   let elapsed, () =
     Harness.time_it (fun () ->
         let i = ref 0 in
         while !i < rows do
           Imdb_clock.Clock.advance clock 20L;
-          Db.exec db (fun txn ->
+          Db.exec ~isolation db (fun txn ->
               for _ = 1 to min rows_per_txn (rows - !i) do
                 (* every 10th row revisits an earlier key *)
                 let k = if !i mod 10 = 9 then !i / 10 else !i in

@@ -5,14 +5,16 @@
      imdb tables DIR                          list tables
      imdb history DIR TABLE KEY               show a record's version history
      imdb workload DIR [-n N] [--objects K]   load a moving-objects stream
-     imdb load DIR [-n N] [--no-buffer]       bulk-load rows via buffered ingestion
+     imdb load DIR [-n N] [--batch B]         bulk-load rows via buffered ingestion
      imdb stats DIR [--json|--prom|--watch N] storage statistics / metrics JSON
      imdb locks DIR                           lock holders + wait-for graph
      imdb monitor DIR [--watch N]             live rates from the continuous monitor
      imdb trace DIR [--chrome] [-o FILE]      trace a workload, export spans
      imdb checkpoint DIR                      force a checkpoint (and PTT GC)
      imdb backup DIR DEST [--as-of TS]        extract a queryable AS OF backup
-     imdb torture [--seed N]... [--ops N] [--crashes N] [--replay]
+     imdb vacuum DIR                          force timestamping to completion
+     imdb torture [--seed N]... [--ops N] [--crashes N] [--bulk]
+                  [--sessions N] [--replay] [--flight-dir DIR]
                                               adversarial crash-recovery torture
 
    DIR is a database directory (created on first use). *)
@@ -157,9 +159,8 @@ module J = Imdb_obs.Json
 (* --- load ------------------------------------------------------------------- *)
 
 (* Bulk load through the write-optimized ingestion path: N seeded rows in
-   batched transactions.  The default goes through the buffered message
-   path (one O(1) append per row, batch flushes); --no-buffer forces the
-   per-row descent path for comparison. *)
+   batched transactions, each row one O(1) message append, applied by
+   batch flushes. *)
 let load_cmd =
   let total =
     Arg.(value & opt int 100_000 & info [ "n" ] ~docv:"N" ~doc:"Rows to load.")
@@ -174,15 +175,8 @@ let load_cmd =
   let batch =
     Arg.(value & opt int 500 & info [ "batch" ] ~docv:"B" ~doc:"Rows per transaction.")
   in
-  let no_buffer =
-    Arg.(value & flag
-         & info [ "no-buffer" ]
-             ~doc:"Disable buffered ingestion: every row takes the per-row \
-                   descent path.")
-  in
-  let run dir total table seed batch no_buffer =
-    let config = { E.default_config with E.ingest_buffering = not no_buffer } in
-    with_db ~config dir (fun db ->
+  let run dir total table seed batch =
+    with_db dir (fun db ->
         let schema =
           S.make
             [
@@ -229,7 +223,7 @@ let load_cmd =
   Cmd.v
     (Cmd.info "load"
        ~doc:"Bulk-load seeded rows through the write-optimized ingestion path.")
-    Term.(const run $ dir_arg $ total $ table $ seed $ batch $ no_buffer)
+    Term.(const run $ dir_arg $ total $ table $ seed $ batch)
 
 (* --- stats ------------------------------------------------------------------ *)
 

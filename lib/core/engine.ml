@@ -27,20 +27,10 @@ type config = {
   tsb_enabled : bool; (* maintain the TSB index on time splits *)
   histcache_capacity : int;
       (* the bound, at least 64, on the decoded history-page memo *)
-  history_compression : bool;
-      (* delta-compress historical pages at time splits; false = the
-         plain P_history format, bit-for-bit identical to pre-compression
-         behavior *)
   trace_sampling : int;
       (* 0 = tracing off (the null tracer: one dead branch per site);
          1 = every root span; n > 1 = every n-th root span, children
          following their root *)
-  slow_op_threshold_us : int;
-      (* spans at least this long are retained in the slow-op ring *)
-  ingest_buffering : bool;
-      (* buffer immortal-table writes as messages and flush them in
-         batches; false = the per-row descent path, bit-for-bit identical
-         to pre-buffering behavior *)
   ingest_buffer_rows : int;
       (* messages accumulated before a fill-triggered flush (the page
          itself caps the buffer regardless) *)
@@ -53,7 +43,6 @@ type config = {
       (* 0 = no continuous monitor (the null monitor: one dead branch
          per site); > 0 = a background thread samples the counter
          registry every this many milliseconds into a bounded ring *)
-  monitor_capacity : int; (* samples retained by the monitor ring *)
   flight_recorder_dir : string option;
       (* when set, recovery-after-crash writes a post-mortem JSON report
          (monitor ring, slow ops, lock dump, metrics) into this
@@ -69,14 +58,10 @@ let default_config =
     auto_checkpoint_every = 0;
     tsb_enabled = true;
     histcache_capacity = 1024;
-    history_compression = true;
     trace_sampling = 0;
-    slow_op_threshold_us = 10_000;
-    ingest_buffering = true;
     ingest_buffer_rows = 64;
     lock_wait_timeout_ms = 0;
     monitor_interval_ms = 0;
-    monitor_capacity = 600;
     flight_recorder_dir = None;
   }
 
@@ -245,11 +230,11 @@ let without_gate t f = Fun.protect ~finally:(gate_suspend t) f
 
 (* Buffered ingestion applies to immortal tables under lazy stamping
    (the deferred flush leans on lazy timestamps: versions are applied
-   unstamped and resolve exactly like direct writes).  Eager mode and
-   non-immortal tables take the classic per-row descent. *)
+   unstamped and resolve exactly like direct writes).  Eager mode,
+   non-immortal tables and snapshot-isolation writers
+   (Table.write_version) take the classic per-row descent. *)
 let ingest_enabled t ti =
-  t.config.ingest_buffering
-  && t.config.timestamping = Lazy_stamping
+  t.config.timestamping = Lazy_stamping
   && ti.Catalog.ti_mode = Catalog.Immortal
 
 let ingest_buf t ti = Hashtbl.find_opt t.ingest_bufs ti.Catalog.ti_id
@@ -836,8 +821,7 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
   let tracer =
     if config.trace_sampling <= 0 then Imdb_obs.Tracer.null
     else
-      Imdb_obs.Tracer.create ~sampling:config.trace_sampling
-        ~slow_threshold_us:config.slow_op_threshold_us ~metrics ()
+      Imdb_obs.Tracer.create ~sampling:config.trace_sampling ~metrics ()
   in
   Imdb_storage.Disk.set_metrics disk metrics;
   let wal = Imdb_wal.Wal.open_device ~metrics log_device in
@@ -885,8 +869,7 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
       session_stats = Hashtbl.create 8;
       monitor =
         (if config.monitor_interval_ms > 0 then
-           Imdb_obs.Monitor.create ~interval_ms:config.monitor_interval_ms
-             ~capacity:config.monitor_capacity metrics
+           Imdb_obs.Monitor.create ~interval_ms:config.monitor_interval_ms metrics
          else Imdb_obs.Monitor.null);
     }
   in

@@ -18,29 +18,18 @@ type config = {
   histcache_capacity : int;
       (** decoded history pages held by the memo {!history_page} serves
           (FIFO; never fewer than 64) *)
-  history_compression : bool;
-      (** delta-compress historical pages at time splits ({!Imdb_storage.Vcompress});
-          readers decompress lazily and results are identical either way.
-          [false] keeps the plain [P_history] format, bit-for-bit
-          identical to pre-compression behavior. *)
   trace_sampling : int;
       (** structured-tracing sampling rate.  [0] (the default) disables
           tracing entirely — every instrumentation site short-circuits on
           the shared {!Imdb_obs.Tracer.null}; [1] records every root span;
           [n > 1] records every n-th root span, children following their
-          root so sampled traces are complete trees. *)
-  slow_op_threshold_us : int;
-      (** spans at least this long (µs) are promoted to the tracer's
-          retained slow-op ring and counted in [trace.slow_ops] *)
-  ingest_buffering : bool;
-      (** buffer immortal-table writes as messages in a per-table
-          [P_msg_buffer] page, flushed downward in batches (fill-,
-          descent- or read-triggered).  Readers always see buffered ==
-          unbuffered results; [false] keeps the per-row descent path,
-          bit-for-bit identical to pre-buffering behavior. *)
+          root so sampled traces are complete trees.  Spans of 10 ms or
+          more also enter the retained slow-op ring (the
+          {!Imdb_obs.Tracer.create} default threshold). *)
   ingest_buffer_rows : int;
-      (** messages accumulated before a fill-triggered flush (the buffer
-          page's own capacity caps this regardless) *)
+      (** messages a table's [P_msg_buffer] page accumulates before a
+          fill-triggered flush (the page's own capacity caps this
+          regardless); see {!ingest_enabled} for which writes buffer *)
   lock_wait_timeout_ms : int;
       (** How long a conflicting lock request parks, in milliseconds,
           before the waiter is the timeout victim.  The session gate is
@@ -55,8 +44,8 @@ type config = {
           [> 0] runs a background thread capturing a counter snapshot
           into a bounded ring every this many milliseconds.  The monitor
           only {e reads} the registry, so engine counters are identical
-          either way (proved by the BENCH_obsov gate). *)
-  monitor_capacity : int;  (** samples retained by the monitor ring *)
+          either way (proved by the BENCH_obsov gate).  The ring holds
+          {!Imdb_obs.Monitor.default_capacity} samples. *)
   flight_recorder_dir : string option;
       (** when set, recovery-after-crash writes a post-mortem JSON
           report (monitor ring, slow ops, lock dump, session stats,
@@ -201,8 +190,11 @@ val session : t -> session
 (** {1 Ingest buffering} *)
 
 val ingest_enabled : t -> Catalog.table_info -> bool
-(** Buffered ingestion applies to immortal tables under lazy stamping
-    with [config.ingest_buffering] on. *)
+(** Buffered ingestion applies to immortal tables under lazy stamping;
+    of their writers, only [Serializable] ones append messages
+    ({!Table.write_version}).  Snapshot-isolation writers, eager
+    stamping and conventional or snapshot tables take the per-row
+    descent. *)
 
 val ingest_buf : t -> Catalog.table_info -> Ingest.buf option
 val next_ingest_seq : t -> int

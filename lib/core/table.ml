@@ -241,27 +241,25 @@ let split_data_page ?split_at eng ti ~pid ~low ~high =
           in
           E.exec_op eng fr ~undoable:false (LR.Op_image { image = images.V.si_current });
           (* the history image is immutable from this point on: delta-
-             compress it (when enabled) so the logged image — the split's
-             permanent storage cost — shrinks.  [encode] is defensive;
-             a [None] keeps the plain page and counts a fallback. *)
+             compress it so the logged image — the split's permanent
+             storage cost — shrinks.  [encode] is defensive; a [None]
+             keeps the plain page and counts a fallback. *)
           let hist_image =
             let module M = Imdb_obs.Metrics in
-            if not eng.E.config.E.history_compression then images.V.si_history
-            else
-              match Imdb_storage.Vcompress.encode images.V.si_history with
-              | Some c ->
-                  M.incr eng.E.metrics M.compress_pages;
-                  M.incr ~by:(Bytes.length images.V.si_history) eng.E.metrics
-                    M.compress_raw_bytes;
-                  M.incr ~by:(Bytes.length c) eng.E.metrics M.compress_written_bytes;
-                  let raw = M.get eng.E.metrics M.compress_raw_bytes in
-                  let written = M.get eng.E.metrics M.compress_written_bytes in
-                  if raw > 0 then
-                    M.set_gauge eng.E.metrics M.compress_ratio (written * 100 / raw);
-                  c
-              | None ->
-                  M.incr eng.E.metrics M.compress_fallbacks;
-                  images.V.si_history
+            match Imdb_storage.Vcompress.encode images.V.si_history with
+            | Some c ->
+                M.incr eng.E.metrics M.compress_pages;
+                M.incr ~by:(Bytes.length images.V.si_history) eng.E.metrics
+                  M.compress_raw_bytes;
+                M.incr ~by:(Bytes.length c) eng.E.metrics M.compress_written_bytes;
+                let raw = M.get eng.E.metrics M.compress_raw_bytes in
+                let written = M.get eng.E.metrics M.compress_written_bytes in
+                if raw > 0 then
+                  M.set_gauge eng.E.metrics M.compress_ratio (written * 100 / raw);
+                c
+            | None ->
+                M.incr eng.E.metrics M.compress_fallbacks;
+                images.V.si_history
           in
           Imdb_obs.Metrics.incr ~by:(Bytes.length hist_image) eng.E.metrics
             Imdb_obs.Metrics.hist_bytes_written;

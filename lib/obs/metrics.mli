@@ -177,7 +177,7 @@ val trace_drops : string
 (** Spans evicted from the tracer's completed ring when it overflows. *)
 
 val trace_slow_ops : string
-(** Spans whose duration reached [slow_op_threshold_us]. *)
+(** Spans whose duration reached the tracer's [slow_threshold_us]. *)
 
 val recovery_redo_lsn : string
 (** Gauge: LSN of the last log record applied by recovery's redo pass —

@@ -66,7 +66,6 @@ type config = {
   page_size : int;
   pool_capacity : int;
   auto_checkpoint_every : int;
-  history_compression : bool;
   verify_every : int;
   verify_limit : int;
   bulk : bool;
@@ -87,7 +86,6 @@ let default =
     page_size = 1024;
     pool_capacity = 12;
     auto_checkpoint_every = 40;
-    history_compression = true;
     verify_every = 0;
     verify_limit = 0;
     bulk = false;
@@ -186,7 +184,6 @@ let run cfg =
       E.page_size = cfg.page_size;
       pool_capacity = cfg.pool_capacity;
       auto_checkpoint_every = cfg.auto_checkpoint_every;
-      history_compression = cfg.history_compression;
       (* multi-session runs park on lock conflicts instead of failing
          fast (table intent locks meet even on partitioned keys) *)
       lock_wait_timeout_ms = (if cfg.sessions > 1 then 2_000 else 0);
@@ -1023,10 +1020,10 @@ let describe_config cfg =
   let sched = schedule_of cfg in
   Printf.sprintf
     "seed=%d ops=%d crashes=%d tables=%dx%d page=%dB pool=%d ckpt-every=%d \
-     compression=%b verify-every=%d verify-limit=%d bulk=%b sessions=%d schedule=[%s]"
+     verify-every=%d verify-limit=%d bulk=%b sessions=%d schedule=[%s]"
     cfg.seed cfg.ops cfg.crashes cfg.tables cfg.keys_per_table cfg.page_size
     cfg.pool_capacity cfg.auto_checkpoint_every
-    cfg.history_compression cfg.verify_every cfg.verify_limit cfg.bulk cfg.sessions
+    cfg.verify_every cfg.verify_limit cfg.bulk cfg.sessions
     (String.concat "; "
        (List.map
           (fun cp ->

@@ -59,7 +59,6 @@ type config = {
   page_size : int;
   pool_capacity : int;
   auto_checkpoint_every : int;
-  history_compression : bool;
   verify_every : int;
       (** full oracle verification every n commits even without a crash
           (0 = only after recoveries and at the end) *)
