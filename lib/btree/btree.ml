@@ -389,12 +389,8 @@ let split_page t fr =
       (* fix the old right sibling's back link *)
       if leaf && P.next_page right_img <> P.no_page then
         Imdb_buffer.Buffer_pool.with_page t.pool (P.next_page right_img) (fun nf ->
-            let npage = Imdb_buffer.Buffer_pool.bytes nf in
-            let old_b = Codec.get_bytes npage 44 4 in
-            let new_b = Bytes.create 4 in
-            Codec.set_u32 new_b 0 right_id;
             t.io.exec nf ~undoable:false
-              (Imdb_wal.Log_record.Op_header { at = 44; old_b; new_b })));
+              (Imdb_wal.Log_record.header_u32 ~at:44 right_id)));
   (sep_key, right_id)
 
 (* Insert a separator cell into an internal node along [path]; splits
@@ -435,12 +431,8 @@ let rec insert_into_node t path ~sep ~child =
               if lvl = 0 && P.next_page left_img <> P.no_page then
                 Imdb_buffer.Buffer_pool.with_page t.pool (P.next_page left_img)
                   (fun nf ->
-                    let np = Imdb_buffer.Buffer_pool.bytes nf in
-                    let old_b = Codec.get_bytes np 44 4 in
-                    let new_b = Bytes.create 4 in
-                    Codec.set_u32 new_b 0 left_id;
                     t.io.exec nf ~undoable:false
-                      (Imdb_wal.Log_record.Op_header { at = 44; old_b; new_b }))))
+                      (Imdb_wal.Log_record.header_u32 ~at:44 left_id))))
   | (node_id, _slot) :: rest_up ->
       let fr = Imdb_buffer.Buffer_pool.pin t.pool node_id in
       let overflow =
@@ -510,12 +502,16 @@ let insert ?(undoable = true) t ~key ~value =
               (* replacing may grow the value past the page's capacity *)
               P.free_space page + P.cell_length page slot + 2
               >= Bytes.length cell + 2 ->
-              let old_body = P.read_cell page slot in
               let op =
                 if undoable then
                   Imdb_wal.Log_record.Op_kv_replace
-                    { slot; old_body; new_body = cell; table_id = t.table_id }
-                else Imdb_wal.Log_record.Op_replace { slot; old_body; new_body = cell }
+                    {
+                      slot;
+                      old_body = P.read_cell page slot;
+                      new_body = cell;
+                      table_id = t.table_id;
+                    }
+                else Imdb_wal.Log_record.Op_replace { slot; body = cell }
               in
               t.io.exec fr ~undoable op;
               `Done
@@ -559,26 +555,17 @@ let remove_separator t path child_id =
               if c = child_id && String.compare k "" <> 0 then victim := Some (slot, k));
           match !victim with
           | Some (slot, _) ->
-              let body = P.read_cell page slot in
-              t.io.exec fr ~undoable:false (Imdb_wal.Log_record.Op_delete { slot; body })
+              t.io.exec fr ~undoable:false (Imdb_wal.Log_record.Op_delete { slot })
           | None -> ())
 
 let unlink_leaf t page =
   let prev = P.prev_page page and next = P.next_page page in
   if prev <> P.no_page then
     Imdb_buffer.Buffer_pool.with_page t.pool prev (fun pf ->
-        let pp = Imdb_buffer.Buffer_pool.bytes pf in
-        let old_b = Codec.get_bytes pp 40 4 in
-        let new_b = Bytes.create 4 in
-        Codec.set_u32 new_b 0 next;
-        t.io.exec pf ~undoable:false (Imdb_wal.Log_record.Op_header { at = 40; old_b; new_b }));
+        t.io.exec pf ~undoable:false (Imdb_wal.Log_record.header_u32 ~at:40 next));
   if next <> P.no_page then
     Imdb_buffer.Buffer_pool.with_page t.pool next (fun nf ->
-        let np = Imdb_buffer.Buffer_pool.bytes nf in
-        let old_b = Codec.get_bytes np 44 4 in
-        let new_b = Bytes.create 4 in
-        Codec.set_u32 new_b 0 prev;
-        t.io.exec nf ~undoable:false (Imdb_wal.Log_record.Op_header { at = 44; old_b; new_b }))
+        t.io.exec nf ~undoable:false (Imdb_wal.Log_record.header_u32 ~at:44 prev))
 
 (* Unlink an emptied leaf, drop its separator and free it: one atomic
    structure modification. *)
@@ -602,11 +589,11 @@ let delete ?(undoable = false) t ~key =
         match leaf_find_slot page key with
         | None -> `Absent
         | Some slot ->
-            let body = P.read_cell page slot in
             let op =
               if undoable then
-                Imdb_wal.Log_record.Op_kv_delete { slot; body; table_id = t.table_id }
-              else Imdb_wal.Log_record.Op_delete { slot; body }
+                Imdb_wal.Log_record.Op_kv_delete
+                  { slot; body = P.read_cell page slot; table_id = t.table_id }
+              else Imdb_wal.Log_record.Op_delete { slot }
             in
             t.io.exec fr ~undoable op;
             if P.live_count page = 0 && leaf_id <> t.root then `Emptied else `Present)
@@ -650,12 +637,11 @@ let delete_batch ?(undoable = false) t ~keys =
                 match leaf_find_slot page k with
                 | None -> false
                 | Some slot ->
-                    let body = P.read_cell page slot in
                     let op =
                       if undoable then
                         Imdb_wal.Log_record.Op_kv_delete
-                          { slot; body; table_id = t.table_id }
-                      else Imdb_wal.Log_record.Op_delete { slot; body }
+                          { slot; body = P.read_cell page slot; table_id = t.table_id }
+                      else Imdb_wal.Log_record.Op_delete { slot }
                     in
                     t.io.exec fr ~undoable op;
                     incr deleted;

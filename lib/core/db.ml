@@ -245,53 +245,39 @@ let history t txn ~table ~key =
 (* Typed row operations                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let insert_row t txn ~table row =
-  ex t @@ fun () ->
-  let ti = table_info t table in
-  let schema = ti.Catalog.ti_schema in
-  Table.insert t.eng txn ti
-    ~key:(Schema.key_of_row schema row)
-    ~payload:(Schema.payload_of_row schema row)
+(* Schema encode/decode around the raw operations above, which do the
+   lookup and the row accounting.  The gate is reentrant: holding it
+   across the schema lookup keeps a concurrent DDL statement from
+   changing the table between the lookup and the operation. *)
 
-let update_row t txn ~table row =
-  ex t @@ fun () ->
-  let ti = table_info t table in
-  let schema = ti.Catalog.ti_schema in
-  Table.update t.eng txn ti
-    ~key:(Schema.key_of_row schema row)
-    ~payload:(Schema.payload_of_row schema row)
+let schema t table = (table_info t table).Catalog.ti_schema
 
-let upsert_row t txn ~table row =
+let write_row op t txn ~table row =
   ex t @@ fun () ->
-  let ti = table_info t table in
-  let schema = ti.Catalog.ti_schema in
-  Table.upsert t.eng txn ti
-    ~key:(Schema.key_of_row schema row)
-    ~payload:(Schema.payload_of_row schema row)
+  let s = schema t table in
+  op t txn ~table ~key:(Schema.key_of_row s row) ~payload:(Schema.payload_of_row s row)
 
-let delete_row t txn ~table ~key =
-  ex t @@ fun () ->
-  let ti = table_info t table in
-  Table.delete t.eng txn ti ~key:(Schema.encode_key key)
+let insert_row t txn ~table row = write_row insert t txn ~table row
+let update_row t txn ~table row = write_row update t txn ~table row
+let upsert_row t txn ~table row = write_row upsert t txn ~table row
+let delete_row t txn ~table ~key = delete t txn ~table ~key:(Schema.encode_key key)
 
 let get_row t txn ~table ~key =
   ex t @@ fun () ->
-  let ti = table_info t table in
-  let ekey = Schema.encode_key key in
+  let key = Schema.encode_key key in
   Option.map
-    (fun payload ->
-      count_read txn 1;
-      Schema.row_of_parts ti.Catalog.ti_schema ~key:ekey ~payload)
-    (Table.read t.eng txn ti ~key:ekey)
+    (fun payload -> Schema.row_of_parts (schema t table) ~key ~payload)
+    (get t txn ~table ~key)
 
-let scan_rows ?lo ?hi t txn ~table =
+(* The rows a raw scan delivers, in scan order. *)
+let collect_rows t ~table scan =
   ex t @@ fun () ->
-  let ti = table_info t table in
+  let s = schema t table in
   let out = ref [] in
-  Table.scan t.eng ?lo ?hi txn ti (fun key payload ->
-      count_read txn 1;
-      out := Schema.row_of_parts ti.Catalog.ti_schema ~key ~payload :: !out);
+  scan (fun key payload -> out := Schema.row_of_parts s ~key ~payload :: !out);
   List.rev !out
+
+let scan_rows ?lo ?hi t txn ~table = collect_rows t ~table (scan ?lo ?hi t txn ~table)
 
 (* Typed key-range scan: rows with [lo <= key < hi] (either bound
    optional), respecting the transaction's isolation. *)
@@ -300,28 +286,16 @@ let scan_rows_range ?low ?high t txn ~table =
   let hi = Option.map Schema.encode_key high in
   scan_rows ?lo ?hi t txn ~table
 
-let scan_rows_as_of t txn ~table ~ts =
-  ex t @@ fun () ->
-  let ti = table_info t table in
-  let out = ref [] in
-  Table.scan_as_of t.eng txn ti ~t:ts (fun key payload ->
-      count_read txn 1;
-      out := Schema.row_of_parts ti.Catalog.ti_schema ~key ~payload :: !out);
-  List.rev !out
+let scan_rows_as_of t txn ~table ~ts = collect_rows t ~table (scan_as_of t txn ~table ~ts)
 
 let history_rows t txn ~table ~key =
   ex t @@ fun () ->
-  let ti = table_info t table in
-  let ekey = Schema.encode_key key in
-  let vs = Table.history t.eng txn ti ~key:ekey in
-  count_read txn (List.length vs);
+  let key = Schema.encode_key key in
+  let s = schema t table in
   List.map
     (fun (ts, payload) ->
-      ( ts,
-        Option.map
-          (fun p -> Schema.row_of_parts ti.Catalog.ti_schema ~key:ekey ~payload:p)
-          payload ))
-    vs
+      (ts, Option.map (fun payload -> Schema.row_of_parts s ~key ~payload) payload))
+    (history t txn ~table ~key)
 
 (* ------------------------------------------------------------------ *)
 (* Convenience: single-statement autocommit                             *)

@@ -300,12 +300,9 @@ let with_txn t txn f =
 
 let update_meta t mutate =
   BP.with_page t.pool Meta.meta_page_id (fun fr ->
-      let page = BP.bytes fr in
-      let old_body = P.read_cell page Meta.meta_slot in
       mutate t.meta;
-      let new_body = Meta.encode t.meta in
       exec_op t fr ~undoable:false
-        (LR.Op_replace { slot = Meta.meta_slot; old_body; new_body }))
+        (LR.Op_replace { slot = Meta.meta_slot; body = Meta.encode t.meta }))
 
 (* Allocate a page: from the freelist if possible, else extend the file.
    The page is formatted and redo-logged; the caller finds it cached. *)
@@ -343,10 +340,7 @@ let free_page t pid =
   BP.with_page t.pool pid (fun fr ->
       exec_op t fr ~undoable:false
         (LR.Op_format { page_type = P.P_free; table_id = 0; level = 0 });
-      let old_b = Imdb_util.Codec.get_bytes (BP.bytes fr) 40 4 in
-      let new_b = Bytes.create 4 in
-      Imdb_util.Codec.set_u32 new_b 0 t.meta.Meta.freelist_head;
-      exec_op t fr ~undoable:false (LR.Op_header { at = 40; old_b; new_b }));
+      exec_op t fr ~undoable:false (LR.header_u32 ~at:40 t.meta.Meta.freelist_head));
   update_meta t (fun m -> m.Meta.freelist_head <- pid)
 
 (* ------------------------------------------------------------------ *)

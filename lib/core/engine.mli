@@ -229,8 +229,6 @@ val tsb_io : t -> int -> Imdb_tsb.Tsb.io
 
 (** {1 Transactions} *)
 
-val fresh_tid : t -> Imdb_clock.Tid.t
-
 val begin_txn : ?session:int -> t -> isolation:isolation -> txn
 (** [session] tags the transaction with its owning session id for
     per-session statistics; defaults to 0 (anonymous). *)

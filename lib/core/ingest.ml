@@ -32,14 +32,6 @@ let kind_of_tag = function
   | 3 -> M_delete
   | n -> failwith (Printf.sprintf "Ingest: bad message kind %d" n)
 
-let pp_kind ppf k =
-  Fmt.string ppf
-    (match k with
-    | M_insert -> "insert"
-    | M_update -> "update"
-    | M_upsert -> "upsert"
-    | M_delete -> "delete")
-
 type msg = {
   m_seq : int; (* engine-global arrival order, unique per message *)
   m_tid : Tid.t;

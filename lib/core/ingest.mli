@@ -10,8 +10,6 @@
 
 type kind = M_insert | M_update | M_upsert | M_delete
 
-val pp_kind : Format.formatter -> kind -> unit
-
 type msg = {
   m_seq : int;  (** engine-global arrival order, unique per message *)
   m_tid : Imdb_clock.Tid.t;

@@ -8,7 +8,8 @@
    recovery start at an older checkpoint, which is always safe). *)
 
 let magic = 0x494d4442 (* "IMDB" *)
-let format_version = 1
+(* 2: physical log ops carry after-images only; no CLR or Abort records *)
+let format_version = 2
 let meta_page_id = 0
 let meta_slot = 0
 

@@ -29,25 +29,15 @@ let log_src = Logs.Src.create "imdb.recovery" ~doc:"Immortal DB crash recovery"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type txn_status = St_running | St_committed | St_aborting
-
 type analysis = {
-  mutable att : (Tid.t * (int64 * txn_status)) list; (* tid -> last_lsn, status *)
+  mutable att : (Tid.t * int64) list; (* losers so far: tid -> last_lsn *)
   mutable dpt : (int * int64) list; (* page -> recLSN *)
   mutable max_tid : Tid.t;
   mutable max_ts : Ts.t;
   mutable commits : (Tid.t * Ts.t) list;
 }
 
-let att_update a tid ~lsn =
-  let status =
-    match List.assoc_opt tid a.att with Some (_, st) -> st | None -> St_running
-  in
-  a.att <- (tid, (lsn, status)) :: List.remove_assoc tid a.att
-
-let att_status a tid st =
-  let lsn = match List.assoc_opt tid a.att with Some (l, _) -> l | None -> LR.nil_lsn in
-  a.att <- (tid, (lsn, st)) :: List.remove_assoc tid a.att
+let att_update a tid ~lsn = a.att <- (tid, lsn) :: List.remove_assoc tid a.att
 
 let dpt_add a page_id ~lsn =
   if not (List.mem_assoc page_id a.dpt) then a.dpt <- (page_id, lsn) :: a.dpt
@@ -70,30 +60,27 @@ let analyze eng ~checkpoint_lsn =
           a.commits <- (tid, ts) :: a.commits;
           if Ts.compare ts a.max_ts > 0 then a.max_ts <- ts;
           observe_tid a tid
-      | LR.Begin { tid } | LR.Abort { tid } | LR.End { tid } -> observe_tid a tid
-      | LR.Update { tid; _ } | LR.Clr { tid; _ } -> observe_tid a tid
+      | LR.Begin { tid } | LR.Update { tid; _ } | LR.End { tid } -> observe_tid a tid
       | LR.Redo_only _ -> ()
       | LR.Checkpoint { next_tid; clock; _ } ->
           observe_tid a (Tid.of_int64 (Int64.pred (Tid.to_int64 next_tid)));
           if Ts.compare clock a.max_ts > 0 then a.max_ts <- clock);
-  (* ATT/DPT reconstruction from the last checkpoint onward. *)
+  (* ATT/DPT reconstruction from the last checkpoint onward.  A Commit
+     takes its transaction out of the ATT (it is no loser, whether or not
+     its End made it to the log); an interrupted abort stays in, to be
+     undone again from its Update chain. *)
   Imdb_wal.Wal.iter_from eng.E.wal ~from_lsn:checkpoint_lsn (fun lsn body ->
       match body with
       | LR.Checkpoint { att; dpt; _ } when Int64.equal lsn checkpoint_lsn ->
-          List.iter (fun (tid, l) -> a.att <- (tid, (l, St_running)) :: a.att) att;
+          a.att <- List.rev_append att a.att;
           List.iter (fun (pid, l) -> dpt_add a pid ~lsn:l) dpt
       | LR.Checkpoint _ -> () (* later checkpoint during this scan: ignore *)
       | LR.Begin { tid } -> att_update a tid ~lsn
       | LR.Update { tid; page_id; prev_lsn = _; _ } ->
           att_update a tid ~lsn;
           dpt_add a page_id ~lsn
-      | LR.Clr { tid; page_id; _ } ->
-          att_update a tid ~lsn;
-          dpt_add a page_id ~lsn
       | LR.Redo_only { page_id; _ } -> dpt_add a page_id ~lsn
-      | LR.Commit { tid; _ } -> att_status a tid St_committed
-      | LR.Abort { tid } -> att_status a tid St_aborting
-      | LR.End { tid } -> a.att <- List.remove_assoc tid a.att);
+      | LR.Commit { tid; _ } | LR.End { tid } -> a.att <- List.remove_assoc tid a.att);
   a
 
 (* --- redo -------------------------------------------------------------------- *)
@@ -120,11 +107,9 @@ let rebuild_page_from_log eng page_id =
         BP.mark_dirty_logged eng.E.pool fr ~lsn
       in
       match body with
-      | LR.Update { page_id = pid; op; _ }
-      | LR.Clr { page_id = pid; op; _ }
-      | LR.Redo_only { page_id = pid; op } ->
+      | LR.Update { page_id = pid; op; _ } | LR.Redo_only { page_id = pid; op } ->
           if pid = page_id then apply op
-      | LR.Begin _ | LR.Commit _ | LR.Abort _ | LR.End _ | LR.Checkpoint _ -> ());
+      | LR.Begin _ | LR.Commit _ | LR.End _ | LR.Checkpoint _ -> ());
   fr
 
 let pin_for_redo eng page_id ~rebuilds =
@@ -187,10 +172,8 @@ let redo eng (a : analysis) ~checkpoint_lsn =
         | _ -> ()
       in
       match body with
-      | LR.Update { page_id; op; _ } | LR.Clr { page_id; op; _ }
-      | LR.Redo_only { page_id; op } ->
-          apply page_id op
-      | LR.Begin _ | LR.Commit _ | LR.Abort _ | LR.End _ | LR.Checkpoint _ -> ());
+      | LR.Update { page_id; op; _ } | LR.Redo_only { page_id; op } -> apply page_id op
+      | LR.Begin _ | LR.Commit _ | LR.End _ | LR.Checkpoint _ -> ());
   (redo_start, !last_applied)
 
 (* --- the full open-time protocol ---------------------------------------------- *)
@@ -201,7 +184,11 @@ let read_meta_from_disk eng =
     let b = eng.E.disk.Imdb_storage.Disk.read_page Meta.meta_page_id in
     if not (P.verify b) then None (* torn checkpoint write: fall back to full scan *)
     else
-      try Some (Meta.decode (P.read_cell b Meta.meta_slot)) with _ -> None
+      (* an intact page of another format must stop the open before redo
+         misreads its log *)
+      try Some (Meta.decode (P.read_cell b Meta.meta_slot)) with
+      | Meta.Bad_meta _ as e -> raise e
+      | _ -> None
 
 (* The recovery span (and its per-phase children) close on exception too
    — [Tracer.with_span] is [Fun.protect]-based. *)
@@ -275,14 +262,11 @@ let recover eng =
       let losers = ref 0 in
       Tr.with_span eng.E.tracer "recovery.undo" (fun usp ->
           List.iter
-            (fun (tid, (last_lsn, status)) ->
-              match status with
-              | St_committed -> ()
-              | St_running | St_aborting ->
-                  incr losers;
-                  if Int64.compare last_lsn LR.nil_lsn > 0 then
-                    Txnmgr.rollback_loser eng ~tid ~last_lsn
-                  else ignore (Imdb_wal.Wal.append eng.E.wal (LR.End { tid })))
+            (fun (tid, last_lsn) ->
+              incr losers;
+              if Int64.compare last_lsn LR.nil_lsn > 0 then
+                Txnmgr.rollback_loser eng ~tid ~last_lsn
+              else ignore (Imdb_wal.Wal.append eng.E.wal (LR.End { tid })))
             a.att;
           Tr.add_attr usp "losers" (string_of_int !losers));
       Log.info (fun m -> m "recovery: rolled back %d losers" !losers);

@@ -14,10 +14,8 @@ val recover : Engine.t -> unit
 
 (**/**)
 
-type txn_status = St_running | St_committed | St_aborting
-
 type analysis = {
-  mutable att : (Imdb_clock.Tid.t * (int64 * txn_status)) list;
+  mutable att : (Imdb_clock.Tid.t * int64) list;
   mutable dpt : (int * int64) list;
   mutable max_tid : Imdb_clock.Tid.t;
   mutable max_ts : Imdb_clock.Timestamp.t;

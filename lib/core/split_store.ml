@@ -211,11 +211,4 @@ let scan_as_of t txn ~ts f =
       | None -> ())
     keys
 
-let scan_current t txn f =
-  E.check_running txn;
-  Imdb_btree.Btree.iter t.current (fun key v ->
-      let _, _, stub, payload = decode_current v in
-      if not stub then f key payload)
-
 let history_count t = Imdb_btree.Btree.count t.history
-let current_count t = Imdb_btree.Btree.count t.current

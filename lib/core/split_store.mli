@@ -27,11 +27,8 @@ val read_as_of :
 (** Probes the current store, then falls through to the history store —
     the double access the paper critiques. *)
 
-val scan_current : t -> Engine.txn -> (string -> string -> unit) -> unit
-
 val scan_as_of :
   t -> Engine.txn -> ts:Imdb_clock.Timestamp.t -> (string -> string -> unit) -> unit
 (** Merges the current store with a full history-store traversal. *)
 
 val history_count : t -> int
-val current_count : t -> int

@@ -801,15 +801,7 @@ let read_versioned_at eng txn ti ~key ~t =
             match R.in_page_ttime page slot with
             | Tid.Unstamped tid when Tid.equal tid txn.E.tx_tid ->
                 if R.in_page_flags page slot land R.f_delete_stub <> 0 then Some None
-                else
-                  Some
-                    (Some
-                       (Bytes.to_string
-                          (P.read_cell_part page slot
-                             ~at:(5 + String.length key)
-                             ~len:
-                               (P.cell_length page slot - R.fixed_overhead
-                              - String.length key))))
+                else Some (Some (R.in_page_payload page slot))
             | _ -> None)
         | None -> None
       in
@@ -840,12 +832,7 @@ let read_current eng ti ~key =
       | None -> None
       | Some slot ->
           if R.in_page_flags page slot land R.f_delete_stub <> 0 then None
-          else
-            Some
-              (Bytes.to_string
-                 (P.read_cell_part page slot
-                    ~at:(5 + String.length key)
-                    ~len:(P.cell_length page slot - R.fixed_overhead - String.length key))))
+          else Some (R.in_page_payload page slot))
 
 (* Lock before flushing: a reader that parks on the lock must see the
    writes its blocker buffers while it is parked. *)
@@ -886,8 +873,6 @@ let clipped_ranges eng ti ?(lo = "") ?hi () =
       if nonempty then Some (low', high', pid) else None)
     (router_ranges eng ti)
 
-let payload_of page slot _key = R.in_page_payload page slot
-
 (* Scan of the current state (2PL path), optionally bounded to the key
    window [lo, hi).  The table lock comes before the ingest flush, as in
    [read]. *)
@@ -916,7 +901,7 @@ let scan_current eng ?(lo = "") ?hi txn ti f =
                   if
                     in_range key ~low ~high
                     && R.in_page_flags page slot land R.f_delete_stub = 0
-                  then f key (payload_of page slot key))
+                  then f key (R.in_page_payload page slot))
                 (V.current_slots page)))
         (clipped_ranges eng ti ~lo ?hi ())
 
@@ -939,7 +924,7 @@ let scan_range eng ?own ti ~t (low, high, pid) =
         match V.find_current page ~key with
         | Some slot when R.in_page_ttime page slot = Tid.Unstamped txn.E.tx_tid ->
             if R.in_page_flags page slot land R.f_delete_stub <> 0 then `Deleted
-            else `Mine (payload_of page slot key)
+            else `Mine (R.in_page_payload page slot)
         | Some _ | None -> `Not_mine)
   in
   BP.with_page eng.E.pool pid (fun fr ->
@@ -970,7 +955,7 @@ let scan_range eng ?own ti ~t (low, high, pid) =
               Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_versions;
               match V.stamped_as_of page' dir.V.vd_slots.(i) ~asof:t with
               | Some slot when R.in_page_flags page' slot land R.f_delete_stub = 0 ->
-                  f key (payload_of page' slot key)
+                  f key (R.in_page_payload page' slot)
               | Some _ | None -> ()
             end)
           dir.V.vd_keys
@@ -1046,7 +1031,7 @@ let history eng txn ti ~key =
               Hashtbl.add seen ts ();
               let v =
                 if R.in_page_flags page slot land R.f_delete_stub <> 0 then None
-                else Some (payload_of page slot key)
+                else Some (R.in_page_payload page slot)
               in
               out := (ts, v) :: !out
             end
@@ -1088,12 +1073,10 @@ let eager_stamp_writes eng txn ~ts =
                   match R.in_page_ttime page slot with
                   | Tid.Unstamped tid when Tid.equal tid txn.E.tx_tid ->
                       let at = R.tail_offset_in_body page slot + 2 in
-                      let old_b = P.read_cell_part page slot ~at ~len:12 in
-                      let new_b = Bytes.create 12 in
-                      Imdb_util.Codec.set_i64 new_b 0 (Ts.ttime ts);
-                      Imdb_util.Codec.set_u32 new_b 8 (Ts.sn ts);
-                      E.exec_op eng fr ~undoable:false
-                        (LR.Op_patch { slot; at; old_b; new_b });
+                      let src = Bytes.create 12 in
+                      Imdb_util.Codec.set_i64 src 0 (Ts.ttime ts);
+                      Imdb_util.Codec.set_u32 src 8 (Ts.sn ts);
+                      E.exec_op eng fr ~undoable:false (LR.Op_patch { slot; at; src });
                       Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.stamps_applied;
                       Imdb_tstamp.Vtt.note_stamped (E.vtt eng) tid
                         ~end_of_log:(Imdb_wal.Wal.next_lsn eng.E.wal)

@@ -133,6 +133,31 @@ let tree_for eng table_id =
 
 let key_of_leaf_cell body = fst (Imdb_btree.Btree.decode_leaf_cell body)
 
+(* Remove [txn]'s version of [key] if it is still the current one (it
+   is unstamped until commit), and restore the predecessor to currency if
+   it is local — wherever time and key splits have taken them since the
+   write was logged. *)
+let undo_version eng txn ti ~key =
+  let pid, _, _ = Table.locate eng ti ~key in
+  BP.with_page eng.E.pool pid (fun fr ->
+      let page = BP.bytes fr in
+      match V.find_current page ~key with
+      | Some slot when R.in_page_ttime page slot = Tid.Unstamped txn.E.tx_tid ->
+          let vp = R.in_page_vp page slot in
+          let vp_local =
+            vp <> R.no_vp && R.in_page_flags page slot land R.f_vp_in_history = 0
+          in
+          E.exec_op eng fr ~undoable:false (LR.Op_delete { slot });
+          Imdb_tstamp.Vtt.decr_ref_rollback (E.vtt eng) txn.E.tx_tid;
+          if vp_local then
+            let old_flags = R.in_page_flags page vp in
+            let new_flags = old_flags land lnot R.f_non_current in
+            if new_flags <> old_flags then
+              E.exec_op eng fr ~undoable:false
+                (LR.Op_patch
+                   { slot = vp; at = 0; src = Bytes.make 1 (Char.chr new_flags) })
+      | Some _ | None -> () (* never written here, or already undone *))
+
 (* Undo one logged operation, if its effect is still present (guards make
    this idempotent across crashes during rollback). *)
 let undo_op eng txn ~op =
@@ -159,38 +184,7 @@ let undo_op eng txn ~op =
   | LR.Op_version_insert { body; table_id; _ } -> (
       match E.table_by_id eng table_id with
       | None -> ()
-      | Some ti ->
-          let rcd = R.decode body in
-          let key = rcd.R.key in
-          let pid, _, _ = Table.locate eng ti ~key in
-          BP.with_page eng.E.pool pid (fun fr ->
-              let page = BP.bytes fr in
-              match V.find_current page ~key with
-              | Some slot
-                when R.in_page_ttime page slot = Tid.Unstamped txn.E.tx_tid -> (
-                  (* remove our version; restore the predecessor to
-                     currency if it is local *)
-                  let vp = R.in_page_vp page slot in
-                  let vp_local =
-                    vp <> R.no_vp
-                    && R.in_page_flags page slot land R.f_vp_in_history = 0
-                  in
-                  let cell = P.read_cell page slot in
-                  E.exec_op eng fr ~undoable:false (LR.Op_delete { slot; body = cell });
-                  Imdb_tstamp.Vtt.decr_ref_rollback (E.vtt eng) txn.E.tx_tid;
-                  if vp_local then
-                    let old_flags = R.in_page_flags page vp in
-                    let new_flags = old_flags land lnot R.f_non_current in
-                    if new_flags <> old_flags then
-                      E.exec_op eng fr ~undoable:false
-                        (LR.Op_patch
-                           {
-                             slot = vp;
-                             at = 0;
-                             old_b = Bytes.make 1 (Char.chr old_flags);
-                             new_b = Bytes.make 1 (Char.chr new_flags);
-                           }))
-              | Some _ | None -> () (* already undone *)))
+      | Some ti -> undo_version eng txn ti ~key:(R.decode body).R.key)
   | LR.Op_msg_append { body; table_id; _ } -> (
       match E.table_by_id eng table_id with
       | None -> ()
@@ -199,8 +193,8 @@ let undo_op eng txn ~op =
           (* Guard 1: the message is still buffered — drop it from the
              mirror and the buffer page, so no later flush can apply a
              loser's write.  Guard 2: a flush already applied it — remove
-             our (necessarily unstamped) version from the data page, the
-             Op_version_insert undo relocated through the router.  After a
+             our (necessarily unstamped) version from the data page, as
+             [undo_version] does for Op_version_insert.  After a
              crash mid-flush both states can coexist (applied but not yet
              truncated); both guards fire and [decr_ref_rollback]
              saturates, so re-undoing stays idempotent. *)
@@ -215,40 +209,11 @@ let undo_op eng txn ~op =
                         if m.Ingest.m_seq = msg.Ingest.m_seq then victim := Some slot);
                   match !victim with
                   | Some slot ->
-                      let cell = P.read_cell page slot in
-                      E.exec_op eng fr ~undoable:false
-                        (LR.Op_delete { slot; body = cell });
+                      E.exec_op eng fr ~undoable:false (LR.Op_delete { slot });
                       Imdb_tstamp.Vtt.decr_ref_rollback (E.vtt eng) txn.E.tx_tid
                   | None -> ())
           | Some _ | None -> ());
-          let key = msg.Ingest.m_key in
-          let pid, _, _ = Table.locate eng ti ~key in
-          BP.with_page eng.E.pool pid (fun fr ->
-              let page = BP.bytes fr in
-              match V.find_current page ~key with
-              | Some slot
-                when R.in_page_ttime page slot = Tid.Unstamped txn.E.tx_tid -> (
-                  let vp = R.in_page_vp page slot in
-                  let vp_local =
-                    vp <> R.no_vp
-                    && R.in_page_flags page slot land R.f_vp_in_history = 0
-                  in
-                  let cell = P.read_cell page slot in
-                  E.exec_op eng fr ~undoable:false (LR.Op_delete { slot; body = cell });
-                  Imdb_tstamp.Vtt.decr_ref_rollback (E.vtt eng) txn.E.tx_tid;
-                  if vp_local then
-                    let old_flags = R.in_page_flags page vp in
-                    let new_flags = old_flags land lnot R.f_non_current in
-                    if new_flags <> old_flags then
-                      E.exec_op eng fr ~undoable:false
-                        (LR.Op_patch
-                           {
-                             slot = vp;
-                             at = 0;
-                             old_b = Bytes.make 1 (Char.chr old_flags);
-                             new_b = Bytes.make 1 (Char.chr new_flags);
-                           }))
-              | Some _ | None -> () (* never flushed, or already undone *)))
+          undo_version eng txn ti ~key:msg.Ingest.m_key)
   | LR.Op_insert _ | LR.Op_delete _ | LR.Op_replace _ | LR.Op_patch _
   | LR.Op_header _ | LR.Op_format _ | LR.Op_image _ | LR.Op_version_batch _ ->
       failwith "Txnmgr.undo_op: physical op in an undoable record"
@@ -264,8 +229,7 @@ let rollback_chain eng txn ~from_lsn =
             Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.recovery_undo;
           go prev_lsn
       | LR.Begin _ -> ()
-      | LR.Clr _ | LR.Redo_only _ | LR.Commit _ | LR.Abort _ | LR.End _
-      | LR.Checkpoint _ ->
+      | LR.Redo_only _ | LR.Commit _ | LR.End _ | LR.Checkpoint _ ->
           () (* chain heads only link Begin/Update records *)
   in
   go from_lsn
@@ -279,7 +243,6 @@ let abort eng txn =
   @@ fun _ ->
   txn.E.tx_state <- E.Rolling_back;
   if txn.E.tx_begun then begin
-    ignore (Imdb_wal.Wal.append eng.E.wal (LR.Abort { tid = txn.E.tx_tid }));
     rollback_chain eng txn ~from_lsn:txn.E.tx_last_lsn;
     ignore (Imdb_wal.Wal.append eng.E.wal (LR.End { tid = txn.E.tx_tid }))
   end;

@@ -206,5 +206,3 @@ let parse src =
 let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 let to_int = function Int i -> Some i | _ -> None
 let to_list = function List xs -> Some xs | _ -> None
-let to_obj = function Obj kvs -> Some kvs | _ -> None
-let to_string_opt = function String s -> Some s | _ -> None

@@ -26,5 +26,3 @@ val parse : string -> (t, string) result
 val member : string -> t -> t option
 val to_int : t -> int option
 val to_list : t -> t list option
-val to_obj : t -> (string * t) list option
-val to_string_opt : t -> string option

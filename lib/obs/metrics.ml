@@ -187,9 +187,6 @@ let diff ~(before : snapshot) ~(after : snapshot) : snapshot =
   Hashtbl.fold (fun k v acc -> if v <> 0 then (k, v) :: acc else acc) tbl []
   |> List.sort compare
 
-let pp_snapshot ppf (s : snapshot) =
-  List.iter (fun (k, v) -> Fmt.pf ppf "%-28s %d@." k v) s
-
 (* --- JSON exposition ----------------------------------------------- *)
 
 (* v2: hot-path overhaul counters (buffer.clock_sweeps, the keydir

@@ -84,8 +84,6 @@ val snapshot : t -> snapshot
 val diff : before:snapshot -> after:snapshot -> snapshot
 (** Per-name [after - before], dropping zero deltas. *)
 
-val pp_snapshot : Format.formatter -> snapshot -> unit
-
 (** {1 JSON exposition} — the stable schema consumed by
     [imdb stats --json], the SQL [METRICS] pragma and the bench harness:
 

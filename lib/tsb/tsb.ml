@@ -125,25 +125,6 @@ let find t ~key ~ts =
   in
   go t.root
 
-(* All indexed pages whose rectangle intersects the key range
-   [low, high) at time [ts] — the page set an AS OF range scan visits. *)
-let find_range t ~low ~high ~ts =
-  let results = ref [] in
-  let rec go page_id =
-    Imdb_buffer.Buffer_pool.with_page t.pool page_id (fun fr ->
-        let page = Imdb_buffer.Buffer_pool.bytes fr in
-        List.iter
-          (fun e ->
-            if
-              rect_key_overlaps e.rect ~low ~high
-              && Ts.compare ts e.rect.t_low >= 0
-              && Ts.compare ts e.rect.t_high < 0
-            then if is_leaf page then results := e.child :: !results else go e.child)
-          (node_entries page))
-  in
-  go t.root;
-  List.sort_uniq compare !results
-
 (* ------------------------------------------------------------------ *)
 (* Insertion with node splitting                                       *)
 (* ------------------------------------------------------------------ *)
@@ -279,8 +260,7 @@ let everything =
    entry redundantly into {e every} leaf whose region intersects the
    rectangle — the same redundancy [split_node] applies to straddling
    entries at split time.  Historical pages are immutable, so redundant
-   copies are safe; [find] and [find_range] reach the same child through
-   any copy. *)
+   copies are safe; [find] reaches the same child through any copy. *)
 let insert t ~rect ~child =
   let entry = { rect; child } in
   let cell = encode_entry entry in
@@ -344,10 +324,8 @@ let insert t ~rect ~child =
                 P.iter_live page (fun slot ->
                     let e = decode_entry (P.read_cell page slot) in
                     if e.child = page_id then
-                      let old_body = P.read_cell page slot in
                       t.io.exec fr
-                        (Imdb_wal.Log_record.Op_replace
-                           { slot; old_body; new_body = left_cell }));
+                        (Imdb_wal.Log_record.Op_replace { slot; body = left_cell }));
                 let slot = P.choose_insert_slot page in
                 t.io.exec fr (Imdb_wal.Log_record.Op_insert { slot; body = right_cell });
                 None
@@ -490,14 +468,3 @@ let check_invariants t =
         rects)
     rects;
   List.length rects
-
-let entry_count t =
-  let n = ref 0 in
-  let rec walk page_id =
-    Imdb_buffer.Buffer_pool.with_page t.pool page_id (fun fr ->
-        let page = Imdb_buffer.Buffer_pool.bytes fr in
-        if is_leaf page then n := !n + P.live_count page
-        else List.iter (fun e -> walk e.child) (node_entries page))
-  in
-  walk t.root;
-  !n

@@ -43,18 +43,11 @@ val insert : t -> rect:rect -> child:int -> unit
 val find : t -> key:string -> ts:Imdb_clock.Timestamp.t -> int option
 (** The historical page whose rectangle contains (key, ts), if any. *)
 
-val find_range :
-  t -> low:string -> high:string option -> ts:Imdb_clock.Timestamp.t -> int list
-(** All indexed pages intersecting the key range at time [ts] — the page
-    set an AS OF range scan visits. *)
-
 exception Invariant_violation of string
 
 val check_invariants : t -> int
 (** Containment and leaf-disjointness check; returns the leaf entry
     count.  @raise Invariant_violation *)
-
-val entry_count : t -> int
 
 (**/**)
 

@@ -87,8 +87,6 @@ let read_lstring b pos =
   let n = get_u16 b pos in
   (get_string b (pos + 2) n, pos + 2 + n)
 
-let lstring_size s = 2 + String.length s
-
 (* A growable output buffer for encoding variable-size structures (log
    records, catalog rows).  Thin wrapper over [Buffer] with the same
    little-endian conventions. *)

@@ -31,7 +31,6 @@ val write_lstring : bytes -> int -> string -> int
 (** u16-length-prefixed string; returns the position past it. *)
 
 val read_lstring : bytes -> int -> string * int
-val lstring_size : string -> int
 
 (** Growable output buffer for variable-size structures. *)
 module Writer : sig

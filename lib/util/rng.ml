@@ -47,11 +47,5 @@ let shuffle t arr =
     arr.(j) <- tmp
   done
 
-(* Exponentially distributed float with the given mean (for inter-arrival
-   style quantities in the workload generator). *)
-let exponential t ~mean =
-  let u = float t in
-  -.mean *. log (1.0 -. u)
-
 let string t len =
   String.init len (fun _ -> Char.chr (int_in t (Char.code 'a') (Char.code 'z')))

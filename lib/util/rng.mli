@@ -20,5 +20,4 @@ val float : t -> float
 val bool : t -> bool
 val choose : t -> 'a array -> 'a
 val shuffle : t -> 'a array -> unit
-val exponential : t -> mean:float -> float
 val string : t -> int -> string

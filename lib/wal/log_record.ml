@@ -2,19 +2,21 @@
 
    The engine uses ARIES-style physiological logging: each data change is
    a small operation against one page, replayable against the page image
-   ([redo]) and invertible for rollback ([invert]).  Page operations are
-   deterministic functions of the page image (see Page), so replaying the
-   logged operation history over the on-disk image reproduces the exact
-   page bytes.
+   ([redo_op]).  Page operations are deterministic functions of the page
+   image (see Page), so replaying the logged operation history over the
+   on-disk image reproduces the exact page bytes.
 
    Two envelopes carry page operations:
    - [Update] is undoable and belongs to a transaction (prev_lsn chains
      the transaction's log records for rollback);
    - [Redo_only] covers structure modifications — page formats, time
      splits, key splits, allocator updates — which, as in ARIES-IM nested
-     top actions, are never undone once logged.
-   - [Clr] compensates an [Update] during rollback; its op is applied at
-     redo but never undone ([undo_next] continues the rollback chain).
+     top actions, are never undone once logged, and the effects of
+     rollback itself.
+
+   There are no compensation records: rollback is guarded logical undo
+   (Txnmgr), so physical ops carry after-images only and an abort logs
+   its undo effects redo-only, then [End].
 
    Notably absent, by design: timestamping of record versions.  The paper's
    lazy timestamping is deliberately *not* logged; its durability is
@@ -24,13 +26,14 @@
 open Imdb_util
 
 type page_op =
-  (* Physical ops: structure modifications, GC, and CLR compensations.
-     Logged redo-only (or inside CLRs); never undone themselves. *)
+  (* Physical ops: structure modifications, GC and rollback effects.
+     Logged redo-only; never undone themselves, so they carry after-images
+     only. *)
   | Op_insert of { slot : int; body : bytes }
-  | Op_delete of { slot : int; body : bytes } (* body: the deleted cell, for redo symmetry *)
-  | Op_replace of { slot : int; old_body : bytes; new_body : bytes }
-  | Op_patch of { slot : int; at : int; old_b : bytes; new_b : bytes }
-  | Op_header of { at : int; old_b : bytes; new_b : bytes } (* raw header bytes *)
+  | Op_delete of { slot : int }
+  | Op_replace of { slot : int; body : bytes }
+  | Op_patch of { slot : int; at : int; src : bytes }
+  | Op_header of { at : int; src : bytes } (* raw header bytes *)
   | Op_format of { page_type : Imdb_storage.Page.page_type; table_id : int; level : int }
   | Op_image of { image : bytes } (* full after-image *)
   (* Transactional ops with *logical* undo.  Redo is physical (replay the
@@ -38,7 +41,7 @@ type page_op =
      router at rollback time, because time splits and key splits may have
      moved the affected cells to other slots or pages since the update was
      logged (the ARIES-IM approach).  The engine's rollback code owns the
-     undo semantics; [invert_op] rejects these. *)
+     undo semantics. *)
   | Op_kv_insert of { slot : int; body : bytes; table_id : int }
       (* B-tree keyed cell insert (PTT, catalog, conventional tables);
          undo: delete the cell's key from table [table_id]'s tree *)
@@ -78,10 +81,8 @@ type page_op =
 type body =
   | Begin of { tid : Imdb_clock.Tid.t }
   | Update of { tid : Imdb_clock.Tid.t; prev_lsn : int64; page_id : int; op : page_op }
-  | Clr of { tid : Imdb_clock.Tid.t; undo_next : int64; page_id : int; op : page_op }
   | Redo_only of { page_id : int; op : page_op }
   | Commit of { tid : Imdb_clock.Tid.t; ts : Imdb_clock.Timestamp.t }
-  | Abort of { tid : Imdb_clock.Tid.t }
   | End of { tid : Imdb_clock.Tid.t }
   | Checkpoint of {
       att : (Imdb_clock.Tid.t * int64) list; (* active txns, last LSN *)
@@ -92,7 +93,7 @@ type body =
 
 let nil_lsn = 0L
 
-(* --- redo / undo ------------------------------------------------------- *)
+(* --- redo ---------------------------------------------------------------- *)
 
 (* Apply [op] to [page].  The caller has already decided applicability
    (page_lsn < record lsn). *)
@@ -101,10 +102,10 @@ let redo_op page op =
   let module R = Imdb_storage.Record in
   match op with
   | Op_insert { slot; body } -> P.insert_at_slot page slot body
-  | Op_delete { slot; _ } -> P.delete_slot page slot
-  | Op_replace { slot; new_body; _ } -> P.replace_at_slot page slot new_body
-  | Op_patch { slot; at; new_b; _ } -> P.patch_cell page slot ~at ~src:new_b
-  | Op_header { at; new_b; _ } -> Codec.set_bytes page at new_b
+  | Op_delete { slot } -> P.delete_slot page slot
+  | Op_replace { slot; body } -> P.replace_at_slot page slot body
+  | Op_patch { slot; at; src } -> P.patch_cell page slot ~at ~src
+  | Op_header { at; src } -> Codec.set_bytes page at src
   | Op_format { page_type; table_id; level } ->
       let id = P.page_id page in
       P.format page ~page_id:id ~page_type ~table_id ~level ()
@@ -131,21 +132,10 @@ let redo_op page op =
             R.set_in_page_flags page pred_slot (pred_old_flags lor R.f_non_current))
         inserts
 
-(* The inverse operation, for rollback CLRs.  Raises on redo-only ops,
-   which must never reach the undo path. *)
-let invert_op = function
-  | Op_insert { slot; body } -> Op_delete { slot; body }
-  | Op_delete { slot; body } -> Op_insert { slot; body }
-  | Op_replace { slot; old_body; new_body } ->
-      Op_replace { slot; old_body = new_body; new_body = old_body }
-  | Op_patch { slot; at; old_b; new_b } ->
-      Op_patch { slot; at; old_b = new_b; new_b = old_b }
-  | Op_header { at; old_b; new_b } -> Op_header { at; old_b = new_b; new_b = old_b }
-  | Op_format _ | Op_image _ | Op_version_batch _ ->
-      invalid_arg "Log_record.invert_op: redo-only op"
-  | Op_kv_insert _ | Op_kv_replace _ | Op_kv_delete _ | Op_version_insert _
-  | Op_msg_append _ ->
-      invalid_arg "Log_record.invert_op: logical-undo op (engine rollback owns it)"
+let header_u32 ~at v =
+  let src = Bytes.create 4 in
+  Codec.set_u32 src 0 v;
+  Op_header { at; src }
 
 (* --- serialization ------------------------------------------------------ *)
 
@@ -168,22 +158,17 @@ let write_op w op =
   let module W = Codec.Writer in
   W.u8 w (op_tag op);
   match op with
-  | Op_insert { slot; body } | Op_delete { slot; body } ->
+  | Op_insert { slot; body } | Op_replace { slot; body } ->
       W.u16 w slot;
       W.lbytes w body
-  | Op_replace { slot; old_body; new_body } ->
-      W.u16 w slot;
-      W.lbytes w old_body;
-      W.lbytes w new_body
-  | Op_patch { slot; at; old_b; new_b } ->
+  | Op_delete { slot } -> W.u16 w slot
+  | Op_patch { slot; at; src } ->
       W.u16 w slot;
       W.u16 w at;
-      W.lbytes w old_b;
-      W.lbytes w new_b
-  | Op_header { at; old_b; new_b } ->
+      W.lbytes w src
+  | Op_header { at; src } ->
       W.u16 w at;
-      W.lbytes w old_b;
-      W.lbytes w new_b
+      W.lbytes w src
   | Op_format { page_type; table_id; level } ->
       W.u8 w (Imdb_storage.Page.int_of_page_type page_type);
       W.u32 w table_id;
@@ -225,22 +210,17 @@ let read_op r =
   | 0 ->
       let slot = R.u16 r in
       Op_insert { slot; body = R.lbytes r }
-  | 1 ->
-      let slot = R.u16 r in
-      Op_delete { slot; body = R.lbytes r }
+  | 1 -> Op_delete { slot = R.u16 r }
   | 2 ->
       let slot = R.u16 r in
-      let old_body = R.lbytes r in
-      Op_replace { slot; old_body; new_body = R.lbytes r }
+      Op_replace { slot; body = R.lbytes r }
   | 3 ->
       let slot = R.u16 r in
       let at = R.u16 r in
-      let old_b = R.lbytes r in
-      Op_patch { slot; at; old_b; new_b = R.lbytes r }
+      Op_patch { slot; at; src = R.lbytes r }
   | 4 ->
       let at = R.u16 r in
-      let old_b = R.lbytes r in
-      Op_header { at; old_b; new_b = R.lbytes r }
+      Op_header { at; src = R.lbytes r }
   | 5 ->
       let page_type = Imdb_storage.Page.page_type_of_int (R.u8 r) in
       let table_id = R.u32 r in
@@ -285,10 +265,8 @@ let read_op r =
 let body_tag = function
   | Begin _ -> 0
   | Update _ -> 1
-  | Clr _ -> 2
   | Redo_only _ -> 3
   | Commit _ -> 4
-  | Abort _ -> 5
   | End _ -> 6
   | Checkpoint _ -> 7
 
@@ -303,11 +281,6 @@ let encode body =
       W.i64 w prev_lsn;
       W.u32 w page_id;
       write_op w op
-  | Clr { tid; undo_next; page_id; op } ->
-      W.i64 w (Imdb_clock.Tid.to_int64 tid);
-      W.i64 w undo_next;
-      W.u32 w page_id;
-      write_op w op
   | Redo_only { page_id; op } ->
       W.u32 w page_id;
       write_op w op
@@ -315,7 +288,6 @@ let encode body =
       W.i64 w (Imdb_clock.Tid.to_int64 tid);
       W.i64 w (Imdb_clock.Timestamp.ttime ts);
       W.u32 w (Imdb_clock.Timestamp.sn ts)
-  | Abort { tid } -> W.i64 w (Imdb_clock.Tid.to_int64 tid)
   | End { tid } -> W.i64 w (Imdb_clock.Tid.to_int64 tid)
   | Checkpoint { att; dpt; next_tid; clock } ->
       W.u32 w (List.length att);
@@ -346,11 +318,6 @@ let decode b =
       let prev_lsn = R.i64 r in
       let page_id = R.u32 r in
       Update { tid; prev_lsn; page_id; op = read_op r }
-  | 2 ->
-      let tid = tid () in
-      let undo_next = R.i64 r in
-      let page_id = R.u32 r in
-      Clr { tid; undo_next; page_id; op = read_op r }
   | 3 ->
       let page_id = R.u32 r in
       Redo_only { page_id; op = read_op r }
@@ -359,7 +326,6 @@ let decode b =
       let ttime = R.i64 r in
       let sn = R.u32 r in
       Commit { tid; ts = Imdb_clock.Timestamp.make ~ttime ~sn }
-  | 5 -> Abort { tid = tid () }
   | 6 -> End { tid = tid () }
   | 7 ->
       let natt = R.u32 r in
@@ -382,12 +348,11 @@ let decode b =
 
 let pp_op ppf = function
   | Op_insert { slot; body } -> Fmt.pf ppf "insert slot=%d %dB" slot (Bytes.length body)
-  | Op_delete { slot; body } -> Fmt.pf ppf "delete slot=%d %dB" slot (Bytes.length body)
-  | Op_replace { slot; new_body; _ } ->
-      Fmt.pf ppf "replace slot=%d ->%dB" slot (Bytes.length new_body)
-  | Op_patch { slot; at; new_b; _ } ->
-      Fmt.pf ppf "patch slot=%d at=%d %dB" slot at (Bytes.length new_b)
-  | Op_header { at; new_b; _ } -> Fmt.pf ppf "header at=%d %dB" at (Bytes.length new_b)
+  | Op_delete { slot } -> Fmt.pf ppf "delete slot=%d" slot
+  | Op_replace { slot; body } -> Fmt.pf ppf "replace slot=%d ->%dB" slot (Bytes.length body)
+  | Op_patch { slot; at; src } ->
+      Fmt.pf ppf "patch slot=%d at=%d %dB" slot at (Bytes.length src)
+  | Op_header { at; src } -> Fmt.pf ppf "header at=%d %dB" at (Bytes.length src)
   | Op_format { page_type; _ } ->
       Fmt.pf ppf "format %a" Imdb_storage.Page.pp_page_type page_type
   | Op_image { image } -> Fmt.pf ppf "image %dB" (Bytes.length image)
@@ -408,13 +373,9 @@ let pp ppf = function
   | Update { tid; page_id; op; prev_lsn } ->
       Fmt.pf ppf "UPDATE %a page=%d prev=%Ld %a" Imdb_clock.Tid.pp tid page_id prev_lsn
         pp_op op
-  | Clr { tid; page_id; op; undo_next } ->
-      Fmt.pf ppf "CLR %a page=%d undo_next=%Ld %a" Imdb_clock.Tid.pp tid page_id
-        undo_next pp_op op
   | Redo_only { page_id; op } -> Fmt.pf ppf "REDO_ONLY page=%d %a" page_id pp_op op
   | Commit { tid; ts } ->
       Fmt.pf ppf "COMMIT %a ts=%a" Imdb_clock.Tid.pp tid Imdb_clock.Timestamp.pp ts
-  | Abort { tid } -> Fmt.pf ppf "ABORT %a" Imdb_clock.Tid.pp tid
   | End { tid } -> Fmt.pf ppf "END %a" Imdb_clock.Tid.pp tid
   | Checkpoint { att; dpt; _ } ->
       Fmt.pf ppf "CHECKPOINT att=%d dpt=%d" (List.length att) (List.length dpt)

@@ -4,19 +4,21 @@
     against the page image ([redo_op]).  Transactional operations use
     {e logical} undo — rollback re-locates the affected key through the
     live structures, because time splits and key splits may have moved it
-    since logging — so [invert_op] serves only the physical ops.
+    since logging.  Physical ops are never undone, so they carry
+    after-images only, and there are no compensation or abort records:
+    an abort logs its undo effects redo-only, then [End].
 
     Deliberately absent: timestamp propagation.  The paper's lazy
     timestamping is never logged; its durability rests on the PTT and the
     checkpoint-coupled garbage-collection rule. *)
 
 type page_op =
-  (* Physical ops: structure modifications, GC, compensations. *)
+  (* Physical ops: structure modifications, GC, rollback effects. *)
   | Op_insert of { slot : int; body : bytes }
-  | Op_delete of { slot : int; body : bytes }
-  | Op_replace of { slot : int; old_body : bytes; new_body : bytes }
-  | Op_patch of { slot : int; at : int; old_b : bytes; new_b : bytes }
-  | Op_header of { at : int; old_b : bytes; new_b : bytes }
+  | Op_delete of { slot : int }
+  | Op_replace of { slot : int; body : bytes }
+  | Op_patch of { slot : int; at : int; src : bytes }
+  | Op_header of { at : int; src : bytes }
   | Op_format of { page_type : Imdb_storage.Page.page_type; table_id : int; level : int }
   | Op_image of { image : bytes }
   (* Transactional ops with logical undo. *)
@@ -48,10 +50,8 @@ type page_op =
 type body =
   | Begin of { tid : Imdb_clock.Tid.t }
   | Update of { tid : Imdb_clock.Tid.t; prev_lsn : int64; page_id : int; op : page_op }
-  | Clr of { tid : Imdb_clock.Tid.t; undo_next : int64; page_id : int; op : page_op }
   | Redo_only of { page_id : int; op : page_op }
   | Commit of { tid : Imdb_clock.Tid.t; ts : Imdb_clock.Timestamp.t }
-  | Abort of { tid : Imdb_clock.Tid.t }
   | End of { tid : Imdb_clock.Tid.t }
   | Checkpoint of {
       att : (Imdb_clock.Tid.t * int64) list;
@@ -66,9 +66,8 @@ val redo_op : bytes -> page_op -> unit
 (** Apply an op to a page image; the caller has already checked
     applicability (page LSN < record LSN). *)
 
-val invert_op : page_op -> page_op
-(** Physical inverse, for compensation.  @raise Invalid_argument on
-    redo-only and logical-undo ops. *)
+val header_u32 : at:int -> int -> page_op
+(** An [Op_header] that sets the page-header u32 at offset [at]. *)
 
 val encode : body -> bytes
 val decode : bytes -> body

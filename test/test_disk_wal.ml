@@ -258,12 +258,35 @@ let test_wal_all_record_types_roundtrip () =
                 table_id = 10;
               };
         };
-      LR.Clr
+      LR.Update
         {
           tid = Tid.of_int 5;
-          undo_next = 3L;
-          page_id = 2;
-          op = LR.Op_patch { slot = 0; at = 4; old_b = Bytes.of_string "ab"; new_b = Bytes.of_string "cd" };
+          prev_lsn = 18L;
+          page_id = 3;
+          op = LR.Op_kv_insert { slot = 5; body = Bytes.of_string "kv"; table_id = 1 };
+        };
+      LR.Update
+        {
+          tid = Tid.of_int 5;
+          prev_lsn = 19L;
+          page_id = 8;
+          op = LR.Op_msg_append { slot = 0; body = Bytes.of_string "msg"; table_id = 11 };
+        };
+      LR.Redo_only
+        { page_id = 2; op = LR.Op_patch { slot = 0; at = 4; src = Bytes.of_string "cd" } };
+      LR.Redo_only { page_id = 2; op = LR.Op_delete { slot = 6 } };
+      LR.Redo_only
+        { page_id = 2; op = LR.Op_replace { slot = 1; body = Bytes.of_string "new" } };
+      LR.Redo_only
+        {
+          page_id = 4;
+          op =
+            LR.Op_version_batch
+              {
+                inserts =
+                  [ (0, Bytes.of_string "v0", 3, 0); (7, Bytes.of_string "v1", 65535, 1) ];
+                table_id = 11;
+              };
         };
       LR.Redo_only
         { page_id = 9; op = LR.Op_format { page_type = P.P_history; table_id = 4; level = 0 } };
@@ -271,7 +294,7 @@ let test_wal_all_record_types_roundtrip () =
       LR.Redo_only
         {
           page_id = 1;
-          op = LR.Op_header { at = 40; old_b = Bytes.make 4 '\000'; new_b = Bytes.make 4 '\001' };
+          op = LR.Op_header { at = 40; src = Bytes.make 4 '\001' };
         };
       LR.Redo_only
         {
@@ -283,7 +306,6 @@ let test_wal_all_record_types_roundtrip () =
       LR.Redo_only
         { page_id = 1; op = LR.Op_kv_delete { slot = 3; body = Bytes.of_string "d"; table_id = 2 } };
       LR.Commit { tid = Tid.of_int 5; ts = Ts.make ~ttime:999L ~sn:77 };
-      LR.Abort { tid = Tid.of_int 5 };
       LR.End { tid = Tid.of_int 5 };
       LR.Checkpoint
         {

@@ -13,9 +13,10 @@ let kv_schema = Helpers.kv_schema
 let row = Helpers.row
 
 (* Run [workload] against a database whose disk fails (optionally tearing
-   the in-flight page) after [n] page writes; then lift the failure plan
-   and recover.  Returns the recovered database. *)
-let run_with_injection ~tear ~fail_after workload =
+   the in-flight page) after [fail_after] page writes — counting only the
+   writes [target] matches, when given; then lift the failure plan and
+   recover.  Returns the recovered database. *)
+let run_with_injection ?target ~tear ~fail_after workload =
   let plan = Disk.never_fail () in
   let disk = Disk.failing ~plan (Disk.in_memory ~page_size:8192 ()) in
   let log_device = Wal.Device.in_memory () in
@@ -23,7 +24,7 @@ let run_with_injection ~tear ~fail_after workload =
   (* small pool + frequent checkpoints: plenty of page writes to target *)
   let config = { E.default_config with E.pool_capacity = 8; E.auto_checkpoint_every = 20 } in
   let db = Db.open_devices ~config ~clock ~disk ~log_device () in
-  Disk.arm plan ~tear ~after:fail_after ();
+  Disk.arm plan ~tear ?target ~after:fail_after ();
   let crashed =
     try
       workload db clock;
@@ -121,6 +122,75 @@ let test_torn_meta_page () =
       Alcotest.(check bool) "data survived torn meta" true
         (Db.get_row db2 txn ~table:"t" ~key:(S.V_int 1) = Some (row 1 "x")));
   Db.close db2
+
+(* --- crashes inside an explicit abort ----------------------------------------
+
+   One transaction overwrites every key, then aborts; the disk fails at
+   the k-th page write the abort makes after logging its first undo
+   effect (eviction from the 8-frame pool, as undo walks the keys).  The
+   log has no Abort record, so recovery must find the half-aborted
+   transaction a loser from its Update chain and undo it again, skipping
+   the effects that already happened. *)
+
+let abort_keys = 240
+let committed_value k round = Printf.sprintf "c%d-%d-%s" round k (String.make 120 'c')
+let aborted_value k = Printf.sprintf "aborted-%d-%s" k (String.make 120 'a')
+
+(* Two committed rounds over every key, then the aborted overwrite.
+   [in_abort] answers whether a page write falls inside the abort, past
+   its first undo effect. *)
+let abort_workload ~isolation ~in_abort db clock =
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+  for round = 1 to 2 do
+    Imdb_clock.Clock.advance clock 20L;
+    Db.with_txn db (fun txn ->
+        for k = 0 to abort_keys - 1 do
+          Db.upsert_row db txn ~table:"t" (row k (committed_value k round))
+        done)
+  done;
+  Imdb_clock.Clock.advance clock 20L;
+  let txn = Db.begin_txn ~isolation db in
+  for k = 0 to abort_keys - 1 do
+    Db.upsert_row db txn ~table:"t" (row k (aborted_value k))
+  done;
+  let wal = (Db.engine db).E.wal in
+  let start = Wal.next_lsn wal in
+  in_abort := (fun () -> Int64.compare (Wal.next_lsn wal) start > 0);
+  Fun.protect
+    ~finally:(fun () -> in_abort := fun () -> false)
+    (fun () -> Db.abort db txn)
+
+let validate_abort db =
+  Db.exec db (fun txn ->
+      for k = 0 to abort_keys - 1 do
+        let last = row k (committed_value k 2) in
+        if Db.get_row db txn ~table:"t" ~key:(S.V_int k) <> Some last then
+          Alcotest.failf "key %d does not show its last committed value" k;
+        let hist = List.map snd (Db.history_rows db txn ~table:"t" ~key:(S.V_int k)) in
+        if hist <> [ Some last; Some (row k (committed_value k 1)) ] then
+          Alcotest.failf "history of key %d is not its committed writes" k
+      done)
+
+let abort_sweep ~isolation () =
+  let crashes = ref 0 in
+  List.iter
+    (fun fail_after ->
+      List.iter
+        (fun tear ->
+          let in_abort = ref (fun () -> false) in
+          let target = Disk.Writes_matching (fun _ _ -> !in_abort ()) in
+          let db, _clock, crashed =
+            run_with_injection ~target ~tear ~fail_after
+              (abort_workload ~isolation ~in_abort)
+          in
+          if crashed then incr crashes;
+          validate_abort db;
+          Db.close db)
+        [ false; true ])
+    [ 0; 1; 2; 3; 5; 8; 12 ];
+  Alcotest.(check bool)
+    (Printf.sprintf "injections fired inside the abort (%d crashes)" !crashes)
+    true (!crashes >= 10)
 
 (* --- torn-page twin regressions --------------------------------------------
 
@@ -246,6 +316,10 @@ let suite =
     Alcotest.test_case "work continues after recovery" `Quick
       test_work_continues_after_recovery;
     Alcotest.test_case "torn meta page" `Quick test_torn_meta_page;
+    Alcotest.test_case "crash inside abort: per-row path" `Quick
+      (abort_sweep ~isolation:Db.Snapshot_isolation);
+    Alcotest.test_case "crash inside abort: buffered path" `Quick
+      (abort_sweep ~isolation:Db.Serializable);
     Alcotest.test_case "torn twin: mid group commit" `Quick
       test_torn_twin_group_commit;
     Alcotest.test_case "torn twin: mid time split" `Quick

@@ -279,6 +279,34 @@ let prop_crash_model =
       Db.close !db;
       !ok)
 
+(* A database written in the version-1 log format must be refused at
+   open, before analysis meets a record kind this format dropped: stamp
+   version 1 into the on-disk meta page, append a version-1 Abort record
+   (body tag 5) to the log, and reopen. *)
+let test_old_format_refused () =
+  let db, _clock = setup () in
+  Db.close db;
+  let disk, log_device = Db.devices db in
+  let module C = Imdb_util.Codec in
+  let payload = Bytes.create 9 in
+  C.set_u8 payload 0 5;
+  C.set_i64 payload 1 7L;
+  let frame = Bytes.create 17 in
+  C.set_u32 frame 0 9;
+  C.set_u32 frame 4 (Imdb_util.Checksum.bytes_int payload);
+  C.set_bytes frame 8 payload;
+  log_device.Imdb_wal.Wal.Device.append frame;
+  let module P = Imdb_storage.Page in
+  let page = disk.Imdb_storage.Disk.read_page Imdb_core.Meta.meta_page_id in
+  let version = Bytes.create 2 in
+  C.set_u16 version 0 1;
+  P.patch_cell page Imdb_core.Meta.meta_slot ~at:4 ~src:version;
+  P.seal page;
+  disk.Imdb_storage.Disk.write_page Imdb_core.Meta.meta_page_id page;
+  match Db.open_devices ~disk ~log_device () with
+  | _ -> Alcotest.fail "a version-1 database opened"
+  | exception Imdb_core.Meta.Bad_meta _ -> ()
+
 let suite =
   [
     Alcotest.test_case "crash before any commit" `Quick test_crash_before_any_commit;
@@ -290,5 +318,6 @@ let suite =
     Alcotest.test_case "checkpointed recovery" `Quick test_checkpointed_recovery;
     Alcotest.test_case "conventional recovery" `Quick test_conventional_table_recovery;
     Alcotest.test_case "DDL crash" `Quick test_ddl_crash;
+    Alcotest.test_case "old log format refused" `Quick test_old_format_refused;
     QCheck_alcotest.to_alcotest prop_crash_model;
   ]
