@@ -148,14 +148,11 @@ let run ~scale =
        [
          ("schema_version", J.Int M.schema_version);
          ("evict", Harness.json_of_counters evict_counters);
-         (* one entry, tagged window 1 like the baseline entry it is
-            compared against *)
          ( "commit",
            J.List
              [
                J.Obj
                  [
-                   ("window", J.Int 1);
                    ("txns", J.Int txns);
                    ("log_flushes", J.Int flushes);
                    ("batches", J.Int batches);

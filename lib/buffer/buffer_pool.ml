@@ -83,7 +83,7 @@ type t = {
   mutable hand : int;
   mutable free : int list; (* unoccupied ring slots *)
   mutable pre_flush : bytes -> unit;
-  mutable metrics : M.t;
+  metrics : M.t;
 }
 
 let create ?(capacity = 256) ?(metrics = M.null) ~disk ~wal () =
@@ -96,8 +96,6 @@ let create ?(capacity = 256) ?(metrics = M.null) ~disk ~wal () =
 let locked t f =
   Mutex.lock t.pool_mu;
   Fun.protect ~finally:(fun () -> Mutex.unlock t.pool_mu) f
-
-let set_metrics t m = t.metrics <- m
 
 let set_pre_flush t f = t.pre_flush <- f
 let page_size t = t.disk.Imdb_storage.Disk.page_size

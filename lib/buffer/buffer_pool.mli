@@ -41,9 +41,6 @@ val create :
   unit ->
   t
 
-val set_metrics : t -> Imdb_obs.Metrics.t -> unit
-(** Point the pool at an engine's registry (hits/misses/evictions). *)
-
 val set_pre_flush : t -> (bytes -> unit) -> unit
 (** Hook run on the page image just before each disk write; its changes
     are persisted but not logged and do not move the page LSN. *)

@@ -65,10 +65,3 @@ val to_string : t -> string
 val of_string : string -> t
 (** Parse ["YYYY-MM-DD[ HH:MM[:SS[.mmm]][+sn]]"].
     @raise Failure on malformed input. *)
-
-(**/**)
-
-val days_from_civil : y:int -> m:int -> d:int -> int
-val civil_from_days : int -> int * int * int
-val ms_of_datetime : y:int -> mo:int -> d:int -> h:int -> mi:int -> s:int -> ms:int -> int64
-val datetime_of_ms : int64 -> int * int * int * int * int * int * int

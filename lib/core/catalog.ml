@@ -68,7 +68,6 @@ let store tree ti = Imdb_btree.Btree.insert tree ~key:ti.ti_name ~value:(encode_
 let store_redo_only tree ti =
   Imdb_btree.Btree.insert tree ~undoable:false ~key:ti.ti_name ~value:(encode_info ti)
 
-let load tree name = Option.map decode_info (Imdb_btree.Btree.find tree ~key:name)
 let remove tree name = Imdb_btree.Btree.delete tree ~key:name
 
 let load_all tree =

@@ -22,9 +22,6 @@ type table_info = {
   mutable ti_buf_root : int;  (** ingest message-buffer page; 0 = none *)
 }
 
-val encode_info : table_info -> bytes
-val decode_info : bytes -> table_info
-
 val store : Imdb_btree.Btree.t -> table_info -> unit
 (** Transactional (undoable) catalog write. *)
 
@@ -32,6 +29,5 @@ val store_redo_only : Imdb_btree.Btree.t -> table_info -> unit
 (** Redo-only catalog write, for structure modifications (ingest buffer
     page allocation) that must survive a transaction abort. *)
 
-val load : Imdb_btree.Btree.t -> string -> table_info option
 val remove : Imdb_btree.Btree.t -> string -> bool
 val load_all : Imdb_btree.Btree.t -> table_info list

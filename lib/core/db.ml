@@ -326,7 +326,6 @@ module Session = struct
   type t = { db : db; handle : E.session }
 
   let id s = s.handle.E.s_id
-  let db s = s.db
 
   (* Transactions begun through a session carry its id, so their tallies
      land in this session's row of the SESSIONS exposition (anonymous
@@ -358,8 +357,6 @@ module Session = struct
   let scan_as_of ?lo ?hi s txn ~table ~ts f =
     scan_as_of ?lo ?hi s.db txn ~table ~ts f
 
-  let history s txn ~table ~key = history s.db txn ~table ~key
-  let exec ?isolation s f = with_txn ?isolation s f
   let as_of s ts f = with_txn ~isolation:(As_of ts) s f
 end
 
@@ -377,7 +374,6 @@ let sessions_json t = ex t (fun () -> E.sessions_json t.eng)
 let locks_json t = Imdb_lock.Lock_manager.dump_json t.eng.E.locks
 let monitor t = t.eng.E.monitor
 let monitor_json t = Imdb_obs.Monitor.to_json t.eng.E.monitor
-let flight_report t ~reason = ex t (fun () -> E.flight_report t.eng ~reason)
 
 let write_flight_report t ~reason =
   ex t (fun () -> E.write_flight_report t.eng ~reason)

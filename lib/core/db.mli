@@ -229,17 +229,14 @@ val history :
     finish) and give each thread-of-control an id for observability. *)
 
 module Session : sig
-  type db := t
   type t
 
   val id : t -> int
-  val db : t -> db
 
   val begin_txn : ?isolation:isolation -> t -> txn
   val commit : t -> txn -> Imdb_clock.Timestamp.t option
   val abort : t -> txn -> unit
   val with_txn : ?isolation:isolation -> t -> (txn -> 'a) -> 'a
-  val exec : ?isolation:isolation -> t -> (txn -> 'a) -> 'a
   val as_of : t -> Imdb_clock.Timestamp.t -> (txn -> 'a) -> 'a
 
   val insert : t -> txn -> table:string -> key:string -> payload:string -> unit
@@ -256,9 +253,6 @@ module Session : sig
     ?lo:string -> ?hi:string -> t -> txn -> table:string ->
     ts:Imdb_clock.Timestamp.t -> (string -> string -> unit) -> unit
 
-  val history :
-    t -> txn -> table:string -> key:string ->
-    (Imdb_clock.Timestamp.t * string option) list
 end
 
 val session : t -> Session.t
@@ -287,11 +281,9 @@ val monitor_json : t -> Imdb_obs.Json.t
 (** The monitor's ring of samples plus derived rates and latency
     percentiles, as JSON. *)
 
-val flight_report : t -> reason:string -> Imdb_obs.Json.t
-(** Assemble a flight-recorder report: recent monitor samples, session
-    stats, lock dump, slow-op traces and a full metrics snapshot. *)
-
 val write_flight_report : t -> reason:string -> string option
-(** Persist {!flight_report} under the engine config's
-    [flight_recorder_dir]; returns the file path, or [None] when no
-    directory is configured or the write failed (best effort). *)
+(** Persist a flight-recorder report (recent monitor samples, session
+    stats, lock dump, slow-op traces and a full metrics snapshot) under
+    the engine config's [flight_recorder_dir]; returns the file path, or
+    [None] when no directory is configured or the write failed (best
+    effort). *)

@@ -631,12 +631,12 @@ let memoize_history t pid h =
   Queue.push pid t.hist_decoded_order
 
 (* The decoded image of history page [pid] for a temporal read.  A time
-   split writes a history page once and never again, so its image is
-   memoized by page id and later reads skip the buffer pool entirely.  A
-   miss pins the page through the pool (checksum verification, torn-page
-   repair), stamps it, and decodes a compressed image or copies a plain
-   one — the result never aliases a frame.  Only a history-type image
-   with no unstamped version is memoized. *)
+   split writes a history page once, compressed and fully stamped, and
+   never again, so its image is memoized by page id and later reads skip
+   the buffer pool entirely.  A miss pins the page through the pool
+   (checksum verification, torn-page repair) and decodes it — the result
+   never aliases a frame.  A page that is not compressed history is no
+   history page: [Vcompress.decode] raises [Invalid_argument]. *)
 let history_page t pid =
   let module M = Imdb_obs.Metrics in
   match Hashtbl.find_opt t.hist_decoded pid with
@@ -645,20 +645,10 @@ let history_page t pid =
       h
   | None ->
       M.incr t.metrics M.histcache_misses;
-      BP.with_page t.pool pid (fun fr ->
-          stamp_page t fr;
-          let b = BP.bytes fr in
-          let img =
-            if Imdb_storage.Vcompress.is_compressed b then decode_history t b
-            else Bytes.copy b
-          in
-          let h = { hi_image = img; hi_dir = lazy (Imdb_version.Vpage.directory img) } in
-          (match P.page_type b with
-          | (P.P_history | P.P_history_compressed)
-            when not (Imdb_version.Vpage.has_unstamped img) ->
-              memoize_history t pid h
-          | _ -> ());
-          h)
+      let img = BP.with_page t.pool pid (fun fr -> decode_history t (BP.bytes fr)) in
+      let h = { hi_image = img; hi_dir = lazy (Imdb_version.Vpage.directory img) } in
+      memoize_history t pid h;
+      h
 
 (* The two header fields a chain walk steps by — (split time, history
    pointer) of page [pid] — from the memo when it holds the page, else
@@ -784,7 +774,6 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
   Mx.ensure_counter metrics Mx.histcache_evictions;
   Mx.ensure_counter metrics Mx.hist_bytes_written;
   Mx.ensure_counter metrics Mx.compress_pages;
-  Mx.ensure_counter metrics Mx.compress_fallbacks;
   Mx.ensure_counter metrics Mx.compress_raw_bytes;
   Mx.ensure_counter metrics Mx.compress_written_bytes;
   Mx.ensure_counter metrics Mx.trace_spans;

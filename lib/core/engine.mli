@@ -45,7 +45,7 @@ type config = {
           into a bounded ring every this many milliseconds.  The monitor
           only {e reads} the registry, so engine counters are identical
           either way (proved by the BENCH_obsov gate).  The ring holds
-          {!Imdb_obs.Monitor.default_capacity} samples. *)
+          600 samples. *)
   flight_recorder_dir : string option;
       (** when set, recovery-after-crash writes a post-mortem JSON
           report (monitor ring, slow ops, lock dump, session stats,
@@ -72,8 +72,9 @@ type txn = {
   mutable tx_wrote_immortal : bool;
   mutable tx_commit_ts : Imdb_clock.Timestamp.t option;
   mutable tx_durable : bool;
-      (** the commit record has been synced to the log device; set by the
-          group-commit acknowledgment, never before the sync *)
+      (** the commit record has been synced to the log device: set when
+          [Txnmgr.commit]'s [Wal.flush] through the commit record
+          returns, never before the sync *)
   mutable tx_rows_read : int;  (** rows delivered to this txn's reads *)
   mutable tx_rows_written : int;  (** write ops, including re-writes of a key *)
   mutable tx_lock_waits : int;  (** blocking lock waits that actually parked *)
@@ -270,11 +271,12 @@ val stamp_record : t -> Imdb_buffer.Buffer_pool.frame -> key:string -> unit
 val history_page : t -> int -> history_image
 (** The decoded ([P_history]-format) image of history page [pid]: from
     the memo without pinning when it holds the page (a
-    [histcache.hits]); otherwise pinned through the buffer pool, stamped,
-    decoded if compressed or copied if plain, and memoized when it is a
-    history page with no unstamped version (a [histcache.misses]).  The
-    memo is FIFO-bounded by [config.histcache_capacity]
-    ([histcache.evictions]).  The image never aliases a frame. *)
+    [histcache.hits]); otherwise pinned through the buffer pool, decoded
+    and memoized (a [histcache.misses]).  The memo is FIFO-bounded by
+    [config.histcache_capacity] ([histcache.evictions]).  The image
+    never aliases a frame.
+    @raise Invalid_argument if the stored page is not compressed
+    history (every history page is stored compressed). *)
 
 val history_link : t -> int -> Imdb_clock.Timestamp.t * int
 (** [(split_time, history_pointer)] of history page [pid], what a chain
@@ -344,13 +346,11 @@ val sessions_json : t -> Imdb_obs.Json.t
 
 (** {1 Flight recorder} *)
 
-val flight_report : t -> reason:string -> Imdb_obs.Json.t
-(** The post-mortem payload: takes one final monitor sample, then
-    bundles the monitor ring, session stats, a consistent lock dump, the
-    tracer rings and the full metrics exposition. *)
-
 val write_flight_report : t -> reason:string -> string option
-(** Write {!flight_report} to [config.flight_recorder_dir] (creating the
-    directory), returning the path.  [None] when unconfigured, and on
+(** Write the post-mortem payload to [config.flight_recorder_dir]
+    (creating the directory), returning the path.  The payload takes one
+    final monitor sample, then bundles the monitor ring, session stats, a
+    consistent lock dump, the tracer rings and the full metrics
+    exposition.  [None] when unconfigured, and on
     any write failure — the recorder must never mask the failure it is
     documenting. *)

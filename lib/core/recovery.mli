@@ -11,21 +11,3 @@
 
 val recover : Engine.t -> unit
 (** Run the full open-time protocol, ending with a fresh checkpoint. *)
-
-(**/**)
-
-type analysis = {
-  mutable att : (Imdb_clock.Tid.t * int64) list;
-  mutable dpt : (int * int64) list;
-  mutable max_tid : Imdb_clock.Tid.t;
-  mutable max_ts : Imdb_clock.Timestamp.t;
-  mutable commits : (Imdb_clock.Tid.t * Imdb_clock.Timestamp.t) list;
-}
-
-val analyze : Engine.t -> checkpoint_lsn:int64 -> analysis
-
-val redo : Engine.t -> analysis -> checkpoint_lsn:int64 -> int64 * int64
-(** Returns (redo_start, last applied LSN); tracks progress in the
-    [recovery.redo_lsn] gauge. *)
-
-val read_meta_from_disk : Engine.t -> Meta.t option

@@ -19,7 +19,6 @@ val make : column list -> t
 (** @raise Invalid_argument on empty or duplicate-named columns. *)
 
 val columns : t -> column list
-val arity : t -> int
 val key_column : t -> column
 
 val column_index : t -> string -> int option
@@ -31,7 +30,6 @@ val type_name : column_type -> string
 val type_of_name : string -> column_type option
 (** Parse a SQL type name (INT, INTEGER, VARCHAR, TEXT, BOOL, FLOAT, ...). *)
 
-val value_matches : column_type -> value -> bool
 val pp_value : Format.formatter -> value -> unit
 
 val compare_values : value -> value -> int
@@ -49,9 +47,6 @@ val decode_key : string -> value
 (** {1 Row encoding}
 
     A row travels as (encoded key, payload of the non-key columns). *)
-
-val validate : t -> value list -> unit
-(** Check arity and column types.  @raise Type_error *)
 
 val key_of_row : t -> value list -> string
 val payload_of_row : t -> value list -> string

@@ -233,7 +233,8 @@ let split_data_page ?split_at eng ti ~pid ~low ~high =
           in
           Imdb_clock.Clock.observe eng.E.clock s;
           let hist_pid =
-            E.alloc_page eng ~ptype:P.P_history ~level:0 ~table_id:ti.Catalog.ti_id
+            E.alloc_page eng ~ptype:P.P_history_compressed ~level:0
+              ~table_id:ti.Catalog.ti_id
           in
           let images =
             V.time_split ~metrics:eng.E.metrics ~page ~split_time:s
@@ -242,27 +243,17 @@ let split_data_page ?split_at eng ti ~pid ~low ~high =
           E.exec_op eng fr ~undoable:false (LR.Op_image { image = images.V.si_current });
           (* the history image is immutable from this point on: delta-
              compress it so the logged image — the split's permanent
-             storage cost — shrinks.  [encode] is defensive; a [None]
-             keeps the plain page and counts a fallback. *)
-          let hist_image =
-            let module M = Imdb_obs.Metrics in
-            match Imdb_storage.Vcompress.encode images.V.si_history with
-            | Some c ->
-                M.incr eng.E.metrics M.compress_pages;
-                M.incr ~by:(Bytes.length images.V.si_history) eng.E.metrics
-                  M.compress_raw_bytes;
-                M.incr ~by:(Bytes.length c) eng.E.metrics M.compress_written_bytes;
-                let raw = M.get eng.E.metrics M.compress_raw_bytes in
-                let written = M.get eng.E.metrics M.compress_written_bytes in
-                if raw > 0 then
-                  M.set_gauge eng.E.metrics M.compress_ratio (written * 100 / raw);
-                c
-            | None ->
-                M.incr eng.E.metrics M.compress_fallbacks;
-                images.V.si_history
-          in
-          Imdb_obs.Metrics.incr ~by:(Bytes.length hist_image) eng.E.metrics
-            Imdb_obs.Metrics.hist_bytes_written;
+             storage cost — shrinks.  Only the compressed form is
+             stored. *)
+          let hist_image = Imdb_storage.Vcompress.encode images.V.si_history in
+          let m = eng.E.metrics in
+          let module M = Imdb_obs.Metrics in
+          M.incr m M.compress_pages;
+          M.incr ~by:(Bytes.length images.V.si_history) m M.compress_raw_bytes;
+          M.incr ~by:(Bytes.length hist_image) m M.compress_written_bytes;
+          M.set_gauge m M.compress_ratio
+            (M.get m M.compress_written_bytes * 100 / M.get m M.compress_raw_bytes);
+          M.incr ~by:(Bytes.length hist_image) m M.hist_bytes_written;
           Imdb_obs.Tracer.add_attr sp "hist_page" (string_of_int hist_pid);
           Imdb_obs.Tracer.add_attr sp "hist_bytes"
             (string_of_int (Bytes.length hist_image));

@@ -78,15 +78,6 @@ val scan :
     bounded to the key window [lo, hi) — the access path of the paper's
     own [WHERE Oid < 10] example. *)
 
-val scan_current :
-  Engine.t ->
-  ?lo:string ->
-  ?hi:string ->
-  Engine.txn ->
-  Catalog.table_info ->
-  (string -> string -> unit) ->
-  unit
-
 val scan_as_of :
   Engine.t ->
   ?lo:string ->
@@ -110,19 +101,6 @@ val history :
     [None] marks deletion. *)
 
 (** {1 Maintenance} *)
-
-val split_data_page :
-  ?split_at:Imdb_clock.Timestamp.t ->
-  Engine.t ->
-  Catalog.table_info ->
-  pid:int ->
-  low:string ->
-  high:string option ->
-  unit
-(** Make room in a full data page: time split + optional key split
-    (immortal) or version GC + fallback key split (snapshot).
-    [split_at] is a buffer flush's deferred split time (default: the
-    classic per-row split time). *)
 
 val flush_ingest : Engine.t -> Catalog.table_info -> unit
 (** Drain the table's ingest buffer (no-op when empty or absent): apply

@@ -59,17 +59,12 @@ let commit eng txn =
         end
     | E.Eager_stamping -> Table.eager_stamp_writes eng txn ~ts);
     E.ensure_begun eng txn;
-    let commit_lsn =
-      Imdb_wal.Wal.append eng.E.wal (LR.Commit { tid = txn.E.tx_tid; ts })
+    (* [batch_pos]: our position in the forming group-commit batch, 1 =
+       leader (our flush will pay the sync), k = riding a batch of k so
+       far *)
+    let commit_lsn, batch_pos =
+      Imdb_wal.Wal.append_commit eng.E.wal ~tid:txn.E.tx_tid ~ts
     in
-    (* The durability acknowledgment ([tx_durable]) fires only from the
-       flush that syncs the commit record.  [commit] forces that flush
-       below, so every commit it returns is in the durable log. *)
-    Imdb_wal.Wal.register_commit eng.E.wal ~lsn:commit_lsn ~on_durable:(fun () ->
-        txn.E.tx_durable <- true);
-    (* our position in the forming group-commit batch: 1 = leader (our
-       flush will pay the sync), k = riding a batch of k so far *)
-    let batch_pos = Imdb_wal.Wal.pending_commits eng.E.wal in
     (* The VTT commit — the visibility switch — happens here, in the same
        gate section that issued the timestamp, so concurrent sessions can
        never observe a timestamp-ordered commit before an earlier one.
@@ -92,6 +87,9 @@ let commit eng txn =
        own; serially the commit record is the end of the buffered tail,
        so the two are the same flush. *)
     E.without_gate eng (fun () -> Imdb_wal.Wal.flush ~lsn:commit_lsn eng.E.wal);
+    (* the flush's return is the durability acknowledgment: every commit
+       [commit] returns is in the durable log *)
+    txn.E.tx_durable <- true;
     ignore (Imdb_wal.Wal.append eng.E.wal (LR.End { tid = txn.E.tx_tid }));
     release eng txn;
     let m = eng.E.metrics in

@@ -20,8 +20,3 @@ val abort : Engine.t -> Engine.txn -> unit
 
 val rollback_loser : Engine.t -> tid:Imdb_clock.Tid.t -> last_lsn:int64 -> unit
 (** Recovery entry point: roll back a loser found in the log. *)
-
-(**/**)
-
-val undo_op : Engine.t -> Engine.txn -> op:Imdb_wal.Log_record.page_op -> unit
-val release : Engine.t -> Engine.txn -> unit

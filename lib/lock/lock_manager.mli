@@ -15,14 +15,7 @@
 
 type resource = Table of int | Record of int * string
 
-val pp_resource : Format.formatter -> resource -> unit
-
 type mode = IS | IX | S | X
-
-val pp_mode : Format.formatter -> mode -> unit
-
-val compatible : mode -> mode -> bool
-(** The standard multigranularity compatibility matrix. *)
 
 val lub : mode -> mode -> mode
 (** Upgrade merge: the least upper bound of two modes, with S+IX

@@ -62,8 +62,6 @@ let to_string v =
   emit buf v;
   Buffer.contents buf
 
-let pp ppf v = Fmt.string ppf (to_string v)
-
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
 (* ------------------------------------------------------------------ *)

@@ -15,8 +15,6 @@ val to_string : t -> string
 (** Compact rendering; object keys appear in list order, so sorting the
     pairs before construction yields a byte-stable document. *)
 
-val pp : Format.formatter -> t -> unit
-
 val parse : string -> (t, string) result
 (** Recursive-descent parser for the subset [to_string] emits (numbers,
     strings with escapes, arrays, objects, literals). *)

@@ -223,8 +223,11 @@ let diff ~(before : snapshot) ~(after : snapshot) : snapshot =
    v11: one temporal read path — the parallel scan's fallback counter
    and scan.fanout histogram are gone with it; the histcache
    hit/miss/eviction counters now count the engine's decoded
-   history-page memo. *)
-let schema_version = 11
+   history-page memo.
+
+   v12: one stored history format — the compress.fallbacks counter is
+   gone: every time split stores its history image compressed. *)
+let schema_version = 12
 
 let sorted_int_obj tbl =
   Hashtbl.fold (fun k r acc -> (k, Json.Int !r) :: acc) tbl [] |> List.sort compare
@@ -333,7 +336,6 @@ let histcache_misses = "histcache.misses"
 let histcache_evictions = "histcache.evictions"
 let hist_bytes_written = "hist.bytes_written"
 let compress_pages = "compress.pages"
-let compress_fallbacks = "compress.fallbacks"
 let compress_raw_bytes = "compress.raw_bytes"
 let compress_written_bytes = "compress.written_bytes"
 let compress_ratio = "compress.ratio"

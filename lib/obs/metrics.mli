@@ -88,7 +88,7 @@ val diff : before:snapshot -> after:snapshot -> snapshot
     [imdb stats --json], the SQL [METRICS] pragma and the bench harness:
 
     {v
-    { "schema_version": 11,
+    { "schema_version": 12,
       "counters":   { "<name>": <int>, ... },              (sorted)
       "gauges":     { "<name>": <int>, ... },              (sorted)
       "histograms": { "<name>": { "count": n, "sum": n, "max": n,
@@ -147,10 +147,9 @@ val histcache_evictions : string
 
 val hist_bytes_written : string
 (** Bytes logged for history page images at time splits (the permanent
-    storage cost of a split, plain or compressed). *)
+    storage cost of a split; every stored image is compressed). *)
 
 val compress_pages : string
-val compress_fallbacks : string
 val compress_raw_bytes : string
 val compress_written_bytes : string
 

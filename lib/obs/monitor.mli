@@ -35,9 +35,8 @@ val create :
   ?interval_ms:int -> ?capacity:int -> ?clock_us:(unit -> int64) -> Metrics.t -> t
 (** [clock_us] defaults to wall time; tests inject a logical source.
     [interval_ms] (default 1000) only matters for [start];
-    [capacity] (default {!default_capacity}) bounds the ring. *)
+    [capacity] (default 600) bounds the ring. *)
 
-val default_capacity : int
 val enabled : t -> bool
 val interval_ms : t -> int
 

@@ -221,14 +221,6 @@ let instant t ?(attrs = []) name =
           Metrics.incr t.metrics Metrics.trace_spans
         end)
 
-let current t =
-  if not t.on then None
-  else
-    locked t (fun () ->
-        match Hashtbl.find_opt t.stacks (Domain.self () :> int) with
-        | None -> None
-        | Some stack -> List.find_opt (fun sp -> sp.sp_sampled) !stack)
-
 let spans t = if not t.on then [] else locked t (fun () -> List.of_seq (Queue.to_seq t.ring))
 let slow_ops t = if not t.on then [] else locked t (fun () -> List.of_seq (Queue.to_seq t.slow))
 let dropped t = if not t.on then 0 else locked t (fun () -> t.ring_dropped)

@@ -41,9 +41,6 @@ type span
 val null : t
 (** Shared disabled tracer: every operation is a no-op. *)
 
-val null_span : span
-(** The handle passed to [with_span] bodies when tracing is disabled. *)
-
 val create :
   ?capacity:int ->
   ?slow_capacity:int ->
@@ -70,8 +67,8 @@ val with_span :
   t -> ?attrs:(string * string) list -> string -> (span -> 'a) -> 'a
 (** [with_span t name f] opens a span, runs [f], and closes the span when
     [f] returns or raises.  The parent is the innermost open span of the
-    calling domain.  When [t] is disabled this is a single branch:
-    [f null_span]. *)
+    calling domain.  When [t] is disabled this is a single branch: [f]
+    gets a shared inert span. *)
 
 val add_attr : span -> string -> string -> unit
 (** Attach a key/value to an open span (no-op on unsampled handles).
@@ -82,9 +79,6 @@ val span_id : span -> int
 
 val instant : t -> ?attrs:(string * string) list -> string -> unit
 (** A zero-duration point event, parented like a span. *)
-
-val current : t -> span option
-(** The innermost {e sampled} open span of the calling domain, if any. *)
 
 (** {1 Reading back} *)
 
@@ -107,8 +101,6 @@ val slow_ops : t -> completed list
 
 val dropped : t -> int
 (** Spans evicted from the completed ring since creation/[reset]. *)
-
-val slow_dropped : t -> int
 
 val reset : t -> unit
 (** Clear both rings and the drop counts.  Open spans are unaffected. *)

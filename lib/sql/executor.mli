@@ -24,10 +24,6 @@ type session = {
 
 val make_session : Imdb_core.Db.t -> session
 
-val exec : session -> Ast.statement -> result
-(** Execute one statement.  @raise Exec_error and the engine's data
-    exceptions (e.g. {!Imdb_core.Table.Duplicate_key}). *)
-
 val exec_string : session -> string -> result list
 (** Parse and execute a script. *)
 

@@ -141,8 +141,8 @@ type write_target =
   | Any_write
   | Writes_of_type of Page.page_type list
       (** writes of pages whose header carries one of these types — e.g.
-          [P_history; P_history_compressed] crashes a time-split at the
-          moment it persists the historical page *)
+          [P_history_compressed] crashes a time-split at the moment it
+          persists the historical page *)
   | Writes_to_page of int  (** writes of one page id (0 = the meta page) *)
   | Writes_matching of (int -> bytes -> bool)
       (** arbitrary predicate over (page id, sealed image) *)

@@ -68,9 +68,7 @@ val set_next_page : bytes -> int -> unit
 val prev_page : bytes -> int
 val set_prev_page : bytes -> int -> unit
 val table_id : bytes -> int
-val set_table_id : bytes -> int -> unit
 val level : bytes -> int
-val set_level : bytes -> int -> unit
 
 (** {1 Formatting and checksums} *)
 
@@ -128,15 +126,12 @@ val compact : bytes -> unit
 
 (** {1 Space accounting} *)
 
-val slot_array_start : bytes -> int
-val contiguous_free : bytes -> int
 val free_space : bytes -> int
 (** Free bytes available counting reclaimable garbage. *)
 
 val fits : bytes -> int -> bool
 (** Would a cell body of this size fit (after compaction if needed)? *)
 
-val find_dead_slot : bytes -> int option
 val choose_insert_slot : bytes -> int
 (** The slot [insert] would use. *)
 
@@ -145,5 +140,4 @@ val choose_insert_slot : bytes -> int
 val live_count : bytes -> int
 val iter_live : bytes -> (int -> unit) -> unit
 val fold_live : bytes -> init:'a -> f:('a -> int -> 'a) -> 'a
-val live_bytes : bytes -> int
 val utilization : bytes -> float

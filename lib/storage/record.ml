@@ -85,8 +85,6 @@ let decode b =
 (* touches only the 14-byte tail.                                       *)
 (* ------------------------------------------------------------------ *)
 
-let in_page_key_length page slot = Codec.get_u16 page (Page.cell_body_offset page slot + 1)
-
 let in_page_key page slot =
   let body = Page.cell_body_offset page slot in
   Codec.get_string page (body + 5) (Codec.get_u16 page (body + 1))

@@ -41,8 +41,6 @@ type t = {
   sn : int;
 }
 
-val is_delete_stub : t -> bool
-val is_non_current : t -> bool
 val vp_in_history : t -> bool
 
 val size : key:string -> payload:string -> int
@@ -57,7 +55,6 @@ val decode : bytes -> t
     14-byte tail of a cell, without re-encoding the record. *)
 
 val in_page_key : bytes -> int -> string
-val in_page_key_length : bytes -> int -> int
 val in_page_payload : bytes -> int -> string
 
 val in_page_key_matches : bytes -> int -> string -> bool

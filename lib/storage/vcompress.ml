@@ -39,10 +39,20 @@
 
    [decode] is an exact inverse: re-inserting the reconstructed cells in
    slot order into a fresh page reproduces the encoder's input image
-   byte for byte (same offsets, same slot array, same header).  [encode]
-   is defensive: any image that does not have the sequential-layout
-   shape, or that would not shrink, yields [None] and the caller keeps
-   the plain page. *)
+   byte for byte (same offsets, same slot array, same header).
+
+   [encode] is total on time-split output.  Every field width is bounded
+   by the page: with pages up to 16 KiB, key and payload lengths, run
+   lengths, slot numbers and diff offsets are all below 2^14 (at most 2
+   varint bytes), a Ttime below 2^48 ms takes at most 7 and an SN below
+   2^21 at most 3.  A head then costs at most 19 bytes beyond its key and
+   payload, run length and last-member VP included, and a member at most
+   17 beyond its middle bytes, while a plain version costs 23 beyond its
+   key and payload (slot entry, cell length, fixed fields, tail).  Every
+   version therefore shrinks by at least 4 bytes, which pays for the
+   4-byte count/length prefix, so the compressed image always fits the
+   page.  An image outside that shape breaks an invariant of the split
+   path and raises [Invalid_argument]. *)
 
 open Imdb_util
 module P = Page
@@ -53,20 +63,19 @@ let blob_start = P.header_size + meta_size
 
 let raw_ttime r = Imdb_clock.Tid.encode_ttime_field r.R.ttime
 
-let stamped r =
-  match r.R.ttime with
-  | Imdb_clock.Tid.Stamped _ -> true
-  | Imdb_clock.Tid.Unstamped _ -> false
-
-(* Cells must sit exactly where sequential re-insertion will put them,
-   or decoding could not reproduce the image byte for byte. *)
-let sequential_layout plain =
+(* What a time split builds: a history page whose cells sit exactly
+   where sequential re-insertion will put them (or decoding could not
+   reproduce the image byte for byte), every version stamped. *)
+let split_output plain =
   let n = P.slot_count plain in
   let cursor = ref P.header_size in
-  let ok = ref (P.garbage plain = 0) in
+  let ok = ref (P.page_type plain = P.P_history && P.garbage plain = 0) in
   for slot = 0 to n - 1 do
     if !ok then
-      if (not (P.slot_live plain slot)) || P.slot_offset plain slot <> !cursor
+      if
+        (not (P.slot_live plain slot))
+        || P.slot_offset plain slot <> !cursor
+        || R.in_page_timestamp plain slot = None
       then ok := false
       else cursor := !cursor + 2 + P.cell_length plain slot
   done;
@@ -75,80 +84,76 @@ let sequential_layout plain =
 let chains_to m r = r.R.vp = m && not (R.vp_in_history r)
 
 let encode plain =
-  if P.page_type plain <> P.P_history || not (sequential_layout plain) then
-    None
-  else begin
-    let n = P.slot_count plain in
-    let recs = Array.init n (fun slot -> R.read_in_page plain slot) in
-    let w = Codec.Writer.create ~size:256 () in
-    let s = ref 0 in
-    while !s < n do
-      (* maximal run of chain-linked, stamped, time-ordered cells *)
-      let e = ref !s in
-      let extending = ref true in
-      while !extending && !e + 1 < n do
-        let cur = recs.(!e) and nxt = recs.(!e + 1) in
-        if
-          chains_to (!e + 1) cur
-          && String.equal cur.R.key nxt.R.key
-          && stamped cur && stamped nxt
-          && Int64.compare (raw_ttime cur) (raw_ttime nxt) >= 0
-        then incr e
-        else extending := false
-      done;
-      let head = recs.(!s) in
-      Codec.Writer.varint w (!e - !s + 1);
-      Codec.Writer.u8 w head.R.flags;
-      Codec.Writer.varint64 w (raw_ttime head);
-      Codec.Writer.varint w head.R.sn;
-      Codec.Writer.varint w (String.length head.R.key);
-      Codec.Writer.string w head.R.key;
-      Codec.Writer.varint w (String.length head.R.payload);
-      Codec.Writer.string w head.R.payload;
-      for i = !s + 1 to !e do
-        let prev = recs.(i - 1) and cur = recs.(i) in
-        Codec.Writer.u8 w cur.R.flags;
-        Codec.Writer.varint64 w (Int64.sub (raw_ttime prev) (raw_ttime cur));
-        Codec.Writer.varint w cur.R.sn;
-        let p = prev.R.payload and c = cur.R.payload in
-        let lp = String.length p and lc = String.length c in
-        let maxpre = min lp lc in
-        let pre = ref 0 in
-        while !pre < maxpre && p.[!pre] = c.[!pre] do
-          incr pre
-        done;
-        let maxsuf = maxpre - !pre in
-        let suf = ref 0 in
-        while !suf < maxsuf && p.[lp - 1 - !suf] = c.[lc - 1 - !suf] do
-          incr suf
-        done;
-        let midlen = lc - !pre - !suf in
-        Codec.Writer.varint w !pre;
-        Codec.Writer.varint w !suf;
-        Codec.Writer.varint w midlen;
-        Codec.Writer.string w (String.sub c !pre midlen)
-      done;
-      let last = recs.(!e) in
-      Codec.Writer.varint w (if last.R.vp = R.no_vp then 0 else last.R.vp + 1);
-      s := !e + 1
+  if not (split_output plain) then
+    invalid_arg "Vcompress.encode: not a time split's history image";
+  let n = P.slot_count plain in
+  let recs = Array.init n (fun slot -> R.read_in_page plain slot) in
+  let w = Codec.Writer.create ~size:256 () in
+  let s = ref 0 in
+  while !s < n do
+    (* maximal run of chain-linked, time-ordered cells *)
+    let e = ref !s in
+    let extending = ref true in
+    while !extending && !e + 1 < n do
+      let cur = recs.(!e) and nxt = recs.(!e + 1) in
+      if
+        chains_to (!e + 1) cur
+        && String.equal cur.R.key nxt.R.key
+        && Int64.compare (raw_ttime cur) (raw_ttime nxt) >= 0
+      then incr e
+      else extending := false
     done;
-    let blob = Codec.Writer.contents w in
-    let blen = Bytes.length blob in
-    let total = blob_start + blen in
-    if blen > 0xffff || total >= Bytes.length plain then None
-    else begin
-      let out = Bytes.create total in
-      Bytes.blit plain 0 out 0 P.header_size;
-      P.set_page_type out P.P_history_compressed;
-      Codec.set_u16 out 18 0 (* slot_count *);
-      Codec.set_u16 out 20 total (* free_lower *);
-      Codec.set_u16 out 22 0 (* garbage *);
-      Codec.set_u16 out P.header_size n;
-      Codec.set_u16 out (P.header_size + 2) blen;
-      Codec.set_bytes out blob_start blob;
-      Some out
-    end
-  end
+    let head = recs.(!s) in
+    Codec.Writer.varint w (!e - !s + 1);
+    Codec.Writer.u8 w head.R.flags;
+    Codec.Writer.varint64 w (raw_ttime head);
+    Codec.Writer.varint w head.R.sn;
+    Codec.Writer.varint w (String.length head.R.key);
+    Codec.Writer.string w head.R.key;
+    Codec.Writer.varint w (String.length head.R.payload);
+    Codec.Writer.string w head.R.payload;
+    for i = !s + 1 to !e do
+      let prev = recs.(i - 1) and cur = recs.(i) in
+      Codec.Writer.u8 w cur.R.flags;
+      Codec.Writer.varint64 w (Int64.sub (raw_ttime prev) (raw_ttime cur));
+      Codec.Writer.varint w cur.R.sn;
+      let p = prev.R.payload and c = cur.R.payload in
+      let lp = String.length p and lc = String.length c in
+      let maxpre = min lp lc in
+      let pre = ref 0 in
+      while !pre < maxpre && p.[!pre] = c.[!pre] do
+        incr pre
+      done;
+      let maxsuf = maxpre - !pre in
+      let suf = ref 0 in
+      while !suf < maxsuf && p.[lp - 1 - !suf] = c.[lc - 1 - !suf] do
+        incr suf
+      done;
+      let midlen = lc - !pre - !suf in
+      Codec.Writer.varint w !pre;
+      Codec.Writer.varint w !suf;
+      Codec.Writer.varint w midlen;
+      Codec.Writer.string w (String.sub c !pre midlen)
+    done;
+    let last = recs.(!e) in
+    Codec.Writer.varint w (if last.R.vp = R.no_vp then 0 else last.R.vp + 1);
+    s := !e + 1
+  done;
+  let blob = Codec.Writer.contents w in
+  let blen = Bytes.length blob in
+  let total = blob_start + blen in
+  if blen > 0xffff || total > Bytes.length plain then
+    invalid_arg "Vcompress.encode: compressed image does not fit its page";
+  let out = Bytes.create total in
+  Bytes.blit plain 0 out 0 P.header_size;
+  P.set_page_type out P.P_history_compressed;
+  Codec.set_u16 out 18 0 (* slot_count *);
+  Codec.set_u16 out 20 total (* free_lower *);
+  Codec.set_u16 out 22 0 (* garbage *);
+  Codec.set_u16 out P.header_size n;
+  Codec.set_u16 out (P.header_size + 2) blen;
+  Codec.set_bytes out blob_start blob;
+  out
 
 let is_compressed b = P.page_type b = P.P_history_compressed
 let encoded_size b = blob_start + Codec.get_u16 b (P.header_size + 2)

@@ -6,7 +6,9 @@
     [P_history_compressed] image — one full head record per chain run
     plus per-version deltas (varint time/SN deltas, a byte-range payload
     diff against the newer successor, implicit version pointers) — and
-    [decode] reproduces the encoder's input byte for byte.
+    [decode] reproduces the encoder's input byte for byte.  Every stored
+    history page is compressed; plain [P_history] exists only as
+    [decode]'s output.
 
     The compressed image keeps the full 56-byte header (so header-only
     chain walks — history pointer, split time — need no decoding) with
@@ -14,12 +16,16 @@
     Everything past the blob is implicitly zero, which lets the split
     path log the truncated image. *)
 
-val encode : bytes -> bytes option
-(** [encode plain] compresses a plain [P_history] image.  The result is
-    trimmed to header + blob (the tail of the page is all zeros by
-    construction).  [None] when the image is not a history page, does
-    not have the sequential split-output layout, or would not shrink —
-    the caller keeps the plain image. *)
+val encode : bytes -> bytes
+(** [encode plain] compresses the [P_history] image a time split built.
+    The result is trimmed to header + blob (the tail of the page is all
+    zeros by construction).  Total on split output for pages up to
+    16 KiB, Ttimes below 2^48 ms and SNs below 2^21: each version's
+    encoding is at least 4 bytes shorter than its plain cell, so the
+    image always fits its page (the bound is derived in vcompress.ml).
+    @raise Invalid_argument if [plain] is not a history image with the
+    sequential, fully stamped split-output layout, or if its encoding
+    would not fit the page — both break an invariant of the split path. *)
 
 val decode : bytes -> bytes
 (** [decode b] rebuilds the plain [P_history] image, bit-for-bit equal

@@ -11,7 +11,6 @@ type write = { w_table : string; w_key : string; w_value : string option }
 type commit = { c_ts : Ts.t; c_writes : write list; c_tag : int }
 
 type t = {
-  table_names : string list;
   mutable arr : commit array;
   mutable len : int;
   current : (string, (string, string) Hashtbl.t) Hashtbl.t;
@@ -21,10 +20,8 @@ type t = {
 let create ~tables =
   let current = Hashtbl.create 4 in
   List.iter (fun name -> Hashtbl.replace current name (Hashtbl.create 64)) tables;
-  { table_names = tables; arr = Array.make 1024 { c_ts = Ts.zero; c_writes = []; c_tag = 0 };
+  { arr = Array.make 1024 { c_ts = Ts.zero; c_writes = []; c_tag = 0 };
     len = 0; current }
-
-let tables t = t.table_names
 
 let table_state t name =
   match Hashtbl.find_opt t.current name with
@@ -54,7 +51,6 @@ let record t ~ts ~tag writes =
 
 let commit_count t = t.len
 let commits t = Array.to_list (Array.sub t.arr 0 t.len)
-let last_ts t = if t.len = 0 then None else Some t.arr.(t.len - 1).c_ts
 
 let sorted_bindings h =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) h []

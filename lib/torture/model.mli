@@ -34,8 +34,6 @@ type t
 
 val create : tables:string list -> t
 
-val tables : t -> string list
-
 val record : t -> ts:Ts.t -> tag:int -> write list -> unit
 (** Append a commit.  @raise Invalid_argument if [ts] does not strictly
     increase or a write names an unknown table. *)
@@ -44,8 +42,6 @@ val commit_count : t -> int
 
 val commits : t -> commit list
 (** Oldest first. *)
-
-val last_ts : t -> Ts.t option
 
 val current_state : t -> table:string -> (string * string) list
 (** Live keys and their latest values, sorted by key. *)

@@ -18,9 +18,6 @@ type rect = {
   t_high : Imdb_clock.Timestamp.t;  (** [Timestamp.infinity] = open *)
 }
 
-val rect_contains : rect -> key:string -> ts:Imdb_clock.Timestamp.t -> bool
-val pp_rect : Format.formatter -> rect -> unit
-
 type entry = { rect : rect; child : int }
 
 type io = {
@@ -48,8 +45,3 @@ exception Invariant_violation of string
 val check_invariants : t -> int
 (** Containment and leaf-disjointness check; returns the leaf entry
     count.  @raise Invariant_violation *)
-
-(**/**)
-
-val node_entries : bytes -> entry list
-val everything : rect

@@ -24,7 +24,7 @@ type t = {
   mutable force_log : int64 -> unit;
       (* make the log durable up to a commit record's end (stamping gate) *)
   mutable unknown_tids : int; (* integrity counter: should stay 0 *)
-  mutable metrics : Imdb_obs.Metrics.t;
+  metrics : Imdb_obs.Metrics.t;
   mutable tracer : Imdb_obs.Tracer.t;
 }
 
@@ -32,10 +32,6 @@ let create ?(metrics = Imdb_obs.Metrics.null) () =
   { vtt = Vtt.create ~metrics (); ptt = None; end_of_log = (fun () -> 0L);
     flushed_lsn = (fun () -> 0L); force_log = (fun _ -> ());
     unknown_tids = 0; metrics; tracer = Imdb_obs.Tracer.null }
-
-let set_metrics t m =
-  t.metrics <- m;
-  Vtt.set_metrics t.vtt m
 
 let set_tracer t tr = t.tracer <- tr
 

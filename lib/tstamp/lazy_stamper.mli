@@ -11,7 +11,6 @@
 type t
 
 val create : ?metrics:Imdb_obs.Metrics.t -> unit -> t
-val set_metrics : t -> Imdb_obs.Metrics.t -> unit
 
 val set_tracer : t -> Imdb_obs.Tracer.t -> unit
 (** Spans: {!garbage_collect} records a "ptt.gc" span

@@ -51,8 +51,3 @@ val iter : t -> (Imdb_clock.Tid.t -> Imdb_clock.Timestamp.t -> unit) -> unit
 
 val min_tid : t -> Imdb_clock.Tid.t option
 (** The oldest TID still recorded — a measure of how well GC keeps up. *)
-
-(**/**)
-
-val key_of_tid : Imdb_clock.Tid.t -> string
-val tid_of_key : string -> Imdb_clock.Tid.t

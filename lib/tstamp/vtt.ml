@@ -38,11 +38,9 @@ type entry = {
   mutable persistent : bool; (* has a PTT entry (immortal-table txn) *)
 }
 
-type t = { entries : entry Tid.Table.t; mutable metrics : M.t }
+type t = { entries : entry Tid.Table.t; metrics : M.t }
 
 let create ?(metrics = M.null) () = { entries = Tid.Table.create 256; metrics }
-let set_metrics t m = t.metrics <- m
-let size t = Tid.Table.length t.entries
 let find t tid = Tid.Table.find_opt t.entries tid
 
 (* Stage I: transaction begin. *)
@@ -145,15 +143,3 @@ let drop_if_drained_snapshot t tid =
   match find t tid with
   | Some e when (not e.persistent) && e.refcount = 0 && e.status <> Active -> drop t tid
   | _ -> ()
-
-let iter t f = Tid.Table.iter (fun _ e -> f e) t.entries
-
-let pp ppf t =
-  iter t (fun e ->
-      Fmt.pf ppf "%a: %s ref=%d lsn0=%Ld%s@." Tid.pp e.tid
-        (match e.status with
-        | Active -> "active"
-        | Aborted -> "aborted"
-        | Committed ts -> Ts.to_string ts)
-        e.refcount e.lsn_at_zero
-        (if e.persistent then " [ptt]" else ""))

@@ -21,12 +21,7 @@ type entry = {
 
 type t
 
-val undefined : int
-val no_lsn : int64
-
 val create : ?metrics:Imdb_obs.Metrics.t -> unit -> t
-val set_metrics : t -> Imdb_obs.Metrics.t -> unit
-val size : t -> int
 val find : t -> Imdb_clock.Tid.t -> entry option
 
 val begin_txn : t -> Imdb_clock.Tid.t -> unit
@@ -74,5 +69,3 @@ val drop_if_drained_snapshot : t -> Imdb_clock.Tid.t -> unit
 (** Snapshot-only transactions vanish the moment their refcount drains:
     nothing about them needs to survive. *)
 
-val iter : t -> (entry -> unit) -> unit
-val pp : Format.formatter -> t -> unit

@@ -32,5 +32,3 @@ let bytes_int ?(pos = 0) ?len b =
   !c lxor 0xFFFFFFFF
 
 let bytes ?pos ?len b = Int32.of_int (bytes_int ?pos ?len b)
-let string s = bytes (Bytes.unsafe_of_string s)
-let to_int c = Int32.to_int c land 0xffffffff

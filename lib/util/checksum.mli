@@ -5,5 +5,3 @@ val bytes_int : ?pos:int -> ?len:int -> bytes -> int
 (** CRC over the range as an unsigned int (fits 32 bits). *)
 
 val bytes : ?pos:int -> ?len:int -> bytes -> int32
-val string : string -> int32
-val to_int : int32 -> int

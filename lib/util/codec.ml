@@ -39,14 +39,6 @@ let set_u32 b pos v =
   check b ~pos ~len:4 ~what:"set_u32";
   Bytes.set_int32_le b pos (Int32.of_int (v land 0xffffffff))
 
-let get_i32 b pos =
-  check b ~pos ~len:4 ~what:"get_i32";
-  Int32.to_int (Bytes.get_int32_le b pos)
-
-let set_i32 b pos v =
-  check b ~pos ~len:4 ~what:"set_i32";
-  Bytes.set_int32_le b pos (Int32.of_int v)
-
 let get_i64 b pos =
   check b ~pos ~len:8 ~what:"get_i64";
   Bytes.get_int64_le b pos
@@ -139,7 +131,6 @@ module Writer = struct
     varint64 t (Int64.of_int v)
 
   let contents t = Buffer.to_bytes t
-  let length t = Buffer.length t
 end
 
 (* A cursor for decoding; mirrors [Writer]. *)

@@ -13,8 +13,6 @@ val get_u16 : bytes -> int -> int
 val set_u16 : bytes -> int -> int -> unit
 val get_u32 : bytes -> int -> int
 val set_u32 : bytes -> int -> int -> unit
-val get_i32 : bytes -> int -> int
-val set_i32 : bytes -> int -> int -> unit
 val get_i64 : bytes -> int -> int64
 val set_i64 : bytes -> int -> int64 -> unit
 
@@ -58,7 +56,6 @@ module Writer : sig
   (** Unsigned LEB128 of a non-negative [int]; raises on negatives. *)
 
   val contents : t -> bytes
-  val length : t -> int
 end
 
 (** Decoding cursor mirroring {!Writer}. *)
@@ -66,7 +63,6 @@ module Reader : sig
   type t = { buf : bytes; mutable pos : int }
 
   val create : ?pos:int -> bytes -> t
-  val remaining : t -> int
   val eof : t -> bool
   val u8 : t -> int
   val u16 : t -> int

@@ -8,7 +8,6 @@
 type t = { mutable state : int64 }
 
 let create seed = { state = Int64.of_int seed }
-let copy t = { state = t.state }
 
 let next_int64 t =
   t.state <- Int64.add t.state 0x9E3779B97F4A7C15L;
@@ -46,6 +45,3 @@ let shuffle t arr =
     arr.(i) <- arr.(j);
     arr.(j) <- tmp
   done
-
-let string t len =
-  String.init len (fun _ -> Char.chr (int_in t (Char.code 'a') (Char.code 'z')))

@@ -5,8 +5,6 @@
 type t
 
 val create : int -> t
-val copy : t -> t
-val next_int64 : t -> int64
 
 val int : t -> int -> int
 (** Uniform in [0, bound).  @raise Invalid_argument on bound <= 0. *)
@@ -20,4 +18,3 @@ val float : t -> float
 val bool : t -> bool
 val choose : t -> 'a array -> 'a
 val shuffle : t -> 'a array -> unit
-val string : t -> int -> string

@@ -59,8 +59,6 @@ val find_stamped_as_of : bytes -> key:string -> asof:Imdb_clock.Timestamp.t -> i
 
 (** {1 Inserting versions} *)
 
-val version_size : key:string -> payload:string -> int
-
 (** A planned version insert: computed first so the engine can build the
     [Op_version_insert] log record, then applied (by the same code redo
     replays). *)
@@ -182,7 +180,3 @@ type version_info = {
   vi_cell : bytes;
 }
 
-val info_of : bytes -> int -> version_info
-val collect_chains : bytes -> version_info list list
-val classify_chain :
-  split_time:Imdb_clock.Timestamp.t -> version_info list -> (version_info * placement) list

@@ -73,4 +73,3 @@ val encode : body -> bytes
 val decode : bytes -> body
 
 val pp : Format.formatter -> body -> unit
-val pp_op : Format.formatter -> page_op -> unit

@@ -21,7 +21,10 @@
    an open atomic group).  Device access is
    serialized by [flush_mu]; concurrent committers whose record a
    leader's sync will cover wait for the durable horizon instead of
-   syncing again (group commit).  Every engine append already runs under
+   syncing again (group commit).  A commit is acknowledged by the return
+   of its own [flush ~lsn]; the log only counts the Commit frames in the
+   tail, which gives each committer its batch position and each sync its
+   batch size.  Every engine append already runs under
    the session gate, so one mutex costs nothing there; it keeps the log
    safe for any caller on any domain without relying on the gate.
 
@@ -113,13 +116,14 @@ end
 type t = {
   device : Device.t;
   tail_mu : Mutex.t;
-      (* guards [next], [durable_end], [tail] and [volatile]: a
-         volatile-frame lookup under it is atomic with respect to appends
-         and the durable horizon *)
+      (* guards [next], [durable_end], [tail], [tail_commits] and
+         [volatile]: a volatile-frame lookup under it is atomic with
+         respect to appends and the durable horizon *)
   mutable next : int64; (* next LSN: end of log including the volatile tail *)
   mutable durable_end : int64; (* bytes durable on the device *)
   mutable tail : (int64 * bytes) list;
       (* every frame from [durable_end] up to [next], newest first *)
+  mutable tail_commits : int; (* Commit frames in [tail] *)
   volatile : (int64, bytes) Hashtbl.t; (* the same frames, by LSN *)
   flush_mu : Mutex.t;
       (* serializes device append+sync (and durable reads against them);
@@ -140,14 +144,10 @@ type t = {
   mutable group_floor : int64 option;
       (* first LSN of the open atomic group: no flush passes it *)
   mutable group_depth : int; (* nesting of [atomically]; both under [tail_mu] *)
-  pending_mu : Mutex.t;
-  mutable pending : (int64 * (unit -> unit)) list;
-      (* group-commit waiters (commit LSN, durability ack), newest first *)
-  mutable metrics : M.t;
+  metrics : M.t;
   mutable tracer : Imdb_obs.Tracer.t;
 }
 
-let set_metrics t m = t.metrics <- m
 let set_tracer t tr = t.tracer <- tr
 
 let frame_of payload =
@@ -185,6 +185,7 @@ let open_device ?(metrics = M.null) device =
     next = Int64.of_int valid;
     durable_end = Int64.of_int valid;
     tail = [];
+    tail_commits = 0;
     volatile = Hashtbl.create 64;
     flush_mu = Mutex.create ();
     flush_owner = Atomic.make 0;
@@ -192,8 +193,6 @@ let open_device ?(metrics = M.null) device =
     flush_cv = Condition.create ();
     group_floor = None;
     group_depth = 0;
-    pending_mu = Mutex.create ();
-    pending = [];
     metrics;
     tracer = Imdb_obs.Tracer.null;
   }
@@ -230,54 +229,28 @@ let atomically t f =
 
 let flushed_lsn t = durable t
 
-let append t body =
+(* Queue one frame; returns its LSN and the number of Commit frames in
+   the tail right after it. *)
+let push t body =
   let payload = Log_record.encode body in
   let frame = frame_of payload in
-  let lsn =
+  let commit = match body with Log_record.Commit _ -> 1 | _ -> 0 in
+  let placed =
     Mutex.protect t.tail_mu (fun () ->
         let lsn = t.next in
         t.next <- Int64.add lsn (Int64.of_int (Bytes.length frame));
         t.tail <- (lsn, frame) :: t.tail;
+        t.tail_commits <- t.tail_commits + commit;
         Hashtbl.replace t.volatile lsn frame;
-        lsn)
+        (lsn, t.tail_commits))
   in
   M.incr t.metrics M.log_appends;
   M.incr ~by:(Bytes.length frame) t.metrics M.log_bytes;
   M.observe t.metrics M.h_log_record_bytes (Bytes.length frame);
-  lsn
+  placed
 
-(* Group commit: a committing transaction registers its commit LSN and a
-   durability acknowledgment; the next flush that makes the record durable
-   fires the ack.  Waiters share that flush's single append+sync. *)
-let register_commit t ~lsn ~on_durable =
-  if Int64.compare lsn (durable t) < 0 then on_durable ()
-  else begin
-    Mutex.lock t.pending_mu;
-    t.pending <- (lsn, on_durable) :: t.pending;
-    Mutex.unlock t.pending_mu
-  end
-
-let pending_commits t =
-  Mutex.lock t.pending_mu;
-  let n = List.length t.pending in
-  Mutex.unlock t.pending_mu;
-  n
-
-let drain_pending t =
-  let d = durable t in
-  Mutex.lock t.pending_mu;
-  let durable_now, still =
-    List.partition (fun (lsn, _) -> Int64.compare lsn d < 0) t.pending
-  in
-  t.pending <- still;
-  Mutex.unlock t.pending_mu;
-  if durable_now <> [] then begin
-    M.observe t.metrics M.h_group_commit_batch (List.length durable_now);
-    Imdb_obs.Tracer.instant t.tracer "wal.group_commit"
-      ~attrs:[ ("batch", string_of_int (List.length durable_now)) ];
-    (* fire oldest-first: acknowledgment order follows commit order *)
-    List.iter (fun (_, ack) -> ack ()) (List.rev durable_now)
-  end
+let append t body = fst (push t body)
+let append_commit t ~tid ~ts = push t (Log_record.Commit { tid; ts })
 
 (* One leader's append+sync of the whole tail, or of the part before an
    open atomic group.  Caller has claimed leadership ([flush_active]
@@ -285,22 +258,28 @@ let drain_pending t =
    readers and other (reentrant) flushers.  The batch stays in [tail]
    and [volatile] until the sync returns, so a frame is findable until
    it is durable and a failed write leaves the tail intact for the next
-   leader. *)
+   leader.  The sync's commit batch is every Commit frame in the tail: a
+   Commit record is never appended inside an atomic group (both run
+   under the session gate, and no group spans a commit), so none lies
+   past the floor. *)
 let flush_as_leader t needed =
   with_flush_mu t (fun () ->
       (* the flush that held leadership before us may have covered our
          record already *)
-      let frames, new_end =
+      let frames, new_end, commits =
         Mutex.protect t.tail_mu (fun () ->
-            if Int64.compare needed t.durable_end < 0 then ([], t.next)
+            if Int64.compare needed t.durable_end < 0 then ([], t.next, 0)
             else
-              match t.group_floor with
-              | None -> (List.rev t.tail, t.next)
-              | Some floor ->
-                  ( List.filter (fun (lsn, _) -> Int64.compare lsn floor < 0) (List.rev t.tail),
-                    floor ))
+              let frames, new_end =
+                match t.group_floor with
+                | None -> (List.rev t.tail, t.next)
+                | Some floor ->
+                    ( List.filter (fun (lsn, _) -> Int64.compare lsn floor < 0) (List.rev t.tail),
+                      floor )
+              in
+              (frames, new_end, t.tail_commits))
       in
-      if frames <> [] then
+      if frames <> [] then begin
         Imdb_obs.Tracer.with_span t.tracer "wal.flush" (fun sp ->
             let bytes =
               List.fold_left (fun acc (_, f) -> acc + Bytes.length f) 0 frames
@@ -311,11 +290,18 @@ let flush_as_leader t needed =
                 List.iter (fun (lsn, _) -> Hashtbl.remove t.volatile lsn) frames;
                 t.tail <-
                   List.filter (fun (lsn, _) -> Int64.compare lsn new_end >= 0) t.tail;
+                t.tail_commits <- t.tail_commits - commits;
                 t.durable_end <- new_end);
             M.incr t.metrics M.log_flushes;
             M.observe t.metrics M.h_log_flush_bytes bytes;
             Imdb_obs.Tracer.add_attr sp "bytes" (string_of_int bytes);
-            Imdb_obs.Tracer.add_attr sp "frames" (string_of_int (List.length frames))))
+            Imdb_obs.Tracer.add_attr sp "frames" (string_of_int (List.length frames)));
+        if commits > 0 then begin
+          M.observe t.metrics M.h_group_commit_batch commits;
+          Imdb_obs.Tracer.instant t.tracer "wal.group_commit"
+            ~attrs:[ ("batch", string_of_int commits) ]
+        end
+      end)
 
 (* Make everything up to and including the record at [lsn] durable.  A
    record at a given LSN is durable iff [lsn < durable_end] (both are
@@ -328,8 +314,8 @@ let flush_as_leader t needed =
    (Queueing followers on [flush_mu] instead invites starvation: an OS
    mutex lets a hot leader that unlocks and immediately re-locks barge
    ahead of the parked waiters, so a committer could sit through many
-   1-record syncs that each already covered it.)  Every group-commit
-   waiter the sync covers is acknowledged on the way out. *)
+   1-record syncs that each already covered it.)  A committer's return
+   from [flush ~lsn:commit_lsn] is its durability acknowledgment. *)
 let flush ?lsn t =
   let needed =
     match lsn with Some l -> l | None -> Int64.pred (next_lsn t)
@@ -365,23 +351,20 @@ let flush ?lsn t =
   (match group_floor t with
   | Some floor when Int64.compare needed floor >= 0 ->
       invalid_arg "Wal.flush: record inside an open atomic group"
-  | _ -> ());
-  drain_pending t
+  | _ -> ())
 
-(* Drop the volatile tail: crash simulation.  Unacknowledged group-commit
-   waiters are dropped unfired — their transactions were never durable.
-   The end of log rewinds to the durable horizon, as a reopen would. *)
+(* Drop the volatile tail: crash simulation.  Commits still in it were
+   never acknowledged — their transactions were never durable.  The end
+   of log rewinds to the durable horizon, as a reopen would. *)
 let crash_volatile t =
   Mutex.protect t.tail_mu (fun () ->
       t.next <- t.durable_end;
       t.group_floor <- None;
       t.group_depth <- 0;
       t.tail <- [];
+      t.tail_commits <- 0;
       Hashtbl.reset t.volatile;
-      Condition.broadcast t.flush_cv);
-  Mutex.lock t.pending_mu;
-  t.pending <- [];
-  Mutex.unlock t.pending_mu
+      Condition.broadcast t.flush_cv)
 
 (* Iterate durable records from [from_lsn] (must be a frame boundary).
    Runs under [flush_mu] so device reads never interleave with a

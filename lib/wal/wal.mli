@@ -10,7 +10,8 @@
     Safe to share across domains: an append reserves its LSN and queues
     its frame on the one volatile tail under one mutex, and device
     access is serialized separately, so concurrent commits batch into
-    one sync (group commit). *)
+    one sync (group commit).  There is one commit acknowledgment: a
+    commit record is durable once [flush ~lsn] at its LSN returns. *)
 
 (** Log storage devices. *)
 module Device : sig
@@ -32,24 +33,28 @@ type t
 val open_device : ?metrics:Imdb_obs.Metrics.t -> Device.t -> t
 (** Open, scanning for the valid end of log (truncating a torn tail). *)
 
-val set_metrics : t -> Imdb_obs.Metrics.t -> unit
-(** Point the log at an engine's registry (appends, flushes, byte
-    histograms are charged there). *)
-
 val set_tracer : t -> Imdb_obs.Tracer.t -> unit
 (** Point the log at an engine's tracer: [flush] records a "wal.flush"
-    span (bytes/frames attrs) around the append+sync, and each drained
-    group-commit batch a "wal.group_commit" instant — both nest under
-    the commit span that triggered the flush. *)
+    span (bytes/frames attrs) around the append+sync, and a sync that
+    covers Commit records a "wal.group_commit" instant (batch attr) —
+    both nest under the commit span that triggered the flush. *)
 
 val append : t -> Log_record.body -> int64
 (** Buffer a record; returns its LSN. *)
 
+val append_commit :
+  t -> tid:Imdb_clock.Tid.t -> ts:Imdb_clock.Timestamp.t -> int64 * int
+(** Buffer a Commit record; returns its LSN and its batch position: the
+    number of Commit records in the volatile tail right after it (1 =
+    its own flush will pay the sync, k = riding a batch of k so far). *)
+
 val flush : ?lsn:int64 -> t -> unit
 (** Make the log durable through [lsn] (default: everything buffered).
     Returns without touching the device when [lsn] is already durable;
-    otherwise one append+sync covers the whole tail and acknowledges
-    every registered group-commit waiter it made durable. *)
+    otherwise one append+sync covers the whole tail.  Return is the
+    durability acknowledgment: every record through [lsn] is on the
+    device.  The sync observes [txn.group_commit_batch] once, with the
+    number of Commit records it covered. *)
 
 val atomically : t -> (unit -> 'a) -> 'a
 (** Run [f] as one atomic group: no flush makes any of the records [f]
@@ -60,16 +65,6 @@ val atomically : t -> (unit -> 'a) -> 'a
 val group_floor : t -> int64 option
 (** First LSN of the open atomic group, if any.  The buffer pool does not
     evict a page whose LSN is at or past it. *)
-
-val register_commit : t -> lsn:int64 -> on_durable:(unit -> unit) -> unit
-(** Group commit: register a commit record's LSN and a durability
-    acknowledgment.  [on_durable] fires synchronously if the record is
-    already durable, otherwise from the flush that makes it so — never
-    before the device sync.  Waiters dropped by [crash_volatile] are
-    never fired. *)
-
-val pending_commits : t -> int
-(** Number of registered commit waiters not yet durable. *)
 
 val next_lsn : t -> int64
 (** End of log, including the unflushed tail. *)
@@ -83,6 +78,7 @@ val read_at : t -> int64 -> Log_record.body
 (** Read one record, durable or still buffered (rollback chains). *)
 
 val crash_volatile : t -> unit
-(** Crash simulation: drop the unflushed tail. *)
+(** Crash simulation: drop the unflushed tail; the commits in it are
+    never acknowledged. *)
 
 val close : t -> unit

@@ -18,8 +18,6 @@ type event =
   | Insert of { oid : int; x : int; y : int }
   | Update of { oid : int; x : int; y : int }
 
-let oid_of = function Insert { oid; _ } | Update { oid; _ } -> oid
-
 type obj = {
   o_id : int;
   mutable o_path : int list;

@@ -8,18 +8,10 @@ type event =
   | Insert of { oid : int; x : int; y : int }
   | Update of { oid : int; x : int; y : int }
 
-val oid_of : event -> int
-
 type t
 
 val create : ?seed:int -> ?cols:int -> ?rows:int -> unit -> t
 val network : t -> Road_network.t
-
-val spawn : t -> int -> event
-(** Place a new object; returns its Insert event. *)
-
-val step : t -> event list
-(** One simulation tick: the Update events of every object due. *)
 
 val generate : ?seed:int -> inserts:int -> total:int -> unit -> event list
 (** The paper's experiment shape: [inserts] objects followed by updates

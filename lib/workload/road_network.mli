@@ -11,7 +11,6 @@ val generate : ?cols:int -> ?rows:int -> ?removal:float -> Imdb_util.Rng.t -> t
 (** A [cols] x [rows] grid; [removal] is the probability that a
     non-bridging edge is dropped (connectivity is guaranteed). *)
 
-val node : t -> int -> node
 val size : t -> int
 val edge_count : t -> int
 

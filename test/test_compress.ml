@@ -6,9 +6,10 @@
    operations say — AS OF scans and histories against a model — with
    the same [asof.*] work whether the history memo is cold or warm; the
    history footprint must be what the compression counters account for;
-   a plain [P_history] page on stable storage (what a page the codec
-   declines keeps) must read the same through every path and across a
-   crash; and crash recovery must rebuild compressed pages from their
+   the codec must be total on every image a time split builds, across
+   page sizes, key and payload lengths and the timestamp domain; a plain
+   [P_history] page on stable storage is no history page and must fail
+   the read; and crash recovery must rebuild compressed pages from their
    trimmed log images. *)
 
 open Helpers
@@ -18,6 +19,8 @@ module M = Imdb_obs.Metrics
 module P = Imdb_storage.Page
 module Vc = Imdb_storage.Vcompress
 module BP = Imdb_buffer.Buffer_pool
+module V = Imdb_version.Vpage
+module Tid = Imdb_clock.Tid
 module SMap = Map.Make (String)
 
 let config =
@@ -137,18 +140,16 @@ let prop_roundtrip =
             let plain = Vc.decode stored in
             if P.page_type plain <> P.P_history then
               QCheck.Test.fail_report "decode produced a non-history page";
-            match Vc.encode plain with
-            | None -> QCheck.Test.fail_report "the codec declined a page it had encoded"
-            | Some c ->
-                let n = Bytes.length c in
-                if Vc.encoded_size c <> n then
-                  QCheck.Test.fail_report "encoded_size disagrees with image";
-                if n >= Bytes.length plain then
-                  QCheck.Test.fail_report "compressed image did not shrink";
-                let full = Bytes.make (Bytes.length plain) '\000' in
-                Bytes.blit c 0 full 0 n;
-                if not (Bytes.equal full stored) then
-                  QCheck.Test.fail_report "encode(decode(page)) <> stored page"
+            let c = Vc.encode plain in
+            let n = Bytes.length c in
+            if Vc.encoded_size c <> n then
+              QCheck.Test.fail_report "encoded_size disagrees with image";
+            if n >= Bytes.length plain then
+              QCheck.Test.fail_report "compressed image did not shrink";
+            let full = Bytes.make (Bytes.length plain) '\000' in
+            Bytes.blit c 0 full 0 n;
+            if not (Bytes.equal full stored) then
+              QCheck.Test.fail_report "encode(decode(page)) <> stored page"
           end)
         (stored_pages db);
       Db.close db;
@@ -215,46 +216,139 @@ let test_footprint () =
   let page = config.E.page_size in
   Db.close db;
   Alcotest.(check bool) "compressed pages written" true (g M.compress_pages > 0);
-  Alcotest.(check int) "every split image was offered to the codec"
-    (g M.time_splits) (g M.compress_pages + g M.compress_fallbacks);
+  Alcotest.(check int) "every split image was compressed"
+    (g M.time_splits) (g M.compress_pages);
   Alcotest.(check int) "raw bytes are whole plain pages"
     (g M.compress_pages * page) (g M.compress_raw_bytes);
-  Alcotest.(check int) "history bytes = compressed images + plain fallbacks"
-    (g M.compress_written_bytes + (g M.compress_fallbacks * page))
-    (g M.hist_bytes_written);
+  Alcotest.(check int) "history bytes = compressed images"
+    (g M.compress_written_bytes) (g M.hist_bytes_written);
   Alcotest.(check bool)
     (Printf.sprintf "history bytes shrink (%d raw -> %d written)"
        (g M.compress_raw_bytes) (g M.compress_written_bytes))
     true
     (g M.compress_written_bytes < g M.compress_raw_bytes)
 
-(* --- plain history pages on stable storage ----------------------------- *)
+(* --- the codec is total on time-split output -------------------------- *)
 
-(* The codec declines an image it cannot reproduce byte for byte, and the
-   split then keeps the plain page.  A time split's own output never
-   needs that (at the engine's timestamp and length values every encoded
-   cell is shorter than its plain form), so this test writes plain pages
-   to storage itself: each compressed
-   history page is replaced in place by its decoded, resealed image — the
-   page a decline would have stored, at the same LSN so recovery leaves
-   it alone.  Every read path must see the same answers from it, before
-   and after a crash. *)
-let test_plain_pages_read () =
+(* A [size]-byte data page filled to capacity ([Page.fits]) with
+   versions of [klen]-byte keys and [plen]-byte payloads — one chain per
+   key over three keys when [chained], else one version per key; every
+   fourth version a delete stub when [stubs] — stamped from [ttime] on
+   at SN [sn], then time-split after its last commit.  Returns the
+   history image the engine would hand the codec, or [None] when not
+   even one version fits. *)
+let split_history ~size ~klen ~plen ~chained ~stubs ~ttime ~sn =
+  let page = Bytes.make size '\000' in
+  P.format page ~page_id:5 ~page_type:P.P_data ();
+  let heads = Hashtbl.create 8 in
+  let rec fill n =
+    let id = if chained then n mod 3 else n in
+    let key = Printf.sprintf "%0*d" klen id in
+    let key = String.sub key (String.length key - klen) klen in
+    let stub = stubs && n mod 4 = 3 in
+    (* consecutive versions differ at both ends: no shared prefix or
+       suffix, the costliest member diff *)
+    let payload =
+      if stub then "" else String.init plen (fun j -> Char.chr (97 + ((j + n) mod 26)))
+    in
+    match
+      V.plan_insert_with_pred page ~pred:(Hashtbl.find_opt heads key) ~key ~payload
+        ~tid:(Tid.of_int (n + 1)) ~delete_stub:stub
+    with
+    | None -> n
+    | Some pi ->
+        V.apply_insert page pi;
+        Hashtbl.replace heads key pi.V.pi_slot;
+        fill (n + 1)
+  in
+  let n = fill 0 in
+  ignore
+    (V.stamp_committed page
+       ~resolve:(fun tid ->
+         V.Committed (Ts.make ~ttime:(Int64.add ttime (Tid.to_int64 tid)) ~sn))
+       ~on_stamp:ignore);
+  if n = 0 then None
+  else
+    let split_time = Ts.make ~ttime:(Int64.add ttime (Int64.of_int (n + 2))) ~sn:0 in
+    Some (V.time_split ~page ~split_time ~history_page_id:6 ()).V.si_history
+
+(* [decode (encode h) = h] on every image of a sweep over page sizes,
+   key lengths (either side of the one-byte varint limit), payload sizes
+   (a coarse step, then every size near the largest that fits), chains,
+   stubs and the edge of the timestamp domain the codec is total on. *)
+let test_total_on_split_output () =
+  let images = ref 0 in
+  let check ~size ~klen ~plen ~ttime ~sn =
+    List.iter
+      (fun (chained, stubs) ->
+        match split_history ~size ~klen ~plen ~chained ~stubs ~ttime ~sn with
+        | None -> ()
+        | Some h ->
+            incr images;
+            let c =
+              try Vc.encode h
+              with Invalid_argument e ->
+                Alcotest.failf "encode raised (%s): page %d, key %d, payload %d" e size
+                  klen plen
+            in
+            let full = Bytes.make size '\000' in
+            Bytes.blit c 0 full 0 (Bytes.length c);
+            if not (Bytes.equal (Vc.decode full) h) then
+              Alcotest.failf "decode (encode h) <> h: page %d, key %d, payload %d" size
+                klen plen)
+      [ (false, false); (true, false); (true, true) ]
+  in
+  let now = 1_800_000_000_000L in
+  let edge = Int64.sub (Int64.shift_left 1L 48) 1_000_000L in
+  List.iter
+    (fun size ->
+      List.iter
+        (fun klen ->
+          let largest = size - P.header_size - 23 - klen in
+          let coarse = List.init ((largest / 97) + 1) (fun i -> i * 97) in
+          let near_full = List.init 24 (fun i -> largest - i) in
+          List.iter
+            (fun plen ->
+              if plen >= 0 then begin
+                check ~size ~klen ~plen ~ttime:now ~sn:2_000_000;
+                check ~size ~klen ~plen ~ttime:edge ~sn:((1 lsl 21) - 1)
+              end)
+            (coarse @ near_full))
+        [ 1; 127; 128; 200 ])
+    [ 512; 1024; 4096; 16384 ];
+  (* the 1 KiB page with 100-450 B payloads, every size *)
+  for plen = 100 to 450 do
+    check ~size:1024 ~klen:8 ~plen ~ttime:now ~sn:0
+  done;
+  Alcotest.(check bool) (Printf.sprintf "%d images swept" !images) true (!images > 1000)
+
+(* Anything but a time split's output breaks the codec's invariant: a
+   history image with a dead slot, or a data page. *)
+let test_encode_rejects_other_images () =
+  let h =
+    Option.get
+      (split_history ~size:1024 ~klen:4 ~plen:40 ~chained:true ~stubs:false
+         ~ttime:1_800_000_000_000L ~sn:0)
+  in
+  let raises b = match Vc.encode b with _ -> false | exception Invalid_argument _ -> true in
+  let holed = Bytes.copy h in
+  P.delete_slot holed 0;
+  Alcotest.(check bool) "image with garbage" true (raises holed);
+  let data = Bytes.copy h in
+  P.set_page_type data P.P_data;
+  Alcotest.(check bool) "not a history page" true (raises data)
+
+(* --- a plain history page on stable storage ---------------------------- *)
+
+(* Every history page is stored compressed, so a plain [P_history] image
+   on disk is not history the engine wrote.  Put one there by hand — each
+   compressed history page replaced by its decoded, resealed image, at
+   the same LSN so recovery leaves it alone — and a read that reaches it
+   must fail with an error instead of answering from it. *)
+let test_plain_page_fails_read () =
   let db, clock = fresh () in
   let tss = churn db clock ~keys:10 ~rounds:8 in
-  let probes = List.filteri (fun i _ -> i mod 7 = 0) tss in
-  let answers db =
-    ( List.map (fun ts -> collect db ts) probes,
-      List.map (fun ts -> collect ~lo:(k 2) ~hi:(k 7) db ts) probes,
-      List.map
-        (fun ts ->
-          Db.as_of db ts (fun txn -> Db.get db txn ~table:"t" ~key:(k 3)))
-        probes,
-      List.map (fun i -> hist db (k i)) [ 0; 3; 9 ] )
-  in
-  let expect = answers db in
   flush db;
-  (* a plain P_history image is what the codec rejects *)
   let plain =
     List.filter_map
       (fun (pid, stored) ->
@@ -262,13 +356,6 @@ let test_plain_pages_read () =
       (stored_pages db)
   in
   Alcotest.(check bool) "history pages were compressed" true (plain <> []);
-  List.iter
-    (fun (_, img) ->
-      Alcotest.(check bool) "the codec declines a plain page with garbage" true
-        (let b = Bytes.copy img in
-         P.delete_slot b 0;
-         Vc.encode b = None))
-    plain;
   let disk = (Db.engine db).E.disk in
   List.iter
     (fun (pid, img) ->
@@ -276,19 +363,17 @@ let test_plain_pages_read () =
       disk.Imdb_storage.Disk.write_page pid img)
     plain;
   let db = Db.crash_and_reopen ~config ~clock db in
-  let read_back db =
-    Alcotest.(check bool) "answers from plain pages" true (answers db = expect);
-    (* recovery left the plain pages alone: readers saw plain images *)
-    let pool = (Db.engine db).E.pool in
-    List.iter
-      (fun (pid, _) ->
-        Alcotest.(check bool) "page is plain" true
-          (BP.with_page pool pid (fun fr -> P.page_type (BP.bytes fr)) = P.P_history))
-      plain
+  let fails what read =
+    match read () with
+    | _ -> Alcotest.failf "%s answered from a plain history page" what
+    | exception Invalid_argument _ -> ()
   in
-  read_back db;
-  let db = Db.crash_and_reopen ~config ~clock db in
-  read_back db;
+  fails "AS OF scan" (fun () -> collect db (List.hd tss));
+  fails "history walk" (fun () -> hist db (k 3));
+  (* the current state never needs a history page *)
+  let current = ref 0 in
+  Db.exec db (fun txn -> Db.scan db txn ~table:"t" (fun _ _ -> incr current));
+  Alcotest.(check int) "a current scan still answers" 10 !current;
   Db.close db
 
 (* --- recovery rebuilds compressed pages from trimmed log images -------- *)
@@ -320,8 +405,12 @@ let suite =
     QCheck_alcotest.to_alcotest prop_transparent;
     Alcotest.test_case "history footprint shrinks under compression" `Quick
       test_footprint;
-    Alcotest.test_case "plain history pages read the same, across crashes" `Quick
-      test_plain_pages_read;
+    Alcotest.test_case "codec is total on time-split output" `Quick
+      test_total_on_split_output;
+    Alcotest.test_case "codec rejects other images" `Quick
+      test_encode_rejects_other_images;
+    Alcotest.test_case "plain history page on disk fails the read" `Quick
+      test_plain_page_fails_read;
     Alcotest.test_case "recovery rebuilds compressed history" `Quick
       test_recovery_compressed;
   ]

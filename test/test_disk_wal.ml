@@ -6,6 +6,7 @@ module Wal = Imdb_wal.Wal
 module LR = Imdb_wal.Log_record
 module Tid = Imdb_clock.Tid
 module Ts = Imdb_clock.Timestamp
+module M = Imdb_obs.Metrics
 
 let page_of_string s ~page_size =
   let b = Bytes.make page_size '\000' in
@@ -360,45 +361,47 @@ let test_wal_flush_skips_durable_lsn () =
   Wal.flush w;
   Alcotest.(check int) "empty tail: no sync" 2 !syncs
 
-let test_wal_group_commit_acks () =
+let commit_record w i =
+  Wal.append_commit w ~tid:(Tid.of_int i) ~ts:(Ts.make ~ttime:(Int64.of_int i) ~sn:0)
+
+(* Three commits queued before any sync form one batch: each learns its
+   position as it appends, and the one sync that covers them observes
+   the group-commit histogram once, with all three. *)
+let test_wal_one_sync_covers_batch () =
   let dev, syncs = counting_log_device () in
-  let w = Wal.open_device dev in
-  let acked = ref [] in
-  let commit i =
-    let lsn =
-      Wal.append w
-        (LR.Commit { tid = Tid.of_int i; ts = Ts.make ~ttime:(Int64.of_int i) ~sn:0 })
-    in
-    Wal.register_commit w ~lsn ~on_durable:(fun () -> acked := i :: !acked)
-  in
-  commit 1;
-  commit 2;
-  commit 3;
-  Alcotest.(check int) "three waiters pending" 3 (Wal.pending_commits w);
-  Alcotest.(check (list int)) "no ack before the sync" [] !acked;
+  let m = M.create () in
+  let w = Wal.open_device ~metrics:m dev in
+  let positions = List.map (fun i -> snd (commit_record w i)) [ 1; 2; 3 ] in
+  Alcotest.(check (list int)) "batch positions" [ 1; 2; 3 ] positions;
+  Alcotest.(check int) "no sync before the flush" 0 !syncs;
   Wal.flush w;
   Alcotest.(check int) "one sync for the whole batch" 1 !syncs;
-  Alcotest.(check (list int)) "acked oldest first" [ 1; 2; 3 ] (List.rev !acked);
-  Alcotest.(check int) "waiters drained" 0 (Wal.pending_commits w);
-  (* registering an already-durable lsn acknowledges synchronously *)
-  acked := [];
-  Wal.register_commit w ~lsn:0L ~on_durable:(fun () -> acked := 99 :: !acked);
-  Alcotest.(check (list int)) "immediate ack" [ 99 ] !acked;
-  Alcotest.(check int) "and no extra sync" 1 !syncs
+  let batches () =
+    match M.histogram m M.h_group_commit_batch with
+    | Some h -> (h.M.h_count, h.M.h_sum)
+    | None -> (0, 0)
+  in
+  Alcotest.(check (pair int int)) "one observation of 3" (1, 3) (batches ());
+  (* a sync that covers no Commit record observes nothing *)
+  ignore (Wal.append w (LR.Begin { tid = Tid.of_int 9 }));
+  Wal.flush w;
+  Alcotest.(check int) "second sync" 2 !syncs;
+  Alcotest.(check (pair int int)) "no commit, no observation" (1, 3) (batches ());
+  (* the next commit leads a fresh batch *)
+  let lsn, pos = commit_record w 4 in
+  Alcotest.(check int) "next commit leads" 1 pos;
+  Wal.flush ~lsn w;
+  Alcotest.(check (pair int int)) "a batch of one" (2, 4) (batches ())
 
-let test_wal_crash_drops_waiters () =
+let test_wal_crash_drops_batch () =
   let dev = Wal.Device.in_memory () in
   let w = Wal.open_device dev in
-  let lsn =
-    Wal.append w (LR.Commit { tid = Tid.of_int 1; ts = Ts.make ~ttime:9L ~sn:0 })
-  in
-  let acked = ref false in
-  Wal.register_commit w ~lsn ~on_durable:(fun () -> acked := true);
+  ignore (commit_record w 1);
   Wal.crash_volatile w;
-  Alcotest.(check int) "waiters dropped with the tail" 0 (Wal.pending_commits w);
+  Alcotest.(check int) "the batch went with the tail" 1 (snd (commit_record w 2));
+  Wal.crash_volatile w;
   Wal.flush w;
-  Alcotest.(check bool) "dropped waiter never fires" false !acked;
-  (* and the record it was waiting on is gone from the durable log *)
+  (* and the records it held are gone from the durable log *)
   let w2 = Wal.open_device dev in
   let seen = ref 0 in
   Wal.iter_from w2 ~from_lsn:0L (fun _ _ -> incr seen);
@@ -506,8 +509,9 @@ let suite =
     Alcotest.test_case "wal corrupt frame" `Quick test_wal_corrupt_middle_frame;
     Alcotest.test_case "log record roundtrips" `Quick test_wal_all_record_types_roundtrip;
     Alcotest.test_case "flush skips durable lsn" `Quick test_wal_flush_skips_durable_lsn;
-    Alcotest.test_case "group-commit acks" `Quick test_wal_group_commit_acks;
-    Alcotest.test_case "crash drops waiters" `Quick test_wal_crash_drops_waiters;
+    Alcotest.test_case "one sync covers a commit batch" `Quick
+      test_wal_one_sync_covers_batch;
+    Alcotest.test_case "crash drops the commit batch" `Quick test_wal_crash_drops_batch;
     Alcotest.test_case "wal file device" `Quick test_wal_file_device;
     Alcotest.test_case "wal appends from 4 domains" `Quick test_wal_multi_domain_appends;
     Alcotest.test_case "wal atomic group" `Quick test_wal_atomic_group;

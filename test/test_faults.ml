@@ -308,7 +308,7 @@ let torn_twin_case ~page_types () =
 let test_torn_twin_group_commit () = torn_twin_case ~page_types:[ Pg.P_data ] ()
 
 let test_torn_twin_time_split () =
-  torn_twin_case ~page_types:[ Pg.P_history; Pg.P_history_compressed ] ()
+  torn_twin_case ~page_types:[ Pg.P_history_compressed ] ()
 
 let suite =
   [

@@ -1,11 +1,14 @@
 (* Group commit at the engine level.  Every writing commit flushes the
-   log through its own commit record before [Db.commit] returns, so the
-   acknowledgment ([tx_durable]) is always set by the time a caller sees
-   the timestamp.  Concurrent committers may share one sync (the WAL's
-   leader/follower flush); they never skip it. *)
+   log through its own commit record before [Db.commit] returns, and that
+   flush's return is the acknowledgment ([tx_durable]), so it is always
+   set by the time a caller sees the timestamp.  Concurrent committers
+   may share one sync (the WAL's leader/follower flush); they never skip
+   it.  Each sync observes [txn.group_commit_batch] with the commits it
+   covered, so the histogram's sum counts every commit exactly once. *)
 
 open Helpers
 module M = Imdb_obs.Metrics
+module J = Imdb_obs.Json
 module Wal = Imdb_wal.Wal
 
 let gc_config = { default_config with E.auto_checkpoint_every = 0 }
@@ -18,14 +21,22 @@ let commit_keep db i v =
   ignore (Db.commit db txn);
   txn
 
-(* Fresh db with table "t", all setup-time commit waiters drained so the
-   counters under test start from a clean batch. *)
+(* Every commit the engine returned was counted in exactly one synced
+   batch. *)
+let check_batches_cover_commits db =
+  let m = Db.metrics db in
+  let batched =
+    match M.histogram m M.h_group_commit_batch with Some h -> h.M.h_sum | None -> 0
+  in
+  Alcotest.(check int) "batch sizes sum to the commits" (M.get m M.txn_commits) batched
+
+(* Fresh db with table "t", checkpointed so the counters under test start
+   from a synced log. *)
 let setup_db () =
   let db, clock = fresh_db ~config:gc_config () in
   Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
   Db.checkpoint db;
-  Alcotest.(check int) "setup waiters drained" 0
-    (Wal.pending_commits (Db.engine db).E.wal);
+  check_batches_cover_commits db;
   (db, clock)
 
 let test_window_one_syncs_every_commit () =
@@ -36,14 +47,14 @@ let test_window_one_syncs_every_commit () =
   let t1 = commit_keep db 1 "x" in
   Alcotest.(check bool) "durable at commit return" true t1.E.tx_durable;
   Alcotest.(check int) "one sync for one commit" (f0 + 1) (M.get m M.log_flushes);
-  Alcotest.(check int) "no waiter left behind" 0
-    (Wal.pending_commits (Db.engine db).E.wal);
+  check_batches_cover_commits db;
   Db.close db
 
 (* Two sessions on two domains commit over a log whose sync sleeps 1 ms,
    so their commit flushes overlap.  Once both domains have joined, every
-   commit either returned must be acknowledged, no waiter may be left
-   queued, and sharing may only ever save syncs. *)
+   commit either returned must be acknowledged and counted in one synced
+   batch, each session must report a batch position, and sharing may only
+   ever save syncs. *)
 let test_sessions_durable_at_return () =
   let base = Wal.Device.in_memory () in
   let log_device =
@@ -59,8 +70,8 @@ let test_sessions_durable_at_return () =
   let m = Db.metrics db in
   let f0 = M.get m M.log_flushes in
   let per_session = 40 in
-  let worker sid () =
-    let s = Db.session db in
+  let sessions = List.init 2 (fun _ -> Db.session db) in
+  let worker sid s () =
     List.init per_session (fun i ->
         let txn = Db.Session.begin_txn s in
         Db.Session.upsert s txn ~table:"t"
@@ -70,14 +81,29 @@ let test_sessions_durable_at_return () =
         | Some _ -> txn
         | None -> Alcotest.fail "a writing commit returned no timestamp")
   in
-  let domains = List.init 2 (fun sid -> Domain.spawn (worker sid)) in
+  let domains = List.mapi (fun sid s -> Domain.spawn (worker sid s)) sessions in
   let txns = List.concat_map Domain.join domains in
   let commits = List.length txns in
   Alcotest.(check int) "every commit returned" (2 * per_session) commits;
   Alcotest.(check bool) "every returned commit is durable" true
     (List.for_all (fun t -> t.E.tx_durable) txns);
-  Alcotest.(check int) "no waiter left behind" 0
-    (Wal.pending_commits (Db.engine db).E.wal);
+  check_batches_cover_commits db;
+  (* the SESSIONS view: every committing session rode some batch *)
+  let max_batch_pos id =
+    Option.bind (J.member "sessions" (Db.sessions_json db)) J.to_list
+    |> Option.value ~default:[]
+    |> List.find_map (fun ss ->
+           if Option.bind (J.member "id" ss) J.to_int = Some id then
+             Option.bind (J.member "max_batch_pos" ss) J.to_int
+           else None)
+  in
+  List.iter
+    (fun s ->
+      match max_batch_pos (Db.Session.id s) with
+      | Some p when p >= 1 -> ()
+      | Some p -> Alcotest.failf "session %d: max_batch_pos %d" (Db.Session.id s) p
+      | None -> Alcotest.failf "session %d missing from SESSIONS" (Db.Session.id s))
+    sessions;
   let flushes = M.get m M.log_flushes - f0 in
   if flushes > commits then
     Alcotest.failf "%d log syncs for %d commits: sharing may only save syncs" flushes

@@ -236,10 +236,7 @@ let test_memo_immutable () =
       Alcotest.(check bool) "a history image" true (P.page_type img = P.P_history);
       Alcotest.(check bool) "fully stamped" true (not (V.has_unstamped img));
       let pooled =
-        BP.with_page eng.E.pool pid (fun fr ->
-            let b = BP.bytes fr in
-            if Imdb_storage.Vcompress.is_compressed b then Imdb_storage.Vcompress.decode b
-            else Bytes.copy b)
+        BP.with_page eng.E.pool pid (fun fr -> Imdb_storage.Vcompress.decode (BP.bytes fr))
       in
       Alcotest.(check bool) "equals the decoded pool page" true (Bytes.equal img pooled);
       if Lazy.is_val h.E.hi_dir then
