@@ -10,7 +10,7 @@
    log for the same splits.  That plain-equivalent footprint comes from
    the same run's counters, exactly: each history page would have been
    logged at its raw size ([compress.raw_bytes] in place of
-   [compress.written_bytes]).  Compression never changes the page graph,
+   [hist.bytes_written]).  Compression never changes the page graph,
    so the AS OF rows and work counters ([asof.pages], [asof.versions])
    are pinned by the baseline as they are.
 
@@ -32,10 +32,8 @@ type series = {
   c_pages : int;
   c_versions : int;
   c_splits : int;
-  c_hist_bytes : int;
-  c_zpages : int; (* history pages written compressed *)
+  c_hist_bytes : int; (* one compressed image per time split *)
   c_raw_bytes : int;
-  c_written_bytes : int;
   c_elapsed : float; (* printed only, never emitted *)
 }
 
@@ -56,9 +54,7 @@ let run_once ~inserts ~total =
   let m = Db.metrics db in
   let splits = M.get m M.time_splits in
   let hist_bytes = M.get m M.hist_bytes_written in
-  let zpages = M.get m M.compress_pages in
   let raw_bytes = M.get m M.compress_raw_bytes in
-  let written_bytes = M.get m M.compress_written_bytes in
   Imdb_buffer.Buffer_pool.flush_all (Db.engine db).E.pool;
   let before = M.snapshot m in
   let rows = ref 0 in
@@ -78,9 +74,7 @@ let run_once ~inserts ~total =
       c_versions = get M.asof_versions;
       c_splits = splits;
       c_hist_bytes = hist_bytes;
-      c_zpages = zpages;
       c_raw_bytes = raw_bytes;
-      c_written_bytes = written_bytes;
       c_elapsed = elapsed;
     }
   in
@@ -117,9 +111,7 @@ let compress ~scale =
                    ("versions", J.Int s.c_versions);
                    ("time_splits", J.Int s.c_splits);
                    ("hist_bytes", J.Int s.c_hist_bytes);
-                   ("compressed_pages", J.Int s.c_zpages);
                    ("raw_bytes", J.Int s.c_raw_bytes);
-                   ("written_bytes", J.Int s.c_written_bytes);
                  ];
              ] );
          ("reduction_pct", J.Int reduction_pct);
@@ -131,7 +123,7 @@ let compress ~scale =
           probes at %d depths"
          total (List.length depths))
     ~header:
-      [ "ms"; "rows"; "pages"; "versions"; "splits"; "hist_bytes"; "zpages" ]
+      [ "ms"; "rows"; "pages"; "versions"; "splits"; "hist_bytes" ]
     [
       [
         Harness.ms s.c_elapsed;
@@ -140,7 +132,6 @@ let compress ~scale =
         string_of_int s.c_versions;
         string_of_int s.c_splits;
         string_of_int s.c_hist_bytes;
-        string_of_int s.c_zpages;
       ];
     ];
   Fmt.pr "history bytes: %d plain-equivalent -> %d delta (%d%% reduction)@."

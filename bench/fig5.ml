@@ -85,7 +85,8 @@ let fig5 ~scale =
     rows;
   Fmt.pr
     "paper shape: immortal overhead stays small (paper: ~11%% at 32K, 1.1ms of \
-     9.6ms/txn), driven by the per-commit PTT update.@.";
+     9.6ms/txn), driven by the per-commit PTT update; here mappings are \
+     posted to the PTT at checkpoints (PTT ins), off the commit path.@.";
   (* The paper's companion observation: "If we include many updates within
      one transaction, we would have about the same [per-transaction]
      overhead, but the overhead percentage would be much lower" — and the

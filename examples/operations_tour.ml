@@ -44,10 +44,14 @@ let () =
         Db.upsert_row db txn ~table:"journal"
           [ S.V_int (i mod 10); S.V_string (Printf.sprintf "note %d" i) ])
   done;
-  Fmt.pr "  after 200 commits, PTT holds %d mappings@." (ptt_count db);
+  (* a commit writes only its Commit record; checkpoints post the
+     mappings some version may still need *)
+  Fmt.pr "  after 200 commits, PTT holds %d mappings (posted at checkpoints)@."
+    (ptt_count db);
   Db.checkpoint db;
   Db.checkpoint db;
-  Fmt.pr "  after two checkpoints (stamping made durable): %d@." (ptt_count db);
+  Fmt.pr "  after two checkpoints (the still-unstamped versions' mappings): %d@."
+    (ptt_count db);
 
   Fmt.pr "@.--- 3. a crash orphans entries; vacuum collects them (paper 2.2)@.";
   (* fresh traffic whose reference counts have not drained yet... *)
@@ -59,7 +63,9 @@ let () =
   done;
   Fmt.pr "  100 more commits, then a crash before any checkpoint...@.";
   let db = Db.crash_and_reopen ~clock db in
-  Fmt.pr "  after recovery, PTT holds %d (the counts were volatile)@." (ptt_count db);
+  Fmt.pr "  after recovery, PTT holds %d (recovery posted the commits it read back;@."
+    (ptt_count db);
+  Fmt.pr "  their counts were volatile)@.";
   Db.checkpoint db;
   Db.checkpoint db;
   Fmt.pr "  checkpoints cannot collect the orphans: %d@." (ptt_count db);

@@ -538,6 +538,79 @@ let insert ?(undoable = true) t ~key ~value =
   in
   attempt ()
 
+(* The descent of [find_leaf], also returning the leaf's exclusive upper
+   fence: the least separator above the one taken, from the deepest node
+   that has one ([None] on the right edge). *)
+let rec descend_fenced t page_id key path high =
+  Imdb_buffer.Buffer_pool.with_page t.pool page_id (fun fr ->
+      let page = Imdb_buffer.Buffer_pool.bytes fr in
+      if is_leaf page then (page_id, List.rev path, high)
+      else
+        let kd = frame_keydir t fr in
+        let i = kd_floor kd key in
+        if i < 0 then
+          failwith
+            (Printf.sprintf "Btree: internal page %d lacks a floor for %S" page_id key);
+        let slot = kd.BP.kd_slots.(i) in
+        let high =
+          if i + 1 < Array.length kd.BP.kd_keys then Some kd.BP.kd_keys.(i + 1) else high
+        in
+        let _, child = decode_node_cell (P.read_cell page slot) in
+        descend_fenced t child key ((page_id, slot) :: path) high)
+
+(* Insert or replace many entries, redo-only, with one descent per leaf
+   run: entries are sorted, and every entry below the pinned leaf's
+   fence goes into it before the next descent.  A full leaf splits (one
+   atomic group, as in [insert]) and the run resumes with a fresh
+   descent.  PTT posting inserts TIDs that cluster at the tree's right
+   edge, so the common cost is one descent per leaf filled. *)
+let insert_batch t entries =
+  let entries = List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) entries in
+  let cells = List.map (fun (key, value) -> (key, leaf_cell ~key ~value)) entries in
+  List.iter
+    (fun (_, cell) ->
+      if Bytes.length cell > max_cell_size t then
+        invalid_arg
+          (Printf.sprintf "Btree %s: entry of %d bytes exceeds page capacity" t.name
+             (Bytes.length cell)))
+    cells;
+  let rec run = function
+    | [] -> ()
+    | (key, _) :: _ as pending ->
+        let leaf_id, path, high = descend_fenced t t.root key [] None in
+        let below_fence k =
+          match high with None -> true | Some h -> String.compare k h < 0
+        in
+        let rest =
+          Imdb_buffer.Buffer_pool.with_page t.pool leaf_id (fun fr ->
+              let page = Imdb_buffer.Buffer_pool.bytes fr in
+              let rec put = function
+                | (k, cell) :: tl as all when below_fence k -> (
+                    let len = Bytes.length cell in
+                    match leaf_find_slot page k with
+                    | Some slot when P.free_space page + P.cell_length page slot + 2 >= len + 2
+                      ->
+                        t.io.exec fr ~undoable:false
+                          (Imdb_wal.Log_record.Op_replace { slot; body = cell });
+                        put tl
+                    | None when P.fits page len ->
+                        let slot = P.choose_insert_slot page in
+                        t.io.exec fr ~undoable:false
+                          (Imdb_wal.Log_record.Op_insert { slot; body = cell });
+                        put tl
+                    | Some _ | None ->
+                        t.io.atomic (fun () ->
+                            let sep, right_id = split_page t fr in
+                            insert_into_node t (List.rev path) ~sep ~child:right_id);
+                        all)
+                | all -> all
+              in
+              put pending)
+        in
+        run rest
+  in
+  run cells
+
 (* --- deletion -------------------------------------------------------------- *)
 
 (* Unlink an empty leaf from the sibling chain and free it, removing its

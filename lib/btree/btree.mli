@@ -61,6 +61,12 @@ val insert : ?undoable:bool -> t -> key:string -> value:bytes -> unit
     separators) pass false.
     @raise Invalid_argument if the entry exceeds page capacity. *)
 
+val insert_batch : t -> (string * bytes) list -> unit
+(** Insert or replace many entries, redo-only, with one descent per
+    leaf run (entries are sorted internally; duplicate keys collapse).
+    Leaf splits are logged as in {!insert}.
+    @raise Invalid_argument if an entry exceeds page capacity. *)
+
 val find : t -> key:string -> bytes option
 val mem : t -> key:string -> bool
 

@@ -112,16 +112,11 @@ let vacuum t =
     (E.list_tables eng);
   Imdb_buffer.Buffer_pool.flush_all eng.E.pool;
   ignore (E.checkpoint eng);
-  (* every mapping is now unnecessary: versions carry their timestamps *)
-  let ptt = E.ptt_exn eng in
-  let victims = ref [] in
-  Imdb_tstamp.Ptt.iter ptt (fun tid _ -> victims := tid :: !victims);
-  List.iter
-    (fun tid ->
-      ignore (Imdb_tstamp.Ptt.delete ptt tid);
-      Imdb_tstamp.Vtt.drop (E.vtt eng) tid)
-    !victims;
-  List.length !victims
+  (* every mapping is now unnecessary: versions carry their timestamps,
+     on disk *)
+  let removed = Imdb_tstamp.Lazy_stamper.forget_stamped eng.E.stamper in
+  if removed > 0 then Imdb_wal.Wal.flush eng.E.wal;
+  removed
 
 (* Simulate a crash: drop every volatile structure and reopen over the
    same devices, running recovery.  (In-memory devices survive because the

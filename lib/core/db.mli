@@ -80,10 +80,12 @@ val checkpoint : t -> unit
 exception Vacuum_blocked of string
 
 val vacuum : t -> int
-(** Force timestamping to completion everywhere and empty the PTT — the
-    paper's remedy for entries orphaned by crashes (whose volatile
-    reference counts were lost).  Requires no active transactions;
-    returns the number of PTT entries removed.  @raise Vacuum_blocked *)
+(** Force timestamping to completion everywhere, then forget every
+    mapping no version still needs: the PTT empties (one batched delete)
+    and so does the VTT's committed part — the paper's remedy for
+    entries orphaned by crashes (whose volatile reference counts were
+    lost).  Requires no active transactions; returns the number of PTT
+    entries removed.  @raise Vacuum_blocked *)
 
 val crash_and_reopen : ?config:Engine.config -> ?clock:Imdb_clock.Clock.t -> t -> t
 (** Simulate a crash: discard all volatile state (buffer pool, volatile

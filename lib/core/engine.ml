@@ -79,7 +79,6 @@ type txn = {
   mutable tx_last_lsn : int64; (* head of the undo chain *)
   mutable tx_writes : (int * string) list; (* (table_id, key), newest first, deduped *)
   tx_write_set : (int * string, unit) Hashtbl.t; (* dedup index over tx_writes *)
-  mutable tx_wrote_immortal : bool;
   mutable tx_commit_ts : Ts.t option;
   mutable tx_durable : bool; (* commit record synced to the log device *)
   mutable tx_rows_read : int; (* rows delivered to this txn's reads *)
@@ -147,6 +146,9 @@ type t = {
   mutable cur_txn : txn option; (* logging context for undoable ops *)
   mutable commits_since_checkpoint : int;
   mutable in_recovery : bool;
+  mutable after_ptt_post : unit -> unit;
+      (* fault-injection point: runs inside [checkpoint] right after the
+         posting group is appended, before the checkpoint record *)
   hist_decoded : (int, history_image) Hashtbl.t;
       (* page id -> decoded image of a fully stamped history page and its
          version directory once built, the memo [history_page] serves;
@@ -400,7 +402,6 @@ let begin_txn ?(session = 0) t ~isolation =
       tx_last_lsn = LR.nil_lsn;
       tx_writes = [];
       tx_write_set = Hashtbl.create 8;
-      tx_wrote_immortal = false;
       tx_commit_ts = None;
       tx_durable = false;
       tx_rows_read = 0;
@@ -432,14 +433,13 @@ let active_snapshots t =
       | _ -> acc)
     t.active []
 
-let note_write t txn ~table_id ~key ~immortal =
+let note_write t txn ~table_id ~key =
   check_running txn;
   (match txn.tx_isolation with As_of _ -> raise Read_only_txn | _ -> ());
   if not (Hashtbl.mem txn.tx_write_set (table_id, key)) then begin
     Hashtbl.replace txn.tx_write_set (table_id, key) ();
     txn.tx_writes <- (table_id, key) :: txn.tx_writes
   end;
-  if immortal then txn.tx_wrote_immortal <- true;
   txn.tx_rows_written <- txn.tx_rows_written + 1;
   ignore t
 
@@ -670,7 +670,17 @@ let history_link t pid =
 (* ------------------------------------------------------------------ *)
 
 (* The span closes on exception too ([Tracer.with_span] wraps the body
-   in [Fun.protect]). *)
+   in [Fun.protect]).
+
+   Posting precedes the checkpoint record.  Once that record is
+   recovery's start, a Commit record below it no longer answers for its
+   transaction, so every committed mapping a page may still need must
+   be in the PTT by then: the ones GC keeps at this redo-scan start are
+   posted in one atomic group of redo-only records, which the flush
+   after the checkpoint record makes durable with it.  GC itself runs
+   once the meta page names the new checkpoint: deleting a mapping an
+   earlier checkpoint posted is safe only when recovery can no longer
+   start from that one. *)
 let checkpoint t =
   let module M = Imdb_obs.Metrics in
   Imdb_obs.Tracer.with_span t.tracer "checkpoint" @@ fun sp ->
@@ -679,6 +689,25 @@ let checkpoint t =
      escapes the dirty-page table only by reaching disk. *)
   let swept =
     BP.flush_older_than t.pool ~rec_lsn_limit:t.meta.Meta.last_checkpoint_lsn
+  in
+  (* the redo scan would start at the eldest dirty page, or at the end
+     of the log if the pool is clean; pages dirtied from here on only
+     move it later *)
+  let redo_scan_start =
+    List.fold_left
+      (fun acc (_, rec_lsn) -> min acc rec_lsn)
+      (Imdb_wal.Wal.next_lsn t.wal) (BP.dirty_page_table t.pool)
+  in
+  let posted =
+    if t.ptt = None then 0
+    else begin
+      let posted =
+        Imdb_wal.Wal.atomically t.wal (fun () ->
+            Imdb_tstamp.Lazy_stamper.post t.stamper ~redo_scan_start)
+      in
+      t.after_ptt_post ();
+      posted
+    end
   in
   (* A committer out of the gate for its sync already has its commit
      record in the log, below this checkpoint: recovery starting here
@@ -703,27 +732,23 @@ let checkpoint t =
   Imdb_wal.Wal.flush t.wal;
   update_meta t (fun m -> m.Meta.last_checkpoint_lsn <- lsn);
   BP.flush_page t.pool Meta.meta_page_id;
-  (* the redo scan would start at the eldest dirty page, or at this
-     checkpoint if the pool is clean *)
-  let redo_scan_start =
-    List.fold_left (fun acc (_, rec_lsn) -> min acc rec_lsn) lsn dpt
-  in
   t.commits_since_checkpoint <- 0;
   let collected =
-    if t.config.timestamping = Lazy_stamping && t.ptt <> None then
+    if t.ptt = None then 0
+    else
       List.length (Imdb_tstamp.Lazy_stamper.garbage_collect t.stamper ~redo_scan_start)
-    else 0
   in
   (* make the GC deletions durable: otherwise a crash forgets them and
-     recovery rebuilds the mappings as uncollectable cache entries *)
+     the PTT keeps mappings no version needs *)
   if collected > 0 then Imdb_wal.Wal.flush t.wal;
   M.incr t.metrics M.checkpoints;
   Imdb_obs.Tracer.add_attr sp "swept" (string_of_int swept);
   Imdb_obs.Tracer.add_attr sp "dirty_pages" (string_of_int (List.length dpt));
+  Imdb_obs.Tracer.add_attr sp "ptt_posted" (string_of_int posted);
   Imdb_obs.Tracer.add_attr sp "ptt_collected" (string_of_int collected);
   Log.debug (fun m ->
-      m "checkpoint at %Ld: swept %d pages, dpt %d, att %d, redo start %Ld, GC'd %d PTT entries"
-        lsn swept (List.length dpt) (List.length att) redo_scan_start collected);
+      m "checkpoint at %Ld: swept %d pages, dpt %d, att %d, redo start %Ld, posted %d, GC'd %d"
+        lsn swept (List.length dpt) (List.length att) redo_scan_start posted collected);
   lsn
 
 let maybe_auto_checkpoint t =
@@ -773,9 +798,7 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
   Mx.ensure_counter metrics Mx.histcache_misses;
   Mx.ensure_counter metrics Mx.histcache_evictions;
   Mx.ensure_counter metrics Mx.hist_bytes_written;
-  Mx.ensure_counter metrics Mx.compress_pages;
   Mx.ensure_counter metrics Mx.compress_raw_bytes;
-  Mx.ensure_counter metrics Mx.compress_written_bytes;
   Mx.ensure_counter metrics Mx.trace_spans;
   Mx.ensure_counter metrics Mx.trace_drops;
   Mx.ensure_counter metrics Mx.trace_slow_ops;
@@ -845,6 +868,7 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
       cur_txn = None;
       commits_since_checkpoint = 0;
       in_recovery = false;
+      after_ptt_post = ignore;
       hist_decoded = Hashtbl.create 64;
       hist_decoded_order = Queue.create ();
       ingest_bufs = Hashtbl.create 8;

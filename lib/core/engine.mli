@@ -69,7 +69,6 @@ type txn = {
   mutable tx_last_lsn : int64;  (** head of the undo chain *)
   mutable tx_writes : (int * string) list;  (** (table_id, key), newest first *)
   tx_write_set : (int * string, unit) Hashtbl.t;
-  mutable tx_wrote_immortal : bool;
   mutable tx_commit_ts : Imdb_clock.Timestamp.t option;
   mutable tx_durable : bool;
       (** the commit record has been synced to the log device: set when
@@ -141,6 +140,10 @@ type t = {
   mutable cur_txn : txn option;  (** logging context for undoable ops *)
   mutable commits_since_checkpoint : int;
   mutable in_recovery : bool;
+  mutable after_ptt_post : unit -> unit;
+      (** fault-injection point (torture harness): runs inside
+          {!checkpoint} right after the PTT posting group is appended,
+          before the checkpoint record; [ignore] by default *)
   hist_decoded : (int, history_image) Hashtbl.t;
       (** page id -> decoded image of a fully stamped history page and
           its directory once built, the memo {!history_page} serves
@@ -241,7 +244,7 @@ val active_snapshots : t -> Imdb_clock.Timestamp.t list
 (** Snapshot times of running snapshot/as-of transactions — the
     visibility horizon set for snapshot-table version GC. *)
 
-val note_write : t -> txn -> table_id:int -> key:string -> immortal:bool -> unit
+val note_write : t -> txn -> table_id:int -> key:string -> unit
 (** Record a write in the transaction (dedup'd); raises on AS OF txns. *)
 
 val lock_resource :

@@ -8,8 +8,11 @@
    recovery start at an older checkpoint, which is always safe). *)
 
 let magic = 0x494d4442 (* "IMDB" *)
-(* 2: physical log ops carry after-images only; no CLR or Abort records *)
-let format_version = 2
+(* 2: physical log ops carry after-images only; no CLR or Abort records
+   3: checkpoints post every mapping recovery may need to the PTT; a
+      version-2 checkpoint never posted snapshot-table TIDs, whose
+      mappings only a scan of the whole log recovers *)
+let format_version = 3
 let meta_page_id = 0
 let meta_slot = 0
 

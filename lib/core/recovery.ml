@@ -5,8 +5,14 @@
    of the last checkpoint; checkpointing moves it forward, and the PTT GC
    may discard a mapping only once that point passes the transaction's
    stamping-complete LSN.  Recovery here never needs a discarded mapping:
-   every version that could still carry a TID on disk has its (TID, ts)
-   either in the PTT or among the Commit records scanned below.
+   every version that could still carry a TID on disk, or get it back
+   through redo, has its (TID, ts) either in the PTT (each checkpoint
+   posts the survivors of its GC before writing its record) or among the
+   Commit records at or after the last checkpoint, which analysis seeds
+   into the VTT.  The recovery checkpoint posts those and forgets them.
+   A torn page rebuilt from the whole log is stamped from the Commit
+   records of that same scan, since its replay resurrects every TID the
+   page ever held.
 
    Lazy timestamping is invisible to redo: stamping was never logged, and
    pages may legitimately come back from disk carrying TIDs of committed
@@ -50,14 +56,10 @@ let analyze eng ~checkpoint_lsn =
   let a =
     { att = []; dpt = []; max_tid = Tid.invalid; max_ts = Ts.zero; commits = [] }
   in
-  (* Full scan for commit timestamps: rebuilds the TID -> timestamp map
-     for any version still unstamped on disk whose transaction touched
-     only snapshot tables (no PTT entry).  Bounded by log size; a real
-     deployment bounds it by forcing stamping before log truncation. *)
+  (* Full scan for the TID counter and the clock floor. *)
   Imdb_wal.Wal.iter_from eng.E.wal ~from_lsn:0L (fun _lsn body ->
       match body with
       | LR.Commit { tid; ts } ->
-          a.commits <- (tid, ts) :: a.commits;
           if Ts.compare ts a.max_ts > 0 then a.max_ts <- ts;
           observe_tid a tid
       | LR.Begin { tid } | LR.Update { tid; _ } | LR.End { tid } -> observe_tid a tid
@@ -68,7 +70,8 @@ let analyze eng ~checkpoint_lsn =
   (* ATT/DPT reconstruction from the last checkpoint onward.  A Commit
      takes its transaction out of the ATT (it is no loser, whether or not
      its End made it to the log); an interrupted abort stays in, to be
-     undone again from its Update chain. *)
+     undone again from its Update chain.  The Commit records here are
+     the mappings the checkpoint did not post. *)
   Imdb_wal.Wal.iter_from eng.E.wal ~from_lsn:checkpoint_lsn (fun lsn body ->
       match body with
       | LR.Checkpoint { att; dpt; _ } when Int64.equal lsn checkpoint_lsn ->
@@ -80,7 +83,10 @@ let analyze eng ~checkpoint_lsn =
           att_update a tid ~lsn;
           dpt_add a page_id ~lsn
       | LR.Redo_only { page_id; _ } -> dpt_add a page_id ~lsn
-      | LR.Commit { tid; _ } | LR.End { tid } -> a.att <- List.remove_assoc tid a.att);
+      | LR.Commit { tid; ts } ->
+          a.commits <- (tid, ts) :: a.commits;
+          a.att <- List.remove_assoc tid a.att
+      | LR.End { tid } -> a.att <- List.remove_assoc tid a.att);
   a
 
 (* --- redo -------------------------------------------------------------------- *)
@@ -101,6 +107,7 @@ let rebuild_page_from_log eng page_id =
   let fr = BP.pin_new eng.E.pool page_id in
   let page = BP.bytes fr in
   P.set_page_id page page_id;
+  let commits = Tid.Table.create 64 in
   Imdb_wal.Wal.iter_from eng.E.wal ~from_lsn:0L (fun lsn body ->
       let apply op =
         LR.redo_op page op;
@@ -109,7 +116,21 @@ let rebuild_page_from_log eng page_id =
       match body with
       | LR.Update { page_id = pid; op; _ } | LR.Redo_only { page_id = pid; op } ->
           if pid = page_id then apply op
-      | LR.Begin _ | LR.Commit _ | LR.End _ | LR.Checkpoint _ -> ());
+      | LR.Commit { tid; ts } -> Tid.Table.replace commits tid ts
+      | LR.Begin _ | LR.End _ | LR.Checkpoint _ -> ());
+  (* The replay brought back every TID the page's versions ever held,
+     also those of transactions whose mappings GC has forgotten since
+     their stamps reached this page on disk.  Restore those stamps now:
+     the Commit records just scanned are durable, and a loser's TID
+     stays for undo. *)
+  if P.page_type page = P.P_data then
+    ignore
+      (Imdb_version.Vpage.stamp_committed page
+         ~resolve:(fun tid ->
+           match Tid.Table.find_opt commits tid with
+           | Some ts -> Imdb_version.Vpage.Committed ts
+           | None -> Imdb_version.Vpage.Active)
+         ~on_stamp:ignore);
   fr
 
 let pin_for_redo eng page_id ~rebuilds =
@@ -254,9 +275,10 @@ let recover eng =
       Imdb_clock.Clock.observe eng.E.clock a.max_ts;
       eng.E.next_tid <- Tid.next a.max_tid;
       E.attach_system eng;
-      (* rebuild the volatile commit-timestamp cache *)
+      (* the mappings of commits since the last checkpoint: the recovery
+         checkpoint below posts them to the PTT and forgets them *)
       List.iter
-        (fun (tid, ts) -> Imdb_tstamp.Vtt.cache_from_ptt (E.vtt eng) tid ts)
+        (fun (tid, ts) -> Imdb_tstamp.Vtt.seed_from_log (E.vtt eng) tid ts)
         a.commits;
       (* roll back losers *)
       let losers = ref 0 in

@@ -114,27 +114,40 @@ let resolve_ts t ~ttime ~sn =
 let write t txn ~key ~payload ~stub =
   E.check_running txn;
   E.lock_record t.eng txn ~table_id:t.table_id ~key Imdb_lock.Lock_manager.X;
+  let vtt = E.vtt t.eng in
   E.with_txn t.eng txn (fun () ->
-      (match Imdb_btree.Btree.find t.current ~key with
-      | Some old -> (
-          let ttime, sn, old_stub, old_payload = decode_current old in
-          match resolve_ts t ~ttime ~sn with
-          | Some ts ->
-              Imdb_obs.Tracer.instant t.eng.E.tracer "splitstore.displace"
-                ~attrs:[ ("ts", Ts.to_string ts) ];
-              Imdb_btree.Btree.insert t.history ~key:(history_key ~key ~ts)
-                ~value:(encode_history ~stub:old_stub ~payload:old_payload)
-          | None ->
-              (* own earlier write in this txn: intermediate state,
-                 overwritten without archival (same as Immortal DB
-                 chaining same-timestamp versions; only the last
-                 survives observation) *)
-              ())
-      | None -> ());
+      let own_row =
+        match Imdb_btree.Btree.find t.current ~key with
+        | Some old -> (
+            let ttime, sn, old_stub, old_payload = decode_current old in
+            match resolve_ts t ~ttime ~sn with
+            | Some ts ->
+                Imdb_obs.Tracer.instant t.eng.E.tracer "splitstore.displace"
+                  ~attrs:[ ("ts", Ts.to_string ts) ];
+                Imdb_btree.Btree.insert t.history ~key:(history_key ~key ~ts)
+                  ~value:(encode_history ~stub:old_stub ~payload:old_payload);
+                (* the displaced row no longer carries its writer's TID *)
+                (match ttime with
+                | Tid.Unstamped tid ->
+                    Imdb_tstamp.Vtt.note_stamped vtt tid
+                      ~end_of_log:(Imdb_wal.Wal.next_lsn t.eng.E.wal)
+                | Tid.Stamped _ -> ());
+                false
+            | None ->
+                (* own earlier write in this txn: intermediate state,
+                   overwritten without archival (same as Immortal DB
+                   chaining same-timestamp versions; only the last
+                   survives observation) *)
+                true)
+        | None -> false
+      in
       Imdb_btree.Btree.insert t.current ~key
         ~value:
-          (encode_current ~ttime:(Tid.Unstamped txn.E.tx_tid) ~sn:0 ~stub ~payload));
-  E.note_write t.eng txn ~table_id:t.table_id ~key ~immortal:true
+          (encode_current ~ttime:(Tid.Unstamped txn.E.tx_tid) ~sn:0 ~stub ~payload);
+      (* the current row carries the TID until a later writer displaces
+         it: the mapping must outlive the commit *)
+      if not own_row then Imdb_tstamp.Vtt.incr_ref vtt txn.E.tx_tid);
+  E.note_write t.eng txn ~table_id:t.table_id ~key
 
 let insert t txn ~key ~payload = write t txn ~key ~payload ~stub:false
 let update = insert

@@ -154,7 +154,7 @@ let create eng ~name ~mode ~schema =
   Catalog.store (E.catalog_exn eng) ti;
   (match eng.E.cur_txn with
   | Some txn ->
-      E.note_write eng txn ~table_id:Meta.catalog_table_id ~key:name ~immortal:false
+      E.note_write eng txn ~table_id:Meta.catalog_table_id ~key:name
   | None -> ());
   E.register_table eng ti;
   ti
@@ -166,7 +166,7 @@ let drop eng name =
       ignore (Catalog.remove (E.catalog_exn eng) name);
       (match eng.E.cur_txn with
       | Some txn ->
-          E.note_write eng txn ~table_id:Meta.catalog_table_id ~key:name ~immortal:false
+          E.note_write eng txn ~table_id:Meta.catalog_table_id ~key:name
       | None -> ());
       E.unregister_table eng ti;
       Hashtbl.remove eng.E.ingest_bufs ti.Catalog.ti_id;
@@ -248,12 +248,10 @@ let split_data_page ?split_at eng ti ~pid ~low ~high =
           let hist_image = Imdb_storage.Vcompress.encode images.V.si_history in
           let m = eng.E.metrics in
           let module M = Imdb_obs.Metrics in
-          M.incr m M.compress_pages;
           M.incr ~by:(Bytes.length images.V.si_history) m M.compress_raw_bytes;
-          M.incr ~by:(Bytes.length hist_image) m M.compress_written_bytes;
-          M.set_gauge m M.compress_ratio
-            (M.get m M.compress_written_bytes * 100 / M.get m M.compress_raw_bytes);
           M.incr ~by:(Bytes.length hist_image) m M.hist_bytes_written;
+          M.set_gauge m M.compress_ratio
+            (M.get m M.hist_bytes_written * 100 / M.get m M.compress_raw_bytes);
           Imdb_obs.Tracer.add_attr sp "hist_page" (string_of_int hist_pid);
           Imdb_obs.Tracer.add_attr sp "hist_bytes"
             (string_of_int (Bytes.length hist_image));
@@ -541,7 +539,7 @@ let write_buffered eng txn ti ~key ~payload ~kind =
   append 1;
   Ingest.add buf msg;
   Imdb_tstamp.Vtt.incr_ref (E.vtt eng) txn.E.tx_tid;
-  E.note_write eng txn ~table_id:ti.Catalog.ti_id ~key ~immortal:true;
+  E.note_write eng txn ~table_id:ti.Catalog.ti_id ~key;
   Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.ingest_appends;
   if Ingest.count buf >= eng.E.config.E.ingest_buffer_rows then
     flush_ingest eng ti
@@ -563,7 +561,6 @@ let write_version eng txn ti ~key ~payload ~kind =
   (* buffered state must land before a per-row descent relies on page
      contents (existence checks, SI first-committer-wins validation) *)
   flush_ingest eng ti;
-  let immortal = ti.Catalog.ti_mode = Catalog.Immortal in
   let rec attempt budget =
     if budget = 0 then
       raise (Page_overflow (Printf.sprintf "table %s: cannot make room" ti.Catalog.ti_name));
@@ -642,7 +639,7 @@ let write_version eng txn ti ~key ~payload ~kind =
                          table_id = ti.Catalog.ti_id;
                        }));
               Imdb_tstamp.Vtt.incr_ref (E.vtt eng) txn.E.tx_tid;
-              E.note_write eng txn ~table_id:ti.Catalog.ti_id ~key ~immortal;
+              E.note_write eng txn ~table_id:ti.Catalog.ti_id ~key;
               false)
     in
     if full then begin
@@ -671,7 +668,7 @@ let conv_write eng txn ti ~key ~payload ~kind =
       | W_delete -> ignore (Imdb_btree.Btree.delete ~undoable:true tree ~key)
       | W_insert | W_update | W_upsert ->
           Imdb_btree.Btree.insert tree ~key ~value:(Bytes.of_string payload));
-  E.note_write eng txn ~table_id:ti.Catalog.ti_id ~key ~immortal:false
+  E.note_write eng txn ~table_id:ti.Catalog.ti_id ~key
 
 (* --- public write API ------------------------------------------------------ *)
 
@@ -729,8 +726,7 @@ let enable_snapshot eng ti =
     }
   in
   Catalog.store (E.catalog_exn eng) converted;
-  E.note_write eng txn ~table_id:Meta.catalog_table_id ~key:ti.Catalog.ti_name
-    ~immortal:false;
+  E.note_write eng txn ~table_id:Meta.catalog_table_id ~key:ti.Catalog.ti_name;
   E.register_table eng converted;
   (* migrate the rows as versions of the ALTER transaction *)
   let moved = ref 0 in

@@ -1,12 +1,14 @@
 (* Transaction lifecycle: commit processing and rollback.
 
    Commit (Section 2.2, stage III): choose the commit timestamp — late,
-   so it agrees with serialization order — then, under lazy timestamping,
-   perform the *single* PTT insert for the transaction and write the
-   commit record; no updated record is revisited.  Under eager
-   timestamping every written version is revisited, stamped and logged
-   before the commit record — the strategy the paper rejects and we keep
-   as an ablation baseline.
+   so it agrees with serialization order — and write the commit record;
+   under lazy timestamping that is all, no updated record is revisited.
+   The record carries (TID, timestamp), which answers for the mapping
+   until a checkpoint posts it to the PTT (see [Engine.checkpoint]), so
+   the paper's per-commit PTT update leaves the commit path.  Under
+   eager timestamping every written version is revisited, stamped and
+   logged before the commit record — the strategy the paper rejects and
+   we keep as an ablation baseline.
 
    Rollback uses guarded logical undo: each undoable log record's effect
    is located through the table's router/tree *at rollback time* (time
@@ -48,16 +50,8 @@ let commit eng txn =
     Imdb_obs.Tracer.with_span eng.E.tracer "txn.commit" @@ fun sp ->
     let ts = Imdb_clock.Clock.next_commit_timestamp eng.E.clock in
     txn.E.tx_commit_ts <- Some ts;
-    let persistent = ref false in
-    (match eng.E.config.E.timestamping with
-    | E.Lazy_stamping ->
-        if txn.E.tx_wrote_immortal then begin
-          (* the one commit-path write that replaces per-record revisits *)
-          persistent := true;
-          E.with_txn eng txn (fun () ->
-              Imdb_tstamp.Ptt.insert (E.ptt_exn eng) txn.E.tx_tid ts)
-        end
-    | E.Eager_stamping -> Table.eager_stamp_writes eng txn ~ts);
+    if eng.E.config.E.timestamping = E.Eager_stamping then
+      Table.eager_stamp_writes eng txn ~ts;
     E.ensure_begun eng txn;
     (* [batch_pos]: our position in the forming group-commit batch, 1 =
        leader (our flush will pay the sync), k = riding a batch of k so
@@ -74,9 +68,8 @@ let commit eng txn =
        ({!Imdb_tstamp.Lazy_stamper.resolve_for_stamping}).  (The flush
        itself does not append, so [end_of_log] is the same either side
        of it.) *)
-    Imdb_tstamp.Vtt.commit (E.vtt eng) txn.E.tx_tid ~ts ~persistent:!persistent
+    Imdb_tstamp.Vtt.commit (E.vtt eng) txn.E.tx_tid ~ts
       ~end_of_log:(Imdb_wal.Wal.next_lsn eng.E.wal);
-    Imdb_tstamp.Vtt.drop_if_drained_snapshot (E.vtt eng) txn.E.tx_tid;
     (* the fsync is where committing sessions overlap: the gate is
        released around it, so concurrent commits batch on the WAL's
        flush and share one device sync (this transaction's locks stay
@@ -121,8 +114,6 @@ let commit eng txn =
 
 let tree_for eng table_id =
   if table_id = Meta.catalog_table_id then Some (E.catalog_exn eng)
-  else if table_id = Meta.ptt_table_id then
-    Some (E.ptt_exn eng).Imdb_tstamp.Ptt.tree
   else
     match E.table_by_id eng table_id with
     | Some ti when ti.Catalog.ti_mode = Catalog.Conventional ->
@@ -264,7 +255,6 @@ let rollback_loser eng ~tid ~last_lsn =
       tx_last_lsn = last_lsn;
       tx_writes = [];
       tx_write_set = Hashtbl.create 1;
-      tx_wrote_immortal = false;
       tx_commit_ts = None;
       tx_durable = false;
       tx_rows_read = 0;

@@ -226,8 +226,14 @@ let diff ~(before : snapshot) ~(after : snapshot) : snapshot =
    history-page memo.
 
    v12: one stored history format — the compress.fallbacks counter is
-   gone: every time split stores its history image compressed. *)
-let schema_version = 12
+   gone: every time split stores its history image compressed.
+
+   v13: compress.pages and compress.written_bytes are gone — they always
+   equalled split.time and hist.bytes_written, since every split stores
+   one compressed image; compress.ratio is hist.bytes_written over
+   compress.raw_bytes.  ptt.inserts counts checkpoint postings, no
+   longer one per immortal commit. *)
+let schema_version = 13
 
 let sorted_int_obj tbl =
   Hashtbl.fold (fun k r acc -> (k, Json.Int !r) :: acc) tbl [] |> List.sort compare
@@ -335,9 +341,7 @@ let histcache_hits = "histcache.hits"
 let histcache_misses = "histcache.misses"
 let histcache_evictions = "histcache.evictions"
 let hist_bytes_written = "hist.bytes_written"
-let compress_pages = "compress.pages"
 let compress_raw_bytes = "compress.raw_bytes"
-let compress_written_bytes = "compress.written_bytes"
 let compress_ratio = "compress.ratio"
 let txn_commits = "txn.commits"
 let txn_aborts = "txn.aborts"

@@ -88,7 +88,7 @@ val diff : before:snapshot -> after:snapshot -> snapshot
     [imdb stats --json], the SQL [METRICS] pragma and the bench harness:
 
     {v
-    { "schema_version": 12,
+    { "schema_version": 13,
       "counters":   { "<name>": <int>, ... },              (sorted)
       "gauges":     { "<name>": <int>, ... },              (sorted)
       "histograms": { "<name>": { "count": n, "sum": n, "max": n,
@@ -147,14 +147,15 @@ val histcache_evictions : string
 
 val hist_bytes_written : string
 (** Bytes logged for history page images at time splits (the permanent
-    storage cost of a split; every stored image is compressed). *)
+    storage cost of a split; every stored image is compressed, one per
+    [split.time]). *)
 
-val compress_pages : string
 val compress_raw_bytes : string
-val compress_written_bytes : string
+(** Bytes the same history images take uncompressed. *)
 
 val compress_ratio : string
-(** Gauge: cumulative compressed/raw percentage for history images. *)
+(** Gauge: cumulative [hist.bytes_written] / [compress.raw_bytes]
+    percentage. *)
 
 val txn_commits : string
 val txn_aborts : string

@@ -128,9 +128,10 @@ let rates_between a b =
     r_splits_per_s =
       float_of_int (delta Metrics.time_splits + delta Metrics.key_splits)
       /. dt_s;
-    (* Backlog is a level, not a rate: PTT entries are created at commit
-       and retired by lazy stamping, so inserts - deletes = rows whose
-       timestamps are still provisional at the newest sample. *)
+    (* Backlog is a level, not a rate: checkpoints post the mappings
+       versions may still need and GC retires them once the stamping is
+       on disk, so inserts - deletes = posted mappings outstanding at the
+       newest sample. *)
     r_stamping_backlog =
       counter_of b.s_counters Metrics.ptt_inserts
       - counter_of b.s_counters Metrics.ptt_deletes;

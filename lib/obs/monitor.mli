@@ -22,9 +22,10 @@ type rates = {
   r_wal_bytes_per_s : float;
   r_splits_per_s : float;  (** time splits + key splits *)
   r_stamping_backlog : int;
-      (** ptt.inserts - ptt.deletes at the newest sample: rows whose
-          timestamps lazy stamping has not yet made permanent.  A level,
-          not a rate. *)
+      (** ptt.inserts - ptt.deletes at the newest sample: mappings
+          checkpoints posted because some version might still carry the
+          TID, and GC has not yet retired.  Commits since the last
+          checkpoint are not in it.  A level, not a rate. *)
 }
 
 val null : t

@@ -28,6 +28,7 @@ type crash_kind =
   | Crash_meta_write
   | Crash_recovery
   | Crash_buffer_write
+  | Crash_ptt_post
 
 let crash_kind_name = function
   | Crash_wal_tail -> "wal-tail"
@@ -36,6 +37,7 @@ let crash_kind_name = function
   | Crash_meta_write -> "meta-write"
   | Crash_recovery -> "recovery"
   | Crash_buffer_write -> "buffer-write"
+  | Crash_ptt_post -> "ptt-post"
 
 let all_crash_kinds =
   [
@@ -45,6 +47,7 @@ let all_crash_kinds =
     Crash_meta_write;
     Crash_recovery;
     Crash_buffer_write;
+    Crash_ptt_post;
   ]
 
 let kind_index k =
@@ -96,10 +99,15 @@ let default =
     flight_dir = None;
   }
 
+(* The kinds a run can fire: the concurrent driver only pulls the plug
+   between bursts (wal-tail); the I/O-failure kinds need the serial
+   driver's single session to aim at one write. *)
+let kinds_of cfg = if cfg.sessions > 1 then [ Crash_wal_tail ] else all_crash_kinds
+
 (* The crash schedule: [crashes] points spread over the expected commit
    count (ops / mean txn size, minus aborts), kinds cycling through a
-   per-block shuffle of all five so every kind appears once in every
-   window of five crashes. *)
+   per-block shuffle of every kind the run can fire, so each appears
+   once in every window of that many crashes. *)
 let schedule_of cfg =
   match cfg.schedule with
   | Some s -> s
@@ -110,7 +118,7 @@ let schedule_of cfg =
       if n <= 0 then []
       else begin
         let gap = max 4 (expected_commits / (n + 1)) in
-        let kinds = Array.of_list all_crash_kinds in
+        let kinds = Array.of_list (kinds_of cfg) in
         let block = Array.copy kinds in
         let out = ref [] in
         let at = ref 0 in
@@ -118,7 +126,9 @@ let schedule_of cfg =
           if i mod Array.length kinds = 0 then Rng.shuffle rng block;
           let kind = block.(i mod Array.length kinds) in
           at := !at + max 2 ((gap / 2) + Rng.int rng (max 1 gap));
-          let torn = (match kind with Crash_wal_tail -> false | _ -> Rng.bool rng) in
+          let torn =
+            match kind with Crash_wal_tail | Crash_ptt_post -> false | _ -> Rng.bool rng
+          in
           out := { cp_commit = !at; cp_kind = kind; cp_torn = torn } :: !out
         done;
         List.rev !out
@@ -323,6 +333,10 @@ let run cfg =
      sample there, boundary states just below commit timestamps, and
      every key's version history. *)
   let verify_full ~label () =
+    let unknown_tids () =
+      Imdb_tstamp.Lazy_stamper.unknown_tids (Db.engine !db).E.stamper
+    in
+    let unknown_before = unknown_tids () in
     List.iter
       (fun table ->
         compare_states ~what:(label ^ ": current state") ~table
@@ -375,7 +389,11 @@ let run cfg =
               (List.length want) (List.length got);
           incr history_checks
         done)
-      table_names
+      table_names;
+    (* every unstamped version the reads met must have resolved: a TID
+       with neither a VTT nor a PTT mapping lost its commit time *)
+    if unknown_tids () > unknown_before then
+      fail "%s: %d TIDs resolved to no mapping" label (unknown_tids () - unknown_before)
   in
 
   (* ---- workload ----------------------------------------------------- *)
@@ -631,8 +649,39 @@ let run cfg =
     do_crash cp
   in
 
+  (* The checkpoint's posting.  Odd firings pull the plug inside the
+     checkpoint, right after the posting group's append and before the
+     checkpoint record — so the meta page still names the previous
+     checkpoint — with the group either still in the volatile tail or
+     flushed.  Even firings let the checkpoint finish and pull the plug
+     before anything reads a posted mapping: recovery starts past those
+     Commit records, so only the PTT can answer for them. *)
+  let ptt_post_crash cp =
+    let nth = !(List.assq Crash_ptt_post kind_fired) in
+    tick ();
+    if nth land 1 = 0 then begin
+      let eng = Db.engine !db in
+      let flush = Rng.bool (point_rng cp) in
+      eng.E.after_ptt_post <-
+        (fun () ->
+          eng.E.after_ptt_post <- ignore;
+          if flush then Wal.flush eng.E.wal;
+          raise (Disk.Io_failure "ptt-post"));
+      armed := Some (cp, !commits);
+      act "crash point: ptt-post inside the checkpoint (posting group %s)"
+        (if flush then "flushed" else "volatile");
+      Db.checkpoint !db
+    end
+    else begin
+      Db.checkpoint !db;
+      act "crash point: ptt-post after the checkpoint's meta write";
+      do_crash cp
+    end
+  in
+
   let initiate cp =
     match cp.cp_kind with
+    | Crash_ptt_post -> ptt_post_crash cp
     | Crash_wal_tail -> wal_tail_crash cp
     | Crash_recovery -> do_crash cp
     | Crash_data_write ->
@@ -794,7 +843,7 @@ let run cfg =
     let sessions = max 2 (min cfg.sessions (min 8 cfg.keys_per_table)) in
     let burst = ref 0 in
     let last_verified = ref 0 in
-    let crash_budget = ref cfg.crashes in
+    let sched = ref (schedule_of cfg) in
     while !ops_done < cfg.ops do
       incr burst;
       tick ();
@@ -943,13 +992,18 @@ let run cfg =
           record_commit ~ts writes)
         all;
       act "burst %d: %d sessions committed %d txns" !burst sessions (List.length all);
-      (* between bursts: occasionally pull the plug mid-transaction,
-         otherwise spot-check or verify on schedule *)
-      if !crash_budget > 0 && Rng.int rng 3 = 0 then begin
-        decr crash_budget;
-        wal_tail_crash { cp_commit = !commits; cp_kind = Crash_wal_tail; cp_torn = false }
-      end
-      else if Rng.int rng 3 = 0 then spot_check ();
+      (* between bursts: pull the plug mid-transaction once for every
+         scheduled point the burst's commits reached, otherwise
+         spot-check; verify on schedule *)
+      let rec fire_due fired =
+        match !sched with
+        | cp :: rest when !commits >= cp.cp_commit ->
+            sched := rest;
+            wal_tail_crash cp;
+            fire_due true
+        | _ -> fired
+      in
+      if (not (fire_due false)) && Rng.int rng 3 = 0 then spot_check ();
       if cfg.verify_every > 0 && !commits - !last_verified >= cfg.verify_every then begin
         last_verified := !commits;
         verify_full ~label:(Printf.sprintf "periodic @%d commits" !commits) ()

@@ -33,6 +33,11 @@ type crash_kind =
       (** the next ingest-buffer-page write fails: the buffered write
           path loses its volatile buffer mirror with messages (possibly
           half-flushed) in flight *)
+  | Crash_ptt_post
+      (** the checkpoint's PTT posting: alternately, the plug is pulled
+          right after the posting group's log append (before the
+          checkpoint record and meta write), or right after a completed
+          checkpoint, before any access reads a posted mapping *)
 
 val crash_kind_name : crash_kind -> string
 val all_crash_kinds : crash_kind list
@@ -91,7 +96,9 @@ val default : config
 
 val schedule_of : config -> crash_point list
 (** The crash schedule a run will use (derived from the seed unless
-    overridden) — what the minimizer shrinks. *)
+    overridden) — what the minimizer shrinks.  A concurrent run
+    ([sessions > 1]) draws only [Crash_wal_tail] points, the one kind its
+    driver fires. *)
 
 type report = {
   r_seed : int;

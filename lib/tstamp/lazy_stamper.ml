@@ -10,8 +10,9 @@
    collected while the refcount is positive).
 
    No stamping is ever logged.  Durability of stamping is the GC rule's
-   job: a PTT entry survives until the redo-scan start point proves every
-   stamped page reached disk. *)
+   job: a mapping survives until the redo-scan start point proves every
+   stamped page reached disk.  Until a checkpoint posts it to the PTT,
+   the transaction's Commit record is its durable source. *)
 
 module Ts = Imdb_clock.Timestamp
 module Tid = Imdb_clock.Tid
@@ -40,6 +41,7 @@ let set_end_of_log t f = t.end_of_log <- f
 let set_flushed_lsn t f = t.flushed_lsn <- f
 let set_force_log t f = t.force_log <- f
 let vtt t = t.vtt
+let unknown_tids t = t.unknown_tids
 let ptt_exn t =
   match t.ptt with Some p -> p | None -> invalid_arg "Lazy_stamper: PTT not attached"
 
@@ -128,9 +130,7 @@ let resolve_volatile_only t tid : Imdb_version.Vpage.resolution =
   | Some `Active | Some `Aborted -> Imdb_version.Vpage.Active
   | None -> Imdb_version.Vpage.Active (* safe: stamp later, via the PTT *)
 
-let on_stamp t tid =
-  Vtt.note_stamped t.vtt tid ~end_of_log:(t.end_of_log ());
-  Vtt.drop_if_drained_snapshot t.vtt tid
+let on_stamp t tid = Vtt.note_stamped t.vtt tid ~end_of_log:(t.end_of_log ())
 
 (* Stamp every committed version in [page].  Returns the number stamped;
    the caller marks the page dirty (unlogged) when non-zero. *)
@@ -143,28 +143,60 @@ let stamp_page_volatile t page =
   Imdb_version.Vpage.stamp_committed ~metrics:t.metrics page
     ~resolve:(resolve_volatile_only t) ~on_stamp:(on_stamp t)
 
-(* Incremental PTT garbage collection (run after each checkpoint).
-   [redo_scan_start] is the LSN from which a crash's redo would begin; if
-   it has passed a transaction's lsn_at_zero, every unlogged stamp of that
-   transaction is on disk and the mapping can go.  Returns collected
-   TIDs. *)
+(* Checkpoint posting, before the checkpoint record: every committed
+   mapping the PTT lacks goes into it in one redo-only batch, so that
+   once that record moves recovery's start past their Commit records the
+   PTT answers for them — except the mappings GC at the same
+   [redo_scan_start] collects, whose stamping is already on disk.
+   Mappings of undefined refcount are then forgotten: the PTT holds
+   them.  The caller runs this inside one atomic log group.  Returns the
+   number posted. *)
+let post t ~redo_scan_start =
+  let fresh = Vtt.unposted t.vtt ~redo_scan_start in
+  if fresh <> [] then begin
+    Ptt.insert_batch (ptt_exn t) fresh;
+    List.iter (fun (tid, _) -> Vtt.mark_posted t.vtt tid) fresh
+  end;
+  Vtt.drop_unreferenced t.vtt;
+  List.length fresh
+
+(* Incremental garbage collection, once the checkpoint that posted with
+   the same [redo_scan_start] is durable.  [redo_scan_start] is the LSN
+   from which a crash's redo would begin; if it has passed a
+   transaction's lsn_at_zero, every unlogged stamp of that transaction
+   is on disk and the mapping can go — from the VTT, and from the PTT if
+   an earlier checkpoint posted it.  That PTT delete waits for this
+   checkpoint's record: until then recovery may still start at the
+   earlier one, whose redo can replay a page image logged before the
+   stamping.  Returns collected TIDs. *)
 let garbage_collect t ~redo_scan_start =
   Imdb_obs.Tracer.with_span t.tracer "ptt.gc" @@ fun sp ->
   let candidates = Vtt.gc_candidates t.vtt ~redo_scan_start in
   (* one batched PTT pass instead of a descent per candidate: collected
      TIDs are consecutive by construction, so the whole drain usually
      lands in a single leaf *)
-  let persistent =
+  let posted =
     List.filter_map
-      (fun (tid, persistent) -> if persistent then Some tid else None)
+      (fun e -> if e.Vtt.posted then Some e.Vtt.tid else None)
       candidates
   in
-  if persistent <> [] then ignore (Ptt.delete_batch (ptt_exn t) persistent);
-  List.iter (fun (tid, _) -> Vtt.drop t.vtt tid) candidates;
+  if posted <> [] then ignore (Ptt.delete_batch (ptt_exn t) posted);
+  List.iter (fun e -> Vtt.drop t.vtt e.Vtt.tid) candidates;
   Imdb_obs.Metrics.observe t.metrics Imdb_obs.Metrics.h_ptt_gc_batch
     (List.length candidates);
   Imdb_obs.Tracer.add_attr sp "candidates"
     (string_of_int (List.length candidates));
-  Imdb_obs.Tracer.add_attr sp "persistent"
-    (string_of_int (List.length persistent));
-  List.map fst candidates
+  Imdb_obs.Tracer.add_attr sp "posted" (string_of_int (List.length posted));
+  List.map (fun e -> e.Vtt.tid) candidates
+
+(* Vacuum, once every version on disk carries its timestamp: forget
+   every committed mapping no version still needs and every PTT entry
+   but those of TIDs a version still carries.  Returns the PTT entries
+   deleted. *)
+let forget_stamped t =
+  let ptt = ptt_exn t in
+  let kept = Vtt.drop_unneeded t.vtt in
+  let victims = ref [] in
+  Ptt.iter ptt (fun tid _ ->
+      if not (List.exists (Imdb_clock.Tid.equal tid) kept) then victims := tid :: !victims);
+  Ptt.delete_batch ptt !victims

@@ -14,7 +14,7 @@ val create : ?metrics:Imdb_obs.Metrics.t -> unit -> t
 
 val set_tracer : t -> Imdb_obs.Tracer.t -> unit
 (** Spans: {!garbage_collect} records a "ptt.gc" span
-    (candidates/persistent attrs) that nests under the checkpoint that
+    (candidates/posted attrs) that nests under the checkpoint that
     triggered it. *)
 
 val set_ptt : t -> Ptt.t -> unit
@@ -35,6 +35,11 @@ val set_force_log : t -> (int64 -> unit) -> unit
     that record, not the whole tail. *)
 
 val vtt : t -> Vtt.t
+
+val unknown_tids : t -> int
+(** Resolutions that found a TID in neither the VTT nor the PTT — an
+    integrity error: a mapping some version still needed was lost.
+    Stays 0. *)
 
 val resolve : t -> Imdb_clock.Tid.t -> Imdb_version.Vpage.resolution
 (** VTT, then PTT (caching the hit in the VTT with undefined refcount). *)
@@ -58,8 +63,22 @@ val stamp_page : t -> bytes -> int
 val stamp_page_volatile : t -> bytes -> int
 (** The pre-flush variant. *)
 
+val post : t -> redo_scan_start:int64 -> int
+(** Checkpoint posting, before the checkpoint record: insert every
+    committed mapping the PTT lacks, except those {!garbage_collect} at
+    the same [redo_scan_start] will collect, in one redo-only batch
+    ({!Ptt.insert_batch}); then forget the mappings of undefined
+    refcount.  Run inside one atomic log group.  Returns the number
+    posted. *)
+
 val garbage_collect : t -> redo_scan_start:int64 -> Imdb_clock.Tid.t list
-(** Incremental PTT GC, run after each checkpoint: delete every mapping
-    whose stamping is provably durable, in one batched PTT pass
+(** Incremental GC, run once the checkpoint that posted is durable:
+    forget every mapping whose stamping is provably durable, deleting
+    the posted ones from the PTT in one batched pass
     ({!Ptt.delete_batch}); records the drain size in [ptt.gc_batch].
     Returns the collected TIDs. *)
+
+val forget_stamped : t -> int
+(** Vacuum, once every version on disk is stamped: drop every committed
+    mapping with a drained or undefined refcount, and every PTT entry of
+    a TID no version still carries.  Returns the PTT entries deleted. *)

@@ -5,10 +5,11 @@
    the tail of the tree and lookups of recent transactions stay cheap even
    if crashes leave a residue of uncollectable entries.
 
-   The commit-path insert is a normal logged B-tree update inside the
-   committing transaction (the single PTT update that replaces eager
-   timestamping's per-record revisit).  Deletions are garbage collection:
-   non-transactional, redo-only. *)
+   Mappings are posted at checkpoint, not at commit: one redo-only batch
+   holds every committed TID that the checkpoint would otherwise leave
+   without a source (its Commit record falls below recovery's start and
+   some version may still carry the TID).  Deletions are garbage
+   collection, redo-only too; nothing here belongs to a transaction. *)
 
 module Ts = Imdb_clock.Timestamp
 module Tid = Imdb_clock.Tid
@@ -47,22 +48,19 @@ let attach ?(metrics = M.null) ?(tracer = Imdb_obs.Tracer.null) ~pool ~io ~root
 
 let root t = Imdb_btree.Btree.root t.tree
 
-(* Commit-path insert: one logged update per transaction. *)
-let insert t tid ts =
-  Imdb_obs.Tracer.with_span t.tracer "ptt.insert"
-    ~attrs:[ ("tid", Tid.to_string tid) ]
+(* Checkpoint posting: TIDs are assigned in order, so a batch lands at
+   the tree's right edge — one descent per leaf filled. *)
+let insert_batch t mappings =
+  Imdb_obs.Tracer.with_span t.tracer "ptt.insert_batch"
+    ~attrs:[ ("tids", string_of_int (List.length mappings)) ]
   @@ fun _ ->
-  M.incr t.metrics M.ptt_inserts;
-  Imdb_btree.Btree.insert t.tree ~key:(key_of_tid tid) ~value:(value_of_ts ts)
+  M.incr ~by:(List.length mappings) t.metrics M.ptt_inserts;
+  Imdb_btree.Btree.insert_batch t.tree
+    (List.map (fun (tid, ts) -> (key_of_tid tid, value_of_ts ts)) mappings)
 
 let lookup t tid =
   M.incr t.metrics M.ptt_lookups;
   Option.map ts_of_value (Imdb_btree.Btree.find t.tree ~key:(key_of_tid tid))
-
-(* Garbage collection delete: redo-only, never rolled back. *)
-let delete t tid =
-  M.incr t.metrics M.ptt_deletes;
-  Imdb_btree.Btree.delete t.tree ~key:(key_of_tid tid)
 
 (* Batched GC: TIDs are assigned in order, so a checkpoint's candidates
    cluster in a handful of leaves — one descent covers the run. *)

@@ -3,9 +3,10 @@
     live entries cluster at the tail even when crashes leave a residue of
     uncollectable ones.
 
-    The commit-path insert is the single logged write that lazy
-    timestamping performs per transaction; deletes are garbage
-    collection, redo-only. *)
+    Mappings are posted at checkpoint, in one redo-only batch, only for
+    committed TIDs that some version may still carry once recovery's
+    start moves past their Commit records; deletes are garbage
+    collection, redo-only too. *)
 
 type t = {
   tree : Imdb_btree.Btree.t;
@@ -34,17 +35,17 @@ val attach :
 
 val root : t -> int
 
-val insert : t -> Imdb_clock.Tid.t -> Imdb_clock.Timestamp.t -> unit
-(** The commit-path write: one logged B-tree insert per transaction. *)
+val insert_batch : t -> (Imdb_clock.Tid.t * Imdb_clock.Timestamp.t) list -> unit
+(** A checkpoint's posting as one redo-only batched B-tree pass
+    ({!Imdb_btree.Btree.insert_batch}); counts every mapping in
+    [ptt.inserts]. *)
 
 val lookup : t -> Imdb_clock.Tid.t -> Imdb_clock.Timestamp.t option
-val delete : t -> Imdb_clock.Tid.t -> bool
 
 val delete_batch : t -> Imdb_clock.Tid.t list -> int
 (** One GC sweep's deletions as a single batched B-tree pass (TIDs
     cluster, so the usual cost is one descent).  Counts every requested
-    TID in [ptt.deletes], like per-entry {!delete} calls would; returns
-    how many actually existed. *)
+    TID in [ptt.deletes]; returns how many actually existed. *)
 
 val count : t -> int
 val iter : t -> (Imdb_clock.Tid.t -> Imdb_clock.Timestamp.t -> unit) -> unit

@@ -11,14 +11,19 @@
    - When RefCount reaches zero, the end-of-log LSN is recorded
      ([lsn_at_zero]).  Once the redo-scan start point passes that LSN —
      meaning every page carrying the (unlogged!) stamping has reached
-     disk — the PTT entry can be deleted: no future access can need it,
-     even across a crash.
-   - Entries faulted in from the PTT after a miss have an *undefined*
-     refcount ([refcount = undefined]) and are never used to trigger GC,
-     exactly as in the paper.
+     disk — the mapping can be forgotten, VTT and PTT alike: no future
+     access can need it, even across a crash.
+   - Entries faulted in from the PTT after a miss, and entries recovery
+     rebuilds from Commit records, have an *undefined* refcount
+     ([refcount = undefined]) and are never used to trigger GC, exactly
+     as in the paper.
 
-   Snapshot-only transactions never touch the PTT; their entries die here
-   as soon as their refcount drains. *)
+   Mappings are posted to the PTT at checkpoint, not at commit: a
+   commit's own Commit record answers for it until a checkpoint moves
+   recovery's start past that record, and that checkpoint posts only
+   the mappings its GC would keep.  One rule governs every lazily
+   stamped TID, immortal or snapshot: an entry leaves only through GC
+   (or, when no version ever carried its TID, at commit). *)
 
 module Ts = Imdb_clock.Timestamp
 module Tid = Imdb_clock.Tid
@@ -35,7 +40,7 @@ type entry = {
   mutable refcount : int;
   mutable lsn_at_zero : int64;
   mutable commit_end : int64; (* end-of-log when the commit record was written *)
-  mutable persistent : bool; (* has a PTT entry (immortal-table txn) *)
+  mutable posted : bool; (* the mapping is in the PTT *)
 }
 
 type t = { entries : entry Tid.Table.t; metrics : M.t }
@@ -49,7 +54,7 @@ let begin_txn t tid =
     invalid_arg (Printf.sprintf "Vtt.begin_txn: duplicate %s" (Tid.to_string tid));
   Tid.Table.replace t.entries tid
     { tid; status = Active; refcount = 0; lsn_at_zero = no_lsn;
-      commit_end = no_lsn; persistent = false }
+      commit_end = no_lsn; posted = false }
 
 (* Stage II: one more version carries this TID. *)
 let incr_ref t tid =
@@ -63,15 +68,18 @@ let decr_ref_rollback t tid =
   | Some e -> if e.refcount > 0 then e.refcount <- e.refcount - 1
   | None -> ()
 
-(* Stage III: commit assigns the timestamp.  [persistent] marks
-   transactions whose mapping was also inserted into the PTT. *)
-let commit t tid ~ts ~persistent ~end_of_log =
+let drop t tid = Tid.Table.remove t.entries tid
+
+(* Stage III: commit assigns the timestamp.  A transaction no version
+   carries the TID of (conventional or catalog writes only, or every
+   version stamped eagerly and logged) needs no mapping, now or after a
+   crash, and leaves at once. *)
+let commit t tid ~ts ~end_of_log =
   match find t tid with
+  | Some e when e.refcount = 0 -> drop t tid
   | Some e ->
       e.status <- Committed ts;
-      e.persistent <- persistent;
-      e.commit_end <- end_of_log;
-      if e.refcount = 0 then e.lsn_at_zero <- end_of_log
+      e.commit_end <- end_of_log
   | None -> invalid_arg (Printf.sprintf "Vtt.commit: unknown %s" (Tid.to_string tid))
 
 let abort t tid =
@@ -90,16 +98,21 @@ let note_stamped t tid ~end_of_log =
       end
   | None -> ()
 
-(* Cache a mapping recovered from the PTT; refcount undefined so the GC
-   never fires from it ("we set the RefCount for the entry to undefined so
-   that we don't garbage collect its PTT entry"). *)
-let cache_from_ptt t tid ts =
-  (* A PTT entry is only consulted after its VTT entry was GC'd, which
-     requires the commit to be durably past the redo-scan start point —
-     so a cached mapping is trivially durable ([commit_end = 0]). *)
+(* A mapping whose refcount is unknown: GC never fires from it. *)
+let add_unreferenced t tid ts ~posted =
+  (* Such a mapping comes from the PTT or from a Commit record read back
+     at recovery, so its commit is durable ([commit_end = 0]). *)
   Tid.Table.replace t.entries tid
     { tid; status = Committed ts; refcount = undefined; lsn_at_zero = no_lsn;
-      commit_end = 0L; persistent = true }
+      commit_end = 0L; posted }
+
+(* Cache a mapping recovered from the PTT ("we set the RefCount for the
+   entry to undefined so that we don't garbage collect its PTT entry"). *)
+let cache_from_ptt t tid ts = add_unreferenced t tid ts ~posted:true
+
+(* Recovery's mapping for a Commit record at or after the last
+   checkpoint: not in the PTT until the recovery checkpoint posts it. *)
+let seed_from_log t tid ts = add_unreferenced t tid ts ~posted:false
 
 let resolve t tid =
   match find t tid with
@@ -121,25 +134,59 @@ let commit_durable t tid ~flushed_lsn =
       commit_end <> no_lsn && Int64.compare commit_end flushed_lsn <= 0
   | _ -> false
 
-(* Transactions whose PTT entry is now garbage: refcount drained and the
-   stamping provably on disk (redo-scan start point beyond lsn_at_zero). *)
+(* A mapping is garbage once its refcount drained and the stamping is
+   provably on disk (redo-scan start point beyond lsn_at_zero). *)
+let collectable e ~redo_scan_start =
+  match e.status with
+  | Committed _ ->
+      e.refcount = 0
+      && e.lsn_at_zero <> no_lsn
+      && Int64.compare redo_scan_start e.lsn_at_zero > 0
+  | Active | Aborted -> false
+
 let gc_candidates t ~redo_scan_start =
+  Tid.Table.fold
+    (fun _ e acc -> if collectable e ~redo_scan_start then e :: acc else acc)
+    t.entries []
+
+(* Committed mappings the PTT lacks and GC at [redo_scan_start] would
+   keep. *)
+let unposted t ~redo_scan_start =
   Tid.Table.fold
     (fun tid e acc ->
       match e.status with
-      | Committed _
-        when e.refcount = 0
-             && e.lsn_at_zero <> no_lsn
-             && Int64.compare redo_scan_start e.lsn_at_zero > 0 ->
-          (tid, e.persistent) :: acc
+      | Committed ts when (not e.posted) && not (collectable e ~redo_scan_start) ->
+          (tid, ts) :: acc
       | _ -> acc)
     t.entries []
 
-let drop t tid = Tid.Table.remove t.entries tid
+let mark_posted t tid =
+  match find t tid with Some e -> e.posted <- true | None -> ()
 
-(* Snapshot-only transactions are dropped the moment their refcount
-   drains: nothing about them needs to survive. *)
-let drop_if_drained_snapshot t tid =
-  match find t tid with
-  | Some e when (not e.persistent) && e.refcount = 0 && e.status <> Active -> drop t tid
-  | _ -> ()
+(* Forget every posted mapping of undefined refcount: the PTT answers
+   for it, and keeping it would pin one VTT entry per recovered or
+   looked-up commit for the life of the process. *)
+let drop_unreferenced t =
+  let victims =
+    Tid.Table.fold
+      (fun tid e acc -> if e.refcount = undefined && e.posted then tid :: acc else acc)
+      t.entries []
+  in
+  List.iter (drop t) victims
+
+(* Forget every committed mapping no version can still need: refcount
+   drained or undefined.  Returns the survivors' TIDs. *)
+let drop_unneeded t =
+  let victims, kept =
+    Tid.Table.fold
+      (fun tid e (victims, kept) ->
+        match e.status with
+        | Committed _ when e.refcount <= 0 -> (tid :: victims, kept)
+        | Committed _ -> (victims, tid :: kept)
+        | Active | Aborted -> (victims, kept))
+      t.entries ([], [])
+  in
+  List.iter (drop t) victims;
+  kept
+
+let tids t = Tid.Table.fold (fun tid _ acc -> tid :: acc) t.entries []

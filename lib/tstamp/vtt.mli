@@ -4,9 +4,11 @@
     persistent timestamp table and the bookkeeping that makes its
     incremental garbage collection safe.  RefCount counts a transaction's
     record versions still carrying the TID; when it drains, the
-    end-of-log LSN is remembered, and the PTT entry may be deleted once
+    end-of-log LSN is remembered, and the mapping may be forgotten once
     the redo-scan start point passes it — proof that every page holding
-    the (never logged!) stamping has reached disk. *)
+    the (never logged!) stamping has reached disk.  Mappings are posted
+    to the PTT at checkpoint, not at commit; until then the commit's own
+    Commit record answers for them after a crash. *)
 
 type status = Active | Committed of Imdb_clock.Timestamp.t | Aborted
 
@@ -16,7 +18,7 @@ type entry = {
   mutable refcount : int;  (** [undefined] for entries faulted from the PTT *)
   mutable lsn_at_zero : int64;  (** end-of-log when refcount drained *)
   mutable commit_end : int64;  (** end-of-log when the commit record was written *)
-  mutable persistent : bool;  (** has a PTT entry (wrote an immortal table) *)
+  mutable posted : bool;  (** the mapping is in the PTT *)
 }
 
 type t
@@ -33,9 +35,10 @@ val incr_ref : t -> Imdb_clock.Tid.t -> unit
 val decr_ref_rollback : t -> Imdb_clock.Tid.t -> unit
 (** A version removed by rollback no longer needs stamping. *)
 
-val commit :
-  t -> Imdb_clock.Tid.t -> ts:Imdb_clock.Timestamp.t -> persistent:bool -> end_of_log:int64 -> unit
-(** Stage III: the commit timestamp is known. *)
+val commit : t -> Imdb_clock.Tid.t -> ts:Imdb_clock.Timestamp.t -> end_of_log:int64 -> unit
+(** Stage III: the commit timestamp is known.  A transaction that left
+    no version carrying its TID (refcount 0) is dropped instead: nothing
+    will ever resolve it. *)
 
 val abort : t -> Imdb_clock.Tid.t -> unit
 
@@ -46,6 +49,11 @@ val note_stamped : t -> Imdb_clock.Tid.t -> end_of_log:int64 -> unit
 val cache_from_ptt : t -> Imdb_clock.Tid.t -> Imdb_clock.Timestamp.t -> unit
 (** Cache a mapping recovered from the PTT with an undefined refcount, so
     GC never fires from it. *)
+
+val seed_from_log : t -> Imdb_clock.Tid.t -> Imdb_clock.Timestamp.t -> unit
+(** Recovery: a Commit record at or after the last checkpoint.
+    Undefined refcount, not yet posted; the recovery checkpoint posts it
+    and then {!drop_unreferenced} forgets it. *)
 
 val resolve :
   t ->
@@ -59,13 +67,27 @@ val commit_durable : t -> Imdb_clock.Tid.t -> flushed_lsn:int64 -> bool
     WAL-before-data alone would let a stamped page reach disk carrying a
     commit timestamp that a crash then loses. *)
 
-val gc_candidates : t -> redo_scan_start:int64 -> (Imdb_clock.Tid.t * bool) list
-(** Transactions whose PTT entry is now garbage: refcount drained and
-    stamping provably on disk.  The bool is [persistent]. *)
+val gc_candidates : t -> redo_scan_start:int64 -> entry list
+(** Transactions whose mapping is now garbage: refcount drained and
+    stamping provably on disk.  [posted] tells which also hold a PTT
+    entry. *)
+
+val unposted :
+  t -> redo_scan_start:int64 -> (Imdb_clock.Tid.t * Imdb_clock.Timestamp.t) list
+(** Committed mappings the PTT does not hold yet and {!gc_candidates}
+    at [redo_scan_start] would not return. *)
+
+val mark_posted : t -> Imdb_clock.Tid.t -> unit
 
 val drop : t -> Imdb_clock.Tid.t -> unit
 
-val drop_if_drained_snapshot : t -> Imdb_clock.Tid.t -> unit
-(** Snapshot-only transactions vanish the moment their refcount drains:
-    nothing about them needs to survive. *)
+val drop_unreferenced : t -> unit
+(** Forget every posted mapping of undefined refcount (recovered or
+    looked up): the PTT answers for it. *)
 
+val drop_unneeded : t -> Imdb_clock.Tid.t list
+(** Forget every committed mapping with a drained or undefined refcount;
+    returns the committed TIDs kept (versions still carry them). *)
+
+val tids : t -> Imdb_clock.Tid.t list
+(** Every TID the table holds, in no particular order. *)

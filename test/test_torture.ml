@@ -57,6 +57,27 @@ let test_crash_kind_coverage () =
   Alcotest.(check bool) "some crashes tore the failing write" true (r.H.r_torn > 0);
   Alcotest.(check bool) "double recovery exercised" true (r.H.r_double_recoveries > 0)
 
+(* A concurrent run fires only wal-tail crashes, between bursts; its
+   schedule must say so, and the report must count exactly the points
+   the schedule placed within the run's commits (as in a serial run, a
+   point past the last commit never fires). *)
+let test_concurrent_schedule_truthful () =
+  let cfg =
+    { H.default with H.seed = 7; ops = 600; crashes = 6; keys_per_table = 32; sessions = 2 }
+  in
+  let sched = H.schedule_of cfg in
+  Alcotest.(check int) "six points" 6 (List.length sched);
+  let r = report_of (H.run cfg) in
+  let reached = List.filter (fun cp -> cp.H.cp_commit <= r.H.r_commits) sched in
+  Alcotest.(check bool) "most points reached" true (List.length reached >= 4);
+  let scheduled k = List.length (List.filter (fun cp -> cp.H.cp_kind = k) reached) in
+  Alcotest.(check (list (pair string int)))
+    "fired = scheduled, per kind"
+    (List.map (fun k -> (H.crash_kind_name k, scheduled k)) H.all_crash_kinds)
+    r.H.r_crash_kinds;
+  Alcotest.(check int) "all of them wal-tail" (List.length reached)
+    (List.assoc "wal-tail" r.H.r_crash_kinds)
+
 let expect_failure what cfg =
   match H.run cfg with
   | H.Passed _ -> Alcotest.failf "%s: sabotaged run passed — the oracle is not looking" what
@@ -175,6 +196,8 @@ let suite =
     Alcotest.test_case "small torture run passes" `Slow test_small_run_passes;
     Alcotest.test_case "runs are deterministic by seed" `Slow test_determinism;
     Alcotest.test_case "every crash kind fires" `Slow test_crash_kind_coverage;
+    Alcotest.test_case "concurrent schedule = crashes fired" `Slow
+      test_concurrent_schedule_truthful;
     Alcotest.test_case "bulk-insert mix passes" `Slow test_bulk_run_passes;
     Alcotest.test_case "sabotage: skewed stamp is caught" `Slow test_sabotage_skew_stamp_caught;
     Alcotest.test_case "sabotage: dropped write is caught" `Slow test_sabotage_drop_write_caught;

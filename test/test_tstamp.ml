@@ -23,17 +23,12 @@ let test_vtt_stages () =
   Vtt.incr_ref v (tid 1);
   Vtt.incr_ref v (tid 1);
   (* stage III: commit assigns the timestamp *)
-  Vtt.commit v (tid 1) ~ts:(ts 100) ~persistent:true ~end_of_log:50L;
+  Vtt.commit v (tid 1) ~ts:(ts 100) ~end_of_log:50L;
   Alcotest.(check bool) "committed" true (Vtt.resolve v (tid 1) = Some (`Committed (ts 100)));
   (* stage IV: stamping drains the refcount; the last one records the LSN *)
   Vtt.note_stamped v (tid 1) ~end_of_log:60L;
-  Alcotest.(check (list (pair (module struct
-    type t = Tid.t
-
-    let pp = Tid.pp
-    let equal = Tid.equal
-  end) bool))) "not collectable while refs remain" []
-    (Vtt.gc_candidates v ~redo_scan_start:1000L);
+  Alcotest.(check int) "not collectable while refs remain" 0
+    (List.length (Vtt.gc_candidates v ~redo_scan_start:1000L));
   Vtt.note_stamped v (tid 1) ~end_of_log:70L;
   (* collectable only once the redo scan start passes the stamping *)
   Alcotest.(check int) "not yet durable" 0
@@ -48,31 +43,52 @@ let test_vtt_cached_entries_never_gc () =
   Alcotest.(check int) "undefined refcount blocks GC" 0
     (List.length (Vtt.gc_candidates v ~redo_scan_start:Int64.max_int))
 
+(* A drained entry (snapshot-table or immortal alike) stays until GC:
+   the stamped page may not have reached disk yet, and after a crash
+   only this mapping (posted, or in a Commit record) can stamp it again.
+   A transaction no version ever carried leaves at commit. *)
 let test_vtt_snapshot_drop () =
   let v = Vtt.create () in
   Vtt.begin_txn v (tid 2);
   Vtt.incr_ref v (tid 2);
-  Vtt.commit v (tid 2) ~ts:(ts 10) ~persistent:false ~end_of_log:5L;
+  Vtt.commit v (tid 2) ~ts:(ts 10) ~end_of_log:5L;
   Vtt.note_stamped v (tid 2) ~end_of_log:6L;
-  Vtt.drop_if_drained_snapshot v (tid 2);
-  Alcotest.(check bool) "snapshot entry gone" true (Vtt.resolve v (tid 2) = None)
+  Alcotest.(check bool) "drained entry still resolves" true
+    (Vtt.resolve v (tid 2) = Some (`Committed (ts 10)));
+  Alcotest.(check int) "posted unless GC would collect it" 1
+    (List.length (Vtt.unposted v ~redo_scan_start:6L));
+  Alcotest.(check int) "GC drops it once the stamping is on disk" 1
+    (List.length (Vtt.gc_candidates v ~redo_scan_start:7L));
+  Alcotest.(check int) "and then it is not posted" 0
+    (List.length (Vtt.unposted v ~redo_scan_start:7L));
+  Vtt.begin_txn v (tid 3);
+  Vtt.commit v (tid 3) ~ts:(ts 11) ~end_of_log:8L;
+  Alcotest.(check bool) "no version, no mapping" true (Vtt.resolve v (tid 3) = None)
 
 let test_ptt_roundtrip () =
   let db, _clock = fresh_db () in
   let eng = Db.engine db in
   let ptt = E.ptt_exn eng in
-  let txn = Db.begin_txn db in
-  E.with_txn eng txn (fun () ->
-      for i = 1 to 50 do
-        Ptt.insert ptt (tid (1000 + i)) (ts (i * 20))
-      done);
-  ignore (Db.commit db txn);
+  (* posting (checkpoint path), in an order the batch must sort *)
+  Ptt.insert_batch ptt (List.init 50 (fun i -> (tid (1050 - i), ts ((50 - i) * 20))));
   Alcotest.(check bool) "lookup hit" true (Ptt.lookup ptt (tid 1025) = Some (ts 500));
   Alcotest.(check bool) "lookup miss" true (Ptt.lookup ptt (tid 999) = None);
-  Alcotest.(check bool) "min tid" true (Ptt.min_tid ptt <> None);
+  Alcotest.(check bool) "min tid" true (Ptt.min_tid ptt = Some (tid 1001));
+  (* re-posting replaces *)
+  Ptt.insert_batch ptt [ (tid 1025, ts 501) ];
+  Alcotest.(check bool) "replaced" true (Ptt.lookup ptt (tid 1025) = Some (ts 501));
+  Alcotest.(check int) "no duplicate" 50 (Ptt.count ptt);
   (* deletion (GC path) *)
-  ignore (Ptt.delete ptt (tid 1025));
+  Alcotest.(check int) "one existed" 1 (Ptt.delete_batch ptt [ tid 1025; tid 999 ]);
   Alcotest.(check bool) "deleted" true (Ptt.lookup ptt (tid 1025) = None);
+  (* a posting large enough to split leaves, across a crash *)
+  Ptt.insert_batch ptt (List.init 2000 (fun i -> (tid (5000 + i), ts (5000 + i))));
+  Alcotest.(check int) "tree intact" 2049 (Imdb_btree.Btree.check_invariants ptt.Ptt.tree);
+  Db.checkpoint db;
+  let db = Db.crash_and_reopen db in
+  let ptt = E.ptt_exn (Db.engine db) in
+  Alcotest.(check bool) "posted entries survive" true
+    (Ptt.lookup ptt (tid 6999) = Some (ts 6999) && Ptt.lookup ptt (tid 1001) = Some (ts 20));
   Db.close db
 
 (* End-to-end: unstamped committed versions resolve through the PTT after
@@ -131,8 +147,10 @@ let test_no_gc_without_checkpoints () =
       (commit_write db (fun txn -> Db.update_row db txn ~table:"t" (row (1 + (u mod 5)) "w")))
   done;
   let eng = Db.engine db in
-  Alcotest.(check int) "PTT grows without checkpoints" 205
+  Alcotest.(check int) "nothing posted without checkpoints" 0
     (Imdb_tstamp.Ptt.count (E.ptt_exn eng));
+  Alcotest.(check int) "VTT grows without checkpoints" 205
+    (List.length (Vtt.tids (E.vtt eng)));
   Db.close db
 
 (* Eager mode: every version stamped (and logged) by commit; no PTT. *)
@@ -177,7 +195,7 @@ let test_stamping_gate () =
   Vtt.begin_txn v (tid 1);
   Vtt.incr_ref v (tid 1);
   (* the commit record ends at LSN 150; the log is durable through 100 *)
-  Vtt.commit v (tid 1) ~ts:(ts 100) ~persistent:true ~end_of_log:150L;
+  Vtt.commit v (tid 1) ~ts:(ts 100) ~end_of_log:150L;
   Alcotest.(check bool) "flush-time stamping declines a volatile commit" true
     (LS.resolve_volatile_only st (tid 1) = Vp.Active);
   Alcotest.(check bool) "access-path stamping sees the commit" true
