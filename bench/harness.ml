@@ -53,7 +53,7 @@ let scaled ~scale n = max 1 (int_of_float (float_of_int n *. scale))
    BENCH_<name>.json into DIR.  Experiments put only deterministic
    quantities there (logical work counters, page/row counts — never wall
    time), so scripts/bench_check.sh can diff them against checked-in
-   baselines with a tight tolerance. *)
+   baselines exactly. *)
 
 let json_dir : string option ref = ref None
 let set_json_dir dir = json_dir := Some dir

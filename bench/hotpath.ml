@@ -13,8 +13,8 @@
      returns, so one session pays one sync per commit.
 
    BENCH_hotpath.json carries only the deterministic logical counters
-   (never wall time), so scripts/bench_check.sh can hold them to a tight
-   tolerance. *)
+   (never wall time), so scripts/bench_check.sh can hold them to their
+   baselines exactly. *)
 
 module Db = Imdb_core.Db
 module E = Imdb_core.Engine

@@ -99,8 +99,6 @@ let lsn b = Codec.get_i64 b 8
 let set_lsn b v = Codec.set_i64 b 8 v
 let page_type b = page_type_of_int (Codec.get_u8 b 16)
 let set_page_type b v = Codec.set_u8 b 16 (int_of_page_type v)
-let flags b = Codec.get_u8 b 17
-let set_flags b v = Codec.set_u8 b 17 v
 let slot_count b = Codec.get_u16 b 18
 let set_slot_count b v = Codec.set_u16 b 18 v
 let free_lower b = Codec.get_u16 b 20

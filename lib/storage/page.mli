@@ -54,8 +54,6 @@ val lsn : bytes -> int64
 val set_lsn : bytes -> int64 -> unit
 val page_type : bytes -> page_type
 val set_page_type : bytes -> page_type -> unit
-val flags : bytes -> int
-val set_flags : bytes -> int -> unit
 val slot_count : bytes -> int
 val free_lower : bytes -> int
 val garbage : bytes -> int

@@ -41,8 +41,6 @@ type t = {
   sn : int;
 }
 
-val vp_in_history : t -> bool
-
 val size : key:string -> payload:string -> int
 (** Encoded size of a version with these fields. *)
 

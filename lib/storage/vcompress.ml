@@ -37,9 +37,17 @@
      varint  VP spec for the last member: 0 = no_vp, else vp + 1
    v}
 
-   [decode] is an exact inverse: re-inserting the reconstructed cells in
-   slot order into a fresh page reproduces the encoder's input image
-   byte for byte (same offsets, same slot array, same header).
+   Both directions work by offset on the page images, with no
+   per-version record or string.  [decode] is an exact inverse: it
+   writes slot i's cell at a running cursor from [Page.header_size],
+   its slot entry pointing there, exactly where sequential insertion put
+   it.  A member's key is copied from its run head's cell and its
+   payload from its predecessor's cell plus the middle bytes of the
+   blob; every VP but a run's last is the next slot, and the last is
+   patched once the run's VP spec is read.  The output is the encoder's
+   input image byte for byte (same offsets, same slot array, same
+   header).  Every read stays inside the blob and every cell below the
+   slot array, so a corrupt blob raises [Codec.Out_of_bounds].
 
    [encode] is total on time-split output.  Every field width is bounded
    by the page: with pages up to 16 KiB, key and payload lengths, run
@@ -61,86 +69,111 @@ module R = Record
 let meta_size = 4 (* n_versions + blob_len *)
 let blob_start = P.header_size + meta_size
 
-let raw_ttime r = Imdb_clock.Tid.encode_ttime_field r.R.ttime
+(* Fields of the version whose cell body starts at [o] (Record layout). *)
+let klen b o = Bytes.get_uint16_le b (o + 1)
+let plen b o = Bytes.get_uint16_le b (o + 3)
+let tail b o = o + 5 + klen b o + plen b o
+let raw_ttime b o = Bytes.get_int64_le b (tail b o + 2)
 
 (* What a time split builds: a history page whose cells sit exactly
-   where sequential re-insertion will put them (or decoding could not
+   where the decoder's cursor will write them (or decoding could not
    reproduce the image byte for byte), every version stamped. *)
 let split_output plain =
   let n = P.slot_count plain in
-  let cursor = ref P.header_size in
-  let ok = ref (P.page_type plain = P.P_history && P.garbage plain = 0) in
-  for slot = 0 to n - 1 do
-    if !ok then
-      if
-        (not (P.slot_live plain slot))
-        || P.slot_offset plain slot <> !cursor
-        || R.in_page_timestamp plain slot = None
-      then ok := false
-      else cursor := !cursor + 2 + P.cell_length plain slot
-  done;
-  !ok && P.free_lower plain = !cursor
+  let rec sequential slot cursor =
+    if slot = n then P.free_lower plain = cursor
+    else
+      P.slot_offset plain slot = cursor
+      && Int64.compare (raw_ttime plain (cursor + 2)) 0L >= 0 (* stamped *)
+      && sequential (slot + 1) (cursor + 2 + Bytes.get_uint16_le plain cursor)
+  in
+  P.page_type plain = P.P_history && P.garbage plain = 0 && sequential 0 P.header_size
 
-let chains_to m r = r.R.vp = m && not (R.vp_in_history r)
+let rec same_bytes b i j len =
+  len = 0 || (Bytes.get b i = Bytes.get b j && same_bytes b (i + 1) (j + 1) (len - 1))
+
+(* Unsigned LEB128.  [varint64] is inlined so that its int64 never
+   leaves registers. *)
+let rec varint w v =
+  if v < 0x80 then Buffer.add_uint8 w v
+  else begin
+    Buffer.add_uint8 w (v land 0x7f lor 0x80);
+    varint w (v lsr 7)
+  end
+
+let[@inline] varint64 w v =
+  let v = ref v and more = ref true in
+  while !more do
+    let low = Int64.to_int (Int64.logand !v 0x7fL) in
+    v := Int64.shift_right_logical !v 7;
+    more := not (Int64.equal !v 0L);
+    Buffer.add_uint8 w (if !more then low lor 0x80 else low)
+  done
 
 let encode plain =
   if not (split_output plain) then
     invalid_arg "Vcompress.encode: not a time split's history image";
   let n = P.slot_count plain in
-  let recs = Array.init n (fun slot -> R.read_in_page plain slot) in
-  let w = Codec.Writer.create ~size:256 () in
+  let body slot = P.cell_body_offset plain slot in
+  let w = Buffer.create (Bytes.length plain) in
   let s = ref 0 in
   while !s < n do
     (* maximal run of chain-linked, time-ordered cells *)
     let e = ref !s in
     let extending = ref true in
     while !extending && !e + 1 < n do
-      let cur = recs.(!e) and nxt = recs.(!e + 1) in
+      let cur = body !e and nxt = body (!e + 1) in
+      let k = klen plain cur in
       if
-        chains_to (!e + 1) cur
-        && String.equal cur.R.key nxt.R.key
-        && Int64.compare (raw_ttime cur) (raw_ttime nxt) >= 0
+        Bytes.get_uint16_le plain (tail plain cur) = !e + 1
+        && Bytes.get_uint8 plain cur land R.f_vp_in_history = 0
+        && klen plain nxt = k
+        && same_bytes plain (cur + 5) (nxt + 5) k
+        && Int64.compare (raw_ttime plain cur) (raw_ttime plain nxt) >= 0
       then incr e
       else extending := false
     done;
-    let head = recs.(!s) in
-    Codec.Writer.varint w (!e - !s + 1);
-    Codec.Writer.u8 w head.R.flags;
-    Codec.Writer.varint64 w (raw_ttime head);
-    Codec.Writer.varint w head.R.sn;
-    Codec.Writer.varint w (String.length head.R.key);
-    Codec.Writer.string w head.R.key;
-    Codec.Writer.varint w (String.length head.R.payload);
-    Codec.Writer.string w head.R.payload;
+    let head = body !s in
+    let k = klen plain head and p = plen plain head in
+    varint w (!e - !s + 1);
+    Buffer.add_uint8 w (Bytes.get_uint8 plain head);
+    varint64 w (raw_ttime plain head);
+    varint w (Codec.get_u32 plain (tail plain head + 10));
+    varint w k;
+    Buffer.add_subbytes w plain (head + 5) k;
+    varint w p;
+    Buffer.add_subbytes w plain (head + 5 + k) p;
     for i = !s + 1 to !e do
-      let prev = recs.(i - 1) and cur = recs.(i) in
-      Codec.Writer.u8 w cur.R.flags;
-      Codec.Writer.varint64 w (Int64.sub (raw_ttime prev) (raw_ttime cur));
-      Codec.Writer.varint w cur.R.sn;
-      let p = prev.R.payload and c = cur.R.payload in
-      let lp = String.length p and lc = String.length c in
+      let prev = body (i - 1) and cur = body i in
+      Buffer.add_uint8 w (Bytes.get_uint8 plain cur);
+      varint64 w (Int64.sub (raw_ttime plain prev) (raw_ttime plain cur));
+      varint w (Codec.get_u32 plain (tail plain cur + 10));
+      let pp = prev + 5 + k and cp = cur + 5 + k in
+      let lp = plen plain prev and lc = plen plain cur in
       let maxpre = min lp lc in
       let pre = ref 0 in
-      while !pre < maxpre && p.[!pre] = c.[!pre] do
+      while !pre < maxpre && Bytes.get plain (pp + !pre) = Bytes.get plain (cp + !pre) do
         incr pre
       done;
       let maxsuf = maxpre - !pre in
       let suf = ref 0 in
-      while !suf < maxsuf && p.[lp - 1 - !suf] = c.[lc - 1 - !suf] do
+      while
+        !suf < maxsuf
+        && Bytes.get plain (pp + lp - 1 - !suf) = Bytes.get plain (cp + lc - 1 - !suf)
+      do
         incr suf
       done;
       let midlen = lc - !pre - !suf in
-      Codec.Writer.varint w !pre;
-      Codec.Writer.varint w !suf;
-      Codec.Writer.varint w midlen;
-      Codec.Writer.string w (String.sub c !pre midlen)
+      varint w !pre;
+      varint w !suf;
+      varint w midlen;
+      Buffer.add_subbytes w plain (cp + !pre) midlen
     done;
-    let last = recs.(!e) in
-    Codec.Writer.varint w (if last.R.vp = R.no_vp then 0 else last.R.vp + 1);
+    let vp = Bytes.get_uint16_le plain (tail plain (body !e)) in
+    varint w (if vp = R.no_vp then 0 else vp + 1);
     s := !e + 1
   done;
-  let blob = Codec.Writer.contents w in
-  let blen = Bytes.length blob in
+  let blen = Buffer.length w in
   let total = blob_start + blen in
   if blen > 0xffff || total > Bytes.length plain then
     invalid_arg "Vcompress.encode: compressed image does not fit its page";
@@ -152,79 +185,127 @@ let encode plain =
   Codec.set_u16 out 22 0 (* garbage *);
   Codec.set_u16 out P.header_size n;
   Codec.set_u16 out (P.header_size + 2) blen;
-  Codec.set_bytes out blob_start blob;
+  Buffer.blit w 0 out blob_start blen;
   out
 
 let is_compressed b = P.page_type b = P.P_history_compressed
 let encoded_size b = blob_start + Codec.get_u16 b (P.header_size + 2)
 
+(* --- decoding ----------------------------------------------------------- *)
+
+let corrupt what = raise (Codec.Out_of_bounds ("Vcompress.decode: " ^ what))
+
+(* A read cursor over the blob [src.(pos) .. src.(lim - 1)]. *)
+type cursor = { src : bytes; mutable pos : int; lim : int }
+
+(* Consume [n] bytes; their offset in [src]. *)
+let[@inline] take c n =
+  let at = c.pos in
+  if n > c.lim - at then corrupt "read past the blob";
+  c.pos <- at + n;
+  at
+
+let[@inline] byte c = Bytes.get_uint8 c.src (take c 1)
+
+let[@inline] read_varint64 c =
+  let v = ref 0L and shift = ref 0 and more = ref true in
+  while !more do
+    if !shift > 63 then corrupt "overlong varint";
+    let b = byte c in
+    v := Int64.logor !v (Int64.shift_left (Int64.of_int (b land 0x7f)) !shift);
+    shift := !shift + 7;
+    more := b land 0x80 <> 0
+  done;
+  !v
+
+(* Most varints are one byte; those skip the int64 loop. *)
+let read_varint c =
+  let at = c.pos in
+  if at < c.lim && Bytes.get_uint8 c.src at < 0x80 then begin
+    c.pos <- at + 1;
+    Bytes.get_uint8 c.src at
+  end
+  else
+    let v = read_varint64 c in
+    if Int64.compare v 0L < 0 || Int64.compare v (Int64.of_int max_int) > 0 then
+      corrupt "varint out of int range";
+    Int64.to_int v
+
 let decode b =
   if not (is_compressed b) then
     invalid_arg "Vcompress.decode: not a compressed history page";
+  let psize = Bytes.length b in
   let n = Codec.get_u16 b P.header_size in
-  let blen = Codec.get_u16 b (P.header_size + 2) in
-  let out = Bytes.create (Bytes.length b) in
-  P.format out ~page_id:(P.page_id b) ~page_type:P.P_history
-    ~table_id:(P.table_id b) ~level:(P.level b) ();
-  (* restore the header fields [encode] carried over verbatim *)
-  Codec.set_u32 out 0 (Codec.get_u32 b 0);
-  P.set_lsn out (P.lsn b);
-  P.set_flags out (P.flags b);
-  P.set_history_pointer out (P.history_pointer b);
-  P.set_split_time out (P.split_time b);
-  P.set_next_page out (P.next_page b);
-  P.set_prev_page out (P.prev_page b);
-  let rd = Codec.Reader.create (Codec.get_bytes b blob_start blen) in
+  let lim = blob_start + Codec.get_u16 b (P.header_size + 2) in
+  if lim > psize then corrupt "blob overruns the page";
+  let c = { src = b; pos = blob_start; lim } in
+  let out = Bytes.make psize '\000' in
+  (* every header field but the reserved u16, which stays zero *)
+  Bytes.blit b 0 out 0 (P.header_size - 2);
+  P.set_page_type out P.P_history;
+  let cursor = ref P.header_size in
+  (* Lay out slot [slot]'s cell with its fixed fields and implicit VP
+     [slot + 1]; the body offset.  Key, payload and Ttime are the
+     caller's to write. *)
+  let cell slot ~flags ~k ~p ~sn =
+    let at = !cursor and len = R.fixed_overhead + k + p in
+    if at + 2 + len > psize - (2 * (slot + 1)) then
+      corrupt "cells overrun the slot array";
+    Bytes.set_uint16_le out (psize - (2 * (slot + 1))) at;
+    Bytes.set_uint16_le out at len;
+    cursor := at + 2 + len;
+    let o = at + 2 in
+    Bytes.set_uint8 out o flags;
+    Bytes.set_uint16_le out (o + 1) k;
+    Bytes.set_uint16_le out (o + 3) p;
+    let tail = o + 5 + k + p in
+    Bytes.set_uint16_le out tail (slot + 1);
+    Bytes.set_int32_le out (tail + 10) (Int32.of_int sn);
+    o
+  in
   let slot = ref 0 in
   while !slot < n do
-    let len = Codec.Reader.varint rd in
-    if len <= 0 || !slot + len > n then
-      raise (Codec.Out_of_bounds "Vcompress.decode: bad chain length");
-    let flags0 = Codec.Reader.u8 rd in
-    let raw0 = Codec.Reader.varint64 rd in
-    let sn0 = Codec.Reader.varint rd in
-    let klen = Codec.Reader.varint rd in
-    let key = Codec.Reader.string rd klen in
-    let plen = Codec.Reader.varint rd in
-    let payload0 = Codec.Reader.string rd plen in
-    let members = Array.make len (flags0, raw0, sn0, payload0) in
+    let s = !slot in
+    let len = read_varint c in
+    if len <= 0 || len > n - s then corrupt "bad chain length";
+    let flags = byte c in
+    let raw = read_varint64 c in
+    let sn = read_varint c in
+    let k = read_varint c in
+    let key = take c k in
+    let p = read_varint c in
+    let payload = take c p in
+    let head = cell s ~flags ~k ~p ~sn in
+    Bytes.blit b key out (head + 5) k;
+    Bytes.blit b payload out (head + 5 + k) p;
+    Bytes.set_int64_le out (tail out head + 2) raw;
+    let prev = ref head in
     for i = 1 to len - 1 do
-      let flags = Codec.Reader.u8 rd in
-      let d = Codec.Reader.varint64 rd in
-      let sn = Codec.Reader.varint rd in
-      let _, prev_raw, _, prev_payload = members.(i - 1) in
-      let pre = Codec.Reader.varint rd in
-      let suf = Codec.Reader.varint rd in
-      let midlen = Codec.Reader.varint rd in
-      let mid = Codec.Reader.string rd midlen in
-      let lp = String.length prev_payload in
-      if pre + suf > lp then
-        raise (Codec.Out_of_bounds "Vcompress.decode: bad payload diff");
-      let payload =
-        String.sub prev_payload 0 pre
-        ^ mid
-        ^ String.sub prev_payload (lp - suf) suf
-      in
-      members.(i) <- (flags, Int64.sub prev_raw d, sn, payload)
+      let flags = byte c in
+      let d = read_varint64 c in
+      let sn = read_varint c in
+      let pre = read_varint c in
+      let suf = read_varint c in
+      let midlen = read_varint c in
+      let mid = take c midlen in
+      let lp = plen out !prev in
+      if pre > lp || suf > lp - pre then corrupt "bad payload diff";
+      let o = cell (s + i) ~flags ~k ~p:(pre + midlen + suf) ~sn in
+      let pp = !prev + 5 + k and cp = o + 5 + k in
+      Bytes.blit out (head + 5) out (o + 5) k;
+      Bytes.blit out pp out cp pre;
+      Bytes.blit b mid out (cp + pre) midlen;
+      Bytes.blit out (pp + lp - suf) out (cp + pre + midlen) suf;
+      Bytes.set_int64_le out (tail out o + 2)
+        (Int64.sub (raw_ttime out !prev) d);
+      prev := o
     done;
-    let vpspec = Codec.Reader.varint rd in
-    let last_vp = if vpspec = 0 then R.no_vp else vpspec - 1 in
-    Array.iteri
-      (fun i (flags, raw, sn, payload) ->
-        let vp = if i = len - 1 then last_vp else !slot + i + 1 in
-        let cell =
-          R.encode
-            {
-              R.flags;
-              key;
-              payload;
-              vp;
-              ttime = Imdb_clock.Tid.decode_ttime_field raw;
-              sn;
-            }
-        in
-        ignore (P.insert out cell))
-      members;
-    slot := !slot + len
+    let vpspec = read_varint c in
+    Bytes.set_uint16_le out (tail out !prev)
+      (if vpspec = 0 then R.no_vp else vpspec - 1);
+    slot := s + len
   done;
+  Codec.set_u16 out 18 n (* slot_count *);
+  Codec.set_u16 out 20 !cursor (* free_lower *);
+  Codec.set_u16 out 22 0 (* garbage *);
   out

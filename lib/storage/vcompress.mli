@@ -29,12 +29,15 @@ val encode : bytes -> bytes
 
 val decode : bytes -> bytes
 (** [decode b] rebuilds the plain [P_history] image, bit-for-bit equal
-    to what [encode] consumed.  [b] must be a full page-size frame (as
-    stored: the trimmed logged image is zero-filled back to page size by
-    the Op_image redo and the buffer-pool write path); the output has
-    [Bytes.length b].
+    to what [encode] consumed, writing each cell and slot entry straight
+    into one fresh page: it allocates that page and nothing per version.
+    [b] must be a full page-size frame (as stored: the trimmed logged
+    image is zero-filled back to page size by the Op_image redo and the
+    buffer-pool write path); the output has [Bytes.length b].
     @raise Invalid_argument if [b] is not a compressed history page.
-    @raise Imdb_util.Codec.Out_of_bounds on a corrupt blob. *)
+    @raise Imdb_util.Codec.Out_of_bounds on a corrupt blob: a read past
+    the blob, a bad chain length or payload diff, or cells that would
+    overrun the slot array of a [Bytes.length b] page. *)
 
 val is_compressed : bytes -> bool
 

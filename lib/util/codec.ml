@@ -109,27 +109,6 @@ module Writer = struct
     u32 t (Bytes.length b);
     bytes t b
 
-  (* Unsigned LEB128: 7 value bits per byte, high bit = continuation.
-     [varint64] treats its argument as an unsigned 64-bit word (so a
-     negative [int64] costs the full 10 bytes but round-trips exactly);
-     [varint] covers non-negative OCaml ints such as lengths and slots. *)
-  let varint64 t v =
-    let v = ref v in
-    let continue_ = ref true in
-    while !continue_ do
-      let low = Int64.to_int (Int64.logand !v 0x7fL) in
-      v := Int64.shift_right_logical !v 7;
-      if Int64.equal !v 0L then begin
-        u8 t low;
-        continue_ := false
-      end
-      else u8 t (low lor 0x80)
-    done
-
-  let varint t v =
-    if v < 0 then invalid_arg "Codec.Writer.varint: negative";
-    varint64 t (Int64.of_int v)
-
   let contents t = Buffer.to_bytes t
 end
 
@@ -168,11 +147,9 @@ module Reader = struct
     t.pos <- t.pos + n;
     v
 
-  let string t n = Bytes.to_string (bytes t n)
-
   let lstring t =
     let n = u16 t in
-    string t n
+    Bytes.to_string (bytes t n)
 
   let lbytes t =
     let n = u16 t in
@@ -181,23 +158,4 @@ module Reader = struct
   let lbytes32 t =
     let n = u32 t in
     bytes t n
-
-  let varint64 t =
-    let v = ref 0L in
-    let shift = ref 0 in
-    let continue_ = ref true in
-    while !continue_ do
-      if !shift > 63 then raise (Out_of_bounds "Reader.varint64: overlong");
-      let byte = u8 t in
-      v := Int64.logor !v (Int64.shift_left (Int64.of_int (byte land 0x7f)) !shift);
-      shift := !shift + 7;
-      if byte land 0x80 = 0 then continue_ := false
-    done;
-    !v
-
-  let varint t =
-    let v = varint64 t in
-    if Int64.compare v (Int64.of_int max_int) > 0 || Int64.compare v 0L < 0 then
-      raise (Out_of_bounds "Reader.varint: out of int range");
-    Int64.to_int v
 end

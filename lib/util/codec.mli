@@ -41,19 +41,11 @@ module Writer : sig
   val i64 : t -> int64 -> unit
   val int : t -> int -> unit
   val bytes : t -> bytes -> unit
-  val string : t -> string -> unit
   val lstring : t -> string -> unit
   val lbytes : t -> bytes -> unit
 
   val lbytes32 : t -> bytes -> unit
   (** 32-bit length prefix (page images). *)
-
-  val varint64 : t -> int64 -> unit
-  (** Unsigned LEB128 of the 64-bit word (negative values round-trip,
-      costing the full 10 bytes). *)
-
-  val varint : t -> int -> unit
-  (** Unsigned LEB128 of a non-negative [int]; raises on negatives. *)
 
   val contents : t -> bytes
 end
@@ -70,10 +62,7 @@ module Reader : sig
   val i64 : t -> int64
   val int : t -> int
   val bytes : t -> int -> bytes
-  val string : t -> int -> string
   val lstring : t -> string
   val lbytes : t -> bytes
   val lbytes32 : t -> bytes
-  val varint64 : t -> int64
-  val varint : t -> int
 end

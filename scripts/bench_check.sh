@@ -6,11 +6,10 @@
 # The bench harness emits only deterministic quantities into these files
 # (logical work counters, page/row counts — never wall time), and the
 # workloads are seeded and run under the logical clock, so on the same
-# scale the numbers should reproduce exactly.  The tolerance (default 5%)
-# absorbs intentional small shifts (e.g. a log-format change moving
-# log.bytes); larger drifts fail the check and should be triaged: either
-# a real regression, or a deliberate change that warrants regenerating
-# the baselines with
+# scale the numbers reproduce exactly, and by default every number must
+# equal its baseline.  Any drift fails the check and should be triaged:
+# either a real regression, or a deliberate change that warrants
+# regenerating the baselines with
 #
 #   dune exec bench/main.exe -- --quick --json RESULTS_DIR \
 #     fig5 fig6 hotpath parscan ablations compress obsov ingest mtbench
@@ -25,13 +24,17 @@
 #  summaries — lock_wait_us / group_commit_batch — the live JSON also
 #  carries; the walker below only checks keys present in the baseline.)
 #
+# TOLERANCE_PCT (default 0) is for local triage only: it lets each
+# number move by that percentage of its baseline, to see which counters
+# moved far and which barely.  CI runs the exact default.
+#
 # Exit status: 0 = within tolerance, 1 = drift/missing file, 2 = usage.
 
 set -eu
 
 results_dir=${1:?usage: bench_check.sh RESULTS_DIR [BASELINE_DIR] [TOLERANCE_PCT]}
 baseline_dir=${2:-bench/baselines}
-tolerance=${3:-5}
+tolerance=${3:-0}
 
 status=0
 for baseline in "$baseline_dir"/BENCH_*.json; do
@@ -74,10 +77,8 @@ def walk(path, base, got):
         if base != got:
             failures.append(f"{path}: {base!r} -> {got!r}")
     else:  # number: tolerance applies
-        allowed = max(abs(base) * tol / 100.0, 2.0)
-        if abs(got - base) > allowed:
-            failures.append(f"{path}: {base} -> {got} "
-                            f"(> {tol}% / abs 2 tolerance)")
+        if abs(got - base) > abs(base) * tol / 100.0:
+            failures.append(f"{path}: {base} -> {got} (> {tol}% tolerance)")
 
 walk("$", baseline, result)
 for f in failures[:40]:

@@ -7,10 +7,12 @@
    the same [asof.*] work whether the history memo is cold or warm; the
    history footprint must be what the compression counters account for;
    the codec must be total on every image a time split builds, across
-   page sizes, key and payload lengths and the timestamp domain; a plain
-   [P_history] page on stable storage is no history page and must fail
-   the read; and crash recovery must rebuild compressed pages from their
-   trimmed log images. *)
+   page sizes, key and payload lengths and the timestamp domain; decode
+   must reject a corrupt blob with [Codec.Out_of_bounds] and allocate
+   one page whatever the page's version count; a plain [P_history] page
+   on stable storage is no history page and must fail the read; and
+   crash recovery must rebuild compressed pages from their trimmed log
+   images. *)
 
 open Helpers
 module Db = Imdb_core.Db
@@ -21,6 +23,7 @@ module Vc = Imdb_storage.Vcompress
 module BP = Imdb_buffer.Buffer_pool
 module V = Imdb_version.Vpage
 module Tid = Imdb_clock.Tid
+module Codec = Imdb_util.Codec
 module SMap = Map.Make (String)
 
 let config =
@@ -337,6 +340,159 @@ let test_encode_rejects_other_images () =
   P.set_page_type data P.P_data;
   Alcotest.(check bool) "not a history page" true (raises data)
 
+(* --- decoding a corrupt blob --------------------------------------------- *)
+
+(* Offsets of the varints a corruption inflates in [b]'s blob: every
+   run length, head key and payload length, and member prefix, suffix
+   and middle length.  Walks the block format of vcompress.ml. *)
+let blob_fields b =
+  let pos = ref (Vc.encoded_size b - Codec.get_u16 b (P.header_size + 2)) in
+  let fields = ref [] in
+  let varint ~field =
+    let at = !pos and v = ref 0 and shift = ref 0 in
+    while Bytes.get_uint8 b !pos land 0x80 <> 0 do
+      v := !v lor ((Bytes.get_uint8 b !pos land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      incr pos
+    done;
+    v := !v lor (Bytes.get_uint8 b !pos lsl !shift);
+    incr pos;
+    if field then fields := at :: !fields;
+    !v
+  in
+  let skip n = pos := !pos + n in
+  let rec runs left =
+    if left > 0 then begin
+      let len = varint ~field:true in
+      skip 1;
+      ignore (varint ~field:false);
+      ignore (varint ~field:false);
+      skip (varint ~field:true);
+      skip (varint ~field:true);
+      for _ = 2 to len do
+        skip 1;
+        ignore (varint ~field:false);
+        ignore (varint ~field:false);
+        ignore (varint ~field:true);
+        ignore (varint ~field:true);
+        skip (varint ~field:true)
+      done;
+      ignore (varint ~field:false);
+      runs (left - len)
+    end
+  in
+  runs (Codec.get_u16 b P.header_size);
+  !fields
+
+(* The largest value of the varint at [at] that keeps its width. *)
+let inflate b at =
+  let b = Bytes.copy b in
+  let rec go i =
+    if Bytes.get_uint8 b i land 0x80 <> 0 then begin
+      Bytes.set_uint8 b i 0xff;
+      go (i + 1)
+    end
+    else Bytes.set_uint8 b i 0x7f
+  in
+  go at;
+  b
+
+(* A decoded frame is a well-formed page: every cell between the header
+   and [free_lower], which stays below the slot array. *)
+let well_formed img =
+  let n = P.slot_count img and fl = P.free_lower img in
+  P.header_size <= fl
+  && fl <= Bytes.length img - (2 * n)
+  && List.for_all
+       (fun slot ->
+         let off = P.slot_offset img slot in
+         off >= P.header_size && off + 2 + P.cell_length img slot <= fl)
+       (List.init n Fun.id)
+
+(* Blobs cut short, with random bytes flipped or with an inflated run,
+   key, payload or diff length, and frames cut short of the page they
+   were encoded from: [decode] returns a well-formed frame-size page or
+   raises [Codec.Out_of_bounds], never a stray exception from a blit. *)
+let test_decode_rejects_corrupt () =
+  let db, clock = fresh () in
+  ignore (churn db clock ~keys:12 ~rounds:10);
+  flush db;
+  let stored = List.filter Vc.is_compressed (List.map snd (stored_pages db)) in
+  Db.close db;
+  Alcotest.(check bool) "workload stored compressed pages" true (stored <> []);
+  let rng = Random.State.make [| 23 |] in
+  let decoded = ref 0 and rejected = ref 0 and short_rejected = ref 0 in
+  let try_decode ?(short = false) what b =
+    match Vc.decode b with
+    | img ->
+        incr decoded;
+        if Bytes.length img <> Bytes.length b || not (well_formed img) then
+          Alcotest.failf "%s: decode returned a malformed page" what
+    | exception Codec.Out_of_bounds _ ->
+        incr rejected;
+        if short then incr short_rejected
+    | exception e -> Alcotest.failf "%s: decode raised %s" what (Printexc.to_string e)
+  in
+  List.iter
+    (fun page ->
+      let blen = Codec.get_u16 page (P.header_size + 2) in
+      let blob = Vc.encoded_size page - blen in
+      for cut = 0 to blen - 1 do
+        let b = Bytes.copy page in
+        Codec.set_u16 b (P.header_size + 2) cut;
+        try_decode (Printf.sprintf "blob_len %d of %d" cut blen) b
+      done;
+      for _ = 1 to 40 do
+        let b = Bytes.copy page in
+        for _ = 0 to Random.State.int rng 3 do
+          Bytes.set_uint8 b (blob + Random.State.int rng blen) (Random.State.int rng 256)
+        done;
+        try_decode "flipped blob bytes" b
+      done;
+      List.iter
+        (fun at -> try_decode (Printf.sprintf "varint at %d inflated" at) (inflate page at))
+        (blob_fields page);
+      for frame = Vc.encoded_size page to Bytes.length page - 1 do
+        try_decode ~short:true
+          (Printf.sprintf "frame of %d bytes" frame)
+          (Bytes.sub page 0 frame)
+      done)
+    stored;
+  Alcotest.(check bool)
+    (Printf.sprintf "both outcomes seen (%d decoded, %d rejected, %d short frames)"
+       !decoded !rejected !short_rejected)
+    true
+    (!decoded > 0 && !rejected > 0 && !short_rejected > 0)
+
+(* --- decoding allocates the page, not per version ---------------------- *)
+
+let test_decode_allocation () =
+  let size = 8192 in
+  let bytes_of_decode ~plen =
+    let h =
+      Option.get
+        (split_history ~size ~klen:4 ~plen ~chained:true ~stubs:false
+           ~ttime:1_800_000_000_000L ~sn:0)
+    in
+    let c = Vc.encode h in
+    let full = Bytes.make size '\000' in
+    Bytes.blit c 0 full 0 (Bytes.length c);
+    ignore (Vc.decode full);
+    let before = Gc.allocated_bytes () in
+    ignore (Sys.opaque_identity (Vc.decode full));
+    (P.slot_count h, Gc.allocated_bytes () -. before)
+  in
+  let few, few_bytes = bytes_of_decode ~plen:2000 in
+  let many, many_bytes = bytes_of_decode ~plen:30 in
+  Alcotest.(check bool) (Printf.sprintf "%d and %d versions" few many) true
+    (few <= 4 && many >= 140);
+  let bound = float_of_int (2 * size) in
+  List.iter
+    (fun (n, b) ->
+      if b > bound then
+        Alcotest.failf "decoding %d versions allocated %.0f bytes (bound %.0f)" n b bound)
+    [ (few, few_bytes); (many, many_bytes) ]
+
 (* --- a plain history page on stable storage ---------------------------- *)
 
 (* Every history page is stored compressed, so a plain [P_history] image
@@ -408,6 +564,9 @@ let suite =
       test_total_on_split_output;
     Alcotest.test_case "codec rejects other images" `Quick
       test_encode_rejects_other_images;
+    Alcotest.test_case "decode rejects corrupt blobs" `Quick test_decode_rejects_corrupt;
+    Alcotest.test_case "decode allocates per page, not per version" `Quick
+      test_decode_allocation;
     Alcotest.test_case "plain history page on disk fails the read" `Quick
       test_plain_page_fails_read;
     Alcotest.test_case "recovery rebuilds compressed history" `Quick
