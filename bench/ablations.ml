@@ -448,53 +448,122 @@ let space ~scale =
 
 (* Checkpointing exists to bound recovery (and to advance the PTT GC
    horizon).  Crash after N transactions under different checkpoint
-   intervals and measure the restart: analysis+redo work shrinks with
-   checkpoint frequency, at the cost of checkpoint-time page sweeps
-   during normal operation. *)
-let recovery ~scale =
-  let total = Harness.scaled ~scale 16000 in
-  let inserts = min 500 total in
-  let events = Mo.generate ~seed:42 ~inserts ~total () in
-  let rows =
-    List.map
-      (fun every ->
-        let config = { E.default_config with E.auto_checkpoint_every = every } in
-        let db, clock = Driver.fresh_moving_objects ~config ~mode:Db.Immortal () in
-        let load = Driver.run_events ~clock db ~table:"MovingObjects" events in
-        let t0 = Unix.gettimeofday () in
-        let db = Db.crash_and_reopen ~config ~clock db in
-        let recovery_s = Unix.gettimeofday () -. t0 in
-        (* the reopened engine carries a fresh registry, so its counters
-           are exactly the work recovery did *)
-        let get name = M.get (Db.metrics db) name in
-        (* recovered data sanity: all objects present *)
-        let _, n = Driver.timed_scan_current db ~table:"MovingObjects" in
-        Db.close db;
-        [
-          (if every = 0 then "never" else string_of_int every);
-          Harness.ms load.Driver.rr_elapsed_s;
-          Harness.ms recovery_s;
-          string_of_int (get M.disk_reads);
-          string_of_int n;
-        ])
-      [ 0; 4000; 1000; 250 ]
+   intervals and measure the restart: the tail scan and analysis start
+   at the last checkpoint and redo at most one interval before it, so
+   the log recovery reads shrinks with the interval and stays flat as
+   uptime grows, at the cost of checkpoint-time page sweeps during
+   normal operation.  The log device counts the bytes read from it. *)
+
+type recovery_point = {
+  rp_load_s : float;
+  rp_recovery_s : float;
+  rp_disk_reads : int;
+  rp_log_bytes : int; (* log size at the crash *)
+  rp_log_bytes_read : int; (* by the reopen *)
+  rp_rows : int;
+}
+
+(* Load [events] into a fresh immortal moving-objects table, crash, and
+   reopen. *)
+let crash_and_recover ~every events =
+  let config = { E.default_config with E.auto_checkpoint_every = every } in
+  let dev = Imdb_wal.Wal.Device.in_memory () in
+  let read = ref 0 in
+  let log_device =
+    {
+      dev with
+      Imdb_wal.Wal.Device.read =
+        (fun ~pos ~len ->
+          read := !read + len;
+          dev.Imdb_wal.Wal.Device.read ~pos ~len);
+    }
   in
+  let clock = Imdb_clock.Clock.create_logical () in
+  let disk = Imdb_storage.Disk.in_memory ~page_size:config.E.page_size () in
+  let db = Db.open_devices ~config ~clock ~disk ~log_device () in
+  Db.create_table db ~name:"MovingObjects" ~mode:Db.Immortal
+    ~schema:Driver.moving_objects_schema;
+  let load = Driver.run_events ~clock db ~table:"MovingObjects" events in
+  let log_bytes = log_device.Imdb_wal.Wal.Device.size () in
+  read := 0;
+  let t0 = Unix.gettimeofday () in
+  let db = Db.crash_and_reopen ~config ~clock db in
+  let recovery_s = Unix.gettimeofday () -. t0 in
+  let log_bytes_read = !read in
+  (* the reopened engine carries a fresh registry, so its counters are
+     exactly the work recovery did *)
+  let disk_reads = M.get (Db.metrics db) M.disk_reads in
+  (* recovered data sanity: all objects present *)
+  let _, rows = Driver.timed_scan_current db ~table:"MovingObjects" in
+  Db.close db;
+  {
+    rp_load_s = load.Driver.rr_elapsed_s;
+    rp_recovery_s = recovery_s;
+    rp_disk_reads = disk_reads;
+    rp_log_bytes = log_bytes;
+    rp_log_bytes_read = log_bytes_read;
+    rp_rows = rows;
+  }
+
+(* The two sweeps: checkpoint interval at a fixed uptime, and uptime at
+   a fixed interval.  Returns both as (parameter, point) lists. *)
+let recovery_sweeps ~scale =
+  let total = Harness.scaled ~scale 16000 in
+  let events = Mo.generate ~seed:42 ~inserts:(min 500 total) ~total () in
+  let intervals =
+    List.map
+      (fun every -> (every, crash_and_recover ~every events))
+      [ 0; Harness.scaled ~scale 4000; Harness.scaled ~scale 1000; Harness.scaled ~scale 250 ]
+  in
+  let every = Harness.scaled ~scale 2000 in
+  let uptimes = List.map (Harness.scaled ~scale) [ 4000; 8000; 16000; 32000; 64000 ] in
+  let longest =
+    Mo.generate ~seed:42 ~inserts:(min 500 (List.hd uptimes))
+      ~total:(List.fold_left max 0 uptimes) ()
+  in
+  let uptime =
+    List.map
+      (fun n -> (n, crash_and_recover ~every (List.filteri (fun i _ -> i < n) longest)))
+      uptimes
+  in
+  (total, intervals, every, uptime)
+
+let recovery ~scale =
+  let total, intervals, every, uptime = recovery_sweeps ~scale in
+  let cells rp =
+    [
+      Harness.ms rp.rp_load_s;
+      Harness.ms rp.rp_recovery_s;
+      string_of_int rp.rp_disk_reads;
+      string_of_int (rp.rp_log_bytes / 1024);
+      string_of_int (rp.rp_log_bytes_read / 1024);
+      string_of_int rp.rp_rows;
+    ]
+  in
+  let header = [ "load ms"; "recovery ms"; "recovery reads"; "log KB"; "log KB read"; "rows" ] in
   Harness.print_table
     ~title:
       (Printf.sprintf "Ext H: recovery time vs checkpoint interval (%d txns)" total)
-    ~header:[ "ckpt every"; "load ms"; "recovery ms"; "recovery reads"; "rows" ]
-    rows;
+    ~header:("ckpt every" :: header)
+    (List.map
+       (fun (every, rp) -> (if every = 0 then "never" else string_of_int every) :: cells rp)
+       intervals);
+  Harness.print_table
+    ~title:(Printf.sprintf "Ext H: recovery time vs uptime (checkpoint every %d)" every)
+    ~header:("txns" :: header)
+    (List.map (fun (n, rp) -> string_of_int n :: cells rp) uptime);
   Fmt.pr
-    "checkpoints bound the redo scan (and keep the PTT collected) at the cost \
-     of periodic page sweeps during normal operation.@."
+    "checkpoints bound the log recovery reads (and keep the PTT collected) at \
+     the cost of periodic page sweeps during normal operation.@."
 
 (* --- deterministic ablation counters for the CI gate ------------------------ *)
 
 (* The named experiments above print operator tables (with wall times);
    this one distills their deterministic skeletons into BENCH_ablations:
    PTT sizes with and without GC (plus the batched-drain histogram),
-   page counts across table modes, and the logging cost of lazy vs eager
-   timestamping.  Every value is a pure function of the workload. *)
+   page counts across table modes, the logging cost of lazy vs eager
+   timestamping, and the log bytes a recovery reads across checkpoint
+   intervals and uptimes.  Every value is a pure function of the workload. *)
 let ablations ~scale =
   (* Ext C: final PTT size with and without GC, and the batch drains *)
   let gc_txns = Harness.scaled ~scale 16000 in
@@ -574,7 +643,17 @@ let ablations ~scale =
   in
   let lazy_recs, lazy_bytes = run_stamping E.Lazy_stamping in
   let eager_recs, eager_bytes = run_stamping E.Eager_stamping in
+  (* Ext H: the log bytes a recovery reads *)
+  let rec_txns, rec_intervals, rec_every, rec_uptime = recovery_sweeps ~scale in
   let module J = Imdb_obs.Json in
+  let bytes_obj (key, n) rp =
+    J.Obj
+      [
+        (key, J.Int n);
+        ("log_bytes", J.Int rp.rp_log_bytes);
+        ("log_bytes_read", J.Int rp.rp_log_bytes_read);
+      ]
+  in
   Harness.emit_json ~name:"ablations"
     (J.Obj
        [
@@ -600,6 +679,19 @@ let ablations ~scale =
                ("eager_log_records", J.Int eager_recs);
                ("eager_log_bytes", J.Int eager_bytes);
              ] );
+         ( "recovery",
+           J.Obj
+             [
+               ("txns", J.Int rec_txns);
+               ( "by_interval",
+                 J.List
+                   (List.map
+                      (fun (every, rp) -> bytes_obj ("checkpoint_every", every) rp)
+                      rec_intervals) );
+               ("uptime_checkpoint_every", J.Int rec_every);
+               ( "by_uptime",
+                 J.List (List.map (fun (n, rp) -> bytes_obj ("txns", n) rp) rec_uptime) );
+             ] );
        ]);
   Harness.print_table
     ~title:
@@ -608,7 +700,7 @@ let ablations ~scale =
           stamping strategies (%d txns)"
          gc_txns sp_txns ts_txns)
     ~header:[ "quantity"; "value" ]
-    [
+    ([
       [ "PTT final (GC on)"; string_of_int gc_final ];
       [ "PTT final (GC off)"; string_of_int nogc_final ];
       [ "VTT final (GC on)"; string_of_int gc_vtt ];
@@ -618,11 +710,25 @@ let ablations ~scale =
       [ "lazy log bytes"; string_of_int lazy_bytes ];
       [ "eager log bytes"; string_of_int eager_bytes ];
     ]
+    @ List.map
+        (fun (every, rp) ->
+          [
+            Printf.sprintf "log read / log, ckpt every %d" every;
+            Printf.sprintf "%d / %d" rp.rp_log_bytes_read rp.rp_log_bytes;
+          ])
+        rec_intervals
+    @ List.map
+        (fun (n, rp) ->
+          [
+            Printf.sprintf "log read / log, %d txns" n;
+            Printf.sprintf "%d / %d" rp.rp_log_bytes_read rp.rp_log_bytes;
+          ])
+        rec_uptime)
 
 let () =
   Harness.register ~name:"tsb" ~doc:"TSB index vs chain walk (Ext A)" tsb;
   Harness.register ~name:"ablations"
-    ~doc:"deterministic ablation counters for the CI gate (Ext B/C/G)" ablations;
+    ~doc:"deterministic ablation counters for the CI gate (Ext B/C/G/H)" ablations;
   Harness.register ~name:"lazy-eager" ~doc:"lazy vs eager timestamping (Ext B)" lazy_eager;
   Harness.register ~name:"ptt-gc" ~doc:"PTT garbage collection (Ext C)" ptt_gc;
   Harness.register ~name:"split-store" ~doc:"integrated vs split store (Ext D)" split_store;

@@ -830,7 +830,14 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
       Imdb_obs.Tracer.create ~sampling:config.trace_sampling ~metrics ()
   in
   Imdb_storage.Disk.set_metrics disk metrics;
-  let wal = Imdb_wal.Wal.open_device ~metrics log_device in
+  (* the single read of the on-disk meta page: it names the checkpoint
+     where the log's tail scan and recovery's analysis start *)
+  let disk_meta = Meta.read_from_disk disk in
+  let wal =
+    Imdb_wal.Wal.open_device ~metrics
+      ?checkpoint_lsn:(Option.map (fun m -> m.Meta.last_checkpoint_lsn) disk_meta)
+      log_device
+  in
   Imdb_wal.Wal.set_tracer wal tracer;
   let pool = BP.create ~capacity:config.pool_capacity ~metrics ~disk ~wal () in
   let stamper = Imdb_tstamp.Lazy_stamper.create ~metrics () in
@@ -858,7 +865,7 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
       metrics;
       tracer;
       config;
-      meta = Meta.fresh ();
+      meta = Option.value disk_meta ~default:(Meta.fresh ());
       ptt = None;
       catalog_tree = None;
       tables = Hashtbl.create 16;

@@ -3,9 +3,13 @@
    Page 0 is a normal page flowing through the buffer pool and the WAL, so
    allocator updates are crash-consistent like everything else.  The one
    field read *outside* recovery is [last_checkpoint_lsn]: the engine
-   force-flushes page 0 after each checkpoint, and recovery reads the
-   on-disk copy directly to find where to start (a stale value only makes
-   recovery start at an older checkpoint, which is always safe). *)
+   force-flushes page 0 after each checkpoint, and an open reads the
+   on-disk copy once, before it opens the log ([read_from_disk]).  That
+   LSN is where the log's torn-tail scan and recovery's analysis start;
+   the checkpoint record there was synced before the page was written,
+   so everything before it is durable.  A stale value only starts both at
+   an older checkpoint, which is always safe; a missing or torn page
+   starts both at LSN 0. *)
 
 let magic = 0x494d4442 (* "IMDB" *)
 (* 2: physical log ops carry after-images only; no CLR or Abort records
@@ -66,3 +70,16 @@ let decode b =
   let next_table_id = Imdb_util.Codec.Reader.u32 r in
   let last_checkpoint_lsn = Imdb_util.Codec.Reader.i64 r in
   { hwm; freelist_head; catalog_root; ptt_root; next_table_id; last_checkpoint_lsn }
+
+(* The on-disk meta page, if it is there and intact.  A torn page gives
+   [None] (open falls back to LSN 0); an intact page of another format
+   raises [Bad_meta], stopping the open before anything reads the log. *)
+let read_from_disk (disk : Imdb_storage.Disk.t) =
+  let module P = Imdb_storage.Page in
+  if not (disk.page_exists meta_page_id) then None
+  else
+    let b = disk.read_page meta_page_id in
+    if not (P.verify b) then None
+    else try Some (decode (P.read_cell b meta_slot)) with
+      | Bad_meta _ as e -> raise e
+      | _ -> None

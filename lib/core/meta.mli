@@ -2,8 +2,10 @@
 
     Page 0 flows through the buffer pool and WAL like any page, so
     allocator state is crash-consistent.  [last_checkpoint_lsn] is also
-    read directly from disk at open to locate recovery's starting
-    checkpoint (a stale value only starts recovery earlier). *)
+    read directly from disk, once per open and before the log is opened:
+    the log's torn-tail scan and recovery's analysis both start at that
+    checkpoint (a stale value only starts them earlier; a missing or torn
+    page starts them at LSN 0). *)
 
 val meta_page_id : int
 val meta_slot : int
@@ -28,3 +30,7 @@ exception Bad_meta of string
 val encode : t -> bytes
 val decode : bytes -> t
 (** @raise Bad_meta on wrong magic or version. *)
+
+val read_from_disk : Imdb_storage.Disk.t -> t option
+(** The on-disk meta page; [None] if absent or torn.
+    @raise Bad_meta if the intact page has the wrong magic or version. *)

@@ -1,5 +1,16 @@
 (* Crash recovery (ARIES-style: analysis, redo, undo).
 
+   Recovery reads one checkpoint interval of log, not the whole log.  The
+   open read the meta page once and validated the log's tail from the
+   checkpoint it names; analysis is one pass from that checkpoint, whose
+   record carries the TID counter and the clock floor; redo starts at the
+   eldest recLSN of its dirty-page table, at most one interval earlier
+   (each checkpoint sweeps the pages dirty since before the previous
+   one).  Frames below the checkpoint are verified as redo reads them, and
+   one that fails its CRC stops the open with [Wal.Corrupt_frame].  Only
+   two paths read from LSN 0: an open with no usable meta page, and the
+   rebuild of a torn page ([rebuild_page_from_log]).
+
    The redo-scan start point — the quantity the paper's PTT garbage
    collection is keyed to — is the minimum recLSN in the dirty-page table
    of the last checkpoint; checkpointing moves it forward, and the PTT GC
@@ -52,48 +63,59 @@ let observe_tid a tid = if Tid.compare tid a.max_tid > 0 then a.max_tid <- tid
 
 (* --- analysis -------------------------------------------------------------- *)
 
+(* One pass from the last checkpoint.  The checkpoint record carries the
+   TID counter and the clock as of its writing, so the records after it
+   are all that can raise either; a pass from LSN 0 (no usable meta page)
+   observes every record instead.  ATT/DPT are the checkpoint's tables
+   updated by the records after it.  A Commit takes its transaction out
+   of the ATT (it is no loser, whether or not its End made it to the
+   log); an interrupted abort stays in, to be undone again from its
+   Update chain.  The Commit records here are the mappings the
+   checkpoint did not post. *)
 let analyze eng ~checkpoint_lsn =
   let a =
     { att = []; dpt = []; max_tid = Tid.invalid; max_ts = Ts.zero; commits = [] }
   in
-  (* Full scan for the TID counter and the clock floor. *)
-  Imdb_wal.Wal.iter_from eng.E.wal ~from_lsn:0L (fun _lsn body ->
-      match body with
-      | LR.Commit { tid; ts } ->
-          if Ts.compare ts a.max_ts > 0 then a.max_ts <- ts;
-          observe_tid a tid
-      | LR.Begin { tid } | LR.Update { tid; _ } | LR.End { tid } -> observe_tid a tid
-      | LR.Redo_only _ -> ()
-      | LR.Checkpoint { next_tid; clock; _ } ->
-          observe_tid a (Tid.of_int64 (Int64.pred (Tid.to_int64 next_tid)));
-          if Ts.compare clock a.max_ts > 0 then a.max_ts <- clock);
-  (* ATT/DPT reconstruction from the last checkpoint onward.  A Commit
-     takes its transaction out of the ATT (it is no loser, whether or not
-     its End made it to the log); an interrupted abort stays in, to be
-     undone again from its Update chain.  The Commit records here are
-     the mappings the checkpoint did not post. *)
+  let observe_ts ts = if Ts.compare ts a.max_ts > 0 then a.max_ts <- ts in
+  let seeded = ref false in
   Imdb_wal.Wal.iter_from eng.E.wal ~from_lsn:checkpoint_lsn (fun lsn body ->
       match body with
-      | LR.Checkpoint { att; dpt; _ } when Int64.equal lsn checkpoint_lsn ->
-          a.att <- List.rev_append att a.att;
-          List.iter (fun (pid, l) -> dpt_add a pid ~lsn:l) dpt
-      | LR.Checkpoint _ -> () (* later checkpoint during this scan: ignore *)
-      | LR.Begin { tid } -> att_update a tid ~lsn
+      | LR.Checkpoint { att; dpt; next_tid; clock } ->
+          observe_tid a (Tid.of_int64 (Int64.pred (Tid.to_int64 next_tid)));
+          observe_ts clock;
+          (* a later checkpoint (one the meta page never named) only
+             bounds the counters *)
+          if Int64.equal lsn checkpoint_lsn then begin
+            seeded := true;
+            a.att <- List.rev_append att a.att;
+            List.iter (fun (pid, l) -> dpt_add a pid ~lsn:l) dpt
+          end
+      | LR.Begin { tid } ->
+          observe_tid a tid;
+          att_update a tid ~lsn
       | LR.Update { tid; page_id; prev_lsn = _; _ } ->
+          observe_tid a tid;
           att_update a tid ~lsn;
           dpt_add a page_id ~lsn
       | LR.Redo_only { page_id; _ } -> dpt_add a page_id ~lsn
       | LR.Commit { tid; ts } ->
+          observe_tid a tid;
+          observe_ts ts;
           a.commits <- (tid, ts) :: a.commits;
           a.att <- List.remove_assoc tid a.att
-      | LR.End { tid } -> a.att <- List.remove_assoc tid a.att);
+      | LR.End { tid } ->
+          observe_tid a tid;
+          a.att <- List.remove_assoc tid a.att);
+  (* the counters would come from the tail alone: refuse rather than
+     reissue a TID or a timestamp *)
+  if Int64.compare checkpoint_lsn 0L > 0 && not !seeded then
+    failwith
+      (Printf.sprintf "Recovery: the meta page names LSN %Ld, which holds no checkpoint"
+         checkpoint_lsn);
   a
 
 (* --- redo -------------------------------------------------------------------- *)
 
-(* Pin a page for redo: it may never have reached disk (rebuilt by a
-   Format/Image record), or be torn (detected by checksum and acceptable
-   only if this op rebuilds it wholesale). *)
 (* Rebuild a torn page wholesale from the log.  Possible because the log
    is never truncated and every page's life begins with a logged
    Op_format: replaying every operation on [page_id] from LSN 0 over a
@@ -133,6 +155,10 @@ let rebuild_page_from_log eng page_id =
          ~on_stamp:ignore);
   fr
 
+(* Pin a page for redo: it may never have reached disk (rebuilt by a
+   Format/Image record), or be torn (detected by checksum and acceptable
+   only if this op rebuilds it wholesale).  [`Fresh] is a zeroed frame
+   for the rebuilding op. *)
 let pin_for_redo eng page_id ~rebuilds =
   let fresh () =
     let fr = BP.pin_new eng.E.pool page_id in
@@ -146,10 +172,10 @@ let pin_for_redo eng page_id ~rebuilds =
       if rebuilds then begin
         (* torn, but the op about to replay rebuilds the page wholesale *)
         Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.recovery_torn_pages;
-        `Frame (fresh ())
+        `Fresh (fresh ())
       end
       else `Frame (rebuild_page_from_log eng page_id))
-  else if rebuilds then `Frame (fresh ())
+  else if rebuilds then `Fresh (fresh ())
   else `Missing
 
 let op_rebuilds = function
@@ -176,12 +202,17 @@ let redo eng (a : analysis) ~checkpoint_lsn =
             | `Missing ->
                 failwith
                   (Printf.sprintf "Recovery: page %d missing for redo at %Ld" page_id lsn)
-            | `Frame fr ->
+            | (`Frame fr | `Fresh fr) as pinned ->
                 Fun.protect
                   ~finally:(fun () -> BP.unpin eng.E.pool fr)
                   (fun () ->
                     let page = BP.bytes fr in
-                    if Int64.compare (P.lsn page) lsn < 0 then begin
+                    (* a fresh frame's page LSN of 0 says nothing: the op
+                       that rebuilds it may itself sit at LSN 0 (the meta
+                       page's format, replayed when a torn meta page
+                       sends redo back to the start of the log) *)
+                    let fresh = match pinned with `Fresh _ -> true | `Frame _ -> false in
+                    if fresh || Int64.compare (P.lsn page) lsn < 0 then begin
                       LR.redo_op page op;
                       Imdb_obs.Metrics.incr eng.E.metrics
                         Imdb_obs.Metrics.recovery_redo;
@@ -199,18 +230,6 @@ let redo eng (a : analysis) ~checkpoint_lsn =
 
 (* --- the full open-time protocol ---------------------------------------------- *)
 
-let read_meta_from_disk eng =
-  if not (eng.E.disk.Imdb_storage.Disk.page_exists Meta.meta_page_id) then None
-  else
-    let b = eng.E.disk.Imdb_storage.Disk.read_page Meta.meta_page_id in
-    if not (P.verify b) then None (* torn checkpoint write: fall back to full scan *)
-    else
-      (* an intact page of another format must stop the open before redo
-         misreads its log *)
-      try Some (Meta.decode (P.read_cell b Meta.meta_slot)) with
-      | Meta.Bad_meta _ as e -> raise e
-      | _ -> None
-
 (* The recovery span (and its per-phase children) close on exception too
    — [Tracer.with_span] is [Fun.protect]-based. *)
 let recover eng =
@@ -220,13 +239,9 @@ let recover eng =
     ~finally:(fun () -> eng.E.in_recovery <- false)
     (fun () ->
       Tr.with_span eng.E.tracer "recovery" @@ fun sp ->
-      let checkpoint_lsn =
-        match read_meta_from_disk eng with
-        | Some m ->
-            eng.E.meta <- m;
-            m.Meta.last_checkpoint_lsn
-        | None -> 0L
-      in
+      (* the meta page as the open read it from disk, or a fresh one
+         (LSN 0) when it was missing or torn *)
+      let checkpoint_lsn = eng.E.meta.Meta.last_checkpoint_lsn in
       let a =
         Tr.with_span eng.E.tracer "recovery.analysis" (fun asp ->
             let a = analyze eng ~checkpoint_lsn in

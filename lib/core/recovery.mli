@@ -1,8 +1,10 @@
 (** Crash recovery: ARIES-style analysis, redo, undo.
 
-    Analysis reconstructs the active-transaction and dirty-page tables
-    from the last checkpoint (found through the force-written meta page)
-    and rebuilds the volatile commit-timestamp cache from Commit records;
+    Analysis is one pass from the last checkpoint (found through the
+    force-written meta page, read once at open): it takes the TID counter
+    and clock floor from the checkpoint record, reconstructs the
+    active-transaction and dirty-page tables, and rebuilds the volatile
+    commit-timestamp cache from Commit records;
     redo replays page operations gated by page LSN; undo rolls losers
     back with the guarded logical undo of {!Txnmgr}.  Lazy timestamping
     is invisible to redo — stamping was never logged, and committed

@@ -8,8 +8,13 @@
    LSN order is the total order of all logged actions.  The WAL object
    buffers appended frames in memory; [flush] makes the prefix up to a
    given LSN durable.  After a crash, [open_device] scans the durable
-   stream, stops at the first incomplete or corrupt frame (a torn tail)
-   and truncates it away.
+   stream from the last checkpoint record (every frame before it was
+   synced before the meta page named it), stops at the first incomplete
+   or corrupt frame (a torn tail) and truncates it away; without a
+   usable checkpoint LSN it scans from 0.  All device reads go through
+   one verified frame reader, so a frame below the durable end that
+   fails its CRC (corruption the open scan did not cover) raises
+   [Corrupt_frame] with its LSN instead of being decoded.
 
    The buffer-pool's WAL-before-data rule calls [flush ~lsn:(page lsn)]
    before any page write, and commit calls [flush] at the commit record.
@@ -158,26 +163,47 @@ let frame_of payload =
   Codec.set_bytes b frame_header payload;
   b
 
-(* Scan the durable stream from offset 0, returning the offset of the
-   first invalid frame (= valid end of log). *)
-let scan_valid_end (d : Device.t) =
+exception Corrupt_frame of int64
+
+(* The one verified frame reader: the payload of the frame at [pos] if a
+   whole frame lies below [limit] and its payload matches its CRC.  Every
+   frame read from the device, by the open scan or by a reader, passes
+   through here, so no payload is ever decoded unverified. *)
+let read_frame (d : Device.t) ~limit pos =
+  if pos + frame_header > limit then None
+  else
+    let hdr = d.read ~pos ~len:frame_header in
+    let len = Codec.get_u32 hdr 0 in
+    if len = 0 || pos + frame_header + len > limit then None
+    else
+      let payload = d.read ~pos:(pos + frame_header) ~len in
+      if Checksum.bytes_int payload <> Codec.get_u32 hdr 4 then None else Some payload
+
+(* The offset of the first invalid frame at or after [from] (= valid end
+   of log). *)
+let scan_valid_end (d : Device.t) ~from =
   let total = d.size () in
   let rec go pos =
-    if pos + frame_header > total then pos
-    else
-      let hdr = d.read ~pos ~len:frame_header in
-      let len = Codec.get_u32 hdr 0 in
-      let crc = Codec.get_u32 hdr 4 in
-      if len = 0 || pos + frame_header + len > total then pos
-      else
-        let payload = d.read ~pos:(pos + frame_header) ~len in
-        if Checksum.bytes_int payload <> crc then pos
-        else go (pos + frame_header + len)
+    match read_frame d ~limit:total pos with
+    | Some payload -> go (pos + frame_header + Bytes.length payload)
+    | None -> pos
   in
-  go 0
+  go from
 
-let open_device ?(metrics = M.null) device =
-  let valid = scan_valid_end device in
+let open_device ?(metrics = M.null) ?checkpoint_lsn device =
+  (* Every frame before a checkpoint record the meta page names is
+     durable: the record was synced before the meta page was written.  So
+     the torn-tail scan may start there, as long as the frame there
+     verifies; otherwise (no meta page, or a meta page that does not
+     match this log) it starts at 0. *)
+  let valid =
+    match checkpoint_lsn with
+    | Some lsn when Int64.compare lsn 0L > 0 ->
+        let pos = Int64.to_int lsn in
+        let valid = scan_valid_end device ~from:pos in
+        if valid > pos then valid else scan_valid_end device ~from:0
+    | _ -> scan_valid_end device ~from:0
+  in
   if valid < device.Device.size () then device.Device.truncate valid;
   {
     device;
@@ -368,18 +394,19 @@ let crash_volatile t =
 
 (* Iterate durable records from [from_lsn] (must be a frame boundary).
    Runs under [flush_mu] so device reads never interleave with a
-   concurrent flush's appends (the file device shares one descriptor). *)
+   concurrent flush's appends (the file device shares one descriptor).
+   Below the durable end a frame that fails its CRC is corruption, not a
+   torn tail: it raises [Corrupt_frame] and is never decoded. *)
 let iter_from t ~from_lsn f =
   with_flush_mu t (fun () ->
       let total = Int64.to_int (durable t) in
       let rec go pos =
-        if pos + frame_header <= total then begin
-          let hdr = t.device.Device.read ~pos ~len:frame_header in
-          let len = Codec.get_u32 hdr 0 in
-          let payload = t.device.Device.read ~pos:(pos + frame_header) ~len in
-          f (Int64.of_int pos) (Log_record.decode payload);
-          go (pos + frame_header + len)
-        end
+        if pos < total then
+          match read_frame t.device ~limit:total pos with
+          | Some payload ->
+              f (Int64.of_int pos) (Log_record.decode payload);
+              go (pos + frame_header + Bytes.length payload)
+          | None -> raise (Corrupt_frame (Int64.of_int pos))
       in
       go (Int64.to_int from_lsn))
 
@@ -391,12 +418,11 @@ let read_at t lsn =
       Log_record.decode (Bytes.sub frame frame_header len)
   | None ->
       with_flush_mu t (fun () ->
-          if Int64.compare lsn (durable t) < 0 then begin
-            let pos = Int64.to_int lsn in
-            let hdr = t.device.Device.read ~pos ~len:frame_header in
-            let len = Codec.get_u32 hdr 0 in
-            Log_record.decode (t.device.Device.read ~pos:(pos + frame_header) ~len)
-          end
+          let total = Int64.to_int (durable t) in
+          if Int64.compare lsn (Int64.of_int total) < 0 then
+            match read_frame t.device ~limit:total (Int64.to_int lsn) with
+            | Some payload -> Log_record.decode payload
+            | None -> raise (Corrupt_frame lsn)
           else failwith (Printf.sprintf "Wal.read_at: no record at lsn %Ld" lsn))
 
 let close t =

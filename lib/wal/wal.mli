@@ -4,8 +4,9 @@
     total order of all logged actions.  Appends buffer in memory; [flush]
     makes the prefix durable (the buffer pool calls it before any page
     write — WAL before data — and commit calls it at the commit record).
-    Reopening after a crash scans the durable stream and truncates the
-    first torn or corrupt frame.
+    Reopening after a crash scans the durable stream from the last
+    checkpoint and truncates the first torn or corrupt frame; every frame
+    read afterwards is checked against its CRC again.
 
     Safe to share across domains: an append reserves its LSN and queues
     its frame on the one volatile tail under one mutex, and device
@@ -30,8 +31,17 @@ end
 
 type t
 
-val open_device : ?metrics:Imdb_obs.Metrics.t -> Device.t -> t
-(** Open, scanning for the valid end of log (truncating a torn tail). *)
+exception Corrupt_frame of int64
+(** A durable frame, at this LSN, failed its CRC when read.  Frames the
+    open scan did not cover (those before the checkpoint it started at)
+    are verified only when read, and one that fails is an error, never a
+    torn tail. *)
+
+val open_device : ?metrics:Imdb_obs.Metrics.t -> ?checkpoint_lsn:int64 -> Device.t -> t
+(** Open, scanning for the valid end of log and truncating a torn tail.
+    The scan starts at [checkpoint_lsn] — the LSN of a checkpoint record
+    that was durable when the meta page named it — if the frame there
+    verifies, and at 0 otherwise. *)
 
 val set_tracer : t -> Imdb_obs.Tracer.t -> unit
 (** Point the log at an engine's tracer: [flush] records a "wal.flush"
@@ -72,10 +82,12 @@ val next_lsn : t -> int64
 val flushed_lsn : t -> int64
 
 val iter_from : t -> from_lsn:int64 -> (int64 -> Log_record.body -> unit) -> unit
-(** Iterate durable records from a frame boundary. *)
+(** Iterate durable records from a frame boundary.
+    @raise Corrupt_frame at a frame that fails its CRC. *)
 
 val read_at : t -> int64 -> Log_record.body
-(** Read one record, durable or still buffered (rollback chains). *)
+(** Read one record, durable or still buffered (rollback chains).
+    @raise Corrupt_frame if a durable frame fails its CRC. *)
 
 val crash_volatile : t -> unit
 (** Crash simulation: drop the unflushed tail; the commits in it are

@@ -312,11 +312,244 @@ let test_old_format_refused () =
       | exception Imdb_core.Meta.Bad_meta _ -> ())
     [ 1; 2 ]
 
+(* --- how much log recovery reads ------------------------------------------ *)
+
+module Wal = Imdb_wal.Wal
+module LR = Imdb_wal.Log_record
+module Tid = Imdb_clock.Tid
+
+(* The value of key [k] after writes 1..n, write i setting key [i mod keys]
+   to "v<i>". *)
+let last_write ~n ~keys k = Printf.sprintf "v%d" (n - ((n - k) mod keys))
+
+(* An in-memory log device that counts the bytes read from it. *)
+let counting_log () =
+  let dev = Wal.Device.in_memory () in
+  let read = ref 0 in
+  ( {
+      dev with
+      Wal.Device.read =
+        (fun ~pos ~len ->
+          read := !read + len;
+          dev.Wal.Device.read ~pos ~len);
+    },
+    read )
+
+(* Drop every volatile structure, as [Db.crash_and_reopen] does, but leave
+   the reopen to the test, which may tamper with the devices first. *)
+let crash db =
+  let eng = Db.engine db in
+  Wal.crash_volatile eng.E.wal;
+  Imdb_buffer.Buffer_pool.drop_all eng.E.pool;
+  Db.devices db
+
+let open_counted ?(config = E.default_config) () =
+  let clock = Imdb_clock.Clock.create_logical () in
+  let log_device, read = counting_log () in
+  let disk = Imdb_storage.Disk.in_memory ~page_size:config.E.page_size () in
+  let db = Db.open_devices ~config ~clock ~disk ~log_device () in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+  (db, clock, read)
+
+(* The largest TID and commit timestamp anywhere in the durable log. *)
+let log_maxima db =
+  let max_tid = ref Tid.invalid and max_ts = ref Ts.zero in
+  let tid t = if Tid.compare t !max_tid > 0 then max_tid := t in
+  Wal.iter_from (Db.engine db).E.wal ~from_lsn:0L (fun _ body ->
+      match body with
+      | LR.Begin { tid = t } | LR.Update { tid = t; _ } | LR.End { tid = t } -> tid t
+      | LR.Commit { tid = t; ts } ->
+          tid t;
+          if Ts.compare ts !max_ts > 0 then max_ts := ts
+      | LR.Redo_only _ | LR.Checkpoint _ -> ());
+  (!max_tid, !max_ts)
+
+(* Crash right after the checkpoint that closes the [intervals]-th
+   interval and reopen under a fresh clock.  The log bytes recovery reads
+   must not grow with the intervals before that checkpoint, and the
+   counters it restores must still clear every TID and timestamp in the
+   log: no Commit follows the checkpoint, so only its record carries them
+   into the one analysis pass.  The interval is long enough (200 commits)
+   that where it ends in the cycles of ingest flushes and time splits
+   barely moves the redo range. *)
+let test_recovery_reads_one_interval () =
+  let every = 200 in
+  let run intervals =
+    let config = { E.default_config with E.auto_checkpoint_every = every } in
+    let db, clock, read = open_counted ~config () in
+    (* the table's DDL was the first interval's first commit *)
+    let n = (intervals * every) - 1 in
+    for i = 1 to n do
+      tick clock;
+      ignore
+        (commit_write db (fun txn ->
+             Db.upsert_row db txn ~table:"t" (row (i mod 60) (Printf.sprintf "v%d" i))))
+    done;
+    let disk, log_device = Db.devices db in
+    let ckpt =
+      (Option.get (Imdb_core.Meta.read_from_disk disk)).Imdb_core.Meta.last_checkpoint_lsn
+    in
+    let max_tid, max_ts = log_maxima db in
+    Wal.iter_from (Db.engine db).E.wal ~from_lsn:ckpt (fun _ body ->
+        match body with
+        | LR.Commit _ -> Alcotest.fail "a commit follows the last checkpoint"
+        | _ -> ());
+    let log_bytes = log_device.Wal.Device.size () in
+    read := 0;
+    let db = Db.crash_and_reopen ~clock:(Imdb_clock.Clock.create_logical ()) db in
+    let bytes_read = !read in
+    let txn = Db.begin_txn db in
+    Db.upsert_row db txn ~table:"t" (row 1 "after");
+    let ts = Option.get (Db.commit db txn) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d intervals: new TID above every logged TID" intervals)
+      true
+      (Tid.compare txn.E.tx_tid max_tid > 0);
+    Alcotest.(check bool)
+      (Printf.sprintf "%d intervals: new timestamp above every logged one" intervals)
+      true
+      (Ts.compare ts max_ts > 0);
+    check_row db ~table:"t" ~id:2 (Some (row 2 (last_write ~n ~keys:60 2)));
+    Db.close db;
+    (bytes_read, log_bytes)
+  in
+  let read2, _ = run 2 in
+  let read20, log20 = run 20 in
+  Alcotest.(check bool)
+    (Printf.sprintf "20 intervals read %d B <= 1.25 x %d B at 2" read20 read2)
+    true
+    (float read20 <= 1.25 *. float read2);
+  Alcotest.(check bool)
+    (Printf.sprintf "20 intervals read %d B < a fifth of the %d B log" read20 log20)
+    true
+    (read20 * 5 < log20)
+
+(* A torn meta page names no checkpoint: the open validates the log's
+   tail and recovery analyses from LSN 0, reading the whole log at least
+   twice, and every acknowledged commit comes back. *)
+let test_torn_meta_falls_back () =
+  let config = { E.default_config with E.auto_checkpoint_every = 25 } in
+  let db, clock, read = open_counted ~config () in
+  for i = 1 to 100 do
+    tick clock;
+    ignore
+      (commit_write db (fun txn ->
+           Db.upsert_row db txn ~table:"t" (row (i mod 30) (Printf.sprintf "v%d" i))))
+  done;
+  let disk, log_device = crash db in
+  let torn = Bytes.make disk.Imdb_storage.Disk.page_size '\xa5' in
+  disk.Imdb_storage.Disk.write_page Imdb_core.Meta.meta_page_id torn;
+  Alcotest.(check bool) "meta page unreadable" true
+    (Imdb_core.Meta.read_from_disk disk = None);
+  let log_bytes = log_device.Wal.Device.size () in
+  read := 0;
+  let db = Db.open_devices ~config ~clock ~disk ~log_device () in
+  Alcotest.(check bool)
+    (Printf.sprintf "read %d B >= twice the %d B log" !read log_bytes)
+    true
+    (!read >= 2 * log_bytes);
+  for k = 0 to 29 do
+    check_row db ~table:"t" ~id:k (Some (row k (last_write ~n:100 ~keys:30 k)))
+  done;
+  Db.close db
+
+(* The frames of the durable log, in order, with their LSNs. *)
+let frames log_device =
+  let out = ref [] in
+  Wal.iter_from (Wal.open_device log_device) ~from_lsn:0L (fun lsn body ->
+      out := (lsn, body) :: !out);
+  List.rev !out
+
+(* Flip the first payload byte of the frame at [lsn]. *)
+let flip log_device lsn =
+  let pos = Int64.to_int lsn + 8 in
+  let all = log_device.Wal.Device.read ~pos:0 ~len:(log_device.Wal.Device.size ()) in
+  Bytes.set all pos (Char.chr (Char.code (Bytes.get all pos) lxor 0xff));
+  log_device.Wal.Device.truncate 0;
+  log_device.Wal.Device.append all
+
+(* Two checkpoints (the second leaves pages dirtied between them in its
+   dirty-page table, so redo starts before it), then a few commits. *)
+let checkpointed_crash () =
+  let db, clock, _ = open_counted () in
+  let write i =
+    tick clock;
+    ignore
+      (commit_write db (fun txn ->
+           Db.upsert_row db txn ~table:"t" (row (i mod 20) (Printf.sprintf "v%d" i))))
+  in
+  for i = 1 to 40 do
+    write i
+  done;
+  Db.checkpoint db;
+  for i = 41 to 60 do
+    write i
+  done;
+  Db.checkpoint db;
+  for i = 61 to 65 do
+    write i
+  done;
+  let disk, log_device = crash db in
+  let meta = Option.get (Imdb_core.Meta.read_from_disk disk) in
+  let ckpt = meta.Imdb_core.Meta.last_checkpoint_lsn in
+  let redo_start =
+    match List.assoc ckpt (frames log_device) with
+    | LR.Checkpoint { dpt; _ } -> List.fold_left (fun acc (_, l) -> min acc l) ckpt dpt
+    | _ -> Alcotest.fail "meta page names no checkpoint record"
+  in
+  Alcotest.(check bool) "redo starts before the checkpoint" true
+    (Int64.compare redo_start ckpt < 0);
+  (disk, log_device, clock, ckpt, redo_start)
+
+(* Below the checkpoint the open scan no longer looks: a frame there
+   that fails its CRC is corruption, raised with its LSN when redo reads
+   it, never decoded and never taken for a torn tail. *)
+let test_corrupt_frame_below_checkpoint () =
+  let disk, log_device, clock, ckpt, redo_start = checkpointed_crash () in
+  let victim, _ =
+    List.find
+      (fun (lsn, _) -> Int64.compare lsn redo_start >= 0 && Int64.compare lsn ckpt < 0)
+      (frames log_device)
+  in
+  flip log_device victim;
+  match Db.open_devices ~clock ~disk ~log_device () with
+  | _ -> Alcotest.fail "a corrupt frame below the checkpoint was not detected"
+  | exception Wal.Corrupt_frame lsn -> Alcotest.(check int64) "its LSN" victim lsn
+
+(* A checkpoint frame that fails its CRC sends the open scan back to
+   LSN 0, which ends the log at that frame; the meta page then names a
+   checkpoint the log does not hold, and recovery refuses to guess the
+   TID counter and the clock from what is left. *)
+let test_corrupt_checkpoint_frame () =
+  let disk, log_device, clock, ckpt, _ = checkpointed_crash () in
+  flip log_device ckpt;
+  match Db.open_devices ~clock ~disk ~log_device () with
+  | _ -> Alcotest.fail "recovered without the checkpoint the meta page names"
+  | exception Failure msg ->
+      Alcotest.(check string) "the refusal names the LSN"
+        (Printf.sprintf "Recovery: the meta page names LSN %Ld, which holds no checkpoint" ckpt)
+        msg
+
+(* After the checkpoint the open scan still ends the log at the first
+   frame that fails its CRC: the last commit there is a torn tail. *)
+let test_corrupt_frame_after_checkpoint () =
+  let disk, log_device, clock, ckpt, _ = checkpointed_crash () in
+  let last_commit, _ =
+    List.find
+      (fun (_, body) -> match body with LR.Commit _ -> true | _ -> false)
+      (List.rev (frames log_device))
+  in
+  Alcotest.(check bool) "after the checkpoint" true (Int64.compare last_commit ckpt > 0);
+  flip log_device last_commit;
+  let db = Db.open_devices ~clock ~disk ~log_device () in
+  check_row db ~table:"t" ~id:5 (Some (row 5 "v45"));
+  check_row db ~table:"t" ~id:4 (Some (row 4 "v64"));
+  Db.close db
+
 (* --- what recovery keeps of the timestamp mappings ---------------------- *)
 
 module LS = Imdb_tstamp.Lazy_stamper
 module Vtt = Imdb_tstamp.Vtt
-module Tid = Imdb_clock.Tid
 module M = Imdb_obs.Metrics
 
 (* Recovery seeds the VTT with the commits since the last checkpoint,
@@ -495,6 +728,15 @@ let suite =
     Alcotest.test_case "conventional recovery" `Quick test_conventional_table_recovery;
     Alcotest.test_case "DDL crash" `Quick test_ddl_crash;
     Alcotest.test_case "old log format refused" `Quick test_old_format_refused;
+    Alcotest.test_case "recovery reads one checkpoint interval of log" `Quick
+      test_recovery_reads_one_interval;
+    Alcotest.test_case "torn meta page falls back to LSN 0" `Quick test_torn_meta_falls_back;
+    Alcotest.test_case "corrupt frame below the checkpoint raises" `Quick
+      test_corrupt_frame_below_checkpoint;
+    Alcotest.test_case "corrupt frame after the checkpoint is a torn tail" `Quick
+      test_corrupt_frame_after_checkpoint;
+    Alcotest.test_case "corrupt checkpoint frame refused" `Quick
+      test_corrupt_checkpoint_frame;
     Alcotest.test_case "VTT forgets pre-restart history" `Quick test_vtt_bounded_after_restart;
     QCheck_alcotest.to_alcotest prop_unstamped_tids_resolve;
     QCheck_alcotest.to_alcotest prop_crash_model;

@@ -89,6 +89,40 @@ let test_crc_range () =
     (Checksum.bytes_int (Bytes.of_string "HELLO"))
     (Checksum.bytes_int ~pos:3 ~len:5 b)
 
+(* The textbook one-table, byte-at-a-time CRC-32: the reference the
+   sliced implementation must match bit for bit. *)
+let crc_bytewise b ~pos ~len =
+  let table =
+    Array.init 256 (fun n ->
+        let c = ref n in
+        for _ = 0 to 7 do
+          if !c land 1 <> 0 then c := 0xEDB88320 lxor (!c lsr 1) else c := !c lsr 1
+        done;
+        !c)
+  in
+  let c = ref 0xFFFFFFFF in
+  for i = pos to pos + len - 1 do
+    c := table.((!c lxor Char.code (Bytes.get b i)) land 0xff) lxor (!c lsr 8)
+  done;
+  !c lxor 0xFFFFFFFF
+
+let test_crc_matches_bytewise () =
+  let rng = Rng.create 11 in
+  let b = Bytes.init 200 (fun _ -> Char.chr (Rng.int rng 256)) in
+  for pos = 0 to 64 do
+    for len = 0 to 64 do
+      let want = crc_bytewise b ~pos ~len in
+      let got = Checksum.bytes_int ~pos ~len b in
+      if got <> want then Alcotest.failf "pos %d len %d: %08x <> %08x" pos len got want
+    done
+  done;
+  let page = Bytes.init 8192 (fun _ -> Char.chr (Rng.int rng 256)) in
+  Alcotest.(check int) "full page" (crc_bytewise page ~pos:0 ~len:8192)
+    (Checksum.bytes_int page);
+  Alcotest.(check int) "page body, as Page.seal covers it"
+    (crc_bytewise page ~pos:8 ~len:8184)
+    (Checksum.bytes_int ~pos:8 ~len:8184 page)
+
 let test_rng_determinism () =
   let a = Rng.create 1 and b = Rng.create 1 in
   for _ = 1 to 100 do
@@ -131,6 +165,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_writer_reader;
     Alcotest.test_case "crc vectors" `Quick test_crc_vectors;
     Alcotest.test_case "crc range" `Quick test_crc_range;
+    Alcotest.test_case "crc matches bytewise reference" `Quick test_crc_matches_bytewise;
     Alcotest.test_case "rng determinism" `Quick test_rng_determinism;
     Alcotest.test_case "rng bounds" `Quick test_rng_bounds;
     Alcotest.test_case "rng shuffle/choose" `Quick test_rng_shuffle_choose;
