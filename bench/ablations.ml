@@ -448,9 +448,9 @@ let space ~scale =
 
 (* Checkpointing exists to bound recovery (and to advance the PTT GC
    horizon).  Crash after N transactions under different checkpoint
-   intervals and measure the restart: the tail scan and analysis start
-   at the last checkpoint and redo at most one interval before it, so
-   the log recovery reads shrinks with the interval and stays flat as
+   intervals and measure the restart: recovery's one pass over the log
+   starts at most one interval before the last checkpoint, so the log
+   recovery reads shrinks with the interval and stays flat as
    uptime grows, at the cost of checkpoint-time page sweeps during
    normal operation.  The log device counts the bytes read from it. *)
 

@@ -44,7 +44,8 @@ let open_devices ?metrics ?(config = E.default_config) ?clock ~disk ~log_device 
     (not (disk.Imdb_storage.Disk.page_exists Meta.meta_page_id))
     && log_device.Imdb_wal.Wal.Device.size () = 0
   in
-  if fresh then E.bootstrap eng else Recovery.recover eng;
+  (if fresh then E.bootstrap eng
+   else try Recovery.recover eng with Recovery.Nothing_durable -> E.bootstrap eng);
   { eng; disk; log_device }
 
 (* A throwaway in-memory database. *)

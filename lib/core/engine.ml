@@ -831,7 +831,7 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
   in
   Imdb_storage.Disk.set_metrics disk metrics;
   (* the single read of the on-disk meta page: it names the checkpoint
-     where the log's tail scan and recovery's analysis start *)
+     recovery's pass starts from, before which the log cannot be torn *)
   let disk_meta = Meta.read_from_disk disk in
   let wal =
     Imdb_wal.Wal.open_device ~metrics

@@ -4,12 +4,12 @@
    allocator updates are crash-consistent like everything else.  The one
    field read *outside* recovery is [last_checkpoint_lsn]: the engine
    force-flushes page 0 after each checkpoint, and an open reads the
-   on-disk copy once, before it opens the log ([read_from_disk]).  That
-   LSN is where the log's torn-tail scan and recovery's analysis start;
-   the checkpoint record there was synced before the page was written,
-   so everything before it is durable.  A stale value only starts both at
-   an older checkpoint, which is always safe; a missing or torn page
-   starts both at LSN 0. *)
+   on-disk copy once, before it opens the log ([read_from_disk]).
+   Recovery's one pass starts from the checkpoint record at that LSN,
+   which was synced before the page was written, so every frame before
+   it is durable.  A stale value only starts recovery at an older
+   checkpoint, which is always safe; a missing or torn page starts it at
+   LSN 0. *)
 
 let magic = 0x494d4442 (* "IMDB" *)
 (* 2: physical log ops carry after-images only; no CLR or Abort records
@@ -72,7 +72,7 @@ let decode b =
   { hwm; freelist_head; catalog_root; ptt_root; next_table_id; last_checkpoint_lsn }
 
 (* The on-disk meta page, if it is there and intact.  A torn page gives
-   [None] (open falls back to LSN 0); an intact page of another format
+   [None] (recovery reads from LSN 0); an intact page of another format
    raises [Bad_meta], stopping the open before anything reads the log. *)
 let read_from_disk (disk : Imdb_storage.Disk.t) =
   let module P = Imdb_storage.Page in

@@ -3,9 +3,8 @@
     Page 0 flows through the buffer pool and WAL like any page, so
     allocator state is crash-consistent.  [last_checkpoint_lsn] is also
     read directly from disk, once per open and before the log is opened:
-    the log's torn-tail scan and recovery's analysis both start at that
-    checkpoint (a stale value only starts them earlier; a missing or torn
-    page starts them at LSN 0). *)
+    recovery's one pass starts from that checkpoint (a stale value only
+    starts it earlier; a missing or torn page starts it at LSN 0). *)
 
 val meta_page_id : int
 val meta_slot : int

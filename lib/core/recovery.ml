@@ -1,15 +1,20 @@
-(* Crash recovery (ARIES-style: analysis, redo, undo).
+(* Crash recovery (ARIES-style): one forward pass over the log, then undo.
 
-   Recovery reads one checkpoint interval of log, not the whole log.  The
-   open read the meta page once and validated the log's tail from the
-   checkpoint it names; analysis is one pass from that checkpoint, whose
-   record carries the TID counter and the clock floor; redo starts at the
-   eldest recLSN of its dirty-page table, at most one interval earlier
-   (each checkpoint sweeps the pages dirty since before the previous
-   one).  Frames below the checkpoint are verified as redo reads them, and
-   one that fails its CRC stops the open with [Wal.Corrupt_frame].  Only
-   two paths read from LSN 0: an open with no usable meta page, and the
-   rebuild of a torn page ([rebuild_page_from_log]).
+   Recovery reads the checkpoint record the meta page names
+   ([Wal.read_at]): its active-transaction table (ATT), dirty-page table
+   (DPT), TID counter and clock floor.  One pass then runs from the redo
+   start — the eldest recLSN in that DPT, at most about one interval
+   before the checkpoint, since each checkpoint sweeps the pages dirty
+   since before the previous one — to the end of log.  Frames below the
+   checkpoint feed redo only, through the checkpoint's DPT.  From the
+   checkpoint on, the same callback first does the analysis bookkeeping:
+   ATT, DPT at the frame's own LSN (where redo's filter starts a page
+   first dirtied after the checkpoint anyway), TID and clock, Commit
+   records.  Below the checkpoint a frame that fails its CRC stops the
+   open ([Wal.Corrupt_frame]); from it on, the first one is the torn tail
+   where the pass ends the log.  Only an open with no usable meta page
+   and the rebuild of a torn page ([rebuild_page_from_log], which stops
+   at the same tail) read from LSN 0.
 
    The redo-scan start point — the quantity the paper's PTT garbage
    collection is keyed to — is the minimum recLSN in the dirty-page table
@@ -19,16 +24,11 @@
    every version that could still carry a TID on disk, or get it back
    through redo, has its (TID, ts) either in the PTT (each checkpoint
    posts the survivors of its GC before writing its record) or among the
-   Commit records at or after the last checkpoint, which analysis seeds
-   into the VTT.  The recovery checkpoint posts those and forgets them.
-   A torn page rebuilt from the whole log is stamped from the Commit
-   records of that same scan, since its replay resurrects every TID the
-   page ever held.
-
-   Lazy timestamping is invisible to redo: stamping was never logged, and
-   pages may legitimately come back from disk carrying TIDs of committed
-   transactions — they will be stamped again on first access, resolved
-   through the PTT / rebuilt VTT.
+   Commit records at or after the last checkpoint, which the pass seeds
+   into the VTT for the transactions that may have written versions.  The
+   recovery checkpoint posts those and forgets them.  A torn page rebuilt
+   from the whole log is stamped from the Commit records of that same
+   scan, since its replay resurrects every TID the page ever held.
 
    Undo uses the guarded logical rollback of [Txnmgr]: losers' version
    inserts and B-tree updates are located through the live structures and
@@ -41,17 +41,21 @@ module P = Imdb_storage.Page
 module BP = Imdb_buffer.Buffer_pool
 module LR = Imdb_wal.Log_record
 module E = Engine
+module Mx = Imdb_obs.Metrics
 
 let log_src = Logs.Src.create "imdb.recovery" ~doc:"Immortal DB crash recovery"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
-type analysis = {
+exception Nothing_durable
+
+type pass = {
   mutable att : (Tid.t * int64) list; (* losers so far: tid -> last_lsn *)
   mutable dpt : (int * int64) list; (* page -> recLSN *)
   mutable max_tid : Tid.t;
   mutable max_ts : Ts.t;
-  mutable commits : (Tid.t * Ts.t) list;
+  mutable commits : (Tid.t * Ts.t) list; (* the Commit records of [writers] *)
+  writers : unit Tid.Table.t; (* transactions that may have written versions *)
 }
 
 let att_update a tid ~lsn = a.att <- (tid, lsn) :: List.remove_assoc tid a.att
@@ -60,61 +64,41 @@ let dpt_add a page_id ~lsn =
   if not (List.mem_assoc page_id a.dpt) then a.dpt <- (page_id, lsn) :: a.dpt
 
 let observe_tid a tid = if Tid.compare tid a.max_tid > 0 then a.max_tid <- tid
+let observe_ts a ts = if Ts.compare ts a.max_ts > 0 then a.max_ts <- ts
 
-(* --- analysis -------------------------------------------------------------- *)
+(* The analysis bookkeeping for a frame at or after the checkpoint.  A
+   Commit takes its transaction out of the ATT (it is no loser, whether
+   or not its End made it to the log); an interrupted abort stays in, to
+   be undone again from its Update chain.  Only a transaction in the
+   checkpoint's ATT or one that logs a version insert or an ingest
+   message can leave its TID on a page: any other Commit record (a
+   conventional-only or DDL transaction) would post a PTT entry that GC
+   never collects. *)
+let analyze_frame a lsn = function
+  | LR.Checkpoint { next_tid; clock; _ } ->
+      observe_tid a (Tid.of_int64 (Int64.pred (Tid.to_int64 next_tid)));
+      observe_ts a clock
+  | LR.Begin { tid } ->
+      observe_tid a tid;
+      att_update a tid ~lsn
+  | LR.Update { tid; page_id; op; _ } ->
+      observe_tid a tid;
+      att_update a tid ~lsn;
+      dpt_add a page_id ~lsn;
+      (match op with
+      | LR.Op_version_insert _ | LR.Op_msg_append _ -> Tid.Table.replace a.writers tid ()
+      | _ -> ())
+  | LR.Redo_only { page_id; _ } -> dpt_add a page_id ~lsn
+  | LR.Commit { tid; ts } ->
+      observe_tid a tid;
+      observe_ts a ts;
+      if Tid.Table.mem a.writers tid then a.commits <- (tid, ts) :: a.commits;
+      a.att <- List.remove_assoc tid a.att
+  | LR.End { tid } ->
+      observe_tid a tid;
+      a.att <- List.remove_assoc tid a.att
 
-(* One pass from the last checkpoint.  The checkpoint record carries the
-   TID counter and the clock as of its writing, so the records after it
-   are all that can raise either; a pass from LSN 0 (no usable meta page)
-   observes every record instead.  ATT/DPT are the checkpoint's tables
-   updated by the records after it.  A Commit takes its transaction out
-   of the ATT (it is no loser, whether or not its End made it to the
-   log); an interrupted abort stays in, to be undone again from its
-   Update chain.  The Commit records here are the mappings the
-   checkpoint did not post. *)
-let analyze eng ~checkpoint_lsn =
-  let a =
-    { att = []; dpt = []; max_tid = Tid.invalid; max_ts = Ts.zero; commits = [] }
-  in
-  let observe_ts ts = if Ts.compare ts a.max_ts > 0 then a.max_ts <- ts in
-  let seeded = ref false in
-  Imdb_wal.Wal.iter_from eng.E.wal ~from_lsn:checkpoint_lsn (fun lsn body ->
-      match body with
-      | LR.Checkpoint { att; dpt; next_tid; clock } ->
-          observe_tid a (Tid.of_int64 (Int64.pred (Tid.to_int64 next_tid)));
-          observe_ts clock;
-          (* a later checkpoint (one the meta page never named) only
-             bounds the counters *)
-          if Int64.equal lsn checkpoint_lsn then begin
-            seeded := true;
-            a.att <- List.rev_append att a.att;
-            List.iter (fun (pid, l) -> dpt_add a pid ~lsn:l) dpt
-          end
-      | LR.Begin { tid } ->
-          observe_tid a tid;
-          att_update a tid ~lsn
-      | LR.Update { tid; page_id; prev_lsn = _; _ } ->
-          observe_tid a tid;
-          att_update a tid ~lsn;
-          dpt_add a page_id ~lsn
-      | LR.Redo_only { page_id; _ } -> dpt_add a page_id ~lsn
-      | LR.Commit { tid; ts } ->
-          observe_tid a tid;
-          observe_ts ts;
-          a.commits <- (tid, ts) :: a.commits;
-          a.att <- List.remove_assoc tid a.att
-      | LR.End { tid } ->
-          observe_tid a tid;
-          a.att <- List.remove_assoc tid a.att);
-  (* the counters would come from the tail alone: refuse rather than
-     reissue a TID or a timestamp *)
-  if Int64.compare checkpoint_lsn 0L > 0 && not !seeded then
-    failwith
-      (Printf.sprintf "Recovery: the meta page names LSN %Ld, which holds no checkpoint"
-         checkpoint_lsn);
-  a
-
-(* --- redo -------------------------------------------------------------------- *)
+(* --- the pass: analysis and redo ------------------------------------------------ *)
 
 (* Rebuild a torn page wholesale from the log.  Possible because the log
    is never truncated and every page's life begins with a logged
@@ -125,19 +109,18 @@ let analyze eng ~checkpoint_lsn =
    not cover. *)
 let rebuild_page_from_log eng page_id =
   Log.warn (fun m -> m "page %d is torn; rebuilding it from the full log" page_id);
-  Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.recovery_torn_pages;
+  Mx.incr eng.E.metrics Mx.recovery_torn_pages;
   let fr = BP.pin_new eng.E.pool page_id in
   let page = BP.bytes fr in
   P.set_page_id page page_id;
   let commits = Tid.Table.create 64 in
   Imdb_wal.Wal.iter_from eng.E.wal ~from_lsn:0L (fun lsn body ->
-      let apply op =
-        LR.redo_op page op;
-        BP.mark_dirty_logged eng.E.pool fr ~lsn
-      in
       match body with
       | LR.Update { page_id = pid; op; _ } | LR.Redo_only { page_id = pid; op } ->
-          if pid = page_id then apply op
+          if pid = page_id then begin
+            LR.redo_op page op;
+            BP.mark_dirty_logged eng.E.pool fr ~lsn
+          end
       | LR.Commit { tid; ts } -> Tid.Table.replace commits tid ts
       | LR.Begin _ | LR.End _ | LR.Checkpoint _ -> ());
   (* The replay brought back every TID the page's versions ever held,
@@ -171,7 +154,7 @@ let pin_for_redo eng page_id ~rebuilds =
     with BP.Corrupt_page _ ->
       if rebuilds then begin
         (* torn, but the op about to replay rebuilds the page wholesale *)
-        Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.recovery_torn_pages;
+        Mx.incr eng.E.metrics Mx.recovery_torn_pages;
         `Fresh (fresh ())
       end
       else `Frame (rebuild_page_from_log eng page_id))
@@ -185,16 +168,35 @@ let op_rebuilds = function
   | LR.Op_msg_append _ | LR.Op_version_batch _ ->
       false
 
-(* Returns (redo_start, LSN of the last record applied) — the range the
-   redo pass actually covered.  The [recovery.redo_lsn] gauge tracks the
-   scan position record by record, so an observer (or a post-mortem of a
-   crashed recovery) sees monotone progress, not just the final value. *)
-let redo eng (a : analysis) ~checkpoint_lsn =
+(* The one pass over the log, from the redo start to the end of log.  It
+   starts from the tables of the checkpoint the meta page names, or from
+   empty ones at LSN 0 when it names none; a meta page naming an LSN that
+   holds no checkpoint is refused rather than reissue a TID or a
+   timestamp counted from the tail alone.  Returns the tables and
+   (redo_start, LSN of the last record applied).  The [recovery.redo_lsn]
+   gauge tracks the scan position record by record, so an observer (or a
+   post-mortem of a crashed recovery) sees monotone progress. *)
+let pass eng ~checkpoint_lsn =
+  let writers = Tid.Table.create 64 in
+  let a =
+    { att = []; dpt = []; max_tid = Tid.invalid; max_ts = Ts.zero; commits = []; writers }
+  in
+  (if Int64.compare checkpoint_lsn 0L > 0 then
+     match Imdb_wal.Wal.read_at eng.E.wal checkpoint_lsn with
+     | LR.Checkpoint { att; dpt; _ } ->
+         a.att <- att;
+         a.dpt <- dpt;
+         List.iter (fun (tid, _) -> Tid.Table.replace writers tid ()) att
+     | _ | exception Imdb_wal.Wal.Corrupt_frame _ ->
+         failwith
+           (Printf.sprintf "Recovery: the meta page names LSN %Ld, which holds no checkpoint"
+              checkpoint_lsn));
   let redo_start =
     List.fold_left (fun acc (_, rec_lsn) -> min acc rec_lsn) checkpoint_lsn a.dpt
   in
   let last_applied = ref redo_start in
   Imdb_wal.Wal.iter_from eng.E.wal ~from_lsn:redo_start (fun lsn body ->
+      if Int64.compare lsn checkpoint_lsn >= 0 then analyze_frame a lsn body;
       let apply page_id op =
         match List.assoc_opt page_id a.dpt with
         | Some rec_lsn when Int64.compare lsn rec_lsn >= 0 -> (
@@ -214,11 +216,9 @@ let redo eng (a : analysis) ~checkpoint_lsn =
                     let fresh = match pinned with `Fresh _ -> true | `Frame _ -> false in
                     if fresh || Int64.compare (P.lsn page) lsn < 0 then begin
                       LR.redo_op page op;
-                      Imdb_obs.Metrics.incr eng.E.metrics
-                        Imdb_obs.Metrics.recovery_redo;
+                      Mx.incr eng.E.metrics Mx.recovery_redo;
                       last_applied := lsn;
-                      Imdb_obs.Metrics.set_gauge eng.E.metrics
-                        Imdb_obs.Metrics.recovery_redo_lsn (Int64.to_int lsn);
+                      Mx.set_gauge eng.E.metrics Mx.recovery_redo_lsn (Int64.to_int lsn);
                       BP.mark_dirty_logged eng.E.pool fr ~lsn
                     end))
         | _ -> ()
@@ -226,7 +226,7 @@ let redo eng (a : analysis) ~checkpoint_lsn =
       match body with
       | LR.Update { page_id; op; _ } | LR.Redo_only { page_id; op } -> apply page_id op
       | LR.Begin _ | LR.Commit _ | LR.End _ | LR.Checkpoint _ -> ());
-  (redo_start, !last_applied)
+  (a, redo_start, !last_applied)
 
 (* --- the full open-time protocol ---------------------------------------------- *)
 
@@ -243,41 +243,41 @@ let recover eng =
          (LSN 0) when it was missing or torn *)
       let checkpoint_lsn = eng.E.meta.Meta.last_checkpoint_lsn in
       let a =
-        Tr.with_span eng.E.tracer "recovery.analysis" (fun asp ->
-            let a = analyze eng ~checkpoint_lsn in
-            Tr.add_attr asp "att" (string_of_int (List.length a.att));
-            Tr.add_attr asp "dirty_pages" (string_of_int (List.length a.dpt));
-            Tr.add_attr asp "commits" (string_of_int (List.length a.commits));
+        Tr.with_span eng.E.tracer "recovery.redo" (fun rsp ->
+            let a, redo_start, redo_end = pass eng ~checkpoint_lsn in
+            Log.info (fun m ->
+                m "recovery: checkpoint %Ld, %d in-flight txns, %d dirty pages, %d commits known"
+                  checkpoint_lsn (List.length a.att) (List.length a.dpt)
+                  (List.length a.commits));
+            List.iter
+              (fun (k, v) -> Tr.add_attr rsp k (string_of_int v))
+              [
+                ("att", List.length a.att);
+                ("dirty_pages", List.length a.dpt);
+                ("commits", List.length a.commits);
+                ("redo_start", Int64.to_int redo_start);
+                ("redo_end", Int64.to_int redo_end);
+                ("records", Mx.get eng.E.metrics Mx.recovery_redo);
+              ];
+            (* scrub: a write torn by the crash may sit on a page the redo
+               scan never visits (e.g. dirtied only by unlogged stamping);
+               detect by checksum and rebuild from the log *)
+            let scrubbed = ref 0 in
+            for pid = 0 to eng.E.disk.Imdb_storage.Disk.page_count () - 1 do
+              if
+                eng.E.disk.Imdb_storage.Disk.page_exists pid
+                && not (BP.is_cached eng.E.pool pid)
+                && not (P.verify (eng.E.disk.Imdb_storage.Disk.read_page pid))
+              then begin
+                incr scrubbed;
+                let fr = rebuild_page_from_log eng pid in
+                BP.unpin eng.E.pool fr;
+                BP.flush_page eng.E.pool pid
+              end
+            done;
+            Tr.add_attr rsp "scrubbed" (string_of_int !scrubbed);
             a)
       in
-      Log.info (fun m ->
-          m "recovery: checkpoint %Ld, %d in-flight txns, %d dirty pages, %d commits known"
-            checkpoint_lsn (List.length a.att) (List.length a.dpt)
-            (List.length a.commits));
-      Tr.with_span eng.E.tracer "recovery.redo" (fun rsp ->
-          let redo_start, redo_end = redo eng a ~checkpoint_lsn in
-          Tr.add_attr rsp "redo_start" (Int64.to_string redo_start);
-          Tr.add_attr rsp "redo_end" (Int64.to_string redo_end);
-          Tr.add_attr rsp "records"
-            (string_of_int
-               (Imdb_obs.Metrics.get eng.E.metrics Imdb_obs.Metrics.recovery_redo));
-          (* scrub: a write torn by the crash may sit on a page the redo
-             scan never visits (e.g. dirtied only by unlogged stamping);
-             detect by checksum and rebuild from the log *)
-          let scrubbed = ref 0 in
-          for pid = 0 to eng.E.disk.Imdb_storage.Disk.page_count () - 1 do
-            if
-              eng.E.disk.Imdb_storage.Disk.page_exists pid
-              && not (BP.is_cached eng.E.pool pid)
-              && not (P.verify (eng.E.disk.Imdb_storage.Disk.read_page pid))
-            then begin
-              incr scrubbed;
-              let fr = rebuild_page_from_log eng pid in
-              BP.unpin eng.E.pool fr;
-              BP.flush_page eng.E.pool pid
-            end
-          done;
-          Tr.add_attr rsp "scrubbed" (string_of_int !scrubbed));
       (* the redone meta page is authoritative now *)
       if
         eng.E.disk.Imdb_storage.Disk.page_exists Meta.meta_page_id
@@ -285,6 +285,7 @@ let recover eng =
       then
         BP.with_page eng.E.pool Meta.meta_page_id (fun fr ->
             eng.E.meta <- Meta.decode (P.read_cell (BP.bytes fr) Meta.meta_slot))
+      else if Int64.equal (Imdb_wal.Wal.flushed_lsn eng.E.wal) 0L then raise Nothing_durable
       else failwith "Recovery: no database metadata on disk or in the log";
       (* clock floor and TID counter must move past everything observed *)
       Imdb_clock.Clock.observe eng.E.clock a.max_ts;
@@ -296,29 +297,23 @@ let recover eng =
         (fun (tid, ts) -> Imdb_tstamp.Vtt.seed_from_log (E.vtt eng) tid ts)
         a.commits;
       (* roll back losers *)
-      let losers = ref 0 in
+      let losers = List.length a.att in
       Tr.with_span eng.E.tracer "recovery.undo" (fun usp ->
           List.iter
             (fun (tid, last_lsn) ->
-              incr losers;
               if Int64.compare last_lsn LR.nil_lsn > 0 then
                 Txnmgr.rollback_loser eng ~tid ~last_lsn
               else ignore (Imdb_wal.Wal.append eng.E.wal (LR.End { tid })))
             a.att;
-          Tr.add_attr usp "losers" (string_of_int !losers));
-      Log.info (fun m -> m "recovery: rolled back %d losers" !losers);
-      Tr.add_attr sp "losers" (string_of_int !losers);
-      Tr.add_attr sp "redo_records"
-        (string_of_int
-           (Imdb_obs.Metrics.get eng.E.metrics Imdb_obs.Metrics.recovery_redo));
+          Tr.add_attr usp "losers" (string_of_int losers));
+      Log.info (fun m -> m "recovery: rolled back %d losers" losers);
+      Tr.add_attr sp "losers" (string_of_int losers);
+      Tr.add_attr sp "redo_records" (string_of_int (Mx.get eng.E.metrics Mx.recovery_redo));
       (* a fresh checkpoint caps the next recovery's work *)
       ignore (E.checkpoint eng);
       (* crash evidence (losers rolled back, or torn writes scrubbed)
          triggers the flight recorder when a report dir is configured:
          the post-mortem captures what this engine can still see of the
          crashed run — recovery counters, loser rollbacks, slow ops *)
-      let torn =
-        Imdb_obs.Metrics.get eng.E.metrics Imdb_obs.Metrics.recovery_torn_pages
-      in
-      if !losers > 0 || torn > 0 then
+      if losers > 0 || Mx.get eng.E.metrics Mx.recovery_torn_pages > 0 then
         ignore (E.write_flight_report eng ~reason:"recovery"))

@@ -565,6 +565,23 @@ let run cfg =
     Rng.create ((cfg.seed * 1_000_003) lxor (cp.cp_commit * 7919) lxor kind_index cp.cp_kind)
   in
 
+  (* Power loss in the middle of a log append leaves part of a frame past
+     the durable log: a strict prefix of a real frame (here the log's
+     first, whose header promises more bytes than follow) or garbage.
+     Recovery's pass must end the log before it.  The choice comes from
+     the point's own PRNG, so the crash schedule does not move. *)
+  let tear_log_tail cp =
+    let prng = point_rng cp and dev = log_device in
+    let torn =
+      if Rng.bool prng then
+        let frame = 8 + Imdb_util.Codec.get_u32 (dev.Wal.Device.read ~pos:0 ~len:4) 0 in
+        dev.Wal.Device.read ~pos:0 ~len:(1 + Rng.int prng (frame - 1))
+      else Bytes.init (1 + Rng.int prng 32) (fun _ -> Char.chr (Rng.int prng 256))
+    in
+    dev.Wal.Device.append torn;
+    act "crash: %d torn bytes past the durable log" (Bytes.length torn)
+  in
+
   let sched = ref (schedule_of cfg) in
   let armed : (crash_point * int) option ref = ref None in
   let meta_force = ref false in
@@ -590,6 +607,7 @@ let run cfg =
     (* pull the plug: volatile state evaporates, the devices persist *)
     Wal.crash_volatile (Db.engine !db).E.wal;
     Imdb_buffer.Buffer_pool.drop_all (Db.engine !db).E.pool;
+    if cp.cp_kind = Crash_wal_tail then tear_log_tail cp;
     let new_db =
       if cp.cp_kind = Crash_recovery then begin
         (* a short fuse: recovery's data-page traffic is only the scrub

@@ -7,14 +7,17 @@
    The LSN of a record is the byte offset of its frame in the stream; the
    LSN order is the total order of all logged actions.  The WAL object
    buffers appended frames in memory; [flush] makes the prefix up to a
-   given LSN durable.  After a crash, [open_device] scans the durable
-   stream from the last checkpoint record (every frame before it was
-   synced before the meta page named it), stops at the first incomplete
-   or corrupt frame (a torn tail) and truncates it away; without a
-   usable checkpoint LSN it scans from 0.  All device reads go through
-   one verified frame reader, so a frame below the durable end that
-   fails its CRC (corruption the open scan did not cover) raises
-   [Corrupt_frame] with its LSN instead of being decoded.
+   given LSN durable.
+
+   Opening reads nothing: the first reader to reach the end of log
+   (recovery's one pass) decides it.  Every device read goes through one
+   verified frame reader.  A frame before the checkpoint the meta page
+   named was synced before the meta page was written, so one that fails
+   its CRC is corruption and raises [Corrupt_frame]; from that checkpoint
+   on (anywhere, without one) the first bad frame is a torn tail and ends
+   the log.  A flush cuts the device back to the end of log before it
+   appends, and the first one after an open runs only once recovery has
+   decided to open, so an open that fails leaves the log as it found it.
 
    The buffer-pool's WAL-before-data rule calls [flush ~lsn:(page lsn)]
    before any page write, and commit calls [flush] at the commit record.
@@ -23,15 +26,11 @@
    its LSN and queues its frame in the same critical section, so the
    tail always holds every frame from [durable_end] up to [next], with
    no gaps, and a flush leader's batch is simply the whole tail (up to
-   an open atomic group).  Device access is
-   serialized by [flush_mu]; concurrent committers whose record a
-   leader's sync will cover wait for the durable horizon instead of
-   syncing again (group commit).  A commit is acknowledged by the return
-   of its own [flush ~lsn]; the log only counts the Commit frames in the
-   tail, which gives each committer its batch position and each sync its
-   batch size.  Every engine append already runs under
-   the session gate, so one mutex costs nothing there; it keeps the log
-   safe for any caller on any domain without relying on the gate.
+   an open atomic group).  Device access is serialized by [flush_mu];
+   committers whose record a leader's sync will cover wait for the
+   durable horizon instead of syncing again (group commit).  The mutexes
+   cost nothing under the engine's session gate and keep the log safe
+   for any caller on any domain without it.
 
    Atomic groups: a structure modification logs several redo-only
    records that are consistent only together.  While [atomically] holds
@@ -54,36 +53,25 @@ module Device = struct
   }
 
   let in_memory () =
-    (* manually managed growable store: [read] must be O(len), not a copy
-       of the whole log (recovery reads every frame individually) *)
-    let store = ref (Bytes.create 4096) in
-    let used = ref 0 in
-    let ensure extra =
-      if !used + extra > Bytes.length !store then begin
-        let cap = ref (Bytes.length !store) in
-        while !used + extra > !cap do
-          cap := !cap * 2
-        done;
-        let bigger = Bytes.create !cap in
-        Bytes.blit !store 0 bigger 0 !used;
-        store := bigger
-      end
-    in
+    (* a growable store: [read] copies only [len] bytes, not the whole
+       log (recovery reads every frame individually) *)
+    let store = ref (Bytes.create 4096) and used = ref 0 in
     {
       size = (fun () -> !used);
       append =
         (fun b ->
-          ensure (Bytes.length b);
+          let cap = Bytes.length !store and need = !used + Bytes.length b in
+          if need > cap then store := Bytes.extend !store 0 (max need (2 * cap) - cap);
           Bytes.blit b 0 !store !used (Bytes.length b);
-          used := !used + Bytes.length b);
+          used := need);
       read =
         (fun ~pos ~len ->
           if pos < 0 || len < 0 || pos + len > !used then
             failwith "Wal.Device.in_memory: read out of range";
           Bytes.sub !store pos len);
       truncate = (fun n -> if n < !used then used := n);
-      sync = (fun () -> ());
-      close = (fun () -> ());
+      sync = ignore;
+      close = ignore;
     }
 
   let file ~path =
@@ -121,11 +109,15 @@ end
 type t = {
   device : Device.t;
   tail_mu : Mutex.t;
-      (* guards [next], [durable_end], [tail], [tail_commits] and
-         [volatile]: a volatile-frame lookup under it is atomic with
-         respect to appends and the durable horizon *)
+      (* guards [next], [durable_end], [unverified_from], [tail],
+         [tail_commits] and [volatile]: a volatile-frame lookup under it
+         is atomic with respect to appends and the durable horizon.
+         [durable_end] and [unverified_from] change under [flush_mu] too. *)
   mutable next : int64; (* next LSN: end of log including the volatile tail *)
   mutable durable_end : int64; (* bytes durable on the device *)
+  mutable unverified_from : int;
+      (* the LSN from which the first frame that fails its CRC is a torn
+         tail, not corruption; [max_int] once a reader reached the end *)
   mutable tail : (int64 * bytes) list;
       (* every frame from [durable_end] up to [next], newest first *)
   mutable tail_commits : int; (* Commit frames in [tail] *)
@@ -167,8 +159,8 @@ exception Corrupt_frame of int64
 
 (* The one verified frame reader: the payload of the frame at [pos] if a
    whole frame lies below [limit] and its payload matches its CRC.  Every
-   frame read from the device, by the open scan or by a reader, passes
-   through here, so no payload is ever decoded unverified. *)
+   frame read from the device passes through here, so no payload is ever
+   decoded unverified. *)
 let read_frame (d : Device.t) ~limit pos =
   if pos + frame_header > limit then None
   else
@@ -179,37 +171,14 @@ let read_frame (d : Device.t) ~limit pos =
       let payload = d.read ~pos:(pos + frame_header) ~len in
       if Checksum.bytes_int payload <> Codec.get_u32 hdr 4 then None else Some payload
 
-(* The offset of the first invalid frame at or after [from] (= valid end
-   of log). *)
-let scan_valid_end (d : Device.t) ~from =
-  let total = d.size () in
-  let rec go pos =
-    match read_frame d ~limit:total pos with
-    | Some payload -> go (pos + frame_header + Bytes.length payload)
-    | None -> pos
-  in
-  go from
-
-let open_device ?(metrics = M.null) ?checkpoint_lsn device =
-  (* Every frame before a checkpoint record the meta page names is
-     durable: the record was synced before the meta page was written.  So
-     the torn-tail scan may start there, as long as the frame there
-     verifies; otherwise (no meta page, or a meta page that does not
-     match this log) it starts at 0. *)
-  let valid =
-    match checkpoint_lsn with
-    | Some lsn when Int64.compare lsn 0L > 0 ->
-        let pos = Int64.to_int lsn in
-        let valid = scan_valid_end device ~from:pos in
-        if valid > pos then valid else scan_valid_end device ~from:0
-    | _ -> scan_valid_end device ~from:0
-  in
-  if valid < device.Device.size () then device.Device.truncate valid;
+let open_device ?(metrics = M.null) ?(checkpoint_lsn = 0L) device =
+  let size = device.Device.size () in
   {
     device;
     tail_mu = Mutex.create ();
-    next = Int64.of_int valid;
-    durable_end = Int64.of_int valid;
+    next = Int64.of_int size;
+    durable_end = Int64.of_int size;
+    unverified_from = (if size = 0 then max_int else Int64.to_int checkpoint_lsn);
     tail = [];
     tail_commits = 0;
     volatile = Hashtbl.create 64;
@@ -238,7 +207,7 @@ let with_flush_mu t f =
       f
   end
 
-let durable t = Mutex.protect t.tail_mu (fun () -> t.durable_end)
+let flushed_lsn t = Mutex.protect t.tail_mu (fun () -> t.durable_end)
 
 let group_floor t = Mutex.protect t.tail_mu (fun () -> t.group_floor)
 
@@ -253,8 +222,6 @@ let atomically t f =
           if t.group_depth = 0 then t.group_floor <- None))
     f
 
-let flushed_lsn t = durable t
-
 (* Queue one frame; returns its LSN and the number of Commit frames in
    the tail right after it. *)
 let push t body =
@@ -263,6 +230,8 @@ let push t body =
   let commit = match body with Log_record.Commit _ -> 1 | _ -> 0 in
   let placed =
     Mutex.protect t.tail_mu (fun () ->
+        if t.unverified_from < max_int then
+          invalid_arg "Wal.append: the log has not been read to its end since the open";
         let lsn = t.next in
         t.next <- Int64.add lsn (Int64.of_int (Bytes.length frame));
         t.tail <- (lsn, frame) :: t.tail;
@@ -292,9 +261,9 @@ let flush_as_leader t needed =
   with_flush_mu t (fun () ->
       (* the flush that held leadership before us may have covered our
          record already *)
-      let frames, new_end, commits =
+      let frames, new_end, commits, old_end =
         Mutex.protect t.tail_mu (fun () ->
-            if Int64.compare needed t.durable_end < 0 then ([], t.next, 0)
+            if Int64.compare needed t.durable_end < 0 then ([], t.next, 0, t.durable_end)
             else
               let frames, new_end =
                 match t.group_floor with
@@ -303,13 +272,18 @@ let flush_as_leader t needed =
                     ( List.filter (fun (lsn, _) -> Int64.compare lsn floor < 0) (List.rev t.tail),
                       floor )
               in
-              (frames, new_end, t.tail_commits))
+              (frames, new_end, t.tail_commits, t.durable_end))
       in
       if frames <> [] then begin
         Imdb_obs.Tracer.with_span t.tracer "wal.flush" (fun sp ->
             let bytes =
               List.fold_left (fun acc (_, f) -> acc + Bytes.length f) 0 frames
             in
+            (* cut off what lies past the durable log (the torn tail an
+               open ended the log before, or a failed append's part); the
+               sync below covers the cut too *)
+            if t.device.Device.size () > Int64.to_int old_end then
+              t.device.Device.truncate (Int64.to_int old_end);
             List.iter (fun (_, frame) -> t.device.Device.append frame) frames;
             t.device.Device.sync ();
             Mutex.protect t.tail_mu (fun () ->
@@ -336,19 +310,16 @@ let flush_as_leader t needed =
    leadership and pushes the buffered frames out in a single
    append+sync; concurrent flushers whose LSN that sync covers are
    {e followers} — they wait on [flush_cv] for the durable horizon to
-   pass their record and never touch the device or [flush_mu] at all.
-   (Queueing followers on [flush_mu] instead invites starvation: an OS
-   mutex lets a hot leader that unlocks and immediately re-locks barge
-   ahead of the parked waiters, so a committer could sit through many
-   1-record syncs that each already covered it.)  A committer's return
-   from [flush ~lsn:commit_lsn] is its durability acknowledgment. *)
+   pass their record and never touch the device or [flush_mu] at all
+   (see [flush_active]).  A committer's return from
+   [flush ~lsn:commit_lsn] is its durability acknowledgment. *)
 let flush ?lsn t =
   let needed =
     match lsn with Some l -> l | None -> Int64.pred (next_lsn t)
   in
   let me = (Domain.self () :> int) + 1 in
   let rec run () =
-    if Int64.compare needed (durable t) >= 0 then begin
+    if Int64.compare needed (flushed_lsn t) >= 0 then begin
       Mutex.lock t.tail_mu;
       if t.flush_active && Atomic.get t.flush_owner <> me then begin
         (* follower: a leader's sync is in flight and it is not our own
@@ -395,18 +366,28 @@ let crash_volatile t =
 (* Iterate durable records from [from_lsn] (must be a frame boundary).
    Runs under [flush_mu] so device reads never interleave with a
    concurrent flush's appends (the file device shares one descriptor).
-   Below the durable end a frame that fails its CRC is corruption, not a
-   torn tail: it raises [Corrupt_frame] and is never decoded. *)
+   A frame that fails its CRC at or past [unverified_from] is a torn tail
+   that ends the log, from then on decided; anywhere else it is
+   corruption and raises [Corrupt_frame].  The end is read before each
+   frame: [f] may itself read to the end and end the log (a torn-page
+   rebuild inside recovery's pass). *)
 let iter_from t ~from_lsn f =
   with_flush_mu t (fun () ->
-      let total = Int64.to_int (durable t) in
       let rec go pos =
-        if pos < total then
-          match read_frame t.device ~limit:total pos with
-          | Some payload ->
-              f (Int64.of_int pos) (Log_record.decode payload);
-              go (pos + frame_header + Bytes.length payload)
-          | None -> raise (Corrupt_frame (Int64.of_int pos))
+        (* both fields change only under [flush_mu], which we hold *)
+        let total = Int64.to_int t.durable_end in
+        match if pos < total then read_frame t.device ~limit:total pos else None with
+        | Some payload ->
+            f (Int64.of_int pos) (Log_record.decode payload);
+            go (pos + frame_header + Bytes.length payload)
+        | None when pos >= total || pos >= t.unverified_from ->
+            Mutex.protect t.tail_mu (fun () ->
+                t.unverified_from <- max_int;
+                if pos < total then begin
+                  t.durable_end <- Int64.of_int pos;
+                  t.next <- Int64.of_int pos
+                end)
+        | None -> raise (Corrupt_frame (Int64.of_int pos))
       in
       go (Int64.to_int from_lsn))
 
@@ -418,12 +399,9 @@ let read_at t lsn =
       Log_record.decode (Bytes.sub frame frame_header len)
   | None ->
       with_flush_mu t (fun () ->
-          let total = Int64.to_int (durable t) in
-          if Int64.compare lsn (Int64.of_int total) < 0 then
-            match read_frame t.device ~limit:total (Int64.to_int lsn) with
-            | Some payload -> Log_record.decode payload
-            | None -> raise (Corrupt_frame lsn)
-          else failwith (Printf.sprintf "Wal.read_at: no record at lsn %Ld" lsn))
+          match read_frame t.device ~limit:(Int64.to_int t.durable_end) (Int64.to_int lsn) with
+          | Some payload -> Log_record.decode payload
+          | None -> raise (Corrupt_frame lsn))
 
 let close t =
   flush t;

@@ -4,9 +4,10 @@
     total order of all logged actions.  Appends buffer in memory; [flush]
     makes the prefix durable (the buffer pool calls it before any page
     write — WAL before data — and commit calls it at the commit record).
-    Reopening after a crash scans the durable stream from the last
-    checkpoint and truncates the first torn or corrupt frame; every frame
-    read afterwards is checked against its CRC again.
+    Opening reads nothing: the first reader to reach the end of log (after
+    a crash, recovery's one pass) ends it at a torn tail, and the first
+    flush after that cuts the tail off the device.  Every frame read is
+    checked against its CRC.
 
     Safe to share across domains: an append reserves its LSN and queues
     its frame on the one volatile tail under one mutex, and device
@@ -32,16 +33,16 @@ end
 type t
 
 exception Corrupt_frame of int64
-(** A durable frame, at this LSN, failed its CRC when read.  Frames the
-    open scan did not cover (those before the checkpoint it started at)
-    are verified only when read, and one that fails is an error, never a
-    torn tail. *)
+(** A durable frame, at this LSN, failed its CRC when read where the log
+    cannot be torn: before the checkpoint named at open, or below an end
+    of log a reader has already reached. *)
 
 val open_device : ?metrics:Imdb_obs.Metrics.t -> ?checkpoint_lsn:int64 -> Device.t -> t
-(** Open, scanning for the valid end of log and truncating a torn tail.
-    The scan starts at [checkpoint_lsn] — the LSN of a checkpoint record
-    that was durable when the meta page named it — if the frame there
-    verifies, and at 0 otherwise. *)
+(** Open without reading.  Until {!iter_from} reaches the end of log, the
+    end is the device's end, and from [checkpoint_lsn] (default 0; the
+    LSN of a checkpoint record durable when the meta page named it) the
+    first frame that fails its CRC ends the log instead of raising
+    {!Corrupt_frame}.  A flush truncates the device to the end of log. *)
 
 val set_tracer : t -> Imdb_obs.Tracer.t -> unit
 (** Point the log at an engine's tracer: [flush] records a "wal.flush"
@@ -50,7 +51,9 @@ val set_tracer : t -> Imdb_obs.Tracer.t -> unit
     both nest under the commit span that triggered the flush. *)
 
 val append : t -> Log_record.body -> int64
-(** Buffer a record; returns its LSN. *)
+(** Buffer a record; returns its LSN.
+    @raise Invalid_argument on a non-empty log no reader has read to its
+    end since the open. *)
 
 val append_commit :
   t -> tid:Imdb_clock.Tid.t -> ts:Imdb_clock.Timestamp.t -> int64 * int
@@ -82,12 +85,13 @@ val next_lsn : t -> int64
 val flushed_lsn : t -> int64
 
 val iter_from : t -> from_lsn:int64 -> (int64 -> Log_record.body -> unit) -> unit
-(** Iterate durable records from a frame boundary.
-    @raise Corrupt_frame at a frame that fails its CRC. *)
+(** Iterate durable records from a frame boundary to the end of log,
+    ending the log at a torn tail (see {!open_device}).
+    @raise Corrupt_frame at a frame that fails its CRC elsewhere. *)
 
 val read_at : t -> int64 -> Log_record.body
 (** Read one record, durable or still buffered (rollback chains).
-    @raise Corrupt_frame if a durable frame fails its CRC. *)
+    @raise Corrupt_frame if no whole frame that passes its CRC is there. *)
 
 val crash_volatile : t -> unit
 (** Crash simulation: drop the unflushed tail; the commits in it are

@@ -207,12 +207,26 @@ let test_wal_torn_tail_truncated () =
   let good_size = dev.Wal.Device.size () in
   (* simulate a torn frame: append garbage that looks like a partial frame *)
   dev.Wal.Device.append (Bytes.of_string "\x40\x00\x00\x00\xde\xad");
+  let torn_size = dev.Wal.Device.size () in
   let w2 = Wal.open_device dev in
-  Alcotest.(check int64) "torn tail truncated" (Int64.of_int good_size)
-    (Wal.next_lsn w2);
+  (match Wal.append w2 (LR.Begin { tid = Tid.of_int 2 }) with
+  | _ -> Alcotest.fail "appended before the log's end was read"
+  | exception Invalid_argument _ -> ());
   let seen = ref 0 in
   Wal.iter_from w2 ~from_lsn:0L (fun _ _ -> incr seen);
-  Alcotest.(check int) "both good records intact" 2 !seen
+  Alcotest.(check int) "both good records intact" 2 !seen;
+  Alcotest.(check int64) "the reader ended the log" (Int64.of_int good_size)
+    (Wal.next_lsn w2);
+  (* the torn bytes stay on the device until the first flush appends *)
+  Alcotest.(check int) "reading leaves the device alone" torn_size (dev.Wal.Device.size ());
+  ignore (Wal.append w2 (LR.End { tid = Tid.of_int 2 }));
+  Wal.flush w2;
+  let w3 = Wal.open_device dev in
+  let seen = ref 0 in
+  Wal.iter_from w3 ~from_lsn:0L (fun _ _ -> incr seen);
+  Alcotest.(check int) "the flush replaced the torn tail" 3 !seen;
+  Alcotest.(check int64) "no bytes past the last frame" (Wal.next_lsn w3)
+    (Int64.of_int (dev.Wal.Device.size ()))
 
 let test_wal_corrupt_middle_frame () =
   (* a bit flip in a flushed frame's payload must stop the scan there *)
@@ -479,11 +493,11 @@ let test_wal_atomic_group () =
       Alcotest.(check (option int64)) "group floor" (Some !inside) (Wal.group_floor w));
   Alcotest.(check (option int64)) "group closed" None (Wal.group_floor w);
   Wal.crash_volatile w;
+  let w = Wal.open_device dev in
   let seen = ref 0 in
-  Wal.iter_from (Wal.open_device dev) ~from_lsn:0L (fun _ _ -> incr seen);
+  Wal.iter_from w ~from_lsn:0L (fun _ _ -> incr seen);
   Alcotest.(check int) "no record of the group survives" 1 !seen;
   (* once closed, the group flushes as a whole *)
-  let w = Wal.open_device dev in
   Wal.atomically w (fun () ->
       ignore (Wal.append w (LR.Begin { tid = Tid.of_int 3 }));
       ignore (Wal.append w (LR.End { tid = Tid.of_int 3 })));

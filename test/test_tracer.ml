@@ -241,13 +241,20 @@ let test_recovery_spans () =
       Alcotest.(check int)
         (phase ^ " nests under recovery")
         recovery.Tr.c_id (find phase).Tr.c_parent)
-    [ "recovery.analysis"; "recovery.redo"; "recovery.undo" ];
+    [ "recovery.redo"; "recovery.undo" ];
+  (* analysis is part of redo's one pass over the log, not a phase *)
+  Alcotest.(check bool) "no analysis span" false
+    (List.exists (fun c -> c.Tr.c_name = "recovery.analysis") spans);
   let redo = find "recovery.redo" in
   let attr k c =
     match List.assoc_opt k c.Tr.c_attrs with
     | Some v -> Int64.of_string v
     | None -> Alcotest.failf "missing attr %s" k
   in
+  (* the analysis bookkeeping reports on the pass's span *)
+  List.iter
+    (fun k -> Alcotest.(check bool) (k ^ " counted") true (Int64.compare (attr k redo) 0L >= 0))
+    [ "att"; "dirty_pages"; "commits" ];
   let redo_start = attr "redo_start" redo and redo_end = attr "redo_end" redo in
   Alcotest.(check bool) "redo progressed monotonically" true
     (Int64.compare redo_end redo_start >= 0);
