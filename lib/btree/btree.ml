@@ -538,32 +538,72 @@ let insert ?(undoable = true) t ~key ~value =
   in
   attempt ()
 
-(* The descent of [find_leaf], also returning the leaf's exclusive upper
-   fence: the least separator above the one taken, from the deepest node
-   that has one ([None] on the right edge). *)
-let rec descend_fenced t page_id key path high =
-  Imdb_buffer.Buffer_pool.with_page t.pool page_id (fun fr ->
-      let page = Imdb_buffer.Buffer_pool.bytes fr in
-      if is_leaf page then (page_id, List.rev path, high)
-      else
-        let kd = frame_keydir t fr in
-        let i = kd_floor kd key in
-        if i < 0 then
-          failwith
-            (Printf.sprintf "Btree: internal page %d lacks a floor for %S" page_id key);
-        let slot = kd.BP.kd_slots.(i) in
-        let high =
-          if i + 1 < Array.length kd.BP.kd_keys then Some kd.BP.kd_keys.(i + 1) else high
-        in
-        let _, child = decode_node_cell (P.read_cell page slot) in
-        descend_fenced t child key ((page_id, slot) :: path) high)
+(* Append [cells] (sorted, all above every key the page holds) at the
+   end of [fr]'s slot array while they fit — no key search and no
+   dead-slot scan, since no key can be present and a new slot is always a
+   legal one — and log the leaf's change as the smaller of two records:
+   one [Op_insert] per cell, or one [Op_image] of the leaf as filled
+   (which a full leaf usually earns).  Returns the cells that did not
+   fit. *)
+let append_to_leaf t fr cells =
+  (* a redo-only frame's bytes besides the cell or the image: frame
+     header, record and op tags, page id, slot or length *)
+  let framing = 18 in
+  let img = Bytes.copy (Imdb_buffer.Buffer_pool.bytes fr) in
+  let rec fill acc inserts_bytes = function
+    | (_, cell) :: tl when P.free_space img >= Bytes.length cell + 4 ->
+        let slot = P.slot_count img in
+        P.insert_at_slot img slot cell;
+        fill ((slot, cell) :: acc) (inserts_bytes + Bytes.length cell + framing) tl
+    | rest -> (List.rev acc, inserts_bytes, rest)
+  in
+  let appended, inserts_bytes, rest = fill [] 0 cells in
+  if inserts_bytes > Bytes.length img + framing then
+    t.io.exec fr ~undoable:false (Imdb_wal.Log_record.Op_image { image = img })
+  else
+    List.iter
+      (fun (slot, body) ->
+        t.io.exec fr ~undoable:false (Imdb_wal.Log_record.Op_insert { slot; body }))
+      appended;
+  rest
 
-(* Insert or replace many entries, redo-only, with one descent per leaf
-   run: entries are sorted, and every entry below the pinned leaf's
-   fence goes into it before the next descent.  A full leaf splits (one
-   atomic group, as in [insert]) and the run resumes with a fresh
-   descent.  PTT posting inserts TIDs that cluster at the tree's right
-   edge, so the common cost is one descent per leaf filled. *)
+(* The right-edge append: [cells] lie beyond the largest key of the tree,
+   whose rightmost leaf is [leaf_id].  That leaf takes what fits, then
+   each fresh leaf is allocated, filled, linked after its predecessor and
+   given a separator — one atomic structure modification per leaf, like a
+   split, but with no half-empty pages and no per-entry search. *)
+let append_right t ~leaf_id cells =
+  let rec grow prev_id = function
+    | [] -> ()
+    | (sep, _) :: _ as cells ->
+        let leaf_id, rest =
+          t.io.atomic (fun () ->
+              let leaf_id = t.io.alloc ~ptype:P.P_heap ~level:0 in
+              let rest =
+                Imdb_buffer.Buffer_pool.with_page t.pool leaf_id (fun fr ->
+                    t.io.exec fr ~undoable:false
+                      (Imdb_wal.Log_record.header_u32 ~at:44 prev_id);
+                    append_to_leaf t fr cells)
+              in
+              Imdb_buffer.Buffer_pool.with_page t.pool prev_id (fun pf ->
+                  t.io.exec pf ~undoable:false (Imdb_wal.Log_record.header_u32 ~at:40 leaf_id));
+              (* the path to [prev_id], still the rightmost leaf *)
+              let _, path = find_leaf t sep in
+              insert_into_node t (List.rev path) ~sep ~child:leaf_id;
+              (leaf_id, rest))
+        in
+        grow leaf_id rest
+  in
+  grow leaf_id
+    (Imdb_buffer.Buffer_pool.with_page t.pool leaf_id (fun fr -> append_to_leaf t fr cells))
+
+(* Insert or replace many entries, redo-only.  Entries are sorted, and
+   those beyond the tree's largest key — the largest key of the
+   rightmost leaf — are a right-edge append ([append_right]).  PTT
+   posting is mostly that case: TIDs only grow, and only a transaction
+   that began before an already posted one, or a mapping posted again
+   after a crash, lands below; those go in one by one, as [insert]
+   does. *)
 let insert_batch t entries =
   let entries = List.sort_uniq (fun (a, _) (b, _) -> String.compare a b) entries in
   let cells = List.map (fun (key, value) -> (key, leaf_cell ~key ~value)) entries in
@@ -574,42 +614,36 @@ let insert_batch t entries =
           (Printf.sprintf "Btree %s: entry of %d bytes exceeds page capacity" t.name
              (Bytes.length cell)))
     cells;
-  let rec run = function
-    | [] -> ()
-    | (key, _) :: _ as pending ->
-        let leaf_id, path, high = descend_fenced t t.root key [] None in
-        let below_fence k =
-          match high with None -> true | Some h -> String.compare k h < 0
-        in
-        let rest =
-          Imdb_buffer.Buffer_pool.with_page t.pool leaf_id (fun fr ->
-              let page = Imdb_buffer.Buffer_pool.bytes fr in
-              let rec put = function
-                | (k, cell) :: tl as all when below_fence k -> (
-                    let len = Bytes.length cell in
-                    match leaf_find_slot page k with
-                    | Some slot when P.free_space page + P.cell_length page slot + 2 >= len + 2
-                      ->
-                        t.io.exec fr ~undoable:false
-                          (Imdb_wal.Log_record.Op_replace { slot; body = cell });
-                        put tl
-                    | None when P.fits page len ->
-                        let slot = P.choose_insert_slot page in
-                        t.io.exec fr ~undoable:false
-                          (Imdb_wal.Log_record.Op_insert { slot; body = cell });
-                        put tl
-                    | Some _ | None ->
-                        t.io.atomic (fun () ->
-                            let sep, right_id = split_page t fr in
-                            insert_into_node t (List.rev path) ~sep ~child:right_id);
-                        all)
-                | all -> all
-              in
-              put pending)
-        in
-        run rest
-  in
-  run cells
+  match List.rev cells with
+  | [] -> ()
+  | (last, _) :: _ ->
+      let leaf_id, _ = find_leaf t last in
+      (* the tree's largest key, from the rightmost leaf when [last]
+         routes there; an empty rightmost leaf that is not the root
+         leaves it unknown, and every entry goes in one by one *)
+      let largest =
+        Imdb_buffer.Buffer_pool.with_page t.pool leaf_id (fun fr ->
+            let page = Imdb_buffer.Buffer_pool.bytes fr in
+            if P.next_page page <> P.no_page then `Unknown
+            else
+              match
+                P.fold_live page ~init:(-1) ~f:(fun best slot ->
+                    if best < 0 || cell_cell_compare page slot best > 0 then slot else best)
+              with
+              | -1 -> if leaf_id = t.root then `Empty_tree else `Unknown
+              | best -> `Key (cell_key page best))
+      in
+      let below key =
+        match largest with
+        | `Key max -> String.compare key max <= 0
+        | `Empty_tree -> false
+        | `Unknown -> true
+      in
+      let beyond = List.filter (fun (key, _) -> not (below key)) cells in
+      if beyond <> [] then append_right t ~leaf_id beyond;
+      List.iter
+        (fun (key, value) -> if below key then insert ~undoable:false t ~key ~value)
+        entries
 
 (* --- deletion -------------------------------------------------------------- *)
 

@@ -62,9 +62,12 @@ val insert : ?undoable:bool -> t -> key:string -> value:bytes -> unit
     @raise Invalid_argument if the entry exceeds page capacity. *)
 
 val insert_batch : t -> (string * bytes) list -> unit
-(** Insert or replace many entries, redo-only, with one descent per
-    leaf run (entries are sorted internally; duplicate keys collapse).
-    Leaf splits are logged as in {!insert}.
+(** Insert or replace many entries, redo-only (entries are sorted
+    internally; duplicate keys collapse).  A batch beyond the tree's
+    largest key is appended at the right edge: the rightmost leaf and
+    then fresh leaves are filled, each leaf's share logged as one image
+    or as one insert per entry, whichever is smaller.  Entries below
+    that key go in one by one, as {!insert} [~undoable:false] does.
     @raise Invalid_argument if an entry exceeds page capacity. *)
 
 val find : t -> key:string -> bytes option

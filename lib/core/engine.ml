@@ -672,15 +672,19 @@ let history_link t pid =
 (* The span closes on exception too ([Tracer.with_span] wraps the body
    in [Fun.protect]).
 
-   Posting precedes the checkpoint record.  Once that record is
-   recovery's start, a Commit record below it no longer answers for its
-   transaction, so every committed mapping a page may still need must
-   be in the PTT by then: the ones GC keeps at this redo-scan start are
+   Posting precedes the checkpoint record.  The record names the
+   redo-scan start computed after the sweep as recovery's start, and a
+   Commit record below it no longer answers for its transaction, so
+   every mapping committed below it that a page may still need must be
+   in the PTT by then: the ones GC keeps at this redo-scan start are
    posted in one atomic group of redo-only records, which the flush
-   after the checkpoint record makes durable with it.  GC itself runs
-   once the meta page names the new checkpoint: deleting a mapping an
-   earlier checkpoint posted is safe only when recovery can no longer
-   start from that one. *)
+   after the checkpoint record makes durable with it.  The recorded
+   start is that same LSN, not the minimum of the dirty-page table
+   taken after posting: the posting may evict the page that held the
+   eldest recLSN, and recovery must still read the Commit records the
+   posting skipped.  GC itself runs once the meta page names the new
+   checkpoint: deleting a mapping an earlier checkpoint posted is safe
+   only when recovery can no longer start from that one. *)
 let checkpoint t =
   let module M = Imdb_obs.Metrics in
   Imdb_obs.Tracer.with_span t.tracer "checkpoint" @@ fun sp ->
@@ -727,7 +731,13 @@ let checkpoint t =
   let lsn =
     Imdb_wal.Wal.append t.wal
       (LR.Checkpoint
-         { att; dpt; next_tid = t.next_tid; clock = Imdb_clock.Clock.last_issued t.clock })
+         {
+           att;
+           dpt;
+           next_tid = t.next_tid;
+           clock = Imdb_clock.Clock.last_issued t.clock;
+           redo_start = redo_scan_start;
+         })
   in
   Imdb_wal.Wal.flush t.wal;
   update_meta t (fun m -> m.Meta.last_checkpoint_lsn <- lsn);

@@ -15,8 +15,12 @@ let magic = 0x494d4442 (* "IMDB" *)
 (* 2: physical log ops carry after-images only; no CLR or Abort records
    3: checkpoints post every mapping recovery may need to the PTT; a
       version-2 checkpoint never posted snapshot-table TIDs, whose
-      mappings only a scan of the whole log recovers *)
-let format_version = 3
+      mappings only a scan of the whole log recovers
+   4: Commit records say whether the transaction wrote versions, and a
+      checkpoint names its redo start and posts only the mappings
+      committed below it; a version-3 recovery seeds from the checkpoint
+      and would miss the commits between the two *)
+let format_version = 4
 let meta_page_id = 0
 let meta_slot = 0
 

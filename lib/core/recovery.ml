@@ -2,33 +2,36 @@
 
    Recovery reads the checkpoint record the meta page names
    ([Wal.read_at]): its active-transaction table (ATT), dirty-page table
-   (DPT), TID counter and clock floor.  One pass then runs from the redo
-   start — the eldest recLSN in that DPT, at most about one interval
-   before the checkpoint, since each checkpoint sweeps the pages dirty
-   since before the previous one — to the end of log.  Frames below the
-   checkpoint feed redo only, through the checkpoint's DPT.  From the
-   checkpoint on, the same callback first does the analysis bookkeeping:
-   ATT, DPT at the frame's own LSN (where redo's filter starts a page
-   first dirtied after the checkpoint anyway), TID and clock, Commit
-   records.  Below the checkpoint a frame that fails its CRC stops the
-   open ([Wal.Corrupt_frame]); from it on, the first one is the torn tail
-   where the pass ends the log.  Only an open with no usable meta page
-   and the rebuild of a torn page ([rebuild_page_from_log], which stops
-   at the same tail) read from LSN 0.
+   (DPT), TID counter, clock floor and redo start.  The redo start is
+   the redo-scan start the checkpoint computed after its sweep — the
+   eldest recLSN then in the pool, at most about one interval before the
+   checkpoint, since each checkpoint sweeps the pages dirty since before
+   the previous one — and no later than any recLSN in the recorded DPT.
+   One pass then runs from the redo start to the end of log.  Every
+   frame in it feeds redo through the DPT, and every Commit record in it
+   whose transaction wrote versions seeds the VTT.  From the checkpoint
+   on, the same callback first does the analysis bookkeeping: ATT, DPT at
+   the frame's own LSN (where redo's filter starts a page first dirtied
+   after the checkpoint anyway), TID and clock.  Below the checkpoint a
+   frame that fails its CRC stops the open ([Wal.Corrupt_frame]); from it
+   on, the first one is the torn tail where the pass ends the log.  Only
+   an open with no usable meta page and the rebuild of a torn page
+   ([rebuild_page_from_log], which stops at the same tail) read from
+   LSN 0.
 
-   The redo-scan start point — the quantity the paper's PTT garbage
-   collection is keyed to — is the minimum recLSN in the dirty-page table
-   of the last checkpoint; checkpointing moves it forward, and the PTT GC
-   may discard a mapping only once that point passes the transaction's
-   stamping-complete LSN.  Recovery here never needs a discarded mapping:
-   every version that could still carry a TID on disk, or get it back
-   through redo, has its (TID, ts) either in the PTT (each checkpoint
-   posts the survivors of its GC before writing its record) or among the
-   Commit records at or after the last checkpoint, which the pass seeds
-   into the VTT for the transactions that may have written versions.  The
-   recovery checkpoint posts those and forgets them.  A torn page rebuilt
-   from the whole log is stamped from the Commit records of that same
-   scan, since its replay resurrects every TID the page ever held.
+   The redo-scan start point is also the quantity the paper's PTT
+   garbage collection is keyed to: the GC may discard a mapping only
+   once that point passes the transaction's stamping-complete LSN.
+   Recovery here never needs a discarded mapping: every version that
+   could still carry a TID on disk, or get it back through redo, has its
+   (TID, ts) either in the PTT (a checkpoint posts every mapping
+   committed below its redo start that its GC keeps) or among the Commit
+   records at or after that redo start, which the pass seeds into the
+   VTT when the record says the transaction wrote versions.  A later
+   checkpoint posts those once its redo-scan start passes them, and
+   forgets them.  A torn page rebuilt from the whole log is stamped from
+   the Commit records of that same scan, since its replay resurrects
+   every TID the page ever held.
 
    Undo uses the guarded logical rollback of [Txnmgr]: losers' version
    inserts and B-tree updates are located through the live structures and
@@ -54,8 +57,9 @@ type pass = {
   mutable dpt : (int * int64) list; (* page -> recLSN *)
   mutable max_tid : Tid.t;
   mutable max_ts : Ts.t;
-  mutable commits : (Tid.t * Ts.t) list; (* the Commit records of [writers] *)
-  writers : unit Tid.Table.t; (* transactions that may have written versions *)
+  mutable commits : (Tid.t * Ts.t * int64) list;
+      (* the version writers' Commit records from the redo start, with
+         their LSNs *)
 }
 
 let att_update a tid ~lsn = a.att <- (tid, lsn) :: List.remove_assoc tid a.att
@@ -69,11 +73,7 @@ let observe_ts a ts = if Ts.compare ts a.max_ts > 0 then a.max_ts <- ts
 (* The analysis bookkeeping for a frame at or after the checkpoint.  A
    Commit takes its transaction out of the ATT (it is no loser, whether
    or not its End made it to the log); an interrupted abort stays in, to
-   be undone again from its Update chain.  Only a transaction in the
-   checkpoint's ATT or one that logs a version insert or an ingest
-   message can leave its TID on a page: any other Commit record (a
-   conventional-only or DDL transaction) would post a PTT entry that GC
-   never collects. *)
+   be undone again from its Update chain. *)
 let analyze_frame a lsn = function
   | LR.Checkpoint { next_tid; clock; _ } ->
       observe_tid a (Tid.of_int64 (Int64.pred (Tid.to_int64 next_tid)));
@@ -81,18 +81,14 @@ let analyze_frame a lsn = function
   | LR.Begin { tid } ->
       observe_tid a tid;
       att_update a tid ~lsn
-  | LR.Update { tid; page_id; op; _ } ->
+  | LR.Update { tid; page_id; _ } ->
       observe_tid a tid;
       att_update a tid ~lsn;
-      dpt_add a page_id ~lsn;
-      (match op with
-      | LR.Op_version_insert _ | LR.Op_msg_append _ -> Tid.Table.replace a.writers tid ()
-      | _ -> ())
+      dpt_add a page_id ~lsn
   | LR.Redo_only { page_id; _ } -> dpt_add a page_id ~lsn
-  | LR.Commit { tid; ts } ->
+  | LR.Commit { tid; ts; _ } ->
       observe_tid a tid;
       observe_ts a ts;
-      if Tid.Table.mem a.writers tid then a.commits <- (tid, ts) :: a.commits;
       a.att <- List.remove_assoc tid a.att
   | LR.End { tid } ->
       observe_tid a tid;
@@ -121,7 +117,7 @@ let rebuild_page_from_log eng page_id =
             LR.redo_op page op;
             BP.mark_dirty_logged eng.E.pool fr ~lsn
           end
-      | LR.Commit { tid; ts } -> Tid.Table.replace commits tid ts
+      | LR.Commit { tid; ts; _ } -> Tid.Table.replace commits tid ts
       | LR.Begin _ | LR.End _ | LR.Checkpoint _ -> ());
   (* The replay brought back every TID the page's versions ever held,
      also those of transactions whose mappings GC has forgotten since
@@ -177,26 +173,26 @@ let op_rebuilds = function
    gauge tracks the scan position record by record, so an observer (or a
    post-mortem of a crashed recovery) sees monotone progress. *)
 let pass eng ~checkpoint_lsn =
-  let writers = Tid.Table.create 64 in
-  let a =
-    { att = []; dpt = []; max_tid = Tid.invalid; max_ts = Ts.zero; commits = []; writers }
-  in
-  (if Int64.compare checkpoint_lsn 0L > 0 then
-     match Imdb_wal.Wal.read_at eng.E.wal checkpoint_lsn with
-     | LR.Checkpoint { att; dpt; _ } ->
-         a.att <- att;
-         a.dpt <- dpt;
-         List.iter (fun (tid, _) -> Tid.Table.replace writers tid ()) att
-     | _ | exception Imdb_wal.Wal.Corrupt_frame _ ->
-         failwith
-           (Printf.sprintf "Recovery: the meta page names LSN %Ld, which holds no checkpoint"
-              checkpoint_lsn));
+  let a = { att = []; dpt = []; max_tid = Tid.invalid; max_ts = Ts.zero; commits = [] } in
   let redo_start =
-    List.fold_left (fun acc (_, rec_lsn) -> min acc rec_lsn) checkpoint_lsn a.dpt
+    if Int64.compare checkpoint_lsn 0L > 0 then
+      match Imdb_wal.Wal.read_at eng.E.wal checkpoint_lsn with
+      | LR.Checkpoint { att; dpt; redo_start; _ } ->
+          a.att <- att;
+          a.dpt <- dpt;
+          redo_start
+      | _ | exception Imdb_wal.Wal.Corrupt_frame _ ->
+          failwith
+            (Printf.sprintf "Recovery: the meta page names LSN %Ld, which holds no checkpoint"
+               checkpoint_lsn)
+    else 0L
   in
   let last_applied = ref redo_start in
   Imdb_wal.Wal.iter_from eng.E.wal ~from_lsn:redo_start (fun lsn body ->
       if Int64.compare lsn checkpoint_lsn >= 0 then analyze_frame a lsn body;
+      (match body with
+      | LR.Commit { tid; ts; wrote_versions = true } -> a.commits <- (tid, ts, lsn) :: a.commits
+      | _ -> ());
       let apply page_id op =
         match List.assoc_opt page_id a.dpt with
         | Some rec_lsn when Int64.compare lsn rec_lsn >= 0 -> (
@@ -291,10 +287,11 @@ let recover eng =
       Imdb_clock.Clock.observe eng.E.clock a.max_ts;
       eng.E.next_tid <- Tid.next a.max_tid;
       E.attach_system eng;
-      (* the mappings of commits since the last checkpoint: the recovery
-         checkpoint below posts them to the PTT and forgets them *)
+      (* the mappings of the version writers committed since the redo
+         start: the first checkpoint whose redo-scan start passes one
+         posts it to the PTT and forgets it *)
       List.iter
-        (fun (tid, ts) -> Imdb_tstamp.Vtt.seed_from_log (E.vtt eng) tid ts)
+        (fun (tid, ts, lsn) -> Imdb_tstamp.Vtt.seed_from_log (E.vtt eng) tid ts ~lsn)
         a.commits;
       (* roll back losers *)
       let losers = List.length a.att in

@@ -53,11 +53,18 @@ let commit eng txn =
     if eng.E.config.E.timestamping = E.Eager_stamping then
       Table.eager_stamp_writes eng txn ~ts;
     E.ensure_begun eng txn;
+    (* a version still carrying the TID is what makes recovery seed the
+       mapping from this record *)
+    let wrote_versions =
+      match Imdb_tstamp.Vtt.find (E.vtt eng) txn.E.tx_tid with
+      | Some e -> e.Imdb_tstamp.Vtt.refcount > 0
+      | None -> false
+    in
     (* [batch_pos]: our position in the forming group-commit batch, 1 =
        leader (our flush will pay the sync), k = riding a batch of k so
        far *)
     let commit_lsn, batch_pos =
-      Imdb_wal.Wal.append_commit eng.E.wal ~tid:txn.E.tx_tid ~ts
+      Imdb_wal.Wal.append_commit eng.E.wal ~tid:txn.E.tx_tid ~ts ~wrote_versions
     in
     (* The VTT commit — the visibility switch — happens here, in the same
        gate section that issued the timestamp, so concurrent sessions can

@@ -11,8 +11,10 @@
 
    No stamping is ever logged.  Durability of stamping is the GC rule's
    job: a mapping survives until the redo-scan start point proves every
-   stamped page reached disk.  Until a checkpoint posts it to the PTT,
-   the transaction's Commit record is its durable source. *)
+   stamped page reached disk.  While its Commit record lies at or after
+   the redo-scan start, that record is its durable source (recovery's
+   pass reads from there); a checkpoint posts it to the PTT once the
+   start moves past the record and GC would still keep it. *)
 
 module Ts = Imdb_clock.Timestamp
 module Tid = Imdb_clock.Tid
@@ -143,14 +145,16 @@ let stamp_page_volatile t page =
   Imdb_version.Vpage.stamp_committed ~metrics:t.metrics page
     ~resolve:(resolve_volatile_only t) ~on_stamp:(on_stamp t)
 
-(* Checkpoint posting, before the checkpoint record: every committed
-   mapping the PTT lacks goes into it in one redo-only batch, so that
-   once that record moves recovery's start past their Commit records the
-   PTT answers for them — except the mappings GC at the same
-   [redo_scan_start] collects, whose stamping is already on disk.
-   Mappings of undefined refcount are then forgotten: the PTT holds
-   them.  The caller runs this inside one atomic log group.  Returns the
-   number posted. *)
+(* Checkpoint posting, before the checkpoint record: the committed
+   mappings the PTT lacks whose Commit records lie below
+   [redo_scan_start] go into it in one redo-only batch, since once that
+   record makes [redo_scan_start] recovery's start, no pass reads those
+   Commit records again — except the mappings GC at the same
+   [redo_scan_start] collects, whose stamping is already on disk.  A
+   mapping committed at or after [redo_scan_start] waits: recovery from
+   this checkpoint seeds it from its Commit record.  Posted mappings of
+   undefined refcount are then forgotten: the PTT holds them.  The caller
+   runs this inside one atomic log group.  Returns the number posted. *)
 let post t ~redo_scan_start =
   let fresh = Vtt.unposted t.vtt ~redo_scan_start in
   if fresh <> [] then begin

@@ -65,11 +65,13 @@ val stamp_page_volatile : t -> bytes -> int
 
 val post : t -> redo_scan_start:int64 -> int
 (** Checkpoint posting, before the checkpoint record: insert every
-    committed mapping the PTT lacks, except those {!garbage_collect} at
-    the same [redo_scan_start] will collect, in one redo-only batch
-    ({!Ptt.insert_batch}); then forget the mappings of undefined
-    refcount.  Run inside one atomic log group.  Returns the number
-    posted. *)
+    committed mapping the PTT lacks whose Commit record lies below
+    [redo_scan_start], except those {!garbage_collect} at the same
+    [redo_scan_start] will collect, in one redo-only batch
+    ({!Ptt.insert_batch}); then forget the posted mappings of undefined
+    refcount.  Mappings committed later wait for a later checkpoint:
+    recovery re-reads their Commit records.  Run inside one atomic log
+    group.  Returns the number posted. *)
 
 val garbage_collect : t -> redo_scan_start:int64 -> Imdb_clock.Tid.t list
 (** Incremental GC, run once the checkpoint that posted is durable:

@@ -7,9 +7,12 @@
 
    Mappings are posted at checkpoint, not at commit: one redo-only batch
    holds every committed TID that the checkpoint would otherwise leave
-   without a source (its Commit record falls below recovery's start and
-   some version may still carry the TID).  Deletions are garbage
-   collection, redo-only too; nothing here belongs to a transaction. *)
+   without a source (its Commit record falls below the redo-scan start
+   the checkpoint record names, and some version may still carry the
+   TID).  TIDs only grow, so the batch lies beyond every key in the tree
+   and is appended at its right edge as whole leaves.  Deletions are
+   garbage collection, redo-only too; nothing here belongs to a
+   transaction. *)
 
 module Ts = Imdb_clock.Timestamp
 module Tid = Imdb_clock.Tid
@@ -49,7 +52,7 @@ let attach ?(metrics = M.null) ?(tracer = Imdb_obs.Tracer.null) ~pool ~io ~root
 let root t = Imdb_btree.Btree.root t.tree
 
 (* Checkpoint posting: TIDs are assigned in order, so a batch lands at
-   the tree's right edge — one descent per leaf filled. *)
+   the tree's right edge — filled leaves, one logged image each. *)
 let insert_batch t mappings =
   Imdb_obs.Tracer.with_span t.tracer "ptt.insert_batch"
     ~attrs:[ ("tids", string_of_int (List.length mappings)) ]

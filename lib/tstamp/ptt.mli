@@ -3,10 +3,10 @@
     live entries cluster at the tail even when crashes leave a residue of
     uncollectable ones.
 
-    Mappings are posted at checkpoint, in one redo-only batch, only for
-    committed TIDs that some version may still carry once recovery's
-    start moves past their Commit records; deletes are garbage
-    collection, redo-only too. *)
+    Mappings are posted at checkpoint, in one redo-only batch appended
+    at the tree's right edge, only for committed TIDs that some version
+    may still carry once recovery's start moves past their Commit
+    records; deletes are garbage collection, redo-only too. *)
 
 type t = {
   tree : Imdb_btree.Btree.t;
@@ -37,8 +37,8 @@ val root : t -> int
 
 val insert_batch : t -> (Imdb_clock.Tid.t * Imdb_clock.Timestamp.t) list -> unit
 (** A checkpoint's posting as one redo-only batched B-tree pass
-    ({!Imdb_btree.Btree.insert_batch}); counts every mapping in
-    [ptt.inserts]. *)
+    ({!Imdb_btree.Btree.insert_batch}: TIDs above every posted one fill
+    leaves at the right edge); counts every mapping in [ptt.inserts]. *)
 
 val lookup : t -> Imdb_clock.Tid.t -> Imdb_clock.Timestamp.t option
 

@@ -18,12 +18,15 @@
      ([refcount = undefined]) and are never used to trigger GC, exactly
      as in the paper.
 
-   Mappings are posted to the PTT at checkpoint, not at commit: a
-   commit's own Commit record answers for it until a checkpoint moves
-   recovery's start past that record, and that checkpoint posts only
-   the mappings its GC would keep.  One rule governs every lazily
-   stamped TID, immortal or snapshot: an entry leaves only through GC
-   (or, when no version ever carried its TID, at commit). *)
+   Mappings are posted to the PTT at checkpoint, not at commit, and
+   only once the log can no longer answer for them: recovery's pass
+   seeds the VTT from every Commit record at or after the redo-scan
+   start, so a checkpoint posts just the mappings committed below its
+   redo-scan start that its GC would keep (paper Section 2.2: a mapping
+   must be durable somewhere until that start passes its stamping).
+   One rule governs every lazily stamped TID, immortal or snapshot: an
+   entry leaves only through GC (or, when no version ever carried its
+   TID, at commit). *)
 
 module Ts = Imdb_clock.Timestamp
 module Tid = Imdb_clock.Tid
@@ -98,21 +101,24 @@ let note_stamped t tid ~end_of_log =
       end
   | None -> ()
 
-(* A mapping whose refcount is unknown: GC never fires from it. *)
-let add_unreferenced t tid ts ~posted =
-  (* Such a mapping comes from the PTT or from a Commit record read back
-     at recovery, so its commit is durable ([commit_end = 0]). *)
+(* A mapping whose refcount is unknown: GC never fires from it.  Its
+   commit is durable, so any [commit_end] at or below the durable log
+   end will do for the stamping gates. *)
+let add_unreferenced t tid ts ~commit_end ~posted =
   Tid.Table.replace t.entries tid
     { tid; status = Committed ts; refcount = undefined; lsn_at_zero = no_lsn;
-      commit_end = 0L; posted }
+      commit_end; posted }
 
 (* Cache a mapping recovered from the PTT ("we set the RefCount for the
    entry to undefined so that we don't garbage collect its PTT entry"). *)
-let cache_from_ptt t tid ts = add_unreferenced t tid ts ~posted:true
+let cache_from_ptt t tid ts = add_unreferenced t tid ts ~commit_end:0L ~posted:true
 
-(* Recovery's mapping for a Commit record at or after the last
-   checkpoint: not in the PTT until the recovery checkpoint posts it. *)
-let seed_from_log t tid ts = add_unreferenced t tid ts ~posted:false
+(* Recovery's mapping for a Commit record at [lsn], at or after the redo
+   start: not in the PTT until a checkpoint's redo-scan start passes the
+   record.  The record ends somewhere past [lsn], and it lies below a
+   redo-scan start exactly when [lsn + 1] is at or below it. *)
+let seed_from_log t tid ts ~lsn =
+  add_unreferenced t tid ts ~commit_end:(Int64.succ lsn) ~posted:false
 
 let resolve t tid =
   match find t tid with
@@ -149,13 +155,16 @@ let gc_candidates t ~redo_scan_start =
     (fun _ e acc -> if collectable e ~redo_scan_start then e :: acc else acc)
     t.entries []
 
-(* Committed mappings the PTT lacks and GC at [redo_scan_start] would
-   keep. *)
+(* Committed mappings the PTT lacks whose Commit record lies below
+   [redo_scan_start] and that GC at [redo_scan_start] would keep. *)
 let unposted t ~redo_scan_start =
   Tid.Table.fold
     (fun tid e acc ->
       match e.status with
-      | Committed ts when (not e.posted) && not (collectable e ~redo_scan_start) ->
+      | Committed ts
+        when (not e.posted)
+             && Int64.compare e.commit_end redo_scan_start <= 0
+             && not (collectable e ~redo_scan_start) ->
           (tid, ts) :: acc
       | _ -> acc)
     t.entries []

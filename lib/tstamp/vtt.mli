@@ -7,8 +7,9 @@
     end-of-log LSN is remembered, and the mapping may be forgotten once
     the redo-scan start point passes it — proof that every page holding
     the (never logged!) stamping has reached disk.  Mappings are posted
-    to the PTT at checkpoint, not at commit; until then the commit's own
-    Commit record answers for them after a crash. *)
+    to the PTT at checkpoint, not at commit, and only once the
+    redo-scan start passes their Commit records; until then recovery
+    reads those records again and they answer for them. *)
 
 type status = Active | Committed of Imdb_clock.Timestamp.t | Aborted
 
@@ -17,7 +18,9 @@ type entry = {
   mutable status : status;
   mutable refcount : int;  (** [undefined] for entries faulted from the PTT *)
   mutable lsn_at_zero : int64;  (** end-of-log when refcount drained *)
-  mutable commit_end : int64;  (** end-of-log when the commit record was written *)
+  mutable commit_end : int64;
+      (** end-of-log when the commit record was written (one past the
+          record's LSN for a mapping seeded at recovery) *)
   mutable posted : bool;  (** the mapping is in the PTT *)
 }
 
@@ -50,10 +53,11 @@ val cache_from_ptt : t -> Imdb_clock.Tid.t -> Imdb_clock.Timestamp.t -> unit
 (** Cache a mapping recovered from the PTT with an undefined refcount, so
     GC never fires from it. *)
 
-val seed_from_log : t -> Imdb_clock.Tid.t -> Imdb_clock.Timestamp.t -> unit
-(** Recovery: a Commit record at or after the last checkpoint.
-    Undefined refcount, not yet posted; the recovery checkpoint posts it
-    and then {!drop_unreferenced} forgets it. *)
+val seed_from_log : t -> Imdb_clock.Tid.t -> Imdb_clock.Timestamp.t -> lsn:int64 -> unit
+(** Recovery: the Commit record at [lsn], at or after the redo start, of
+    a transaction that wrote versions.  Undefined refcount, not yet
+    posted; the first checkpoint whose redo-scan start passes [lsn]
+    posts it and then {!drop_unreferenced} forgets it. *)
 
 val resolve :
   t ->
@@ -74,8 +78,10 @@ val gc_candidates : t -> redo_scan_start:int64 -> entry list
 
 val unposted :
   t -> redo_scan_start:int64 -> (Imdb_clock.Tid.t * Imdb_clock.Timestamp.t) list
-(** Committed mappings the PTT does not hold yet and {!gc_candidates}
-    at [redo_scan_start] would not return. *)
+(** Committed mappings the PTT does not hold yet whose Commit record
+    lies below [redo_scan_start] and that {!gc_candidates} at
+    [redo_scan_start] would not return: what the log can no longer
+    answer for once recovery starts there. *)
 
 val mark_posted : t -> Imdb_clock.Tid.t -> unit
 

@@ -82,13 +82,18 @@ type body =
   | Begin of { tid : Imdb_clock.Tid.t }
   | Update of { tid : Imdb_clock.Tid.t; prev_lsn : int64; page_id : int; op : page_op }
   | Redo_only of { page_id : int; op : page_op }
-  | Commit of { tid : Imdb_clock.Tid.t; ts : Imdb_clock.Timestamp.t }
+  | Commit of {
+      tid : Imdb_clock.Tid.t;
+      ts : Imdb_clock.Timestamp.t;
+      wrote_versions : bool; (* some version still carries the TID *)
+    }
   | End of { tid : Imdb_clock.Tid.t }
   | Checkpoint of {
       att : (Imdb_clock.Tid.t * int64) list; (* active txns, last LSN *)
       dpt : (int * int64) list; (* dirty pages, recLSN *)
       next_tid : Imdb_clock.Tid.t;
       clock : Imdb_clock.Timestamp.t; (* floor for commit timestamps *)
+      redo_start : int64; (* the posting horizon: recovery reads from here *)
     }
 
 let nil_lsn = 0L
@@ -284,12 +289,13 @@ let encode body =
   | Redo_only { page_id; op } ->
       W.u32 w page_id;
       write_op w op
-  | Commit { tid; ts } ->
+  | Commit { tid; ts; wrote_versions } ->
       W.i64 w (Imdb_clock.Tid.to_int64 tid);
       W.i64 w (Imdb_clock.Timestamp.ttime ts);
-      W.u32 w (Imdb_clock.Timestamp.sn ts)
+      W.u32 w (Imdb_clock.Timestamp.sn ts);
+      W.u8 w (Bool.to_int wrote_versions)
   | End { tid } -> W.i64 w (Imdb_clock.Tid.to_int64 tid)
-  | Checkpoint { att; dpt; next_tid; clock } ->
+  | Checkpoint { att; dpt; next_tid; clock; redo_start } ->
       W.u32 w (List.length att);
       List.iter
         (fun (tid, lsn) ->
@@ -304,7 +310,8 @@ let encode body =
         dpt;
       W.i64 w (Imdb_clock.Tid.to_int64 next_tid);
       W.i64 w (Imdb_clock.Timestamp.ttime clock);
-      W.u32 w (Imdb_clock.Timestamp.sn clock));
+      W.u32 w (Imdb_clock.Timestamp.sn clock);
+      W.i64 w redo_start);
   W.contents w
 
 let decode b =
@@ -325,7 +332,8 @@ let decode b =
       let tid = tid () in
       let ttime = R.i64 r in
       let sn = R.u32 r in
-      Commit { tid; ts = Imdb_clock.Timestamp.make ~ttime ~sn }
+      let wrote_versions = R.u8 r <> 0 in
+      Commit { tid; ts = Imdb_clock.Timestamp.make ~ttime ~sn; wrote_versions }
   | 6 -> End { tid = tid () }
   | 7 ->
       let natt = R.u32 r in
@@ -343,7 +351,8 @@ let decode b =
       let next_tid = tid () in
       let ttime = R.i64 r in
       let sn = R.u32 r in
-      Checkpoint { att; dpt; next_tid; clock = Imdb_clock.Timestamp.make ~ttime ~sn }
+      let clock = Imdb_clock.Timestamp.make ~ttime ~sn in
+      Checkpoint { att; dpt; next_tid; clock; redo_start = R.i64 r }
   | n -> failwith (Printf.sprintf "Log_record: bad body tag %d" n)
 
 let pp_op ppf = function
@@ -374,8 +383,10 @@ let pp ppf = function
       Fmt.pf ppf "UPDATE %a page=%d prev=%Ld %a" Imdb_clock.Tid.pp tid page_id prev_lsn
         pp_op op
   | Redo_only { page_id; op } -> Fmt.pf ppf "REDO_ONLY page=%d %a" page_id pp_op op
-  | Commit { tid; ts } ->
-      Fmt.pf ppf "COMMIT %a ts=%a" Imdb_clock.Tid.pp tid Imdb_clock.Timestamp.pp ts
+  | Commit { tid; ts; wrote_versions } ->
+      Fmt.pf ppf "COMMIT %a ts=%a%s" Imdb_clock.Tid.pp tid Imdb_clock.Timestamp.pp ts
+        (if wrote_versions then " versions" else "")
   | End { tid } -> Fmt.pf ppf "END %a" Imdb_clock.Tid.pp tid
-  | Checkpoint { att; dpt; _ } ->
-      Fmt.pf ppf "CHECKPOINT att=%d dpt=%d" (List.length att) (List.length dpt)
+  | Checkpoint { att; dpt; redo_start; _ } ->
+      Fmt.pf ppf "CHECKPOINT att=%d dpt=%d redo_start=%Ld" (List.length att) (List.length dpt)
+        redo_start

@@ -51,13 +51,20 @@ type body =
   | Begin of { tid : Imdb_clock.Tid.t }
   | Update of { tid : Imdb_clock.Tid.t; prev_lsn : int64; page_id : int; op : page_op }
   | Redo_only of { page_id : int; op : page_op }
-  | Commit of { tid : Imdb_clock.Tid.t; ts : Imdb_clock.Timestamp.t }
+  | Commit of { tid : Imdb_clock.Tid.t; ts : Imdb_clock.Timestamp.t; wrote_versions : bool }
+      (** [wrote_versions]: some record version carried the TID when the
+          transaction committed, so recovery must be able to resolve it. *)
   | End of { tid : Imdb_clock.Tid.t }
   | Checkpoint of {
       att : (Imdb_clock.Tid.t * int64) list;
       dpt : (int * int64) list;
       next_tid : Imdb_clock.Tid.t;
       clock : Imdb_clock.Timestamp.t;
+      redo_start : int64;
+          (** The checkpoint's posting horizon: every mapping whose Commit
+              record lies below it is in the PTT or collectable, so
+              recovery's pass starts here.  No later than every recLSN
+              in [dpt]. *)
     }
 
 val nil_lsn : int64

@@ -245,7 +245,8 @@ let push t body =
   placed
 
 let append t body = fst (push t body)
-let append_commit t ~tid ~ts = push t (Log_record.Commit { tid; ts })
+let append_commit t ~tid ~ts ~wrote_versions =
+  push t (Log_record.Commit { tid; ts; wrote_versions })
 
 (* One leader's append+sync of the whole tail, or of the part before an
    open atomic group.  Caller has claimed leadership ([flush_active]

@@ -56,7 +56,7 @@ val append : t -> Log_record.body -> int64
     end since the open. *)
 
 val append_commit :
-  t -> tid:Imdb_clock.Tid.t -> ts:Imdb_clock.Timestamp.t -> int64 * int
+  t -> tid:Imdb_clock.Tid.t -> ts:Imdb_clock.Timestamp.t -> wrote_versions:bool -> int64 * int
 (** Buffer a Commit record; returns its LSN and its batch position: the
     number of Commit records in the volatile tail right after it (1 =
     its own flush will pay the sync, k = riding a batch of k so far). *)

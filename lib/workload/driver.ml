@@ -23,6 +23,9 @@ type run_result = {
   rr_elapsed_s : float;
   rr_counters : M.snapshot;  (* this db's counter deltas over the run *)
   rr_commit_ts : Ts.t list; (* commit timestamps, oldest first (sampled) *)
+  rr_commit_latency : (float * bool) array;
+      (* per event: µs from begin to commit return, and whether the
+         commit ran a checkpoint *)
 }
 
 (* Apply [events] to [table] in [db], one transaction each.  The logical
@@ -32,11 +35,15 @@ type run_result = {
 let run_events ?clock ?(sample_every = 1) db ~table events =
   let samples = ref [] in
   let count = ref 0 in
-  let before = M.snapshot (Db.metrics db) in
+  let latency = ref [] in
+  let m = Db.metrics db in
+  let before = M.snapshot m in
   let t0 = Unix.gettimeofday () in
   List.iter
     (fun ev ->
       (match clock with Some c -> Imdb_clock.Clock.advance c 20L | None -> ());
+      let checkpoints = M.get m M.checkpoints in
+      let t_begin = Unix.gettimeofday () in
       let txn = Db.begin_txn db in
       (match ev with
       | Moving_objects.Insert { oid; x; y } ->
@@ -46,15 +53,19 @@ let run_events ?clock ?(sample_every = 1) db ~table events =
       (match Db.commit db txn with
       | Some ts -> if !count mod sample_every = 0 then samples := ts :: !samples
       | None -> ());
+      latency :=
+        ((Unix.gettimeofday () -. t_begin) *. 1e6, M.get m M.checkpoints > checkpoints)
+        :: !latency;
       incr count)
     events;
   let elapsed = Unix.gettimeofday () -. t0 in
-  let after = M.snapshot (Db.metrics db) in
+  let after = M.snapshot m in
   {
     rr_events = !count;
     rr_elapsed_s = elapsed;
     rr_counters = M.diff ~before ~after;
     rr_commit_ts = List.rev !samples;
+    rr_commit_latency = Array.of_list (List.rev !latency);
   }
 
 let counter result name =
@@ -95,6 +106,7 @@ let run_events_batched ?clock ~batch db ~table events =
     rr_elapsed_s = elapsed;
     rr_counters = M.diff ~before ~after;
     rr_commit_ts = [];
+    rr_commit_latency = [||];
   }
 
 (* Create a fresh in-memory database + MovingObjects table in the given

@@ -11,6 +11,9 @@ type run_result = {
   rr_elapsed_s : float;
   rr_counters : Imdb_obs.Metrics.snapshot;
   rr_commit_ts : Imdb_clock.Timestamp.t list;  (** sampled, oldest first *)
+  rr_commit_latency : (float * bool) array;
+      (** {!run_events} only, per event: wall µs from begin to commit
+          return, and whether the commit ran a checkpoint *)
 }
 
 val run_events :

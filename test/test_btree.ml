@@ -331,6 +331,143 @@ let test_conventional_updates_build_no_directories () =
   Alcotest.(check bool) "root keeps its directory" true
     (BP.with_page pool root (fun fr -> BP.keydir fr <> None))
 
+(* A standalone tree whose allocator logs each page's format, so the
+   whole tree can be rebuilt from its log alone; [logged] holds every
+   page op the tree logged, newest first. *)
+let logged_standalone ?(page_size = 512) () =
+  let disk = Disk.in_memory ~page_size () in
+  let device = Wal.Device.in_memory () in
+  let wal = Wal.open_device device in
+  let pool = BP.create ~capacity:256 ~disk ~wal () in
+  let next = ref 1 and logged = ref [] in
+  let exec fr op =
+    logged := op :: !logged;
+    let lsn = Wal.append wal (LR.Redo_only { page_id = BP.page_id fr; op }) in
+    LR.redo_op (BP.bytes fr) op;
+    BP.mark_dirty_logged pool fr ~lsn
+  in
+  let io =
+    {
+      B.exec = (fun fr ~undoable:_ op -> exec fr op);
+      alloc =
+        (fun ~ptype ~level ->
+          let pid = !next in
+          incr next;
+          let fr = BP.pin_new pool pid in
+          P.set_page_id (BP.bytes fr) pid;
+          exec fr (LR.Op_format { page_type = ptype; table_id = 1; level });
+          BP.unpin pool fr;
+          pid);
+      free = (fun pid -> BP.invalidate pool pid);
+      atomic = (fun f -> Wal.atomically wal f);
+    }
+  in
+  (B.create ~pool ~io ~table_id:1 ~name:"test" (), wal, device, logged)
+
+let count_ops logged p = List.length (List.filter p logged)
+let is_image = function LR.Op_image _ -> true | _ -> false
+let is_insert = function LR.Op_insert _ -> true | _ -> false
+let is_replace = function LR.Op_replace _ -> true | _ -> false
+
+(* Every key of [expect] (key, value) is found with its value, and the
+   tree holds nothing else, walked from the root and along the leaf
+   chain. *)
+let check_contents what t expect =
+  Alcotest.(check int) (what ^ ": invariants hold") (List.length expect) (B.check_invariants t);
+  Alcotest.(check int) (what ^ ": leaf chain") (List.length expect) (B.count t);
+  List.iter
+    (fun (key, value) ->
+      if B.find t ~key <> Some (v value) then Alcotest.failf "%s: %s lost" what key)
+    expect
+
+let evens lo hi value = List.init ((hi - lo) / 2 + 1) (fun i -> (k (lo + (2 * i)), value))
+
+(* A sorted batch beyond the largest key fills fresh leaves and logs each
+   full one as a single image: no split, and an [Op_insert] only for the
+   part of a leaf too small to earn an image. *)
+let test_insert_batch_right_edge () =
+  let t, _, _, logged = logged_standalone () in
+  let first = evens 2 100 "a" in
+  B.insert_batch t (List.map (fun (key, value) -> (key, v value)) first);
+  check_contents "first batch" t first;
+  logged := [];
+  let batch = evens 102 900 "b" in
+  B.insert_batch t (List.map (fun (key, value) -> (key, v value)) batch);
+  let images = count_ops !logged is_image and inserts = count_ops !logged is_insert in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d leaf images span at least 3 leaves" images)
+    true (images >= 3);
+  Alcotest.(check bool)
+    (Printf.sprintf "%d inserts for %d entries: only a residue" inserts (List.length batch))
+    true
+    (inserts * 4 < List.length batch);
+  check_contents "after the append" t (first @ batch)
+
+(* Entries below the tree's largest key take the general path: they land
+   between existing keys and replace values in place, while the same
+   batch's entries beyond the largest key are still appended as whole
+   leaves. *)
+let test_insert_batch_below_max () =
+  let t, _, _, logged = logged_standalone () in
+  let base = evens 2 600 "a" in
+  B.insert_batch t (List.map (fun (key, value) -> (key, v value)) base);
+  logged := [];
+  let odds = List.init 50 (fun i -> (k ((2 * i) + 1), "o")) in
+  let replaced = evens 2 40 "r" in
+  let beyond = evens 602 1400 "b" in
+  B.insert_batch t (List.map (fun (key, value) -> (key, v value)) (beyond @ odds @ replaced));
+  Alcotest.(check int) "each existing key replaced in place" (List.length replaced)
+    (count_ops !logged is_replace);
+  let inserts = count_ops !logged is_insert in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d inserts: one per entry below the largest key, a residue beyond it"
+       inserts)
+    true
+    (inserts < List.length odds + (List.length beyond / 4));
+  let expect =
+    beyond @ odds @ replaced
+    @ List.filter (fun (key, _) -> not (List.mem_assoc key replaced)) base
+  in
+  check_contents "after the mixed batch" t expect
+
+(* A crash after an appended batch's groups reached the log, and another
+   batch still in the volatile tail: redo of the log onto empty pages
+   rebuilds the tree with the first batch and without the second. *)
+let test_insert_batch_crash_redo () =
+  let page_size = 512 in
+  let t, wal, device, _ = logged_standalone ~page_size () in
+  let durable = evens 2 700 "d" in
+  B.insert_batch t (List.map (fun (key, value) -> (key, v value)) durable);
+  Wal.flush wal;
+  B.insert_batch t (List.init 100 (fun i -> (k (800 + i), v "lost")));
+  Wal.crash_volatile wal;
+  let disk = Disk.in_memory ~page_size () in
+  let wal = Wal.open_device device in
+  let pool = BP.create ~capacity:256 ~disk ~wal () in
+  Wal.iter_from wal ~from_lsn:0L (fun lsn body ->
+      match body with
+      | LR.Redo_only { page_id; op } ->
+          let fr =
+            if BP.is_cached pool page_id then BP.pin pool page_id
+            else begin
+              let fr = BP.pin_new pool page_id in
+              P.set_page_id (BP.bytes fr) page_id;
+              fr
+            end
+          in
+          LR.redo_op (BP.bytes fr) op;
+          BP.mark_dirty_logged pool fr ~lsn;
+          BP.unpin pool fr
+      | _ -> ());
+  let fail _ = Alcotest.fail "the redone tree is read-only" in
+  let io =
+    { B.exec = (fun _ ~undoable:_ _ -> fail ()); alloc = (fun ~ptype:_ ~level:_ -> fail ());
+      free = fail; atomic = (fun f -> f ()) }
+  in
+  let redone = B.attach ~pool ~io ~root:(B.root t) ~table_id:1 ~name:"redone" () in
+  check_contents "after redo" redone durable;
+  Alcotest.(check bool) "the volatile batch is gone" true (B.find redone ~key:(k 800) = None)
+
 let suite =
   [
     Alcotest.test_case "insert & find" `Quick test_insert_find;
@@ -340,6 +477,9 @@ let suite =
     Alcotest.test_case "floor & next" `Quick test_floor_next;
     Alcotest.test_case "delete & reclaim" `Quick test_delete;
     Alcotest.test_case "large values" `Quick test_large_values;
+    Alcotest.test_case "insert_batch right-edge append" `Quick test_insert_batch_right_edge;
+    Alcotest.test_case "insert_batch below the maximum" `Quick test_insert_batch_below_max;
+    Alcotest.test_case "insert_batch crash and redo" `Quick test_insert_batch_crash_redo;
     Alcotest.test_case "routing directory = floor scan" `Quick test_routing_directory_matches_scan;
     Alcotest.test_case "conventional updates build no directories" `Quick
       test_conventional_updates_build_no_directories;

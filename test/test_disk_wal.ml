@@ -170,7 +170,7 @@ let test_wal_append_read () =
   let l1 = Wal.append w (LR.Begin { tid = Tid.of_int 1 }) in
   let l2 =
     Wal.append w
-      (LR.Commit { tid = Tid.of_int 1; ts = Ts.make ~ttime:100L ~sn:0 })
+      (LR.Commit { tid = Tid.of_int 1; ts = Ts.make ~ttime:100L ~sn:0; wrote_versions = true })
   in
   Alcotest.(check int64) "first lsn" 0L l1;
   Alcotest.(check bool) "lsns grow" true (Int64.compare l2 l1 > 0);
@@ -320,7 +320,8 @@ let test_wal_all_record_types_roundtrip () =
         };
       LR.Redo_only
         { page_id = 1; op = LR.Op_kv_delete { slot = 3; body = Bytes.of_string "d"; table_id = 2 } };
-      LR.Commit { tid = Tid.of_int 5; ts = Ts.make ~ttime:999L ~sn:77 };
+      LR.Commit { tid = Tid.of_int 5; ts = Ts.make ~ttime:999L ~sn:77; wrote_versions = true };
+      LR.Commit { tid = Tid.of_int 6; ts = Ts.make ~ttime:1000L ~sn:0; wrote_versions = false };
       LR.End { tid = Tid.of_int 5 };
       LR.Checkpoint
         {
@@ -328,6 +329,7 @@ let test_wal_all_record_types_roundtrip () =
           dpt = [ (1, 5L); (2, 7L) ];
           next_tid = Tid.of_int 7;
           clock = Ts.make ~ttime:500L ~sn:2;
+          redo_start = 5L;
         };
     ]
   in
@@ -376,7 +378,7 @@ let test_wal_flush_skips_durable_lsn () =
   Alcotest.(check int) "empty tail: no sync" 2 !syncs
 
 let commit_record w i =
-  Wal.append_commit w ~tid:(Tid.of_int i) ~ts:(Ts.make ~ttime:(Int64.of_int i) ~sn:0)
+  Wal.append_commit w ~tid:(Tid.of_int i) ~ts:(Ts.make ~ttime:(Int64.of_int i) ~sn:0) ~wrote_versions:true
 
 (* Three commits queued before any sync form one batch: each learns its
    position as it appends, and the one sync that covers them observes

@@ -310,7 +310,7 @@ let test_old_format_refused () =
       match Db.open_devices ~disk ~log_device () with
       | _ -> Alcotest.failf "a version-%d database opened" old_version
       | exception Imdb_core.Meta.Bad_meta _ -> ())
-    [ 1; 2 ]
+    [ 1; 2; 3 ]
 
 (* --- how much log recovery reads ------------------------------------------ *)
 
@@ -358,7 +358,7 @@ let log_maxima db =
   Wal.iter_from (Db.engine db).E.wal ~from_lsn:0L (fun _ body ->
       match body with
       | LR.Begin { tid = t } | LR.Update { tid = t; _ } | LR.End { tid = t } -> tid t
-      | LR.Commit { tid = t; ts } ->
+      | LR.Commit { tid = t; ts; _ } ->
           tid t;
           if Ts.compare ts !max_ts > 0 then max_ts := ts
       | LR.Redo_only _ | LR.Checkpoint _ -> ());
@@ -398,7 +398,7 @@ let test_recovery_reads_one_interval () =
     let checkpoint = Wal.read_at (Db.engine db).E.wal ckpt in
     let redo_start =
       match checkpoint with
-      | LR.Checkpoint { dpt; _ } -> List.fold_left (fun acc (_, l) -> min acc l) ckpt dpt
+      | LR.Checkpoint { redo_start; _ } -> redo_start
       | _ -> Alcotest.fail "meta page names no checkpoint record"
     in
     let checkpoint_frame = 8 + Bytes.length (LR.encode checkpoint) in
@@ -507,7 +507,7 @@ let checkpointed_crash () =
   let ckpt = meta.Imdb_core.Meta.last_checkpoint_lsn in
   let redo_start =
     match List.assoc ckpt (frames log_device) with
-    | LR.Checkpoint { dpt; _ } -> List.fold_left (fun acc (_, l) -> min acc l) ckpt dpt
+    | LR.Checkpoint { redo_start; _ } -> redo_start
     | _ -> Alcotest.fail "meta page names no checkpoint record"
   in
   Alcotest.(check bool) "redo starts before the checkpoint" true
@@ -610,10 +610,12 @@ module LS = Imdb_tstamp.Lazy_stamper
 module Vtt = Imdb_tstamp.Vtt
 module M = Imdb_obs.Metrics
 
-(* Recovery seeds the VTT with the commits since the last checkpoint,
-   posts them at its own checkpoint and forgets them: after a restart
-   the VTT holds the new commits and whatever the PTT was asked for,
-   never the pre-restart history. *)
+(* Recovery seeds the VTT with the version writers' commits since the
+   redo start.  Its checkpoint posts those below its own redo-scan start;
+   the rest wait in the VTT, unposted with undefined refcount, until the
+   next checkpoint's start passes them, which posts and forgets them:
+   after that the VTT holds the new commits and whatever the PTT was
+   asked for, never the pre-restart history. *)
 let test_vtt_bounded_after_restart () =
   let db, clock = setup () in
   let pre = ref [] in
@@ -625,9 +627,40 @@ let test_vtt_bounded_after_restart () =
     ignore (Db.commit db txn)
   done;
   let db = Db.crash_and_reopen ~clock db in
-  let vtt = E.vtt (Db.engine db) in
+  let eng = Db.engine db in
+  let vtt = E.vtt eng in
   let held () = List.filter (fun tid -> List.exists (Tid.equal tid) !pre) (Vtt.tids vtt) in
-  Alcotest.(check int) "no pre-restart TID after recovery" 0 (List.length (held ()));
+  let recovery_start =
+    match Wal.read_at eng.E.wal eng.E.meta.Imdb_core.Meta.last_checkpoint_lsn with
+    | LR.Checkpoint { redo_start; _ } -> redo_start
+    | _ -> Alcotest.fail "meta page names no checkpoint record"
+  in
+  let commit_lsn = Tid.Table.create 64 in
+  Wal.iter_from eng.E.wal ~from_lsn:0L (fun lsn body ->
+      match body with LR.Commit { tid; _ } -> Tid.Table.replace commit_lsn tid lsn | _ -> ());
+  let seeded = held () in
+  List.iter
+    (fun tid ->
+      match Vtt.find vtt tid with
+      | Some e ->
+          Alcotest.(check bool)
+            (Tid.to_string tid ^ ": seeded, unposted, refcount undefined")
+            true
+            ((not e.Vtt.posted) && e.Vtt.refcount < 0);
+          Alcotest.(check bool)
+            (Tid.to_string tid ^ ": committed at or after the recovery checkpoint's start")
+            true
+            (Int64.compare (Tid.Table.find commit_lsn tid) recovery_start >= 0)
+      | None -> ())
+    seeded;
+  List.iter
+    (fun tid ->
+      if Int64.compare (Tid.Table.find commit_lsn tid) recovery_start >= 0 then
+        Alcotest.(check bool)
+          (Tid.to_string tid ^ ": a commit the log still answers for is held")
+          true
+          (List.exists (Tid.equal tid) seeded))
+    !pre;
   let m = Db.metrics db in
   let lookups0 = M.get m M.ptt_lookups in
   let k = 10 in
@@ -639,14 +672,17 @@ let test_vtt_bounded_after_restart () =
   let cached tid =
     match Vtt.find vtt tid with Some e -> e.Vtt.refcount < 0 | None -> false
   in
-  Alcotest.(check bool) "pre-restart TIDs held only as looked-up cache entries" true
-    (List.length (held ()) <= looked_up && List.for_all cached (held ()));
+  let unreferenced = List.length seeded + looked_up in
+  Alcotest.(check bool) "pre-restart TIDs held only as seeded or looked-up entries" true
+    (List.length (held ()) <= unreferenced && List.for_all cached (held ()));
   Alcotest.(check bool)
-    (Printf.sprintf "VTT holds %d <= K + %d looked up" (List.length (Vtt.tids vtt)) looked_up)
+    (Printf.sprintf "VTT holds %d <= K + %d seeded or looked up" (List.length (Vtt.tids vtt))
+       unreferenced)
     true
-    (List.length (Vtt.tids vtt) <= k + looked_up);
+    (List.length (Vtt.tids vtt) <= k + unreferenced);
   Db.checkpoint db;
-  Alcotest.(check int) "a checkpoint forgets the looked-up ones" 0 (List.length (held ()));
+  Alcotest.(check int) "a checkpoint forgets the seeded and looked-up ones" 0
+    (List.length (held ()));
   Alcotest.(check bool) "then at most the K unstamped commits" true
     (List.length (Vtt.tids vtt) <= k);
   for i = 0 to 19 do
@@ -757,6 +793,69 @@ let test_recovery_seeds_version_writers () =
   Alcotest.(check int) "no read met a TID without a mapping" unknown0
     (LS.unknown_tids eng.E.stamper);
   Db.close db
+
+(* The redo start a checkpoint record names, and the least of its LSN
+   and the recLSNs of its recorded dirty-page table. *)
+let checkpoint_starts db =
+  let eng = Db.engine db in
+  let ckpt = eng.E.meta.Imdb_core.Meta.last_checkpoint_lsn in
+  match Wal.read_at eng.E.wal ckpt with
+  | LR.Checkpoint { redo_start; dpt; _ } ->
+      (redo_start, List.fold_left (fun acc (_, l) -> min acc l) ckpt dpt)
+  | _ -> Alcotest.fail "meta page names no checkpoint record"
+
+(* A checkpoint's posting may evict the page that held the eldest recLSN
+   when the redo-scan start was taken, so the dirty-page table it then
+   records starts later.  Recovery must still seed the VTT from that
+   redo-scan start, the horizon below which the checkpoint posted: the
+   Commit records between the two are in neither the PTT nor the part of
+   the log a pass from the recorded table's minimum reads.  Multi-row
+   transactions over ~100-byte rows on 1 KiB pages and a 6-frame pool
+   make the posting evict; after every checkpoint where it evicted the
+   eldest dirty page, crash, and every unstamped TID must resolve and
+   every row read back. *)
+let test_posting_horizon () =
+  let config = { E.default_config with E.page_size = 1024; pool_capacity = 6 } in
+  let rng = Imdb_util.Rng.create 26 in
+  let db, clock = fresh_db ~config () in
+  Db.create_table db ~name:"imm" ~mode:Db.Immortal ~schema:kv_schema;
+  let model = Hashtbl.create 64 in
+  let db = ref db and n = ref 0 and crashes = ref 0 in
+  let check () =
+    let eng = Db.engine !db in
+    List.iter
+      (fun tid ->
+        match LS.resolve eng.E.stamper tid with
+        | Imdb_version.Vpage.Committed _ -> ()
+        | Imdb_version.Vpage.Active | Imdb_version.Vpage.Unknown ->
+            Alcotest.failf "crash %d: TID %s on a page does not resolve" !crashes
+              (Tid.to_string tid))
+      (unstamped_tids !db);
+    Hashtbl.iter (fun k v -> check_row !db ~table:"imm" ~id:k (Some (row k v))) model
+  in
+  for _ = 1 to 60 do
+    for _ = 1 to Imdb_util.Rng.int_in rng 3 20 do
+      tick clock;
+      incr n;
+      ignore
+        (commit_write !db (fun txn ->
+             for _ = 1 to Imdb_util.Rng.int_in rng 1 4 do
+               let k = Imdb_util.Rng.int rng 60 in
+               let v = Printf.sprintf "v%d-%s" !n (String.make 90 'x') in
+               Db.upsert_row !db txn ~table:"imm" (row k v);
+               Hashtbl.replace model k v
+             done))
+    done;
+    Db.checkpoint !db;
+    let redo_start, recorded = checkpoint_starts !db in
+    if Int64.compare redo_start recorded < 0 then begin
+      incr crashes;
+      db := Db.crash_and_reopen ~clock !db;
+      check ()
+    end
+  done;
+  Alcotest.(check bool) "some posting evicted the eldest dirty page" true (!crashes > 0);
+  Db.close !db
 
 type rop =
   | Write of (int * int) list (* (table, key): 0 = snapshot, 1 = immortal *)
@@ -879,6 +978,7 @@ let suite =
     Alcotest.test_case "VTT forgets pre-restart history" `Quick test_vtt_bounded_after_restart;
     Alcotest.test_case "recovery seeds only version-writing TIDs" `Quick
       test_recovery_seeds_version_writers;
+    Alcotest.test_case "recovery seeds from the posting horizon" `Quick test_posting_horizon;
     QCheck_alcotest.to_alcotest prop_unstamped_tids_resolve;
     QCheck_alcotest.to_alcotest prop_crash_model;
   ]

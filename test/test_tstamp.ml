@@ -91,8 +91,10 @@ let test_ptt_roundtrip () =
     (Ptt.lookup ptt (tid 6999) = Some (ts 6999) && Ptt.lookup ptt (tid 1001) = Some (ts 20));
   Db.close db
 
-(* End-to-end: unstamped committed versions resolve through the PTT after
-   the VTT is lost (clean reopen), and GC keeps the PTT bounded. *)
+(* End-to-end: unstamped committed versions resolve after the VTT is
+   lost — first from the Commit records recovery re-reads, then, once a
+   checkpoint's redo-scan start has passed those records and a second
+   crash loses the VTT again, through the PTT. *)
 let test_resolution_after_reopen () =
   let db, clock = fresh_db () in
   Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
@@ -103,10 +105,17 @@ let test_resolution_after_reopen () =
   (* crash: pages flushed during reopen carry TIDs where stamping hadn't
      happened; the VTT is gone *)
   let db = Db.crash_and_reopen ~clock db in
+  Db.checkpoint db;
+  Alcotest.(check bool) "the checkpoint posted the recovered mappings" true
+    (Imdb_tstamp.Ptt.count (E.ptt_exn (Db.engine db)) > 0);
+  let db = Db.crash_and_reopen ~clock db in
   let eng = Db.engine db in
-  (* reading re-stamps via VTT (rebuilt at recovery) or PTT *)
+  let lookups0 = Imdb_obs.Metrics.get (Db.metrics db) Imdb_obs.Metrics.ptt_lookups in
+  (* reading re-stamps through the PTT *)
   check_row db ~table:"t" ~id:5 (Some (row 5 "x"));
   Alcotest.(check bool) "PTT still holds mappings" true (Imdb_tstamp.Ptt.count (E.ptt_exn eng) > 0);
+  Alcotest.(check bool) "the read asked the PTT" true
+    (Imdb_obs.Metrics.get (Db.metrics db) Imdb_obs.Metrics.ptt_lookups > lookups0);
   Db.close db
 
 let test_gc_bounds_ptt () =
