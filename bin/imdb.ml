@@ -607,10 +607,11 @@ let torture_cmd =
   in
   let sessions_arg =
     Arg.(value & opt int 1 & info [ "sessions" ] ~docv:"N"
-           ~doc:"Run N concurrent sessions on separate domains (partitioned \
-                 keys, commits merged into the oracle in timestamp order, \
-                 plug pulled mid-transaction between bursts).  Default 1: \
-                 the classic deterministic serial loop.")
+           ~doc:"Run bursts of N concurrent sessions as seeded fibers on one \
+                 domain (partitioned keys, commits merged into the oracle in \
+                 timestamp order, the plug pulled at any yield with every \
+                 crash kind); the interleaving replays from the seed.  \
+                 Default 1: one session over every key.")
   in
   let flight_dir_arg =
     Arg.(value & opt (some string) None & info [ "flight-dir" ] ~docv:"DIR"
@@ -638,8 +639,7 @@ let torture_cmd =
               Fmt.pr "minimizing the failing run...@.";
               let mcfg, mf = H.minimize cfg f in
               Fmt.pr "minimized: %s@.%a@." (H.describe_config mcfg) H.pp_failure mf;
-              Fmt.pr "reproduce: imdb torture --seed %d --ops %d --crashes %d --replay@."
-                mf.H.f_seed mcfg.H.ops mcfg.H.crashes
+              Fmt.pr "reproduce: %s@." f.H.f_replay
             end)
       seeds;
     if !failed then exit 1

@@ -791,6 +791,9 @@ let fail_inv fmt = Fmt.kstr (fun s -> raise (Invariant_violation s)) fmt
 (* Walk the whole tree checking: separator bounds, leaf chain consistency,
    level monotonicity.  Returns the number of keys. *)
 let check_invariants t =
+  (* the leaves in key order, as the walk meets them (last first), each
+     with its links and its key range *)
+  let leaves = ref [] in
   let rec walk page_id ~low ~high ~expect_level =
     Imdb_buffer.Buffer_pool.with_page t.pool page_id (fun fr ->
         let page = Imdb_buffer.Buffer_pool.bytes fr in
@@ -799,17 +802,21 @@ let check_invariants t =
             fail_inv "page %d: level %d, expected %d" page_id (P.level page) l
         | _ -> ());
         if is_leaf page then begin
-          let n = ref 0 in
-          P.iter_live page (fun slot ->
-              let k = cell_key page slot in
-              incr n;
+          let keys =
+            P.fold_live page ~init:[] ~f:(fun acc slot -> cell_key page slot :: acc)
+            |> List.sort String.compare
+          in
+          List.iter
+            (fun k ->
               if String.compare k low < 0 then
                 fail_inv "leaf %d: key %S below bound %S" page_id k low;
               match high with
               | Some h when String.compare k h >= 0 ->
                   fail_inv "leaf %d: key %S above bound %S" page_id k h
-              | _ -> ());
-          !n
+              | _ -> ())
+            keys;
+          leaves := (page_id, P.prev_page page, P.next_page page, keys) :: !leaves;
+          List.length keys
         end
         else begin
           let cells =
@@ -835,4 +842,21 @@ let check_invariants t =
           check_children 0 cells
         end)
   in
-  walk t.root ~low:"" ~high:None ~expect_level:None
+  let n = walk t.root ~low:"" ~high:None ~expect_level:None in
+  (* the chain: each leaf links both ways to its neighbours in key order,
+     the ends link nowhere — so it holds exactly the tree's leaves — and
+     keys ascend from one leaf to the next *)
+  let rec chain prev_id prev_last = function
+    | [] -> ()
+    | (id, prev, next, keys) :: rest ->
+        let next_id = match rest with (nid, _, _, _) :: _ -> nid | [] -> P.no_page in
+        if prev <> prev_id then fail_inv "leaf %d: prev link %d, expected %d" id prev prev_id;
+        if next <> next_id then fail_inv "leaf %d: next link %d, expected %d" id next next_id;
+        (match (prev_last, keys) with
+        | Some last, first :: _ when String.compare last first >= 0 ->
+            fail_inv "leaf %d: first key %S not above the previous leaf's last %S" id first last
+        | _ -> ());
+        chain id (match List.rev keys with last :: _ -> Some last | [] -> prev_last) rest
+  in
+  chain P.no_page None (List.rev !leaves);
+  n

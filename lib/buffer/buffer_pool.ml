@@ -93,9 +93,7 @@ let create ?(capacity = 256) ?(metrics = M.null) ~disk ~wal () =
     ring = Array.make capacity None; hand = 0;
     free = List.init capacity Fun.id; pre_flush = ignore; metrics }
 
-let locked t f =
-  Mutex.lock t.pool_mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock t.pool_mu) f
+let locked t f = Mutex.protect t.pool_mu f
 
 let set_pre_flush t f = t.pre_flush <- f
 let page_size t = t.disk.Imdb_storage.Disk.page_size

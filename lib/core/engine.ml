@@ -121,15 +121,11 @@ type t = {
   disk : Imdb_storage.Disk.t;
   wal : Imdb_wal.Wal.t;
   pool : BP.t;
-  gate_mu : Mutex.t;
-      (* the session gate: every public operation runs exclusively under
-         it, so the engine's single-threaded interior (clock, VTT,
-         catalog cache, cur_txn) is safe with sessions on many domains.
-         Reentrant per domain; released while a session parks on a lock
-         wait and across the commit-record fsync, which is where
-         concurrent sessions actually overlap. *)
-  gate_owner : int Atomic.t; (* domain id + 1 of the holder; 0 = none *)
-  mutable gate_depth : int; (* reentrancy depth, owner-only access *)
+  gate : Imdb_util.Park.lock;
+      (* the session gate: every public operation runs under it, so the
+         single-threaded interior (clock, VTT, catalog cache, cur_txn) is
+         safe with many sessions; released only while a session parks on
+         a lock and across the commit-record fsync *)
   clock : Imdb_clock.Clock.t;
   locks : Imdb_lock.Lock_manager.t;
   stamper : Imdb_tstamp.Lazy_stamper.t;
@@ -181,50 +177,11 @@ let catalog_exn t =
 (* The session gate                                                     *)
 (* ------------------------------------------------------------------ *)
 
-let gate_enter t =
-  let me = (Domain.self () :> int) + 1 in
-  if Atomic.get t.gate_owner = me then t.gate_depth <- t.gate_depth + 1
-  else begin
-    Mutex.lock t.gate_mu;
-    Atomic.set t.gate_owner me;
-    t.gate_depth <- 1
-  end
-
-let gate_exit t =
-  t.gate_depth <- t.gate_depth - 1;
-  if t.gate_depth = 0 then begin
-    Atomic.set t.gate_owner 0;
-    Mutex.unlock t.gate_mu
-  end
-
 (* Run [f] holding the session gate.  Reentrant, so public operations
    compose freely; a single session pays two uncontended mutex ops. *)
 let exclusively t f =
-  gate_enter t;
-  Fun.protect ~finally:(fun () -> gate_exit t) f
-
-(* Fully release the gate if this domain holds it, returning the
-   function that retakes it at the same depth — for the two places a
-   session must get out of every other session's way: parking on a lock
-   conflict, and the commit-record fsync.  A caller that never held the
-   gate (engine-level use outside [Db]) gets a no-op back. *)
-let gate_suspend t =
-  let me = (Domain.self () :> int) + 1 in
-  if Atomic.get t.gate_owner <> me then ignore
-  else begin
-    let depth = t.gate_depth in
-    t.gate_depth <- 0;
-    Atomic.set t.gate_owner 0;
-    Mutex.unlock t.gate_mu;
-    fun () ->
-      Mutex.lock t.gate_mu;
-      Atomic.set t.gate_owner me;
-      t.gate_depth <- depth
-  end
-
-(* Run [f] (a blocking or long operation) with the gate released, then
-   retake it at the same depth — exception-safe in both directions. *)
-let without_gate t f = Fun.protect ~finally:(gate_suspend t) f
+  Imdb_util.Park.acquire t.gate;
+  Fun.protect ~finally:(fun () -> Imdb_util.Park.release t.gate) f
 
 (* ------------------------------------------------------------------ *)
 (* Ingest buffering state                                              *)
@@ -551,7 +508,7 @@ let lock_resource t txn res mode =
   let module L = Imdb_lock.Lock_manager in
   match
     L.acquire
-      ~on_park:(fun () -> gate_suspend t)
+      ~on_park:(fun () -> Imdb_util.Park.suspend t.gate)
       ~timeout_us:(t.config.lock_wait_timeout_ms * 1000)
       t.locks txn.tx_tid res mode
   with
@@ -862,9 +819,7 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
       disk;
       wal;
       pool;
-      gate_mu = Mutex.create ();
-      gate_owner = Atomic.make 0;
-      gate_depth = 0;
+      gate = Imdb_util.Park.lock ();
       clock;
       locks =
         (let lm = Imdb_lock.Lock_manager.create () in

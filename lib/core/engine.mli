@@ -118,10 +118,9 @@ type t = {
   disk : Imdb_storage.Disk.t;
   wal : Imdb_wal.Wal.t;
   pool : Imdb_buffer.Buffer_pool.t;
-  gate_mu : Mutex.t;
-      (** the session gate — see {!exclusively}; treat as private *)
-  gate_owner : int Atomic.t;  (** domain id + 1 of the holder; 0 = none *)
-  mutable gate_depth : int;  (** reentrancy depth; owner-only access *)
+  gate : Imdb_util.Park.lock;
+      (** the session gate, keyed by {!Imdb_util.Park.self} — see
+          {!exclusively}; treat as private *)
   clock : Imdb_clock.Clock.t;
   locks : Imdb_lock.Lock_manager.t;
   stamper : Imdb_tstamp.Lazy_stamper.t;
@@ -169,19 +168,13 @@ val catalog_exn : t -> Imdb_btree.Btree.t
     One engine, many sessions, any domains: every public operation runs
     exclusively under the gate, which keeps the engine's single-threaded
     interior (clock, VTT/stamper, catalog cache, [cur_txn]) safe without
-    per-structure locks.  The gate is {e reentrant} per domain and is
-    released at exactly the two points where concurrent sessions benefit
-    from overlap: while a session parks on a lock conflict (so the holder
-    can run and release) and across the commit-record fsync (so
-    committers batch one device sync). *)
+    per-structure locks.  The gate ([gate]) is a {!Imdb_util.Park.lock},
+    reentrant per session, and released ({!Imdb_util.Park.suspend}) only
+    while a session parks on a lock conflict (so the holder can run) and
+    across the commit-record fsync (so committers batch one sync). *)
 
 val exclusively : t -> (unit -> 'a) -> 'a
 (** Run [f] holding the session gate (reentrant). *)
-
-val without_gate : t -> (unit -> 'a) -> 'a
-(** Run [f] with the gate fully released (restoring the entry depth
-    after), for blocking or device-bound sections.  A no-op wrapper when
-    the calling domain does not hold the gate. *)
 
 type session = { s_engine : t; s_id : int }
 (** A lightweight handle for one thread-of-control (typically one

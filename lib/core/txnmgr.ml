@@ -86,7 +86,8 @@ let commit eng txn =
        return without paying a second sync for records newer than its
        own; serially the commit record is the end of the buffered tail,
        so the two are the same flush. *)
-    E.without_gate eng (fun () -> Imdb_wal.Wal.flush ~lsn:commit_lsn eng.E.wal);
+    Fun.protect ~finally:(Imdb_util.Park.suspend eng.E.gate) (fun () ->
+        Imdb_wal.Wal.flush ~lsn:commit_lsn eng.E.wal);
     (* the flush's return is the durability acknowledgment: every commit
        [commit] returns is in the durable log *)
     txn.E.tx_durable <- true;

@@ -7,22 +7,22 @@
 
    Resources are hierarchical: table locks in intention modes, record
    locks in S/X.  The lock table, the per-transaction held index and the
-   wait-for graph all live under one mutex with one condition variable.
-   Every engine call already runs under the session gate, so only parked
-   waiters ever contend for it; the mutex keeps the manager safe to call
-   from any domain without relying on the gate, and it makes every read
-   of the three structures one consistent cut.
+   wait-for graph all live under one [Park.spot].  Every engine call
+   already runs under the session gate, so only parked waiters contend
+   for it; it keeps the manager safe without the gate, and makes every
+   read of the three structures one consistent cut.
 
    There is one acquisition path.  A conflicting request records its
    wait-for edge, and a cycle through it raises [Deadlock] (the
    requester is the victim).  With a zero timeout the request then
-   gives up at once ([Lock_timeout]) without parking; otherwise it parks
-   on the condition variable until a release makes the grant possible,
-   a later re-probe closes a cycle, or the deadline passes.  A
-   lazily-spawned global ticker thread bounds the time between deadline
-   checks, since the stdlib condition variable has no timed wait. *)
+   gives up at once ([Lock_timeout]) without parking; otherwise it
+   [Park.wait]s until the grant is possible, a holder its edge does not
+   name blocks it (the re-probe records that edge, which may close a
+   cycle), or the deadline passes — by [Park.now_us], which is virtual
+   time under the torture harness's fibers. *)
 
 module M = Imdb_obs.Metrics
+module Park = Imdb_util.Park
 
 type resource = Table of int | Record of int * string (* table_id, key *)
 
@@ -65,8 +65,7 @@ type waiter = {
 }
 
 type t = {
-  mu : Mutex.t; (* guards everything below *)
-  cond : Condition.t; (* released locks broadcast here *)
+  mu : Park.spot; (* guards everything below; releases wake its waiters *)
   table : (resource, entry) Hashtbl.t;
   held : (Imdb_clock.Tid.t, (resource, unit) Hashtbl.t) Hashtbl.t;
       (* per-transaction held-resource sets (strict 2PL release index) *)
@@ -79,8 +78,7 @@ type t = {
 
 let create () =
   {
-    mu = Mutex.create ();
-    cond = Condition.create ();
+    mu = Park.spot ();
     table = Hashtbl.create 64;
     held = Hashtbl.create 64;
     waits = Hashtbl.create 16;
@@ -93,55 +91,6 @@ let set_tracer t tr = t.tracer <- tr
 
 exception Deadlock of Imdb_clock.Tid.t
 exception Lock_timeout of { tid : Imdb_clock.Tid.t; res : resource }
-
-(* --- the wake-up ticker --------------------------------------------- *)
-
-(* [Condition] has no timed wait, so a parked waiter cannot by itself
-   notice a passed deadline.  One process-wide ticker thread broadcasts
-   the condition variable of every parked waiter; woken waiters re-check
-   their grant and their deadline.  A waiter's condvar is on the
-   ticker's list only while it is parked, so a manager nobody waits on
-   costs the ticker nothing.  Spawned on the first blocking wait in the
-   process — engines that never block never pay for the thread. *)
-let ticker_mu = Mutex.create ()
-let parked : Condition.t list ref = ref [] (* one entry per parked waiter *)
-let ticker_running = ref false
-
-(* The ticker must EXIT the moment no one is parked: a domain cannot
-   terminate while a thread it spawned is still running, so a
-   forever-looping ticker created from a worker domain (whichever domain
-   parks first) would make that domain unjoinable.  The liveness
-   handshake: a parker joins [parked] and ensures a ticker exists in one
-   [ticker_mu] section, and the ticker re-checks [parked] under the same
-   mutex before retiring — a racing parker either finds it still running
-   or finds [ticker_running] already false and spawns a fresh one. *)
-let rec ticker_loop () =
-  Thread.delay 0.002;
-  Mutex.lock ticker_mu;
-  let conds = !parked in
-  if conds = [] then ticker_running := false;
-  Mutex.unlock ticker_mu;
-  if conds <> [] then begin
-    List.iter Condition.broadcast conds;
-    ticker_loop ()
-  end
-
-let rec remove_one c = function
-  | [] -> []
-  | x :: rest -> if x == c then rest else x :: remove_one c rest
-
-(* Wait on [t.cond] (caller holds [t.mu]) with the ticker's wake-ups. *)
-let park t =
-  Mutex.protect ticker_mu (fun () ->
-      parked := t.cond :: !parked;
-      if not !ticker_running then begin
-        ticker_running := true;
-        ignore (Thread.create ticker_loop ())
-      end);
-  Fun.protect
-    ~finally:(fun () ->
-      Mutex.protect ticker_mu (fun () -> parked := remove_one t.cond !parked))
-    (fun () -> Condition.wait t.cond t.mu)
 
 (* --- held / waits indexes (hash-set backed; callers hold [mu]) ------- *)
 
@@ -223,20 +172,27 @@ let wait_or_deadlock t tid ~res ~mode blockers =
     raise (Deadlock tid)
   end
 
-(* Park until granted (caller holds [mu] and has recorded its edge).
+(* Park until granted (caller holds [mu] and has recorded its edge),
+   re-probing whenever the grant is possible or a holder the edge does
+   not name blocks the request (its new edge may close a cycle).
    Returns the microseconds spent parked; a deadlock or a passed
    deadline raises instead, leaving no edge behind. *)
 let park_until_granted t ~timeout_us tid res mode =
-  let started = Unix.gettimeofday () in
-  let deadline = started +. (float_of_int timeout_us /. 1e6) in
+  let started = Park.now_us () in
+  let deadline_us = started + timeout_us in
+  let news () =
+    match (probe t tid res mode, Hashtbl.find_opt t.waits tid) with
+    | (_, _, []), _ | _, None -> true
+    | (_, _, blockers), Some w -> List.exists (fun b -> not (Hashtbl.mem w.w_set b)) blockers
+  in
   let rec loop () =
-    park t;
+    Park.wait ~deadline_us t.mu news;
     let e, requested, conflicts = probe t tid res mode in
     match conflicts with
     | [] -> grant t e tid res requested
     | blockers ->
         wait_or_deadlock t tid ~res ~mode blockers;
-        if Unix.gettimeofday () >= deadline then begin
+        if Park.now_us () >= deadline_us then begin
           Hashtbl.remove t.waits tid;
           M.incr t.metrics M.lock_timeouts;
           raise (Lock_timeout { tid; res })
@@ -248,7 +204,7 @@ let park_until_granted t ~timeout_us tid res mode =
   @@ fun _ ->
   let waited_us = ref 0 in
   Fun.protect loop ~finally:(fun () ->
-      waited_us := int_of_float ((Unix.gettimeofday () -. started) *. 1e6);
+      waited_us := Park.now_us () - started;
       M.observe t.metrics M.h_lock_wait_us !waited_us);
   !waited_us
 
@@ -260,7 +216,7 @@ let park_until_granted t ~timeout_us tid res mode =
 let acquire ?(on_park = fun () -> ignore) ~timeout_us t tid res mode =
   let resume = ref ignore in
   Fun.protect ~finally:(fun () -> !resume ()) @@ fun () ->
-  Mutex.protect t.mu @@ fun () ->
+  Park.protect t.mu @@ fun () ->
   let e, requested, conflicts = probe t tid res mode in
   match conflicts with
   | [] ->
@@ -278,12 +234,6 @@ let acquire ?(on_park = fun () -> ignore) ~timeout_us t tid res mode =
 
 (* --- queries and release --------------------------------------------- *)
 
-let holds t tid res =
-  Mutex.protect t.mu (fun () ->
-      match Hashtbl.find_opt t.table res with
-      | None -> None
-      | Some e -> Hashtbl.find_opt e.holders tid)
-
 (* Strict 2PL: all locks released together at commit/abort, then every
    parked waiter re-probes.  A wait-for edge names only current holders
    of the waited-on resource, and a holder gives a lock up only here, so
@@ -291,7 +241,7 @@ let holds t tid res =
    its releases end — which keeps every blocker a [dump] names among
    that dump's holders. *)
 let release_all t tid =
-  Mutex.protect t.mu (fun () ->
+  Park.protect t.mu (fun () ->
       (match Hashtbl.find_opt t.held tid with
       | None -> ()
       | Some set ->
@@ -306,13 +256,7 @@ let release_all t tid =
             set);
       Hashtbl.remove t.waits tid;
       Hashtbl.iter (fun _ w -> Hashtbl.remove w.w_set tid) t.waits;
-      Condition.broadcast t.cond)
-
-let held_by t tid =
-  Mutex.protect t.mu (fun () ->
-      match Hashtbl.find_opt t.held tid with
-      | Some set -> Hashtbl.fold (fun res () acc -> res :: acc) set []
-      | None -> [])
+      Park.wake t.mu)
 
 (* --- introspection dump ---------------------------------------------- *)
 
@@ -325,7 +269,7 @@ type dump = {
    mutex that every edge insert and release also holds. *)
 let dump t =
   let holders, waiters =
-    Mutex.protect t.mu (fun () ->
+    Park.protect t.mu (fun () ->
         ( Hashtbl.fold
             (fun res e acc ->
               Hashtbl.fold (fun tid m acc -> (res, tid, m) :: acc) e.holders acc)

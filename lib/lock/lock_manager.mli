@@ -3,10 +3,10 @@
     detection.
 
     The lock table, the held index and the wait-for graph share one
-    mutex and one condition variable.  The engine's session gate already
-    serializes every caller except parked waiters, so one mutex costs
-    nothing, and it keeps the manager safe to call from any domain on
-    its own.  There is one acquisition function, {!acquire}: a conflict
+    {!Imdb_util.Park.spot}.  The engine's session gate already
+    serializes every caller except parked waiters, so it costs nothing,
+    and it keeps the manager safe on its own.  There is one acquisition
+    function, {!acquire}: a conflict
     runs deadlock detection at edge insert, then either gives up at once
     (timeout 0, the single-session engine's fail-fast protocol) or parks
     until granted, with timeout-based victim selection (the waiter is the
@@ -47,17 +47,17 @@ val acquire :
   timeout_us:int ->
   t -> Imdb_clock.Tid.t -> resource -> mode -> int
 (** Acquire or upgrade; re-requests are idempotent.  Returns the
-    wall-clock microseconds spent parked (0 when granted without
-    parking), which callers fold into per-transaction wait accounting.
+    microseconds spent parked by {!Imdb_util.Park.now_us} (0 when
+    granted without parking), which callers fold into per-transaction
+    wait accounting.
 
     A conflict records the requester's wait-for edge; closing a cycle
     raises [Deadlock].  With [timeout_us = 0] the request then erases
     its edge and raises [Lock_timeout] at once: no park, no "lock.wait"
     span, no [lock.wait_us] observation, and it counts as a conflict,
-    not a timeout.  Otherwise it parks on the manager's condition
-    variable; releases of conflicting locks re-probe the grant, and a
-    process-wide ticker thread (spawned on the first park) bounds the
-    delay until the deadline is noticed.
+    not a timeout.  Otherwise it {!Imdb_util.Park.wait}s, until the
+    deadline at most: releases of conflicting locks re-probe the grant,
+    and so does a new holder its edge does not name.
 
     [on_park ()] runs once, under the manager's mutex, just before the
     first park; the function it returns runs after that mutex is
@@ -68,13 +68,9 @@ val acquire :
     @raise Deadlock at edge insert
     @raise Lock_timeout at once (timeout 0) or at the deadline *)
 
-val holds : t -> Imdb_clock.Tid.t -> resource -> mode option
-
 val release_all : t -> Imdb_clock.Tid.t -> unit
 (** Strict 2PL: everything is released together at commit/abort; every
     parked waiter is woken to re-probe. *)
-
-val held_by : t -> Imdb_clock.Tid.t -> resource list
 
 (** {1 Introspection} *)
 

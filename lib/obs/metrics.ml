@@ -39,15 +39,7 @@ let create () = make true
 let null = make false
 let enabled t = t.on
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-      Mutex.unlock t.lock;
-      v
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
+let locked t f = Mutex.protect t.lock f
 
 let reset t =
   locked t (fun () ->

@@ -72,15 +72,7 @@ let create ?(interval_ms = 1000) ?(capacity = default_capacity)
 let enabled t = t.on
 let interval_ms t = Int64.to_int (Int64.div t.interval_us 1000L)
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-      Mutex.unlock t.lock;
-      v
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
+let locked t f = Mutex.protect t.lock f
 
 let sample t =
   if t.on then begin

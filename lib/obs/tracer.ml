@@ -87,15 +87,7 @@ let enabled t = t.on
 let set_clock t f = t.clock_us <- f
 let span_id sp = sp.sp_id
 
-let locked t f =
-  Mutex.lock t.lock;
-  match f () with
-  | v ->
-      Mutex.unlock t.lock;
-      v
-  | exception e ->
-      Mutex.unlock t.lock;
-      raise e
+let locked t f = Mutex.protect t.lock f
 
 let stack_for t did =
   match Hashtbl.find_opt t.stacks did with

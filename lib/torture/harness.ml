@@ -3,10 +3,14 @@
    verification loop that checks every answer the engine can give against
    the linearized oracle in {!Model}.
 
-   Everything derives from the seed: the workload PRNG, the crash
+   One loop runs every mode: serial ops over all keys, or
+   bursts of [sessions] sessions over disjoint key partitions, started
+   as seeded {!Fibers} (or, for a cross-check, on real domains).
+   Everything derives from the seed: the workload PRNGs, the crash
    schedule (seed lxor a salt), each crash point's private countdown
-   (seed mixed with the point's position).  The clock is logical and
-   ticks a fixed quantum per transaction.  No wall time, no OS
+   (seed mixed with the point's position), the fibers' interleaving.
+   The clock is logical and ticks a fixed quantum per transaction; lock
+   timeouts fall in the fibers' virtual time.  No wall time, no OS
    randomness: a failure replays from the printed seed alone. *)
 
 module Ts = Imdb_clock.Timestamp
@@ -40,22 +44,10 @@ let crash_kind_name = function
   | Crash_ptt_post -> "ptt-post"
 
 let all_crash_kinds =
-  [
-    Crash_wal_tail;
-    Crash_data_write;
-    Crash_history_write;
-    Crash_meta_write;
-    Crash_recovery;
-    Crash_buffer_write;
-    Crash_ptt_post;
-  ]
+  [ Crash_wal_tail; Crash_data_write; Crash_history_write; Crash_meta_write; Crash_recovery;
+    Crash_buffer_write; Crash_ptt_post ]
 
-let kind_index k =
-  let rec go i = function
-    | [] -> 0
-    | k' :: rest -> if k' = k then i else go (i + 1) rest
-  in
-  go 0 all_crash_kinds
+let kind_index k = Option.get (List.find_index (( = ) k) all_crash_kinds)
 
 type crash_point = { cp_commit : int; cp_kind : crash_kind; cp_torn : bool }
 type sabotage = Skew_stamp of int | Drop_write of int
@@ -81,33 +73,15 @@ type config = {
 
 let default =
   {
-    seed = 1;
-    ops = 10_000;
-    crashes = 60;
-    tables = 2;
-    keys_per_table = 48;
-    page_size = 1024;
-    pool_capacity = 12;
-    auto_checkpoint_every = 40;
-    verify_every = 0;
-    verify_limit = 0;
-    bulk = false;
-    sessions = 1;
-    sabotage = None;
-    schedule = None;
-    log = None;
-    flight_dir = None;
+    seed = 1; ops = 10_000; crashes = 60; tables = 2; keys_per_table = 48; page_size = 1024;
+    pool_capacity = 12; auto_checkpoint_every = 40; verify_every = 0; verify_limit = 0;
+    bulk = false; sessions = 1; sabotage = None; schedule = None; log = None; flight_dir = None;
   }
-
-(* The kinds a run can fire: the concurrent driver only pulls the plug
-   between bursts (wal-tail); the I/O-failure kinds need the serial
-   driver's single session to aim at one write. *)
-let kinds_of cfg = if cfg.sessions > 1 then [ Crash_wal_tail ] else all_crash_kinds
 
 (* The crash schedule: [crashes] points spread over the expected commit
    count (ops / mean txn size, minus aborts), kinds cycling through a
-   per-block shuffle of every kind the run can fire, so each appears
-   once in every window of that many crashes. *)
+   per-block shuffle of every kind, so each appears once in every window
+   of that many crashes. *)
 let schedule_of cfg =
   match cfg.schedule with
   | Some s -> s
@@ -118,7 +92,7 @@ let schedule_of cfg =
       if n <= 0 then []
       else begin
         let gap = max 4 (expected_commits / (n + 1)) in
-        let kinds = Array.of_list (kinds_of cfg) in
+        let kinds = Array.of_list all_crash_kinds in
         let block = Array.copy kinds in
         let out = ref [] in
         let at = ref 0 in
@@ -136,23 +110,23 @@ let schedule_of cfg =
 
 type report = {
   r_seed : int;
-  r_ops : int;
-  r_commits : int;
-  r_aborts : int;
-  r_crashes : int;
-  r_crash_kinds : (string * int) list;
-  r_torn : int;
-  r_recoveries : int;
-  r_double_recoveries : int;
-  r_volatile_drops : int;
-  r_asof_checks : int;
-  r_boundary_checks : int;
-  r_history_checks : int;
-  r_point_checks : int;
-  r_spot_checks : int;
-  r_time_splits : int;
-  r_checkpoints : int;
-  r_torn_rebuilt : int;
+  mutable r_ops : int;
+  mutable r_commits : int;
+  mutable r_aborts : int;
+  mutable r_crashes : int;
+  mutable r_crash_kinds : (string * int) list;
+  mutable r_torn : int;
+  mutable r_recoveries : int;
+  mutable r_double_recoveries : int;
+  mutable r_volatile_drops : int;
+  mutable r_asof_checks : int;
+  mutable r_boundary_checks : int;
+  mutable r_history_checks : int;
+  mutable r_point_checks : int;
+  mutable r_spot_checks : int;
+  mutable r_time_splits : int;
+  mutable r_checkpoints : int;
+  mutable r_torn_rebuilt : int;
 }
 
 type failure = {
@@ -161,6 +135,7 @@ type failure = {
   f_commits : int;
   f_msg : string;
   f_trace : string list;
+  f_replay : string;
 }
 
 type outcome = Passed of report | Failed of failure
@@ -172,6 +147,12 @@ let just_before ts =
   if sn > 0 then Ts.make ~ttime:(Ts.ttime ts) ~sn:(sn - 1)
   else Ts.make ~ttime:(Int64.sub (Ts.ttime ts) 1L) ~sn:0xFFFFFFFF
 
+let replay_command cfg =
+  Printf.sprintf "imdb torture --seed %d --ops %d --crashes %d%s%s --replay" cfg.seed cfg.ops
+    cfg.crashes
+    (if cfg.bulk then " --bulk" else "")
+    (if cfg.sessions > 1 then Printf.sprintf " --sessions %d" cfg.sessions else "")
+
 let torture_schema =
   Imdb_core.Schema.make
     [
@@ -181,12 +162,52 @@ let torture_schema =
 
 let short v = if String.length v > 16 then String.sub v 0 16 ^ "..." else v
 
-let run cfg =
+(* A plug pulled by a session: the run crashes at once, outside it. *)
+exception Pull of crash_point
+
+(* One session of the workload: its PRNG, its key partition (keys [k] with
+   [k mod stride = sid]), the transaction a crash may interrupt, and the
+   commits it saw return that are not yet in the oracle, with their
+   writes by key, through which it reads its partition until the merge. *)
+type session = {
+  sid : int;
+  stride : int;
+  srng : Rng.t;
+  begin_txn : unit -> E.txn;
+  quota : int; (* write ops it may run; [base] had run before it began *)
+  base : int;
+  mutable s_ops : int;
+  mutable s_aborts : int;
+  mutable inflight : (E.txn * Model.write list) option;
+  mutable returned : (Ts.t * int * Model.write list) list; (* newest first *)
+  seen : (string * string, string option) Hashtbl.t;
+}
+
+let run ?spawn cfg =
   let rng = Rng.create cfg.seed in
   let clock = Clock.create_logical () in
   let plan = Disk.never_fail () in
-  let disk = Disk.failing ~plan (Disk.in_memory ~page_size:cfg.page_size ()) in
-  let log_device = Wal.Device.in_memory () in
+  (* Every page write and every log sync is a yield under the fiber
+     scheduler.  The log device holds appended bytes back until the sync
+     (the platter gets them only then), so a plug pulled at that yield
+     loses the whole batch: no commit in it was acknowledged. *)
+  let disk =
+    let d = Disk.failing ~plan (Disk.in_memory ~page_size:cfg.page_size ()) in
+    { d with Disk.write_page = (fun id b -> Fibers.yield (); d.Disk.write_page id b) }
+  in
+  let platter = Wal.Device.in_memory () and unsynced = Buffer.create 4096 in
+  let log_device =
+    {
+      platter with
+      Wal.Device.append = Buffer.add_bytes unsynced;
+      sync =
+        (fun () ->
+          Fibers.yield ();
+          platter.Wal.Device.append (Buffer.to_bytes unsynced);
+          Buffer.clear unsynced;
+          platter.Wal.Device.sync ());
+    }
+  in
   let metrics = Mx.create () in
   let econfig =
     {
@@ -215,25 +236,20 @@ let run cfg =
     table_names;
   Db.checkpoint !db;
 
-  let ops_done = ref 0 in
-  let commits = ref 0 in
+  (* the report is the run's tally, kept as the run goes *)
+  let r =
+    {
+      r_seed = cfg.seed; r_ops = 0; r_commits = 0; r_aborts = 0; r_crashes = 0;
+      r_crash_kinds = List.map (fun k -> (crash_kind_name k, 0)) all_crash_kinds; r_torn = 0;
+      r_recoveries = 0; r_double_recoveries = 0; r_volatile_drops = 0; r_asof_checks = 0;
+      r_boundary_checks = 0; r_history_checks = 0; r_point_checks = 0; r_spot_checks = 0;
+      r_time_splits = 0; r_checkpoints = 0; r_torn_rebuilt = 0;
+    }
+  in
   let commit_seq = ref 0 in
-  let aborts = ref 0 in
-  let crashes = ref 0 in
-  let torn = ref 0 in
-  let recoveries = ref 0 in
-  let double_recoveries = ref 0 in
-  let volatile_drops = ref 0 in
-  let asof_checks = ref 0 in
-  let boundary_checks = ref 0 in
-  let history_checks = ref 0 in
-  let point_checks = ref 0 in
-  let spot_checks = ref 0 in
-  let kind_fired = List.map (fun k -> (k, ref 0)) all_crash_kinds in
 
-  (* the transaction a crash may interrupt, with the writes it applied *)
-  let inflight : (E.txn * Model.write list) option ref = ref None in
-
+  (* the sessions whose commits are not yet merged into the oracle *)
+  let live : session list ref = ref [] in
   (* ---- trace ring --------------------------------------------------- *)
   let trace_cap = 64 in
   let trace = Array.make trace_cap "" in
@@ -257,9 +273,9 @@ let run cfg =
   (* Record a commit in the model, applying any configured sabotage: the
      self-test switch that makes the oracle deliberately wrong so a
      passing detector can be shown to fail. *)
-  let record_commit ~ts writes =
+  let record_commit (ts, tag, writes) =
     incr commit_seq;
-    incr commits;
+    r.r_commits <- r.r_commits + 1;
     let ts, writes =
       match cfg.sabotage with
       | Some (Skew_stamp n) when n > 0 && !commit_seq mod n = 0 -> (just_before ts, writes)
@@ -267,7 +283,7 @@ let run cfg =
           (ts, List.tl writes)
       | _ -> (ts, writes)
     in
-    Model.record model ~ts ~tag:!ops_done writes
+    Model.record model ~ts ~tag writes
   in
 
   let tick () = Clock.advance clock 20L in
@@ -275,12 +291,6 @@ let run cfg =
   let scan_now table =
     let out = ref [] in
     Db.exec !db (fun txn -> Db.scan !db txn ~table (fun k v -> out := (k, v) :: !out));
-    List.rev !out
-  in
-  let scan_at table ts =
-    let out = ref [] in
-    Db.exec !db (fun txn ->
-        Db.scan_as_of !db txn ~table ~ts (fun k v -> out := (k, v) :: !out));
     List.rev !out
   in
 
@@ -324,7 +334,7 @@ let run cfg =
               fail "%s: point read of %s/%s: model=%s engine=%s" what table key
                 (Option.fold ~none:"-" ~some:short want)
                 (Option.fold ~none:"-" ~some:short got);
-            incr point_checks)
+            r.r_point_checks <- r.r_point_checks + 1)
           keys)
   in
 
@@ -343,51 +353,44 @@ let run cfg =
           (Model.current_state model ~table)
           (scan_now table);
         let n = Model.commit_count model in
-        if n > 0 then begin
-          let dense_from, stride =
-            if cfg.verify_limit <= 0 || n <= cfg.verify_limit then (0, 1)
-            else
-              (n - (cfg.verify_limit / 2), max 2 (n / max 1 (cfg.verify_limit / 2)))
-          in
-          let idx = ref (-1) in
-          let prev = ref [] in
-          Model.iter_states model ~table ~f:(fun ~ts ~tag ~state ->
-              incr idx;
-              if !idx >= dense_from || !idx mod stride = 0 then begin
+        let dense_from, stride =
+          if cfg.verify_limit <= 0 || n <= cfg.verify_limit then (0, 1)
+          else
+            (n - (cfg.verify_limit / 2), max 2 (n / max 1 (cfg.verify_limit / 2)))
+        in
+        let idx = ref (-1) in
+        let prev = ref [] in
+        Model.iter_states model ~table ~f:(fun ~ts ~tag ~state ->
+            incr idx;
+            if !idx >= dense_from || !idx mod stride = 0 then begin
+              let what =
+                Printf.sprintf "%s: AS OF %s (commit #%d, op %d)" label (Ts.to_string ts)
+                  !idx tag
+              in
+              check_state ~what ~table ts state;
+              r.r_asof_checks <- r.r_asof_checks + 1;
+              (* just below the commit timestamp the commit must be
+                 invisible: catches stamps leaking backward in time *)
+              if !idx land 3 = 0 then begin
                 let what =
-                  Printf.sprintf "%s: AS OF %s (commit #%d, op %d)" label (Ts.to_string ts)
-                    !idx tag
+                  Printf.sprintf "%s: AS OF just below %s (commit #%d)" label
+                    (Ts.to_string ts) !idx
                 in
-                check_state ~what ~table ts state;
-                incr asof_checks;
-                (* just below the commit timestamp the commit must be
-                   invisible: catches stamps leaking backward in time *)
-                if !idx land 3 = 0 then begin
-                  let what =
-                    Printf.sprintf "%s: AS OF just below %s (commit #%d)" label
-                      (Ts.to_string ts) !idx
-                  in
-                  check_state ~what ~table (just_before ts) !prev;
-                  incr boundary_checks
-                end
-              end;
-              prev := state)
-        end;
+                check_state ~what ~table (just_before ts) !prev;
+                r.r_boundary_checks <- r.r_boundary_checks + 1
+              end
+            end;
+            prev := state);
         let want_h = Model.histories model ~table in
         for k = 0 to cfg.keys_per_table - 1 do
           let key = key_name k in
           let want = Option.value (Hashtbl.find_opt want_h key) ~default:[] in
           let got = Db.exec !db (fun txn -> Db.history !db txn ~table ~key) in
-          let equal =
-            List.length want = List.length got
-            && List.for_all2
-                 (fun (t1, v1) (t2, v2) -> Ts.compare t1 t2 = 0 && v1 = v2)
-                 want got
-          in
-          if not equal then
+          if not (List.equal (fun (t1, v1) (t2, v2) -> Ts.compare t1 t2 = 0 && v1 = v2) want got)
+          then
             fail "%s: history of %s/%s: model has %d versions, engine %d" label table key
               (List.length want) (List.length got);
-          incr history_checks
+          r.r_history_checks <- r.r_history_checks + 1
         done)
       table_names;
     (* every unstamped version the reads met must have resolved: a TID
@@ -396,78 +399,137 @@ let run cfg =
       fail "%s: %d TIDs resolved to no mapping" label (unknown_tids () - unknown_before)
   in
 
+  (* ---- sessions ----------------------------------------------------- *)
+  let new_session ~sid ~stride ~srng ~quota ~begin_txn =
+    {
+      sid; stride; srng; begin_txn; quota; base = r.r_ops; s_ops = 0; s_aborts = 0;
+      inflight = None; returned = []; seen = Hashtbl.create 16;
+    }
+  in
+  let tag s = s.base + s.s_ops in
+  let who s = if s.stride = 1 then "" else Printf.sprintf "s%d " s.sid in
+  (* commits that returned, merged or not: what paces the crash schedule *)
+  let live_commits () =
+    List.fold_left (fun n s -> n + List.length s.returned) r.r_commits !live
+  in
+  let value_of s ~table ~key =
+    match Hashtbl.find_opt s.seen (table, key) with
+    | Some v -> v
+    | None -> Model.value_of model ~table ~key
+  in
+  let own_key s =
+    key_name
+      (s.sid + (s.stride * Rng.int s.srng ((cfg.keys_per_table - s.sid + s.stride - 1) / s.stride)))
+  in
+
+  (* Fold the live sessions into the oracle: the commits that returned
+     and, at a crash, every interrupted commit whose record was synced —
+     by its own flush ([tx_durable]) or, as the platter says, by a
+     leader's sync it had not yet woken from; any other interrupted
+     transaction is a loser recovery must roll back.  All in timestamp
+     order: the engine issues timestamps, switches visibility and
+     appends the commit record in one gate section, so timestamp order
+     is a serial order consistent with what every session observed, and
+     partitioned keys make each session's writes valid against it. *)
+  let on_platter txn =
+    let found = ref false in
+    Wal.iter_from (Wal.open_device platter) ~from_lsn:txn.E.tx_last_lsn (fun _ -> function
+      | Imdb_wal.Log_record.Commit { tid; _ } -> found := !found || Imdb_clock.Tid.equal tid txn.E.tx_tid
+      | _ -> ());
+    !found
+  in
+  let merge ~crashed =
+    let interrupted s =
+      match s.inflight with
+      | Some ({ E.tx_commit_ts = Some ts; _ } as txn, writes)
+        when crashed && (txn.E.tx_durable || on_platter txn) ->
+          act "crash: %sin-flight commit ts=%s was durable; adopted" (who s) (Ts.to_string ts);
+          [ (ts, tag s, writes) ]
+      | _ -> []
+    in
+    List.concat_map (fun s -> interrupted s @ s.returned) !live
+    |> List.sort (fun (a, _, _) (b, _, _) -> Ts.compare a b)
+    |> List.iter record_commit;
+    List.iter
+      (fun s ->
+        r.r_ops <- r.r_ops + s.s_ops;
+        r.r_aborts <- r.r_aborts + s.s_aborts)
+      !live;
+    live := []
+  in
+
   (* ---- workload ----------------------------------------------------- *)
-  let gen_value () =
-    Printf.sprintf "v%d.%d|%s" !commit_seq !ops_done (String.make (Rng.int rng 64) 'x')
+  let gen_value s =
+    Printf.sprintf "v%d.%d|%s" s.sid (tag s) (String.make (Rng.int s.srng 64) 'x')
   in
 
   (* [Db.commit] may only return once the commit record is durable; the
      run fails on any returned commit not yet acknowledged. *)
-  let check_durable ~what txn ts =
-    if not txn.E.tx_durable then
-      fail "%s ts=%s returned before its commit record was durable" what (Ts.to_string ts)
+  let committed s txn writes ~what =
+    match Db.commit !db txn with
+    | Some ts ->
+        s.inflight <- None;
+        if not txn.E.tx_durable then
+          fail "%s ts=%s returned before its commit record was durable" what (Ts.to_string ts);
+        s.returned <- (ts, tag s, writes) :: s.returned;
+        List.iter (fun w -> Hashtbl.replace s.seen (w.Model.w_table, w.Model.w_key) w.w_value) writes;
+        ts
+    | None -> fail "%s of a writing transaction returned no timestamp" what
   in
 
-  (* One transaction: 1..4 writes on distinct keys, chosen to be valid
-     against the oracle's current state (insert absent keys, update or
-     delete present ones), with read-your-writes checks inline.  About
-     one in twelve deliberately aborts.  [leave_open] stops after the
+  (* One transaction on distinct keys of the session's partition, its
+     writes valid against the session's view: 1–4 inserts of absent keys
+     and updates, deletes or upserts of present ones, with inline
+     read-your-writes checks, about one in twelve deliberately aborted;
+     or, [bulk], 16–48 upserts shaped like `imdb load` batches, filling
+     the ingest buffer fast enough to force mid-transaction flushes so
+     crashes land on half-flushed buffers.  [leave_open] stops after the
      writes, leaving the transaction in [inflight] for a plug pull. *)
-  let txn_step ?(leave_open = false) () =
-    let budget = cfg.ops - !ops_done in
+  let txn_step ?(leave_open = false) ?(bulk = false) s =
+    let budget = s.quota - s.s_ops in
     if budget > 0 then begin
-      let size = min (1 + Rng.int rng 4) budget in
+      let size = min (if bulk then 16 + Rng.int s.srng 33 else 1 + Rng.int s.srng 4) budget in
       tick ();
-      let txn = Db.begin_txn !db in
-      inflight := Some (txn, []);
+      let txn = s.begin_txn () in
+      s.inflight <- Some (txn, []);
       let writes = ref [] in
       let overlay : (string * string, string option) Hashtbl.t = Hashtbl.create 8 in
       let donec = ref 0 in
       let attempts = ref 0 in
       while !donec < size && !attempts < size * 4 do
         incr attempts;
-        let table = List.nth table_names (Rng.int rng cfg.tables) in
-        let key = key_name (Rng.int rng cfg.keys_per_table) in
+        let table = List.nth table_names (Rng.int s.srng cfg.tables) in
+        let key = own_key s in
         if not (Hashtbl.mem overlay (table, key)) then begin
-          let live = Model.mem model ~table ~key in
-          let value = gen_value () in
-          let w =
-            if live then
-              match Rng.int rng 100 with
-              | d when d < 55 ->
-                  Db.update !db txn ~table ~key ~payload:value;
-                  { Model.w_table = table; w_key = key; w_value = Some value }
-              | d when d < 80 ->
-                  Db.delete !db txn ~table ~key;
-                  { Model.w_table = table; w_key = key; w_value = None }
-              | _ ->
-                  Db.upsert !db txn ~table ~key ~payload:value;
-                  { Model.w_table = table; w_key = key; w_value = Some value }
-            else if Rng.int rng 100 < 70 then begin
-              Db.insert !db txn ~table ~key ~payload:value;
-              { Model.w_table = table; w_key = key; w_value = Some value }
-            end
-            else begin
-              Db.upsert !db txn ~table ~key ~payload:value;
-              { Model.w_table = table; w_key = key; w_value = Some value }
-            end
+          let value = gen_value s in
+          let put write = write !db txn ~table ~key ~payload:value; Some value in
+          let w_value =
+            if bulk then put Db.upsert
+            else if value_of s ~table ~key <> None then
+              match Rng.int s.srng 100 with
+              | d when d < 55 -> put Db.update
+              | d when d < 80 -> Db.delete !db txn ~table ~key; None
+              | _ -> put Db.upsert
+            else if Rng.int s.srng 100 < 70 then put Db.insert
+            else put Db.upsert
           in
-          Hashtbl.replace overlay (table, key) w.Model.w_value;
-          writes := w :: !writes;
-          inflight := Some (txn, List.rev !writes);
+          Hashtbl.replace overlay (table, key) w_value;
+          writes := { Model.w_table = table; w_key = key; w_value } :: !writes;
+          s.inflight <- Some (txn, List.rev !writes);
           incr donec;
-          incr ops_done;
-          if Rng.int rng 3 = 0 then begin
+          s.s_ops <- s.s_ops + 1;
+          if (not bulk) && Rng.int s.srng 3 = 0 then begin
             (* read check: own writes shadow the committed state *)
-            let rk = key_name (Rng.int rng cfg.keys_per_table) in
+            let rk = own_key s in
             let expect =
               match Hashtbl.find_opt overlay (table, rk) with
               | Some v -> v
-              | None -> Model.value_of model ~table ~key:rk
+              | None -> value_of s ~table ~key:rk
             in
             let got = Db.get !db txn ~table ~key:rk in
             if got <> expect then
-              fail "op %d: read of %s/%s inside txn: model=%s engine=%s" !ops_done table rk
+              fail "%sop %d: read of %s/%s inside txn: model=%s engine=%s" (who s) (tag s) table
+                rk
                 (Option.fold ~none:"-" ~some:short expect)
                 (Option.fold ~none:"-" ~some:short got)
           end
@@ -476,87 +538,32 @@ let run cfg =
       if leave_open then ()
       else if !writes = [] then begin
         Db.abort !db txn;
-        inflight := None
+        s.inflight <- None
       end
-      else if Rng.int rng 12 = 0 then begin
+      else if (not bulk) && Rng.int s.srng 12 = 0 then begin
         Db.abort !db txn;
-        incr aborts;
-        inflight := None;
-        act "op %d: abort (%d writes rolled back)" !ops_done (List.length !writes)
+        s.s_aborts <- s.s_aborts + 1;
+        s.inflight <- None;
+        act "%sop %d: abort (%d writes rolled back)" (who s) (tag s) (List.length !writes)
       end
-      else begin
-        match Db.commit !db txn with
-        | Some ts ->
-            inflight := None;
-            check_durable ~what:(Printf.sprintf "op %d: commit" !ops_done) txn ts;
-            record_commit ~ts (List.rev !writes);
-            act "op %d: commit ts=%s (%d writes)" !ops_done (Ts.to_string ts)
-              (List.length !writes)
-        | None -> fail "op %d: commit of a writing transaction returned no timestamp" !ops_done
-      end
+      else
+        let what = Printf.sprintf "%sop %d: %scommit" (who s) (tag s) (if bulk then "bulk " else "") in
+        let ts = committed s txn (List.rev !writes) ~what in
+        act "%s ts=%s (%d writes)" what (Ts.to_string ts) (List.length !writes)
     end
   in
 
-  (* A bulk-insert transaction: 16–48 upserts on distinct keys in one
-     transaction.  Deliberately shaped like `imdb load` batches — fills
-     the ingest buffer fast enough to force mid-transaction flushes, so
-     crashes land on half-flushed buffers. *)
-  let bulk_step () =
-    let budget = cfg.ops - !ops_done in
-    if budget > 0 then begin
-      let size = min (16 + Rng.int rng 33) budget in
-      tick ();
-      let txn = Db.begin_txn !db in
-      inflight := Some (txn, []);
-      let writes = ref [] in
-      let seen = Hashtbl.create 16 in
-      let donec = ref 0 in
-      let attempts = ref 0 in
-      while !donec < size && !attempts < size * 4 do
-        incr attempts;
-        let table = List.nth table_names (Rng.int rng cfg.tables) in
-        let key = key_name (Rng.int rng cfg.keys_per_table) in
-        if not (Hashtbl.mem seen (table, key)) then begin
-          Hashtbl.replace seen (table, key) ();
-          let value = gen_value () in
-          Db.upsert !db txn ~table ~key ~payload:value;
-          writes := { Model.w_table = table; w_key = key; w_value = Some value } :: !writes;
-          inflight := Some (txn, List.rev !writes);
-          incr donec;
-          incr ops_done
-        end
-      done;
-      if !writes = [] then begin
-        Db.abort !db txn;
-        inflight := None
-      end
-      else begin
-        match Db.commit !db txn with
-        | Some ts ->
-            inflight := None;
-            check_durable ~what:(Printf.sprintf "op %d: bulk commit" !ops_done) txn ts;
-            record_commit ~ts (List.rev !writes);
-            act "op %d: bulk commit ts=%s (%d upserts)" !ops_done (Ts.to_string ts)
-              (List.length !writes)
-        | None ->
-            fail "op %d: bulk commit of a writing transaction returned no timestamp"
-              !ops_done
-      end
-    end
-  in
-
-  let spot_check () =
+  let spot_check s =
     let n = Model.commit_count model in
     if n > 0 then begin
-      let i = Rng.int rng n in
+      let i = Rng.int s.srng n in
       let c = List.nth (Model.commits model) i in
-      let table = List.nth table_names (Rng.int rng cfg.tables) in
-      compare_states
+      let table = List.nth table_names (Rng.int s.srng cfg.tables) in
+      check_state
         ~what:(Printf.sprintf "spot check AS OF %s (commit #%d)" (Ts.to_string c.Model.c_ts) i)
-        ~table
-        (Model.state_at model ~table c.Model.c_ts)
-        (scan_at table c.Model.c_ts);
-      incr spot_checks
+        ~table c.Model.c_ts
+        (Model.state_at model ~table c.Model.c_ts);
+      r.r_spot_checks <- r.r_spot_checks + 1
     end
   in
 
@@ -571,7 +578,7 @@ let run cfg =
      Recovery's pass must end the log before it.  The choice comes from
      the point's own PRNG, so the crash schedule does not move. *)
   let tear_log_tail cp =
-    let prng = point_rng cp and dev = log_device in
+    let prng = point_rng cp and dev = platter in
     let torn =
       if Rng.bool prng then
         let frame = 8 + Imdb_util.Codec.get_u32 (dev.Wal.Device.read ~pos:0 ~len:4) 0 in
@@ -584,29 +591,27 @@ let run cfg =
 
   let sched = ref (schedule_of cfg) in
   let armed : (crash_point * int) option ref = ref None in
-  let meta_force = ref false in
+  (* a checkpoint the next op boundary must run for an initiated point *)
+  let forced : (unit -> unit) option ref = ref None in
 
-  (* The crash proper.  Every commit that returned is durable (checked as
-     it returned), so the oracle already holds exactly what must survive.
-     The one open question is a commit the crash interrupted: it enters
-     the oracle iff its commit record was synced ([tx_durable]); any
-     other interrupted transaction is a loser that recovery must roll
-     back.  The crash then recovers (twice, for Crash_recovery) and
-     [verify_full] judges the outcome. *)
+  (* The crash proper, outside every session.  Every commit that returned
+     is durable (checked as it returned), so once the live sessions
+     merge the oracle holds exactly what must survive.  Volatile state
+     evaporates — the log's tail, the log device's unsynced bytes, the
+     abandoned sessions and their handle — and the devices persist.  The
+     crash recovers (twice, for Crash_recovery) and [verify_full] judges
+     the outcome. *)
   let do_crash cp =
-    incr crashes;
-    incr (List.assq cp.cp_kind kind_fired);
-    if cp.cp_torn then incr torn;
+    merge ~crashed:true;
+    r.r_crashes <- r.r_crashes + 1;
+    let name = crash_kind_name cp.cp_kind in
+    r.r_crash_kinds <-
+      List.map (fun (k, n) -> (k, if k = name then n + 1 else n)) r.r_crash_kinds;
+    if cp.cp_torn then r.r_torn <- r.r_torn + 1;
     Disk.lift plan;
-    (match !inflight with
-    | Some ({ E.tx_durable = true; tx_commit_ts = Some ts; _ }, writes) ->
-        record_commit ~ts writes;
-        act "crash: in-flight commit ts=%s was durable; adopted" (Ts.to_string ts)
-    | Some _ | None -> ());
-    inflight := None;
-    (* pull the plug: volatile state evaporates, the devices persist *)
     Wal.crash_volatile (Db.engine !db).E.wal;
-    Imdb_buffer.Buffer_pool.drop_all (Db.engine !db).E.pool;
+    Imdb_obs.Monitor.stop (Db.monitor !db);
+    Buffer.clear unsynced;
     if cp.cp_kind = Crash_wal_tail then tear_log_tail cp;
     let new_db =
       if cp.cp_kind = Crash_recovery then begin
@@ -622,49 +627,49 @@ let run cfg =
             db2
         | exception Disk.Io_failure _ ->
             Disk.lift plan;
-            incr double_recoveries;
+            r.r_double_recoveries <- r.r_double_recoveries + 1;
             act "crash: recovery itself crashed; recovering again";
             reopen ()
       end
       else reopen ()
     in
     db := new_db;
-    incr recoveries;
-    act "crash #%d (%s%s): recovered; model has %d commits" !crashes
+    r.r_recoveries <- r.r_recoveries + 1;
+    act "crash #%d (%s%s): recovered; model has %d commits" r.r_crashes
       (crash_kind_name cp.cp_kind)
       (if cp.cp_torn then ", torn page" else "")
       (Model.commit_count model);
-    verify_full ~label:(Printf.sprintf "post-recovery #%d" !crashes) ()
+    verify_full ~label:(Printf.sprintf "post-recovery #%d" r.r_crashes) ()
   in
 
-  (* Power loss mid-transaction: open a transaction, write, and pull the
-     plug while its newest log record is still in the volatile tail.  A
-     write can itself flush the log (WAL-before-data on an eviction it
-     causes), so a transaction left fully durable is rolled back and
-     another one tried. *)
-  let wal_tail_crash cp =
-    let volatile () =
-      match !inflight with
+  (* Power loss mid-transaction: at a serial op's boundary, open a
+     transaction and pull the plug while its newest record is volatile (a
+     write can flush the log itself, so one left fully durable is rolled
+     back and another tried); at a fiber's yield, the sessions' own open
+     transactions are what it interrupts. *)
+  let wal_tail_crash at cp =
+    let volatile s =
+      match s.inflight with
       | Some (txn, _) ->
           Int64.compare txn.E.tx_last_lsn (Wal.flushed_lsn (Db.engine !db).E.wal) >= 0
       | None -> false
     in
-    let rec open_txn tries =
-      txn_step ~leave_open:true ();
-      match !inflight with
-      | Some (txn, _) when tries > 1 && not (volatile ()) ->
+    let rec open_txn s tries =
+      txn_step ~leave_open:true s;
+      match s.inflight with
+      | Some (txn, _) when tries > 1 && not (volatile s) ->
           Db.abort !db txn;
-          inflight := None;
-          open_txn (tries - 1)
+          s.inflight <- None;
+          open_txn s (tries - 1)
       | _ -> ()
     in
-    open_txn 4;
-    if volatile () then begin
-      incr volatile_drops;
+    Option.iter (fun s -> open_txn s 4) at;
+    if List.exists volatile !live then begin
+      r.r_volatile_drops <- r.r_volatile_drops + 1;
       act "crash point: wal-tail with an open transaction's record volatile"
     end
     else act "crash point: wal-tail with no volatile transaction record";
-    do_crash cp
+    raise (Pull cp)
   in
 
   (* The checkpoint's posting.  Odd firings pull the plug inside the
@@ -675,7 +680,7 @@ let run cfg =
      before anything reads a posted mapping: recovery starts past those
      Commit records, so only the PTT can answer for them. *)
   let ptt_post_crash cp =
-    let nth = !(List.assq Crash_ptt_post kind_fired) in
+    let nth = List.assoc (crash_kind_name Crash_ptt_post) r.r_crash_kinds in
     tick ();
     if nth land 1 = 0 then begin
       let eng = Db.engine !db in
@@ -685,7 +690,7 @@ let run cfg =
           eng.E.after_ptt_post <- ignore;
           if flush then Wal.flush eng.E.wal;
           raise (Disk.Io_failure "ptt-post"));
-      armed := Some (cp, !commits);
+      armed := Some (cp, live_commits ());
       act "crash point: ptt-post inside the checkpoint (posting group %s)"
         (if flush then "flushed" else "volatile");
       Db.checkpoint !db
@@ -693,80 +698,154 @@ let run cfg =
     else begin
       Db.checkpoint !db;
       act "crash point: ptt-post after the checkpoint's meta write";
-      do_crash cp
+      raise (Pull cp)
     end
   in
 
-  let initiate cp =
+  let arm cp ?(after = 0) target what =
+    Disk.arm plan ~tear:cp.cp_torn ~target ~after ();
+    armed := Some (cp, live_commits ());
+    act "crash point armed: %s%s" (crash_kind_name cp.cp_kind)
+      ((if cp.cp_torn then " (torn)" else "") ^ what)
+  in
+  let initiate at cp =
     match cp.cp_kind with
-    | Crash_ptt_post -> ptt_post_crash cp
-    | Crash_wal_tail -> wal_tail_crash cp
-    | Crash_recovery -> do_crash cp
+    | Crash_ptt_post ->
+        if at = None then forced := Some (fun () -> ptt_post_crash cp) else ptt_post_crash cp
+    | Crash_wal_tail -> wal_tail_crash at cp
+    | Crash_recovery -> raise (Pull cp)
     | Crash_data_write ->
-        let prng = point_rng cp in
-        Disk.arm plan ~tear:cp.cp_torn
-          ~target:(Disk.Writes_of_type [ Page.P_data ])
-          ~after:(Rng.int prng 25) ();
-        armed := Some (cp, !commits);
-        act "crash point armed: data-write%s" (if cp.cp_torn then " (torn)" else "")
+        arm cp ~after:(Rng.int (point_rng cp) 25) (Disk.Writes_of_type [ Page.P_data ]) ""
     | Crash_history_write ->
-        Disk.arm plan ~tear:cp.cp_torn
-          ~target:(Disk.Writes_of_type [ Page.P_history_compressed ])
-          ~after:0 ();
-        armed := Some (cp, !commits);
-        act "crash point armed: history-write%s (mid-time-split)"
-          (if cp.cp_torn then " (torn)" else "")
+        arm cp (Disk.Writes_of_type [ Page.P_history_compressed ]) " (mid-time-split)"
     | Crash_meta_write ->
-        Disk.arm plan ~tear:cp.cp_torn
-          ~target:(Disk.Writes_to_page Imdb_storage.Page.no_page)
-          ~after:0 ();
-        meta_force := true;
-        armed := Some (cp, !commits);
-        act "crash point armed: meta-write%s (mid-checkpoint)"
-          (if cp.cp_torn then " (torn)" else "")
+        (* a checkpoint writes the meta page; make the armed plan fire *)
+        forced := Some (fun () -> tick (); Db.checkpoint !db);
+        arm cp (Disk.Writes_to_page Page.no_page) " (mid-checkpoint)"
     | Crash_buffer_write ->
-        Disk.arm plan ~tear:cp.cp_torn
-          ~target:(Disk.Writes_of_type [ Page.P_msg_buffer ])
-          ~after:0 ();
-        armed := Some (cp, !commits);
-        act "crash point armed: buffer-write%s (ingest buffer page)"
-          (if cp.cp_torn then " (torn)" else "")
+        arm cp (Disk.Writes_of_type [ Page.P_msg_buffer ]) " (ingest buffer page)"
   in
 
   let on_io_failure () =
     match !armed with
     | Some (cp, _) ->
         armed := None;
-        meta_force := false;
+        forced := None;
         do_crash cp
     | None -> fail "unexpected injected I/O failure with no armed crash point"
   in
 
-  (* ---- main loop ---------------------------------------------------- *)
-  let last_verified = ref 0 in
-  let passed () =
-    Passed
-      {
-        r_seed = cfg.seed;
-        r_ops = !ops_done;
-        r_commits = !commits;
-        r_aborts = !aborts;
-        r_crashes = !crashes;
-        r_crash_kinds = List.map (fun (k, c) -> (crash_kind_name k, !c)) kind_fired;
-        r_torn = !torn;
-        r_recoveries = !recoveries;
-        r_double_recoveries = !double_recoveries;
-        r_volatile_drops = !volatile_drops;
-        r_asof_checks = !asof_checks;
-        r_boundary_checks = !boundary_checks;
-        r_history_checks = !history_checks;
-        r_point_checks = !point_checks;
-        r_spot_checks = !spot_checks;
-        r_time_splits = Mx.get metrics Mx.time_splits;
-        r_checkpoints = Mx.get metrics Mx.checkpoints;
-        r_torn_rebuilt = Mx.get metrics Mx.recovery_torn_pages;
-      }
+  (* ---- the run loop ------------------------------------------------- *)
+  let due () =
+    match (!armed, !sched) with
+    | None, cp :: _ -> live_commits () >= cp.cp_commit
+    | Some _, _ -> true
+    | None, [] -> false
   in
+
+  (* Crash work due at a yield ([at = None]) or at a serial op's
+     boundary: a scheduled point to initiate, or an armed point that never
+     fired to degrade to a plain plug pull.  At yields a due point first
+     waits out up to 63 more, drawn from its own PRNG, so the plug comes
+     out wherever the sessions stand, not just after a commit. *)
+  let lag = ref (-1) in
+  let crash_due at =
+    (match (!armed, !sched) with
+    | None, cp :: rest when live_commits () >= cp.cp_commit ->
+        if at = None && !lag < 0 then lag := Rng.int (point_rng cp) 64;
+        if at <> None || !lag = 0 then begin
+          lag := -1;
+          sched := rest;
+          initiate at cp
+        end
+        else decr lag
+    | _ -> ());
+    match !armed with
+    | Some (cp, since) when live_commits () - since > 300 ->
+        (* the aimed-at write never happened; degrade to a plain crash *)
+        Disk.lift plan;
+        armed := None;
+        forced := None;
+        act "crash point (%s) did not fire within 300 commits; pulling the plug"
+          (crash_kind_name cp.cp_kind);
+        wal_tail_crash at { cp with cp_kind = Crash_wal_tail; cp_torn = false }
+    | _ -> ()
+  in
+
+  (* One workload op at a session's boundary: crash work first — a serial
+     op's due points (fibers meet theirs at every yield), a [forced]
+     checkpoint — then a draw from the op mix. *)
+  let step s =
+    Fibers.yield ();
+    if s.stride = 1 then crash_due (Some s);
+    Option.iter
+      (fun f ->
+        forced := None;
+        f ())
+      !forced;
+    let dice = Rng.int s.srng 100 in
+    if dice < 2 then begin
+      tick ();
+      Db.checkpoint !db;
+      act "%sop %d: checkpoint" (who s) (tag s)
+    end
+    else if dice < 3 then begin
+      tick ();
+      match Db.vacuum !db with
+      | n -> act "%sop %d: vacuum removed %d PTT entries" (who s) (tag s) n
+      | exception Db.Vacuum_blocked _ -> ()
+    end
+    else if dice < 9 then spot_check s
+    else if cfg.bulk && dice < 16 then txn_step ~bulk:true s
+    else txn_step s
+  in
+
+  (* Session bodies start as seeded fibers, whose every yield may pull
+     the plug, unless [spawn] starts them on domains, which leave crash
+     points to serial ops between bursts. *)
+  let fibers = spawn = None in
+  let burst_no = ref 0 in
+  let spawn =
+    match spawn with
+    | Some f -> f
+    | None ->
+        fun bodies ->
+          Fibers.run ~at_yield:(fun () -> crash_due None)
+            ~rng:(Rng.create (cfg.seed lxor (!burst_no * 0x5C4ED)))
+            bodies
+  in
+  (* A burst: [cfg.sessions] sessions, each with a seed-derived stream
+     over its key partition, run to their quotas (or to a crash).  The
+     quota does not depend on the op budget, so a run the minimizer cuts
+     short replays every burst up to the cut (the last burst may run
+     past the budget). *)
+  let burst () =
+    incr burst_no;
+    let n = cfg.sessions in
+    let per = 12 + Rng.int rng 24 in
+    let burst_seed = (cfg.seed * 0x9E3779B1) lxor (!burst_no * 0x85EBCA7) in
+    let ss =
+      Array.init n (fun sid ->
+          let h = Db.session !db in
+          new_session ~sid ~stride:n ~quota:per
+            ~srng:(Rng.create ((burst_seed lxor (sid * 0xC2B2AE3)) land 0x3FFFFFFF))
+            ~begin_txn:(fun () -> Db.Session.begin_txn h))
+    in
+    live := Array.to_list ss;
+    spawn (Array.map (fun s () -> while s.s_ops < s.quota do step s done) ss);
+    act "burst %d: %d sessions committed %d txns" !burst_no n
+      (List.fold_left (fun c s -> c + List.length s.returned) 0 !live)
+  in
+  let serial_op () =
+    let s =
+      new_session ~sid:0 ~stride:1 ~srng:rng ~quota:(cfg.ops - r.r_ops) ~begin_txn:(fun () ->
+          Db.begin_txn !db)
+    in
+    live := [ s ];
+    step s
+  in
+
+  let last_verified = ref 0 in
   let failed msg =
     (* flight recorder: dump the engine's last-known state next to the
        failure (best effort — the handle may be mid-crash) *)
@@ -779,266 +858,43 @@ let run cfg =
     Failed
       {
         f_seed = cfg.seed;
-        f_op = !ops_done;
-        f_commits = !commits;
+        f_op = r.r_ops;
+        f_commits = r.r_commits;
         f_msg = msg;
         f_trace = trace_list ();
+        f_replay = replay_command cfg;
       }
   in
-  (* ---- serial driver: the classic one-session loop ------------------ *)
-  let serial_main () =
-     while !ops_done < cfg.ops do
-       (match (!armed, !sched) with
-       | None, cp :: rest when !commits >= cp.cp_commit ->
-           sched := rest;
-           (try initiate cp with Disk.Io_failure _ -> on_io_failure ())
-       | _ -> ());
-       (match !armed with
-       | Some (cp, since) when !commits - since > 300 ->
-           (* the aimed-at write never happened; degrade to a plain crash *)
-           Disk.lift plan;
-           armed := None;
-           meta_force := false;
-           act "crash point (%s) did not fire within 300 commits; pulling the plug"
-             (crash_kind_name cp.cp_kind);
-           wal_tail_crash { cp with cp_kind = Crash_wal_tail; cp_torn = false }
-       | _ -> ());
-       if !meta_force then begin
-         (* a checkpoint writes the meta page; make the armed plan fire *)
-         meta_force := false;
-         tick ();
-         try Db.checkpoint !db with Disk.Io_failure _ -> on_io_failure ()
-       end;
-       (try
-          let dice = Rng.int rng 100 in
-          if dice < 2 then begin
-            tick ();
-            Db.checkpoint !db;
-            act "op %d: checkpoint" !ops_done
-          end
-          else if dice < 3 then begin
-            tick ();
-            match Db.vacuum !db with
-            | n -> act "op %d: vacuum removed %d PTT entries" !ops_done n
-            | exception Db.Vacuum_blocked _ -> ()
-          end
-          else if dice < 9 then spot_check ()
-          else if cfg.bulk && dice < 16 then bulk_step ()
-          else txn_step ()
-        with Disk.Io_failure _ -> on_io_failure ());
-       if
-         cfg.verify_every > 0
-         && !commits - !last_verified >= cfg.verify_every
-         && !armed = None
-       then begin
-         last_verified := !commits;
-         verify_full ~label:(Printf.sprintf "periodic @%d commits" !commits) ()
-       end
-     done;
-     Disk.lift plan;
-     verify_full ~label:"final" ()
-  in
-
-  (* ---- concurrent driver: [cfg.sessions] domains --------------------- *)
-  (* The multi-session mode alternates {e bursts} with serial
-     control work.  A burst hands each of N domains its own session and a
-     disjoint key partition (session [s] owns keys [k] with
-     [k mod N = s]); each runs a private, seed-derived stream of small
-     transactions with read-your-writes checks, collecting its commit
-     timestamps and writes.  After the join, the merged commits are fed
-     to the oracle sorted by timestamp — the engine issues timestamps,
-     switches visibility and appends the commit record in one gate
-     section, so timestamp order {e is} a serial order consistent with
-     what every session observed, and partitioned keys make each
-     session's writes valid against it by construction.  Every commit a
-     session saw return must be durable by the join.  Between bursts the
-     main domain spot-checks, verifies, and occasionally pulls the plug
-     mid-transaction exactly as the serial driver's wal-tail crash does.
-     The interleaving (and so the report's counters) is not
-     deterministic — only the per-session workloads are — but every
-     verification failure is still a real engine or oracle bug. *)
-  let concurrent_main () =
-    let sessions = max 2 (min cfg.sessions (min 8 cfg.keys_per_table)) in
-    let burst = ref 0 in
-    let last_verified = ref 0 in
-    let sched = ref (schedule_of cfg) in
-    while !ops_done < cfg.ops do
-      incr burst;
-      tick ();
-      let budget = min (cfg.ops - !ops_done) (sessions * (12 + Rng.int rng 24)) in
-      let per_session = max 1 (budget / sessions) in
-      (* burst-start liveness views, one per session, read from the
-         oracle before any domain spawns: (table, key) -> current value *)
-      let views =
-        Array.init sessions (fun sid ->
-            let live = Hashtbl.create 32 in
-            List.iter
-              (fun table ->
-                for k = 0 to cfg.keys_per_table - 1 do
-                  if k mod sessions = sid then
-                    match Model.value_of model ~table ~key:(key_name k) with
-                    | Some v -> Hashtbl.replace live (table, key_name k) v
-                    | None -> ()
-                done)
-              table_names;
-            live)
-      in
-      let handle = !db in
-      let burst_seed = (cfg.seed * 0x9E3779B1) lxor (!burst * 0x85EBCA7) in
-      let worker sid =
-        let srng = Rng.create ((burst_seed lxor (sid * 0xC2B2AE3)) land 0x3FFFFFFF) in
-        let live = views.(sid) in
-        let s = Db.session handle in
-        let own_per_table = (cfg.keys_per_table - sid + sessions - 1) / sessions in
-        let own_key () = key_name (sid + (sessions * Rng.int srng own_per_table)) in
-        let committed = ref [] in
-        let s_aborts = ref 0 in
-        let s_ops = ref 0 in
-        while !s_ops < per_session do
-          let size = min (1 + Rng.int srng 4) (per_session - !s_ops) in
-          let txn = Db.Session.begin_txn s in
-          let overlay : (string * string, string option) Hashtbl.t = Hashtbl.create 8 in
-          let writes = ref [] in
-          let donec = ref 0 in
-          let attempts = ref 0 in
-          while !donec < size && !attempts < size * 4 do
-            incr attempts;
-            let table = List.nth table_names (Rng.int srng cfg.tables) in
-            let key = own_key () in
-            if not (Hashtbl.mem overlay (table, key)) then begin
-              let alive = Hashtbl.mem live (table, key) in
-              let value =
-                Printf.sprintf "s%d.%d.%d|%s" sid !burst !s_ops
-                  (String.make (Rng.int srng 48) 'y')
-              in
-              let w =
-                if alive then
-                  match Rng.int srng 100 with
-                  | d when d < 55 ->
-                      Db.Session.update s txn ~table ~key ~payload:value;
-                      { Model.w_table = table; w_key = key; w_value = Some value }
-                  | d when d < 80 ->
-                      Db.Session.delete s txn ~table ~key;
-                      { Model.w_table = table; w_key = key; w_value = None }
-                  | _ ->
-                      Db.Session.upsert s txn ~table ~key ~payload:value;
-                      { Model.w_table = table; w_key = key; w_value = Some value }
-                else if Rng.int srng 100 < 70 then begin
-                  Db.Session.insert s txn ~table ~key ~payload:value;
-                  { Model.w_table = table; w_key = key; w_value = Some value }
-                end
-                else begin
-                  Db.Session.upsert s txn ~table ~key ~payload:value;
-                  { Model.w_table = table; w_key = key; w_value = Some value }
-                end
-              in
-              Hashtbl.replace overlay (table, key) w.Model.w_value;
-              writes := w :: !writes;
-              incr donec;
-              incr s_ops;
-              if Rng.int srng 3 = 0 then begin
-                (* read-your-writes inside the partition: the overlay
-                   shadows the burst-start state; no other session can
-                   have touched these keys *)
-                let rk = own_key () in
-                let expect =
-                  match Hashtbl.find_opt overlay (table, rk) with
-                  | Some v -> v
-                  | None -> Hashtbl.find_opt live (table, rk)
-                in
-                let got = Db.Session.get s txn ~table ~key:rk in
-                if got <> expect then
-                  raise
-                    (Torture_failure
-                       (Printf.sprintf
-                          "session %d: read of %s/%s inside txn: expected %s got %s" sid
-                          table rk
-                          (Option.fold ~none:"-" ~some:short expect)
-                          (Option.fold ~none:"-" ~some:short got)))
-              end
-            end
-          done;
-          if !writes = [] then Db.Session.abort s txn
-          else if Rng.int srng 12 = 0 then begin
-            Db.Session.abort s txn;
-            incr s_aborts
-          end
-          else
-            match Db.Session.commit s txn with
-            | Some ts ->
-                committed := (ts, txn, List.rev !writes) :: !committed;
-                List.iter
-                  (fun w ->
-                    match w.Model.w_value with
-                    | Some v -> Hashtbl.replace live (w.Model.w_table, w.Model.w_key) v
-                    | None -> Hashtbl.remove live (w.Model.w_table, w.Model.w_key))
-                  (List.rev !writes)
-            | None ->
-                raise
-                  (Torture_failure
-                     (Printf.sprintf
-                        "session %d: commit of a writing transaction returned no \
-                         timestamp"
-                        sid))
-        done;
-        (List.rev !committed, !s_aborts, !s_ops)
-      in
-      let domains =
-        Array.init sessions (fun sid -> Domain.spawn (fun () -> worker sid))
-      in
-      let results = Array.map (fun d -> try Ok (Domain.join d) with e -> Error e) domains in
-      Array.iter (function Error e -> raise e | Ok _ -> ()) results;
-      let results = Array.map (function Ok r -> r | Error _ -> assert false) results in
-      let all =
-        List.sort
-          (fun (a, _, _) (b, _, _) -> Ts.compare a b)
-          (List.concat_map (fun (c, _, _) -> c) (Array.to_list results))
-      in
-      Array.iter
-        (fun (_, a, o) ->
-          aborts := !aborts + a;
-          ops_done := !ops_done + o)
-        results;
-      let prev = ref Ts.zero in
-      List.iter
-        (fun (ts, txn, writes) ->
-          if Ts.compare ts !prev <= 0 then
-            fail "burst %d: commit timestamps not strictly increasing (%s after %s)"
-              !burst (Ts.to_string ts) (Ts.to_string !prev);
-          prev := ts;
-          check_durable ~what:(Printf.sprintf "burst %d: commit" !burst) txn ts;
-          record_commit ~ts writes)
-        all;
-      act "burst %d: %d sessions committed %d txns" !burst sessions (List.length all);
-      (* between bursts: pull the plug mid-transaction once for every
-         scheduled point the burst's commits reached, otherwise
-         spot-check; verify on schedule *)
-      let rec fire_due fired =
-        match !sched with
-        | cp :: rest when !commits >= cp.cp_commit ->
-            sched := rest;
-            wal_tail_crash cp;
-            fire_due true
-        | _ -> fired
-      in
-      if (not (fire_due false)) && Rng.int rng 3 = 0 then spot_check ();
-      if cfg.verify_every > 0 && !commits - !last_verified >= cfg.verify_every then begin
-        last_verified := !commits;
-        verify_full ~label:(Printf.sprintf "periodic @%d commits" !commits) ()
+  try
+    while r.r_ops < cfg.ops do
+      (try
+         if cfg.sessions > 1 && (fibers || not (due ())) then burst () else serial_op ();
+         merge ~crashed:false
+       with
+      | Pull cp -> do_crash cp
+      | Disk.Io_failure _ -> on_io_failure ());
+      if cfg.verify_every > 0 && r.r_commits - !last_verified >= cfg.verify_every && !armed = None
+      then begin
+        last_verified := r.r_commits;
+        verify_full ~label:(Printf.sprintf "periodic @%d commits" r.r_commits) ()
       end
     done;
-    verify_full ~label:"final" ()
-  in
-  (try
-     if cfg.sessions > 1 then concurrent_main () else serial_main ();
-     passed ()
-   with
+    Disk.lift plan;
+    verify_full ~label:"final" ();
+    r.r_time_splits <- Mx.get metrics Mx.time_splits;
+    r.r_checkpoints <- Mx.get metrics Mx.checkpoints;
+    r.r_torn_rebuilt <- Mx.get metrics Mx.recovery_torn_pages;
+    Passed r
+  with
   | Torture_failure msg -> failed msg
   | Disk.Io_failure m -> failed ("unhandled injected I/O failure: " ^ m)
-  | e -> failed (Printf.sprintf "unexpected exception: %s" (Printexc.to_string e)))
+  | e -> failed (Printf.sprintf "unexpected exception: %s" (Printexc.to_string e))
 
 let minimize cfg failure =
   let failing c = match run c with Failed f -> Some f | Passed _ -> None in
+  (* the derived schedule depends on the op budget: pin it first, so a
+     shorter run meets the same crash points *)
+  let cfg = { cfg with schedule = Some (schedule_of cfg) } in
   (* 1. truncate the op budget to just past the failing op *)
   let cfg, failure =
     let c = { cfg with ops = min cfg.ops (failure.f_op + 8) } in
@@ -1048,7 +904,7 @@ let minimize cfg failure =
   in
   (* 2. greedily drop crash points, newest first *)
   let sched = ref (schedule_of cfg) in
-  let cfg = ref { cfg with schedule = Some !sched } in
+  let cfg = ref cfg in
   let failure = ref failure in
   let i = ref (List.length !sched - 1) in
   while !i >= 0 do
@@ -1080,8 +936,8 @@ let pp_report ppf r =
 
 let pp_failure ppf f =
   Format.fprintf ppf
-    "@[<v>torture FAIL: seed=%d (replay: torture --replay --seed %d)@,\
-     at op %d:@,%s@,recent actions:@,%a@]" f.f_seed f.f_seed f.f_op f.f_msg
+    "@[<v>torture FAIL: seed=%d (replay: %s)@,\
+     at op %d:@,%s@,recent actions:@,%a@]" f.f_seed f.f_replay f.f_op f.f_msg
     (Format.pp_print_list ~pp_sep:Format.pp_print_cut (fun ppf s ->
          Format.fprintf ppf "  %s" s))
     f.f_trace

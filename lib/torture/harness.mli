@@ -10,8 +10,9 @@
     current state against the linearized {!Model} oracle.
 
     Determinism contract: a [config] fully determines the run.  The
-    workload PRNG, the crash schedule and the logical clock all derive
-    from [seed], so a failure reproduces from the printed seed alone. *)
+    workload PRNGs, the crash schedule, the logical clock and, with
+    sessions, the fibers' interleaving all derive from [seed], so a
+    failure reproduces from the printed seed alone. *)
 
 module Ts := Imdb_clock.Timestamp
 
@@ -74,13 +75,10 @@ type config = {
       (** mix in bulk-insert transactions (~1 in 12): 16–48 upserts in
           one transaction, stressing the buffered-ingestion flush path *)
   sessions : int;
-      (** > 1: concurrent mode — each burst runs this many domains, one
-          session each over a disjoint key partition, then merges their
-          commits into the oracle in timestamp order and occasionally
-          pulls the plug mid-transaction.  The interleaving is not
-          deterministic, but every per-session workload is, and every
-          verification failure is a real bug.  1 (the default): the
-          classic deterministic single-session loop. *)
+      (** > 1: the run is bursts of this many sessions, each over its own
+          key partition, their commits merged into the oracle in
+          timestamp order (see {!run}).  1 (the default): one session
+          over every key. *)
   sabotage : sabotage option;
   schedule : crash_point list option;  (** [None]: derived from [seed] *)
   log : (string -> unit) option;  (** replay mode: every action printed *)
@@ -96,31 +94,30 @@ val default : config
 
 val schedule_of : config -> crash_point list
 (** The crash schedule a run will use (derived from the seed unless
-    overridden) — what the minimizer shrinks.  A concurrent run
-    ([sessions > 1]) draws only [Crash_wal_tail] points, the one kind its
-    driver fires. *)
+    overridden) — what the minimizer shrinks. *)
 
+(** The run's tally, filled in as it goes. *)
 type report = {
   r_seed : int;
-  r_ops : int;  (** write ops executed *)
-  r_commits : int;
-  r_aborts : int;
-  r_crashes : int;  (** crash points that actually fired *)
-  r_crash_kinds : (string * int) list;  (** fired count per kind name *)
-  r_torn : int;  (** crashes that tore the failing write *)
-  r_recoveries : int;
-  r_double_recoveries : int;  (** recoveries that crashed and re-ran *)
-  r_volatile_drops : int;
+  mutable r_ops : int;  (** write ops executed *)
+  mutable r_commits : int;
+  mutable r_aborts : int;
+  mutable r_crashes : int;  (** crash points that actually fired *)
+  mutable r_crash_kinds : (string * int) list;  (** fired count per kind name *)
+  mutable r_torn : int;  (** crashes that tore the failing write *)
+  mutable r_recoveries : int;
+  mutable r_double_recoveries : int;  (** recoveries that crashed and re-ran *)
+  mutable r_volatile_drops : int;
       (** wal-tail crashes that dropped a volatile log record of an open
           transaction *)
-  r_asof_checks : int;  (** full-state AS OF comparisons *)
-  r_boundary_checks : int;  (** comparisons just below a commit timestamp *)
-  r_history_checks : int;  (** per-key history comparisons *)
-  r_point_checks : int;  (** AS OF point reads of sampled keys *)
-  r_spot_checks : int;  (** inline mid-run AS OF spot checks *)
-  r_time_splits : int;
-  r_checkpoints : int;
-  r_torn_rebuilt : int;  (** pages recovery rebuilt after checksum failure *)
+  mutable r_asof_checks : int;  (** full-state AS OF comparisons *)
+  mutable r_boundary_checks : int;  (** comparisons just below a commit timestamp *)
+  mutable r_history_checks : int;  (** per-key history comparisons *)
+  mutable r_point_checks : int;  (** AS OF point reads of sampled keys *)
+  mutable r_spot_checks : int;  (** inline mid-run AS OF spot checks *)
+  mutable r_time_splits : int;
+  mutable r_checkpoints : int;
+  mutable r_torn_rebuilt : int;  (** pages recovery rebuilt after checksum failure *)
 }
 
 type failure = {
@@ -129,11 +126,22 @@ type failure = {
   f_commits : int;
   f_msg : string;
   f_trace : string list;  (** most recent actions, oldest first *)
+  f_replay : string;
+      (** the [imdb torture] command line that replays the run, with
+          [--bulk] / [--sessions N] when it used them (a minimized run's
+          explicit schedule has no flag) *)
 }
 
 type outcome = Passed of report | Failed of failure
 
-val run : config -> outcome
+val run : ?spawn:((unit -> unit) array -> unit) -> config -> outcome
+(** [spawn] runs a burst's session bodies to completion.  By default they
+    are {!Fibers} on this domain, yielding at every [Park] wait, page
+    write, log sync and op boundary, and a due crash point of any kind
+    fires at a yield.  A [spawn] that starts them on real domains (and
+    joins them all, re-raising the first exception) cross-checks the
+    fibers: crash points then fire in serial ops between bursts, and the
+    interleaving does not replay. *)
 
 val minimize : config -> failure -> config * failure
 (** Shrink a failing run: truncate the op budget to the failing op, then

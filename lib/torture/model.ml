@@ -28,11 +28,10 @@ let table_state t name =
   | Some h -> h
   | None -> invalid_arg (Printf.sprintf "Torture model: unknown table %s" name)
 
-let apply_write t w =
-  let h = table_state t w.w_table in
-  match w.w_value with
-  | Some v -> Hashtbl.replace h w.w_key v
-  | None -> Hashtbl.remove h w.w_key
+let set h w =
+  match w.w_value with Some v -> Hashtbl.replace h w.w_key v | None -> Hashtbl.remove h w.w_key
+
+let apply_write t w = set (table_state t w.w_table) w
 
 let record t ~ts ~tag writes =
   if t.len > 0 && Ts.compare ts t.arr.(t.len - 1).c_ts <= 0 then
@@ -60,36 +59,28 @@ let current_state t ~table = sorted_bindings (table_state t table)
 let mem t ~table ~key = Hashtbl.mem (table_state t table) key
 let value_of t ~table ~key = Hashtbl.find_opt (table_state t table) key
 
-let iter_states t ~table ~f =
+(* Replay [table]'s writes commit by commit, oldest first, while [go]
+   holds of the next commit; [after] sees the state each one leaves. *)
+let replay t ~table ~go ~after =
   let state = Hashtbl.create 64 in
-  for i = 0 to t.len - 1 do
-    let c = t.arr.(i) in
-    List.iter
-      (fun w ->
-        if w.w_table = table then
-          match w.w_value with
-          | Some v -> Hashtbl.replace state w.w_key v
-          | None -> Hashtbl.remove state w.w_key)
-      c.c_writes;
-    f ~ts:c.c_ts ~tag:c.c_tag ~state:(sorted_bindings state)
-  done
+  let rec loop i =
+    if i < t.len && go t.arr.(i) then begin
+      List.iter (fun w -> if w.w_table = table then set state w) t.arr.(i).c_writes;
+      after t.arr.(i) state;
+      loop (i + 1)
+    end
+  in
+  loop 0;
+  state
+
+let iter_states t ~table ~f =
+  ignore
+    (replay t ~table ~go:(fun _ -> true) ~after:(fun c state ->
+         f ~ts:c.c_ts ~tag:c.c_tag ~state:(sorted_bindings state)))
 
 let state_at t ~table ts =
-  let state = Hashtbl.create 64 in
-  (try
-     for i = 0 to t.len - 1 do
-       let c = t.arr.(i) in
-       if Ts.compare c.c_ts ts > 0 then raise Exit;
-       List.iter
-         (fun w ->
-           if w.w_table = table then
-             match w.w_value with
-             | Some v -> Hashtbl.replace state w.w_key v
-             | None -> Hashtbl.remove state w.w_key)
-         c.c_writes
-     done
-   with Exit -> ());
-  sorted_bindings state
+  sorted_bindings
+    (replay t ~table ~go:(fun c -> Ts.compare c.c_ts ts <= 0) ~after:(fun _ _ -> ()))
 
 let histories t ~table =
   let out : (string, (Ts.t * string option) list) Hashtbl.t = Hashtbl.create 64 in

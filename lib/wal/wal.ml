@@ -22,15 +22,14 @@
    The buffer-pool's WAL-before-data rule calls [flush ~lsn:(page lsn)]
    before any page write, and commit calls [flush] at the commit record.
 
-   Concurrency: one volatile tail, under [tail_mu].  An append reserves
+   Concurrency: one volatile tail under [tail_mu].  An append reserves
    its LSN and queues its frame in the same critical section, so the
-   tail always holds every frame from [durable_end] up to [next], with
-   no gaps, and a flush leader's batch is simply the whole tail (up to
-   an open atomic group).  Device access is serialized by [flush_mu];
+   tail holds every frame from [durable_end] to [next] with no gaps,
+   and a flush leader's batch is simply the whole tail (up to an open
+   atomic group).  Device access is serialized by [flush_mu];
    committers whose record a leader's sync will cover wait for the
-   durable horizon instead of syncing again (group commit).  The mutexes
-   cost nothing under the engine's session gate and keep the log safe
-   for any caller on any domain without it.
+   durable horizon instead (group commit).  Both are [Park]s, so a
+   fiber scheduler interleaves sessions here as it does at the gate.
 
    Atomic groups: a structure modification logs several redo-only
    records that are consistent only together.  While [atomically] holds
@@ -108,10 +107,9 @@ end
 
 type t = {
   device : Device.t;
-  tail_mu : Mutex.t;
-      (* guards [next], [durable_end], [unverified_from], [tail],
-         [tail_commits] and [volatile]: a volatile-frame lookup under it
-         is atomic with respect to appends and the durable horizon.
+  tail_mu : Park.spot;
+      (* guards the mutable fields below ([tracer] aside): a volatile-
+         frame lookup under it is atomic with appends and the horizon.
          [durable_end] and [unverified_from] change under [flush_mu] too. *)
   mutable next : int64; (* next LSN: end of log including the volatile tail *)
   mutable durable_end : int64; (* bytes durable on the device *)
@@ -122,22 +120,14 @@ type t = {
       (* every frame from [durable_end] up to [next], newest first *)
   mutable tail_commits : int; (* Commit frames in [tail] *)
   volatile : (int64, bytes) Hashtbl.t; (* the same frames, by LSN *)
-  flush_mu : Mutex.t;
-      (* serializes device append+sync (and durable reads against them);
-         concurrent committers queue here and find their records already
-         durable — the group-commit fsync batch *)
-  flush_owner : int Atomic.t;
-      (* domain id + 1 of the [flush_mu] holder (0 = none): recovery's
-         redo iterates the log and reads it again from inside the
-         callback, so device access must be reentrant per domain *)
+  flush_mu : Park.lock;
+      (* serializes device append+sync and durable reads; reentrant, as
+         recovery's redo reads the log again from inside its callback *)
   mutable flush_active : bool;
-      (* a leader's append+sync is in flight (guarded by [tail_mu]).
-         Followers whose LSN the leader will cover wait on [flush_cv]
-         for [durable_end] to move instead of queueing on [flush_mu]: a
-         hot leader re-syncing in a loop barges an OS mutex queue and
-         can starve parked waiters for many sync periods, but it cannot
-         stop them from observing the durable horizon. *)
-  flush_cv : Condition.t;
+      (* a leader's append+sync is in flight.  Followers it will cover
+         wait on [tail_mu] for [durable_end] to move, not on [flush_mu]:
+         a leader re-syncing in a loop barges a mutex queue and can
+         starve waiters for many syncs, but it cannot hide the horizon. *)
   mutable group_floor : int64 option;
       (* first LSN of the open atomic group: no flush passes it *)
   mutable group_depth : int; (* nesting of [atomically]; both under [tail_mu] *)
@@ -175,49 +165,38 @@ let open_device ?(metrics = M.null) ?(checkpoint_lsn = 0L) device =
   let size = device.Device.size () in
   {
     device;
-    tail_mu = Mutex.create ();
+    tail_mu = Park.spot ();
     next = Int64.of_int size;
     durable_end = Int64.of_int size;
     unverified_from = (if size = 0 then max_int else Int64.to_int checkpoint_lsn);
     tail = [];
     tail_commits = 0;
     volatile = Hashtbl.create 64;
-    flush_mu = Mutex.create ();
-    flush_owner = Atomic.make 0;
+    flush_mu = Park.lock ();
     flush_active = false;
-    flush_cv = Condition.create ();
     group_floor = None;
     group_depth = 0;
     metrics;
     tracer = Imdb_obs.Tracer.null;
   }
 
-let next_lsn t = Mutex.protect t.tail_mu (fun () -> t.next)
+let next_lsn t = Park.protect t.tail_mu (fun () -> t.next)
 
 let with_flush_mu t f =
-  let me = (Domain.self () :> int) + 1 in
-  if Atomic.get t.flush_owner = me then f ()
-  else begin
-    Mutex.lock t.flush_mu;
-    Atomic.set t.flush_owner me;
-    Fun.protect
-      ~finally:(fun () ->
-        Atomic.set t.flush_owner 0;
-        Mutex.unlock t.flush_mu)
-      f
-  end
+  Park.acquire t.flush_mu;
+  Fun.protect ~finally:(fun () -> Park.release t.flush_mu) f
 
-let flushed_lsn t = Mutex.protect t.tail_mu (fun () -> t.durable_end)
+let flushed_lsn t = Park.protect t.tail_mu (fun () -> t.durable_end)
 
-let group_floor t = Mutex.protect t.tail_mu (fun () -> t.group_floor)
+let group_floor t = Park.protect t.tail_mu (fun () -> t.group_floor)
 
 let atomically t f =
-  Mutex.protect t.tail_mu (fun () ->
+  Park.protect t.tail_mu (fun () ->
       if t.group_depth = 0 then t.group_floor <- Some t.next;
       t.group_depth <- t.group_depth + 1);
   Fun.protect
     ~finally:(fun () ->
-      Mutex.protect t.tail_mu (fun () ->
+      Park.protect t.tail_mu (fun () ->
           t.group_depth <- t.group_depth - 1;
           if t.group_depth = 0 then t.group_floor <- None))
     f
@@ -229,7 +208,7 @@ let push t body =
   let frame = frame_of payload in
   let commit = match body with Log_record.Commit _ -> 1 | _ -> 0 in
   let placed =
-    Mutex.protect t.tail_mu (fun () ->
+    Park.protect t.tail_mu (fun () ->
         if t.unverified_from < max_int then
           invalid_arg "Wal.append: the log has not been read to its end since the open";
         let lsn = t.next in
@@ -263,7 +242,7 @@ let flush_as_leader t needed =
       (* the flush that held leadership before us may have covered our
          record already *)
       let frames, new_end, commits, old_end =
-        Mutex.protect t.tail_mu (fun () ->
+        Park.protect t.tail_mu (fun () ->
             if Int64.compare needed t.durable_end < 0 then ([], t.next, 0, t.durable_end)
             else
               let frames, new_end =
@@ -287,7 +266,7 @@ let flush_as_leader t needed =
               t.device.Device.truncate (Int64.to_int old_end);
             List.iter (fun (_, frame) -> t.device.Device.append frame) frames;
             t.device.Device.sync ();
-            Mutex.protect t.tail_mu (fun () ->
+            Park.protect t.tail_mu (fun () ->
                 List.iter (fun (lsn, _) -> Hashtbl.remove t.volatile lsn) frames;
                 t.tail <-
                   List.filter (fun (lsn, _) -> Int64.compare lsn new_end >= 0) t.tail;
@@ -305,45 +284,38 @@ let flush_as_leader t needed =
       end)
 
 (* Make everything up to and including the record at [lsn] durable.  A
-   record at a given LSN is durable iff [lsn < durable_end] (both are
-   frame boundaries), so an already-durable request returns without
-   touching the device.  Otherwise one session at a time claims
-   leadership and pushes the buffered frames out in a single
-   append+sync; concurrent flushers whose LSN that sync covers are
-   {e followers} — they wait on [flush_cv] for the durable horizon to
-   pass their record and never touch the device or [flush_mu] at all
-   (see [flush_active]).  A committer's return from
-   [flush ~lsn:commit_lsn] is its durability acknowledgment. *)
+   record is durable iff [lsn < durable_end] (both are frame
+   boundaries), so an already-durable request touches nothing.
+   Otherwise one session at a time claims leadership and pushes the
+   buffered frames out in one append+sync; flushers whose LSN that sync
+   covers are {e followers}, waiting for the horizon without touching
+   the device or [flush_mu] (see [flush_active]).  A committer's return
+   from [flush ~lsn:commit_lsn] is its durability acknowledgment. *)
 let flush ?lsn t =
   let needed =
     match lsn with Some l -> l | None -> Int64.pred (next_lsn t)
   in
-  let me = (Domain.self () :> int) + 1 in
   let rec run () =
-    if Int64.compare needed (flushed_lsn t) >= 0 then begin
-      Mutex.lock t.tail_mu;
-      if t.flush_active && Atomic.get t.flush_owner <> me then begin
-        (* follower: a leader's sync is in flight and it is not our own
-           (recovery re-enters flush from under [flush_mu]); park until
-           the horizon moves or leadership frees, then re-decide *)
-        while t.flush_active && Int64.compare needed t.durable_end >= 0 do
-          Condition.wait t.flush_cv t.tail_mu
-        done;
-        Mutex.unlock t.tail_mu;
-        run ()
-      end
-      else begin
-        t.flush_active <- true;
-        Mutex.unlock t.tail_mu;
+    if Int64.compare needed (flushed_lsn t) >= 0 then
+      if
+        Park.protect t.tail_mu (fun () ->
+            (* follower, unless the sync in flight is our own (recovery
+               re-enters flush from under [flush_mu]); re-decide once the
+               horizon moves or leadership frees *)
+            let follow = t.flush_active && Park.holder t.flush_mu <> Park.self () in
+            if follow then
+              Park.wait t.tail_mu (fun () ->
+                  (not t.flush_active) || Int64.compare needed t.durable_end < 0)
+            else t.flush_active <- true;
+            follow)
+      then run ()
+      else
         Fun.protect
           ~finally:(fun () ->
-            Mutex.lock t.tail_mu;
-            t.flush_active <- false;
-            Condition.broadcast t.flush_cv;
-            Mutex.unlock t.tail_mu)
+            Park.protect t.tail_mu (fun () ->
+                t.flush_active <- false;
+                Park.wake t.tail_mu))
           (fun () -> flush_as_leader t needed)
-      end
-    end
   in
   run ();
   (match group_floor t with
@@ -355,14 +327,14 @@ let flush ?lsn t =
    never acknowledged — their transactions were never durable.  The end
    of log rewinds to the durable horizon, as a reopen would. *)
 let crash_volatile t =
-  Mutex.protect t.tail_mu (fun () ->
+  Park.protect t.tail_mu (fun () ->
       t.next <- t.durable_end;
       t.group_floor <- None;
       t.group_depth <- 0;
       t.tail <- [];
       t.tail_commits <- 0;
       Hashtbl.reset t.volatile;
-      Condition.broadcast t.flush_cv)
+      Park.wake t.tail_mu)
 
 (* Iterate durable records from [from_lsn] (must be a frame boundary).
    Runs under [flush_mu] so device reads never interleave with a
@@ -382,7 +354,7 @@ let iter_from t ~from_lsn f =
             f (Int64.of_int pos) (Log_record.decode payload);
             go (pos + frame_header + Bytes.length payload)
         | None when pos >= total || pos >= t.unverified_from ->
-            Mutex.protect t.tail_mu (fun () ->
+            Park.protect t.tail_mu (fun () ->
                 t.unverified_from <- max_int;
                 if pos < total then begin
                   t.durable_end <- Int64.of_int pos;
@@ -394,7 +366,7 @@ let iter_from t ~from_lsn f =
 
 (* Read the single record at [lsn] (durable or volatile). *)
 let read_at t lsn =
-  match Mutex.protect t.tail_mu (fun () -> Hashtbl.find_opt t.volatile lsn) with
+  match Park.protect t.tail_mu (fun () -> Hashtbl.find_opt t.volatile lsn) with
   | Some frame ->
       let len = Codec.get_u32 frame 0 in
       Log_record.decode (Bytes.sub frame frame_header len)

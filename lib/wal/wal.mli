@@ -9,11 +9,11 @@
     flush after that cuts the tail off the device.  Every frame read is
     checked against its CRC.
 
-    Safe to share across domains: an append reserves its LSN and queues
-    its frame on the one volatile tail under one mutex, and device
-    access is serialized separately, so concurrent commits batch into
-    one sync (group commit).  There is one commit acknowledgment: a
-    commit record is durable once [flush ~lsn] at its LSN returns. *)
+    Safe to share across sessions: an append reserves its LSN and queues
+    its frame on the one volatile tail, device access is serialized
+    separately, and concurrent commits batch into one sync (group
+    commit); every wait goes through {!Imdb_util.Park}.  A commit record
+    is durable once [flush ~lsn] at its LSN returns. *)
 
 (** Log storage devices. *)
 module Device : sig

@@ -468,6 +468,29 @@ let test_insert_batch_crash_redo () =
   check_contents "after redo" redone durable;
   Alcotest.(check bool) "the volatile batch is gone" true (B.find redone ~key:(k 800) = None)
 
+(* The walk reads the leaf chain: breaking one back link of a healthy
+   multi-leaf tree must raise. *)
+let test_leaf_chain_checked () =
+  let t, pool = standalone_with_pool () in
+  for i = 1 to 300 do
+    B.insert t ~key:(k i) ~value:(v (string_of_int i))
+  done;
+  Alcotest.(check int) "healthy tree" 300 (B.check_invariants t);
+  (* a leaf with a left neighbour: page ids are handed out from 1 *)
+  let rec linked pid =
+    let prev =
+      BP.with_page pool pid (fun fr ->
+          let page = BP.bytes fr in
+          if P.level page = 0 then P.prev_page page else P.no_page)
+    in
+    if prev <> P.no_page then pid else linked (pid + 1)
+  in
+  let leaf = linked 1 in
+  BP.with_page pool leaf (fun fr -> P.set_prev_page (BP.bytes fr) P.no_page);
+  match B.check_invariants t with
+  | _ -> Alcotest.fail "a broken back link went unnoticed"
+  | exception B.Invariant_violation _ -> ()
+
 let suite =
   [
     Alcotest.test_case "insert & find" `Quick test_insert_find;
@@ -484,4 +507,5 @@ let suite =
     Alcotest.test_case "conventional updates build no directories" `Quick
       test_conventional_updates_build_no_directories;
     QCheck_alcotest.to_alcotest prop_vs_map;
+    Alcotest.test_case "leaf chain is checked" `Quick test_leaf_chain_checked;
   ]

@@ -137,7 +137,7 @@ let test_checkpoint_during_commit_sync () =
     (fun () ->
       on_sync := ignore;
       checkpointer := Some (Domain.spawn (fun () -> Db.checkpoint db));
-      while Atomic.get eng.E.gate_owner = 0 do
+      while Imdb_util.Park.holder eng.E.gate = 0 do
         Domain.cpu_relax ()
       done);
   tick clock;

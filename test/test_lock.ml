@@ -15,6 +15,14 @@ let rec_a = L.Record (1, "a")
 let rec_b = L.Record (1, "b")
 let tbl = L.Table 1
 
+(* What [tid] holds, read from the dump's one consistent cut. *)
+let held lm tid =
+  List.filter_map
+    (fun (r, t, m) -> if Tid.equal t tid then Some (r, m) else None)
+    (L.dump lm).L.d_holders
+
+let holds lm tid res = List.assoc_opt res (held lm tid)
+
 let granted what lm tid res mode =
   Alcotest.(check int) what 0 (L.acquire ~timeout_us:0 lm tid res mode)
 
@@ -66,7 +74,7 @@ let test_compatibility () =
   L.release_all lm t1;
   L.release_all lm t2;
   joined_after_wait d;
-  Alcotest.(check bool) "X after both readers left" true (L.holds lm t3 rec_a = Some L.X);
+  Alcotest.(check bool) "X after both readers left" true (holds lm t3 rec_a = Some L.X);
   (* intention locks *)
   granted "IS" lm t1 tbl L.IS;
   granted "IX+IS" lm t2 tbl L.IX;
@@ -77,7 +85,7 @@ let test_upgrade_and_reentry () =
   granted "S" lm t1 rec_a L.S;
   (* self-upgrade S -> X with no other holders *)
   granted "upgrade to X" lm t1 rec_a L.X;
-  Alcotest.(check bool) "holds X" true (L.holds lm t1 rec_a = Some L.X);
+  Alcotest.(check bool) "holds X" true (holds lm t1 rec_a = Some L.X);
   (* re-request is idempotent *)
   granted "reentrant" lm t1 rec_a L.X;
   (* but another reader now blocks *)
@@ -92,15 +100,15 @@ let test_upgrade_blocked_by_other_reader () =
   Alcotest.check tids "blocked by the other reader" [ t2 ] blockers;
   L.release_all lm t2;
   joined_after_wait d;
-  Alcotest.(check bool) "upgraded once alone" true (L.holds lm t1 rec_a = Some L.X)
+  Alcotest.(check bool) "upgraded once alone" true (holds lm t1 rec_a = Some L.X)
 
 let test_release_all () =
   let lm = L.create () in
   granted "X" lm t1 rec_a L.X;
   granted "IX" lm t1 tbl L.IX;
-  Alcotest.(check int) "holds two" 2 (List.length (L.held_by lm t1));
+  Alcotest.(check int) "holds two" 2 (List.length (held lm t1));
   L.release_all lm t1;
-  Alcotest.(check int) "holds none" 0 (List.length (L.held_by lm t1));
+  Alcotest.(check int) "holds none" 0 (List.length (held lm t1));
   granted "lock free again" lm t2 rec_a L.X
 
 let test_deadlock_cycle () =
@@ -160,7 +168,7 @@ let test_lub_collapse () =
   let lm = L.create () in
   granted "S" lm t1 tbl L.S;
   granted "then IX" lm t1 tbl L.IX;
-  Alcotest.(check bool) "collapsed to X" true (L.holds lm t1 tbl = Some L.X);
+  Alcotest.(check bool) "collapsed to X" true (holds lm t1 tbl = Some L.X);
   refused "IS over collapsed X" lm t2 tbl L.IS;
   let d, blockers = park lm t2 tbl L.IS in
   Alcotest.check tids "even IS blocks now" [ t1 ] blockers;
@@ -178,7 +186,7 @@ let test_is_ix_interleavings () =
   (* writer commits: S is now compatible with the remaining IS *)
   L.release_all lm t1;
   joined_after_wait d;
-  Alcotest.(check bool) "S over IS after release" true (L.holds lm t3 tbl = Some L.S);
+  Alcotest.(check bool) "S over IS after release" true (holds lm t3 tbl = Some L.S);
   (* and a late IX now blocks on the granted S *)
   let d, blockers = park lm t1 tbl L.IX in
   Alcotest.check tids "S blocks IX" [ t3 ] blockers;
@@ -222,10 +230,10 @@ let test_wait_granted_on_release () =
   granted "X" lm t1 rec_a L.X;
   let d, _ = park lm t2 rec_a L.X in
   (* parked, then released: the wait must resolve to a grant *)
-  Alcotest.(check bool) "still waiting" true (L.holds lm t2 rec_a = None);
+  Alcotest.(check bool) "still waiting" true (holds lm t2 rec_a = None);
   L.release_all lm t1;
   joined_after_wait d;
-  Alcotest.(check bool) "holds X" true (L.holds lm t2 rec_a = Some L.X)
+  Alcotest.(check bool) "holds X" true (holds lm t2 rec_a = Some L.X)
 
 let test_wait_timeout () =
   let lm = L.create () in

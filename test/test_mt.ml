@@ -9,13 +9,16 @@
      the blocking lock path and the group-commit follower protocol are
      pure pass-throughs when uncontended.
    - concurrent execution is equivalent to a serial order: the torture
-     harness's concurrent mode (QCheck'd over seeds, at 2 and 4
-     sessions) merges every domain's commits into the linearized Model
-     oracle in timestamp order and verifies every AS OF state, boundary
-     and history against it — with crash points pulling the plug
-     mid-transaction along the way.  A Passed outcome IS the
+     harness's one run loop, with each burst's sessions started on real
+     domains instead of its seeded fibers (QCheck'd over seeds, at 2
+     and 4 sessions), merges every session's commits into the
+     linearized Model oracle in timestamp order and verifies every AS
+     OF state, boundary and history against it — with crash points of
+     every kind firing between bursts.  A Passed outcome IS the
      equivalence claim; any nonserializable interleaving the engine
-     admitted would surface as an oracle mismatch. *)
+     admitted would surface as an oracle mismatch.  The fibers replay
+     their interleavings from the seed; the domains cross-check them
+     against the real thing. *)
 
 module Db = Imdb_core.Db
 module E = Imdb_core.Engine
@@ -144,6 +147,13 @@ let test_session_bit_identical () =
 
 (* --- concurrent ≡ serial, via the torture oracle ------------------------- *)
 
+(* Start a burst's session bodies on real domains, join them all, and
+   re-raise the first failure. *)
+let on_domains bodies =
+  Array.map Domain.spawn bodies
+  |> Array.map (fun d -> try Ok (Domain.join d) with e -> Error e)
+  |> Array.iter (function Ok () -> () | Error e -> raise e)
+
 let concurrent_cfg ~sessions ~seed =
   { H.default with H.seed; ops = 450; crashes = 5; keys_per_table = 32; sessions }
 
@@ -151,7 +161,7 @@ let prop_concurrent_equals_serial sessions =
   QCheck.Test.make ~count:3 ~name:(Printf.sprintf "%d sessions ≡ a serial order" sessions)
     (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 1 10_000))
     (fun seed ->
-      match H.run (concurrent_cfg ~sessions ~seed) with
+      match H.run ~spawn:on_domains (concurrent_cfg ~sessions ~seed) with
       | H.Passed r ->
           (* the claim is vacuous unless real concurrent work happened *)
           r.H.r_commits > 50 && r.H.r_asof_checks > 0
@@ -160,10 +170,11 @@ let prop_concurrent_equals_serial sessions =
             H.pp_failure f)
 
 let test_concurrent_crash_recovery () =
-  (* a fixed seed known to fire wal-tail crashes between bursts: every
-     commit a session saw return must survive recovery, with no
-     verification failure *)
-  match H.run { (concurrent_cfg ~sessions:3 ~seed:7) with H.ops = 900; crashes = 10 } with
+  (* crash points fire between bursts: every commit a session saw
+     return must survive recovery, with no verification failure *)
+  match
+    H.run ~spawn:on_domains { (concurrent_cfg ~sessions:3 ~seed:7) with H.ops = 900; crashes = 10 }
+  with
   | H.Passed r ->
       Alcotest.(check bool) "crashes fired" true (r.H.r_crashes > 0);
       Alcotest.(check bool) "recovered each one" true (r.H.r_recoveries >= r.H.r_crashes)

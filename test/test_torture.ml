@@ -57,16 +57,17 @@ let test_crash_kind_coverage () =
   Alcotest.(check bool) "some crashes tore the failing write" true (r.H.r_torn > 0);
   Alcotest.(check bool) "double recovery exercised" true (r.H.r_double_recoveries > 0)
 
-(* A concurrent run fires only wal-tail crashes, between bursts; its
-   schedule must say so, and the report must count exactly the points
-   the schedule placed within the run's commits (as in a serial run, a
-   point past the last commit never fires). *)
+(* A sessions run schedules every kind, and the report counts exactly
+   the points the schedule placed within the run's commits (as in a
+   serial run, a point past the last commit never fires). *)
 let test_concurrent_schedule_truthful () =
   let cfg =
     { H.default with H.seed = 7; ops = 600; crashes = 6; keys_per_table = 32; sessions = 2 }
   in
   let sched = H.schedule_of cfg in
   Alcotest.(check int) "six points" 6 (List.length sched);
+  Alcotest.(check int) "six kinds" 6
+    (List.length (List.sort_uniq compare (List.map (fun cp -> cp.H.cp_kind) sched)));
   let r = report_of (H.run cfg) in
   let reached = List.filter (fun cp -> cp.H.cp_commit <= r.H.r_commits) sched in
   Alcotest.(check bool) "most points reached" true (List.length reached >= 4);
@@ -74,9 +75,35 @@ let test_concurrent_schedule_truthful () =
   Alcotest.(check (list (pair string int)))
     "fired = scheduled, per kind"
     (List.map (fun k -> (H.crash_kind_name k, scheduled k)) H.all_crash_kinds)
-    r.H.r_crash_kinds;
-  Alcotest.(check int) "all of them wal-tail" (List.length reached)
-    (List.assoc "wal-tail" r.H.r_crash_kinds)
+    r.H.r_crash_kinds
+
+(* Sessions run as seeded fibers, so a sessions run replays from its
+   seed: the same report and the same action trace, interleaving and
+   crashes included.  Both runs are shared by the two cases below. *)
+let sessions_runs =
+  lazy
+    (let run () =
+       let trace = ref [] in
+       let cfg =
+         { H.default with H.seed = 7; ops = 1500; crashes = 14; sessions = 3;
+           log = Some (fun line -> trace := line :: !trace) }
+       in
+       let r = report_of (H.run cfg) in
+       (r, List.rev !trace)
+     in
+     let a = run () in
+     (a, run ()))
+
+let test_sessions_replay () =
+  let (ra, ta), (rb, tb) = Lazy.force sessions_runs in
+  Alcotest.(check bool) "identical reports" true (ra = rb);
+  Alcotest.(check (list string)) "identical action traces" ta tb;
+  Alcotest.(check bool) "sessions interleaved" true
+    (List.exists (fun l -> String.length l > 3 && String.sub l 0 3 = "s2 ") ta)
+
+let test_sessions_crash_kinds () =
+  let (r, _), _ = Lazy.force sessions_runs in
+  List.iter (fun (k, n) -> Alcotest.(check bool) (k ^ " fired") true (n > 0)) r.H.r_crash_kinds
 
 let expect_failure what cfg =
   match H.run cfg with
@@ -124,6 +151,23 @@ let test_sabotage_drop_write_caught () =
   in
   Alcotest.(check bool) "failure carries a trace" true (f.H.f_trace <> [])
 
+(* The printed replay line runs the same workload: a bulk sessions run
+   names both flags, a plain run neither. *)
+let test_replay_line_names_the_workload () =
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+    go 0
+  in
+  let printed cfg = Format.asprintf "%a" H.pp_failure (expect_failure "replay line" cfg) in
+  let sabotaged = small ~seed:12 ~ops:400 ~crashes:2 ~sabotage:(H.Drop_write 9) () in
+  let line = printed { sabotaged with H.bulk = true; sessions = 3 } in
+  Alcotest.(check bool) "names --bulk and --sessions 3" true
+    (contains line "imdb torture --seed 12 --ops 400 --crashes 2 --bulk --sessions 3 --replay");
+  let line = printed sabotaged in
+  Alcotest.(check bool) "a serial run names neither" true
+    (contains line "imdb torture --seed 12 --ops 400 --crashes 2 --replay")
+
 let test_minimize_shrinks () =
   let cfg = small ~seed:13 ~ops:900 ~crashes:8 ~sabotage:(H.Drop_write 11) () in
   let f = expect_failure "minimize input" cfg in
@@ -142,6 +186,62 @@ let test_replay_from_seed () =
   let f2 = expect_failure "replay b" cfg in
   Alcotest.(check int) "same failing op" f1.H.f_op f2.H.f_op;
   Alcotest.(check string) "same diagnosis" f1.H.f_msg f2.H.f_msg
+
+(* --- the fiber scheduler ---------------------------------------------------- *)
+
+(* Under the fiber scheduler a lock wait is a park with a deadline in
+   virtual time: with both sessions parked — the holder until the
+   waiter gives up, the waiter on the holder's X lock — the clock jumps
+   to the deadline, so the waiter is the timeout victim at exactly 2000
+   virtual ms, with no ticker thread and no real waiting. *)
+let test_lock_timeout_virtual_time () =
+  let module Db = Imdb_core.Db in
+  let module E = Imdb_core.Engine in
+  let module Park = Imdb_util.Park in
+  let config = { E.default_config with E.lock_wait_timeout_ms = 2_000 } in
+  let db = Db.open_memory ~config ~clock:(Imdb_clock.Clock.create_logical ()) () in
+  let schema =
+    Imdb_core.Schema.make
+      [
+        { Imdb_core.Schema.col_name = "k"; col_type = Imdb_core.Schema.T_string };
+        { Imdb_core.Schema.col_name = "v"; col_type = Imdb_core.Schema.T_string };
+      ]
+  in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema;
+  Db.exec db (fun txn -> Db.insert db txn ~table:"t" ~key:"k" ~payload:"v0");
+  let spot = Park.spot () in
+  let locked = ref false and gave_up = ref false and victim_at = ref (-1) in
+  let park_until flag = Park.protect spot (fun () -> Park.wait spot (fun () -> !flag)) in
+  let tickers = Park.tickers_started () in
+  let wall = Unix.gettimeofday () in
+  Imdb_torture.Fibers.run ~rng:(Imdb_util.Rng.create 1)
+    [|
+      (fun () ->
+        let s = Db.session db in
+        let txn = Db.Session.begin_txn s in
+        Db.Session.update s txn ~table:"t" ~key:"k" ~payload:"holder";
+        locked := true;
+        park_until gave_up;
+        ignore (Db.Session.commit s txn));
+      (fun () ->
+        park_until locked;
+        let s = Db.session db in
+        let txn = Db.Session.begin_txn s in
+        (match Db.Session.update s txn ~table:"t" ~key:"k" ~payload:"waiter" with
+        | () -> Alcotest.fail "granted over the holder's X lock"
+        | exception E.Deadlock_abort _ -> victim_at := Park.now_us ());
+        (try Db.Session.abort s txn with E.Txn_finished -> ());
+        gave_up := true);
+    |];
+  let wall = Unix.gettimeofday () -. wall in
+  Alcotest.(check int) "victim at virtual 2000 ms" 2_000_000 !victim_at;
+  Alcotest.(check int) "a timeout, not a deadlock" 1
+    (Imdb_obs.Metrics.get (Db.engine db).E.metrics Imdb_obs.Metrics.lock_timeouts);
+  Alcotest.(check int) "no ticker thread" tickers (Park.tickers_started ());
+  Alcotest.(check bool) "well under 100 ms of wall time" true (wall < 0.1);
+  Alcotest.(check (option string)) "the holder committed" (Some "holder")
+    (Db.exec db (fun txn -> Db.get db txn ~table:"t" ~key:"k"));
+  Db.close db
 
 (* --- the oracle itself ---------------------------------------------------- *)
 
@@ -193,14 +293,19 @@ let suite =
   [
     Alcotest.test_case "model: record/state/history" `Quick test_model_basics;
     Alcotest.test_case "model: iter_states = state_at" `Quick test_model_iter_states_matches_state_at;
+    Alcotest.test_case "lock timeout in virtual time" `Quick test_lock_timeout_virtual_time;
     Alcotest.test_case "small torture run passes" `Slow test_small_run_passes;
     Alcotest.test_case "runs are deterministic by seed" `Slow test_determinism;
     Alcotest.test_case "every crash kind fires" `Slow test_crash_kind_coverage;
     Alcotest.test_case "concurrent schedule = crashes fired" `Slow
       test_concurrent_schedule_truthful;
+    Alcotest.test_case "sessions runs replay from the seed" `Slow test_sessions_replay;
+    Alcotest.test_case "sessions runs fire every crash kind" `Slow test_sessions_crash_kinds;
     Alcotest.test_case "bulk-insert mix passes" `Slow test_bulk_run_passes;
     Alcotest.test_case "sabotage: skewed stamp is caught" `Slow test_sabotage_skew_stamp_caught;
     Alcotest.test_case "sabotage: dropped write is caught" `Slow test_sabotage_drop_write_caught;
     Alcotest.test_case "minimize shrinks a failing run" `Slow test_minimize_shrinks;
+    Alcotest.test_case "replay line names the workload" `Quick
+      test_replay_line_names_the_workload;
     Alcotest.test_case "failures replay identically from the seed" `Slow test_replay_from_seed;
   ]
