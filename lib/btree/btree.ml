@@ -683,44 +683,6 @@ let reclaim_leaf t ~path leaf_id =
       remove_separator t (List.rev path) leaf_id;
       t.io.free leaf_id)
 
-(* Delete [key].  By default logged redo-only, which suits
-   non-transactional maintenance (PTT garbage collection, DROP TABLE at
-   commit).  Transactional deletes from conventional tables pass
-   [~undoable:true], logging an [Op_kv_delete] whose logical undo
-   re-inserts the cell.  Returns whether the key existed. *)
-let delete ?(undoable = false) t ~key =
-  let leaf_id, path = find_leaf t key in
-  let emptied =
-    Imdb_buffer.Buffer_pool.with_page t.pool leaf_id (fun fr ->
-        let page = Imdb_buffer.Buffer_pool.bytes fr in
-        match leaf_find_slot page key with
-        | None -> `Absent
-        | Some slot ->
-            let op =
-              if undoable then
-                Imdb_wal.Log_record.Op_kv_delete
-                  { slot; body = P.read_cell page slot; table_id = t.table_id }
-              else Imdb_wal.Log_record.Op_delete { slot }
-            in
-            t.io.exec fr ~undoable op;
-            if P.live_count page = 0 && leaf_id <> t.root then `Emptied else `Present)
-  in
-  match emptied with
-  | `Absent -> false
-  | `Present -> true
-  | `Emptied ->
-      (* Only reclaim non-leftmost leaves: the "" route must stay valid. *)
-      let is_leftmost =
-        match List.rev path with
-        | (parent_id, slot) :: _ ->
-            Imdb_buffer.Buffer_pool.with_page t.pool parent_id (fun fr ->
-                let page = Imdb_buffer.Buffer_pool.bytes fr in
-                String.equal (cell_key page slot) "")
-        | [] -> true
-      in
-      if not is_leftmost then reclaim_leaf t ~path leaf_id;
-      true
-
 (* Delete many keys in one pass: sort them, descend once per leaf run and
    drop every key that lives in the pinned leaf before moving on.  Keys
    in ascending order hit ascending leaves, so a key not found in the
@@ -781,6 +743,13 @@ let delete_batch ?(undoable = false) t ~keys =
   in
   run keys;
   !deleted
+
+(* Delete [key].  By default logged redo-only, which suits
+   non-transactional maintenance (PTT garbage collection, DROP TABLE at
+   commit).  Transactional deletes from conventional tables pass
+   [~undoable:true], logging an [Op_kv_delete] whose logical undo
+   re-inserts the cell.  Returns whether the key existed. *)
+let delete ?undoable t ~key = delete_batch ?undoable t ~keys:[ key ] > 0
 
 (* --- integrity checking (test support) ------------------------------------- *)
 

@@ -30,8 +30,6 @@ let compare a b =
   match Int64.compare a.ttime b.ttime with 0 -> Int.compare a.sn b.sn | c -> c
 
 let equal a b = compare a b = 0
-let min a b = if compare a b <= 0 then a else b
-let max a b = if compare a b >= 0 then a else b
 
 (* Local opens of [Infix] give readable comparisons without shadowing the
    integer operators in this module. *)

@@ -30,8 +30,6 @@ val infinity : t
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val min : t -> t -> t
-val max : t -> t -> t
 
 val succ : t -> t
 (** The next representable timestamp (sequence-number increment, rolling

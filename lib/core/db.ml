@@ -107,7 +107,7 @@ let vacuum t =
         List.iter
           (fun (_, _, pid) ->
             Imdb_buffer.Buffer_pool.with_page eng.E.pool pid (fun fr ->
-                E.stamp_page eng fr))
+                E.stamp eng fr))
           (Table.router_ranges eng ti)
       end)
     (E.list_tables eng);

@@ -536,31 +536,24 @@ let lock_record t txn ~table_id ~key mode =
 (* Stamping helpers                                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Lazily stamp every committed version in a pinned page (normal-access
-   trigger).  Unlogged; the page is marked dirty first so the redo-scan
-   start point can never advance past the stamping before it reaches
-   disk. *)
-let stamp_page t fr =
+(* Lazily stamp the committed versions in a pinned page — all of them,
+   or only [key]'s (the paper's per-record read/update trigger, cheaper
+   than a page sweep).  Unlogged; the page is marked dirty first so the
+   redo-scan start point can never advance past the stamping before it
+   reaches disk. *)
+let stamp ?key t fr =
   let page = BP.bytes fr in
-  if Imdb_version.Vpage.has_unstamped page then
-    Imdb_obs.Tracer.with_span t.tracer "stamp.page" (fun sp ->
-        BP.mark_dirty_unlogged t.pool fr;
-        let n = Imdb_tstamp.Lazy_stamper.stamp_page t.stamper page in
-        Imdb_obs.Tracer.add_attr sp "page" (string_of_int (BP.page_id fr));
-        Imdb_obs.Tracer.add_attr sp "stamped" (string_of_int n))
-
-(* Per-record variant: the write/read-path trigger stamps only the
-   accessed record's versions. *)
-let stamp_record t fr ~key =
-  let page = BP.bytes fr in
-  if Imdb_version.Vpage.key_has_unstamped page ~key then
-    Imdb_obs.Tracer.with_span t.tracer "stamp.record" (fun sp ->
+  if Imdb_version.Vpage.has_unstamped ?key page then
+    Imdb_obs.Tracer.with_span t.tracer
+      (if key = None then "stamp.page" else "stamp.record")
+      (fun sp ->
         BP.mark_dirty_unlogged t.pool fr;
         let n =
-          Imdb_version.Vpage.stamp_versions_of ~metrics:t.metrics page ~key
+          Imdb_version.Vpage.stamp ~metrics:t.metrics ?key page
             ~resolve:(Imdb_tstamp.Lazy_stamper.resolve_for_stamping t.stamper)
-            ~on_stamp:(Imdb_tstamp.Lazy_stamper.on_stamp t.stamper)
+            ~on_stamp:(fun _ tid -> Imdb_tstamp.Lazy_stamper.on_stamp t.stamper tid)
         in
+        Imdb_obs.Tracer.add_attr sp "page" (string_of_int (BP.page_id fr));
         Imdb_obs.Tracer.add_attr sp "stamped" (string_of_int n))
 
 (* ------------------------------------------------------------------ *)
@@ -859,7 +852,10 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
       match P.page_type page with
       | P.P_data ->
           if config.timestamping = Lazy_stamping then
-            ignore (Imdb_tstamp.Lazy_stamper.stamp_page_volatile stamper page)
+            ignore
+              (Imdb_version.Vpage.stamp ~metrics page
+                 ~resolve:(Imdb_tstamp.Lazy_stamper.resolve_volatile_only stamper)
+                 ~on_stamp:(fun _ tid -> Imdb_tstamp.Lazy_stamper.on_stamp stamper tid))
       | P.P_free | P.P_meta | P.P_history | P.P_history_compressed | P.P_index
       | P.P_tsb_index | P.P_heap | P.P_msg_buffer -> ());
   t

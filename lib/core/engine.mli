@@ -255,12 +255,13 @@ val lock_record : t -> txn -> table_id:int -> key:string -> Imdb_lock.Lock_manag
 
 (** {1 Stamping triggers} *)
 
-val stamp_page : t -> Imdb_buffer.Buffer_pool.frame -> unit
-(** Lazily stamp every committed version in the page (marks it dirty,
-    unlogged, {e before} stamping so the GC horizon stays behind it). *)
-
-val stamp_record : t -> Imdb_buffer.Buffer_pool.frame -> key:string -> unit
-(** Per-record variant for the read/write paths. *)
+val stamp : ?key:string -> t -> Imdb_buffer.Buffer_pool.frame -> unit
+(** Lazily stamp every committed version in the page, or given [key]
+    only that record's (the read/write paths' per-record trigger), through
+    {!Imdb_version.Vpage.stamp} with
+    {!Imdb_tstamp.Lazy_stamper.resolve_for_stamping}.  Marks the page
+    dirty, unlogged, {e before} stamping so the GC horizon stays behind
+    it; runs in a "stamp.page" or "stamp.record" span. *)
 
 (** {1 History pages} *)
 

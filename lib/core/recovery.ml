@@ -126,12 +126,12 @@ let rebuild_page_from_log eng page_id =
      stays for undo. *)
   if P.page_type page = P.P_data then
     ignore
-      (Imdb_version.Vpage.stamp_committed page
+      (Imdb_version.Vpage.stamp page
          ~resolve:(fun tid ->
            match Tid.Table.find_opt commits tid with
            | Some ts -> Imdb_version.Vpage.Committed ts
            | None -> Imdb_version.Vpage.Active)
-         ~on_stamp:ignore);
+         ~on_stamp:(fun _ _ -> ()));
   fr
 
 (* Pin a page for redo: it may never have reached disk (rebuilt by a

@@ -102,7 +102,7 @@ let resolve_ts t ~ttime ~sn =
   match ttime with
   | Tid.Stamped ms -> Some (Ts.make ~ttime:ms ~sn)
   | Tid.Unstamped tid -> (
-      match Imdb_tstamp.Lazy_stamper.resolve t.eng.E.stamper tid with
+      match Imdb_tstamp.Lazy_stamper.resolve_for_stamping t.eng.E.stamper tid with
       | Imdb_version.Vpage.Committed ts -> Some ts
       | Imdb_version.Vpage.Active -> None
       | Imdb_version.Vpage.Unknown -> raise (Unresolved_tid tid))

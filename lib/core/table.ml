@@ -212,7 +212,7 @@ let split_data_page ?split_at eng ti ~pid ~low ~high =
   BP.with_page eng.E.pool pid (fun fr ->
       (* every committed version must carry its timestamp before versions
          can be classified (Section 2.2, trigger four) *)
-      E.stamp_page eng fr;
+      E.stamp eng fr;
       let page = BP.bytes fr in
       match ti.Catalog.ti_mode with
       | Catalog.Conventional -> assert false
@@ -290,7 +290,7 @@ let validate_si_write eng txn page ~key =
       match R.in_page_ttime page slot with
       | Tid.Unstamped tid when Tid.equal tid txn.E.tx_tid -> ()
       | Tid.Unstamped tid -> (
-          match Imdb_tstamp.Lazy_stamper.resolve eng.E.stamper tid with
+          match Imdb_tstamp.Lazy_stamper.resolve_for_stamping eng.E.stamper tid with
           | V.Committed ts when Ts.compare ts txn.E.tx_snapshot > 0 ->
               raise (Write_conflict { key; committed_at = Some ts })
           | V.Committed _ -> ()
@@ -387,7 +387,7 @@ let apply_run eng ti ~pid run =
            stamping happens: one scan covers both the already-committed
            older versions and this run's committed arrivals, keeping the
            PTT collectible *)
-        E.stamp_page eng fr;
+        E.stamp eng fr;
         E.log_applied eng fr
           (LR.Op_version_batch
              { inserts = List.rev !batch; table_id = ti.Catalog.ti_id });
@@ -571,7 +571,7 @@ let write_version eng txn ti ~key ~payload ~kind =
           (* the paper's third stamping trigger: updating a
              non-timestamped version timestamps the existing versions of
              that record *)
-          E.stamp_record eng fr ~key;
+          E.stamp ~key eng fr;
           (* one predecessor probe serves the SI validation, the
              existence check and the insert plan.  Checks come before the
              plan so a doomed write (duplicate insert, update of a
@@ -780,7 +780,7 @@ let read_versioned_at eng txn ti ~key ~t =
   let pid = locate_page eng ti ~key in
   BP.with_page eng.E.pool pid (fun fr ->
       let page = BP.bytes fr in
-      E.stamp_record eng fr ~key;
+      E.stamp ~key eng fr;
       (* own uncommitted writes win: the chain head is ours if we wrote *)
       let own =
         match V.find_current page ~key with
@@ -814,7 +814,7 @@ let read_current eng ti ~key =
   let pid = locate_page eng ti ~key in
   BP.with_page eng.E.pool pid (fun fr ->
       let page = BP.bytes fr in
-      E.stamp_record eng fr ~key;
+      E.stamp ~key eng fr;
       match V.find_current page ~key with
       | None -> None
       | Some slot ->
@@ -882,7 +882,7 @@ let scan_current eng ?(lo = "") ?hi txn ti f =
         (fun (low, high, pid) ->
           BP.with_page eng.E.pool pid (fun fr ->
               let page = BP.bytes fr in
-              E.stamp_page eng fr;
+              E.stamp eng fr;
               List.iter
                 (fun (key, slot) ->
                   if
@@ -916,7 +916,7 @@ let scan_range eng ?own ti ~t (low, high, pid) =
   in
   BP.with_page eng.E.pool pid (fun fr ->
       let page = BP.bytes fr in
-      E.stamp_page eng fr;
+      E.stamp eng fr;
       Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_pages;
       let current_dir = lazy (V.directory page) in
       (* overlay: keys written by [own] in this range, decided from the
@@ -1028,7 +1028,7 @@ let history eng txn ti ~key =
   in
   let first =
     BP.with_page eng.E.pool (locate_page eng ti ~key) (fun fr ->
-        E.stamp_page eng fr;
+        E.stamp eng fr;
         let page = BP.bytes fr in
         collect page (Array.of_list (V.all_versions_of page ~key)))
   in
@@ -1045,9 +1045,15 @@ let history eng txn ti ~key =
 
 (* Stamp every version the committing transaction wrote, *logging* each
    patch — the eager strategy of Section 2.2, implemented for the
-   lazy-vs-eager ablation.  Revisits pages by key (they may have split
-   since the write, possibly causing extra I/O: the measured drawback). *)
+   lazy-vs-eager ablation: [Vpage.stamp] with a resolver that knows only
+   this commit and an [on_stamp] that logs the stamped tail bytes.
+   Revisits pages by key (they may have split since the write, possibly
+   causing extra I/O: the measured drawback). *)
 let eager_stamp_writes eng txn ~ts =
+  let src = Bytes.create 12 in
+  Imdb_util.Codec.set_i64 src 0 (Ts.ttime ts);
+  Imdb_util.Codec.set_u32 src 8 (Ts.sn ts);
+  let own tid = if Tid.equal tid txn.E.tx_tid then V.Committed ts else V.Active in
   List.iter
     (fun (table_id, key) ->
       match E.table_by_id eng table_id with
@@ -1055,19 +1061,12 @@ let eager_stamp_writes eng txn ~ts =
           let pid, _, _ = locate eng ti ~key in
           BP.with_page eng.E.pool pid (fun fr ->
               let page = BP.bytes fr in
-              List.iter
-                (fun slot ->
-                  match R.in_page_ttime page slot with
-                  | Tid.Unstamped tid when Tid.equal tid txn.E.tx_tid ->
-                      let at = R.tail_offset_in_body page slot + 2 in
-                      let src = Bytes.create 12 in
-                      Imdb_util.Codec.set_i64 src 0 (Ts.ttime ts);
-                      Imdb_util.Codec.set_u32 src 8 (Ts.sn ts);
-                      E.exec_op eng fr ~undoable:false (LR.Op_patch { slot; at; src });
-                      Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.stamps_applied;
-                      Imdb_tstamp.Vtt.note_stamped (E.vtt eng) tid
-                        ~end_of_log:(Imdb_wal.Wal.next_lsn eng.E.wal)
-                  | _ -> ())
-                (V.all_versions_of page ~key))
+              ignore
+                (V.stamp ~metrics:eng.E.metrics ~key page ~resolve:own
+                   ~on_stamp:(fun slot tid ->
+                     let at = R.tail_offset_in_body page slot + 2 in
+                     E.exec_op eng fr ~undoable:false (LR.Op_patch { slot; at; src });
+                     Imdb_tstamp.Vtt.note_stamped (E.vtt eng) tid
+                       ~end_of_log:(Imdb_wal.Wal.next_lsn eng.E.wal))))
       | _ -> ())
     txn.E.tx_writes

@@ -179,11 +179,6 @@ let patch_cell b slot ~at ~src =
     invalid_arg "Page.patch_cell: out of cell bounds";
   Codec.set_bytes b (body + at) src
 
-let read_cell_part b slot ~at ~len =
-  let body = cell_body_offset b slot and total = cell_length b slot in
-  if at < 0 || at + len > total then invalid_arg "Page.read_cell_part";
-  Codec.get_bytes b (body + at) len
-
 (* Slot-preserving compaction: rewrite all live cells contiguously from
    [header_size], leaving slot numbering untouched. *)
 let compact b =

@@ -98,7 +98,6 @@ val cell_body_offset : bytes -> int -> int
 val read_cell : bytes -> int -> bytes
 (** Copy of a cell's body. *)
 
-val read_cell_part : bytes -> int -> at:int -> len:int -> bytes
 val patch_cell : bytes -> int -> at:int -> src:bytes -> unit
 (** Overwrite bytes within a cell body, in place. *)
 

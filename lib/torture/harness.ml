@@ -66,7 +66,6 @@ type config = {
   bulk : bool;
   sessions : int;
   sabotage : sabotage option;
-  schedule : crash_point list option;
   log : (string -> unit) option;
   flight_dir : string option;
 }
@@ -75,7 +74,7 @@ let default =
   {
     seed = 1; ops = 10_000; crashes = 60; tables = 2; keys_per_table = 48; page_size = 1024;
     pool_capacity = 12; auto_checkpoint_every = 40; verify_every = 0; verify_limit = 0;
-    bulk = false; sessions = 1; sabotage = None; schedule = None; log = None; flight_dir = None;
+    bulk = false; sessions = 1; sabotage = None; log = None; flight_dir = None;
   }
 
 (* The crash schedule: [crashes] points spread over the expected commit
@@ -83,30 +82,27 @@ let default =
    per-block shuffle of every kind, so each appears once in every window
    of that many crashes. *)
 let schedule_of cfg =
-  match cfg.schedule with
-  | Some s -> s
-  | None ->
-      let rng = Rng.create (cfg.seed lxor 0x5EED) in
-      let expected_commits = max 20 (cfg.ops * 2 / 5) in
-      let n = cfg.crashes in
-      if n <= 0 then []
-      else begin
-        let gap = max 4 (expected_commits / (n + 1)) in
-        let kinds = Array.of_list all_crash_kinds in
-        let block = Array.copy kinds in
-        let out = ref [] in
-        let at = ref 0 in
-        for i = 0 to n - 1 do
-          if i mod Array.length kinds = 0 then Rng.shuffle rng block;
-          let kind = block.(i mod Array.length kinds) in
-          at := !at + max 2 ((gap / 2) + Rng.int rng (max 1 gap));
-          let torn =
-            match kind with Crash_wal_tail | Crash_ptt_post -> false | _ -> Rng.bool rng
-          in
-          out := { cp_commit = !at; cp_kind = kind; cp_torn = torn } :: !out
-        done;
-        List.rev !out
-      end
+  let rng = Rng.create (cfg.seed lxor 0x5EED) in
+  let expected_commits = max 20 (cfg.ops * 2 / 5) in
+  let n = cfg.crashes in
+  if n <= 0 then []
+  else begin
+    let gap = max 4 (expected_commits / (n + 1)) in
+    let kinds = Array.of_list all_crash_kinds in
+    let block = Array.copy kinds in
+    let out = ref [] in
+    let at = ref 0 in
+    for i = 0 to n - 1 do
+      if i mod Array.length kinds = 0 then Rng.shuffle rng block;
+      let kind = block.(i mod Array.length kinds) in
+      at := !at + max 2 ((gap / 2) + Rng.int rng (max 1 gap));
+      let torn =
+        match kind with Crash_wal_tail | Crash_ptt_post -> false | _ -> Rng.bool rng
+      in
+      out := { cp_commit = !at; cp_kind = kind; cp_torn = torn } :: !out
+    done;
+    List.rev !out
+  end
 
 type report = {
   r_seed : int;
@@ -294,48 +290,99 @@ let run ?spawn cfg =
     List.rev !out
   in
 
+  (* The first key two sorted states disagree on, and how. *)
+  let rec first_diff want got =
+    match (want, got) with
+    | [], [] -> None
+    | (k, v) :: _, [] -> Some (k, Printf.sprintf "engine missing %s=%s" k (short v))
+    | [], (k, v) :: _ -> Some (k, Printf.sprintf "engine has extra %s=%s" k (short v))
+    | (k1, v1) :: ta, (k2, v2) :: tb ->
+        if k1 = k2 && v1 = v2 then first_diff ta tb
+        else if k1 = k2 then Some (k1, Printf.sprintf "%s: model=%s engine=%s" k1 (short v1) (short v2))
+        else if k1 < k2 then Some (k1, Printf.sprintf "engine missing %s=%s" k1 (short v1))
+        else Some (k2, Printf.sprintf "engine has extra %s=%s" k2 (short v2))
+  in
+  let state_diff ~what ~table want got =
+    Option.map
+      (fun (key, diff) ->
+        ( key,
+          Printf.sprintf "%s: table %s: model has %d rows, engine %d; first diff: %s" what table
+            (List.length want) (List.length got) diff ))
+      (first_diff want got)
+  in
   let compare_states ~what ~table want got =
-    if want <> got then begin
-      let rec first a b =
-        match (a, b) with
-        | [], [] -> "?"
-        | (k, v) :: _, [] -> Printf.sprintf "engine missing %s=%s" k (short v)
-        | [], (k, v) :: _ -> Printf.sprintf "engine has extra %s=%s" k (short v)
-        | (k1, v1) :: ta, (k2, v2) :: tb ->
-            if k1 = k2 && v1 = v2 then first ta tb
-            else if k1 = k2 then Printf.sprintf "%s: model=%s engine=%s" k1 (short v1) (short v2)
-            else if k1 < k2 then Printf.sprintf "engine missing %s=%s" k1 (short v1)
-            else Printf.sprintf "engine has extra %s=%s" k2 (short v2)
-      in
-      fail "%s: table %s: model has %d rows, engine %d; first diff: %s" what table
-        (List.length want) (List.length got) (first want got)
-    end
+    Option.iter (fun (_, msg) -> fail "%s" msg) (state_diff ~what ~table want got)
+  in
+
+  (* Evidence for a failed AS OF check of [key] at [ts]: the model's
+     commits that wrote the key (index, timestamp, size, value) and the
+     engine's [Db.history] of it, each cut to the entries nearest [ts].
+     Read only after the check failed, so a passing run is undisturbed. *)
+  let witnesses ~table ~key ts =
+    let value = Option.fold ~none:"deleted" ~some:short in
+    (* newest first: the two entries just after [ts], the four at or before *)
+    let near entries =
+      let after, upto = List.partition (fun (t, _) -> Ts.compare t ts > 0) entries in
+      let after = List.filteri (fun i _ -> i >= List.length after - 2) after in
+      String.concat ", " (List.map snd (after @ List.filteri (fun i _ -> i < 4) upto))
+    in
+    let model_writes =
+      List.concat
+        (List.mapi
+           (fun i (c : Model.commit) ->
+             List.filter_map
+               (fun (w : Model.write) ->
+                 if w.w_table = table && w.w_key = key then
+                   Some
+                     ( c.c_ts,
+                       Printf.sprintf "#%d at %s (%d writes) %s" i (Ts.to_string c.c_ts)
+                         (List.length c.c_writes) (value w.w_value) )
+                 else None)
+               c.c_writes)
+           (Model.commits model))
+    in
+    let history = Db.exec !db (fun txn -> Db.history !db txn ~table ~key) in
+    Printf.sprintf "\n  model commits writing %s/%s: %s\n  engine history of it: %s" table key
+      (near (List.rev model_writes))
+      (near (List.map (fun (t, v) -> (t, Ts.to_string t ^ " " ^ value v)) history))
   in
 
   (* One AS OF state against [state], the model's rows as of [ts], in
      one [Db.as_of ts] transaction: the full scan, then point reads of two
      keys — one drawn from the key space, present or not at [ts], and one
      never written.  The draw has its own seeded stream, so verification
-     never shifts the workload's. *)
+     never shifts the workload's.  A failure names the first key that
+     differs and adds its {!witnesses}. *)
   let sample_rng = Rng.create (cfg.seed lxor 0x9017) in
   let check_state ~what ~table ts state =
     let keys =
       [ key_name (Rng.int sample_rng cfg.keys_per_table); key_name cfg.keys_per_table ]
     in
-    Db.as_of !db ts (fun txn ->
-        let out = ref [] in
-        Db.scan !db txn ~table (fun k v -> out := (k, v) :: !out);
-        compare_states ~what ~table state (List.rev !out);
-        List.iter
-          (fun key ->
-            let want = List.assoc_opt key state in
-            let got = Db.get !db txn ~table ~key in
-            if got <> want then
-              fail "%s: point read of %s/%s: model=%s engine=%s" what table key
-                (Option.fold ~none:"-" ~some:short want)
-                (Option.fold ~none:"-" ~some:short got);
-            r.r_point_checks <- r.r_point_checks + 1)
-          keys)
+    let mismatch =
+      Db.as_of !db ts (fun txn ->
+          let out = ref [] in
+          Db.scan !db txn ~table (fun k v -> out := (k, v) :: !out);
+          match state_diff ~what ~table state (List.rev !out) with
+          | Some _ as diff -> diff
+          | None ->
+              List.find_map
+                (fun key ->
+                  let want = List.assoc_opt key state in
+                  let got = Db.get !db txn ~table ~key in
+                  if got <> want then
+                    Some
+                      ( key,
+                        Printf.sprintf "%s: point read of %s/%s: model=%s engine=%s" what table
+                          key
+                          (Option.fold ~none:"-" ~some:short want)
+                          (Option.fold ~none:"-" ~some:short got) )
+                  else begin
+                    r.r_point_checks <- r.r_point_checks + 1;
+                    None
+                  end)
+                keys)
+    in
+    Option.iter (fun (key, msg) -> fail "%s%s" msg (witnesses ~table ~key ts)) mismatch
   in
 
   (* Full verification: current state, the state as of EVERY commit
@@ -890,35 +937,29 @@ let run ?spawn cfg =
   | Disk.Io_failure m -> failed ("unhandled injected I/O failure: " ^ m)
   | e -> failed (Printf.sprintf "unexpected exception: %s" (Printexc.to_string e))
 
+(* Shrink along the two knobs a replay line names, [ops] and [crashes],
+   deriving the schedule again for every candidate, so the config
+   returned is whole and its replay line reproduces the failure.  Cut
+   the op budget to just past the failing op, then take the fewest crash
+   points that still fail, and repeat while the crash count shrinks. *)
 let minimize cfg failure =
   let failing c = match run c with Failed f -> Some f | Passed _ -> None in
-  (* the derived schedule depends on the op budget: pin it first, so a
-     shorter run meets the same crash points *)
-  let cfg = { cfg with schedule = Some (schedule_of cfg) } in
-  (* 1. truncate the op budget to just past the failing op *)
-  let cfg, failure =
-    let c = { cfg with ops = min cfg.ops (failure.f_op + 8) } in
-    if c.ops < cfg.ops then
-      match failing c with Some f -> (c, f) | None -> (cfg, failure)
-    else (cfg, failure)
+  let rec shrink cfg failure =
+    let cfg, failure =
+      let cut = { cfg with ops = min cfg.ops (failure.f_op + 8) } in
+      if cut.ops < cfg.ops then
+        match failing cut with Some f -> (cut, f) | None -> (cfg, failure)
+      else (cfg, failure)
+    in
+    let rec fewer n =
+      if n >= cfg.crashes then (cfg, failure)
+      else
+        let c = { cfg with crashes = n } in
+        match failing c with Some f -> shrink c f | None -> fewer (n + 1)
+    in
+    fewer 0
   in
-  (* 2. greedily drop crash points, newest first *)
-  let sched = ref (schedule_of cfg) in
-  let cfg = ref cfg in
-  let failure = ref failure in
-  let i = ref (List.length !sched - 1) in
-  while !i >= 0 do
-    let candidate = List.filteri (fun j _ -> j <> !i) !sched in
-    let c = { !cfg with schedule = Some candidate } in
-    (match failing c with
-    | Some f ->
-        sched := candidate;
-        cfg := c;
-        failure := f
-    | None -> ());
-    decr i
-  done;
-  (!cfg, !failure)
+  shrink cfg failure
 
 let pp_report ppf r =
   Format.fprintf ppf

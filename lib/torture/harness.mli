@@ -80,7 +80,6 @@ type config = {
           timestamp order (see {!run}).  1 (the default): one session
           over every key. *)
   sabotage : sabotage option;
-  schedule : crash_point list option;  (** [None]: derived from [seed] *)
   log : (string -> unit) option;  (** replay mode: every action printed *)
   flight_dir : string option;
       (** write a flight-recorder report (monitor samples, session stats,
@@ -93,8 +92,8 @@ val default : config
     1 KiB pages, a 12-frame pool, full verification. *)
 
 val schedule_of : config -> crash_point list
-(** The crash schedule a run will use (derived from the seed unless
-    overridden) — what the minimizer shrinks. *)
+(** The crash schedule a run will use, derived from [seed], [ops] and
+    [crashes]. *)
 
 (** The run's tally, filled in as it goes. *)
 type report = {
@@ -128,8 +127,7 @@ type failure = {
   f_trace : string list;  (** most recent actions, oldest first *)
   f_replay : string;
       (** the [imdb torture] command line that replays the run, with
-          [--bulk] / [--sessions N] when it used them (a minimized run's
-          explicit schedule has no flag) *)
+          [--bulk] / [--sessions N] when it used them *)
 }
 
 type outcome = Passed of report | Failed of failure
@@ -144,10 +142,13 @@ val run : ?spawn:((unit -> unit) array -> unit) -> config -> outcome
     interleaving does not replay. *)
 
 val minimize : config -> failure -> config * failure
-(** Shrink a failing run: truncate the op budget to the failing op, then
-    greedily drop crash points while the failure persists.  Returns the
-    smallest still-failing config and its failure (deterministic; every
-    candidate is a full re-run). *)
+(** Shrink a failing run along [ops] and [crashes] only, the schedule
+    derived again for each candidate: truncate the op budget to just
+    past the failing op, then take the fewest crash points that still
+    fail, and repeat while that count shrinks.  Returns the smallest
+    still-failing config and its failure; the config carries no state a
+    replay line cannot name, so its [f_replay] reproduces the failure
+    (deterministic; every candidate is a full re-run). *)
 
 val pp_report : Format.formatter -> report -> unit
 val pp_failure : Format.formatter -> failure -> unit

@@ -1,13 +1,16 @@
 (* Lazy timestamping: the four-stage protocol of Section 2.2, tying the
    VTT and PTT together.
 
-   Normal-access stamping ([resolve]) may fault PTT entries into the VTT.
-   Flush-time stamping ([resolve_volatile_only]) consults the VTT alone:
-   the buffer pool calls it while evicting a page, and a PTT lookup there
-   could recurse into eviction.  Skipping a VTT miss is always safe — a
-   miss means either the transaction is still active (leave the TID), or
-   the record will be stamped on a later access (the PTT entry cannot be
-   collected while the refcount is positive).
+   This module supplies the resolvers the stamping triggers hand to
+   [Vpage.stamp], the one routine that writes a timestamp into a
+   version, and the [on_stamp] bookkeeping they run after each stamp.
+   Normal-access stamping ([resolve_for_stamping]) may fault PTT entries
+   into the VTT.  Flush-time stamping ([resolve_volatile_only]) consults
+   the VTT alone: the buffer pool calls it while evicting a page, and a
+   PTT lookup there could recurse into eviction.  Skipping a VTT miss is
+   always safe — a miss means either the transaction is still active
+   (leave the TID), or the record will be stamped on a later access (the
+   PTT entry cannot be collected while the refcount is positive).
 
    No stamping is ever logged.  Durability of stamping is the GC rule's
    job: a mapping survives until the redo-scan start point proves every
@@ -47,46 +50,23 @@ let unknown_tids t = t.unknown_tids
 let ptt_exn t =
   match t.ptt with Some p -> p | None -> invalid_arg "Lazy_stamper: PTT not attached"
 
-(* Map a TID found in a record version to its fate.  Faults PTT entries
-   into the VTT on miss. *)
-let resolve t tid : Imdb_version.Vpage.resolution =
-  match Vtt.resolve t.vtt tid with
-  | Some (`Committed ts) -> Imdb_version.Vpage.Committed ts
-  | Some `Active -> Imdb_version.Vpage.Active
-  | Some `Aborted ->
-      (* rollback removes the versions; treat as active meanwhile *)
-      Imdb_version.Vpage.Active
-  | None -> (
-      match t.ptt with
-      | None ->
-          t.unknown_tids <- t.unknown_tids + 1;
-          Imdb_version.Vpage.Unknown
-      | Some ptt -> (
-          match Ptt.lookup ptt tid with
-          | Some ts ->
-              Vtt.cache_from_ptt t.vtt tid ts;
-              Imdb_version.Vpage.Committed ts
-          | None ->
-              t.unknown_tids <- t.unknown_tids + 1;
-              Imdb_version.Vpage.Unknown))
-
-(* Resolution for normal-access stamping ([stamp_page] / the per-record
-   trigger).  Identical to [resolve] except that a commit whose commit
-   record is still in the volatile log tail first forces the log.  A
-   stamp is unlogged and does not advance the page LSN, so
-   WAL-before-data alone would not push the commit record out before the
-   stamped image could reach disk; a crash then loses the commit, the
-   transaction becomes a loser, and recovery's guarded undo (which
+(* Map a TID found in a record version to its fate, for normal access:
+   the VTT, then the PTT, faulting a PTT hit into the VTT.  A commit
+   whose commit record is still in the volatile log tail first forces
+   the log.  A stamp is unlogged and does not advance the page LSN, so
+   WAL-before-data alone would not push the commit record out before
+   the stamped image could reach disk; a crash then loses the commit,
+   the transaction becomes a loser, and recovery's guarded undo (which
    matches the *unstamped* TID) would skip the stamped version — a
    phantom committed version.  Forcing the log first restores the
    invariant that any stamp that can reach disk names a durably
    committed transaction.  The force is rare: it fires only when an
-   access stamps a commit younger than the last flush (another session's
+   access meets a commit younger than the last flush (another session's
    commit between its VTT switch and its sync).  It asks for that
    commit record only ([commit_end]), not the whole tail, so a force
    landing during the committer's own sync waits for that sync instead
-   of paying another.  The PTT fallback needs no gate — a PTT
-   entry consulted here is covered by a durable commit record (losers'
+   of paying another.  The PTT fallback needs no gate — a PTT entry
+   consulted here is covered by a durable commit record (losers'
    entries are removed during recovery, before any access-path
    stamping). *)
 let resolve_for_stamping t tid : Imdb_version.Vpage.resolution =
@@ -133,17 +113,6 @@ let resolve_volatile_only t tid : Imdb_version.Vpage.resolution =
   | None -> Imdb_version.Vpage.Active (* safe: stamp later, via the PTT *)
 
 let on_stamp t tid = Vtt.note_stamped t.vtt tid ~end_of_log:(t.end_of_log ())
-
-(* Stamp every committed version in [page].  Returns the number stamped;
-   the caller marks the page dirty (unlogged) when non-zero. *)
-let stamp_page t page =
-  Imdb_version.Vpage.stamp_committed ~metrics:t.metrics page
-    ~resolve:(resolve_for_stamping t) ~on_stamp:(on_stamp t)
-
-(* The pre-flush variant: volatile resolution only. *)
-let stamp_page_volatile t page =
-  Imdb_version.Vpage.stamp_committed ~metrics:t.metrics page
-    ~resolve:(resolve_volatile_only t) ~on_stamp:(on_stamp t)
 
 (* Checkpoint posting, before the checkpoint record: the committed
    mappings the PTT lacks whose Commit records lie below

@@ -1,11 +1,13 @@
 (** Lazy timestamping: the four-stage protocol of paper Section 2.2,
     tying VTT and PTT together.
 
-    Resolution during normal access may fault PTT entries into the VTT;
-    the buffer pool's pre-flush hook uses the volatile-only variant (a
-    PTT lookup there could recurse into eviction, and skipping a miss is
-    always safe: the PTT entry cannot be collected while the version's
-    refcount is positive).  No stamping is ever logged — durability is
+    The stamping triggers pass one of the resolvers below, and
+    {!on_stamp}, to {!Imdb_version.Vpage.stamp}, the one routine that
+    writes a timestamp into a version.  Resolution during normal access
+    may fault PTT entries into the VTT; the buffer pool's pre-flush hook
+    uses the volatile-only variant (a PTT lookup there could recurse
+    into eviction, and skipping a miss is always safe: the PTT entry
+    cannot be collected while the version's refcount is positive).  No stamping is ever logged — durability is
     the garbage-collection rule's job. *)
 
 type t
@@ -41,27 +43,19 @@ val unknown_tids : t -> int
     integrity error: a mapping some version still needed was lost.
     Stays 0. *)
 
-val resolve : t -> Imdb_clock.Tid.t -> Imdb_version.Vpage.resolution
-(** VTT, then PTT (caching the hit in the VTT with undefined refcount). *)
-
 val resolve_volatile_only : t -> Imdb_clock.Tid.t -> Imdb_version.Vpage.resolution
 (** VTT only, durably-committed only — for the pre-flush hook. *)
 
 val resolve_for_stamping : t -> Imdb_clock.Tid.t -> Imdb_version.Vpage.resolution
-(** Like {!resolve}, but forces the log before answering [Committed] for
-    a commit whose commit record is not yet durable — the access-path
-    stamping gate.  Stamping an unforced commit would let a crash keep
-    the stamped page while losing the commit record, leaving a phantom
-    committed version that recovery's guarded undo cannot remove. *)
+(** VTT, then PTT (caching the hit in the VTT with undefined refcount);
+    forces the log before answering [Committed] for a commit whose
+    commit record is not yet durable — the access-path stamping gate.
+    Stamping an unforced commit would let a crash keep the stamped page
+    while losing the commit record, leaving a phantom committed version
+    that recovery's guarded undo cannot remove. *)
 
 val on_stamp : t -> Imdb_clock.Tid.t -> unit
 (** Reference-count bookkeeping for each version stamped. *)
-
-val stamp_page : t -> bytes -> int
-(** Stamp every committed version in the page (full resolution). *)
-
-val stamp_page_volatile : t -> bytes -> int
-(** The pre-flush variant. *)
 
 val post : t -> redo_scan_start:int64 -> int
 (** Checkpoint posting, before the checkpoint record: insert every

@@ -47,10 +47,6 @@ let set_i64 b pos v =
   check b ~pos ~len:8 ~what:"set_i64";
   Bytes.set_int64_le b pos v
 
-(* [int] stored in 8 bytes; safe on 64-bit platforms for all OCaml ints. *)
-let get_int b pos = Int64.to_int (get_i64 b pos)
-let set_int b pos v = set_i64 b pos (Int64.of_int v)
-
 let get_bytes b pos len =
   check b ~pos ~len ~what:"get_bytes";
   Bytes.sub b pos len
@@ -64,20 +60,6 @@ let get_string b pos len = Bytes.to_string (get_bytes b pos len)
 let set_string b pos s =
   check b ~pos ~len:(String.length s) ~what:"set_string";
   Bytes.blit_string s 0 b pos (String.length s)
-
-(* Length-prefixed strings: u16 length followed by the bytes.  Returns the
-   value and the position just past it, in the style of a cursor. *)
-
-let write_lstring b pos s =
-  let n = String.length s in
-  if n > 0xffff then invalid_arg "Codec.write_lstring: string too long";
-  set_u16 b pos n;
-  set_string b (pos + 2) s;
-  pos + 2 + n
-
-let read_lstring b pos =
-  let n = get_u16 b pos in
-  (get_string b (pos + 2) n, pos + 2 + n)
 
 (* A growable output buffer for encoding variable-size structures (log
    records, catalog rows).  Thin wrapper over [Buffer] with the same

@@ -16,19 +16,10 @@ val set_u32 : bytes -> int -> int -> unit
 val get_i64 : bytes -> int -> int64
 val set_i64 : bytes -> int -> int64 -> unit
 
-val get_int : bytes -> int -> int
-(** An OCaml [int] stored in 8 bytes. *)
-
-val set_int : bytes -> int -> int -> unit
 val get_bytes : bytes -> int -> int -> bytes
 val set_bytes : bytes -> int -> bytes -> unit
 val get_string : bytes -> int -> int -> string
 val set_string : bytes -> int -> string -> unit
-
-val write_lstring : bytes -> int -> string -> int
-(** u16-length-prefixed string; returns the position past it. *)
-
-val read_lstring : bytes -> int -> string * int
 
 (** Growable output buffer for variable-size structures. *)
 module Writer : sig

@@ -13,7 +13,7 @@
    or touches the buffer pool.  The engine wraps each operation in the
    appropriate WAL records (version inserts are logged; time splits and
    key splits log the rebuilt page images as redo-only structure
-   modifications; timestamp propagation is deliberately not logged). *)
+   modifications; lazy timestamp propagation is deliberately not logged). *)
 
 module P = Imdb_storage.Page
 module R = Imdb_storage.Record
@@ -273,78 +273,57 @@ type resolution =
   | Active (* still running: leave the TID in place *)
   | Unknown (* no mapping: integrity error, see caller *)
 
-(* Replace TIDs with timestamps on every version whose transaction has
-   committed (paper stage IV).  [resolve] consults the VTT/PTT;
-   [on_stamp tid] lets the caller decrement reference counts.  Returns the
-   number of versions stamped — when non-zero the caller marks the page
-   dirty *without logging* (the defining property of lazy timestamping). *)
-let stamp_committed ?(metrics = M.null) page ~resolve ~on_stamp =
+(* Replace TIDs with timestamps on every version — or, given [key], on
+   every version of that record — whose transaction has committed (paper
+   stage IV).  This is the one place a version's tail gets its timestamp;
+   the triggers differ only in [resolve], which maps a TID to its fate,
+   and [on_stamp slot tid], run after each version is stamped (reference
+   counts; the eager baseline logs the patch there).  Returns the number
+   stamped: lazy callers mark the page dirty *without logging* when it is
+   non-zero (the defining property of lazy timestamping). *)
+let stamp ?(metrics = M.null) ?key page ~resolve ~on_stamp =
   let stamped = ref 0 in
   P.iter_live page (fun slot ->
-      match R.in_page_ttime page slot with
-      | Imdb_clock.Tid.Stamped _ -> ()
-      | Imdb_clock.Tid.Unstamped tid -> (
-          match resolve tid with
-          | Committed ts ->
-              R.set_in_page_ttime page slot (Imdb_clock.Tid.Stamped (Ts.ttime ts));
-              R.set_in_page_sn page slot (Ts.sn ts);
-              incr stamped;
-              M.incr metrics M.stamps_applied;
-              on_stamp tid
-          | Active | Unknown -> ()));
+      match key with
+      | Some key when not (R.in_page_key_matches page slot key) -> ()
+      | Some _ | None -> (
+          match R.in_page_ttime page slot with
+          | Imdb_clock.Tid.Stamped _ -> ()
+          | Imdb_clock.Tid.Unstamped tid -> (
+              match resolve tid with
+              | Committed ts ->
+                  R.set_in_page_ttime page slot (Imdb_clock.Tid.Stamped (Ts.ttime ts));
+                  R.set_in_page_sn page slot (Ts.sn ts);
+                  incr stamped;
+                  M.incr metrics M.stamps_applied;
+                  on_stamp slot tid
+              | Active | Unknown -> ())));
   !stamped
 
-(* Stamp only the versions of one record — the paper's per-record triggers
-   (stage IV: reading or updating a non-timestamped version timestamps
-   that record's versions).  Cheaper than a page sweep on the write path. *)
-let stamp_versions_of ?(metrics = M.null) page ~key ~resolve ~on_stamp =
-  let stamped = ref 0 in
-  P.iter_live page (fun slot ->
-      if R.in_page_key_matches page slot key then
-        match R.in_page_ttime page slot with
-        | Imdb_clock.Tid.Stamped _ -> ()
-        | Imdb_clock.Tid.Unstamped tid -> (
-            match resolve tid with
-            | Committed ts ->
-                R.set_in_page_ttime page slot (Imdb_clock.Tid.Stamped (Ts.ttime ts));
-                R.set_in_page_sn page slot (Ts.sn ts);
-                incr stamped;
-                M.incr metrics M.stamps_applied;
-                on_stamp tid
-            | Active | Unknown -> ()));
-  !stamped
-
-(* Does the record [key] have any unstamped version in this page? *)
-let key_has_unstamped page ~key =
+(* Does any version in the page — or, given [key], any version of that
+   record — still carry a TID?  A manual slot-array loop: the per-record
+   trigger runs this on every point read. *)
+let has_unstamped ?key page =
   let psize = Bytes.length page in
   let n = P.slot_count page in
-  let klen = String.length key in
+  let klen = match key with Some key -> String.length key | None -> 0 in
   let rec go slot =
-    if slot >= n then false
-    else
-      let off = Bytes.get_uint16_le page (psize - 2 - (2 * slot)) in
-      if
-        off <> P.dead_slot
-        && Bytes.get_uint16_le page (off + 3) = klen
-        && R.key_bytes_equal page (off + 7) key klen 0
-        &&
-        (* unstamped = the TID flag (high bit of the 8-byte Ttime field) *)
-        (match R.in_page_ttime page slot with
-        | Imdb_clock.Tid.Unstamped _ -> true
-        | Imdb_clock.Tid.Stamped _ -> false)
-      then true
-      else go (slot + 1)
+    slot < n
+    &&
+    let off = Bytes.get_uint16_le page (psize - 2 - (2 * slot)) in
+    (off <> P.dead_slot
+    && (match key with
+       | None -> true
+       | Some key ->
+           Bytes.get_uint16_le page (off + 3) = klen && R.key_bytes_equal page (off + 7) key klen 0)
+    &&
+    (* unstamped = the TID flag (high bit of the 8-byte Ttime field) *)
+    match R.in_page_ttime page slot with
+    | Imdb_clock.Tid.Unstamped _ -> true
+    | Imdb_clock.Tid.Stamped _ -> false)
+    || go (slot + 1)
   in
   go 0
-
-(* Is any version in the page still carrying a TID? *)
-let has_unstamped page =
-  let found = ref false in
-  P.iter_live page (fun slot ->
-      match R.in_page_ttime page slot with
-      | Imdb_clock.Tid.Unstamped _ -> found := true
-      | Imdb_clock.Tid.Stamped _ -> ());
-  !found
 
 (* ------------------------------------------------------------------ *)
 (* Time splits (Fig. 3)                                                *)

@@ -8,8 +8,8 @@
 
     This module is pure page-image manipulation: it never logs, allocates
     or touches the buffer pool.  The engine wraps each operation in the
-    appropriate WAL records — and timestamp propagation deliberately in
-    none at all. *)
+    appropriate WAL records — and lazy timestamp propagation deliberately
+    in none at all. *)
 
 (** {1 Reading versions} *)
 
@@ -99,28 +99,25 @@ type resolution =
   | Active  (** still running: leave the TID in place *)
   | Unknown  (** no mapping — an integrity error outside recovery *)
 
-val stamp_committed :
+val stamp :
   ?metrics:Imdb_obs.Metrics.t ->
+  ?key:string ->
   bytes ->
   resolve:(Imdb_clock.Tid.t -> resolution) ->
-  on_stamp:(Imdb_clock.Tid.t -> unit) ->
+  on_stamp:(int -> Imdb_clock.Tid.t -> unit) ->
   int
-(** Replace TIDs with timestamps on every committed version (paper stage
-    IV); returns the number stamped.  Never logged: the caller marks the
-    page dirty un-logged when non-zero. *)
+(** Replace the TID with its timestamp on every version — or, given
+    [key], every version of that record — that [resolve] answers
+    [Committed] for (paper stage IV), calling [on_stamp slot tid] after
+    each; returns the number stamped.  The only code that writes a
+    timestamp into a version: every trigger differs only in its
+    [resolve] and [on_stamp].  Lazy callers mark the page dirty
+    un-logged when non-zero; the eager baseline logs each patch from
+    [on_stamp]. *)
 
-val stamp_versions_of :
-  ?metrics:Imdb_obs.Metrics.t ->
-  bytes ->
-  key:string ->
-  resolve:(Imdb_clock.Tid.t -> resolution) ->
-  on_stamp:(Imdb_clock.Tid.t -> unit) ->
-  int
-(** Per-record variant: the read/update-path trigger stamps only the
-    accessed record's versions. *)
-
-val has_unstamped : bytes -> bool
-val key_has_unstamped : bytes -> key:string -> bool
+val has_unstamped : ?key:string -> bytes -> bool
+(** Does any version — or, given [key], any version of that record —
+    still carry a TID? *)
 
 (** {1 Time splits (Fig. 3)} *)
 

@@ -117,13 +117,6 @@ let fresh_moving_objects ?(config = Imdb_core.Engine.default_config) ~mode () =
   Db.create_table db ~name:"MovingObjects" ~mode ~schema:moving_objects_schema;
   (db, clock)
 
-(* Timed full-table AS OF scan; returns (elapsed seconds, rows). *)
-let timed_scan_as_of db ~table ~ts =
-  let t0 = Unix.gettimeofday () in
-  let n = ref 0 in
-  Db.as_of db ts (fun txn -> Db.scan db txn ~table (fun _ _ -> incr n));
-  (Unix.gettimeofday () -. t0, !n)
-
 type scan_measure = {
   sm_elapsed_s : float;
   sm_rows : int;

@@ -43,8 +43,6 @@ val fresh_moving_objects :
 (** A fresh in-memory database with the MovingObjects table. *)
 
 val timed_scan_current : Imdb_core.Db.t -> table:string -> float * int
-val timed_scan_as_of :
-  Imdb_core.Db.t -> table:string -> ts:Imdb_clock.Timestamp.t -> float * int
 
 type scan_measure = {
   sm_elapsed_s : float;

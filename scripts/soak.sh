@@ -14,7 +14,9 @@
 # the clock once at startup and then incremented, so the whole soak is
 # reproducible from the first line of its output.  Every seed's report is appended to
 # soak-report.txt (uploaded as a CI artifact); a failure also leaves the
-# harness's minimized reproduction command there.
+# harness's minimized run there, whose replay line (the same seed with a
+# smaller --ops and --crashes, the crash schedule derived from them)
+# reproduces it.
 #
 # Exit status: 0 = every seed passed, 1 = a seed failed (reproduce with
 # the printed `imdb torture --seed N ... --replay` line, which names

@@ -226,7 +226,7 @@ let test_routing_directory_matches_scan () =
     let best = ref None in
     for slot = 0 to P.slot_count page - 1 do
       if P.slot_live page slot then begin
-        let k = fst (Imdb_util.Codec.read_lstring (P.read_cell page slot) 0) in
+        let k = Imdb_util.Codec.Reader.(lstring (create (P.read_cell page slot))) in
         if String.compare k key <= 0 then
           match !best with
           | Some (bk, _) when String.compare bk k >= 0 -> ()
@@ -254,7 +254,7 @@ let test_routing_directory_matches_scan () =
     done;
     for slot = 0 to P.slot_count page - 1 do
       if P.slot_live page slot && Imdb_util.Rng.int rng 3 = 0 then begin
-        let k = fst (Imdb_util.Codec.read_lstring (P.read_cell page slot) 0) in
+        let k = Imdb_util.Codec.Reader.(lstring (create (P.read_cell page slot))) in
         if k <> "" then begin
           P.delete_slot page slot;
           Hashtbl.remove used k

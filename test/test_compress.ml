@@ -265,10 +265,10 @@ let split_history ~size ~klen ~plen ~chained ~stubs ~ttime ~sn =
   in
   let n = fill 0 in
   ignore
-    (V.stamp_committed page
+    (V.stamp page
        ~resolve:(fun tid ->
          V.Committed (Ts.make ~ttime:(Int64.add ttime (Tid.to_int64 tid)) ~sn))
-       ~on_stamp:ignore);
+       ~on_stamp:(fun _ _ -> ()));
   if n = 0 then None
   else
     let split_time = Ts.make ~ttime:(Int64.add ttime (Int64.of_int (n + 2))) ~sn:0 in

@@ -48,8 +48,6 @@ let test_patch_and_part () =
   let s = P.insert b (Bytes.of_string "hello world") in
   P.patch_cell b s ~at:6 ~src:(Bytes.of_string "WORLD");
   Alcotest.(check string) "patched" "hello WORLD" (Bytes.to_string (P.read_cell b s));
-  Alcotest.(check string) "partial read" "WORLD"
-    (Bytes.to_string (P.read_cell_part b s ~at:6 ~len:5));
   (match P.patch_cell b s ~at:8 ~src:(Bytes.of_string "TOOLONG") with
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "patch out of bounds accepted")

@@ -774,7 +774,7 @@ let test_recovery_seeds_version_writers () =
   Alcotest.(check bool) "redo brought unstamped versions back" true (on_pages <> []);
   List.iter
     (fun tid ->
-      match LS.resolve eng.E.stamper tid with
+      match LS.resolve_for_stamping eng.E.stamper tid with
       | Imdb_version.Vpage.Committed _ -> ()
       | Imdb_version.Vpage.Active | Imdb_version.Vpage.Unknown ->
           Alcotest.failf "TID %s on a page does not resolve" (Tid.to_string tid))
@@ -825,7 +825,7 @@ let test_posting_horizon () =
     let eng = Db.engine !db in
     List.iter
       (fun tid ->
-        match LS.resolve eng.E.stamper tid with
+        match LS.resolve_for_stamping eng.E.stamper tid with
         | Imdb_version.Vpage.Committed _ -> ()
         | Imdb_version.Vpage.Active | Imdb_version.Vpage.Unknown ->
             Alcotest.failf "crash %d: TID %s on a page does not resolve" !crashes
@@ -910,7 +910,7 @@ let prop_unstamped_tids_resolve =
         let unknown0 = LS.unknown_tids eng.E.stamper in
         List.iter
           (fun tid ->
-            match LS.resolve eng.E.stamper tid with
+            match LS.resolve_for_stamping eng.E.stamper tid with
             | Imdb_version.Vpage.Committed _ -> ()
             | Imdb_version.Vpage.Active ->
                 QCheck.Test.fail_reportf "TID %s on a page resolves as active"

@@ -174,10 +174,13 @@ let test_minimize_shrinks () =
   let cfg', f' = H.minimize cfg f in
   Alcotest.(check bool) "still failing" true (f'.H.f_msg <> "");
   Alcotest.(check bool) "op budget shrank or held" true (cfg'.H.ops <= cfg.H.ops);
-  let kept = match cfg'.H.schedule with Some s -> List.length s | None -> -1 in
-  Alcotest.(check bool) "schedule made explicit" true (kept >= 0);
-  Alcotest.(check bool) "schedule no longer than derived" true
-    (kept <= List.length (H.schedule_of cfg))
+  Alcotest.(check bool) "crash points shrank or held" true (cfg'.H.crashes <= cfg.H.crashes);
+  (* the minimized config is whole: run again from its own fields — what
+     its replay line names — it fails the same way *)
+  let again = expect_failure "minimized config, run again" cfg' in
+  Alcotest.(check int) "same failing op" f'.H.f_op again.H.f_op;
+  Alcotest.(check string) "same diagnosis" f'.H.f_msg again.H.f_msg;
+  Alcotest.(check string) "same replay line" f'.H.f_replay again.H.f_replay
 
 let test_replay_from_seed () =
   (* a failing seed replays to the same failing op and message *)

@@ -14,10 +14,6 @@ let test_codec_scalars () =
   Alcotest.(check int) "u32" 0xDEADBEEF (Codec.get_u32 b 3);
   Codec.set_i64 b 7 (-42L);
   Alcotest.(check int64) "i64" (-42L) (Codec.get_i64 b 7);
-  Codec.set_int b 15 min_int;
-  Alcotest.(check int) "int min" min_int (Codec.get_int b 15);
-  Codec.set_int b 15 max_int;
-  Alcotest.(check int) "int max" max_int (Codec.get_int b 15);
   Codec.set_string b 23 "hello";
   Alcotest.(check string) "string" "hello" (Codec.get_string b 23 5)
 
@@ -29,14 +25,6 @@ let test_codec_bounds () =
   Alcotest.check_raises "negative pos"
     (Codec.Out_of_bounds "get_u8: pos=-1 len=1 buffer=4")
     (fun () -> ignore (Codec.get_u8 b (-1)))
-
-let test_codec_lstring () =
-  let b = Bytes.make 32 '\000' in
-  let pos = Codec.write_lstring b 0 "abc" in
-  Alcotest.(check int) "cursor" 5 pos;
-  let s, pos' = Codec.read_lstring b 0 in
-  Alcotest.(check string) "value" "abc" s;
-  Alcotest.(check int) "cursor matches" pos pos'
 
 let test_writer_reader_roundtrip () =
   let w = Codec.Writer.create () in
@@ -160,7 +148,6 @@ let suite =
   [
     Alcotest.test_case "codec scalars" `Quick test_codec_scalars;
     Alcotest.test_case "codec bounds" `Quick test_codec_bounds;
-    Alcotest.test_case "codec lstring" `Quick test_codec_lstring;
     Alcotest.test_case "writer/reader" `Quick test_writer_reader_roundtrip;
     QCheck_alcotest.to_alcotest prop_writer_reader;
     Alcotest.test_case "crc vectors" `Quick test_crc_vectors;

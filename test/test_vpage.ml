@@ -55,25 +55,43 @@ let test_stamping () =
   let page = fresh () in
   let s1 = write page ~key:"a" ~payload:"v1" ~tid:1 () in
   let s2 = write page ~key:"a" ~payload:"v2" ~tid:2 () in
-  let resolved = ref [] in
+  let b1 = write page ~key:"b" ~payload:"b1" ~tid:1 () in
+  let stamped = ref [] in
+  let on_stamp slot tid = stamped := (slot, Int64.to_int (Tid.to_int64 tid)) :: !stamped in
   let resolve tid =
     if Tid.equal tid (Tid.of_int 1) then V.Committed (ts 100) else V.Active
   in
-  let n = V.stamp_committed page ~resolve ~on_stamp:(fun t -> resolved := t :: !resolved) in
-  Alcotest.(check int) "one stamped" 1 n;
+  (* the unkeyed probe is the disjunction of the keyed ones *)
+  let probes_agree what =
+    Alcotest.(check bool) (what ^ ": probes agree") (V.has_unstamped page)
+      (List.exists (fun key -> V.has_unstamped ~key page) [ "a"; "b"; "c" ])
+  in
+  probes_agree "fresh";
+  (* keyed: only b's committed version, though a's first version shares
+     the committed TID *)
+  let n = V.stamp ~key:"b" page ~resolve ~on_stamp in
+  Alcotest.(check int) "one of b stamped" 1 n;
+  Alcotest.(check (list (pair int int))) "on_stamp saw b's slot" [ (b1, 1) ] !stamped;
+  Alcotest.(check bool) "a untouched" true (R.in_page_timestamp page s1 = None);
+  Alcotest.(check bool) "b done" false (V.has_unstamped ~key:"b" page);
+  Alcotest.(check bool) "a pending" true (V.has_unstamped ~key:"a" page);
+  Alcotest.(check bool) "absent key" false (V.has_unstamped ~key:"c" page);
+  probes_agree "after keyed";
+  (* unkeyed: every committed version; the active one stays *)
+  stamped := [];
+  let n = V.stamp page ~resolve ~on_stamp in
+  Alcotest.(check int) "one more stamped" 1 n;
+  Alcotest.(check (list (pair int int))) "on_stamp saw a's slot" [ (s1, 1) ] !stamped;
   Alcotest.(check bool) "stamped value" true
     (R.in_page_timestamp page s1 = Some (ts 100));
   Alcotest.(check bool) "active left alone" true (R.in_page_timestamp page s2 = None);
   Alcotest.(check bool) "still has unstamped" true (V.has_unstamped page);
-  Alcotest.(check bool) "key has unstamped" true (V.key_has_unstamped page ~key:"a");
-  (* second pass: tid 2 commits *)
-  let n2 =
-    V.stamp_committed page
-      ~resolve:(fun _ -> V.Committed (ts 200))
-      ~on_stamp:(fun _ -> ())
-  in
+  probes_agree "after unkeyed";
+  (* tid 2 commits *)
+  let n2 = V.stamp ~key:"a" page ~resolve:(fun _ -> V.Committed (ts 200)) ~on_stamp in
   Alcotest.(check int) "second stamped" 1 n2;
-  Alcotest.(check bool) "no unstamped left" false (V.has_unstamped page)
+  Alcotest.(check bool) "no unstamped left" false (V.has_unstamped page);
+  probes_agree "all stamped"
 
 let test_find_stamped_as_of () =
   let page = fresh () in
@@ -155,12 +173,6 @@ let reference_visible specs ~key ~t =
   match List.rev versions with
   | [] -> None
   | (i, s) :: _ -> if s.vstub then None else Some (Printf.sprintf "%s@%d" key i)
-
-let payload_at page slot =
-  let key = R.in_page_key page slot in
-  Bytes.to_string
-    (P.read_cell_part page slot ~at:(5 + String.length key)
-       ~len:(P.cell_length page slot - R.fixed_overhead - String.length key))
 
 let test_fig3_classification () =
   (* the paper's example: split at 300 *)
@@ -255,7 +267,7 @@ let prop_time_split_completeness =
                 match V.find_stamped_as_of target ~key ~asof:(ts t) with
                 | Some slot
                   when R.in_page_flags target slot land R.f_delete_stub = 0 ->
-                    Some (payload_at target slot)
+                    Some (R.in_page_payload target slot)
                 | Some _ | None -> None
               in
               if got <> expect then begin

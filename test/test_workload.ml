@@ -51,10 +51,12 @@ let test_replay_against_engine () =
   (* each sampled commit timestamp yields a consistent as-of count: after
      the first k events, every inserted object so far is present *)
   let ts_mid = List.nth result.Driver.rr_commit_ts 150 in
-  let _, n_mid = Driver.timed_scan_as_of db ~table:"MovingObjects" ~ts:ts_mid in
+  let n_mid = (Driver.measured_scan_as_of db ~table:"MovingObjects" ~ts:ts_mid).Driver.sm_rows in
   Alcotest.(check int) "as-of mid sees all objects" 25 n_mid;
   let ts_early = List.nth result.Driver.rr_commit_ts 10 in
-  let _, n_early = Driver.timed_scan_as_of db ~table:"MovingObjects" ~ts:ts_early in
+  let n_early =
+    (Driver.measured_scan_as_of db ~table:"MovingObjects" ~ts:ts_early).Driver.sm_rows
+  in
   Alcotest.(check int) "as-of early sees first 11 objects" 11 n_early;
   Db.close db
 
