@@ -151,10 +151,6 @@ type t = {
          gate-guarded.  Entries never go stale: a history page is
          immutable from the moment its time split writes it. *)
   hist_decoded_order : int Queue.t; (* FIFO bound for [hist_decoded] *)
-  ingest_bufs : (int, Ingest.buf) Hashtbl.t;
-      (* table id -> volatile mirror of the table's message-buffer page;
-         populated lazily on first buffered write, rebuilt at attach *)
-  mutable ingest_seq : int; (* last message sequence number issued *)
   session_stats : (int, session_stats) Hashtbl.t;
       (* per-session cumulative statistics, keyed by session id (0 =
          anonymous); gate-guarded *)
@@ -184,7 +180,7 @@ let exclusively t f =
   Fun.protect ~finally:(fun () -> Imdb_util.Park.release t.gate) f
 
 (* ------------------------------------------------------------------ *)
-(* Ingest buffering state                                              *)
+(* Ingest buffering                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* Buffered ingestion applies to immortal tables under lazy stamping
@@ -195,12 +191,6 @@ let exclusively t f =
 let ingest_enabled t ti =
   t.config.timestamping = Lazy_stamping
   && ti.Catalog.ti_mode = Catalog.Immortal
-
-let ingest_buf t ti = Hashtbl.find_opt t.ingest_bufs ti.Catalog.ti_id
-
-let next_ingest_seq t =
-  t.ingest_seq <- t.ingest_seq + 1;
-  t.ingest_seq
 
 (* ------------------------------------------------------------------ *)
 (* Logging core                                                        *)
@@ -836,8 +826,6 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
       after_ptt_post = ignore;
       hist_decoded = Hashtbl.create 64;
       hist_decoded_order = Queue.create ();
-      ingest_bufs = Hashtbl.create 8;
-      ingest_seq = 0;
       session_stats = Hashtbl.create 8;
       monitor =
         (if config.monitor_interval_ms > 0 then
@@ -906,23 +894,7 @@ let attach_system t =
   t.catalog_tree <- Some catalog;
   t.ptt <- Some ptt;
   Imdb_tstamp.Lazy_stamper.set_ptt t.stamper ptt;
-  List.iter (register_table t) (Catalog.load_all catalog);
-  (* Rebuild the volatile ingest-buffer mirrors from their pages (redo has
-     already reconstructed the page images).  Runs before loser rollback,
-     which may need to remove a loser's messages through the mirror. *)
-  Hashtbl.reset t.ingest_bufs;
-  t.ingest_seq <- 0;
-  List.iter
-    (fun ti ->
-      if ti.Catalog.ti_buf_root <> 0 then begin
-        let buf =
-          BP.with_page t.pool ti.Catalog.ti_buf_root (fun fr ->
-              Ingest.of_page ~table_id:ti.Catalog.ti_id (BP.bytes fr))
-        in
-        Hashtbl.replace t.ingest_bufs ti.Catalog.ti_id buf;
-        t.ingest_seq <- max t.ingest_seq (Ingest.max_seq buf)
-      end)
-    (list_tables t)
+  List.iter (register_table t) (Catalog.load_all catalog)
 
 let close t =
   (* join the sampler thread first: the domain must stay joinable, and a

@@ -149,9 +149,6 @@ type t = {
           (gate-guarded; history pages are immutable, so entries never go
           stale) *)
   hist_decoded_order : int Queue.t;  (** FIFO bound for [hist_decoded] *)
-  ingest_bufs : (int, Ingest.buf) Hashtbl.t;
-      (** table id -> volatile mirror of its message-buffer page *)
-  mutable ingest_seq : int;  (** last message sequence number issued *)
   session_stats : (int, session_stats) Hashtbl.t;
       (** per-session cumulative statistics, keyed by session id *)
   monitor : Imdb_obs.Monitor.t;
@@ -192,9 +189,6 @@ val ingest_enabled : t -> Catalog.table_info -> bool
     ({!Table.write_version}).  Snapshot-isolation writers, eager
     stamping and conventional or snapshot tables take the per-row
     descent. *)
-
-val ingest_buf : t -> Catalog.table_info -> Ingest.buf option
-val next_ingest_seq : t -> int
 
 (** {1 Logging} *)
 

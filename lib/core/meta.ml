@@ -19,8 +19,10 @@ let magic = 0x494d4442 (* "IMDB" *)
    4: Commit records say whether the transaction wrote versions, and a
       checkpoint names its redo start and posts only the mappings
       committed below it; a version-3 recovery seeds from the checkpoint
-      and would miss the commits between the two *)
-let format_version = 4
+      and would miss the commits between the two
+   5: ingest messages carry no sequence number, and lead with their kind
+      and key; slot order on the buffer page is arrival order *)
+let format_version = 5
 let meta_page_id = 0
 let meta_slot = 0
 

@@ -169,7 +169,6 @@ let drop eng name =
           E.note_write eng txn ~table_id:Meta.catalog_table_id ~key:name
       | None -> ());
       E.unregister_table eng ti;
-      Hashtbl.remove eng.E.ingest_bufs ti.Catalog.ti_id;
       true
 
 (* --- page splitting ------------------------------------------------------ *)
@@ -182,7 +181,7 @@ let drop eng name =
    [split_at] is the deferred split time a buffer flush carries: the
    clock reading recorded when the overflowing message arrived, advanced
    past it — exactly the time an unbuffered descent would have chosen at
-   that write.
+   that write.  A page already split at or after it key-splits instead.
 
    The split is one atomic WAL group: a crash that kept only a prefix of
    its images and router separator could lose the keys moved to a right
@@ -216,6 +215,14 @@ let split_data_page ?split_at eng ti ~pid ~low ~high =
       let page = BP.bytes fr in
       match ti.Catalog.ti_mode with
       | Catalog.Conventional -> assert false
+      | Catalog.Immortal
+        when Option.fold split_at ~none:false ~some:(fun s ->
+                 Ts.compare s (P.split_time page) <= 0) ->
+          (* this flush already time-split the page at this deferred
+             time: a later time could date the current page after a
+             commit at this one whose remaining versions still land on
+             it, and this time sheds nothing more *)
+          key_split_page fr
       | Catalog.Immortal ->
           Imdb_obs.Tracer.with_span eng.E.tracer "split.time"
             ~attrs:[ ("table", ti.Catalog.ti_name); ("page", string_of_int pid) ]
@@ -225,10 +232,7 @@ let split_data_page ?split_at eng ti ~pid ~low ~high =
           let old_split = P.split_time page in
           let s =
             match split_at with
-            | Some s ->
-                (* an intervening (unbuffered) split can postdate the
-                   deferred reading; chain split times never go backwards *)
-                if Ts.compare s old_split <= 0 then Ts.succ old_split else s
+            | Some s -> s
             | None -> Ts.succ (Imdb_clock.Clock.last_issued eng.E.clock)
           in
           Imdb_clock.Clock.observe eng.E.clock s;
@@ -314,28 +318,16 @@ type write_kind = W_insert | W_update | W_upsert | W_delete
    the per-row path uses, so buffered and unbuffered executions build
    identical structures and return identical results. *)
 
-(* The table's message buffer, creating the buffer page (and persisting
-   its id in the catalog, redo-only like other structure modifications)
-   on first use. *)
-let ingest_buf_for eng ti =
-  match E.ingest_buf eng ti with
-  | Some buf -> buf
-  | None ->
-      let pid =
-        if ti.Catalog.ti_buf_root <> 0 then ti.Catalog.ti_buf_root
-        else begin
-          let pid =
-            E.alloc_page eng ~ptype:P.P_msg_buffer ~level:0
-              ~table_id:ti.Catalog.ti_id
-          in
-          ti.Catalog.ti_buf_root <- pid;
-          Catalog.store_redo_only (E.catalog_exn eng) ti;
-          pid
-        end
-      in
-      let buf = Ingest.create ~table_id:ti.Catalog.ti_id ~page_id:pid in
-      Hashtbl.replace eng.E.ingest_bufs ti.Catalog.ti_id buf;
-      buf
+(* The table's message-buffer page, creating it (and persisting its id
+   in the catalog, redo-only like other structure modifications) on
+   first use. *)
+let buffer_page eng ti =
+  if ti.Catalog.ti_buf_root = 0 then begin
+    ti.Catalog.ti_buf_root <-
+      E.alloc_page eng ~ptype:P.P_msg_buffer ~level:0 ~table_id:ti.Catalog.ti_id;
+    Catalog.store_redo_only (E.catalog_exn eng) ti
+  end;
+  ti.Catalog.ti_buf_root
 
 (* Every message in [msgs] destined for the router range [low, high) —
    one run, applied in one page visit.  Pages are independent, so pulling
@@ -426,46 +418,49 @@ let apply_messages eng ti msgs =
   in
   go 4 msgs
 
-(* Drain the table's buffer: apply every message downward, then truncate
-   the buffer page with a redo-only reformat (recovery replays the same
-   sequence).  Readers call this before descending, so buffered state is
-   never visible — a buffered engine answers every query exactly like an
-   unbuffered one.  The flush is one atomic WAL group: a crash that kept
-   its batches but not the truncation would apply the still-buffered
-   messages a second time, and the duplicates can overflow a page into
-   a deferred split dated after versions it leaves on the current page. *)
+(* Drain the table's buffer page [pid]: read its live cells in slot
+   (arrival) order, truncate it with a redo-only reformat, then apply
+   every message downward (recovery replays the same sequence).  One
+   atomic WAL group: a crash that kept the batches but not the
+   truncation would apply the still-buffered messages a second time,
+   and the duplicates can overflow a page into a deferred split dated
+   after versions it leaves on the current page.  Truncating first
+   leaves nothing for a nested flush to apply. *)
+let drain eng ti pid =
+  Imdb_wal.Wal.atomically eng.E.wal @@ fun () ->
+  Imdb_obs.Tracer.with_span eng.E.tracer "ingest.flush"
+    ~attrs:[ ("table", ti.Catalog.ti_name) ]
+  @@ fun sp ->
+  let msgs =
+    BP.with_page eng.E.pool pid (fun fr ->
+        let page = BP.bytes fr in
+        let msgs =
+          P.fold_live page ~init:[] ~f:(fun acc slot ->
+              Ingest.decode_msg (P.read_cell page slot) :: acc)
+        in
+        E.exec_op eng fr ~undoable:false
+          (LR.Op_format
+             { page_type = P.P_msg_buffer; table_id = ti.Catalog.ti_id; level = 0 });
+        List.rev msgs)
+  in
+  let n = List.length msgs in
+  apply_messages eng ti msgs;
+  let m = eng.E.metrics in
+  Imdb_obs.Metrics.incr m Imdb_obs.Metrics.ingest_flushes;
+  Imdb_obs.Metrics.incr ~by:n m Imdb_obs.Metrics.ingest_flush_messages;
+  Imdb_obs.Tracer.add_attr sp "messages" (string_of_int n)
+
+(* Readers call this before descending, so buffered state is never
+   visible — a buffered engine answers every query exactly like an
+   unbuffered one. *)
 let flush_ingest eng ti =
-  match E.ingest_buf eng ti with
-  | None -> ()
-  | Some buf ->
-      if not (buf.Ingest.b_flushing || Ingest.is_empty buf) then begin
-        buf.Ingest.b_flushing <- true;
-        Fun.protect ~finally:(fun () -> buf.Ingest.b_flushing <- false)
-        @@ fun () ->
-        Imdb_wal.Wal.atomically eng.E.wal @@ fun () ->
-        Imdb_obs.Tracer.with_span eng.E.tracer "ingest.flush"
-          ~attrs:[ ("table", ti.Catalog.ti_name) ]
-        @@ fun sp ->
-        let msgs = Ingest.drain buf in
-        let n = List.length msgs in
-        apply_messages eng ti msgs;
-        BP.with_page eng.E.pool buf.Ingest.b_page (fun fr ->
-            E.exec_op eng fr ~undoable:false
-              (LR.Op_format
-                 {
-                   page_type = P.P_msg_buffer;
-                   table_id = ti.Catalog.ti_id;
-                   level = 0;
-                 }));
-        let m = eng.E.metrics in
-        Imdb_obs.Metrics.incr m Imdb_obs.Metrics.ingest_flushes;
-        Imdb_obs.Metrics.incr ~by:n m Imdb_obs.Metrics.ingest_flush_messages;
-        Imdb_obs.Tracer.add_attr sp "messages" (string_of_int n)
-      end
+  let pid = ti.Catalog.ti_buf_root in
+  if pid <> 0 && BP.with_page eng.E.pool pid (fun fr -> P.live_count (BP.bytes fr) > 0)
+  then drain eng ti pid
 
 (* Read-only presence probe for the buffered existence checks — the
-   buffer's newest-message map answers for buffered keys; this answers
-   for everything already on pages. *)
+   buffer page answers for buffered keys; this answers for everything
+   already on pages. *)
 let probe_exists eng ti ~key =
   let pid = locate_page eng ti ~key in
   BP.with_page eng.E.pool pid (fun fr ->
@@ -474,75 +469,88 @@ let probe_exists eng ti ~key =
       | None -> false
       | Some slot -> R.in_page_flags page slot land R.f_delete_stub = 0)
 
+(* The kind of the newest buffered message for [key]: live cells
+   scanned from the highest slot down, i.e. newest first. *)
+let newest_buffered page ~key =
+  Option.map (Ingest.kind_at page) (P.rfind_cell page (Ingest.is_for_key page ~key))
+
 (* The buffered write: one message append in place of a page descent.
    Existence semantics (INSERT/UPDATE/DELETE) are decided from the
-   newest buffered message for the key, falling back to the pages; the
-   append itself is an undoable WAL record, so aborts remove the message
-   (and, after a crash mid-flush, any applied version) and a committed
-   buffer survives crashes. *)
+   newest buffered message for the key (a delete means "absent", any
+   other kind "present"), falling back to the pages; the append itself
+   is an undoable WAL record, so aborts remove the message (and, after a
+   flush, any applied version) and a committed buffer survives
+   crashes. *)
 let write_buffered eng txn ti ~key ~payload ~kind =
-  let buf = ingest_buf_for eng ti in
-  (match kind with
-  | W_upsert -> ()
-  | W_insert | W_update | W_delete -> (
-      let exists =
-        match Ingest.newest buf ~key with
-        | Some m -> m.Ingest.m_kind <> Ingest.M_delete
-        | None -> probe_exists eng ti ~key
-      in
-      match kind with
-      | W_insert when exists -> raise (Duplicate_key key)
-      | (W_update | W_delete) when not exists -> raise (No_such_key key)
-      | _ -> ()));
-  let msg =
-    {
-      Ingest.m_seq = E.next_ingest_seq eng;
-      m_tid = txn.E.tx_tid;
-      m_kind =
-        (match kind with
-        | W_insert -> Ingest.M_insert
-        | W_update -> Ingest.M_update
-        | W_upsert -> Ingest.M_upsert
-        | W_delete -> Ingest.M_delete);
-      m_key = key;
-      m_payload = (if kind = W_delete then "" else payload);
-      m_clock = Imdb_clock.Clock.last_issued eng.E.clock;
-    }
+  let pid = buffer_page eng ti in
+  let check_exists page =
+    match kind with
+    | W_upsert -> ()
+    | W_insert | W_update | W_delete -> (
+        let exists =
+          match newest_buffered page ~key with
+          | Some k -> k <> Ingest.M_delete
+          | None -> probe_exists eng ti ~key
+        in
+        match kind with
+        | W_insert when exists -> raise (Duplicate_key key)
+        | (W_update | W_delete) when not exists -> raise (No_such_key key)
+        | _ -> ())
   in
-  let body = Ingest.encode_msg msg in
-  let rec append attempts =
-    let appended =
-      BP.with_page eng.E.pool buf.Ingest.b_page (fun fr ->
-          let page = BP.bytes fr in
-          (* the buffer page is append-only between wholesale truncations,
-             so always grow a fresh slot: no dead-slot scan per append
-             (rollbacks leave tombstones, reclaimed at the next reformat) *)
-          if P.free_space page < Bytes.length body + 4 then false
-          else begin
-            let slot = P.slot_count page in
-            E.with_txn eng txn (fun () ->
-                E.exec_op eng fr ~undoable:true
-                  (LR.Op_msg_append { slot; body; table_id = ti.Catalog.ti_id }));
-            true
-          end)
-    in
-    if not appended then begin
-      if attempts = 0 then
-        raise
-          (Page_overflow
-             (Printf.sprintf "table %s: message larger than the buffer page"
-                ti.Catalog.ti_name));
-      flush_ingest eng ti;
-      append (attempts - 1)
+  let body =
+    Ingest.encode_msg
+      {
+        Ingest.m_tid = txn.E.tx_tid;
+        m_kind =
+          (match kind with
+          | W_insert -> Ingest.M_insert
+          | W_update -> Ingest.M_update
+          | W_upsert -> Ingest.M_upsert
+          | W_delete -> Ingest.M_delete);
+        m_key = key;
+        m_payload = (if kind = W_delete then "" else payload);
+        m_clock = Imdb_clock.Clock.last_issued eng.E.clock;
+      }
+  in
+  (* Append at a fresh slot, so slot order is arrival order (rollbacks
+     leave tombstones, reclaimed at the next reformat).  [None] when the
+     page is full, else whether it now holds [ingest_buffer_rows] live
+     messages. *)
+  let append fr =
+    let page = BP.bytes fr in
+    if P.free_space page < Bytes.length body + 4 then None
+    else begin
+      let slot = P.slot_count page in
+      E.with_txn eng txn (fun () ->
+          E.exec_op eng fr ~undoable:true
+            (LR.Op_msg_append { slot; body; table_id = ti.Catalog.ti_id }));
+      let rows = eng.E.config.E.ingest_buffer_rows in
+      Some (slot + 1 >= rows && P.live_count page >= rows)
     end
   in
-  append 1;
-  Ingest.add buf msg;
+  let full =
+    match
+      BP.with_page eng.E.pool pid (fun fr ->
+          check_exists (BP.bytes fr);
+          append fr)
+    with
+    | Some full -> full
+    | None -> (
+        (* drain even with no live message: the dead slots of rolled-back
+           appends alone can fill the page *)
+        drain eng ti pid;
+        match BP.with_page eng.E.pool pid append with
+        | Some full -> full
+        | None ->
+            raise
+              (Page_overflow
+                 (Printf.sprintf "table %s: message larger than the buffer page"
+                    ti.Catalog.ti_name)))
+  in
   Imdb_tstamp.Vtt.incr_ref (E.vtt eng) txn.E.tx_tid;
   E.note_write eng txn ~table_id:ti.Catalog.ti_id ~key;
   Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.ingest_appends;
-  if Ingest.count buf >= eng.E.config.E.ingest_buffer_rows then
-    flush_ingest eng ti
+  if full then flush_ingest eng ti
 
 (* Insert a new version of [key] (a delete stub for [W_delete]).  SQL
    semantics: INSERT requires absence, UPDATE/DELETE require presence,

@@ -103,10 +103,12 @@ val history :
 (** {1 Maintenance} *)
 
 val flush_ingest : Engine.t -> Catalog.table_info -> unit
-(** Drain the table's ingest buffer (no-op when empty or absent): apply
-    every buffered message downward and truncate the buffer page.  Reads
-    do this implicitly; {!Db.vacuum} and checkpointing call it so
-    maintenance sees fully-applied state. *)
+(** Drain the table's ingest buffer (no-op when empty or absent):
+    truncate the buffer page and apply every message it held downward,
+    in one atomic log group.  Reads and per-row writes do this
+    implicitly, and {!Db.vacuum} calls it so maintenance sees
+    fully-applied state.  Checkpoints do not: the engine cannot reach
+    this module, and buffered messages stay on their logged page. *)
 
 val eager_stamp_writes : Engine.t -> Engine.txn -> ts:Imdb_clock.Timestamp.t -> unit
 (** Eager-mode commit support: revisit, stamp and {e log} every version

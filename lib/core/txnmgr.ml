@@ -182,35 +182,33 @@ let undo_op eng txn ~op =
       match E.table_by_id eng table_id with
       | None -> ()
       | Some ti -> undo_version eng txn ti ~key:(R.decode body).R.key)
-  | LR.Op_msg_append { body; table_id; _ } -> (
+  | LR.Op_msg_append { slot; body; table_id } -> (
       match E.table_by_id eng table_id with
       | None -> ()
       | Some ti ->
-          let msg = Ingest.decode_msg body in
-          (* Guard 1: the message is still buffered — drop it from the
-             mirror and the buffer page, so no later flush can apply a
-             loser's write.  Guard 2: a flush already applied it — remove
-             our (necessarily unstamped) version from the data page, as
-             [undo_version] does for Op_version_insert.  After a
-             crash mid-flush both states can coexist (applied but not yet
-             truncated); both guards fire and [decr_ref_rollback]
-             saturates, so re-undoing stays idempotent. *)
-          (match E.ingest_buf eng ti with
-          | Some buf when Ingest.remove_seq buf ~seq:msg.Ingest.m_seq ->
-              BP.with_page eng.E.pool buf.Ingest.b_page (fun fr ->
-                  let page = BP.bytes fr in
-                  let victim = ref None in
-                  P.iter_live page (fun slot ->
-                      if !victim = None then
-                        let m = Ingest.decode_msg (P.read_cell page slot) in
-                        if m.Ingest.m_seq = msg.Ingest.m_seq then victim := Some slot);
-                  match !victim with
-                  | Some slot ->
-                      E.exec_op eng fr ~undoable:false (LR.Op_delete { slot });
-                      Imdb_tstamp.Vtt.decr_ref_rollback (E.vtt eng) txn.E.tx_tid
-                  | None -> ())
-          | Some _ | None -> ());
-          undo_version eng txn ti ~key:msg.Ingest.m_key)
+          (* Guard 1: the message is still buffered — its slot holds a
+             live cell byte-equal to the logged body (a body carries its
+             writer's TID, so a message that took the slot after a
+             truncation never matches) — so delete it and no later flush
+             can apply a loser's write.  Guard 2: a flush already
+             applied it — remove our (necessarily unstamped) version
+             from the data page, as [undo_version] does for
+             Op_version_insert.  Both guards test the current state, so
+             re-running a rollback cut short by a crash is a no-op for
+             what it already undid. *)
+          let pid = ti.Catalog.ti_buf_root in
+          if pid <> 0 then
+            BP.with_page eng.E.pool pid (fun fr ->
+                let page = BP.bytes fr in
+                if
+                  slot < P.slot_count page
+                  && P.slot_live page slot
+                  && Bytes.equal (P.read_cell page slot) body
+                then begin
+                  E.exec_op eng fr ~undoable:false (LR.Op_delete { slot });
+                  Imdb_tstamp.Vtt.decr_ref_rollback (E.vtt eng) txn.E.tx_tid
+                end);
+          undo_version eng txn ti ~key:(Ingest.decode_msg body).Ingest.m_key)
   | LR.Op_insert _ | LR.Op_delete _ | LR.Op_replace _ | LR.Op_patch _
   | LR.Op_header _ | LR.Op_format _ | LR.Op_image _ | LR.Op_version_batch _ ->
       failwith "Txnmgr.undo_op: physical op in an undoable record"

@@ -318,6 +318,16 @@ let iter_live b f =
     if slot_live b slot then f slot
   done
 
+let rfind_cell b f =
+  let top = Bytes.length b in
+  let rec go slot =
+    if slot < 0 then None
+    else
+      let off = Bytes.get_uint16_le b (top - (2 * (slot + 1))) in
+      if off <> dead_slot && f (off + 2) then Some (off + 2) else go (slot - 1)
+  in
+  go (slot_count b - 1)
+
 let fold_live b ~init ~f =
   let acc = ref init in
   iter_live b (fun slot -> acc := f !acc slot);

@@ -39,8 +39,9 @@ type page_type =
           {!Vcompress} blob, slot count 0 (so stamping sweeps no-op) *)
   | P_msg_buffer
       (** per-table ingest buffer: each cell is one encoded write message
-          (arrival-ordered by sequence number) awaiting a batch flush into
-          the table's current data pages *)
+          awaiting a batch flush into the table's current data pages;
+          appends only grow the slot array, so slot order is arrival
+          order *)
 
 val int_of_page_type : page_type -> int
 val page_type_of_int : int -> page_type
@@ -137,4 +138,11 @@ val choose_insert_slot : bytes -> int
 val live_count : bytes -> int
 val iter_live : bytes -> (int -> unit) -> unit
 val fold_live : bytes -> init:'a -> f:('a -> int -> 'a) -> 'a
+
+val rfind_cell : bytes -> (int -> bool) -> int option
+(** The body offset of the live cell in the highest slot whose body
+    offset satisfies the predicate, scanning the slot array down — on a
+    page whose slots are only ever appended, the newest such cell.
+    Stable only until the next mutating operation. *)
+
 val utilization : bytes -> float

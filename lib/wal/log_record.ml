@@ -63,9 +63,9 @@ type page_op =
   | Op_msg_append of { slot : int; body : bytes; table_id : int }
       (* Ingest-buffer message append (buffered write path): the cell is
          an encoded write message in table [table_id]'s buffer page.
-         undo: remove the message from the buffer if still there, and
-         remove the version it produced from the data page if a flush
-         already applied it (at most one of the two exists per guard). *)
+         undo: delete the cell at [slot] if it is live and equal to
+         [body] (the message is still buffered), and remove the version
+         it produced from the data page if a flush already applied it. *)
   | Op_version_batch of {
       inserts : (int * bytes * int * int) list;
           (* (slot, body, pred_slot, pred_old_flags) per version, in

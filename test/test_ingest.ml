@@ -298,11 +298,8 @@ let test_mixed_flushed_and_buffered_crash () =
 (* A flush is one atomic WAL group: no log sync may fall strictly inside
    it.  With a pool far smaller than the table, the flush's own page
    visits evict dirty pages, and each eviction flushes the log.  A sync
-   between the flush's batches and its buffer truncation, followed by a
-   crash, would leave messages on the buffer page whose versions are
-   already applied; the next flush would apply them again, and the
-   duplicates can overflow a page into a deferred split dated after
-   versions it leaves on the current page. *)
+   between the flush's buffer truncation and its last batch, followed by
+   a crash, would lose the messages not yet applied. *)
 let test_flush_is_atomic_in_the_log () =
   let config =
     { lazy_config with E.pool_capacity = 6; auto_checkpoint_every = 0 }
@@ -332,33 +329,33 @@ let test_flush_is_atomic_in_the_log () =
            done))
   done;
   check_row db ~table:"t" ~id:0 (Some (row 0 "v0"));
-  (* one buffered write per 4 keys, spread over every data page *)
+  (* one buffered write per 10 keys, spread over every data page, and
+     few enough that the buffer page holds them all until the read *)
   tick clock;
   ignore
     (commit_write db (fun txn ->
-         for k = 0 to 49 do
-           Db.upsert_row db txn ~table:"t" (row (k * 4) "w")
+         for k = 0 to 19 do
+           Db.upsert_row db txn ~table:"t" (row (k * 10) "w")
          done));
   let m = Db.metrics db in
   let flushes = M.get m M.ingest_flushes and evictions = M.get m M.buf_evictions in
   syncs := [];
-  check_row db ~table:"t" ~id:4 (Some (row 4 "w"));
+  check_row db ~table:"t" ~id:10 (Some (row 10 "w"));
   Alcotest.(check int) "the read flushed the buffer" (flushes + 1) (M.get m M.ingest_flushes);
   Alcotest.(check bool) "the flush evicted pages" true (M.get m M.buf_evictions > evictions);
   let during = !syncs in
   let wal = (Db.engine db).E.wal in
   Imdb_wal.Wal.flush wal;
-  (* the last flush's records: its first version batch to its truncation *)
-  let first = ref None and range = ref (0L, 0L) in
+  (* the last flush's records: its truncation to its last version batch *)
+  let range = ref (0L, 0L) in
   Imdb_wal.Wal.iter_from wal ~from_lsn:0L (fun lsn body ->
       match body with
-      | Imdb_wal.Log_record.Redo_only { op = Imdb_wal.Log_record.Op_version_batch _; _ } ->
-          if !first = None then first := Some lsn
       | Imdb_wal.Log_record.Redo_only
           { op = Imdb_wal.Log_record.Op_format { page_type = Imdb_storage.Page.P_msg_buffer; _ }; _ }
         ->
-          Option.iter (fun f -> range := (f, lsn)) !first;
-          first := None
+          range := (lsn, lsn)
+      | Imdb_wal.Log_record.Redo_only { op = Imdb_wal.Log_record.Op_version_batch _; _ } ->
+          range := (fst !range, lsn)
       | _ -> ());
   let lo, hi = !range in
   List.iter
@@ -367,6 +364,143 @@ let test_flush_is_atomic_in_the_log () =
       if Int64.compare s lo > 0 && Int64.compare s hi <= 0 then
         Alcotest.failf "log synced to %Ld, inside the flush [%Ld, %Ld]" s lo hi)
     during;
+  Db.close db
+
+(* One flush that overflows the same page twice at one deferred clock
+   reading.  With the clock frozen, a commit takes the successor of the
+   last timestamp issued, so the transaction below commits at exactly
+   the time its messages' clock reading dates a deferred split.  The
+   first overflow time-splits at that time, which keeps the commit's
+   versions current; a second time split would have to date the page
+   later, leaving the rest of the commit's versions on a page that
+   AS OF the commit never reads. *)
+let test_second_overflow_keeps_commit_visible () =
+  let clock = Imdb_clock.Clock.create_logical () in
+  let db = Db.open_memory ~config:lazy_config ~clock () in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+  let m = Db.metrics db in
+  (* 40 committed rows fill the table's pages, then one transaction's 16
+     upserts past them stay buffered until a read flushes them *)
+  for i = 0 to 39 do
+    ignore (commit_write db (fun txn -> Db.upsert_row db txn ~table:"t" (row i "a")))
+  done;
+  check_row db ~table:"t" ~id:0 (Some (row 0 "a"));
+  let flushes = M.get m M.ingest_flushes and deferred = M.get m M.ingest_deferred_splits in
+  let ts =
+    commit_write db (fun txn ->
+        for i = 1000 to 1015 do
+          Db.upsert_row db txn ~table:"t" (row i "b")
+        done)
+  in
+  Alcotest.(check int) "nothing flushed before the commit" flushes (M.get m M.ingest_flushes);
+  check_row db ~table:"t" ~id:1000 (Some (row 1000 "b"));
+  Alcotest.(check int) "one flush" (flushes + 1) (M.get m M.ingest_flushes);
+  Alcotest.(check int) "it overflowed a page twice" (deferred + 2)
+    (M.get m M.ingest_deferred_splits);
+  Db.as_of db ts (fun txn ->
+      for i = 1000 to 1015 do
+        Alcotest.(check bool)
+          (Printf.sprintf "key %d as of its commit" i)
+          true
+          (Db.get_row db txn ~table:"t" ~key:(S.V_int i) = Some (row i "b"))
+      done);
+  Db.close db
+
+(* The rollback guard names the logged slot, and a truncation frees
+   every slot for reuse: a transaction whose message a flush already
+   applied must, when it aborts, spare the message another transaction
+   appended at that slot since. *)
+let test_abort_spares_reused_slot () =
+  let db, clock = fresh_db ~config:lazy_config () in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+  tick clock;
+  let loser = Db.begin_txn db in
+  Db.upsert_row db loser ~table:"t" (row 1 "junk");
+  (* the read flushes the loser's message out of slot 0 *)
+  check_row db ~table:"t" ~id:2 None;
+  tick clock;
+  ignore (commit_write db (fun txn -> Db.upsert_row db txn ~table:"t" (row 2 "kept")));
+  Db.abort db loser;
+  let applied = M.get (Db.metrics db) M.ingest_flush_messages in
+  check_row db ~table:"t" ~id:2 (Some (row 2 "kept"));
+  Alcotest.(check int) "the kept message was still buffered" (applied + 1)
+    (M.get (Db.metrics db) M.ingest_flush_messages);
+  check_row db ~table:"t" ~id:1 None;
+  Db.close db
+
+(* A crash in the middle of a rollback leaves a durable prefix of its
+   undo records and no End record, so recovery redoes that prefix and
+   then runs the whole rollback again; the guards must skip what is
+   already undone.  The loser's messages are half flushed and half
+   buffered, with a committed message buffered after them.  The state
+   must equal the one the finished rollback leaves. *)
+let test_rollback_rerun_after_crash () =
+  let config = { buffered_config with E.ingest_buffer_rows = 8 } in
+  let run ~cut =
+    let db, clock = fresh_db ~config () in
+    Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+    tick clock;
+    ignore (commit_write db (fun txn -> Db.upsert_row db txn ~table:"t" (row 0 "base")));
+    tick clock;
+    let loser = Db.begin_txn db in
+    for i = 0 to 11 do
+      Db.upsert_row db loser ~table:"t" (row i "loser")
+    done;
+    tick clock;
+    ignore (commit_write db (fun txn -> Db.upsert_row db txn ~table:"t" (row 100 "w")));
+    let wal = (Db.engine db).E.wal in
+    let from = Imdb_wal.Wal.next_lsn wal in
+    Db.abort db loser;
+    Imdb_wal.Wal.flush wal;
+    (* the rollback's undo records, then its End record *)
+    let frames = ref [] in
+    Imdb_wal.Wal.iter_from wal ~from_lsn:from (fun lsn _ -> frames := lsn :: !frames);
+    let frames = List.rev !frames in
+    Alcotest.(check bool) "the rollback logged undo records" true (List.length frames > 4);
+    if cut then begin
+      let _, log = Db.devices db in
+      log.Imdb_wal.Wal.Device.truncate
+        (Int64.to_int (List.nth frames (List.length frames / 2)))
+    end;
+    let db = Db.crash_and_reopen ~config ~clock db in
+    Alcotest.(check bool)
+      (Printf.sprintf "recovery rolled back (cut %b)" cut)
+      cut
+      (M.get (Db.metrics db) M.recovery_undo > 0);
+    let rows =
+      List.sort compare (List.of_seq (Hashtbl.to_seq (full_state db)))
+    in
+    let histories =
+      Db.exec db (fun txn ->
+          List.map
+            (fun k -> Db.history_rows db txn ~table:"t" ~key:(S.V_int k))
+            (100 :: List.init 12 Fun.id))
+    in
+    Db.close db;
+    (rows, histories)
+  in
+  let finished = run ~cut:false and rerun = run ~cut:true in
+  Alcotest.(check int) "key 100 and key 0 survive" 2 (List.length (fst finished));
+  Alcotest.(check bool) "same rows" true (fst finished = fst rerun);
+  Alcotest.(check bool) "same histories" true (snd finished = snd rerun)
+
+(* A rollback leaves its message's slot dead until the next truncation,
+   and a flush truncates only a buffer that holds messages.  Enough
+   single-write transactions that abort fill the page with dead slots
+   alone; the next append must still find room. *)
+let test_dead_slots_do_not_wedge_the_buffer () =
+  let db, clock = fresh_db ~config:lazy_config () in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+  for i = 0 to 599 do
+    tick clock;
+    let txn = Db.begin_txn db in
+    Db.upsert_row db txn ~table:"t" (row i "junk");
+    Db.abort db txn
+  done;
+  tick clock;
+  ignore (commit_write db (fun txn -> Db.upsert_row db txn ~table:"t" (row 1 "kept")));
+  check_row db ~table:"t" ~id:1 (Some (row 1 "kept"));
+  check_row db ~table:"t" ~id:2 None;
   Db.close db
 
 let suite =
@@ -381,4 +515,12 @@ let suite =
     Alcotest.test_case "mixed flushed/buffered state recovers" `Quick
       test_mixed_flushed_and_buffered_crash;
     Alcotest.test_case "flush is atomic in the log" `Quick test_flush_is_atomic_in_the_log;
+    Alcotest.test_case "second overflow keeps the commit visible" `Quick
+      test_second_overflow_keeps_commit_visible;
+    Alcotest.test_case "abort spares a message in a reused slot" `Quick
+      test_abort_spares_reused_slot;
+    Alcotest.test_case "rollback re-run after a crash" `Quick
+      test_rollback_rerun_after_crash;
+    Alcotest.test_case "dead slots do not wedge the buffer" `Quick
+      test_dead_slots_do_not_wedge_the_buffer;
   ]
