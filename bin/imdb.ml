@@ -34,11 +34,21 @@ let dir_arg =
 
 (* --- sql ----------------------------------------------------------------- *)
 
+(* Print each statement's result as it runs; an expected error prints
+   its message and ends the script.  Returns whether every statement ran. *)
 let run_sql db src =
   let session = Imdb_sql.Executor.make_session db in
-  List.iter
-    (fun r -> Fmt.pr "%a@." Imdb_sql.Executor.pp_result r)
-    (Imdb_sql.Executor.exec_string session src)
+  match
+    Imdb_sql.Executor.exec_iter session src (fun r ->
+        Fmt.pr "%a@." Imdb_sql.Executor.pp_result r)
+  with
+  | () -> true
+  | exception e -> (
+      match Imdb_sql.Executor.error_message e with
+      | Some msg ->
+          Fmt.epr "error: %s@." msg;
+          false
+      | None -> raise e)
 
 let repl db =
   let session = Imdb_sql.Executor.make_session db in
@@ -55,14 +65,18 @@ let repl db =
          let src = Buffer.contents buf in
          Buffer.clear buf;
          try
-           List.iter
-             (fun r -> Fmt.pr "%a@." Imdb_sql.Executor.pp_result r)
-             (Imdb_sql.Executor.exec_string session src)
-         with e -> Fmt.pr "error: %s@." (Printexc.to_string e)
+           Imdb_sql.Executor.exec_iter session src (fun r ->
+               Fmt.pr "%a@." Imdb_sql.Executor.pp_result r)
+         with e ->
+           Fmt.pr "error: %s@."
+             (match Imdb_sql.Executor.error_message e with
+             | Some msg -> msg
+             | None -> Printexc.to_string e)
        end
      done
    with End_of_file -> ());
-  Fmt.pr "@."
+  Fmt.pr "@.";
+  true
 
 let sql_cmd =
   let exec =
@@ -72,16 +86,19 @@ let sql_cmd =
     Arg.(value & opt (some string) None & info [ "f" ] ~docv:"FILE" ~doc:"Script file to execute.")
   in
   let run dir exec file =
-    with_db dir (fun db ->
-        match (exec, file) with
-        | Some src, _ -> run_sql db src
-        | None, Some path ->
-            let ic = open_in path in
-            let n = in_channel_length ic in
-            let src = really_input_string ic n in
-            close_in ic;
-            run_sql db src
-        | None, None -> repl db)
+    let ok =
+      with_db dir (fun db ->
+          match (exec, file) with
+          | Some src, _ -> run_sql db src
+          | None, Some path ->
+              let ic = open_in path in
+              let n = in_channel_length ic in
+              let src = really_input_string ic n in
+              close_in ic;
+              run_sql db src
+          | None, None -> repl db)
+    in
+    if not ok then exit 1
   in
   Cmd.v (Cmd.info "sql" ~doc:"Run SQL statements (or an interactive session).")
     Term.(const run $ dir_arg $ exec $ file)

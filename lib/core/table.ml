@@ -194,7 +194,7 @@ let split_data_page ?split_at eng ti ~pid ~low ~high =
       ~attrs:[ ("table", ti.Catalog.ti_name); ("page", string_of_int pid) ]
     @@ fun sp ->
     let page = BP.bytes fr in
-    if Array.length (V.directory page).V.vd_keys < 2 then
+    if not (V.has_two_keys page) then
       raise
         (Page_overflow
            (Printf.sprintf "table %s: page %d holds one giant key chain"
@@ -349,9 +349,7 @@ let apply_run eng ti ~pid run =
   BP.with_page eng.E.pool pid (fun fr ->
       let page = BP.bytes fr in
       let index = Hashtbl.create 32 in
-      List.iter
-        (fun (key, slot) -> Hashtbl.replace index key slot)
-        (V.current_slots page);
+      V.iter_current page (Hashtbl.replace index);
       let batch = ref [] in
       let applied = ref 0 in
       let rec apply = function

@@ -133,6 +133,12 @@ let in_txn session f =
   | Some txn -> f txn
   | None -> Db.Session.with_txn ~isolation:session.isolation session.dbs f
 
+(* A stored key as the value it encodes. *)
+let pp_key ppf key =
+  match Schema.decode_key key with
+  | v -> Schema.pp_value ppf v
+  | exception _ -> Fmt.pf ppf "%S" key
+
 (* --- statement execution -------------------------------------------------- *)
 
 let schema_of_defs columns =
@@ -326,6 +332,25 @@ let exec session stmt =
 
 let exec_string session src =
   List.map (fun stmt -> exec session stmt) (Parser.parse_script src)
+
+let exec_iter session src f =
+  List.iter (fun stmt -> f (exec session stmt)) (Parser.parse_script src)
+
+(* The messages of the errors a statement is expected to raise, with
+   stored keys decoded back to the value the user wrote. *)
+let error_message = function
+  | Exec_error msg | Parser.Parse_error msg | Lexer.Lex_error msg | Schema.Type_error msg ->
+      Some msg
+  | Db.No_such_table name -> Some ("no such table " ^ name)
+  | Imdb_core.Table.Duplicate_key key -> Some (Fmt.str "duplicate key %a" pp_key key)
+  | Imdb_core.Table.No_such_key key -> Some (Fmt.str "no such key %a" pp_key key)
+  | Imdb_core.Table.Write_conflict { key; committed_at } ->
+      Some
+        (Fmt.str "write conflict on key %a (%s)" pp_key key
+           (match committed_at with
+           | Some ts -> "committed at " ^ Ts.to_string ts
+           | None -> "its writer has not committed"))
+  | _ -> None
 
 (* --- result rendering ------------------------------------------------------ *)
 

@@ -27,4 +27,15 @@ val make_session : Imdb_core.Db.t -> session
 val exec_string : session -> string -> result list
 (** Parse and execute a script. *)
 
+val exec_iter : session -> string -> (result -> unit) -> unit
+(** Parse a script, then execute its statements in order, passing each
+    result to the callback as soon as its statement has run; an error
+    stops the script there. *)
+
+val error_message : exn -> string option
+(** The message of an error a statement is expected to raise — a parse
+    or type error, an unknown table, a duplicate or missing key, a write
+    conflict — with the key decoded (["duplicate key 1"]); [None] for
+    any other exception. *)
+
 val pp_result : Format.formatter -> result -> unit

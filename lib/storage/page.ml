@@ -99,10 +99,14 @@ let lsn b = Codec.get_i64 b 8
 let set_lsn b v = Codec.set_i64 b 8 v
 let page_type b = page_type_of_int (Codec.get_u8 b 16)
 let set_page_type b v = Codec.set_u8 b 16 (int_of_page_type v)
-let slot_count b = Codec.get_u16 b 18
-let set_slot_count b v = Codec.set_u16 b 18 v
-let free_lower b = Codec.get_u16 b 20
-let set_free_lower b v = Codec.set_u16 b 20 v
+(* The slot count, the free-space bound and the slot array are read and
+   written with plain [Bytes] accessors, not [Codec]'s: these run once per
+   slot on every page scan and rebuild, a slot is range-checked against
+   the count already, and [Bytes] still bounds-checks each access. *)
+let slot_count b = Bytes.get_uint16_le b 18
+let set_slot_count b v = Bytes.set_uint16_le b 18 v
+let free_lower b = Bytes.get_uint16_le b 20
+let set_free_lower b v = Bytes.set_uint16_le b 20 v
 let garbage b = Codec.get_u16 b 22
 let set_garbage b v = Codec.set_u16 b 22 v
 let history_pointer b = Codec.get_u32 b 24
@@ -151,9 +155,9 @@ let slot_offset b slot =
     invalid_arg
       (Printf.sprintf "Page.slot_offset: slot %d of %d (page %d)" slot
          (slot_count b) (page_id b));
-  Codec.get_u16 b (slot_entry_pos b slot)
+  Bytes.get_uint16_le b (slot_entry_pos b slot)
 
-let set_slot_offset b slot v = Codec.set_u16 b (slot_entry_pos b slot) v
+let set_slot_offset b slot v = Bytes.set_uint16_le b (slot_entry_pos b slot) v
 let slot_live b slot = slot_offset b slot <> dead_slot
 
 (* --- cells --------------------------------------------------------------- *)
@@ -185,7 +189,7 @@ let compact b =
   let n = slot_count b in
   let live = ref [] in
   for slot = 0 to n - 1 do
-    let off = Codec.get_u16 b (slot_entry_pos b slot) in
+    let off = Bytes.get_uint16_le b (slot_entry_pos b slot) in
     if off <> dead_slot then live := (slot, off) :: !live
   done;
   (* Copy in ascending original-offset order so that blits never overlap
@@ -275,9 +279,25 @@ let insert_at_slot b slot body =
 let reserve_slots b n =
   if slot_count b <> 0 then invalid_arg "Page.reserve_slots: page not empty";
   set_slot_count b n;
-  for slot = 0 to n - 1 do
-    set_slot_offset b slot dead_slot
-  done
+  (* every entry dead: [dead_slot] is the all-zero entry *)
+  Bytes.fill b (slot_entry_pos b (n - 1)) (2 * n) '\000'
+
+(* Append a copy of live cell [slot] of [src] to the cell area of [dst]
+   and point [dst]'s reserved dead slot [dst_slot] at it; returns the
+   copy's body offset.  Page rebuilds use it to copy versions without
+   materializing them: [dst] is a fresh image with room for every copy,
+   so nothing here compacts. *)
+let blit_cell src slot dst dst_slot =
+  let off = slot_offset src slot in
+  if off = dead_slot then invalid_arg "Page.blit_cell: dead slot";
+  let total = 2 + Bytes.get_uint16_le src off in
+  if slot_live dst dst_slot || contiguous_free dst < total then
+    invalid_arg "Page.blit_cell: no room";
+  let at = free_lower dst in
+  Bytes.blit src off dst at total;
+  set_slot_offset dst dst_slot at;
+  set_free_lower dst (at + total);
+  at + 2
 
 (* Insert [body] into any available slot and return the slot used. *)
 let insert b body =
@@ -306,16 +326,15 @@ let replace_at_slot b slot body =
   insert_at_slot b slot body
 
 let live_count b =
-  let n = slot_count b in
   let c = ref 0 in
-  for i = 0 to n - 1 do
-    if slot_live b i then incr c
+  for slot = 0 to slot_count b - 1 do
+    if Bytes.get_uint16_le b (slot_entry_pos b slot) <> dead_slot then incr c
   done;
   !c
 
 let iter_live b f =
   for slot = 0 to slot_count b - 1 do
-    if slot_live b slot then f slot
+    if Bytes.get_uint16_le b (slot_entry_pos b slot) <> dead_slot then f slot
   done
 
 let rfind_cell b f =

@@ -114,6 +114,13 @@ val insert_at_slot : bytes -> int -> bytes -> unit
 val delete_slot : bytes -> int -> unit
 val replace_at_slot : bytes -> int -> bytes -> unit
 
+val blit_cell : bytes -> int -> bytes -> int -> int
+(** [blit_cell src slot dst dst_slot] appends a copy of live cell [slot]
+    of [src] to [dst]'s cell area at the reserved dead slot [dst_slot],
+    without compacting; returns the copy's body offset.  For page
+    rebuilds into fresh images.  @raise Invalid_argument when [slot] is
+    dead or [dst] has no contiguous room. *)
+
 val reserve_slots : bytes -> int -> unit
 (** Pre-extend a freshly formatted page to [n] dead slots — page rebuilds
     (time/key splits) use this to keep surviving records at their

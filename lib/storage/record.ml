@@ -147,16 +147,6 @@ let in_page_timestamp page slot =
 
 let read_in_page page slot = decode (Page.read_cell page slot)
 
-(* Copy of [cell] with flags and version pointer rewritten — used when
-   page splits re-home versions and must rewire their chains. *)
-let with_links cell ~flags ~vp =
-  let b = Bytes.copy cell in
-  Codec.set_u8 b 0 flags;
-  let k = Codec.get_u16 b 1 in
-  let p = Codec.get_u16 b 3 in
-  Codec.set_u16 b (5 + k + p) vp;
-  b
-
 let pp ppf r =
   let stamp =
     match r.ttime with

@@ -80,8 +80,4 @@ val tail_offset_in_body : bytes -> int -> int
 
 val read_in_page : bytes -> int -> t
 
-val with_links : bytes -> flags:int -> vp:int -> bytes
-(** Copy of an encoded record with flags and version pointer rewritten —
-    how splits re-home versions while rewiring their chains. *)
-
 val pp : Format.formatter -> t -> unit

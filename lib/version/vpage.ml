@@ -24,26 +24,72 @@ module M = Imdb_obs.Metrics
 (* Reading versions                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The passes over a whole page read the slot array and the cells in
+   place: [Bytes.get_uint16_le] / [get_int64_le] at known offsets of a
+   cell body (layout in [Record]).  The [Page]/[Record] accessors check
+   and re-derive offsets on every field, and they do not inline across
+   modules, so a per-slot accessor chain costs more than the work. *)
+
+(* Body offset of [slot]'s cell, or -1 when the slot is dead. *)
+let body_at page slot =
+  let off = Bytes.get_uint16_le page (Bytes.length page - 2 - (2 * slot)) in
+  if off = P.dead_slot then -1 else off + 2
+
+let flags_at page b = Char.code (Bytes.unsafe_get page b)
+let key_len_at page b = Bytes.get_uint16_le page (b + 1)
+
+(* Offset of the 14-byte versioning tail of the cell body at [b]. *)
+let tail_at page b = b + 5 + key_len_at page b + Bytes.get_uint16_le page (b + 3)
+
+(* The raw Ttime word in the tail at [tail]: a TID while negative (the
+   high bit flags it), else the commit ttime.  Testing the sign needs no
+   decoding, so a pass over stamped versions allocates nothing. *)
+let word_of page tail = Bytes.get_int64_le page (tail + 2)
+let ttime_word_at page b = word_of page (tail_at page b)
+let is_tid word = word < 0L
+
+let key_at page b = Bytes.sub_string page (b + 5) (key_len_at page b)
+
+(* [String.compare] of the keys of the cell bodies at [b1] and [b2],
+   without copying them. *)
+let compare_keys_at page b1 b2 =
+  let k1 = key_len_at page b1 and k2 = key_len_at page b2 in
+  let rec go i =
+    if i >= k1 || i >= k2 then Int.compare k1 k2
+    else
+      match Char.compare (Bytes.unsafe_get page (b1 + 5 + i)) (Bytes.unsafe_get page (b2 + 5 + i)) with
+      | 0 -> go (i + 1)
+      | c -> c
+  in
+  go 0
+
+let key_equal_at page b key =
+  let klen = String.length key in
+  key_len_at page b = klen && R.key_bytes_equal page (b + 5) key klen 0
+
+(* The next older version in the same page, or -1 where the local chain
+   ends (no VP, or a VP into the history page); [tail] is [tail_at page b]. *)
+let older_of page b tail =
+  let vp = Bytes.get_uint16_le page tail in
+  if vp = R.no_vp || flags_at page b land R.f_vp_in_history <> 0 then -1 else vp
+
+let matches_at page b key =
+  match key with None -> true | Some key -> key_equal_at page b key
+
+let is_head_at page b = b >= 0 && flags_at page b land R.f_non_current = 0
+
 (* The slot of the current version of [key], if the page has one.  Delete
    stubs count: a key whose newest version is a stub is currently deleted,
    and callers must check. *)
 let find_current page ~key =
-  (* manual slot-array loop: this runs several times per write/read on
-     pages with up to a few hundred versions *)
-  let psize = Bytes.length page in
+  (* runs several times per write/read on pages with up to a few hundred
+     versions *)
   let n = P.slot_count page in
-  let klen = String.length key in
   let rec go slot =
     if slot >= n then None
     else
-      let off = Bytes.get_uint16_le page (psize - 2 - (2 * slot)) in
-      if
-        off <> P.dead_slot
-        && Char.code (Bytes.unsafe_get page (off + 2)) land R.f_non_current = 0
-        && Bytes.get_uint16_le page (off + 3) = klen
-        && R.key_bytes_equal page (off + 7) key klen 0
-      then Some slot
-      else go (slot + 1)
+      let b = body_at page slot in
+      if is_head_at page b && key_equal_at page b key then Some slot else go (slot + 1)
   in
   go 0
 
@@ -55,54 +101,61 @@ type chain_tail =
    continues. *)
 let chain page ~slot =
   let rec go slot acc =
+    let b = body_at page slot in
+    let tail = tail_at page b in
     let acc = slot :: acc in
-    let vp = R.in_page_vp page slot in
-    if vp = R.no_vp then (List.rev acc, Chain_end)
-    else if R.in_page_flags page slot land R.f_vp_in_history <> 0 then
-      (List.rev acc, Chain_to_history vp)
-    else go vp acc
+    match older_of page b tail with
+    | -1 ->
+        let vp = Bytes.get_uint16_le page tail in
+        (List.rev acc, if vp = R.no_vp then Chain_end else Chain_to_history vp)
+    | older -> go older acc
   in
   go slot []
 
-(* Count-then-fill into an array: the chain-collection passes below run
-   on every split/GC over pages with hundreds of versions, so they avoid
-   building intermediate lists just to sort them. *)
-let live_matching page pred =
-  let count = ref 0 in
-  P.iter_live page (fun slot -> if pred slot then incr count);
-  let arr = Array.make !count 0 in
-  let i = ref 0 in
-  P.iter_live page (fun slot ->
-      if pred slot then begin
-        arr.(!i) <- slot;
-        incr i
-      end);
-  arr
+(* Every chain head (current version), in ascending slot order: the
+   roots of the chain walks below. *)
+let chain_heads page =
+  let heads = ref [] in
+  for slot = P.slot_count page - 1 downto 0 do
+    if is_head_at page (body_at page slot) then heads := slot :: !heads
+  done;
+  Array.of_list !heads
 
-let is_chain_head page slot = R.in_page_flags page slot land R.f_non_current = 0
+(* [f key slot] for every chain head, in slot order. *)
+let iter_current page f =
+  for slot = 0 to P.slot_count page - 1 do
+    let b = body_at page slot in
+    if is_head_at page b then f (key_at page b) slot
+  done
 
 (* All chain heads in the page: (key, slot) for every current version. *)
 let current_slots page =
-  let heads = live_matching page (is_chain_head page) in
-  let arr = Array.map (fun slot -> (R.in_page_key page slot, slot)) heads in
-  Array.sort compare arr;
-  Array.to_list arr
+  let acc = ref [] in
+  iter_current page (fun key slot -> acc := (key, slot) :: !acc);
+  List.sort compare !acc
+
+(* Do two chain heads hold different keys?  Stops at the second key: the
+   test a key split needs before it can split. *)
+let has_two_keys page =
+  let n = P.slot_count page in
+  let rec go first slot =
+    slot < n
+    &&
+    let b = body_at page slot in
+    if not (is_head_at page b) then go first (slot + 1)
+    else if first < 0 then go b (slot + 1)
+    else compare_keys_at page b first <> 0 || go first (slot + 1)
+  in
+  go (-1) 0
 
 (* Every live version of [key] in the page, regardless of chain position —
    the search mode for history pages, where chains may have been cut by
    splits.  Returns slots. *)
 let all_versions_of page ~key =
-  let psize = Bytes.length page in
-  let n = P.slot_count page in
-  let klen = String.length key in
   let acc = ref [] in
-  for slot = 0 to n - 1 do
-    let off = Bytes.get_uint16_le page (psize - 2 - (2 * slot)) in
-    if
-      off <> P.dead_slot
-      && Bytes.get_uint16_le page (off + 3) = klen
-      && R.key_bytes_equal page (off + 7) key klen 0
-    then acc := slot :: !acc
+  for slot = 0 to P.slot_count page - 1 do
+    let b = body_at page slot in
+    if b >= 0 && key_equal_at page b key then acc := slot :: !acc
   done;
   !acc
 
@@ -119,18 +172,13 @@ let directory page =
      contiguously, so a history page has about one run per key and the
      sort below orders keys, not versions; the manual slot loop compares
      keys in place and copies one string per run. *)
-  let psize = Bytes.length page in
   let runs = ref [] in
   for slot = 0 to P.slot_count page - 1 do
-    let off = Bytes.get_uint16_le page (psize - 2 - (2 * slot)) in
-    if off <> P.dead_slot then begin
-      let klen = Bytes.get_uint16_le page (off + 3) in
+    let b = body_at page slot in
+    if b >= 0 then
       match !runs with
-      | (key, slots) :: rest
-        when String.length key = klen && R.key_bytes_equal page (off + 7) key klen 0 ->
-          runs := (key, slot :: slots) :: rest
-      | _ -> runs := (Bytes.sub_string page (off + 7) klen, [ slot ]) :: !runs
-    end
+      | (key, slots) :: rest when key_equal_at page b key -> runs := (key, slot :: slots) :: rest
+      | _ -> runs := (key_at page b, [ slot ]) :: !runs
   done;
   (* the stable sort keeps one key's runs highest first, so joining them
      keeps its slots in [all_versions_of] order *)
@@ -283,44 +331,36 @@ type resolution =
    non-zero (the defining property of lazy timestamping). *)
 let stamp ?(metrics = M.null) ?key page ~resolve ~on_stamp =
   let stamped = ref 0 in
-  P.iter_live page (fun slot ->
-      match key with
-      | Some key when not (R.in_page_key_matches page slot key) -> ()
-      | Some _ | None -> (
-          match R.in_page_ttime page slot with
-          | Imdb_clock.Tid.Stamped _ -> ()
-          | Imdb_clock.Tid.Unstamped tid -> (
-              match resolve tid with
-              | Committed ts ->
-                  R.set_in_page_ttime page slot (Imdb_clock.Tid.Stamped (Ts.ttime ts));
-                  R.set_in_page_sn page slot (Ts.sn ts);
-                  incr stamped;
-                  M.incr metrics M.stamps_applied;
-                  on_stamp slot tid
-              | Active | Unknown -> ())));
+  for slot = 0 to P.slot_count page - 1 do
+    let b = body_at page slot in
+    if b >= 0 && matches_at page b key then begin
+      let word = ttime_word_at page b in
+      if is_tid word then
+        match Imdb_clock.Tid.decode_ttime_field word with
+        | Imdb_clock.Tid.Stamped _ -> ()
+        | Imdb_clock.Tid.Unstamped tid -> (
+            match resolve tid with
+            | Committed ts ->
+                R.set_in_page_ttime page slot (Imdb_clock.Tid.Stamped (Ts.ttime ts));
+                R.set_in_page_sn page slot (Ts.sn ts);
+                incr stamped;
+                M.incr metrics M.stamps_applied;
+                on_stamp slot tid
+            | Active | Unknown -> ())
+    end
+  done;
   !stamped
 
 (* Does any version in the page — or, given [key], any version of that
-   record — still carry a TID?  A manual slot-array loop: the per-record
-   trigger runs this on every point read. *)
+   record — still carry a TID?  The per-record trigger runs this on every
+   point read. *)
 let has_unstamped ?key page =
-  let psize = Bytes.length page in
   let n = P.slot_count page in
-  let klen = match key with Some key -> String.length key | None -> 0 in
   let rec go slot =
     slot < n
     &&
-    let off = Bytes.get_uint16_le page (psize - 2 - (2 * slot)) in
-    (off <> P.dead_slot
-    && (match key with
-       | None -> true
-       | Some key ->
-           Bytes.get_uint16_le page (off + 3) = klen && R.key_bytes_equal page (off + 7) key klen 0)
-    &&
-    (* unstamped = the TID flag (high bit of the 8-byte Ttime field) *)
-    match R.in_page_ttime page slot with
-    | Imdb_clock.Tid.Unstamped _ -> true
-    | Imdb_clock.Tid.Stamped _ -> false)
+    let b = body_at page slot in
+    (b >= 0 && matches_at page b key && is_tid (ttime_word_at page b))
     || go (slot + 1)
   in
   go 0
@@ -329,89 +369,41 @@ let has_unstamped ?key page =
 (* Time splits (Fig. 3)                                                *)
 (* ------------------------------------------------------------------ *)
 
-type version_info = {
-  vi_slot : int;
-  vi_key : string;
-  vi_flags : int;
-  vi_start : [ `Stamped of Ts.t | `Unstamped of Imdb_clock.Tid.t ];
-  vi_vp : int;
-  vi_cell : bytes;
-}
+(* Compare two timestamps given as (ttime, SN). *)
+let compare_ts tt1 sn1 tt2 sn2 =
+  match Int64.compare tt1 tt2 with 0 -> Int.compare sn1 sn2 | c -> c
 
-let info_of page slot =
-  let start =
-    match R.in_page_ttime page slot with
-    | Imdb_clock.Tid.Stamped ms ->
-        `Stamped (Ts.make ~ttime:ms ~sn:(R.in_page_sn page slot))
-    | Imdb_clock.Tid.Unstamped tid -> `Unstamped tid
+let sn_of page tail = Int32.to_int (Bytes.get_int32_le page (tail + 10)) land 0xFFFFFFFF
+
+(* Rewrite the flags byte and VP of the cell body at [b], in place. *)
+let set_links_at page b ~flags ~vp =
+  Bytes.set_uint8 page b (flags land 0xff);
+  Bytes.set_uint16_le page (tail_at page b) vp
+
+(* A fresh image for a page rebuild: [src]'s type and table, and its
+   split time and history pointer (the caller overrides what differs). *)
+let fresh_image src ~page_id ~page_type ~slots =
+  let img = Bytes.create (Bytes.length src) in
+  P.format img ~page_id ~page_type ~table_id:(P.table_id src) ();
+  P.reserve_slots img slots;
+  P.set_split_time img (P.split_time src);
+  P.set_history_pointer img (P.history_pointer src);
+  img
+
+(* Walk the local chain from [head], newest first: [f slot b tail older]
+   for each version, with its body and tail offsets and the next older
+   slot (-1 at the end). *)
+let iter_chain page head f =
+  let rec go slot =
+    if slot >= 0 then begin
+      let b = body_at page slot in
+      let tail = tail_at page b in
+      let older = older_of page b tail in
+      f slot b tail older;
+      go older
+    end
   in
-  {
-    vi_slot = slot;
-    vi_key = R.in_page_key page slot;
-    vi_flags = R.in_page_flags page slot;
-    vi_start = start;
-    vi_vp = R.in_page_vp page slot;
-    vi_cell = P.read_cell page slot;
-  }
-
-let is_stub vi = vi.vi_flags land R.f_delete_stub <> 0
-let vp_hist vi = vi.vi_flags land R.f_vp_in_history <> 0
-
-(* Chains of the whole page: each is newest-first; heads are the
-   slot-array-visible versions.  Heads are gathered and sorted in an
-   array (count-then-fill) rather than consed and list-sorted. *)
-let collect_chains page =
-  let heads = live_matching page (is_chain_head page) in
-  Array.sort compare heads;
-  Array.fold_right
-    (fun head acc ->
-      let slots, _tail = chain page ~slot:head in
-      List.map (info_of page) slots :: acc)
-    heads []
-
-type placement = Current_only | Both | History_only
-
-(* Classify a chain's versions against split time [s].  [chain_infos] is
-   newest-first; the end time of each version is the start time of the
-   next newer one (a delete stub's start terminates its predecessor; an
-   uncommitted newer version leaves the end open).
-
-   The four cases of Fig. 3:
-   1. end <= s                 -> history only
-   2. start <= s < end         -> both (redundant copy)
-   3. start > s                -> current only
-   4. uncommitted              -> current only
-   Delete stubs are not data: a stub earlier than s moves to history (it
-   documents the deletion and caps its predecessor's lifetime there); a
-   stub at or after s stays current. *)
-let classify_chain ~split_time:s chain_infos =
-  let rec go newer_start = function
-    | [] -> []
-    | vi :: older ->
-        let placement, own_start =
-          match vi.vi_start with
-          | `Unstamped _ -> (Current_only, None)
-          | `Stamped start ->
-              let p =
-                if is_stub vi then if Ts.compare start s < 0 then History_only else Current_only
-                else
-                  let end_le_s =
-                    match newer_start with
-                    | Some e -> Ts.compare e s <= 0
-                    | None -> false (* open-ended: alive at s *)
-                  in
-                  if end_le_s then History_only
-                  else if Ts.compare start s <= 0 then Both
-                  else Current_only
-              in
-              (p, Some start)
-        in
-        (* an uncommitted newer version leaves its predecessor's end open,
-           so propagate the previous bound in that case *)
-        let next_bound = match own_start with Some st -> Some st | None -> newer_start in
-        (vi, placement) :: go next_bound older
-  in
-  go None chain_infos
+  go head
 
 type split_images = {
   si_current : bytes; (* rebuilt current page: same id, slots preserved *)
@@ -428,111 +420,113 @@ type split_images = {
    timestamps for versions of records can we determine whether they
    belong on the history page").
 
+   Each chain is classified newest first against s; the end time of a
+   version is the start time of the next newer *stamped* one (a delete
+   stub's start terminates its predecessor; an uncommitted newer version
+   leaves the end open).  The four cases of Fig. 3:
+   1. end <= s                 -> history only
+   2. start <= s < end         -> both (redundant copy)
+   3. start > s                -> current only
+   4. uncommitted              -> current only
+   Delete stubs are not data: a stub earlier than s moves to history (it
+   documents the deletion and caps its predecessor's lifetime there); a
+   stub at or after s stays current.
+
    The new historical page inherits the old page's split_time (its time
    range is [old split_time, split_time)) and the old history pointer;
    the current page gets split_time := s and history pointer := the new
    page.  Chains are rewired so that VP links stay within a page or step
-   exactly one page back (deeper traversal is by page chain). *)
+   exactly one page back (deeper traversal is by page chain).
+
+   Two walks over the chains, heads in slot order and each chain newest
+   first: the first classifies every version into [current] and [hslot]
+   (its history slot, numbered in walk order, or -1); the second copies
+   each cell into its image(s) and patches flags and VP in place.
+   Survivors keep their slot numbers on the current page. *)
 let time_split ?(metrics = M.null) ~page ~split_time ~history_page_id () =
-  let page_size = Bytes.length page in
-  let chains = List.map (classify_chain ~split_time) (collect_chains page) in
-  let current_img = Bytes.create page_size in
-  P.format current_img ~page_id:(P.page_id page) ~page_type:(P.page_type page)
-    ~table_id:(P.table_id page) ();
-  P.reserve_slots current_img (P.slot_count page);
-  let history_img = Bytes.create page_size in
-  P.format history_img ~page_id:history_page_id ~page_type:P.P_history
-    ~table_id:(P.table_id page) ();
+  let n = P.slot_count page in
+  let heads = chain_heads page in
+  let current = Array.make n false in
+  let hslot = Array.make n (-1) in
+  let history_live = ref 0 and current_live = ref 0 and copied = ref 0 in
+  let s_tt = Ts.ttime split_time and s_sn = Ts.sn split_time in
+  Array.iter
+    (fun head ->
+      (* [ends]: the start of the next newer stamped version, if any *)
+      let ends = ref false and end_tt = ref 0L and end_sn = ref 0 in
+      iter_chain page head (fun slot b tail _ ->
+          let word = word_of page tail in
+          if is_tid word then begin
+            current.(slot) <- true;
+            incr current_live
+          end
+          else begin
+            let sn = sn_of page tail in
+            let vs_s = compare_ts word sn s_tt s_sn in
+            let keep, hist =
+              if flags_at page b land R.f_delete_stub <> 0 then (vs_s >= 0, vs_s < 0)
+              else if !ends && compare_ts !end_tt !end_sn s_tt s_sn <= 0 then (false, true)
+              else (true, vs_s <= 0)
+            in
+            if keep then begin
+              current.(slot) <- true;
+              incr current_live
+            end;
+            if hist then begin
+              hslot.(slot) <- !history_live;
+              incr history_live;
+              if keep then incr copied
+            end;
+            ends := true;
+            end_tt := word;
+            end_sn := sn
+          end))
+    heads;
+  let current_img =
+    fresh_image page ~page_id:(P.page_id page) ~page_type:(P.page_type page) ~slots:n
+  in
+  let history_img =
+    fresh_image page ~page_id:history_page_id ~page_type:P.P_history ~slots:!history_live
+  in
   (* Headers: history covers [old split_time, s) and chains to the old
      history page; current covers [s, inf). *)
-  P.set_split_time history_img (P.split_time page);
-  P.set_history_pointer history_img (P.history_pointer page);
   P.set_split_time current_img split_time;
   P.set_history_pointer current_img history_page_id;
-  let copied = ref 0 in
-  (* First pass: place history copies and remember their slots. *)
-  let history_slot : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun chain ->
-      List.iter
-        (fun (vi, placement) ->
-          match placement with
-          | History_only | Both ->
-              (* strip chain flags for now; second pass rewires *)
-              let flags = vi.vi_flags land lnot R.f_vp_in_history in
-              let cell = R.with_links vi.vi_cell ~flags ~vp:R.no_vp in
-              let slot = P.insert history_img cell in
-              Hashtbl.replace history_slot vi.vi_slot slot;
-              if placement = Both then incr copied
-          | Current_only -> ())
-        chain)
-    chains;
-  (* Second pass: place current survivors at their original slots and
-     rewire every chain in both images. *)
-  List.iter
-    (fun chain ->
-      (* link each element to the next older one, per image *)
-      let rec wire = function
-        | [] -> ()
-        | (vi, placement) :: older ->
-            let next_older = match older with [] -> None | (o, p) :: _ -> Some (o, p) in
-            (* current image *)
-            (match placement with
-            | Current_only | Both ->
-                let vp, flags =
-                  match next_older with
-                  | Some (o, (Current_only | Both)) ->
-                      (* older version also lives here: local link.  (Both
-                         versions keep their original slots.) *)
-                      (o.vi_slot, vi.vi_flags land lnot R.f_vp_in_history)
-                  | Some (o, History_only) -> (
-                      match Hashtbl.find_opt history_slot o.vi_slot with
-                      | Some hs -> (hs, vi.vi_flags lor R.f_vp_in_history)
-                      | None -> (R.no_vp, vi.vi_flags land lnot R.f_vp_in_history))
-                  | None ->
-                      (* end of local chain; deeper history is reached by
-                         the page chain, not VP *)
-                      (R.no_vp, vi.vi_flags land lnot R.f_vp_in_history)
-                in
-                let cell = R.with_links vi.vi_cell ~flags ~vp in
-                P.insert_at_slot current_img vi.vi_slot cell
-            | History_only -> ());
-            (* history image *)
-            (match Hashtbl.find_opt history_slot vi.vi_slot with
-            | None -> ()
-            | Some my_hs ->
-                let vp, flags =
-                  match next_older with
-                  | Some (o, _) -> (
-                      match Hashtbl.find_opt history_slot o.vi_slot with
-                      | Some ohs -> (ohs, vi.vi_flags land lnot R.f_vp_in_history)
-                      | None ->
-                          (* next older lives beyond the old history page
-                             boundary; it was already linked via
-                             f_vp_in_history in the original page *)
-                          if vp_hist vi then (vi.vi_vp, vi.vi_flags)
-                          else (R.no_vp, vi.vi_flags land lnot R.f_vp_in_history))
-                  | None ->
-                      if vp_hist vi then (vi.vi_vp, vi.vi_flags)
-                      else (R.no_vp, vi.vi_flags land lnot R.f_vp_in_history)
-                in
-                P.patch_cell history_img my_hs ~at:0
-                  ~src:(Bytes.make 1 (Char.chr (flags land 0xff)));
-                let k = Imdb_util.Codec.get_u16 history_img (P.cell_body_offset history_img my_hs + 1) in
-                let p = Imdb_util.Codec.get_u16 history_img (P.cell_body_offset history_img my_hs + 3) in
-                let vp_b = Bytes.create 2 in
-                Imdb_util.Codec.set_u16 vp_b 0 vp;
-                P.patch_cell history_img my_hs ~at:(5 + k + p) ~src:vp_b);
-            wire older
-      in
-      wire chain)
-    chains;
+  let no_hist flags = flags land lnot R.f_vp_in_history in
+  Array.iter
+    (fun head ->
+      iter_chain page head (fun slot b tail older ->
+          let flags = flags_at page b in
+          if current.(slot) then begin
+            (* the next older version lives here too (a local link), only
+               on the history page, or nowhere local: deeper history is
+               reached by the page chain, not VP *)
+            let flags, vp =
+              if older < 0 then (no_hist flags, R.no_vp)
+              else if current.(older) then (no_hist flags, older)
+              else (flags lor R.f_vp_in_history, hslot.(older))
+            in
+            set_links_at current_img (P.blit_cell page slot current_img slot) ~flags ~vp
+          end;
+          if hslot.(slot) >= 0 then begin
+            (* an end-of-chain link into the old history page stays *)
+            let flags, vp =
+              if older >= 0 && hslot.(older) >= 0 then (no_hist flags, hslot.(older))
+              else if older < 0 && flags land R.f_vp_in_history <> 0 then
+                (flags, Bytes.get_uint16_le page tail)
+              else (no_hist flags, R.no_vp)
+            in
+            set_links_at history_img
+              (P.blit_cell page slot history_img hslot.(slot))
+              ~flags ~vp
+          end))
+    heads;
   let images =
     {
       si_current = current_img;
       si_history = history_img;
-      si_current_live = P.live_count current_img;
-      si_history_live = P.live_count history_img;
+      si_current_live = !current_live;
+      si_history_live = !history_live;
       si_copied = !copied;
     }
   in
@@ -558,73 +552,58 @@ type key_split_images = {
    as-of readers filter by key).  The left half keeps original slot
    numbers; the right half is rebuilt with local chain rewiring. *)
 let key_split ?(metrics = M.null) ~page ~right_page_id () =
-  let page_size = Bytes.length page in
-  let chains = collect_chains page in
-  if List.length chains < 2 then invalid_arg "Vpage.key_split: fewer than two keys";
-  let keyed =
-    List.map (fun c -> ((List.hd c).vi_key, c)) chains |> List.sort compare
+  let heads = chain_heads page in
+  let nh = Array.length heads in
+  if nh < 2 then invalid_arg "Vpage.key_split: fewer than two keys";
+  (* chains in key order, comparing keys in place *)
+  Array.sort
+    (fun h1 h2 ->
+      match compare_keys_at page (body_at page h1) (body_at page h2) with
+      | 0 -> Int.compare h1 h2
+      | c -> c)
+    heads;
+  let chain_bytes = Array.make nh 0 and chain_len = Array.make nh 0 in
+  Array.iteri
+    (fun i head ->
+      iter_chain page head (fun _ b _ _ ->
+          chain_bytes.(i) <- chain_bytes.(i) + Bytes.get_uint16_le page (b - 2);
+          chain_len.(i) <- chain_len.(i) + 1))
+    heads;
+  let total_bytes = Array.fold_left ( + ) 0 chain_bytes in
+  (* the separator: the first key after the first chain whose preceding
+     chains (not counting the first) reach half the bytes, else the last *)
+  let rec pick i acc =
+    if i = nh - 1 || acc >= total_bytes / 2 then i else pick (i + 1) (acc + chain_bytes.(i))
   in
-  let total_bytes =
-    List.fold_left
-      (fun acc (_, c) ->
-        acc + List.fold_left (fun a vi -> a + Bytes.length vi.vi_cell) 0 c)
-      0 keyed
+  let sep_body = body_at page heads.(pick 1 0) in
+  let goes_left i = compare_keys_at page (body_at page heads.(i)) sep_body < 0 in
+  let right_slots = ref 0 in
+  Array.iteri (fun i len -> if not (goes_left i) then right_slots := !right_slots + len) chain_len;
+  let left_img =
+    fresh_image page ~page_id:(P.page_id page) ~page_type:(P.page_type page)
+      ~slots:(P.slot_count page)
   in
-  (* choose the first key whose cumulative size crosses half *)
-  let rec pick acc = function
-    | [ (k, _) ] -> k
-    | (k, c) :: rest ->
-        if acc >= total_bytes / 2 then k
-        else
-          pick (acc + List.fold_left (fun a vi -> a + Bytes.length vi.vi_cell) 0 c) rest
-    | [] -> assert false
+  let right_img =
+    fresh_image page ~page_id:right_page_id ~page_type:(P.page_type page) ~slots:!right_slots
   in
-  let separator = pick 0 (List.tl keyed) in
-  (* keys < separator stay left; the first chain always stays left *)
-  let left_img = Bytes.create page_size in
-  P.format left_img ~page_id:(P.page_id page) ~page_type:(P.page_type page)
-    ~table_id:(P.table_id page) ();
-  P.reserve_slots left_img (P.slot_count page);
-  let right_img = Bytes.create page_size in
-  P.format right_img ~page_id:right_page_id ~page_type:(P.page_type page)
-    ~table_id:(P.table_id page) ();
-  List.iter
-    (fun img ->
-      P.set_split_time img (P.split_time page);
-      P.set_history_pointer img (P.history_pointer page))
-    [ left_img; right_img ];
-  List.iter
-    (fun (key, chain) ->
-      if String.compare key separator < 0 then
+  let next_right = ref 0 in
+  Array.iteri
+    (fun i head ->
+      if goes_left i then
         (* stays left at original slots; links unchanged *)
-        List.iter (fun vi -> P.insert_at_slot left_img vi.vi_slot vi.vi_cell) chain
-      else begin
-        (* moves right: fresh slots, rewire local links *)
-        let slots =
-          List.map
-            (fun vi ->
-              (* insert with placeholder vp; fix after all allocated *)
-              let s = P.insert right_img vi.vi_cell in
-              (vi, s))
-            chain
-        in
-        let rec rewire = function
-          | [] -> ()
-          | (vi, s) :: older ->
-              (match older with
-              | (_, os) :: _ when not (vp_hist vi) ->
-                  R.set_in_page_vp right_img s os
-              | _ ->
-                  (* last local element: history links keep their slot
-                     value (same shared history page); locals terminate *)
-                  if not (vp_hist vi) then R.set_in_page_vp right_img s R.no_vp);
-              rewire older
-        in
-        rewire slots
-      end)
-    keyed;
+        iter_chain page head (fun slot _ _ _ -> ignore (P.blit_cell page slot left_img slot))
+      else
+        (* moves right to consecutive fresh slots: each local link names
+           the next one; a link into the shared history page keeps its
+           slot value *)
+        iter_chain page head (fun slot _ _ older ->
+            let r = !next_right in
+            incr next_right;
+            let rb = P.blit_cell page slot right_img r in
+            if older >= 0 then Bytes.set_uint16_le right_img (tail_at right_img rb) (r + 1)))
+    heads;
   M.incr metrics M.key_splits;
-  { ks_left = left_img; ks_right = right_img; ks_separator = separator }
+  { ks_left = left_img; ks_right = right_img; ks_separator = key_at page sep_body }
 
 (* ------------------------------------------------------------------ *)
 (* Version GC for snapshot tables                                      *)
@@ -636,60 +615,47 @@ let key_split ?(metrics = M.null) ~page ~right_page_id () =
    is still alive at t.  Everything else is garbage — the paper: "versions
    earlier than the version seen by O are garbage collected", generalized
    to the exact visible set so a single hot record cannot overflow its
-   page while an old reader is pinned.  Slots of survivors are preserved.
-   Returns the rebuilt image and the number of versions dropped. *)
+   page while an old reader is pinned.  Slots of survivors are preserved
+   and consecutive survivors are rewired into a chain.  Returns the
+   rebuilt image and the number of versions dropped. *)
 let gc_versions ~page ~snapshots =
-  let chains = collect_chains page in
-  let img = Bytes.create (Bytes.length page) in
-  P.format img ~page_id:(P.page_id page) ~page_type:(P.page_type page)
-    ~table_id:(P.table_id page) ();
-  P.reserve_slots img (P.slot_count page);
-  P.set_split_time img (P.split_time page);
+  let img =
+    fresh_image page ~page_id:(P.page_id page) ~page_type:(P.page_type page)
+      ~slots:(P.slot_count page)
+  in
+  P.set_history_pointer img P.no_page;
   let dropped = ref 0 in
-  List.iter
-    (fun chain ->
-      (* compute each version's [start, end) and keep decision *)
-      let rec decide newer_start = function
-        | [] -> []
-        | vi :: older ->
-            let keep, own_start =
-              match vi.vi_start with
-              | `Unstamped _ -> (true, None)
-              | `Stamped start ->
-                  let is_head = newer_start = None in
-                  let visible_to_some_snapshot =
-                    List.exists
-                      (fun t ->
-                        Ts.compare start t <= 0
-                        &&
-                        match newer_start with
-                        | None -> true (* open-ended: alive at any t >= start *)
-                        | Some e -> Ts.compare t e < 0)
-                      snapshots
-                  in
-                  (is_head || visible_to_some_snapshot, Some start)
+  Array.iter
+    (fun head ->
+      (* [end_*]: the start of the next newer stamped version, if any;
+         [prev]: the body offset of the previous survivor's copy *)
+      let bound = ref false and end_tt = ref 0L and end_sn = ref 0 in
+      let prev = ref (-1) in
+      iter_chain page head (fun slot b tail _ ->
+          let word = word_of page tail in
+          let keep =
+            is_tid word
+            ||
+            let sn = sn_of page tail in
+            let alive_at t =
+              let t_tt = Ts.ttime t and t_sn = Ts.sn t in
+              compare_ts word sn t_tt t_sn <= 0
+              && ((not !bound) || compare_ts !end_tt !end_sn t_tt t_sn > 0)
             in
-            let next_bound =
-              match own_start with Some st -> Some st | None -> newer_start
-            in
-            (vi, keep) :: decide next_bound older
-      in
-      let decided = decide None chain in
-      (* place survivors at their original slots, rewiring consecutive
-         survivors into a chain *)
-      let survivors = List.filter_map (fun (vi, k) -> if k then Some vi else None) decided in
-      dropped := !dropped + (List.length decided - List.length survivors);
-      let rec place = function
-        | [] -> ()
-        | vi :: older ->
-            let vp, flags =
-              match older with
-              | o :: _ -> (o.vi_slot, vi.vi_flags land lnot R.f_vp_in_history)
-              | [] -> (R.no_vp, vi.vi_flags land lnot R.f_vp_in_history)
-            in
-            P.insert_at_slot img vi.vi_slot (R.with_links vi.vi_cell ~flags ~vp);
-            place older
-      in
-      place survivors)
-    chains;
+            let keep = (not !bound) || List.exists alive_at snapshots in
+            bound := true;
+            end_tt := word;
+            end_sn := sn;
+            keep
+          in
+          if not keep then incr dropped
+          else begin
+            if !prev >= 0 then Bytes.set_uint16_le img (tail_at img !prev) slot;
+            let copy = P.blit_cell page slot img slot in
+            set_links_at img copy
+              ~flags:(flags_at page b land lnot R.f_vp_in_history)
+              ~vp:R.no_vp;
+            prev := copy
+          end))
+    (chain_heads page);
   (img, !dropped)

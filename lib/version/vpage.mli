@@ -28,6 +28,14 @@ val chain : bytes -> slot:int -> int list * chain_tail
 val current_slots : bytes -> (string * int) list
 (** Every chain head: (key, slot), sorted. *)
 
+val iter_current : bytes -> (string -> int -> unit) -> unit
+(** [f key slot] for every chain head, in slot order: {!current_slots}
+    without the sort, for callers that index the heads. *)
+
+val has_two_keys : bytes -> bool
+(** Do two chain heads hold different keys?  Stops at the second key —
+    the precondition of {!key_split}. *)
+
 val all_versions_of : bytes -> key:string -> int list
 (** Every live version of [key] in the page, regardless of chain position
     — the search mode for history pages. *)
@@ -121,8 +129,6 @@ val has_unstamped : ?key:string -> bytes -> bool
 
 (** {1 Time splits (Fig. 3)} *)
 
-type placement = Current_only | Both | History_only
-
 type split_images = {
   si_current : bytes;  (** rebuilt current page: same id, slots preserved *)
   si_history : bytes;  (** the new historical page *)
@@ -165,15 +171,3 @@ val gc_versions : page:bytes -> snapshots:Imdb_clock.Timestamp.t list -> bytes *
 (** Rebuild the page keeping only versions some active snapshot can still
     see, plus chain heads and uncommitted versions; returns the image and
     the number dropped.  The snapshot-table replacement for a time split. *)
-
-(**/**)
-
-type version_info = {
-  vi_slot : int;
-  vi_key : string;
-  vi_flags : int;
-  vi_start : [ `Stamped of Imdb_clock.Timestamp.t | `Unstamped of Imdb_clock.Tid.t ];
-  vi_vp : int;
-  vi_cell : bytes;
-}
-

@@ -18,15 +18,30 @@ let moving_objects_schema =
       { S.col_name = "LocationY"; col_type = S.T_int };
     ]
 
+(* The heaviest structure work a transaction ran, from begin to commit
+   return: a time split always runs inside an ingest flush, and a
+   checkpoint may follow either. *)
+type commit_work = Cw_none | Cw_flush | Cw_time_split | Cw_checkpoint
+
 type run_result = {
   rr_events : int;
   rr_elapsed_s : float;
   rr_counters : M.snapshot;  (* this db's counter deltas over the run *)
   rr_commit_ts : Ts.t list; (* commit timestamps, oldest first (sampled) *)
-  rr_commit_latency : (float * bool) array;
-      (* per event: µs from begin to commit return, and whether the
-         commit ran a checkpoint *)
+  rr_commit_latency : (float * commit_work) array;
+      (* per event: µs from begin to commit return, and the structure
+         work it ran *)
 }
+
+(* Which structure work ran between two readings of the registry: the
+   counters tell, so no tracing is needed. *)
+let work_counters m = (M.get m M.checkpoints, M.get m M.time_splits, M.get m M.ingest_flushes)
+
+let work_between (c0, s0, f0) (c1, s1, f1) =
+  if c1 > c0 then Cw_checkpoint
+  else if s1 > s0 then Cw_time_split
+  else if f1 > f0 then Cw_flush
+  else Cw_none
 
 (* Apply [events] to [table] in [db], one transaction each.  The logical
    [clock] (if given) advances a quantum per transaction so that
@@ -42,7 +57,7 @@ let run_events ?clock ?(sample_every = 1) db ~table events =
   List.iter
     (fun ev ->
       (match clock with Some c -> Imdb_clock.Clock.advance c 20L | None -> ());
-      let checkpoints = M.get m M.checkpoints in
+      let work = work_counters m in
       let t_begin = Unix.gettimeofday () in
       let txn = Db.begin_txn db in
       (match ev with
@@ -53,9 +68,8 @@ let run_events ?clock ?(sample_every = 1) db ~table events =
       (match Db.commit db txn with
       | Some ts -> if !count mod sample_every = 0 then samples := ts :: !samples
       | None -> ());
-      latency :=
-        ((Unix.gettimeofday () -. t_begin) *. 1e6, M.get m M.checkpoints > checkpoints)
-        :: !latency;
+      let us = (Unix.gettimeofday () -. t_begin) *. 1e6 in
+      latency := (us, work_between work (work_counters m)) :: !latency;
       incr count)
     events;
   let elapsed = Unix.gettimeofday () -. t0 in

@@ -6,14 +6,19 @@ val moving_objects_schema : Imdb_core.Schema.t
 (** The paper's table: MovingObjects(Oid INT PRIMARY KEY, LocationX INT,
     LocationY INT). *)
 
+(** The heaviest structure work one transaction ran, read from registry
+    counter deltas: a time split runs inside an ingest flush, and a
+    checkpoint may follow either. *)
+type commit_work = Cw_none | Cw_flush | Cw_time_split | Cw_checkpoint
+
 type run_result = {
   rr_events : int;
   rr_elapsed_s : float;
   rr_counters : Imdb_obs.Metrics.snapshot;
   rr_commit_ts : Imdb_clock.Timestamp.t list;  (** sampled, oldest first *)
-  rr_commit_latency : (float * bool) array;
+  rr_commit_latency : (float * commit_work) array;
       (** {!run_events} only, per event: wall µs from begin to commit
-          return, and whether the commit ran a checkpoint *)
+          return, and the structure work it ran *)
 }
 
 val run_events :

@@ -332,8 +332,35 @@ let test_fcw_through_time_split () =
   Db.abort db t1;
   Db.close db
 
+(* --- a page filled by one key's chain ------------------------------------ *)
+
+(* Uncommitted versions stay on the current page through a time split,
+   so one transaction's versions of one key can fill a page that neither
+   split can empty: the key split finds no second key and says so. *)
+let test_giant_key_chain () =
+  let config = { E.default_config with E.page_size = 1024 } in
+  let db, _ = fresh_db ~config () in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+  (* snapshot isolation writes per row, so the split runs in the write *)
+  let txn = Db.begin_txn ~isolation:Db.Snapshot_isolation db in
+  let payload = String.make 150 'x' in
+  (match
+     for _ = 1 to 12 do
+       Db.upsert db txn ~table:"t" ~key:"k" ~payload
+     done
+   with
+  | () -> Alcotest.fail "twelve 150-byte versions fit one 1 KiB page"
+  | exception Imdb_core.Table.Page_overflow msg ->
+      let needle = "holds one giant key chain" in
+      let n = String.length needle in
+      let rec has i = i + n <= String.length msg && (String.sub msg i n = needle || has (i + 1)) in
+      if not (has 0) then Alcotest.failf "unexpected overflow message: %s" msg);
+  Db.abort db txn;
+  Db.close db
+
 let suite =
   [
+    Alcotest.test_case "one-key page cannot split" `Quick test_giant_key_chain;
     Alcotest.test_case "TSB/chain equivalence" `Quick test_tsb_chain_equivalence;
     Alcotest.test_case "structures stay sound" `Quick test_structures_stay_sound;
     Alcotest.test_case "FCW through time split" `Quick test_fcw_through_time_split;

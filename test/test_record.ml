@@ -58,16 +58,6 @@ let test_in_page_accessors () =
   Alcotest.(check int) "flags updated" (R.f_non_current lor R.f_vp_in_history)
     (R.in_page_flags page slot)
 
-let test_with_links () =
-  let cell = R.encode sample in
-  let cell' = R.with_links cell ~flags:R.f_non_current ~vp:7 in
-  let d = R.decode cell' in
-  Alcotest.(check int) "flags replaced" R.f_non_current d.R.flags;
-  Alcotest.(check int) "vp replaced" 7 d.R.vp;
-  Alcotest.(check string) "payload intact" sample.R.payload d.R.payload;
-  (* original untouched *)
-  Alcotest.(check bool) "copy semantics" true (R.decode cell = sample)
-
 let test_empty_fields () =
   let r =
     { R.flags = 0; key = ""; payload = ""; vp = R.no_vp; ttime = Tid.Stamped 0L; sn = 0 }
@@ -79,6 +69,5 @@ let suite =
     Alcotest.test_case "roundtrip" `Quick test_roundtrip;
     QCheck_alcotest.to_alcotest prop_roundtrip;
     Alcotest.test_case "in-page accessors" `Quick test_in_page_accessors;
-    Alcotest.test_case "with_links" `Quick test_with_links;
     Alcotest.test_case "empty fields" `Quick test_empty_fields;
   ]

@@ -139,8 +139,37 @@ let test_errors () =
   | _ -> Alcotest.fail "expected type error");
   Db.close db
 
+(* A script runs statement by statement up to its first error, and the
+   expected errors read as messages naming the key the user wrote. *)
+let test_error_messages () =
+  let db, _clock = fresh_db () in
+  let s = Sql.make_session db in
+  let ran = ref 0 in
+  (match
+     Sql.exec_iter s
+       "CREATE TABLE t (id INT PRIMARY KEY, v VARCHAR); INSERT INTO t VALUES (1, 'a'); \
+        INSERT INTO t VALUES (1, 'b'); INSERT INTO t VALUES (2, 'c')"
+       (fun _ -> incr ran)
+   with
+  | () -> Alcotest.fail "expected a duplicate key"
+  | exception e ->
+      Alcotest.(check (option string)) "duplicate" (Some "duplicate key 1") (Sql.error_message e));
+  Alcotest.(check int) "results before the error" 2 !ran;
+  Alcotest.(check int) "the rest did not run" 1 (List.length (rows (exec1 s "SELECT * FROM t")));
+  let key v = S.encode_key v in
+  let msg e = Sql.error_message e in
+  Alcotest.(check (option string)) "missing" (Some "no such key \"x\"")
+    (msg (Imdb_core.Table.No_such_key (key (S.V_string "x"))));
+  Alcotest.(check (option string)) "conflict" (Some "write conflict on key 3 (its writer has not committed)")
+    (msg (Imdb_core.Table.Write_conflict { key = key (S.V_int 3); committed_at = None }));
+  Alcotest.(check (option string)) "no table" (Some "no such table nope")
+    (msg (Imdb_core.Db.No_such_table "nope"));
+  Alcotest.(check (option string)) "not an expected error" None (msg Not_found);
+  Db.close db
+
 let suite =
   [
+    Alcotest.test_case "error messages" `Quick test_error_messages;
     Alcotest.test_case "parse paper DDL" `Quick test_parse_paper_ddl;
     Alcotest.test_case "parse AS OF" `Quick test_parse_as_of;
     Alcotest.test_case "parse script" `Quick test_parse_script;

@@ -281,6 +281,144 @@ let prop_time_split_completeness =
         keys;
       !ok)
 
+(* Property: one page split again and again, as the engine leaves it —
+   rollbacks free slots that later writes reuse, versions still
+   uncommitted at a split commit or roll back after it, delete stubs, and
+   chains that run on into the previous history page.  At every split no
+   version is lost, every VP names a version of its own key (locally, or
+   through [f_vp_in_history] in the page the history pointer names), and
+   the page chain answers AS OF at every committed time. *)
+
+(* Every VP in [img] names a live version of the same key: locally, or in
+   [older] (the page [img]'s history pointer names) under
+   [f_vp_in_history]. *)
+let links_resolve ~what img ~older =
+  P.iter_live img (fun slot ->
+      let vp = R.in_page_vp img slot in
+      if vp <> R.no_vp then begin
+        let target =
+          if R.in_page_flags img slot land R.f_vp_in_history <> 0 then older else Some img
+        in
+        let key = R.in_page_key img slot in
+        match target with
+        | Some t when vp < P.slot_count t && P.slot_live t vp && R.in_page_key t vp = key -> ()
+        | Some _ | None ->
+            QCheck.Test.fail_reportf "%s: slot %d (key %s) has a VP %d that names no version of its key"
+              what slot key vp
+      end)
+
+let prop_time_split_generations =
+  let gen =
+    QCheck.Gen.(
+      list_size (int_range 3 6)
+        (pair
+           (list_size (int_range 3 14) (triple (int_range 0 3) (int_range 0 9) (int_range 1 5)))
+           (pair (int_range 0 1000) bool)))
+  in
+  QCheck.Test.make ~name:"repeated time splits keep versions, links and AS OF" ~count:200
+    (QCheck.make gen) (fun generations ->
+      let page = ref (fresh ~size:4096 ()) in
+      let histories = ref [] (* newest first *) in
+      let committed = ref [] (* (key, ms, payload; None = stub), newest first *) in
+      let pending = Hashtbl.create 4 (* key -> (slot, payload) of an uncommitted version *) in
+      let now = ref 0 and tid = ref 0 and split_ms = ref 0 in
+      let commit key slot payload dt =
+        now := !now + dt;
+        stamp !page slot !now;
+        committed := (key, !now, payload) :: !committed
+      in
+      (* Txnmgr.undo_version on a page image *)
+      let roll_back slot =
+        let vp = R.in_page_vp !page slot in
+        let local = vp <> R.no_vp && R.in_page_flags !page slot land R.f_vp_in_history = 0 in
+        P.delete_slot !page slot;
+        if local then
+          R.set_in_page_flags !page vp (R.in_page_flags !page vp land lnot R.f_non_current)
+      in
+      let write key ~stub =
+        incr tid;
+        let payload = Printf.sprintf "%s@%d" key !tid in
+        match V.plan_insert !page ~key ~payload ~tid:(Tid.of_int !tid) ~delete_stub:stub with
+        | None -> None
+        | Some pi ->
+            V.apply_insert !page pi;
+            Some (pi.V.pi_slot, if stub then None else Some payload)
+      in
+      let live_head key =
+        match V.find_current !page ~key with
+        | Some slot -> R.in_page_flags !page slot land R.f_delete_stub = 0
+        | None -> false
+      in
+      let as_of_ok () =
+        let chain = !page :: !histories in
+        List.iter
+          (fun (_, t, _) ->
+            List.iter
+              (fun key ->
+                let expect =
+                  match List.find_opt (fun (k, ms, _) -> k = key && ms <= t) !committed with
+                  | Some (_, _, payload) -> payload
+                  | None -> None
+                in
+                let target = List.find (fun p -> Ts.compare (P.split_time p) (ts t) <= 0) chain in
+                let got =
+                  match V.find_stamped_as_of target ~key ~asof:(ts t) with
+                  | Some slot when R.in_page_flags target slot land R.f_delete_stub = 0 ->
+                      Some (R.in_page_payload target slot)
+                  | Some _ | None -> None
+                in
+                if got <> expect then
+                  QCheck.Test.fail_reportf "key %s as of %d: expected %s, got %s" key t
+                    (Option.value expect ~default:"-") (Option.value got ~default:"-"))
+              [ "k0"; "k1"; "k2"; "k3" ])
+          !committed
+      in
+      List.iteri
+        (fun g (ops, (pick, with_sn)) ->
+          (* one generation of writes; a full page ends it early *)
+          let rec run = function
+            | [] -> ()
+            | (k, act, dt) :: rest -> (
+                let key = Printf.sprintf "k%d" k in
+                match Hashtbl.find_opt pending key with
+                | Some (slot, payload) ->
+                    (* the open transaction on [key] ends first *)
+                    Hashtbl.remove pending key;
+                    if act land 1 = 0 then commit key slot payload dt else roll_back slot;
+                    run rest
+                | None -> (
+                    match write key ~stub:(act = 9 && live_head key) with
+                    | None -> ()
+                    | Some (slot, payload) ->
+                        if act <= 5 || act = 9 then commit key slot payload dt
+                        else if act <= 7 then roll_back slot
+                        else Hashtbl.replace pending key (slot, payload);
+                        run rest))
+          in
+          run ops;
+          (* split at a time after the last split and no later than just
+             after the last commit, as a deferred flush split may *)
+          let lo = !split_ms + 1 in
+          let s_ms = lo + (pick mod max 1 (!now - lo + 1)) in
+          let s = Ts.make ~ttime:(Int64.of_int s_ms) ~sn:(if with_sn then 1 else 0) in
+          split_ms := s_ms;
+          now := max !now s_ms;
+          let live = P.live_count !page in
+          let images = V.time_split ~page:!page ~split_time:s ~history_page_id:(100 + g) () in
+          if images.V.si_current_live + images.V.si_history_live - images.V.si_copied <> live
+          then
+            QCheck.Test.fail_reportf "split %d: %d current + %d history - %d copied <> %d live" g
+              images.V.si_current_live images.V.si_history_live images.V.si_copied live;
+          links_resolve ~what:(Printf.sprintf "split %d current" g) images.V.si_current
+            ~older:(Some images.V.si_history);
+          links_resolve ~what:(Printf.sprintf "split %d history" g) images.V.si_history
+            ~older:(match !histories with h :: _ -> Some h | [] -> None);
+          histories := images.V.si_history :: !histories;
+          page := images.V.si_current;
+          as_of_ok ())
+        generations;
+      true)
+
 (* Property: key split preserves every version and routes keys correctly. *)
 let prop_key_split =
   let gen = QCheck.Gen.(list_size (int_range 4 25) (pair (int_range 0 9) (int_range 1 30))) in
@@ -421,6 +559,7 @@ let suite =
     Alcotest.test_case "Fig 3 classification" `Quick test_fig3_classification;
     Alcotest.test_case "split preserves slots" `Quick test_split_preserves_current_slots;
     QCheck_alcotest.to_alcotest prop_time_split_completeness;
+    QCheck_alcotest.to_alcotest prop_time_split_generations;
     QCheck_alcotest.to_alcotest prop_key_split;
     QCheck_alcotest.to_alcotest prop_directory;
     Alcotest.test_case "snapshot version GC" `Quick test_gc_versions;
