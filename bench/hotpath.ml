@@ -11,10 +11,12 @@
    - commit: single-update transactions against a file-backed log.  Every
      commit syncs the log through its own commit record before it
      returns, so one session pays one sync per commit.
+   - alloc: minor words per TSB-indexed AS OF point, current-time get and
+     time split.
 
    BENCH_hotpath.json carries only the deterministic logical counters
    (never wall time), so scripts/bench_check.sh can hold them to their
-   baselines exactly. *)
+   baselines: exactly, except the minor words under "alloc" (±3 %). *)
 
 module Db = Imdb_core.Db
 module E = Imdb_core.Engine
@@ -120,6 +122,97 @@ let commit_phase ~scale =
       Db.close db;
       (elapsed, txns, flushes, batches, batched))
 
+(* --- allocation --------------------------------------------------------------
+
+   Minor words per operation, counted by [Gc.minor_words] on the one
+   domain that runs everything (page-sized buffers go straight to the
+   major heap and are not counted).  Single-row snapshot-isolation
+   upserts over a few dozen keys on 4 KiB pages time-split every few
+   dozen commits and feed the TSB index.  A time split's words are the
+   words of the commits that split beyond the mean of those that did not,
+   per split.  Then AS OF point lookups deep in the history, which the
+   index answers, and current-time gets of the same keys; their wall
+   time is printed too.  The size is fixed (not scaled) and the run
+   seeded under the logical clock, so the counts reproduce;
+   scripts/bench_check.sh holds them to ±3 %. *)
+
+let alloc_config =
+  { E.default_config with E.page_size = 4096; auto_checkpoint_every = 0 }
+
+let alloc_phase () =
+  let keys = 64 and writes = 3000 and points = 500 in
+  let clock = Imdb_clock.Clock.create_logical () in
+  let db = Db.open_memory ~config:alloc_config ~clock () in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema;
+  let m = Db.metrics db in
+  let rng = Imdb_util.Rng.create 15 in
+  let stamps = Array.make writes Imdb_clock.Timestamp.zero in
+  let split_commits = ref 0 and split_words = ref 0. and other_words = ref 0. in
+  for i = 0 to writes - 1 do
+    Imdb_clock.Clock.advance clock 20L;
+    let r = row (Imdb_util.Rng.int rng keys) (Printf.sprintf "%040d" i) in
+    let splits = M.get m M.time_splits and w0 = Gc.minor_words () in
+    let txn = Db.begin_txn ~isolation:Db.Snapshot_isolation db in
+    Db.upsert_row db txn ~table:"t" r;
+    stamps.(i) <- Option.get (Db.commit db txn);
+    let w = Gc.minor_words () -. w0 in
+    if M.get m M.time_splits > splits then begin
+      incr split_commits;
+      split_words := !split_words +. w
+    end
+    else other_words := !other_words +. w
+  done;
+  let time_splits = M.get m M.time_splits in
+  let mean_other = !other_words /. float_of_int (writes - !split_commits) in
+  let per_split =
+    (!split_words -. (float_of_int !split_commits *. mean_other))
+    /. float_of_int time_splits
+  in
+  (* probes drawn up front, so the measured loops allocate only the reads *)
+  let probes =
+    Array.init points (fun _ ->
+        let key = S.V_int (Imdb_util.Rng.int rng keys) in
+        (key, stamps.(Imdb_util.Rng.int rng (writes * 4 / 5))))
+  in
+  let words_per_read f =
+    let w0 = Gc.minor_words () in
+    Array.iter f probes;
+    (Gc.minor_words () -. w0) /. float_of_int points
+  in
+  (* printed only: wall time does not reproduce *)
+  let best_us_per_read f =
+    let best = ref infinity in
+    for _ = 1 to 5 do
+      best := Float.min !best (fst (Harness.time_it (fun () -> Array.iter f probes)))
+    done;
+    !best *. 1e6 /. float_of_int points
+  in
+  let asof_read (key, ts) =
+    Db.as_of db ts (fun txn -> ignore (Db.get_row db txn ~table:"t" ~key))
+  in
+  let get_read (key, _) = Db.exec db (fun txn -> ignore (Db.get_row db txn ~table:"t" ~key)) in
+  let tsb0 = M.get m M.asof_pages in
+  let asof = words_per_read asof_read in
+  let tsb_hits = M.get m M.asof_pages - tsb0 in
+  let get = words_per_read get_read in
+  let asof_us = best_us_per_read asof_read and get_us = best_us_per_read get_read in
+  Db.close db;
+  Harness.print_table ~title:"hotpath: wall time per read (best of 5 passes)"
+    ~header:[ "read"; "us/op" ]
+    [ [ "AS OF point"; Fmt.str "%.2f" asof_us ]; [ "current get"; Fmt.str "%.2f" get_us ] ];
+  let words f = int_of_float (Float.round f) in
+  ( [
+      ("commits", writes);
+      ("time_splits", time_splits);
+      ("asof_points", points);
+      ("tsb_hits", tsb_hits);
+    ],
+    [
+      ("asof_point_words", words asof);
+      ("get_words", words get);
+      ("time_split_words", words per_split);
+    ] )
+
 let run ~scale =
   let evict_s, evict_counters = evict_phase ~scale in
   let lookup name = List.assoc name evict_counters in
@@ -142,6 +235,10 @@ let run ~scale =
     [
       [ Harness.ms s; string_of_int flushes; ratio txns flushes; ratio batched batches ];
     ];
+  let alloc_work, alloc = alloc_phase () in
+  Harness.print_table ~title:"hotpath: minor words per operation (4 KiB pages)"
+    ~header:[ "metric"; "value" ]
+    (List.map (fun (k, v) -> [ k; string_of_int v ]) (alloc_work @ alloc));
   let module J = Imdb_obs.Json in
   Harness.emit_json ~name:"hotpath"
     (J.Obj
@@ -159,8 +256,10 @@ let run ~scale =
                    ("batched_commits", J.Int batched);
                  ];
              ] );
+         ("alloc_work", Harness.json_of_counters alloc_work);
+         ("alloc", Harness.json_of_counters alloc);
        ])
 
 let () =
   Harness.register ~name:"hotpath"
-    ~doc:"CLOCK eviction, keydir cache & commit flush hot paths" run
+    ~doc:"CLOCK eviction, keydir cache, commit flush & allocation hot paths" run

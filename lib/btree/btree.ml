@@ -441,20 +441,18 @@ let rec insert_into_node t path ~sep ~child =
           (fun () ->
             let page = Imdb_buffer.Buffer_pool.bytes fr in
             let cell = node_cell ~key:sep ~child in
-            if P.fits page (Bytes.length cell) then begin
-              let slot = P.choose_insert_slot page in
-              t.io.exec fr ~undoable:false
-                (Imdb_wal.Log_record.Op_insert { slot; body = cell });
-              None
-            end
-            else begin
-              let sep2, right_id = split_page t fr in
-              (* decide which half receives the pending separator *)
-              let target_id =
-                if String.compare sep sep2 >= 0 then right_id else node_id
-              in
-              Some (sep2, right_id, target_id)
-            end)
+            match P.insert_slot page (Bytes.length cell) with
+            | Some slot ->
+                t.io.exec fr ~undoable:false
+                  (Imdb_wal.Log_record.Op_insert { slot; body = cell });
+                None
+            | None ->
+                let sep2, right_id = split_page t fr in
+                (* decide which half receives the pending separator *)
+                let target_id =
+                  if String.compare sep sep2 >= 0 then right_id else node_id
+                in
+                Some (sep2, right_id, target_id))
       in
       (match overflow with
       | None -> ()
@@ -462,9 +460,14 @@ let rec insert_into_node t path ~sep ~child =
           Imdb_buffer.Buffer_pool.with_page t.pool target_id (fun tf ->
               let page = Imdb_buffer.Buffer_pool.bytes tf in
               let cell = node_cell ~key:sep ~child in
-              let slot = P.choose_insert_slot page in
-              if not (P.fits page (Bytes.length cell)) then
-                failwith (Printf.sprintf "Btree %s: node %d still full after split" t.name target_id);
+              let slot =
+                match P.insert_slot page (Bytes.length cell) with
+                | Some slot -> slot
+                | None ->
+                    failwith
+                      (Printf.sprintf "Btree %s: node %d still full after split" t.name
+                         target_id)
+              in
               t.io.exec tf ~undoable:false
                 (Imdb_wal.Log_record.Op_insert { slot; body = cell }));
           (* propagate the new sibling upward (rest_up is parent-first) *)
@@ -516,19 +519,18 @@ let insert ?(undoable = true) t ~key ~value =
               t.io.exec fr ~undoable op;
               `Done
           | Some _ -> split fr
-          | None ->
-              if P.fits page (Bytes.length cell) then begin
-                let slot = P.choose_insert_slot page in
-                let op =
-                  if undoable then
-                    Imdb_wal.Log_record.Op_kv_insert
-                      { slot; body = cell; table_id = t.table_id }
-                  else Imdb_wal.Log_record.Op_insert { slot; body = cell }
-                in
-                t.io.exec fr ~undoable op;
-                `Done
-              end
-              else split fr)
+          | None -> (
+              match P.insert_slot page (Bytes.length cell) with
+              | Some slot ->
+                  let op =
+                    if undoable then
+                      Imdb_wal.Log_record.Op_kv_insert
+                        { slot; body = cell; table_id = t.table_id }
+                    else Imdb_wal.Log_record.Op_insert { slot; body = cell }
+                  in
+                  t.io.exec fr ~undoable op;
+                  `Done
+              | None -> split fr))
     in
     match outcome with
     | `Done -> ()

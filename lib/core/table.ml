@@ -249,7 +249,10 @@ let split_data_page ?split_at eng ti ~pid ~low ~high =
              compress it so the logged image — the split's permanent
              storage cost — shrinks.  Only the compressed form is
              stored. *)
-          let hist_image = Imdb_storage.Vcompress.encode images.V.si_history in
+          let hist_image =
+            Imdb_obs.Tracer.with_span eng.E.tracer "split.encode" @@ fun _ ->
+            Imdb_storage.Vcompress.encode images.V.si_history
+          in
           let m = eng.E.metrics in
           let module M = Imdb_obs.Metrics in
           M.incr ~by:(Bytes.length images.V.si_history) m M.compress_raw_bytes;
@@ -263,6 +266,7 @@ let split_data_page ?split_at eng ti ~pid ~low ~high =
               E.exec_op eng hfr ~undoable:false (LR.Op_image { image = hist_image }));
           (match tsb eng ti with
           | Some index ->
+              Imdb_obs.Tracer.with_span eng.E.tracer "tsb.insert" @@ fun _ ->
               Imdb_tsb.Tsb.insert index
                 ~rect:
                   {
@@ -470,7 +474,8 @@ let probe_exists eng ti ~key =
 (* The kind of the newest buffered message for [key]: live cells
    scanned from the highest slot down, i.e. newest first. *)
 let newest_buffered page ~key =
-  Option.map (Ingest.kind_at page) (P.rfind_cell page (Ingest.is_for_key page ~key))
+  P.rfind_map_cell page (fun off ->
+      if Ingest.is_for_key page ~key off then Some (Ingest.kind_at page off) else None)
 
 (* The buffered write: one message append in place of a page descent.
    Existence semantics (INSERT/UPDATE/DELETE) are decided from the

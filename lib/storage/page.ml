@@ -216,32 +216,29 @@ let contiguous_free b = slot_array_start b - free_lower b
 (* Free bytes available after compaction. *)
 let free_space b = contiguous_free b + garbage b
 
-(* First dead slot, if any; insertion reuses dead slots before growing the
+(* The slot an insert takes: the first dead slot, else [slot_count],
+   growing the array.  Insertion reuses dead slots before growing the
    slot array, deterministically.  Manual loop: runs on every insert. *)
-let find_dead_slot b =
+let next_insert_slot b =
   let psize = Bytes.length b in
   let n = slot_count b in
   let rec go i =
-    if i >= n then None
-    else if Bytes.get_uint16_le b (psize - 2 - (2 * i)) = dead_slot then Some i
+    if i >= n || Bytes.get_uint16_le b (psize - 2 - (2 * i)) = dead_slot then i
     else go (i + 1)
   in
   go 0
 
-(* Would a body of [len] bytes fit (possibly after compaction)?  Accounts
-   for the 2-byte cell header and for a new slot entry if no dead slot is
-   available. *)
-let fits b len =
-  let slot_cost = match find_dead_slot b with Some _ -> 0 | None -> 2 in
-  free_space b >= len + 2 + slot_cost
-
-(* The slot that [insert] would use: first dead slot, else [slot_count]. *)
-let choose_insert_slot b =
-  match find_dead_slot b with Some s -> s | None -> slot_count b
+(* The slot a body of [len] bytes would take, if it fits (possibly after
+   compaction).  Accounts for the 2-byte cell header and for a new slot
+   entry when no dead slot is available. *)
+let insert_slot b len =
+  let slot = next_insert_slot b in
+  let slot_cost = if slot = slot_count b then 2 else 0 in
+  if free_space b >= len + 2 + slot_cost then Some slot else None
 
 (* Insert [body] at [slot].  [slot] must be either a dead slot or exactly
    [slot_count] (growing the array by one).  Raises [Failure] when the page
-   cannot hold the cell; callers check [fits] first (split path). *)
+   cannot hold the cell; callers check [insert_slot] first (split path). *)
 let insert_at_slot b slot body =
   let len = Bytes.length body in
   let n = slot_count b in
@@ -301,7 +298,7 @@ let blit_cell src slot dst dst_slot =
 
 (* Insert [body] into any available slot and return the slot used. *)
 let insert b body =
-  let slot = choose_insert_slot b in
+  let slot = next_insert_slot b in
   insert_at_slot b slot body;
   slot
 
@@ -337,13 +334,14 @@ let iter_live b f =
     if Bytes.get_uint16_le b (slot_entry_pos b slot) <> dead_slot then f slot
   done
 
-let rfind_cell b f =
+let rfind_map_cell b f =
   let top = Bytes.length b in
   let rec go slot =
     if slot < 0 then None
     else
       let off = Bytes.get_uint16_le b (top - (2 * (slot + 1))) in
-      if off <> dead_slot && f (off + 2) then Some (off + 2) else go (slot - 1)
+      if off = dead_slot then go (slot - 1)
+      else match f (off + 2) with Some _ as hit -> hit | None -> go (slot - 1)
   in
   go (slot_count b - 1)
 

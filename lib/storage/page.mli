@@ -104,7 +104,7 @@ val patch_cell : bytes -> int -> at:int -> src:bytes -> unit
 
 val insert : bytes -> bytes -> int
 (** Insert a cell body into the first available slot; returns the slot.
-    @raise Failure when the page is full (check [fits] first). *)
+    @raise Failure when the page is full (check [insert_slot] first). *)
 
 val insert_at_slot : bytes -> int -> bytes -> unit
 (** Insert at a specific slot — either a dead slot or exactly
@@ -134,11 +134,10 @@ val compact : bytes -> unit
 val free_space : bytes -> int
 (** Free bytes available counting reclaimable garbage. *)
 
-val fits : bytes -> int -> bool
-(** Would a cell body of this size fit (after compaction if needed)? *)
-
-val choose_insert_slot : bytes -> int
-(** The slot [insert] would use. *)
+val insert_slot : bytes -> int -> int option
+(** The slot [insert] would give a cell body of this size — the first
+    dead slot, else a new one at [slot_count] — if it fits (after
+    compaction if needed); [None] if it does not. *)
 
 (** {1 Iteration and statistics} *)
 
@@ -146,10 +145,10 @@ val live_count : bytes -> int
 val iter_live : bytes -> (int -> unit) -> unit
 val fold_live : bytes -> init:'a -> f:('a -> int -> 'a) -> 'a
 
-val rfind_cell : bytes -> (int -> bool) -> int option
-(** The body offset of the live cell in the highest slot whose body
-    offset satisfies the predicate, scanning the slot array down — on a
-    page whose slots are only ever appended, the newest such cell.
-    Stable only until the next mutating operation. *)
+val rfind_map_cell : bytes -> (int -> 'a option) -> 'a option
+(** The first [Some] the function returns for a live cell's body offset,
+    scanning the slot array from the highest slot down — on a page whose
+    slots are only ever appended, newest first.  Offsets are stable only
+    until the next mutating operation. *)
 
 val utilization : bytes -> float

@@ -25,7 +25,6 @@
 
    All structure modifications are redo-only logged, like other splits. *)
 
-open Imdb_util
 module P = Imdb_storage.Page
 module Ts = Imdb_clock.Timestamp
 
@@ -42,13 +41,11 @@ let rect_contains r ~key ~ts =
   && Ts.compare ts r.t_low >= 0
   && Ts.compare ts r.t_high < 0
 
-let rect_key_overlaps r ~low ~high =
-  (* [low, high) intersects r's key range *)
-  (match r.key_high with None -> true | Some rh -> String.compare low rh < 0)
-  && match high with None -> true | Some h -> String.compare r.key_low h < 0
-
-let rect_time_overlaps r ~t0 ~t1 =
-  Ts.compare r.t_low t1 < 0 && Ts.compare t0 r.t_high < 0
+let rects_overlap a b =
+  (match a.key_high with None -> true | Some h -> String.compare b.key_low h < 0)
+  && (match b.key_high with None -> true | Some h -> String.compare a.key_low h < 0)
+  && Ts.compare a.t_low b.t_high < 0
+  && Ts.compare b.t_low a.t_high < 0
 
 let pp_rect ppf r =
   Fmt.pf ppf "[%S,%s) x [%a,%s)" r.key_low
@@ -58,32 +55,130 @@ let pp_rect ppf r =
 
 type entry = { rect : rect; child : int }
 
-(* --- entry codec --------------------------------------------------------- *)
+(* --- index cells, read in place -------------------------------------------
+
+   An index cell holds one entry:
+
+     u16 n, n bytes    key_low
+     u8                1 when key_high is finite, else 0
+     u16 m, m bytes    key_high, only when finite
+     12 bytes          t_low   (Timestamp's layout: i64 ttime, u32 sn)
+     12 bytes          t_high
+     u32               child page id
+
+   Search and insertion read the fields where they lie, through the
+   accessors below over the cell's body offset [o] in its page: keys are
+   compared byte by byte against a string, timestamps as raw
+   (ttime, sn) words, the child as a u32.  Only [split_node] and
+   [check_invariants] decode whole entries. *)
+
+let ts_size = Ts.on_disk_size
+let key_low_len page o = Bytes.get_uint16_le page o
+
+(* Offset of the u8 that says whether key_high is finite. *)
+let high_tag page o = o + 2 + key_low_len page o
+
+let t_low_at page o =
+  let tag = high_tag page o in
+  if Bytes.get_uint8 page tag = 1 then tag + 3 + Bytes.get_uint16_le page (tag + 1)
+  else tag + 1
+
+(* One past the cell's last byte. *)
+let cell_end page o = t_low_at page o + (2 * ts_size) + 4
+
+let child_at page o =
+  Int32.to_int (Bytes.get_int32_le page (cell_end page o - 4)) land 0xffffffff
+
+(* [String.compare] of the [len] bytes at [pos] with [s]. *)
+let compare_at page pos len s =
+  let slen = String.length s in
+  let rec go i =
+    if i = len || i = slen then Int.compare len slen
+    else
+      match Char.compare (Bytes.get page (pos + i)) s.[i] with
+      | 0 -> go (i + 1)
+      | c -> c
+  in
+  go 0
+
+(* key_low, and key_high with +inf above every key, compared with [k]. *)
+let compare_key_low page o k = compare_at page (o + 2) (key_low_len page o) k
+
+let compare_key_high page o k =
+  let tag = high_tag page o in
+  if Bytes.get_uint8 page tag = 1 then
+    compare_at page (tag + 3) (Bytes.get_uint16_le page (tag + 1)) k
+  else 1
+
+(* The timestamp stored at [pos] compared with [ts]. *)
+let compare_ts_at page pos ts =
+  match Int64.compare (Bytes.get_int64_le page pos) (Ts.ttime ts) with
+  | 0 ->
+      let sn = Int32.to_int (Bytes.get_int32_le page (pos + 8)) land 0xffffffff in
+      Int.compare sn (Ts.sn ts)
+  | c -> c
+
+(* [rect_contains] in place. *)
+let cell_contains page o ~key ~ts =
+  compare_key_low page o key <= 0
+  && compare_key_high page o key > 0
+  &&
+  let tl = t_low_at page o in
+  compare_ts_at page tl ts <= 0 && compare_ts_at page (tl + ts_size) ts > 0
+
+(* [rects_overlap] of the cell's rectangle and [r], in place. *)
+let cell_overlaps page o r =
+  compare_key_high page o r.key_low > 0
+  && (match r.key_high with None -> true | Some h -> compare_key_low page o h < 0)
+  &&
+  let tl = t_low_at page o in
+  compare_ts_at page tl r.t_high < 0 && compare_ts_at page (tl + ts_size) r.t_low > 0
+
+(* Whether the cell's bytes are exactly [cell]'s. *)
+let cell_equals page o cell =
+  let len = Bytes.length cell in
+  cell_end page o - o = len
+  &&
+  let rec go i = i = len || (Bytes.get page (o + i) = Bytes.get cell i && go (i + 1)) in
+  go 0
+
+let decode_rect page o =
+  let tag = high_tag page o and tl = t_low_at page o in
+  {
+    key_low = Bytes.sub_string page (o + 2) (key_low_len page o);
+    key_high =
+      (if Bytes.get_uint8 page tag = 1 then
+         Some (Bytes.sub_string page (tag + 3) (Bytes.get_uint16_le page (tag + 1)))
+       else None);
+    t_low = Ts.read page tl;
+    t_high = Ts.read page (tl + ts_size);
+  }
+
+let decode_entry page o = { rect = decode_rect page o; child = child_at page o }
 
 let encode_entry e =
-  let w = Codec.Writer.create ~size:64 () in
-  Codec.Writer.lstring w e.rect.key_low;
-  (match e.rect.key_high with
-  | None -> Codec.Writer.u8 w 0
+  let r = e.rect in
+  let n = String.length r.key_low in
+  let tl = 2 + n + match r.key_high with None -> 1 | Some h -> 3 + String.length h in
+  let b = Bytes.create (tl + (2 * ts_size) + 4) in
+  Bytes.set_uint16_le b 0 n;
+  Bytes.blit_string r.key_low 0 b 2 n;
+  (match r.key_high with
+  | None -> Bytes.set_uint8 b (2 + n) 0
   | Some h ->
-      Codec.Writer.u8 w 1;
-      Codec.Writer.lstring w h);
-  let ts_buf = Bytes.create Ts.on_disk_size in
-  Ts.write ts_buf 0 e.rect.t_low;
-  Codec.Writer.bytes w ts_buf;
-  Ts.write ts_buf 0 e.rect.t_high;
-  Codec.Writer.bytes w ts_buf;
-  Codec.Writer.u32 w e.child;
-  Codec.Writer.contents w
+      Bytes.set_uint8 b (2 + n) 1;
+      Bytes.set_uint16_le b (3 + n) (String.length h);
+      Bytes.blit_string h 0 b (5 + n) (String.length h));
+  Ts.write b tl r.t_low;
+  Ts.write b (tl + ts_size) r.t_high;
+  Bytes.set_int32_le b (tl + (2 * ts_size)) (Int32.of_int e.child);
+  b
 
-let decode_entry body =
-  let r = Codec.Reader.create body in
-  let key_low = Codec.Reader.lstring r in
-  let key_high = if Codec.Reader.u8 r = 1 then Some (Codec.Reader.lstring r) else None in
-  let t_low = Ts.read (Codec.Reader.bytes r Ts.on_disk_size) 0 in
-  let t_high = Ts.read (Codec.Reader.bytes r Ts.on_disk_size) 0 in
-  let child = Codec.Reader.u32 r in
-  { rect = { key_low; key_high; t_low; t_high }; child }
+(* Every entry of a node, decoded, in *reverse* slot order: the order
+   [split_node] re-inserts them in, which its page images depend on. *)
+let decode_node page =
+  P.fold_live page ~init:[] ~f:(fun acc slot ->
+      decode_entry page (P.cell_body_offset page slot) :: acc)
 
 (* --- tree ---------------------------------------------------------------- *)
 
@@ -104,24 +199,24 @@ let create ~pool ~io ~table_id =
 let root t = t.root
 let is_leaf page = P.level page = 0
 
-let node_entries page =
-  P.fold_live page ~init:[] ~f:(fun acc slot -> decode_entry (P.read_cell page slot) :: acc)
-
 (* ------------------------------------------------------------------ *)
 (* Search                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* The historical page whose rectangle contains (key, ts), if any. *)
+(* The historical page whose rectangle contains (key, ts), if any.  Any
+   containing cell will do: a leaf's rectangles are disjoint apart from
+   exact duplicates left by redundant posting (the same child), and an
+   internal node's are disjoint. *)
 let find t ~key ~ts =
   let rec go page_id =
     Imdb_buffer.Buffer_pool.with_page t.pool page_id (fun fr ->
         let page = Imdb_buffer.Buffer_pool.bytes fr in
-        let hit =
-          List.find_opt (fun e -> rect_contains e.rect ~key ~ts) (node_entries page)
-        in
-        match hit with
+        match
+          P.rfind_map_cell page (fun o ->
+              if cell_contains page o ~key ~ts then Some (child_at page o) else None)
+        with
         | None -> None
-        | Some e -> if is_leaf page then Some e.child else go e.child)
+        | Some child -> if is_leaf page then Some child else go child)
   in
   go t.root
 
@@ -150,7 +245,7 @@ let split_node t fr ~node_rect =
   let page = Imdb_buffer.Buffer_pool.bytes fr in
   let page_id = P.page_id page in
   let lvl = P.level page in
-  let entries = node_entries page in
+  let entries = decode_node page in
   let right_id = t.io.alloc ~level:lvl in
   let clean_required = lvl > 0 in
   let time_spans b e =
@@ -168,13 +263,16 @@ let split_node t fr ~node_rect =
            (not clean_required) || not (List.exists (time_spans b) entries))
     |> List.sort_uniq Ts.compare
   in
-  let split =
+  let median l = List.nth l (List.length l / 2) in
+  let left_es, right_es, left_rect, right_rect =
     match time_bounds with
     | _ :: _ ->
-        let arr = Array.of_list time_bounds in
-        let tmid = arr.(Array.length arr / 2) in
-        `Time tmid
-    | [] ->
+        let tmid = median time_bounds in
+        ( List.filter (fun e -> Ts.compare e.rect.t_low tmid < 0) entries,
+          List.filter (fun e -> Ts.compare e.rect.t_high tmid > 0) entries,
+          { node_rect with t_high = tmid },
+          { node_rect with t_low = tmid } )
+    | [] -> (
         let key_bounds =
           List.map (fun e -> e.rect.key_low) entries
           |> List.filter (fun k -> String.compare k node_rect.key_low > 0)
@@ -182,69 +280,38 @@ let split_node t fr ~node_rect =
                  (not clean_required) || not (List.exists (key_spans b) entries))
           |> List.sort_uniq String.compare
         in
-        (match key_bounds with
-        | [] -> `Stuck
+        match key_bounds with
+        | [] ->
+            failwith
+              (Printf.sprintf "Tsb: index node %d cannot be split (degenerate region)"
+                 page_id)
         | _ ->
-            let arr = Array.of_list key_bounds in
-            `Key arr.(Array.length arr / 2))
+            let kmid = median key_bounds in
+            ( List.filter (fun e -> String.compare e.rect.key_low kmid < 0) entries,
+              List.filter
+                (fun e ->
+                  match e.rect.key_high with
+                  | None -> true
+                  | Some h -> String.compare h kmid > 0)
+                entries,
+              { node_rect with key_high = Some kmid },
+              { node_rect with key_low = kmid } ))
   in
-  match split with
-  | `Stuck ->
-      failwith
-        (Printf.sprintf "Tsb: index node %d cannot be split (degenerate region)" page_id)
-  | `Time tmid ->
-      let left_es =
-        List.filter (fun e -> Ts.compare e.rect.t_low tmid < 0) entries
-      in
-      let right_es =
-        List.filter (fun e -> Ts.compare e.rect.t_high tmid > 0) entries
-      in
-      let rebuild img id es =
-        P.format img ~page_id:id ~page_type:P.P_tsb_index ~table_id:t.table_id ~level:lvl ();
-        List.iter (fun e -> ignore (P.insert img (encode_entry e))) es
-      in
-      let left_img = Bytes.copy page in
-      rebuild left_img page_id left_es;
-      let right_fr = Imdb_buffer.Buffer_pool.pin t.pool right_id in
-      Fun.protect
-        ~finally:(fun () -> Imdb_buffer.Buffer_pool.unpin t.pool right_fr)
-        (fun () ->
-          let right_img = Bytes.copy (Imdb_buffer.Buffer_pool.bytes right_fr) in
-          rebuild right_img right_id right_es;
-          t.io.exec fr (Imdb_wal.Log_record.Op_image { image = left_img });
-          t.io.exec right_fr (Imdb_wal.Log_record.Op_image { image = right_img }));
-      ( { node_rect with t_high = tmid },
-        { node_rect with t_low = tmid },
-        right_id )
-  | `Key kmid ->
-      let left_es =
-        List.filter (fun e -> String.compare e.rect.key_low kmid < 0) entries
-      in
-      let right_es =
-        List.filter
-          (fun e ->
-            match e.rect.key_high with
-            | None -> true
-            | Some h -> String.compare h kmid > 0)
-          entries
-      in
-      let rebuild img id es =
-        P.format img ~page_id:id ~page_type:P.P_tsb_index ~table_id:t.table_id ~level:lvl ();
-        List.iter (fun e -> ignore (P.insert img (encode_entry e))) es
-      in
-      let left_img = Bytes.copy page in
-      rebuild left_img page_id left_es;
-      let right_fr = Imdb_buffer.Buffer_pool.pin t.pool right_id in
-      Fun.protect
-        ~finally:(fun () -> Imdb_buffer.Buffer_pool.unpin t.pool right_fr)
-        (fun () ->
-          let right_img = Bytes.copy (Imdb_buffer.Buffer_pool.bytes right_fr) in
-          rebuild right_img right_id right_es;
-          t.io.exec fr (Imdb_wal.Log_record.Op_image { image = left_img });
-          t.io.exec right_fr (Imdb_wal.Log_record.Op_image { image = right_img }));
-      ( { node_rect with key_high = Some kmid },
-        { node_rect with key_low = kmid },
-        right_id )
+  let rebuild img id es =
+    P.format img ~page_id:id ~page_type:P.P_tsb_index ~table_id:t.table_id ~level:lvl ();
+    List.iter (fun e -> ignore (P.insert img (encode_entry e))) es
+  in
+  let left_img = Bytes.copy page in
+  rebuild left_img page_id left_es;
+  let right_fr = Imdb_buffer.Buffer_pool.pin t.pool right_id in
+  Fun.protect
+    ~finally:(fun () -> Imdb_buffer.Buffer_pool.unpin t.pool right_fr)
+    (fun () ->
+      let right_img = Bytes.copy (Imdb_buffer.Buffer_pool.bytes right_fr) in
+      rebuild right_img right_id right_es;
+      t.io.exec fr (Imdb_wal.Log_record.Op_image { image = left_img });
+      t.io.exec right_fr (Imdb_wal.Log_record.Op_image { image = right_img }));
+  (left_rect, right_rect, right_id)
 
 let everything =
   { key_low = ""; key_high = None; t_low = Ts.zero; t_high = Ts.infinity }
@@ -262,34 +329,33 @@ let everything =
    entries at split time.  Historical pages are immutable, so redundant
    copies are safe; [find] reaches the same child through any copy. *)
 let insert t ~rect ~child =
-  let entry = { rect; child } in
-  let cell = encode_entry entry in
-  let intersects r =
-    rect_key_overlaps r ~low:rect.key_low ~high:rect.key_high
-    && rect_time_overlaps r ~t0:rect.t_low ~t1:rect.t_high
-  in
+  let cell = encode_entry { rect; child } in
   (* The next leaf whose region intersects [rect] and does not yet hold
-     the entry, with its (page_id, node_rect) path from the root.
-     Recomputed from the root after every insert and every split, so a
-     split that reshapes the tree — or cuts the rect's footprint across a
-     fresh boundary — is picked up on the next pass, and a restart never
-     double-posts into a leaf already covered. *)
-  let rec pending page_id node_rect path =
+     the cell, as the (page_id, node_rect) chain from [page_id]'s child
+     down to that leaf ([[]] when [page_id] is that leaf).  Cells are
+     tested in place, from the highest slot down; only the rectangles
+     on the returned chain are decoded, for a split to cut.  Recomputed
+     from the root after every insert and every split, so a split that
+     reshapes the tree — or cuts the rect's footprint across a fresh
+     boundary — is picked up on the next pass, and a restart never
+     double-posts into a leaf already covered.  A leaf holds the entry
+     when one of its cells has the cell's exact bytes: the encoding is
+     one-to-one. *)
+  let rec pending page_id =
     Imdb_buffer.Buffer_pool.with_page t.pool page_id (fun fr ->
         let page = Imdb_buffer.Buffer_pool.bytes fr in
-        let es = node_entries page in
         if is_leaf page then
-          if List.mem entry es then None else Some (page_id, node_rect, path)
+          match
+            P.rfind_map_cell page (fun o -> if cell_equals page o cell then Some () else None)
+          with
+          | Some () -> None
+          | None -> Some []
         else
-          List.fold_left
-            (fun acc e ->
-              match acc with
-              | Some _ -> acc
-              | None ->
-                  if intersects e.rect then
-                    pending e.child e.rect ((page_id, node_rect) :: path)
-                  else None)
-            None es)
+          P.rfind_map_cell page (fun o ->
+              if cell_overlaps page o rect then
+                let child = child_at page o in
+                Option.map (fun below -> (child, decode_rect page o) :: below) (pending child)
+              else None))
   in
   let rec post_to_parent path ~page_id ~left_rect ~right_rect ~right_id =
     (* Record that [page_id] now covers [left_rect] and the fresh
@@ -311,26 +377,24 @@ let insert t ~rect ~child =
         let need =
           Imdb_buffer.Buffer_pool.with_page t.pool parent_id (fun fr ->
               let page = Imdb_buffer.Buffer_pool.bytes fr in
+              let names_page slot = child_at page (P.cell_body_offset page slot) = page_id in
               let growth = ref 0 in
               P.iter_live page (fun slot ->
-                  let e = decode_entry (P.read_cell page slot) in
-                  if e.child = page_id then
+                  if names_page slot then
                     growth :=
-                      !growth
-                      + max 0
-                          (Bytes.length left_cell
-                          - Bytes.length (P.read_cell page slot)));
-              if P.fits page (!growth + Bytes.length right_cell) then begin
-                P.iter_live page (fun slot ->
-                    let e = decode_entry (P.read_cell page slot) in
-                    if e.child = page_id then
-                      t.io.exec fr
-                        (Imdb_wal.Log_record.Op_replace { slot; body = left_cell }));
-                let slot = P.choose_insert_slot page in
-                t.io.exec fr (Imdb_wal.Log_record.Op_insert { slot; body = right_cell });
-                None
-              end
-              else Some (split_node t fr ~node_rect:parent_rect))
+                      !growth + max 0 (Bytes.length left_cell - P.cell_length page slot));
+              (* a replace keeps its slot live, so the slot the right cell
+                 takes is the same before and after the replaces *)
+              match P.insert_slot page (!growth + Bytes.length right_cell) with
+              | Some right_slot ->
+                  P.iter_live page (fun slot ->
+                      if names_page slot then
+                        t.io.exec fr
+                          (Imdb_wal.Log_record.Op_replace { slot; body = left_cell }));
+                  t.io.exec fr
+                    (Imdb_wal.Log_record.Op_insert { slot = right_slot; body = right_cell });
+                  None
+              | None -> Some (split_node t fr ~node_rect:parent_rect))
         in
         (match need with
         | None -> ()
@@ -394,18 +458,22 @@ let insert t ~rect ~child =
        one entry from each side), so a large cap only guards against
        bugs, not workloads — bulk ingest legitimately needs dozens. *)
     if splits > 1024 then failwith "Tsb.insert: no room after repeated splits";
-    match pending t.root everything [] with
+    match pending t.root with
     | None -> ()
-    | Some (leaf_id, leaf_rect, path) -> (
+    | Some chain -> (
+        let (leaf_id, leaf_rect), path =
+          match List.rev ((t.root, everything) :: chain) with
+          | leaf :: path -> (leaf, path)
+          | [] -> assert false
+        in
         let need_split =
           Imdb_buffer.Buffer_pool.with_page t.pool leaf_id (fun fr ->
               let page = Imdb_buffer.Buffer_pool.bytes fr in
-              if P.fits page (Bytes.length cell) then begin
-                let slot = P.choose_insert_slot page in
-                t.io.exec fr (Imdb_wal.Log_record.Op_insert { slot; body = cell });
-                None
-              end
-              else Some (split_node t fr ~node_rect:leaf_rect))
+              match P.insert_slot page (Bytes.length cell) with
+              | Some slot ->
+                  t.io.exec fr (Imdb_wal.Log_record.Op_insert { slot; body = cell });
+                  None
+              | None -> Some (split_node t fr ~node_rect:leaf_rect))
         in
         match need_split with
         | None -> loop splits
@@ -423,48 +491,40 @@ let insert t ~rect ~child =
 
 exception Invariant_violation of string
 
-(* Check that children lie within their parent rectangles and that leaf
-   rectangles are pairwise disjoint (allowing exact duplicates from
-   redundant posting).  Returns the number of leaf entries. *)
+(* Check that children lie within their parent rectangles, that every
+   leaf copy of a page carries the same rectangle, and that distinct
+   pages' rectangles are disjoint.  Returns the number of leaf entries,
+   copies included. *)
 let check_invariants t =
-  let leaf_rects = ref [] in
+  let violation fmt = Fmt.kstr (fun m -> raise (Invariant_violation m)) fmt in
+  let leaves = Hashtbl.create 64 and copies = ref 0 in
   let rec walk page_id region =
     Imdb_buffer.Buffer_pool.with_page t.pool page_id (fun fr ->
         let page = Imdb_buffer.Buffer_pool.bytes fr in
-        let es = node_entries page in
         List.iter
           (fun e ->
-            if
-              not
-                (rect_key_overlaps e.rect ~low:region.key_low ~high:region.key_high
-                && rect_time_overlaps e.rect ~t0:region.t_low ~t1:region.t_high)
-            then
-              raise
-                (Invariant_violation
-                   (Fmt.str "entry %a outside node region %a" pp_rect e.rect pp_rect
-                      region)))
-          es;
-        if is_leaf page then
-          List.iter (fun e -> leaf_rects := (e.rect, e.child) :: !leaf_rects) es
-        else List.iter (fun e -> walk e.child e.rect) es)
+            if not (rects_overlap e.rect region) then
+              violation "entry %a outside node region %a" pp_rect e.rect pp_rect region;
+            if not (is_leaf page) then walk e.child e.rect
+            else begin
+              incr copies;
+              match Hashtbl.find_opt leaves e.child with
+              | Some r when r <> e.rect ->
+                  violation "page %d posted as %a and as %a" e.child pp_rect r pp_rect
+                    e.rect
+              | _ -> Hashtbl.replace leaves e.child e.rect
+            end)
+          (decode_node page))
   in
   walk t.root everything;
-  (* disjointness among distinct pages, after clipping redundant copies *)
-  let rects = !leaf_rects in
-  List.iteri
-    (fun i (r1, c1) ->
-      List.iteri
-        (fun j (r2, c2) ->
-          if i < j && c1 <> c2 then
-            let key_olap =
-              rect_key_overlaps r1 ~low:r2.key_low ~high:r2.key_high
-            in
-            let t_olap = rect_time_overlaps r1 ~t0:r2.t_low ~t1:r2.t_high in
-            if key_olap && t_olap then
-              raise
-                (Invariant_violation
-                   (Fmt.str "overlapping leaf rects: %a (page %d) and %a (page %d)"
-                      pp_rect r1 c1 pp_rect r2 c2)))
-        rects)
+  let rects = Array.of_seq (Hashtbl.to_seq leaves) in
+  Array.iteri
+    (fun i (c1, r1) ->
+      for j = i + 1 to Array.length rects - 1 do
+        let c2, r2 = rects.(j) in
+        if rects_overlap r1 r2 then
+          violation "overlapping leaf rects: %a (page %d) and %a (page %d)" pp_rect r1 c1
+            pp_rect r2 c2
+      done)
     rects;
-  List.length rects
+  !copies

@@ -43,5 +43,6 @@ val find : t -> key:string -> ts:Imdb_clock.Timestamp.t -> int option
 exception Invariant_violation of string
 
 val check_invariants : t -> int
-(** Containment and leaf-disjointness check; returns the leaf entry
-    count.  @raise Invariant_violation *)
+(** Containment, one rectangle per indexed page across its redundant
+    leaf copies, and disjointness of distinct pages' rectangles; returns
+    the leaf entry count, copies included.  @raise Invariant_violation *)

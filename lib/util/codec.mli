@@ -52,7 +52,6 @@ module Reader : sig
   val u32 : t -> int
   val i64 : t -> int64
   val int : t -> int
-  val bytes : t -> int -> bytes
   val lstring : t -> string
   val lbytes : t -> bytes
   val lbytes32 : t -> bytes

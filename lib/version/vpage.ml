@@ -290,15 +290,10 @@ let plan_insert_with_pred page ~pred ~key ~payload ~tid ~delete_stub =
     R.encode
       { flags; key; payload; vp; ttime = Imdb_clock.Tid.Unstamped tid; sn = 0 }
   in
-  if not (P.fits page (Bytes.length body)) then None
-  else
-    Some
-      {
-        pi_slot = P.choose_insert_slot page;
-        pi_body = body;
-        pi_pred_slot = vp;
-        pi_pred_old_flags = pred_flags;
-      }
+  Option.map
+    (fun pi_slot ->
+      { pi_slot; pi_body = body; pi_pred_slot = vp; pi_pred_old_flags = pred_flags })
+    (P.insert_slot page (Bytes.length body))
 
 let plan_insert page ~key ~payload ~tid ~delete_stub =
   plan_insert_with_pred page ~pred:(find_current page ~key) ~key ~payload ~tid

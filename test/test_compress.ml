@@ -232,7 +232,7 @@ let test_footprint () =
 
 (* --- the codec is total on time-split output -------------------------- *)
 
-(* A [size]-byte data page filled to capacity ([Page.fits]) with
+(* A [size]-byte data page filled to capacity ([Page.insert_slot]) with
    versions of [klen]-byte keys and [plen]-byte payloads — one chain per
    key over three keys when [chained], else one version per key; every
    fourth version a delete stub when [stubs] — stamped from [ttime] on

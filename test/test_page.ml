@@ -56,17 +56,23 @@ let test_fill_and_fits () =
   let b = fresh ~size:512 () in
   let body = Bytes.make 60 'x' in
   let inserted = ref 0 in
-  while P.fits b (Bytes.length body) do
-    ignore (P.insert b body);
-    incr inserted
-  done;
+  let rec fill () =
+    match P.insert_slot b (Bytes.length body) with
+    | None -> ()
+    | Some slot ->
+        Alcotest.(check int) "insert takes the slot insert_slot names" slot (P.insert b body);
+        incr inserted;
+        fill ()
+  in
+  fill ();
   Alcotest.(check bool) "page filled" true (!inserted >= 6);
   (match P.insert b body with
   | exception Failure _ -> ()
   | _ -> Alcotest.fail "insert into full page accepted");
   (* deleting makes room again (reclaimed via compaction) *)
   P.delete_slot b 0;
-  Alcotest.(check bool) "space after delete" true (P.fits b (Bytes.length body))
+  Alcotest.(check (option int)) "space after delete, in the freed slot" (Some 0)
+    (P.insert_slot b (Bytes.length body))
 
 let test_compaction_preserves () =
   let b = fresh ~size:1024 () in
@@ -126,10 +132,14 @@ let prop_page_model =
           | `Insert extra ->
               incr counter;
               let body = Printf.sprintf "body%d-%s" !counter (String.make extra 'p') in
-              if P.fits b (String.length body) then begin
-                let slot = P.insert b (Bytes.of_string body) in
-                Hashtbl.replace model slot body
-              end
+              Option.iter
+                (fun expect ->
+                  let slot = P.insert b (Bytes.of_string body) in
+                  if slot <> expect then
+                    QCheck.Test.fail_reportf "insert took slot %d, insert_slot said %d"
+                      slot expect;
+                  Hashtbl.replace model slot body)
+                (P.insert_slot b (String.length body))
           | `Delete n ->
               let live = Hashtbl.fold (fun k _ acc -> k :: acc) model [] in
               if live <> [] then begin

@@ -267,6 +267,35 @@ let test_recovery_spans () =
     ckpt.Tr.c_parent;
   Db.close db
 
+(* A time split's encode and index insert nest under its span, so a
+   traced split's self time is what its children do not explain. *)
+let test_time_split_children () =
+  let config = { E.default_config with E.trace_sampling = 1; page_size = 1024 } in
+  let db, clock = fresh_db ~config () in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+  for v = 1 to 60 do
+    tick clock;
+    ignore
+      (commit_write db (fun txn ->
+           Db.upsert_row db txn ~table:"t" (row (v mod 3) (String.make 40 'x'))))
+  done;
+  let spans = Tr.spans (Db.tracer db) in
+  let splits = List.filter (fun c -> c.Tr.c_name = "split.time") spans in
+  Alcotest.(check bool) "the workload time-splits" true (splits <> []);
+  List.iter
+    (fun split ->
+      List.iter
+        (fun child ->
+          Alcotest.(check bool)
+            (child ^ " nests under split.time")
+            true
+            (List.exists
+               (fun c -> c.Tr.c_name = child && c.Tr.c_parent = split.Tr.c_id)
+               spans))
+        [ "split.encode"; "tsb.insert" ])
+    splits;
+  Db.close db
+
 (* --- exports ------------------------------------------------------------------ *)
 
 let obj_field name = function
@@ -328,6 +357,8 @@ let suite =
       test_disabled_vs_enabled_counters;
     Alcotest.test_case "null tracer is inert" `Quick test_null_tracer_is_free;
     Alcotest.test_case "recovery spans across a crash" `Quick test_recovery_spans;
+    Alcotest.test_case "time split has encode and index children" `Quick
+      test_time_split_children;
     Alcotest.test_case "chrome export shape" `Quick test_chrome_export;
     Alcotest.test_case "native export shape" `Quick test_native_export;
   ]
