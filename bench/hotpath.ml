@@ -11,8 +11,9 @@
    - commit: single-update transactions against a file-backed log.  Every
      commit syncs the log through its own commit record before it
      returns, so one session pays one sync per commit.
-   - alloc: minor words per TSB-indexed AS OF point, current-time get and
-     time split.
+   - alloc: minor words per TSB-indexed AS OF point, current-time get,
+     time split, empty transaction and one-row update transaction on an
+     immortal and on a conventional table.
 
    BENCH_hotpath.json carries only the deterministic logical counters
    (never wall time), so scripts/bench_check.sh can hold them to their
@@ -130,9 +131,11 @@ let commit_phase ~scale =
    upserts over a few dozen keys on 4 KiB pages time-split every few
    dozen commits and feed the TSB index.  A time split's words are the
    words of the commits that split beyond the mean of those that did not,
-   per split.  Then AS OF point lookups deep in the history, which the
+   per split, and a one-row commit's words are the mean of those that did
+   not split.  Then AS OF point lookups deep in the history, which the
    index answers, and current-time gets of the same keys; their wall
-   time is printed too.  The size is fixed (not scaled) and the run
+   time is printed too.  Last, empty transactions (begin and commit) and
+   one-row updates of a warm conventional table with the same keys.  The size is fixed (not scaled) and the run
    seeded under the logical clock, so the counts reproduce;
    scripts/bench_check.sh holds them to ±3 %. *)
 
@@ -196,6 +199,27 @@ let alloc_phase () =
   let tsb_hits = M.get m M.asof_pages - tsb0 in
   let get = words_per_read get_read in
   let asof_us = best_us_per_read asof_read and get_us = best_us_per_read get_read in
+  let words_per_txn txns f =
+    let w0 = Gc.minor_words () in
+    Array.iter
+      (fun x ->
+        Imdb_clock.Clock.advance clock 20L;
+        let txn = Db.begin_txn ~isolation:Db.Snapshot_isolation db in
+        f txn x;
+        ignore (Db.commit db txn))
+      txns;
+    (Gc.minor_words () -. w0) /. float_of_int (Array.length txns)
+  in
+  let empty = words_per_txn (Array.make points ()) (fun _ () -> ()) in
+  Db.create_table db ~name:"c" ~mode:Db.Conventional ~schema;
+  let upsert txn r = Db.upsert_row db txn ~table:"c" r in
+  ignore (words_per_txn (Array.init keys (fun k -> row k "warm")) upsert);
+  let conv =
+    words_per_txn
+      (Array.init points (fun i ->
+           row (Imdb_util.Rng.int rng keys) (Printf.sprintf "%040d" i)))
+      upsert
+  in
   Db.close db;
   Harness.print_table ~title:"hotpath: wall time per read (best of 5 passes)"
     ~header:[ "read"; "us/op" ]
@@ -211,6 +235,9 @@ let alloc_phase () =
       ("asof_point_words", words asof);
       ("get_words", words get);
       ("time_split_words", words per_split);
+      ("empty_txn_words", words empty);
+      ("commit_words", words mean_other);
+      ("conv_commit_words", words conv);
     ] )
 
 let run ~scale =

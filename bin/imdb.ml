@@ -173,6 +173,8 @@ let workload_cmd =
 module M = Imdb_obs.Metrics
 module J = Imdb_obs.Json
 
+let h_page_utilization_pct = M.histogram_of M.h_page_utilization_pct
+
 (* --- load ------------------------------------------------------------------- *)
 
 (* Bulk load through the write-optimized ingestion path: N seeded rows in
@@ -261,7 +263,7 @@ let survey_tables db =
                 let page = Imdb_buffer.Buffer_pool.bytes fr in
                 let size = Bytes.length page in
                 let used = size - Imdb_storage.Page.free_space page in
-                M.observe m M.h_page_utilization_pct (used * 100 / size)))
+                M.observe m h_page_utilization_pct (used * 100 / size)))
           ranges;
         Some (ti, List.length ranges)
       end)
@@ -285,7 +287,7 @@ let survey_tables db =
    histogram (populated by the survey above), so p50/p99 are available. *)
 let stats_json ?(traces = false) db =
   let eng = Db.engine db in
-  M.ensure_histogram (Db.metrics db) M.h_page_utilization_pct;
+  M.ensure_histogram (Db.metrics db) h_page_utilization_pct;
   let tables = survey_tables db in
   let traces_field =
     if traces then [ ("traces", Imdb_obs.Tracer.to_json (Db.tracer db)) ] else []
@@ -371,7 +373,7 @@ let stats_cmd =
         | Some secs -> stats_watch db secs
         | None ->
         if prom then begin
-          M.ensure_histogram (Db.metrics db) M.h_page_utilization_pct;
+          M.ensure_histogram (Db.metrics db) h_page_utilization_pct;
           ignore (survey_tables db);
           print_string (M.to_prometheus (Db.metrics db))
         end

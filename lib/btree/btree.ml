@@ -35,6 +35,10 @@ module M = Imdb_obs.Metrics
 module BP = Imdb_buffer.Buffer_pool
 module T = Imdb_obs.Tracer
 
+let btree_node_splits = M.counter_of M.btree_node_splits
+let keydir_hits = M.counter_of M.keydir_hits
+let keydir_misses = M.counter_of M.keydir_misses
+
 type io = {
   exec : Imdb_buffer.Buffer_pool.frame -> undoable:bool -> Imdb_wal.Log_record.page_op -> unit;
       (** log the op (undoable in the current transaction, or redo-only),
@@ -165,10 +169,10 @@ let build_keydir page =
 let frame_keydir t fr =
   match BP.keydir fr with
   | Some kd ->
-      M.incr t.metrics M.keydir_hits;
+      M.incr t.metrics keydir_hits;
       kd
   | None ->
-      M.incr t.metrics M.keydir_misses;
+      M.incr t.metrics keydir_misses;
       let kd = build_keydir (BP.bytes fr) in
       BP.set_keydir fr kd;
       kd
@@ -339,7 +343,7 @@ let min_binding t =
    action that is never undone.  Full after-images keep replay trivially
    correct.  Returns (separator_key, right_page_id). *)
 let split_page t fr =
-  M.incr t.metrics M.btree_node_splits;
+  M.incr t.metrics btree_node_splits;
   let page = Imdb_buffer.Buffer_pool.bytes fr in
   let page_id = P.page_id page in
   let leaf = is_leaf page in

@@ -53,6 +53,11 @@
 
 module M = Imdb_obs.Metrics
 
+let buf_clock_sweeps = M.counter_of M.buf_clock_sweeps
+let buf_evictions = M.counter_of M.buf_evictions
+let buf_hits = M.counter_of M.buf_hits
+let buf_misses = M.counter_of M.buf_misses
+
 exception Buffer_full
 exception Corrupt_page of int
 
@@ -159,13 +164,13 @@ let evict_one t =
     | Some f when f.f_ref -> f.f_ref <- false
     | Some f -> victim := Some f
   done;
-  M.incr ~by:!steps t.metrics M.buf_clock_sweeps;
+  M.add t.metrics buf_clock_sweeps !steps;
   match !victim with
   | None -> if !held_by_group then false else raise Buffer_full
   | Some f ->
       if f.f_dirty then write_frame t f;
       detach t f;
-      M.incr t.metrics M.buf_evictions;
+      M.incr t.metrics buf_evictions;
       true
 
 (* Overcommit: double the ring so a frame can be attached past capacity. *)
@@ -186,12 +191,12 @@ let pin t page_id =
   locked t (fun () ->
       match Hashtbl.find_opt t.frames page_id with
       | Some f ->
-          M.incr t.metrics M.buf_hits;
+          M.incr t.metrics buf_hits;
           f.f_pin <- f.f_pin + 1;
           touch t f;
           f
       | None ->
-          M.incr t.metrics M.buf_misses;
+          M.incr t.metrics buf_misses;
           make_room t;
           let bytes = t.disk.Imdb_storage.Disk.read_page page_id in
           if not (Imdb_storage.Page.verify bytes) then

@@ -11,10 +11,20 @@ module Tid = Imdb_clock.Tid
 module P = Imdb_storage.Page
 module BP = Imdb_buffer.Buffer_pool
 module LR = Imdb_wal.Log_record
+module Mx = Imdb_obs.Metrics
 
 let log_src = Logs.Src.create "imdb.engine" ~doc:"Immortal DB engine"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
+
+let pages_allocated = Mx.counter_of Mx.pages_allocated
+let checkpoints = Mx.counter_of Mx.checkpoints
+let histcache_hits = Mx.counter_of Mx.histcache_hits
+let histcache_misses = Mx.counter_of Mx.histcache_misses
+let histcache_evictions = Mx.counter_of Mx.histcache_evictions
+let session_rows_read = Mx.counter_of Mx.session_rows_read
+let session_rows_written = Mx.counter_of Mx.session_rows_written
+let h_compress_decode_ns = Mx.histogram_of Mx.h_compress_decode_ns
 
 type timestamping_mode = Lazy_stamping | Eager_stamping
 
@@ -129,7 +139,7 @@ type t = {
   clock : Imdb_clock.Clock.t;
   locks : Imdb_lock.Lock_manager.t;
   stamper : Imdb_tstamp.Lazy_stamper.t;
-  metrics : Imdb_obs.Metrics.t;
+  metrics : Mx.t;
   tracer : Imdb_obs.Tracer.t;
   config : config;
   mutable meta : Meta.t;
@@ -256,7 +266,7 @@ let update_meta t mutate =
 (* Allocate a page: from the freelist if possible, else extend the file.
    The page is formatted and redo-logged; the caller finds it cached. *)
 let alloc_page t ~ptype ~level ~table_id =
-  Imdb_obs.Metrics.incr t.metrics Imdb_obs.Metrics.pages_allocated;
+  Mx.incr t.metrics pages_allocated;
   let from_freelist = t.meta.Meta.freelist_head <> 0 in
   let pid =
     if from_freelist then begin
@@ -359,7 +369,7 @@ let begin_txn ?(session = 0) t ~isolation =
   in
   Tid.Table.replace t.active tid txn;
   Imdb_obs.Tracer.instant t.tracer "txn.begin"
-    ~attrs:[ ("tid", Tid.to_string tid) ];
+    ~attrs:(fun () -> [ ("tid", Tid.to_string tid) ]);
   txn
 
 let check_running txn =
@@ -438,12 +448,11 @@ let fold_txn_stats t txn ~committed ?latency_ticks ?batch_pos () =
   (* the registry's session.* counters are commit-time only: aborted
      work stays visible in the per-session stats above, but never in the
      counter exposition the bench gates pin *)
-  let module Mx = Imdb_obs.Metrics in
   if committed then begin
     if txn.tx_rows_read > 0 then
-      Mx.incr ~by:txn.tx_rows_read t.metrics Mx.session_rows_read;
+      Mx.add t.metrics session_rows_read txn.tx_rows_read;
     if txn.tx_rows_written > 0 then
-      Mx.incr ~by:txn.tx_rows_written t.metrics Mx.session_rows_written
+      Mx.add t.metrics session_rows_written txn.tx_rows_written
   end
 
 let session_stats_list t =
@@ -543,8 +552,8 @@ let stamp ?key t fr =
             ~resolve:(Imdb_tstamp.Lazy_stamper.resolve_for_stamping t.stamper)
             ~on_stamp:(fun _ tid -> Imdb_tstamp.Lazy_stamper.on_stamp t.stamper tid)
         in
-        Imdb_obs.Tracer.add_attr sp "page" (string_of_int (BP.page_id fr));
-        Imdb_obs.Tracer.add_attr sp "stamped" (string_of_int n))
+        Imdb_obs.Tracer.add_attr sp "page" string_of_int (BP.page_id fr);
+        Imdb_obs.Tracer.add_attr sp "stamped" string_of_int n)
 
 (* ------------------------------------------------------------------ *)
 (* History pages                                                        *)
@@ -555,17 +564,16 @@ let decode_history t b =
   Imdb_obs.Tracer.with_span t.tracer "compress.decode" (fun sp ->
       let t0 = Unix.gettimeofday () in
       let img = Imdb_storage.Vcompress.decode b in
-      Imdb_obs.Metrics.observe t.metrics Imdb_obs.Metrics.h_compress_decode_ns
+      Mx.observe t.metrics h_compress_decode_ns
         (int_of_float ((Unix.gettimeofday () -. t0) *. 1e9));
-      Imdb_obs.Tracer.add_attr sp "page" (string_of_int (P.page_id b));
+      Imdb_obs.Tracer.add_attr sp "page" string_of_int (P.page_id b);
       img)
 
 let memoize_history t pid h =
-  let module M = Imdb_obs.Metrics in
   if Queue.length t.hist_decoded_order >= max 64 t.config.histcache_capacity
   then begin
     Hashtbl.remove t.hist_decoded (Queue.pop t.hist_decoded_order);
-    M.incr t.metrics M.histcache_evictions
+    Mx.incr t.metrics histcache_evictions
   end;
   Hashtbl.replace t.hist_decoded pid h;
   Queue.push pid t.hist_decoded_order
@@ -578,13 +586,12 @@ let memoize_history t pid h =
    never aliases a frame.  A page that is not compressed history is no
    history page: [Vcompress.decode] raises [Invalid_argument]. *)
 let history_page t pid =
-  let module M = Imdb_obs.Metrics in
   match Hashtbl.find_opt t.hist_decoded pid with
   | Some h ->
-      M.incr t.metrics M.histcache_hits;
+      Mx.incr t.metrics histcache_hits;
       h
   | None ->
-      M.incr t.metrics M.histcache_misses;
+      Mx.incr t.metrics histcache_misses;
       let img = BP.with_page t.pool pid (fun fr -> decode_history t (BP.bytes fr)) in
       let h = { hi_image = img; hi_dir = lazy (Imdb_version.Vpage.directory img) } in
       memoize_history t pid h;
@@ -595,14 +602,13 @@ let history_page t pid =
    straight from the pinned frame: a page the walk only passes through is
    neither decoded nor memoized. *)
 let history_link t pid =
-  let module M = Imdb_obs.Metrics in
   let link page = (P.split_time page, P.history_pointer page) in
   match Hashtbl.find_opt t.hist_decoded pid with
   | Some h ->
-      M.incr t.metrics M.histcache_hits;
+      Mx.incr t.metrics histcache_hits;
       link h.hi_image
   | None ->
-      M.incr t.metrics M.histcache_misses;
+      Mx.incr t.metrics histcache_misses;
       BP.with_page t.pool pid (fun fr -> link (BP.bytes fr))
 
 (* ------------------------------------------------------------------ *)
@@ -626,7 +632,6 @@ let history_link t pid =
    checkpoint: deleting a mapping an earlier checkpoint posted is safe
    only when recovery can no longer start from that one. *)
 let checkpoint t =
-  let module M = Imdb_obs.Metrics in
   Imdb_obs.Tracer.with_span t.tracer "checkpoint" @@ fun sp ->
   (* Sweep pages dirty since before the previous checkpoint, so the
      redo-scan start point (and the PTT GC horizon) moves forward: a page
@@ -691,11 +696,11 @@ let checkpoint t =
   (* make the GC deletions durable: otherwise a crash forgets them and
      the PTT keeps mappings no version needs *)
   if collected > 0 then Imdb_wal.Wal.flush t.wal;
-  M.incr t.metrics M.checkpoints;
-  Imdb_obs.Tracer.add_attr sp "swept" (string_of_int swept);
-  Imdb_obs.Tracer.add_attr sp "dirty_pages" (string_of_int (List.length dpt));
-  Imdb_obs.Tracer.add_attr sp "ptt_posted" (string_of_int posted);
-  Imdb_obs.Tracer.add_attr sp "ptt_collected" (string_of_int collected);
+  Mx.incr t.metrics checkpoints;
+  Imdb_obs.Tracer.add_attr sp "swept" string_of_int swept;
+  Imdb_obs.Tracer.add_attr sp "dirty_pages" string_of_int (List.length dpt);
+  Imdb_obs.Tracer.add_attr sp "ptt_posted" string_of_int posted;
+  Imdb_obs.Tracer.add_attr sp "ptt_collected" string_of_int collected;
   Log.debug (fun m ->
       m "checkpoint at %Ld: swept %d pages, dpt %d, att %d, redo start %Ld, posted %d, GC'd %d"
         lsn swept (List.length dpt) (List.length att) redo_scan_start posted collected);
@@ -736,42 +741,17 @@ let make ?metrics ~disk ~log_device ~config ~clock () =
   (* One registry per engine: every component below is pointed at it, so
      two engines in one process never share (or clobber) counters. *)
   let metrics =
-    match metrics with Some m -> m | None -> Imdb_obs.Metrics.create ()
+    match metrics with Some m -> m | None -> Mx.create ()
   in
   (* Pre-register the hot-path instruments so the exposition shows them
      at zero even before the first eviction sweep / batched commit. *)
-  let module Mx = Imdb_obs.Metrics in
-  Mx.ensure_counter metrics Mx.buf_clock_sweeps;
-  Mx.ensure_counter metrics Mx.keydir_hits;
-  Mx.ensure_counter metrics Mx.keydir_misses;
-  Mx.ensure_counter metrics Mx.histcache_hits;
-  Mx.ensure_counter metrics Mx.histcache_misses;
-  Mx.ensure_counter metrics Mx.histcache_evictions;
-  Mx.ensure_counter metrics Mx.hist_bytes_written;
-  Mx.ensure_counter metrics Mx.compress_raw_bytes;
-  Mx.ensure_counter metrics Mx.trace_spans;
-  Mx.ensure_counter metrics Mx.trace_drops;
-  Mx.ensure_counter metrics Mx.trace_slow_ops;
-  Mx.ensure_counter metrics Mx.recovery_torn_pages;
-  Mx.ensure_counter metrics Mx.ingest_appends;
-  Mx.ensure_counter metrics Mx.ingest_flushes;
-  Mx.ensure_counter metrics Mx.ingest_flush_messages;
-  Mx.ensure_counter metrics Mx.ingest_flush_pages;
-  Mx.ensure_counter metrics Mx.ingest_deferred_splits;
-  Mx.ensure_counter metrics Mx.lock_acquires;
-  Mx.ensure_counter metrics Mx.lock_conflicts;
-  Mx.ensure_counter metrics Mx.lock_deadlocks;
-  Mx.ensure_counter metrics Mx.lock_timeouts;
-  Mx.ensure_counter metrics Mx.session_rows_read;
-  Mx.ensure_counter metrics Mx.session_rows_written;
-  Mx.ensure_counter metrics Mx.monitor_samples;
-  Mx.ensure_counter metrics Mx.monitor_dropped;
-  Mx.set_gauge metrics Mx.recovery_redo_lsn 0;
-  Mx.ensure_histogram metrics Mx.h_lock_wait_us;
-  Mx.ensure_histogram metrics Mx.h_group_commit_batch;
-  Mx.ensure_histogram metrics Mx.h_compress_decode_ns;
-  Mx.ensure_histogram metrics Mx.h_ptt_gc_batch;
-  Mx.ensure_histogram metrics Mx.h_ingest_flush_run;
+  List.iter
+    (fun n -> Mx.ensure_counter metrics (Mx.counter_of n))
+    [ Mx.buf_clock_sweeps; Mx.keydir_hits; Mx.keydir_misses; Mx.histcache_hits; Mx.histcache_misses; Mx.histcache_evictions; Mx.hist_bytes_written; Mx.compress_raw_bytes; Mx.trace_spans; Mx.trace_drops; Mx.trace_slow_ops; Mx.recovery_torn_pages; Mx.ingest_appends; Mx.ingest_flushes; Mx.ingest_flush_messages; Mx.ingest_flush_pages; Mx.ingest_deferred_splits; Mx.lock_acquires; Mx.lock_conflicts; Mx.lock_deadlocks; Mx.lock_timeouts; Mx.session_rows_read; Mx.session_rows_written; Mx.monitor_samples; Mx.monitor_dropped ];
+  Mx.set_gauge metrics (Mx.gauge_of Mx.recovery_redo_lsn) 0;
+  List.iter
+    (fun n -> Mx.ensure_histogram metrics (Mx.histogram_of n))
+    [ Mx.h_lock_wait_us; Mx.h_group_commit_batch; Mx.h_compress_decode_ns; Mx.h_ptt_gc_batch; Mx.h_ingest_flush_run ];
   (* The tracer: null when sampling is off, so every instrumentation
      site costs a single branch on the shared disabled instance. *)
   let tracer =
@@ -924,12 +904,12 @@ let flight_report t ~reason =
     [
       ("flight_schema_version", J.Int 1);
       ("reason", J.String reason);
-      ("metrics_schema_version", J.Int Imdb_obs.Metrics.schema_version);
+      ("metrics_schema_version", J.Int Mx.schema_version);
       ("monitor", Imdb_obs.Monitor.to_json t.monitor);
       ("sessions", sessions_json t);
       ("locks", Imdb_lock.Lock_manager.dump_json t.locks);
       ("traces", Imdb_obs.Tracer.to_json t.tracer);
-      ("metrics", Imdb_obs.Metrics.to_json t.metrics);
+      ("metrics", Mx.to_json t.metrics);
     ]
 
 (* Best-effort: a failing flight-recorder write must never mask the

@@ -46,6 +46,10 @@ module LR = Imdb_wal.Log_record
 module E = Engine
 module Mx = Imdb_obs.Metrics
 
+let recovery_redo = Mx.counter_of Mx.recovery_redo
+let recovery_redo_lsn = Mx.gauge_of Mx.recovery_redo_lsn
+let recovery_torn_pages = Mx.counter_of Mx.recovery_torn_pages
+
 let log_src = Logs.Src.create "imdb.recovery" ~doc:"Immortal DB crash recovery"
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
@@ -105,7 +109,7 @@ let analyze_frame a lsn = function
    not cover. *)
 let rebuild_page_from_log eng page_id =
   Log.warn (fun m -> m "page %d is torn; rebuilding it from the full log" page_id);
-  Mx.incr eng.E.metrics Mx.recovery_torn_pages;
+  Mx.incr eng.E.metrics recovery_torn_pages;
   let fr = BP.pin_new eng.E.pool page_id in
   let page = BP.bytes fr in
   P.set_page_id page page_id;
@@ -150,7 +154,7 @@ let pin_for_redo eng page_id ~rebuilds =
     with BP.Corrupt_page _ ->
       if rebuilds then begin
         (* torn, but the op about to replay rebuilds the page wholesale *)
-        Mx.incr eng.E.metrics Mx.recovery_torn_pages;
+        Mx.incr eng.E.metrics recovery_torn_pages;
         `Fresh (fresh ())
       end
       else `Frame (rebuild_page_from_log eng page_id))
@@ -212,9 +216,9 @@ let pass eng ~checkpoint_lsn =
                     let fresh = match pinned with `Fresh _ -> true | `Frame _ -> false in
                     if fresh || Int64.compare (P.lsn page) lsn < 0 then begin
                       LR.redo_op page op;
-                      Mx.incr eng.E.metrics Mx.recovery_redo;
+                      Mx.incr eng.E.metrics recovery_redo;
                       last_applied := lsn;
-                      Mx.set_gauge eng.E.metrics Mx.recovery_redo_lsn (Int64.to_int lsn);
+                      Mx.set_gauge eng.E.metrics recovery_redo_lsn (Int64.to_int lsn);
                       BP.mark_dirty_logged eng.E.pool fr ~lsn
                     end))
         | _ -> ()
@@ -225,6 +229,8 @@ let pass eng ~checkpoint_lsn =
   (a, redo_start, !last_applied)
 
 (* --- the full open-time protocol ---------------------------------------------- *)
+
+let redo_records eng = string_of_int (Mx.get eng.E.metrics Mx.recovery_redo)
 
 (* The recovery span (and its per-phase children) close on exception too
    — [Tracer.with_span] is [Fun.protect]-based. *)
@@ -245,16 +251,13 @@ let recover eng =
                 m "recovery: checkpoint %Ld, %d in-flight txns, %d dirty pages, %d commits known"
                   checkpoint_lsn (List.length a.att) (List.length a.dpt)
                   (List.length a.commits));
-            List.iter
-              (fun (k, v) -> Tr.add_attr rsp k (string_of_int v))
-              [
-                ("att", List.length a.att);
-                ("dirty_pages", List.length a.dpt);
-                ("commits", List.length a.commits);
-                ("redo_start", Int64.to_int redo_start);
-                ("redo_end", Int64.to_int redo_end);
-                ("records", Mx.get eng.E.metrics Mx.recovery_redo);
-              ];
+            let count l = string_of_int (List.length l) in
+            Tr.add_attr rsp "att" count a.att;
+            Tr.add_attr rsp "dirty_pages" count a.dpt;
+            Tr.add_attr rsp "commits" count a.commits;
+            Tr.add_attr rsp "redo_start" Int64.to_string redo_start;
+            Tr.add_attr rsp "redo_end" Int64.to_string redo_end;
+            Tr.add_attr rsp "records" redo_records eng;
             (* scrub: a write torn by the crash may sit on a page the redo
                scan never visits (e.g. dirtied only by unlogged stamping);
                detect by checksum and rebuild from the log *)
@@ -271,7 +274,7 @@ let recover eng =
                 BP.flush_page eng.E.pool pid
               end
             done;
-            Tr.add_attr rsp "scrubbed" (string_of_int !scrubbed);
+            Tr.add_attr rsp "scrubbed" string_of_int !scrubbed;
             a)
       in
       (* the redone meta page is authoritative now *)
@@ -302,10 +305,10 @@ let recover eng =
                 Txnmgr.rollback_loser eng ~tid ~last_lsn
               else ignore (Imdb_wal.Wal.append eng.E.wal (LR.End { tid })))
             a.att;
-          Tr.add_attr usp "losers" (string_of_int losers));
+          Tr.add_attr usp "losers" string_of_int losers);
       Log.info (fun m -> m "recovery: rolled back %d losers" losers);
-      Tr.add_attr sp "losers" (string_of_int losers);
-      Tr.add_attr sp "redo_records" (string_of_int (Mx.get eng.E.metrics Mx.recovery_redo));
+      Tr.add_attr sp "losers" string_of_int losers;
+      Tr.add_attr sp "redo_records" redo_records eng;
       (* a fresh checkpoint caps the next recovery's work *)
       ignore (E.checkpoint eng);
       (* crash evidence (losers rolled back, or torn writes scrubbed)

@@ -22,6 +22,8 @@ module Ts = Imdb_clock.Timestamp
 module Tid = Imdb_clock.Tid
 module E = Engine
 
+let asof_versions = Imdb_obs.Metrics.counter_of Imdb_obs.Metrics.asof_versions
+
 exception Unresolved_tid of Tid.t
 
 type t = {
@@ -123,7 +125,7 @@ let write t txn ~key ~payload ~stub =
             match resolve_ts t ~ttime ~sn with
             | Some ts ->
                 Imdb_obs.Tracer.instant t.eng.E.tracer "splitstore.displace"
-                  ~attrs:[ ("ts", Ts.to_string ts) ];
+                  ~attrs:(fun () -> [ ("ts", Ts.to_string ts) ]);
                 Imdb_btree.Btree.insert t.history ~key:(history_key ~key ~ts)
                   ~value:(encode_history ~stub:old_stub ~payload:old_payload);
                 (* the displaced row no longer carries its writer's TID *)
@@ -170,7 +172,7 @@ let read_current t txn ~key =
 let read_as_of t txn ~key ~ts =
   E.check_running txn;
   let from_history () =
-    Imdb_obs.Metrics.incr t.eng.E.metrics Imdb_obs.Metrics.asof_versions;
+    Imdb_obs.Metrics.incr t.eng.E.metrics asof_versions;
     match Imdb_btree.Btree.find_floor t.history ~key:(history_key ~key ~ts) with
     | None -> None
     | Some (hk, v) ->
@@ -210,7 +212,7 @@ let scan_as_of t txn ~ts f =
   Imdb_btree.Btree.iter t.history (fun hk v ->
       let key, start = split_history_key hk in
       if (not (Hashtbl.mem emitted key)) && Ts.compare start ts <= 0 then begin
-        Imdb_obs.Metrics.incr t.eng.E.metrics Imdb_obs.Metrics.asof_versions;
+        Imdb_obs.Metrics.incr t.eng.E.metrics asof_versions;
         let stub, payload = decode_history v in
         match Hashtbl.find_opt best key with
         | Some (prev, _, _) when Ts.compare prev start >= 0 -> ()

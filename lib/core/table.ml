@@ -26,6 +26,19 @@ module BP = Imdb_buffer.Buffer_pool
 module LR = Imdb_wal.Log_record
 module V = Imdb_version.Vpage
 module E = Engine
+module Mx = Imdb_obs.Metrics
+
+let asof_pages = Mx.counter_of Mx.asof_pages
+let asof_versions = Mx.counter_of Mx.asof_versions
+let compress_raw_bytes = Mx.counter_of Mx.compress_raw_bytes
+let hist_bytes_written = Mx.counter_of Mx.hist_bytes_written
+let compress_ratio = Mx.gauge_of Mx.compress_ratio
+let ingest_appends = Mx.counter_of Mx.ingest_appends
+let ingest_deferred_splits = Mx.counter_of Mx.ingest_deferred_splits
+let ingest_flush_messages = Mx.counter_of Mx.ingest_flush_messages
+let ingest_flush_pages = Mx.counter_of Mx.ingest_flush_pages
+let ingest_flushes = Mx.counter_of Mx.ingest_flushes
+let h_ingest_flush_run = Mx.histogram_of Mx.h_ingest_flush_run
 
 exception Duplicate_key of string
 exception No_such_key of string
@@ -190,9 +203,9 @@ let split_data_page ?split_at eng ti ~pid ~low ~high =
   Imdb_wal.Wal.atomically eng.E.wal @@ fun () ->
   let threshold = eng.E.config.E.key_split_threshold in
   let key_split_page fr =
-    Imdb_obs.Tracer.with_span eng.E.tracer "split.key"
-      ~attrs:[ ("table", ti.Catalog.ti_name); ("page", string_of_int pid) ]
-    @@ fun sp ->
+    Imdb_obs.Tracer.with_span eng.E.tracer "split.key" @@ fun sp ->
+    Imdb_obs.Tracer.add_attr sp "table" Fun.id ti.Catalog.ti_name;
+    Imdb_obs.Tracer.add_attr sp "page" string_of_int pid;
     let page = BP.bytes fr in
     if not (V.has_two_keys page) then
       raise
@@ -204,7 +217,7 @@ let split_data_page ?split_at eng ti ~pid ~low ~high =
     E.exec_op eng fr ~undoable:false (LR.Op_image { image = ks.V.ks_left });
     BP.with_page eng.E.pool right_pid (fun rfr ->
         E.exec_op eng rfr ~undoable:false (LR.Op_image { image = ks.V.ks_right }));
-    Imdb_obs.Tracer.add_attr sp "right_page" (string_of_int right_pid);
+    Imdb_obs.Tracer.add_attr sp "right_page" string_of_int right_pid;
     Imdb_btree.Btree.insert ~undoable:false (router eng ti) ~key:ks.V.ks_separator
       ~value:(page_id_value right_pid)
   in
@@ -224,9 +237,9 @@ let split_data_page ?split_at eng ti ~pid ~low ~high =
              it, and this time sheds nothing more *)
           key_split_page fr
       | Catalog.Immortal ->
-          Imdb_obs.Tracer.with_span eng.E.tracer "split.time"
-            ~attrs:[ ("table", ti.Catalog.ti_name); ("page", string_of_int pid) ]
-          @@ fun sp ->
+          Imdb_obs.Tracer.with_span eng.E.tracer "split.time" @@ fun sp ->
+          Imdb_obs.Tracer.add_attr sp "table" Fun.id ti.Catalog.ti_name;
+          Imdb_obs.Tracer.add_attr sp "page" string_of_int pid;
           (* split at now, strictly after every issued commit timestamp
              (or at the flush's deferred clock reading) *)
           let old_split = P.split_time page in
@@ -254,14 +267,14 @@ let split_data_page ?split_at eng ti ~pid ~low ~high =
             Imdb_storage.Vcompress.encode images.V.si_history
           in
           let m = eng.E.metrics in
-          let module M = Imdb_obs.Metrics in
-          M.incr ~by:(Bytes.length images.V.si_history) m M.compress_raw_bytes;
-          M.incr ~by:(Bytes.length hist_image) m M.hist_bytes_written;
-          M.set_gauge m M.compress_ratio
-            (M.get m M.hist_bytes_written * 100 / M.get m M.compress_raw_bytes);
-          Imdb_obs.Tracer.add_attr sp "hist_page" (string_of_int hist_pid);
+          Mx.add m compress_raw_bytes (Bytes.length images.V.si_history);
+          Mx.add m hist_bytes_written (Bytes.length hist_image);
+          Mx.set_gauge m compress_ratio
+            (Mx.get m Mx.hist_bytes_written * 100 / Mx.get m Mx.compress_raw_bytes);
+          Imdb_obs.Tracer.add_attr sp "hist_page" string_of_int hist_pid;
           Imdb_obs.Tracer.add_attr sp "hist_bytes"
-            (string_of_int (Bytes.length hist_image));
+            (fun b -> string_of_int (Bytes.length b))
+            hist_image;
           BP.with_page eng.E.pool hist_pid (fun hfr ->
               E.exec_op eng hfr ~undoable:false (LR.Op_image { image = hist_image }));
           (match tsb eng ti with
@@ -386,8 +399,8 @@ let apply_run eng ti ~pid run =
           (LR.Op_version_batch
              { inserts = List.rev !batch; table_id = ti.Catalog.ti_id });
         let m = eng.E.metrics in
-        Imdb_obs.Metrics.incr m Imdb_obs.Metrics.ingest_flush_pages;
-        Imdb_obs.Metrics.observe m Imdb_obs.Metrics.h_ingest_flush_run !applied
+        Mx.incr m ingest_flush_pages;
+        Mx.observe m h_ingest_flush_run !applied
       end;
       leftover)
 
@@ -411,8 +424,7 @@ let apply_messages eng ti msgs =
         (match leftover with
         | [] -> go 4 rest
         | m :: _ ->
-            Imdb_obs.Metrics.incr eng.E.metrics
-              Imdb_obs.Metrics.ingest_deferred_splits;
+            Mx.incr eng.E.metrics ingest_deferred_splits;
             split_data_page eng ti ~pid ~low ~high
               ~split_at:(Ts.succ m.Ingest.m_clock);
             let progressed = List.length leftover < List.length run in
@@ -430,9 +442,8 @@ let apply_messages eng ti msgs =
    leaves nothing for a nested flush to apply. *)
 let drain eng ti pid =
   Imdb_wal.Wal.atomically eng.E.wal @@ fun () ->
-  Imdb_obs.Tracer.with_span eng.E.tracer "ingest.flush"
-    ~attrs:[ ("table", ti.Catalog.ti_name) ]
-  @@ fun sp ->
+  Imdb_obs.Tracer.with_span eng.E.tracer "ingest.flush" @@ fun sp ->
+  Imdb_obs.Tracer.add_attr sp "table" Fun.id ti.Catalog.ti_name;
   let msgs =
     BP.with_page eng.E.pool pid (fun fr ->
         let page = BP.bytes fr in
@@ -448,9 +459,9 @@ let drain eng ti pid =
   let n = List.length msgs in
   apply_messages eng ti msgs;
   let m = eng.E.metrics in
-  Imdb_obs.Metrics.incr m Imdb_obs.Metrics.ingest_flushes;
-  Imdb_obs.Metrics.incr ~by:n m Imdb_obs.Metrics.ingest_flush_messages;
-  Imdb_obs.Tracer.add_attr sp "messages" (string_of_int n)
+  Mx.incr m ingest_flushes;
+  Mx.add m ingest_flush_messages n;
+  Imdb_obs.Tracer.add_attr sp "messages" string_of_int n
 
 (* Readers call this before descending, so buffered state is never
    visible — a buffered engine answers every query exactly like an
@@ -552,7 +563,7 @@ let write_buffered eng txn ti ~key ~payload ~kind =
   in
   Imdb_tstamp.Vtt.incr_ref (E.vtt eng) txn.E.tx_tid;
   E.note_write eng txn ~table_id:ti.Catalog.ti_id ~key;
-  Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.ingest_appends;
+  Mx.incr eng.E.metrics ingest_appends;
   if full then flush_ingest eng ti
 
 (* Insert a new version of [key] (a delete stub for [W_delete]).  SQL
@@ -560,9 +571,8 @@ let write_buffered eng txn ti ~key ~payload ~kind =
    upsert accepts both. *)
 let write_version eng txn ti ~key ~payload ~kind =
   E.check_running txn;
-  Imdb_obs.Tracer.with_span eng.E.tracer "txn.update"
-    ~attrs:[ ("table", ti.Catalog.ti_name) ]
-  @@ fun _ ->
+  Imdb_obs.Tracer.with_span eng.E.tracer "txn.update" @@ fun sp ->
+  Imdb_obs.Tracer.add_attr sp "table" Fun.id ti.Catalog.ti_name;
   E.lock_record eng txn ~table_id:ti.Catalog.ti_id ~key Imdb_lock.Lock_manager.X;
   if
     E.ingest_enabled eng ti
@@ -765,7 +775,7 @@ let historical_page eng ti ~key ~t ~current_page =
   let rec walk pid =
     if pid = P.no_page then None
     else begin
-      Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_pages;
+      Mx.incr eng.E.metrics asof_pages;
       let split, next = E.history_link eng pid in
       if Ts.compare t split >= 0 then Some pid else walk next
     end
@@ -774,7 +784,7 @@ let historical_page eng ti ~key ~t ~current_page =
   | Some index -> (
       match Imdb_tsb.Tsb.find index ~key ~ts:t with
       | Some pid ->
-          Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_pages;
+          Mx.incr eng.E.metrics asof_pages;
           Some pid
       | None ->
           (* A miss normally means the key has no version that old — but
@@ -807,7 +817,7 @@ let read_versioned_at eng txn ti ~key ~t =
       | Some result -> result
       | None ->
           let lookup_in page' =
-            Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_versions;
+            Mx.incr eng.E.metrics asof_versions;
             match V.find_stamped_as_of page' ~key ~asof:t with
             | None -> None
             | Some slot ->
@@ -928,7 +938,7 @@ let scan_range eng ?own ti ~t (low, high, pid) =
   BP.with_page eng.E.pool pid (fun fr ->
       let page = BP.bytes fr in
       E.stamp eng fr;
-      Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_pages;
+      Mx.incr eng.E.metrics asof_pages;
       let current_dir = lazy (V.directory page) in
       (* overlay: keys written by [own] in this range, decided from the
          current page regardless of which page serves time t *)
@@ -950,7 +960,7 @@ let scan_range eng ?own ti ~t (low, high, pid) =
         Array.iteri
           (fun i key ->
             if in_range key ~low ~high && not (Hashtbl.mem overlaid key) then begin
-              Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.asof_versions;
+              Mx.incr eng.E.metrics asof_versions;
               match V.stamped_as_of page' dir.V.vd_slots.(i) ~asof:t with
               | Some slot when R.in_page_flags page' slot land R.f_delete_stub = 0 ->
                   f key (R.in_page_payload page' slot)
@@ -971,9 +981,8 @@ let scan_range eng ?own ti ~t (low, high, pid) =
 (* Core of temporal scans: every clipped router range in key order, each
    range's rows sorted. *)
 let scan_versioned_at eng ?own ?lo ?hi ti ~t emit =
-  Imdb_obs.Tracer.with_span eng.E.tracer "scan.asof"
-    ~attrs:[ ("table", ti.Catalog.ti_name) ]
-  @@ fun _ ->
+  Imdb_obs.Tracer.with_span eng.E.tracer "scan.asof" @@ fun sp ->
+  Imdb_obs.Tracer.add_attr sp "table" Fun.id ti.Catalog.ti_name;
   List.iter
     (fun range -> List.iter (fun (k, p) -> emit k p) (scan_range eng ?own ti ~t range))
     (clipped_ranges eng ti ?lo ?hi ())
@@ -1011,9 +1020,8 @@ let history eng txn ti ~key =
   if ti.Catalog.ti_mode <> Catalog.Immortal then
     raise (Not_versioned (ti.Catalog.ti_name ^ ": history needs an IMMORTAL table"));
   flush_ingest eng ti;
-  Imdb_obs.Tracer.with_span eng.E.tracer "history.walk"
-    ~attrs:[ ("table", ti.Catalog.ti_name) ]
-  @@ fun _ ->
+  Imdb_obs.Tracer.with_span eng.E.tracer "history.walk" @@ fun sp ->
+  Imdb_obs.Tracer.add_attr sp "table" Fun.id ti.Catalog.ti_name;
   let seen = Hashtbl.create 16 in
   let out = ref [] in
   (* collect [key]'s committed versions ([slots]) in one page; returns the

@@ -25,6 +25,13 @@ module BP = Imdb_buffer.Buffer_pool
 module LR = Imdb_wal.Log_record
 module V = Imdb_version.Vpage
 module E = Engine
+module Mx = Imdb_obs.Metrics
+
+let txn_commits = Mx.counter_of Mx.txn_commits
+let txn_aborts = Mx.counter_of Mx.txn_aborts
+let recovery_undo = Mx.counter_of Mx.recovery_undo
+let h_commit_writes = Mx.histogram_of Mx.h_commit_writes
+let h_commit_latency_ms = Mx.histogram_of Mx.h_commit_latency_ms
 
 let begin_txn = E.begin_txn
 
@@ -94,23 +101,23 @@ let commit eng txn =
     ignore (Imdb_wal.Wal.append eng.E.wal (LR.End { tid = txn.E.tx_tid }));
     release eng txn;
     let m = eng.E.metrics in
-    Imdb_obs.Metrics.incr m Imdb_obs.Metrics.txn_commits;
-    Imdb_obs.Metrics.observe m Imdb_obs.Metrics.h_commit_writes
-      (List.length txn.E.tx_writes);
+    Mx.incr m txn_commits;
+    Mx.observe m h_commit_writes (List.length txn.E.tx_writes);
     let latency_ticks =
       if Ts.compare txn.E.tx_snapshot Ts.zero > 0 then begin
         let l = Int64.to_int (Int64.sub (Ts.ttime ts) (Ts.ttime txn.E.tx_snapshot)) in
-        Imdb_obs.Metrics.observe m Imdb_obs.Metrics.h_commit_latency_ms l;
+        Mx.observe m h_commit_latency_ms l;
         Some l
       end
       else None
     in
     E.fold_txn_stats eng txn ~committed:true ?latency_ticks ~batch_pos ();
     eng.E.commits_since_checkpoint <- eng.E.commits_since_checkpoint + 1;
-    Imdb_obs.Tracer.add_attr sp "tid" (Tid.to_string txn.E.tx_tid);
-    Imdb_obs.Tracer.add_attr sp "ts" (Ts.to_string ts);
+    Imdb_obs.Tracer.add_attr sp "tid" Tid.to_string txn.E.tx_tid;
+    Imdb_obs.Tracer.add_attr sp "ts" Ts.to_string ts;
     Imdb_obs.Tracer.add_attr sp "writes"
-      (string_of_int (List.length txn.E.tx_writes));
+      (fun w -> string_of_int (List.length w))
+      txn.E.tx_writes;
     (* an auto-checkpoint (and the PTT GC inside it) shows up as a child
        of the commit that tripped it — exactly the causality the tracer
        exists to surface *)
@@ -221,7 +228,7 @@ let rollback_chain eng txn ~from_lsn =
       | LR.Update { prev_lsn; op; _ } ->
           undo_op eng txn ~op;
           if eng.E.in_recovery then
-            Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.recovery_undo;
+            Mx.incr eng.E.metrics recovery_undo;
           go prev_lsn
       | LR.Begin _ -> ()
       | LR.Redo_only _ | LR.Commit _ | LR.End _ | LR.Checkpoint _ ->
@@ -233,9 +240,8 @@ let abort eng txn =
   (match txn.E.tx_state with
   | E.Finished -> raise E.Txn_finished
   | E.Running | E.Rolling_back -> ());
-  Imdb_obs.Tracer.with_span eng.E.tracer "txn.abort"
-    ~attrs:[ ("tid", Tid.to_string txn.E.tx_tid) ]
-  @@ fun _ ->
+  Imdb_obs.Tracer.with_span eng.E.tracer "txn.abort" @@ fun sp ->
+  Imdb_obs.Tracer.add_attr sp "tid" Tid.to_string txn.E.tx_tid;
   txn.E.tx_state <- E.Rolling_back;
   if txn.E.tx_begun then begin
     rollback_chain eng txn ~from_lsn:txn.E.tx_last_lsn;
@@ -243,7 +249,7 @@ let abort eng txn =
   end;
   Imdb_tstamp.Vtt.abort (E.vtt eng) txn.E.tx_tid;
   Imdb_tstamp.Vtt.drop (E.vtt eng) txn.E.tx_tid;
-  Imdb_obs.Metrics.incr eng.E.metrics Imdb_obs.Metrics.txn_aborts;
+  Mx.incr eng.E.metrics txn_aborts;
   release eng txn;
   E.fold_txn_stats eng txn ~committed:false ()
 

@@ -24,6 +24,12 @@
 module M = Imdb_obs.Metrics
 module Park = Imdb_util.Park
 
+let h_lock_wait_us = M.histogram_of M.h_lock_wait_us
+let lock_acquires = M.counter_of M.lock_acquires
+let lock_conflicts = M.counter_of M.lock_conflicts
+let lock_deadlocks = M.counter_of M.lock_deadlocks
+let lock_timeouts = M.counter_of M.lock_timeouts
+
 type resource = Table of int | Record of int * string (* table_id, key *)
 
 let pp_resource ppf = function
@@ -161,14 +167,14 @@ let grant t e tid res requested =
   Hashtbl.replace e.holders tid requested;
   note_held t tid res;
   Hashtbl.remove t.waits tid;
-  M.incr t.metrics M.lock_acquires
+  M.incr t.metrics lock_acquires
 
 (* --- acquisition -------------------------------------------------------- *)
 
 (* Record [tid]'s wait-for edge, or refuse it when it closes a cycle. *)
 let wait_or_deadlock t tid ~res ~mode blockers =
   if note_wait_or_cycle t tid ~res ~mode blockers then begin
-    M.incr t.metrics M.lock_deadlocks;
+    M.incr t.metrics lock_deadlocks;
     raise (Deadlock tid)
   end
 
@@ -194,18 +200,18 @@ let park_until_granted t ~timeout_us tid res mode =
         wait_or_deadlock t tid ~res ~mode blockers;
         if Park.now_us () >= deadline_us then begin
           Hashtbl.remove t.waits tid;
-          M.incr t.metrics M.lock_timeouts;
+          M.incr t.metrics lock_timeouts;
           raise (Lock_timeout { tid; res })
         end;
         loop ()
   in
-  Imdb_obs.Tracer.with_span t.tracer "lock.wait"
-    ~attrs:[ ("res", Fmt.str "%a" pp_resource res); ("mode", Fmt.str "%a" pp_mode mode) ]
-  @@ fun _ ->
+  Imdb_obs.Tracer.with_span t.tracer "lock.wait" @@ fun sp ->
+  Imdb_obs.Tracer.add_attr sp "res" (fun r -> Fmt.str "%a" pp_resource r) res;
+  Imdb_obs.Tracer.add_attr sp "mode" (fun m -> Fmt.str "%a" pp_mode m) mode;
   let waited_us = ref 0 in
   Fun.protect loop ~finally:(fun () ->
       waited_us := Park.now_us () - started;
-      M.observe t.metrics M.h_lock_wait_us !waited_us);
+      M.observe t.metrics h_lock_wait_us !waited_us);
   !waited_us
 
 (* [on_park] runs once, under [mu], just before the requester first
@@ -223,7 +229,7 @@ let acquire ?(on_park = fun () -> ignore) ~timeout_us t tid res mode =
       grant t e tid res requested;
       0
   | blockers ->
-      M.incr t.metrics M.lock_conflicts;
+      M.incr t.metrics lock_conflicts;
       wait_or_deadlock t tid ~res ~mode blockers;
       if timeout_us <= 0 then begin
         Hashtbl.remove t.waits tid;

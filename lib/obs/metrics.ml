@@ -1,116 +1,182 @@
 (* Per-engine metrics registry.
 
-   Counters and histograms are plain hashtables guarded by an [enabled]
-   flag so the shared [null] registry costs one branch per record.  The
-   histogram uses fixed power-of-two bucket bounds; percentile estimation
-   walks cumulative bucket counts, so for a given observation multiset the
-   result is a pure function — deterministic under the logical clock.
+   Names are interned once, process-wide, into dense integer handles (one
+   id space each for counters, gauges and histograms).  A registry holds,
+   per id space, an array of cells indexed by handle: [int Atomic.t] for
+   counters and gauges, and for histograms a record of an atomic sum, max
+   and power-of-two buckets.  Recording through a handle is an array load
+   and an atomic add or two: no mutex, no hashing, no allocation.  The
+   [null] registry short-circuits on [on] before the array load.
 
-   The registry is domain-safe: every mutation and read of the hashtables
-   runs under one internal mutex, because sessions on several domains (and
-   the monitor's sampler thread) record and read concurrently.  The [null] registry short-circuits on [on]
-   before touching the lock, so disabled recording stays one branch. *)
+   Presence: a slot holds the shared [absent] sentinel until its cell is
+   first ensured or recorded, and only present cells appear in readings
+   and expositions.  Creating a cell (and [reset]) takes the registry's
+   mutex and publishes a fresh copy of the array, so a published array is
+   never mutated and a writer racing with [reset] lands in the old cells.
 
+   Percentile estimation walks cumulative bucket counts, so for a given
+   observation multiset the result is a pure function — deterministic
+   under the logical clock. *)
+
+type counter = int
+type gauge = int
+type histogram = int
+
+(* --- interning ----------------------------------------------------- *)
+
+type space = { ids : (string, int) Hashtbl.t; mutable names : string array }
+
+let new_space () = { ids = Hashtbl.create 64; names = [||] }
+let counter_space = new_space ()
+let gauge_space = new_space ()
+let hist_space = new_space ()
+let intern_lock = Mutex.create ()
+
+let intern sp name =
+  Mutex.protect intern_lock (fun () ->
+      match Hashtbl.find_opt sp.ids name with
+      | Some id -> id
+      | None ->
+          let id = Hashtbl.length sp.ids in
+          Hashtbl.add sp.ids name id;
+          sp.names <- Array.append sp.names [| name |];
+          id)
+
+let counter_of = intern counter_space
+let gauge_of = intern gauge_space
+let histogram_of = intern hist_space
+let find sp name = Mutex.protect intern_lock (fun () -> Hashtbl.find_opt sp.ids name)
+let names sp = Mutex.protect intern_lock (fun () -> sp.names)
+
+(* --- registry ------------------------------------------------------ *)
+
+(* The count is the sum of the buckets, so an observation is two atomic
+   adds (its bucket and the sum) plus a load of the max. *)
 type hist = {
-  mutable hc_count : int;
-  mutable hc_sum : int;
-  mutable hc_max : int;
-  buckets : int array;
+  hc_sum : int Atomic.t;
+  hc_max : int Atomic.t;
+  buckets : int Atomic.t array;
 }
+
+(* Upper bounds 1, 2, 4, ..., 2^30, plus one overflow bucket. *)
+let bounds = Array.init 31 (fun i -> 1 lsl i)
+let n_buckets = Array.length bounds + 1
+let absent = Atomic.make 0
+let absent_hist = { hc_sum = absent; hc_max = absent; buckets = [||] }
+
+let new_hist () =
+  {
+    hc_sum = Atomic.make 0;
+    hc_max = Atomic.make 0;
+    buckets = Array.init n_buckets (fun _ -> Atomic.make 0);
+  }
 
 type t = {
   on : bool;
   lock : Mutex.t;
-  counters : (string, int ref) Hashtbl.t;
-  gauges : (string, int ref) Hashtbl.t;
-  hists : (string, hist) Hashtbl.t;
+  counters : int Atomic.t array Atomic.t;
+  gauges : int Atomic.t array Atomic.t;
+  hists : hist array Atomic.t;
 }
 
 let make on =
   {
     on;
     lock = Mutex.create ();
-    counters = Hashtbl.create 64;
-    gauges = Hashtbl.create 8;
-    hists = Hashtbl.create 16;
+    counters = Atomic.make [||];
+    gauges = Atomic.make [||];
+    hists = Atomic.make [||];
   }
 
 let create () = make true
 let null = make false
 let enabled t = t.on
 
-let locked t f = Mutex.protect t.lock f
-
 let reset t =
-  locked t (fun () ->
-      Hashtbl.reset t.counters;
-      Hashtbl.reset t.gauges;
-      Hashtbl.reset t.hists)
+  Mutex.protect t.lock (fun () ->
+      Atomic.set t.counters [||];
+      Atomic.set t.gauges [||];
+      Atomic.set t.hists [||])
+
+(* The cell for [id] in [cells], created on first use: under the
+   registry's lock, a copy of the array (grown to cover [id]) with the
+   new cell is published in place of the old. *)
+let slow_cell t cells ~absent ~fresh id =
+  Mutex.protect t.lock (fun () ->
+      let a = Atomic.get cells in
+      if id < Array.length a && a.(id) != absent then a.(id)
+      else begin
+        let b = Array.make (max (Array.length a) (id + 1)) absent in
+        Array.blit a 0 b 0 (Array.length a);
+        let c = fresh () in
+        b.(id) <- c;
+        Atomic.set cells b;
+        c
+      end)
+
+let cell t cells ~absent ~fresh id =
+  let a = Atomic.get cells in
+  if id < Array.length a then
+    let c = Array.unsafe_get a id in
+    if c != absent then c else slow_cell t cells ~absent ~fresh id
+  else slow_cell t cells ~absent ~fresh id
+
+let fresh_int () = Atomic.make 0
+let counter_cell t id = cell t t.counters ~absent ~fresh:fresh_int id
+let gauge_cell t id = cell t t.gauges ~absent ~fresh:fresh_int id
+let hist_cell t id = cell t t.hists ~absent:absent_hist ~fresh:new_hist id
+
+(* Present cells of one id space, paired with their names. *)
+let present cells ~absent sp =
+  let a = Atomic.get cells in
+  let names = names sp in
+  let acc = ref [] in
+  Array.iteri (fun id c -> if c != absent then acc := (names.(id), c) :: !acc) a;
+  List.sort (fun (x, _) (y, _) -> compare x y) !acc
+
+let lookup cells ~absent sp name =
+  match find sp name with
+  | None -> None
+  | Some id ->
+      let a = Atomic.get cells in
+      if id < Array.length a && a.(id) != absent then Some a.(id) else None
 
 (* --- counters ------------------------------------------------------ *)
 
-let cell tbl name =
-  match Hashtbl.find_opt tbl name with
-  | Some r -> r
-  | None ->
-      let r = ref 0 in
-      Hashtbl.add tbl name r;
-      r
-
-let incr ?(by = 1) t name =
-  if t.on then
-    locked t (fun () ->
-        let r = cell t.counters name in
-        r := !r + by)
+let incr t c = if t.on then Atomic.incr (counter_cell t c)
+let add t c n = if t.on then ignore (Atomic.fetch_and_add (counter_cell t c) n)
+let ensure_counter t c = if t.on then ignore (counter_cell t c)
 
 let get t name =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0)
-
-let ensure_counter t name = if t.on then locked t (fun () -> ignore (cell t.counters name))
+  match lookup t.counters ~absent counter_space name with Some c -> Atomic.get c | None -> 0
 
 (* --- gauges -------------------------------------------------------- *)
 
-let set_gauge t name v = if t.on then locked t (fun () -> (cell t.gauges name) := v)
+let set_gauge t g v = if t.on then Atomic.set (gauge_cell t g) v
 
 let gauge t name =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.gauges name with Some r -> !r | None -> 0)
+  match lookup t.gauges ~absent gauge_space name with Some c -> Atomic.get c | None -> 0
 
 (* --- histograms ---------------------------------------------------- *)
 
-(* Upper bounds 1, 2, 4, ..., 2^30, plus one overflow bucket. *)
-let bounds = Array.init 31 (fun i -> 1 lsl i)
-let n_buckets = Array.length bounds + 1
+(* The least i with v <= 2^i: the bit length of v - 1. *)
+let rec bit_length n acc = if n = 0 then acc else bit_length (n lsr 1) (acc + 1)
+let bucket_of v = if v <= 1 then 0 else min (Array.length bounds) (bit_length (v - 1) 0)
 
-let bucket_of v =
-  let rec go i =
-    if i >= Array.length bounds then Array.length bounds
-    else if v <= bounds.(i) then i
-    else go (i + 1)
-  in
-  if v <= 1 then 0 else go 1
+let rec raise_max a v =
+  let m = Atomic.get a in
+  if v > m && not (Atomic.compare_and_set a m v) then raise_max a v
 
-let hist_cell t name =
-  match Hashtbl.find_opt t.hists name with
-  | Some h -> h
-  | None ->
-      let h = { hc_count = 0; hc_sum = 0; hc_max = 0; buckets = Array.make n_buckets 0 } in
-      Hashtbl.add t.hists name h;
-      h
+let observe t h v =
+  if t.on then begin
+    let v = max 0 v in
+    let h = hist_cell t h in
+    ignore (Atomic.fetch_and_add h.hc_sum v);
+    raise_max h.hc_max v;
+    Atomic.incr h.buckets.(bucket_of v)
+  end
 
-let observe t name v =
-  if t.on then
-    locked t (fun () ->
-        let v = max 0 v in
-        let h = hist_cell t name in
-        h.hc_count <- h.hc_count + 1;
-        h.hc_sum <- h.hc_sum + v;
-        if v > h.hc_max then h.hc_max <- v;
-        let i = bucket_of v in
-        h.buckets.(i) <- h.buckets.(i) + 1)
-
-let ensure_histogram t name = if t.on then locked t (fun () -> ignore (hist_cell t name))
+let ensure_histogram t h = if t.on then ignore (hist_cell t h)
 
 type hist_summary = {
   h_count : int;
@@ -121,51 +187,62 @@ type hist_summary = {
   h_p99 : int;
 }
 
-let percentile h q =
-  if h.hc_count = 0 then 0
+(* A plain copy of one histogram's cells, read one atomic at a time. *)
+type reading = { r_count : int; r_sum : int; r_max : int; r_buckets : int array }
+
+let read h =
+  let r_buckets = Array.map Atomic.get h.buckets in
+  {
+    r_count = Array.fold_left ( + ) 0 r_buckets;
+    r_sum = Atomic.get h.hc_sum;
+    r_max = Atomic.get h.hc_max;
+    r_buckets;
+  }
+
+let percentile r q =
+  if r.r_count = 0 then 0
   else begin
-    let rank = int_of_float (Float.ceil (q *. float_of_int h.hc_count)) in
-    let rank = max 1 (min rank h.hc_count) in
+    let rank = int_of_float (Float.ceil (q *. float_of_int r.r_count)) in
+    let rank = max 1 (min rank r.r_count) in
     let rec go i cum =
-      let cum = cum + h.buckets.(i) in
+      let cum = cum + r.r_buckets.(i) in
       if cum >= rank then
-        if i < Array.length bounds then min bounds.(i) h.hc_max else h.hc_max
+        if i < Array.length bounds then min bounds.(i) r.r_max else r.r_max
       else go (i + 1) cum
     in
     go 0 0
   end
 
 let summarize h =
+  let r = read h in
   {
-    h_count = h.hc_count;
-    h_sum = h.hc_sum;
-    h_max = h.hc_max;
-    h_p50 = percentile h 0.50;
-    h_p90 = percentile h 0.90;
-    h_p99 = percentile h 0.99;
+    h_count = r.r_count;
+    h_sum = r.r_sum;
+    h_max = r.r_max;
+    h_p50 = percentile r 0.50;
+    h_p90 = percentile r 0.90;
+    h_p99 = percentile r 0.99;
   }
 
 let histogram t name =
-  locked t (fun () -> Option.map summarize (Hashtbl.find_opt t.hists name))
+  Option.map summarize (lookup t.hists ~absent:absent_hist hist_space name)
 
 let histograms t =
-  locked t (fun () ->
-      Hashtbl.fold (fun k h acc -> (k, summarize h) :: acc) t.hists [])
-  |> List.sort compare
+  List.map (fun (k, h) -> (k, summarize h)) (present t.hists ~absent:absent_hist hist_space)
 
 let percentiles t name qs =
-  locked t (fun () ->
-      match Hashtbl.find_opt t.hists name with
-      | None -> List.map (fun _ -> 0) qs
-      | Some h -> List.map (fun q -> percentile h q) qs)
+  match lookup t.hists ~absent:absent_hist hist_space name with
+  | None -> List.map (fun _ -> 0) qs
+  | Some h ->
+      let r = read h in
+      List.map (fun q -> percentile r q) qs
 
 (* --- snapshots ----------------------------------------------------- *)
 
 type snapshot = (string * int) list
 
-let snapshot t : snapshot =
-  locked t (fun () -> Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.counters [])
-  |> List.sort compare
+let int_cells cells sp = List.map (fun (k, c) -> (k, Atomic.get c)) (present cells ~absent sp)
+let snapshot t : snapshot = int_cells t.counters counter_space
 
 let diff ~(before : snapshot) ~(after : snapshot) : snapshot =
   let tbl = Hashtbl.create 16 in
@@ -227,35 +304,27 @@ let diff ~(before : snapshot) ~(after : snapshot) : snapshot =
    longer one per immortal commit. *)
 let schema_version = 13
 
-let sorted_int_obj tbl =
-  Hashtbl.fold (fun k r acc -> (k, Json.Int !r) :: acc) tbl [] |> List.sort compare
+let hist_json (k, s) =
+  ( k,
+    Json.Obj
+      [
+        ("count", Json.Int s.h_count);
+        ("sum", Json.Int s.h_sum);
+        ("max", Json.Int s.h_max);
+        ("p50", Json.Int s.h_p50);
+        ("p90", Json.Int s.h_p90);
+        ("p99", Json.Int s.h_p99);
+      ] )
+
+let int_obj kvs = Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) kvs)
 
 let to_json t =
-  locked t @@ fun () ->
-  let hists =
-    Hashtbl.fold
-      (fun k h acc ->
-        let s = summarize h in
-        ( k,
-          Json.Obj
-            [
-              ("count", Json.Int s.h_count);
-              ("sum", Json.Int s.h_sum);
-              ("max", Json.Int s.h_max);
-              ("p50", Json.Int s.h_p50);
-              ("p90", Json.Int s.h_p90);
-              ("p99", Json.Int s.h_p99);
-            ] )
-        :: acc)
-      t.hists []
-    |> List.sort compare
-  in
   Json.Obj
     [
       ("schema_version", Json.Int schema_version);
-      ("counters", Json.Obj (sorted_int_obj t.counters));
-      ("gauges", Json.Obj (sorted_int_obj t.gauges));
-      ("histograms", Json.Obj hists);
+      ("counters", int_obj (snapshot t));
+      ("gauges", int_obj (int_cells t.gauges gauge_space));
+      ("histograms", Json.Obj (List.map hist_json (histograms t)));
     ]
 
 let to_json_string t = Json.to_string (to_json t)
@@ -277,23 +346,16 @@ let prom_name name =
   "imdb_" ^ mangled
 
 let to_prometheus t =
-  locked t @@ fun () ->
   let b = Buffer.create 1024 in
-  let sorted tbl = Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [] |> List.sort compare in
+  let scalar kind (k, v) =
+    let n = prom_name k in
+    Buffer.add_string b (Printf.sprintf "# TYPE %s %s\n%s %d\n" n kind n v)
+  in
+  List.iter (scalar "counter") (snapshot t);
+  List.iter (scalar "gauge") (int_cells t.gauges gauge_space);
   List.iter
-    (fun (k, r) ->
+    (fun (k, s) ->
       let n = prom_name k in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s counter\n%s %d\n" n n !r))
-    (sorted t.counters);
-  List.iter
-    (fun (k, r) ->
-      let n = prom_name k in
-      Buffer.add_string b (Printf.sprintf "# TYPE %s gauge\n%s %d\n" n n !r))
-    (sorted t.gauges);
-  List.iter
-    (fun (k, h) ->
-      let n = prom_name k in
-      let s = summarize h in
       Buffer.add_string b (Printf.sprintf "# TYPE %s summary\n" n);
       List.iter
         (fun (q, v) ->
@@ -301,7 +363,7 @@ let to_prometheus t =
         [ ("0.5", s.h_p50); ("0.9", s.h_p90); ("0.99", s.h_p99) ];
       Buffer.add_string b (Printf.sprintf "%s_sum %d\n" n s.h_sum);
       Buffer.add_string b (Printf.sprintf "%s_count %d\n" n s.h_count))
-    (sorted t.hists);
+    (histograms t);
   Buffer.contents b
 
 (* --- canonical names ----------------------------------------------- *)

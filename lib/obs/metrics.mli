@@ -1,17 +1,29 @@
 (** Per-engine observability registry.
 
-    Replaces the old process-global [Imdb_util.Stats] table: every engine
-    owns its own registry, so two [Db.t] instances in one process never
-    share (or clobber) each other's counters.
+    Every engine owns its own registry, so two [Db.t] instances in one
+    process never share (or clobber) each other's counters.
 
-    Everything here is deterministic under the logical clock: counters
-    and histograms record logical work (I/O operations, bytes, versions,
-    logical-clock ticks), never wall time, so a bench run reproduces bit
-    for bit.  See DESIGN.md "Deterministic observability".
+    Writers record through {e handles}: a metric name is interned once,
+    process-wide, into a dense handle ([counter_of], [gauge_of],
+    [histogram_of]; the same name always yields the same handle), and
+    each registry keeps one atomic cell per handle.  Recording is an
+    array load and an atomic add — no lock, no hashing, no allocation —
+    and on [null] it is one branch.  Readers name metrics by string
+    ([get], [gauge], [histogram], [snapshot], the expositions).
 
-    The registry is domain-safe: recording and reading may happen from
-    several domains concurrently (an internal mutex guards the tables;
-    [null] short-circuits before it). *)
+    A metric appears in readings and expositions only once it has been
+    ensured or recorded in this registry.  Each cell is read atomically,
+    but a reading of several cells is not a consistent cut: a snapshot
+    taken while other domains record may see one counter before and the
+    next after the same operation, and a histogram's sum ahead of its
+    buckets.  Read at quiescent points when the figures must agree.
+
+    Counters and most histograms record logical work (I/O operations,
+    bytes, versions, logical-clock ticks), so a seeded bench run under
+    the logical clock reproduces them bit for bit.  The exceptions are
+    the hand-timed wall-clock histograms [compress.decode_ns] and
+    [lock.wait_us], and the tracer's per-span-kind duration histograms.
+    See DESIGN.md "Deterministic observability". *)
 
 type t
 
@@ -25,21 +37,39 @@ val null : t
 val enabled : t -> bool
 
 val reset : t -> unit
-(** Zero all counters, gauges and histograms of [t] only — unlike the old
-    [Stats.reset_all] this cannot touch another engine's registry. *)
+(** Zero all counters, gauges and histograms of [t] only (they leave the
+    exposition until recorded again).  A write racing with [reset] may be
+    lost. *)
+
+(** {1 Handles} *)
+
+type counter
+type gauge
+type histogram
+
+val counter_of : string -> counter
+val gauge_of : string -> gauge
+
+val histogram_of : string -> histogram
+(** Intern a name (taking a process-wide lock); call once, at module
+    initialisation or when a component is built, not per record. *)
 
 (** {1 Counters} — named, monotonic. *)
 
-val incr : ?by:int -> t -> string -> unit
+val incr : t -> counter -> unit
+
+val add : t -> counter -> int -> unit
+(** [add t c n] adds [n] to counter [c]. *)
+
 val get : t -> string -> int
 
-val ensure_counter : t -> string -> unit
+val ensure_counter : t -> counter -> unit
 (** Register the counter (at zero) so it appears in the exposition even
     before the first increment. *)
 
 (** {1 Gauges} — last-write-wins instantaneous values. *)
 
-val set_gauge : t -> string -> int -> unit
+val set_gauge : t -> gauge -> int -> unit
 val gauge : t -> string -> int
 
 (** {1 Histograms} — fixed power-of-two buckets over non-negative ints.
@@ -57,10 +87,10 @@ type hist_summary = {
   h_p99 : int;
 }
 
-val observe : t -> string -> int -> unit
+val observe : t -> histogram -> int -> unit
 (** Record one observation; negative values clamp to 0. *)
 
-val ensure_histogram : t -> string -> unit
+val ensure_histogram : t -> histogram -> unit
 (** Register the histogram (empty) so it appears in the exposition even
     before the first observation. *)
 
@@ -233,7 +263,10 @@ val h_group_commit_batch : string
 (* [h_commit_latency_ms] records clock ticks between a writer's snapshot
    and its commit timestamp — logical-clock ticks, not wall time. *)
 val h_commit_latency_ms : string
+
 val h_compress_decode_ns : string
+(** Wall-clock nanoseconds per history-page decode (hand-timed). *)
+
 val h_ptt_gc_batch : string
 val h_split_current_live : string
 val h_split_history_live : string

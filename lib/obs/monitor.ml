@@ -43,6 +43,8 @@ type t = {
 }
 
 let default_capacity = 600
+let monitor_dropped = Metrics.counter_of Metrics.monitor_dropped
+let monitor_samples = Metrics.counter_of Metrics.monitor_samples
 
 let make ~on ~metrics ~clock_us ~interval_ms ~capacity =
   {
@@ -76,8 +78,8 @@ let locked t f = Mutex.protect t.lock f
 
 let sample t =
   if t.on then begin
-    (* Snapshot outside our own lock: Metrics has its own mutex and the
-       background thread is the only ring writer anyway. *)
+    (* Snapshot outside our own lock: the background thread is the only
+       ring writer anyway. *)
     let counters = Metrics.snapshot t.metrics in
     let at = t.clock_us () in
     locked t (fun () ->
@@ -86,10 +88,10 @@ let sample t =
         if Queue.length t.samples >= t.capacity then begin
           ignore (Queue.pop t.samples);
           t.dropped <- t.dropped + 1;
-          Metrics.incr t.metrics Metrics.monitor_dropped
+          Metrics.incr t.metrics monitor_dropped
         end;
         Queue.push s t.samples;
-        Metrics.incr t.metrics Metrics.monitor_samples)
+        Metrics.incr t.metrics monitor_samples)
   end
 
 let samples t =

@@ -1,7 +1,8 @@
 (* Hierarchical span tracer.  See tracer.mli for the contract.
 
    Concurrency model: one mutex guards everything — the id allocator,
-   the per-domain stacks of open spans, and both rings.  Spans are rare
+   the per-domain stacks of open spans, both rings and the per-span-name
+   duration histogram handles (each name interned once).  Spans are rare
    relative to the operations they wrap (and sampling thins them
    further), so a single lock is simpler than striping and keeps drop
    accounting exact.  The [null] tracer short-circuits on [on] before
@@ -52,7 +53,12 @@ type t = {
   slow : completed Queue.t;
   mutable slow_dropped_n : int;
   stacks : (int, span list ref) Hashtbl.t; (* domain id -> open spans *)
+  span_hists : (string, Metrics.histogram) Hashtbl.t; (* span name -> "span.<name>_us" *)
 }
+
+let trace_spans = Metrics.counter_of Metrics.trace_spans
+let trace_drops = Metrics.counter_of Metrics.trace_drops
+let trace_slow_ops = Metrics.counter_of Metrics.trace_slow_ops
 
 let default_clock () = int_of_float (Unix.gettimeofday () *. 1_000_000.)
 
@@ -73,6 +79,7 @@ let make on ~capacity ~slow_capacity ~slow_threshold_us ~sampling ~metrics =
     slow = Queue.create ();
     slow_dropped_n = 0;
     stacks = Hashtbl.create 8;
+    span_hists = Hashtbl.create 16;
   }
 
 let null =
@@ -107,7 +114,7 @@ let push_ring t c =
   if Queue.length t.ring >= t.capacity then begin
     ignore (Queue.pop t.ring);
     t.ring_dropped <- t.ring_dropped + 1;
-    Metrics.incr t.metrics Metrics.trace_drops
+    Metrics.incr t.metrics trace_drops
   end;
   Queue.push c t.ring
 
@@ -118,7 +125,16 @@ let push_slow t c =
   end;
   Queue.push c t.slow
 
-let add_attr sp k v = if sp.sp_sampled then sp.sp_attrs <- (k, v) :: sp.sp_attrs
+let add_attr sp k fmt v = if sp.sp_sampled then sp.sp_attrs <- (k, fmt v) :: sp.sp_attrs
+
+(* Called under the lock. *)
+let span_hist t name =
+  match Hashtbl.find_opt t.span_hists name with
+  | Some h -> h
+  | None ->
+      let h = Metrics.histogram_of (Metrics.span_hist name) in
+      Hashtbl.add t.span_hists name h;
+      h
 
 let open_span t ~attrs name =
   locked t (fun () ->
@@ -170,11 +186,11 @@ let close_span t sp =
           }
         in
         push_ring t c;
-        Metrics.incr t.metrics Metrics.trace_spans;
-        Metrics.observe t.metrics (Metrics.span_hist sp.sp_name) dur;
+        Metrics.incr t.metrics trace_spans;
+        Metrics.observe t.metrics (span_hist t sp.sp_name) dur;
         if dur >= t.slow_threshold_us then begin
           push_slow t c;
-          Metrics.incr t.metrics Metrics.trace_slow_ops
+          Metrics.incr t.metrics trace_slow_ops
         end
       end)
 
@@ -185,7 +201,7 @@ let with_span t ?(attrs = []) name f =
     Fun.protect ~finally:(fun () -> close_span t sp) (fun () -> f sp)
   end
 
-let instant t ?(attrs = []) name =
+let instant t ?(attrs = fun () -> []) name =
   if t.on then
     locked t (fun () ->
         let did = (Domain.self () :> int) in
@@ -207,10 +223,10 @@ let instant t ?(attrs = []) name =
               c_domain = did;
               c_start_us = now;
               c_dur_us = 0;
-              c_attrs = attrs;
+              c_attrs = attrs ();
               c_instant = true;
             };
-          Metrics.incr t.metrics Metrics.trace_spans
+          Metrics.incr t.metrics trace_spans
         end)
 
 let spans t = if not t.on then [] else locked t (fun () -> List.of_seq (Queue.to_seq t.ring))

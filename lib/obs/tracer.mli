@@ -24,7 +24,9 @@
       children inherit their root's fate so sampled traces are always
       complete trees, never torn fragments.
     - {b Cheap when off.} The shared [null] tracer short-circuits on one
-      immutable boolean before any lock or allocation.
+      immutable boolean before any lock or allocation.  Attribute values
+      are formatted lazily ([add_attr]'s formatter, [instant]'s thunk),
+      only for sampled spans.
     - {b Domain-safe.} One internal mutex guards the rings and the
       per-domain stacks of open spans, so sessions on several domains
       may record spans concurrently.
@@ -68,17 +70,23 @@ val with_span :
 (** [with_span t name f] opens a span, runs [f], and closes the span when
     [f] returns or raises.  The parent is the innermost open span of the
     calling domain.  When [t] is disabled this is a single branch: [f]
-    gets a shared inert span. *)
+    gets a shared inert span.  [attrs] is built by the caller whether or
+    not the span is sampled, so pass only ready-made strings there;
+    anything computed goes through [add_attr]. *)
 
-val add_attr : span -> string -> string -> unit
-(** Attach a key/value to an open span (no-op on unsampled handles).
-    Later values win on duplicate keys at export time. *)
+val add_attr : span -> string -> ('a -> string) -> 'a -> unit
+(** [add_attr sp key fmt v] attaches [key = fmt v] to an open span.
+    [fmt] runs only when [sp] is sampled, so an unsampled or disabled
+    span formats nothing.  Later values win on duplicate keys at export
+    time. *)
 
 val span_id : span -> int
 (** 0 for disabled/unsampled handles. *)
 
-val instant : t -> ?attrs:(string * string) list -> string -> unit
-(** A zero-duration point event, parented like a span. *)
+val instant : t -> ?attrs:(unit -> (string * string) list) -> string -> unit
+(** A zero-duration point event, parented like a span.  [attrs] runs
+    only when the event is recorded (tracer on, root sampled), under the
+    tracer's lock: it must not call back into the tracer. *)
 
 (** {1 Reading back} *)
 

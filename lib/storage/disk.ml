@@ -13,6 +13,9 @@
 
 module M = Imdb_obs.Metrics
 
+let disk_reads = M.counter_of M.disk_reads
+let disk_writes = M.counter_of M.disk_writes
+
 type t = {
   page_size : int;
   read_page : int -> bytes;
@@ -51,14 +54,14 @@ let in_memory ?(metrics = M.null) ~page_size () =
       page_size;
       read_page =
         (fun id ->
-          M.incr !(t.metrics) M.disk_reads;
+          M.incr !(t.metrics) disk_reads;
           match Hashtbl.find_opt platter id with
           | Some b -> Bytes.copy b
           | None -> raise (Page_missing id));
       write_page =
         (fun id b ->
           check_size t b;
-          M.incr !(t.metrics) M.disk_writes;
+          M.incr !(t.metrics) disk_writes;
           Hashtbl.replace platter id (Bytes.copy b);
           if id + 1 > !hwm then hwm := id + 1);
       page_exists = (fun id -> Hashtbl.mem platter id);
@@ -88,7 +91,7 @@ let file ?(metrics = M.null) ~path ~page_size () =
       read_page =
         (fun id ->
           ensure_open ();
-          M.incr !(t.metrics) M.disk_reads;
+          M.incr !(t.metrics) disk_reads;
           if id >= file_pages () then raise (Page_missing id);
           let b = Bytes.create page_size in
           ignore (Unix.lseek fd (id * page_size) Unix.SEEK_SET);
@@ -105,7 +108,7 @@ let file ?(metrics = M.null) ~path ~page_size () =
         (fun id b ->
           ensure_open ();
           check_size t b;
-          M.incr !(t.metrics) M.disk_writes;
+          M.incr !(t.metrics) disk_writes;
           ignore (Unix.lseek fd (id * page_size) Unix.SEEK_SET);
           let rec drain off =
             if off < page_size then

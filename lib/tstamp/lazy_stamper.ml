@@ -22,6 +22,9 @@
 module Ts = Imdb_clock.Timestamp
 module Tid = Imdb_clock.Tid
 
+let h_ptt_gc_batch =
+  Imdb_obs.Metrics.histogram_of Imdb_obs.Metrics.h_ptt_gc_batch
+
 type t = {
   vtt : Vtt.t;
   mutable ptt : Ptt.t option; (* None until the engine wires storage up *)
@@ -155,11 +158,10 @@ let garbage_collect t ~redo_scan_start =
   in
   if posted <> [] then ignore (Ptt.delete_batch (ptt_exn t) posted);
   List.iter (fun e -> Vtt.drop t.vtt e.Vtt.tid) candidates;
-  Imdb_obs.Metrics.observe t.metrics Imdb_obs.Metrics.h_ptt_gc_batch
-    (List.length candidates);
-  Imdb_obs.Tracer.add_attr sp "candidates"
-    (string_of_int (List.length candidates));
-  Imdb_obs.Tracer.add_attr sp "posted" (string_of_int (List.length posted));
+  Imdb_obs.Metrics.observe t.metrics h_ptt_gc_batch (List.length candidates);
+  let count l = string_of_int (List.length l) in
+  Imdb_obs.Tracer.add_attr sp "candidates" count candidates;
+  Imdb_obs.Tracer.add_attr sp "posted" count posted;
   List.map (fun e -> e.Vtt.tid) candidates
 
 (* Vacuum, once every version on disk carries its timestamp: forget

@@ -18,6 +18,10 @@ module Ts = Imdb_clock.Timestamp
 module Tid = Imdb_clock.Tid
 module M = Imdb_obs.Metrics
 
+let ptt_deletes = M.counter_of M.ptt_deletes
+let ptt_inserts = M.counter_of M.ptt_inserts
+let ptt_lookups = M.counter_of M.ptt_lookups
+
 type t = {
   tree : Imdb_btree.Btree.t;
   mutable metrics : M.t;
@@ -51,27 +55,27 @@ let attach ?(metrics = M.null) ?(tracer = Imdb_obs.Tracer.null) ~pool ~io ~root
 
 let root t = Imdb_btree.Btree.root t.tree
 
+let count l = string_of_int (List.length l)
+
 (* Checkpoint posting: TIDs are assigned in order, so a batch lands at
    the tree's right edge — filled leaves, one logged image each. *)
 let insert_batch t mappings =
-  Imdb_obs.Tracer.with_span t.tracer "ptt.insert_batch"
-    ~attrs:[ ("tids", string_of_int (List.length mappings)) ]
-  @@ fun _ ->
-  M.incr ~by:(List.length mappings) t.metrics M.ptt_inserts;
+  Imdb_obs.Tracer.with_span t.tracer "ptt.insert_batch" @@ fun sp ->
+  Imdb_obs.Tracer.add_attr sp "tids" count mappings;
+  M.add t.metrics ptt_inserts (List.length mappings);
   Imdb_btree.Btree.insert_batch t.tree
     (List.map (fun (tid, ts) -> (key_of_tid tid, value_of_ts ts)) mappings)
 
 let lookup t tid =
-  M.incr t.metrics M.ptt_lookups;
+  M.incr t.metrics ptt_lookups;
   Option.map ts_of_value (Imdb_btree.Btree.find t.tree ~key:(key_of_tid tid))
 
 (* Batched GC: TIDs are assigned in order, so a checkpoint's candidates
    cluster in a handful of leaves — one descent covers the run. *)
 let delete_batch t tids =
-  Imdb_obs.Tracer.with_span t.tracer "ptt.delete_batch"
-    ~attrs:[ ("tids", string_of_int (List.length tids)) ]
-  @@ fun _ ->
-  M.incr ~by:(List.length tids) t.metrics M.ptt_deletes;
+  Imdb_obs.Tracer.with_span t.tracer "ptt.delete_batch" @@ fun sp ->
+  Imdb_obs.Tracer.add_attr sp "tids" count tids;
+  M.add t.metrics ptt_deletes (List.length tids);
   Imdb_btree.Btree.delete_batch t.tree ~keys:(List.map key_of_tid tids)
 
 let count t = Imdb_btree.Btree.count t.tree

@@ -32,6 +32,8 @@ module Ts = Imdb_clock.Timestamp
 module Tid = Imdb_clock.Tid
 module M = Imdb_obs.Metrics
 
+let vtt_hits = M.counter_of M.vtt_hits
+
 let undefined = -1
 let no_lsn = -1L
 
@@ -123,7 +125,7 @@ let seed_from_log t tid ts ~lsn =
 let resolve t tid =
   match find t tid with
   | Some { status = Committed ts; _ } ->
-      M.incr t.metrics M.vtt_hits;
+      M.incr t.metrics vtt_hits;
       Some (`Committed ts)
   | Some { status = Active; _ } -> Some `Active
   | Some { status = Aborted; _ } -> Some `Aborted

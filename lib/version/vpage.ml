@@ -20,6 +20,13 @@ module R = Imdb_storage.Record
 module Ts = Imdb_clock.Timestamp
 module M = Imdb_obs.Metrics
 
+let h_split_current_live = M.histogram_of M.h_split_current_live
+let h_split_history_live = M.histogram_of M.h_split_history_live
+let key_splits = M.counter_of M.key_splits
+let split_copied = M.counter_of M.split_copied
+let stamps_applied = M.counter_of M.stamps_applied
+let time_splits = M.counter_of M.time_splits
+
 (* ------------------------------------------------------------------ *)
 (* Reading versions                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -339,7 +346,7 @@ let stamp ?(metrics = M.null) ?key page ~resolve ~on_stamp =
                 R.set_in_page_ttime page slot (Imdb_clock.Tid.Stamped (Ts.ttime ts));
                 R.set_in_page_sn page slot (Ts.sn ts);
                 incr stamped;
-                M.incr metrics M.stamps_applied;
+                M.incr metrics stamps_applied;
                 on_stamp slot tid
             | Active | Unknown -> ())
     end
@@ -525,10 +532,10 @@ let time_split ?(metrics = M.null) ~page ~split_time ~history_page_id () =
       si_copied = !copied;
     }
   in
-  M.incr metrics M.time_splits;
-  M.incr ~by:images.si_copied metrics M.split_copied;
-  M.observe metrics M.h_split_current_live images.si_current_live;
-  M.observe metrics M.h_split_history_live images.si_history_live;
+  M.incr metrics time_splits;
+  M.add metrics split_copied images.si_copied;
+  M.observe metrics h_split_current_live images.si_current_live;
+  M.observe metrics h_split_history_live images.si_history_live;
   images
 
 (* ------------------------------------------------------------------ *)
@@ -597,7 +604,7 @@ let key_split ?(metrics = M.null) ~page ~right_page_id () =
             let rb = P.blit_cell page slot right_img r in
             if older >= 0 then Bytes.set_uint16_le right_img (tail_at right_img rb) (r + 1)))
     heads;
-  M.incr metrics M.key_splits;
+  M.incr metrics key_splits;
   { ks_left = left_img; ks_right = right_img; ks_separator = key_at page sep_body }
 
 (* ------------------------------------------------------------------ *)

@@ -39,6 +39,13 @@
 open Imdb_util
 module M = Imdb_obs.Metrics
 
+let h_group_commit_batch = M.histogram_of M.h_group_commit_batch
+let h_log_flush_bytes = M.histogram_of M.h_log_flush_bytes
+let h_log_record_bytes = M.histogram_of M.h_log_record_bytes
+let log_appends = M.counter_of M.log_appends
+let log_bytes = M.counter_of M.log_bytes
+let log_flushes = M.counter_of M.log_flushes
+
 let frame_header = 8
 
 module Device = struct
@@ -218,9 +225,9 @@ let push t body =
         Hashtbl.replace t.volatile lsn frame;
         (lsn, t.tail_commits))
   in
-  M.incr t.metrics M.log_appends;
-  M.incr ~by:(Bytes.length frame) t.metrics M.log_bytes;
-  M.observe t.metrics M.h_log_record_bytes (Bytes.length frame);
+  M.incr t.metrics log_appends;
+  M.add t.metrics log_bytes (Bytes.length frame);
+  M.observe t.metrics h_log_record_bytes (Bytes.length frame);
   placed
 
 let append t body = fst (push t body)
@@ -272,14 +279,16 @@ let flush_as_leader t needed =
                   List.filter (fun (lsn, _) -> Int64.compare lsn new_end >= 0) t.tail;
                 t.tail_commits <- t.tail_commits - commits;
                 t.durable_end <- new_end);
-            M.incr t.metrics M.log_flushes;
-            M.observe t.metrics M.h_log_flush_bytes bytes;
-            Imdb_obs.Tracer.add_attr sp "bytes" (string_of_int bytes);
-            Imdb_obs.Tracer.add_attr sp "frames" (string_of_int (List.length frames)));
+            M.incr t.metrics log_flushes;
+            M.observe t.metrics h_log_flush_bytes bytes;
+            Imdb_obs.Tracer.add_attr sp "bytes" string_of_int bytes;
+            Imdb_obs.Tracer.add_attr sp "frames"
+              (fun l -> string_of_int (List.length l))
+              frames);
         if commits > 0 then begin
-          M.observe t.metrics M.h_group_commit_batch commits;
+          M.observe t.metrics h_group_commit_batch commits;
           Imdb_obs.Tracer.instant t.tracer "wal.group_commit"
-            ~attrs:[ ("batch", string_of_int commits) ]
+            ~attrs:(fun () -> [ ("batch", string_of_int commits) ])
         end
       end)
 

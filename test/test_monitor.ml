@@ -20,12 +20,12 @@ let test_monitor_rates_deterministic () =
   let mon = Mon.create ~clock_us:(fun () -> !now) m in
   (* 10 commits and 4096 WAL bytes in exactly one second *)
   Mon.sample mon;
-  M.incr ~by:10 m M.txn_commits;
-  M.incr ~by:4096 m M.log_bytes;
-  M.incr ~by:3 m M.time_splits;
-  M.incr ~by:2 m M.key_splits;
-  M.incr ~by:7 m M.ptt_inserts;
-  M.incr ~by:4 m M.ptt_deletes;
+  M.add m (M.counter_of M.txn_commits) 10;
+  M.add m (M.counter_of M.log_bytes) 4096;
+  M.add m (M.counter_of M.time_splits) 3;
+  M.add m (M.counter_of M.key_splits) 2;
+  M.add m (M.counter_of M.ptt_inserts) 7;
+  M.add m (M.counter_of M.ptt_deletes) 4;
   now := 1_000_000L;
   Mon.sample mon;
   match Mon.rates mon with
@@ -68,11 +68,11 @@ let test_monitor_null_is_inert () =
 
 let test_monitor_json_shape () =
   let m = M.create () in
-  M.observe m "lat" 42;
+  M.observe m (M.histogram_of "lat") 42;
   let now = ref 0L in
   let mon = Mon.create ~clock_us:(fun () -> !now) m in
   Mon.sample mon;
-  M.incr ~by:5 m M.txn_commits;
+  M.add m (M.counter_of M.txn_commits) 5;
   now := 2_000_000L;
   Mon.sample mon;
   let doc = J.to_string (Mon.to_json mon) in

@@ -100,7 +100,7 @@ let test_ring_overflow () =
   let capacity = 32 and n = 100 in
   let tr, metrics = fresh_tracer ~capacity () in
   for i = 1 to n do
-    Tr.with_span tr "op" @@ fun sp -> Tr.add_attr sp "i" (string_of_int i)
+    Tr.with_span tr "op" @@ fun sp -> Tr.add_attr sp "i" string_of_int i
   done;
   let spans = Tr.spans tr in
   Alcotest.(check int) "ring holds capacity" capacity (List.length spans);
@@ -207,10 +207,70 @@ let test_null_tracer_is_free () =
   Alcotest.(check bool) "null disabled" false (Tr.enabled Tr.null);
   (* no spans, no state, usable from any context *)
   Tr.with_span Tr.null "x" @@ fun sp ->
-  Tr.add_attr sp "k" "v";
+  Tr.add_attr sp "k" Fun.id "v";
   Alcotest.(check int) "null span id" 0 (Tr.span_id sp);
   Tr.instant Tr.null "i";
   Alcotest.(check int) "nothing recorded" 0 (List.length (Tr.spans Tr.null))
+
+(* Attribute values are built only for sampled spans: under the null
+   tracer and inside an unsampled root, neither [add_attr]'s formatter nor
+   [instant]'s thunk runs, while a sampled root still records both. *)
+let test_lazy_attrs () =
+  let formatted = ref [] in
+  let fmt tag v =
+    formatted := tag :: !formatted;
+    v
+  in
+  let body tr tag =
+    Tr.with_span tr "root" @@ fun sp ->
+    Tr.add_attr sp "k" (fmt tag) "v";
+    (Tr.with_span tr "child" @@ fun csp -> Tr.add_attr csp "c" (fmt tag) "w");
+    Tr.instant tr "mark" ~attrs:(fun () -> [ ("i", fmt tag "x") ])
+  in
+  body Tr.null "null";
+  Alcotest.(check (list string)) "null tracer formats nothing" [] !formatted;
+  let tr, _ = fresh_tracer ~sampling:2 () in
+  body tr "sampled";
+  body tr "unsampled";
+  Alcotest.(check (list string)) "only the sampled root formats"
+    [ "sampled"; "sampled"; "sampled" ] !formatted;
+  let attrs name =
+    List.filter_map
+      (fun c -> if c.Tr.c_name = name then Some c.Tr.c_attrs else None)
+      (Tr.spans tr)
+  in
+  Alcotest.(check (list (list (pair string string)))) "root attrs" [ [ ("k", "v") ] ]
+    (attrs "root");
+  Alcotest.(check (list (list (pair string string)))) "child attrs" [ [ ("c", "w") ] ]
+    (attrs "child");
+  Alcotest.(check (list (list (pair string string)))) "instant attrs" [ [ ("i", "x") ] ]
+    (attrs "mark")
+
+(* The engine's spans carry the same attributes as when they were built
+   eagerly: names, order and values. *)
+let test_engine_span_attrs () =
+  let config = { E.default_config with E.trace_sampling = 1 } in
+  let db, clock = fresh_db ~config () in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+  Tr.reset (Db.tracer db);
+  tick clock;
+  ignore (commit_write db (fun txn -> Db.upsert_row db txn ~table:"t" (row 1 "a")));
+  let keys name =
+    List.filter_map
+      (fun c -> if c.Tr.c_name = name then Some (List.map fst c.Tr.c_attrs) else None)
+      (Tr.spans (Db.tracer db))
+  in
+  Alcotest.(check (list (list string))) "txn.begin" [ [ "tid" ] ] (keys "txn.begin");
+  Alcotest.(check (list (list string))) "txn.update" [ [ "table" ] ] (keys "txn.update");
+  Alcotest.(check (list (list string))) "txn.commit" [ [ "tid"; "ts"; "writes" ] ]
+    (keys "txn.commit");
+  Alcotest.(check (list (list string))) "wal.flush" [ [ "bytes"; "frames" ] ]
+    (keys "wal.flush");
+  let commit =
+    List.find (fun c -> c.Tr.c_name = "txn.commit") (Tr.spans (Db.tracer db))
+  in
+  Alcotest.(check string) "writes value" "1" (List.assoc "writes" commit.Tr.c_attrs);
+  Db.close db
 
 (* --- recovery spans across a crash ------------------------------------------- *)
 
@@ -356,6 +416,8 @@ let suite =
     Alcotest.test_case "tracing leaves counters unchanged" `Quick
       test_disabled_vs_enabled_counters;
     Alcotest.test_case "null tracer is inert" `Quick test_null_tracer_is_free;
+    Alcotest.test_case "attrs built only for sampled spans" `Quick test_lazy_attrs;
+    Alcotest.test_case "engine span attrs" `Quick test_engine_span_attrs;
     Alcotest.test_case "recovery spans across a crash" `Quick test_recovery_spans;
     Alcotest.test_case "time split has encode and index children" `Quick
       test_time_split_children;
