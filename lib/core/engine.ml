@@ -85,8 +85,7 @@ type txn = {
   tx_snapshot : Ts.t; (* reads see versions with start <= tx_snapshot (SI / AS OF) *)
   tx_session : int; (* owning session id; 0 = anonymous (plain Db calls) *)
   mutable tx_state : txn_state;
-  mutable tx_begun : bool; (* Begin record logged *)
-  mutable tx_last_lsn : int64; (* head of the undo chain *)
+  mutable tx_last_lsn : int64; (* head of the undo chain; nil until the first update *)
   mutable tx_writes : (int * string) list; (* (table_id, key), newest first, deduped *)
   tx_write_set : (int * string, unit) Hashtbl.t; (* dedup index over tx_writes *)
   mutable tx_commit_ts : Ts.t option;
@@ -206,16 +205,15 @@ let ingest_enabled t ti =
 (* Logging core                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let ensure_begun t txn =
-  if not txn.tx_begun then begin
-    txn.tx_begun <- true;
-    let lsn = Imdb_wal.Wal.append t.wal (LR.Begin { tid = txn.tx_tid }) in
-    txn.tx_last_lsn <- lsn
-  end
+(* No Update sits at LSN [nil_lsn] (0): that is bootstrap's first
+   record, the meta page's format. *)
+let has_logged txn = not (Int64.equal txn.tx_last_lsn LR.nil_lsn)
 
 (* Log [op] against the frame's page, apply it, mark the frame dirty.
-   [undoable] ops join the current transaction's undo chain; others are
-   redo-only structure modifications. *)
+   [undoable] ops join the current transaction's undo chain — the first
+   one, with no predecessor, opens the transaction in recovery's ATT, so
+   no Begin record is logged; others are redo-only structure
+   modifications. *)
 let exec_op t fr ~undoable op =
   let page_id = BP.page_id fr in
   let lsn =
@@ -223,7 +221,6 @@ let exec_op t fr ~undoable op =
       match t.cur_txn with
       | None -> failwith "Engine.exec_op: undoable op outside a transaction"
       | Some txn ->
-          ensure_begun t txn;
           let lsn =
             Imdb_wal.Wal.append t.wal
               (LR.Update { tid = txn.tx_tid; prev_lsn = txn.tx_last_lsn; page_id; op })
@@ -355,7 +352,6 @@ let begin_txn ?(session = 0) t ~isolation =
       tx_snapshot = snapshot;
       tx_session = session;
       tx_state = Running;
-      tx_begun = false;
       tx_last_lsn = LR.nil_lsn;
       tx_writes = [];
       tx_write_set = Hashtbl.create 8;
@@ -427,9 +423,11 @@ let session_stats_for t sid =
 
 (* Fold a finished transaction's tallies into its session's cumulative
    stats (and the engine-wide session.* counters).  Called from
-   [Txnmgr.commit]/[abort] under the gate; [latency_ticks]/[batch_pos]
-   only accompany a persistent commit. *)
-let fold_txn_stats t txn ~committed ?latency_ticks ?batch_pos () =
+   [Txnmgr.commit]/[abort] under the gate; [latency_ticks] and
+   [batch_pos] are 0 but for a persistent commit.  No optional
+   arguments: this runs on every commit, and each would box its
+   [Some]. *)
+let fold_txn_stats t txn ~committed ~latency_ticks ~batch_pos =
   let ss = session_stats_for t txn.tx_session in
   if committed then ss.ss_commits <- ss.ss_commits + 1
   else ss.ss_aborts <- ss.ss_aborts + 1;
@@ -437,14 +435,11 @@ let fold_txn_stats t txn ~committed ?latency_ticks ?batch_pos () =
   ss.ss_rows_written <- ss.ss_rows_written + txn.tx_rows_written;
   ss.ss_lock_waits <- ss.ss_lock_waits + txn.tx_lock_waits;
   ss.ss_lock_wait_us <- ss.ss_lock_wait_us + txn.tx_lock_wait_us;
-  (match latency_ticks with
-  | Some l -> ss.ss_commit_latency_ticks <- ss.ss_commit_latency_ticks + l
-  | None -> ());
-  (match batch_pos with
-  | Some p ->
-      ss.ss_last_batch_pos <- p;
-      if p > ss.ss_max_batch_pos then ss.ss_max_batch_pos <- p
-  | None -> ());
+  ss.ss_commit_latency_ticks <- ss.ss_commit_latency_ticks + latency_ticks;
+  if batch_pos > 0 then begin
+    ss.ss_last_batch_pos <- batch_pos;
+    if batch_pos > ss.ss_max_batch_pos then ss.ss_max_batch_pos <- batch_pos
+  end;
   (* the registry's session.* counters are commit-time only: aborted
      work stays visible in the per-session stats above, but never in the
      counter exposition the bench gates pin *)
@@ -536,24 +531,29 @@ let lock_record t txn ~table_id ~key mode =
 (* ------------------------------------------------------------------ *)
 
 (* Lazily stamp the committed versions in a pinned page — all of them,
-   or only [key]'s (the paper's per-record read/update trigger, cheaper
-   than a page sweep).  Unlogged; the page is marked dirty first so the
-   redo-scan start point can never advance past the stamping before it
-   reaches disk. *)
-let stamp ?key t fr =
+   or unless [all] only [key]'s (the paper's per-record read/update
+   trigger, cheaper than a page sweep).  Unlogged; the page is marked
+   dirty first so the redo-scan start point can never advance past the
+   stamping before it reaches disk. *)
+let stamp_scope t fr ~all ~key =
+  let module V = Imdb_version.Vpage in
   let page = BP.bytes fr in
-  if Imdb_version.Vpage.has_unstamped ?key page then
+  if (if all then V.has_unstamped page else V.has_unstamped_record ~key page) then
     Imdb_obs.Tracer.with_span t.tracer
-      (if key = None then "stamp.page" else "stamp.record")
+      (if all then "stamp.page" else "stamp.record")
       (fun sp ->
         BP.mark_dirty_unlogged t.pool fr;
+        let resolve = Imdb_tstamp.Lazy_stamper.resolve_for_stamping t.stamper
+        and on_stamp _ tid = Imdb_tstamp.Lazy_stamper.on_stamp t.stamper tid in
         let n =
-          Imdb_version.Vpage.stamp ~metrics:t.metrics ?key page
-            ~resolve:(Imdb_tstamp.Lazy_stamper.resolve_for_stamping t.stamper)
-            ~on_stamp:(fun _ tid -> Imdb_tstamp.Lazy_stamper.on_stamp t.stamper tid)
+          if all then V.stamp ~metrics:t.metrics page ~resolve ~on_stamp
+          else V.stamp_record ~metrics:t.metrics ~key page ~resolve ~on_stamp
         in
         Imdb_obs.Tracer.add_attr sp "page" string_of_int (BP.page_id fr);
         Imdb_obs.Tracer.add_attr sp "stamped" string_of_int n)
+
+let stamp t fr = stamp_scope t fr ~all:true ~key:""
+let stamp_record t ~key fr = stamp_scope t fr ~all:false ~key
 
 (* ------------------------------------------------------------------ *)
 (* History pages                                                        *)
@@ -666,9 +666,9 @@ let checkpoint t =
     Tid.Table.fold
       (fun tid txn acc ->
         match txn.tx_state with
-        | Running when txn.tx_begun && txn.tx_commit_ts = None ->
+        | Running when has_logged txn && txn.tx_commit_ts = None ->
             (tid, txn.tx_last_lsn) :: acc
-        | Rolling_back when txn.tx_begun -> (tid, txn.tx_last_lsn) :: acc
+        | Rolling_back when has_logged txn -> (tid, txn.tx_last_lsn) :: acc
         | _ -> acc)
       t.active []
   in

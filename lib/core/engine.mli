@@ -65,8 +65,9 @@ type txn = {
   tx_session : int;
       (** owning session id; [0] = anonymous (plain [Db] calls) *)
   mutable tx_state : txn_state;
-  mutable tx_begun : bool;
-  mutable tx_last_lsn : int64;  (** head of the undo chain *)
+  mutable tx_last_lsn : int64;
+      (** head of the undo chain; [nil_lsn] until the first undoable
+          record, which is the transaction's first record in the log *)
   mutable tx_writes : (int * string) list;  (** (table_id, key), newest first *)
   tx_write_set : (int * string, unit) Hashtbl.t;
   mutable tx_commit_ts : Imdb_clock.Timestamp.t option;
@@ -192,8 +193,9 @@ val ingest_enabled : t -> Catalog.table_info -> bool
 
 (** {1 Logging} *)
 
-val ensure_begun : t -> txn -> unit
-(** Log the Begin record lazily, at the transaction's first update. *)
+val has_logged : txn -> bool
+(** Has the transaction logged an undoable record?  (No Begin record
+    exists: the first one opens the transaction for recovery.) *)
 
 val exec_op :
   t -> Imdb_buffer.Buffer_pool.frame -> undoable:bool -> Imdb_wal.Log_record.page_op -> unit
@@ -249,13 +251,16 @@ val lock_record : t -> txn -> table_id:int -> key:string -> Imdb_lock.Lock_manag
 
 (** {1 Stamping triggers} *)
 
-val stamp : ?key:string -> t -> Imdb_buffer.Buffer_pool.frame -> unit
-(** Lazily stamp every committed version in the page, or given [key]
-    only that record's (the read/write paths' per-record trigger), through
+val stamp : t -> Imdb_buffer.Buffer_pool.frame -> unit
+(** Lazily stamp every committed version in the page through
     {!Imdb_version.Vpage.stamp} with
     {!Imdb_tstamp.Lazy_stamper.resolve_for_stamping}.  Marks the page
     dirty, unlogged, {e before} stamping so the GC horizon stays behind
-    it; runs in a "stamp.page" or "stamp.record" span. *)
+    it; runs in a "stamp.page" span. *)
+
+val stamp_record : t -> key:string -> Imdb_buffer.Buffer_pool.frame -> unit
+(** {!stamp} for [key]'s versions only: the read and write paths'
+    per-record trigger, in a "stamp.record" span. *)
 
 (** {1 History pages} *)
 
@@ -317,11 +322,11 @@ val close : t -> unit
 
 (** {1 Session statistics and introspection} *)
 
-val fold_txn_stats :
-  t -> txn -> committed:bool -> ?latency_ticks:int -> ?batch_pos:int -> unit -> unit
+val fold_txn_stats : t -> txn -> committed:bool -> latency_ticks:int -> batch_pos:int -> unit
 (** Fold a finished transaction's tallies into its session's cumulative
     stats and the [session.*] counters.  Called by {!Txnmgr} under the
-    gate; [latency_ticks]/[batch_pos] accompany persistent commits. *)
+    gate; [latency_ticks] and [batch_pos] are 0 but for a persistent
+    commit. *)
 
 val session_stats_for : t -> int -> session_stats
 (** The (created-on-demand) stats record for a session id. *)

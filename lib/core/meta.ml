@@ -21,8 +21,11 @@ let magic = 0x494d4442 (* "IMDB" *)
       committed below it; a version-3 recovery seeds from the checkpoint
       and would miss the commits between the two
    5: ingest messages carry no sequence number, and lead with their kind
-      and key; slot order on the buffer page is arrival order *)
-let format_version = 5
+      and key; slot order on the buffer page is arrival order
+   6: no Begin record, and a commit logs no End record: a transaction's
+      first Update opens it in recovery's ATT and its Commit closes it; a
+      version-5 log's Begin frames (body tag 0) no longer decode *)
+let format_version = 6
 let meta_page_id = 0
 let meta_slot = 0
 

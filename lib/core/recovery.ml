@@ -75,16 +75,14 @@ let observe_tid a tid = if Tid.compare tid a.max_tid > 0 then a.max_tid <- tid
 let observe_ts a ts = if Ts.compare ts a.max_ts > 0 then a.max_ts <- ts
 
 (* The analysis bookkeeping for a frame at or after the checkpoint.  A
-   Commit takes its transaction out of the ATT (it is no loser, whether
-   or not its End made it to the log); an interrupted abort stays in, to
-   be undone again from its Update chain. *)
+   transaction's first Update puts it in the ATT (there is no Begin
+   record); its Commit, or the End that closes a finished rollback, takes
+   it out.  An interrupted abort stays in, to be undone again from its
+   Update chain. *)
 let analyze_frame a lsn = function
   | LR.Checkpoint { next_tid; clock; _ } ->
       observe_tid a (Tid.of_int64 (Int64.pred (Tid.to_int64 next_tid)));
       observe_ts a clock
-  | LR.Begin { tid } ->
-      observe_tid a tid;
-      att_update a tid ~lsn
   | LR.Update { tid; page_id; _ } ->
       observe_tid a tid;
       att_update a tid ~lsn;
@@ -122,7 +120,7 @@ let rebuild_page_from_log eng page_id =
             BP.mark_dirty_logged eng.E.pool fr ~lsn
           end
       | LR.Commit { tid; ts; _ } -> Tid.Table.replace commits tid ts
-      | LR.Begin _ | LR.End _ | LR.Checkpoint _ -> ());
+      | LR.End _ | LR.Checkpoint _ -> ());
   (* The replay brought back every TID the page's versions ever held,
      also those of transactions whose mappings GC has forgotten since
      their stamps reached this page on disk.  Restore those stamps now:
@@ -225,7 +223,7 @@ let pass eng ~checkpoint_lsn =
       in
       match body with
       | LR.Update { page_id; op; _ } | LR.Redo_only { page_id; op } -> apply page_id op
-      | LR.Begin _ | LR.Commit _ | LR.End _ | LR.Checkpoint _ -> ());
+      | LR.Commit _ | LR.End _ | LR.Checkpoint _ -> ());
   (a, redo_start, !last_applied)
 
 (* --- the full open-time protocol ---------------------------------------------- *)
@@ -299,12 +297,7 @@ let recover eng =
       (* roll back losers *)
       let losers = List.length a.att in
       Tr.with_span eng.E.tracer "recovery.undo" (fun usp ->
-          List.iter
-            (fun (tid, last_lsn) ->
-              if Int64.compare last_lsn LR.nil_lsn > 0 then
-                Txnmgr.rollback_loser eng ~tid ~last_lsn
-              else ignore (Imdb_wal.Wal.append eng.E.wal (LR.End { tid })))
-            a.att;
+          List.iter (fun (tid, last_lsn) -> Txnmgr.rollback_loser eng ~tid ~last_lsn) a.att;
           Tr.add_attr usp "losers" string_of_int losers);
       Log.info (fun m -> m "recovery: rolled back %d losers" losers);
       Tr.add_attr sp "losers" string_of_int losers;

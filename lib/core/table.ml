@@ -592,7 +592,7 @@ let write_version eng txn ti ~key ~payload ~kind =
           (* the paper's third stamping trigger: updating a
              non-timestamped version timestamps the existing versions of
              that record *)
-          E.stamp ~key eng fr;
+          E.stamp_record eng ~key fr;
           (* one predecessor probe serves the SI validation, the
              existence check and the insert plan.  Checks come before the
              plan so a doomed write (duplicate insert, update of a
@@ -801,7 +801,7 @@ let read_versioned_at eng txn ti ~key ~t =
   let pid = locate_page eng ti ~key in
   BP.with_page eng.E.pool pid (fun fr ->
       let page = BP.bytes fr in
-      E.stamp ~key eng fr;
+      E.stamp_record eng ~key fr;
       (* own uncommitted writes win: the chain head is ours if we wrote *)
       let own =
         match V.find_current page ~key with
@@ -835,7 +835,7 @@ let read_current eng ti ~key =
   let pid = locate_page eng ti ~key in
   BP.with_page eng.E.pool pid (fun fr ->
       let page = BP.bytes fr in
-      E.stamp ~key eng fr;
+      E.stamp_record eng ~key fr;
       match V.find_current page ~key with
       | None -> None
       | Some slot ->
@@ -1081,7 +1081,7 @@ let eager_stamp_writes eng txn ~ts =
           BP.with_page eng.E.pool pid (fun fr ->
               let page = BP.bytes fr in
               ignore
-                (V.stamp ~metrics:eng.E.metrics ~key page ~resolve:own
+                (V.stamp_record ~metrics:eng.E.metrics ~key page ~resolve:own
                    ~on_stamp:(fun slot tid ->
                      let at = R.tail_offset_in_body page slot + 2 in
                      E.exec_op eng fr ~undoable:false (LR.Op_patch { slot; at; src });

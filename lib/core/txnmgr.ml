@@ -50,7 +50,7 @@ let commit eng txn =
     (* nothing logged, nothing timestamped: vanish quietly *)
     Imdb_tstamp.Vtt.drop (E.vtt eng) txn.E.tx_tid;
     release eng txn;
-    E.fold_txn_stats eng txn ~committed:true ();
+    E.fold_txn_stats eng txn ~committed:true ~latency_ticks:0 ~batch_pos:0;
     None
   end
   else begin
@@ -59,7 +59,6 @@ let commit eng txn =
     txn.E.tx_commit_ts <- Some ts;
     if eng.E.config.E.timestamping = E.Eager_stamping then
       Table.eager_stamp_writes eng txn ~ts;
-    E.ensure_begun eng txn;
     (* a version still carrying the TID is what makes recovery seed the
        mapping from this record *)
     let wrote_versions =
@@ -96,9 +95,9 @@ let commit eng txn =
     Fun.protect ~finally:(Imdb_util.Park.suspend eng.E.gate) (fun () ->
         Imdb_wal.Wal.flush ~lsn:commit_lsn eng.E.wal);
     (* the flush's return is the durability acknowledgment: every commit
-       [commit] returns is in the durable log *)
+       [commit] returns is in the durable log.  No End record follows: the
+       Commit record already closes the transaction for recovery. *)
     txn.E.tx_durable <- true;
-    ignore (Imdb_wal.Wal.append eng.E.wal (LR.End { tid = txn.E.tx_tid }));
     release eng txn;
     let m = eng.E.metrics in
     Mx.incr m txn_commits;
@@ -107,11 +106,11 @@ let commit eng txn =
       if Ts.compare txn.E.tx_snapshot Ts.zero > 0 then begin
         let l = Int64.to_int (Int64.sub (Ts.ttime ts) (Ts.ttime txn.E.tx_snapshot)) in
         Mx.observe m h_commit_latency_ms l;
-        Some l
+        l
       end
-      else None
+      else 0
     in
-    E.fold_txn_stats eng txn ~committed:true ?latency_ticks ~batch_pos ();
+    E.fold_txn_stats eng txn ~committed:true ~latency_ticks ~batch_pos;
     eng.E.commits_since_checkpoint <- eng.E.commits_since_checkpoint + 1;
     Imdb_obs.Tracer.add_attr sp "tid" Tid.to_string txn.E.tx_tid;
     Imdb_obs.Tracer.add_attr sp "ts" Ts.to_string ts;
@@ -230,9 +229,8 @@ let rollback_chain eng txn ~from_lsn =
           if eng.E.in_recovery then
             Mx.incr eng.E.metrics recovery_undo;
           go prev_lsn
-      | LR.Begin _ -> ()
       | LR.Redo_only _ | LR.Commit _ | LR.End _ | LR.Checkpoint _ ->
-          () (* chain heads only link Begin/Update records *)
+          () (* chain heads only link Update records *)
   in
   go from_lsn
 
@@ -243,7 +241,10 @@ let abort eng txn =
   Imdb_obs.Tracer.with_span eng.E.tracer "txn.abort" @@ fun sp ->
   Imdb_obs.Tracer.add_attr sp "tid" Tid.to_string txn.E.tx_tid;
   txn.E.tx_state <- E.Rolling_back;
-  if txn.E.tx_begun then begin
+  (* a transaction that logged nothing has nothing to undo and is not in
+     any ATT; one that did ends its rollback with [End], which recovery
+     reads as "undo complete" *)
+  if E.has_logged txn then begin
     rollback_chain eng txn ~from_lsn:txn.E.tx_last_lsn;
     ignore (Imdb_wal.Wal.append eng.E.wal (LR.End { tid = txn.E.tx_tid }))
   end;
@@ -251,7 +252,7 @@ let abort eng txn =
   Imdb_tstamp.Vtt.drop (E.vtt eng) txn.E.tx_tid;
   Mx.incr eng.E.metrics txn_aborts;
   release eng txn;
-  E.fold_txn_stats eng txn ~committed:false ()
+  E.fold_txn_stats eng txn ~committed:false ~latency_ticks:0 ~batch_pos:0
 
 (* Recovery entry point: roll back a loser transaction found in the log.
    Synthesizes a transaction handle around the recovered chain head. *)
@@ -263,7 +264,6 @@ let rollback_loser eng ~tid ~last_lsn =
       tx_snapshot = Ts.zero;
       tx_session = 0;
       tx_state = E.Rolling_back;
-      tx_begun = true;
       tx_last_lsn = last_lsn;
       tx_writes = [];
       tx_write_set = Hashtbl.create 1;

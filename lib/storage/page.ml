@@ -139,11 +139,11 @@ let format b ~page_id:id ~page_type:pt ?(table_id = 0) ?(level = 0) () =
   set_level b level
 
 let seal b =
-  let crc = Checksum.bytes_int ~pos:8 ~len:(Bytes.length b - 8) b in
+  let crc = Checksum.range b ~pos:8 ~len:(Bytes.length b - 8) in
   Codec.set_u32 b 0 crc
 
 let verify b =
-  let crc = Checksum.bytes_int ~pos:8 ~len:(Bytes.length b - 8) b in
+  let crc = Checksum.range b ~pos:8 ~len:(Bytes.length b - 8) in
   Codec.get_u32 b 0 = crc
 
 (* --- slot array --------------------------------------------------------- *)

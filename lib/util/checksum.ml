@@ -30,10 +30,8 @@ let tables =
   t
 
 (* CRC over [b.(pos .. pos+len)], as an unsigned int. *)
-let bytes_int ?(pos = 0) ?len b =
-  let len = match len with Some l -> l | None -> Bytes.length b - pos in
-  if pos < 0 || len < 0 || pos + len > Bytes.length b then
-    invalid_arg "Checksum.bytes_int";
+let range b ~pos ~len =
+  if pos < 0 || len < 0 || pos + len > Bytes.length b then invalid_arg "Checksum.range";
   let t = tables in
   let tab k i = Array.unsafe_get t ((k lsl 8) lor (i land 0xff)) in
   let c = ref 0xFFFFFFFF in
@@ -59,4 +57,5 @@ let bytes_int ?(pos = 0) ?len b =
   done;
   !c lxor 0xFFFFFFFF
 
-let bytes ?pos ?len b = Int32.of_int (bytes_int ?pos ?len b)
+let bytes_int b = range b ~pos:0 ~len:(Bytes.length b)
+let bytes b = Int32.of_int (bytes_int b)

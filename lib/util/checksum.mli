@@ -2,7 +2,10 @@
     allocation-free: validates page images and log frames; a mismatch
     signals a torn or corrupt write. *)
 
-val bytes_int : ?pos:int -> ?len:int -> bytes -> int
-(** CRC over the range as an unsigned int (fits 32 bits). *)
+val range : bytes -> pos:int -> len:int -> int
+(** CRC over [len] bytes from [pos] as an unsigned int (fits 32 bits). *)
 
-val bytes : ?pos:int -> ?len:int -> bytes -> int32
+val bytes_int : bytes -> int
+(** {!range} over the whole of [b]. *)
+
+val bytes : bytes -> int32

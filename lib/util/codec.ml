@@ -91,6 +91,9 @@ module Writer = struct
     u32 t (Bytes.length b);
     bytes t b
 
+  let length t = Buffer.length t
+  let clear t = Buffer.clear t
+  let blit t dst pos = Buffer.blit t 0 dst pos (Buffer.length t)
   let contents t = Buffer.to_bytes t
 end
 

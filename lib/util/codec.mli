@@ -38,6 +38,13 @@ module Writer : sig
   val lbytes32 : t -> bytes -> unit
   (** 32-bit length prefix (page images). *)
 
+  val length : t -> int
+  val clear : t -> unit
+
+  val blit : t -> bytes -> int -> unit
+  (** [blit w dst pos]: copy everything written so far into [dst] at
+      [pos], allocating nothing. *)
+
   val contents : t -> bytes
 end
 

@@ -80,9 +80,6 @@ let older_of page b tail =
   let vp = Bytes.get_uint16_le page tail in
   if vp = R.no_vp || flags_at page b land R.f_vp_in_history <> 0 then -1 else vp
 
-let matches_at page b key =
-  match key with None -> true | Some key -> key_equal_at page b key
-
 let is_head_at page b = b >= 0 && flags_at page b land R.f_non_current = 0
 
 (* The slot of the current version of [key], if the page has one.  Delete
@@ -323,19 +320,21 @@ type resolution =
   | Active (* still running: leave the TID in place *)
   | Unknown (* no mapping: integrity error, see caller *)
 
-(* Replace TIDs with timestamps on every version — or, given [key], on
-   every version of that record — whose transaction has committed (paper
+(* Replace TIDs with timestamps on every version — or, unless [all],
+   on every version of [key] — whose transaction has committed (paper
    stage IV).  This is the one place a version's tail gets its timestamp;
    the triggers differ only in [resolve], which maps a TID to its fate,
    and [on_stamp slot tid], run after each version is stamped (reference
    counts; the eager baseline logs the patch there).  Returns the number
    stamped: lazy callers mark the page dirty *without logging* when it is
-   non-zero (the defining property of lazy timestamping). *)
-let stamp ?(metrics = M.null) ?key page ~resolve ~on_stamp =
+   non-zero (the defining property of lazy timestamping).  The scope is
+   a flag and a key, not a key option: the per-record trigger runs on
+   every write, and an option would box its [Some] per call. *)
+let stamp_scope ~metrics ~all ~key page ~resolve ~on_stamp =
   let stamped = ref 0 in
   for slot = 0 to P.slot_count page - 1 do
     let b = body_at page slot in
-    if b >= 0 && matches_at page b key then begin
+    if b >= 0 && (all || key_equal_at page b key) then begin
       let word = ttime_word_at page b in
       if is_tid word then
         match Imdb_clock.Tid.decode_ttime_field word with
@@ -353,19 +352,29 @@ let stamp ?(metrics = M.null) ?key page ~resolve ~on_stamp =
   done;
   !stamped
 
-(* Does any version in the page — or, given [key], any version of that
-   record — still carry a TID?  The per-record trigger runs this on every
-   point read. *)
-let has_unstamped ?key page =
+let stamp ?(metrics = M.null) page ~resolve ~on_stamp =
+  stamp_scope ~metrics ~all:true ~key:"" page ~resolve ~on_stamp
+
+let stamp_record ~metrics ~key page ~resolve ~on_stamp =
+  stamp_scope ~metrics ~all:false ~key page ~resolve ~on_stamp
+
+(* Does any version in the page — or, unless [all], any version of [key]
+   — still carry a TID?  The per-record trigger runs this on every point
+   read. *)
+let unstamped_in_scope ~all ~key page =
   let n = P.slot_count page in
   let rec go slot =
     slot < n
     &&
     let b = body_at page slot in
-    (b >= 0 && matches_at page b key && is_tid (ttime_word_at page b))
+    (b >= 0 && (all || key_equal_at page b key) && is_tid (ttime_word_at page b))
     || go (slot + 1)
   in
   go 0
+
+let has_unstamped page = unstamped_in_scope ~all:true ~key:"" page
+
+let has_unstamped_record ~key page = unstamped_in_scope ~all:false ~key page
 
 (* ------------------------------------------------------------------ *)
 (* Time splits (Fig. 3)                                                *)

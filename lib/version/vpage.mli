@@ -109,23 +109,34 @@ type resolution =
 
 val stamp :
   ?metrics:Imdb_obs.Metrics.t ->
-  ?key:string ->
   bytes ->
   resolve:(Imdb_clock.Tid.t -> resolution) ->
   on_stamp:(int -> Imdb_clock.Tid.t -> unit) ->
   int
-(** Replace the TID with its timestamp on every version — or, given
-    [key], every version of that record — that [resolve] answers
-    [Committed] for (paper stage IV), calling [on_stamp slot tid] after
-    each; returns the number stamped.  The only code that writes a
+(** Replace the TID with its timestamp on every version that [resolve]
+    answers [Committed] for (paper stage IV), calling [on_stamp slot tid]
+    after each; returns the number stamped.  The only code that writes a
     timestamp into a version: every trigger differs only in its
     [resolve] and [on_stamp].  Lazy callers mark the page dirty
     un-logged when non-zero; the eager baseline logs each patch from
     [on_stamp]. *)
 
-val has_unstamped : ?key:string -> bytes -> bool
-(** Does any version — or, given [key], any version of that record —
-    still carry a TID? *)
+val stamp_record :
+  metrics:Imdb_obs.Metrics.t ->
+  key:string ->
+  bytes ->
+  resolve:(Imdb_clock.Tid.t -> resolution) ->
+  on_stamp:(int -> Imdb_clock.Tid.t -> unit) ->
+  int
+(** {!stamp} for the versions of [key] only: the per-record trigger,
+    which runs on every write and point read (so no optional argument
+    boxes a [Some] per call). *)
+
+val has_unstamped : bytes -> bool
+(** Does any version still carry a TID? *)
+
+val has_unstamped_record : key:string -> bytes -> bool
+(** Does any version of [key] still carry a TID? *)
 
 (** {1 Time splits (Fig. 3)} *)
 

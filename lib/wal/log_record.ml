@@ -16,7 +16,9 @@
 
    There are no compensation records: rollback is guarded logical undo
    (Txnmgr), so physical ops carry after-images only and an abort logs
-   its undo effects redo-only, then [End].
+   its undo effects redo-only, then [End].  Nor is there a Begin record:
+   a transaction's first [Update] (prev_lsn = [nil_lsn]) opens it, and
+   its [Commit] — or, after a rollback, its [End] — closes it.
 
    Notably absent, by design: timestamping of record versions.  The paper's
    lazy timestamping is deliberately *not* logged; its durability is
@@ -79,7 +81,6 @@ type page_op =
          itself is a structure migration, like a time split. *)
 
 type body =
-  | Begin of { tid : Imdb_clock.Tid.t }
   | Update of { tid : Imdb_clock.Tid.t; prev_lsn : int64; page_id : int; op : page_op }
   | Redo_only of { page_id : int; op : page_op }
   | Commit of {
@@ -267,20 +268,18 @@ let read_op r =
       Op_version_batch { inserts; table_id = R.u32 r }
   | n -> failwith (Printf.sprintf "Log_record: bad op tag %d" n)
 
+(* tag 0 was Begin, which log format 6 dropped *)
 let body_tag = function
-  | Begin _ -> 0
   | Update _ -> 1
   | Redo_only _ -> 3
   | Commit _ -> 4
   | End _ -> 6
   | Checkpoint _ -> 7
 
-let encode body =
+let encode_into w body =
   let module W = Codec.Writer in
-  let w = W.create () in
   W.u8 w (body_tag body);
-  (match body with
-  | Begin { tid } -> W.i64 w (Imdb_clock.Tid.to_int64 tid)
+  match body with
   | Update { tid; prev_lsn; page_id; op } ->
       W.i64 w (Imdb_clock.Tid.to_int64 tid);
       W.i64 w prev_lsn;
@@ -311,15 +310,18 @@ let encode body =
       W.i64 w (Imdb_clock.Tid.to_int64 next_tid);
       W.i64 w (Imdb_clock.Timestamp.ttime clock);
       W.u32 w (Imdb_clock.Timestamp.sn clock);
-      W.i64 w redo_start);
-  W.contents w
+      W.i64 w redo_start
+
+let encode body =
+  let w = Codec.Writer.create () in
+  encode_into w body;
+  Codec.Writer.contents w
 
 let decode b =
   let module R = Codec.Reader in
   let r = R.create b in
   let tid () = Imdb_clock.Tid.of_int64 (R.i64 r) in
   match R.u8 r with
-  | 0 -> Begin { tid = tid () }
   | 1 ->
       let tid = tid () in
       let prev_lsn = R.i64 r in
@@ -378,7 +380,6 @@ let pp_op ppf = function
         (List.fold_left (fun a (_, b, _, _) -> a + Bytes.length b) 0 inserts)
 
 let pp ppf = function
-  | Begin { tid } -> Fmt.pf ppf "BEGIN %a" Imdb_clock.Tid.pp tid
   | Update { tid; page_id; op; prev_lsn } ->
       Fmt.pf ppf "UPDATE %a page=%d prev=%Ld %a" Imdb_clock.Tid.pp tid page_id prev_lsn
         pp_op op

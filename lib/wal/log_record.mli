@@ -6,7 +6,10 @@
     live structures, because time splits and key splits may have moved it
     since logging.  Physical ops are never undone, so they carry
     after-images only, and there are no compensation or abort records:
-    an abort logs its undo effects redo-only, then [End].
+    an abort logs its undo effects redo-only, then [End].  There is no
+    Begin record either: a transaction's first [Update] carries
+    [prev_lsn = nil_lsn], and a committed transaction's last record is
+    its [Commit].
 
     Deliberately absent: timestamp propagation.  The paper's lazy
     timestamping is never logged; its durability rests on the PTT and the
@@ -48,13 +51,13 @@ type page_op =
           [Op_msg_append] records, never off the batch. *)
 
 type body =
-  | Begin of { tid : Imdb_clock.Tid.t }
   | Update of { tid : Imdb_clock.Tid.t; prev_lsn : int64; page_id : int; op : page_op }
   | Redo_only of { page_id : int; op : page_op }
   | Commit of { tid : Imdb_clock.Tid.t; ts : Imdb_clock.Timestamp.t; wrote_versions : bool }
       (** [wrote_versions]: some record version carried the TID when the
           transaction committed, so recovery must be able to resolve it. *)
   | End of { tid : Imdb_clock.Tid.t }
+      (** A finished rollback: the transaction's undo is complete. *)
   | Checkpoint of {
       att : (Imdb_clock.Tid.t * int64) list;
       dpt : (int * int64) list;
@@ -75,6 +78,10 @@ val redo_op : bytes -> page_op -> unit
 
 val header_u32 : at:int -> int -> page_op
 (** An [Op_header] that sets the page-header u32 at offset [at]. *)
+
+val encode_into : Imdb_util.Codec.Writer.t -> body -> unit
+(** Append the record's encoding to the writer (the log frames it in
+    place). *)
 
 val encode : body -> bytes
 val decode : bytes -> body

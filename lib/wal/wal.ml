@@ -5,9 +5,10 @@
    {v  frame := u32 payload_length | u32 crc32(payload) | payload  v}
 
    The LSN of a record is the byte offset of its frame in the stream; the
-   LSN order is the total order of all logged actions.  The WAL object
-   buffers appended frames in memory; [flush] makes the prefix up to a
-   given LSN durable.
+   LSN order is the total order of all logged actions.  Appended frames
+   collect in one contiguous volatile tail, byte for byte as they will
+   lie on the device; [flush] makes the prefix up to a given LSN durable
+   with one device append and one sync.
 
    Opening reads nothing: the first reader to reach the end of log
    (recovery's one pass) decides it.  Every device read goes through one
@@ -23,10 +24,12 @@
    before any page write, and commit calls [flush] at the commit record.
 
    Concurrency: one volatile tail under [tail_mu].  An append reserves
-   its LSN and queues its frame in the same critical section, so the
-   tail holds every frame from [durable_end] to [next] with no gaps,
-   and a flush leader's batch is simply the whole tail (up to an open
-   atomic group).  Device access is serialized by [flush_mu];
+   its LSN and encodes its frame into the tail in the same critical
+   section — no per-record buffer, list cell or index entry — so the
+   tail holds every frame from [durable_end] to [next] with no gaps, the
+   frame at LSN [l] at offset [l - durable_end], and a flush leader's
+   batch is simply the tail's prefix (up to an open atomic group), cut
+   in one copy.  Device access is serialized by [flush_mu];
    committers whose record a leader's sync will cover wait for the
    durable horizon instead (group commit).  Both are [Park]s, so a
    fiber scheduler interleaves sessions here as it does at the gate.
@@ -118,15 +121,18 @@ type t = {
       (* guards the mutable fields below ([tracer] aside): a volatile-
          frame lookup under it is atomic with appends and the horizon.
          [durable_end] and [unverified_from] change under [flush_mu] too. *)
-  mutable next : int64; (* next LSN: end of log including the volatile tail *)
-  mutable durable_end : int64; (* bytes durable on the device *)
+  mutable next : int; (* next LSN: end of log including the volatile tail *)
+  mutable durable_end : int; (* bytes durable on the device *)
   mutable unverified_from : int;
       (* the LSN from which the first frame that fails its CRC is a torn
          tail, not corruption; [max_int] once a reader reached the end *)
-  mutable tail : (int64 * bytes) list;
-      (* every frame from [durable_end] up to [next], newest first *)
-  mutable tail_commits : int; (* Commit frames in [tail] *)
-  volatile : (int64, bytes) Hashtbl.t; (* the same frames, by LSN *)
+  mutable tail : bytes;
+      (* the volatile tail: every frame from [durable_end] up to [next],
+         as it goes to the device; the frame at LSN [l] starts at offset
+         [l - durable_end], and the bytes past [next - durable_end] are
+         spare capacity *)
+  mutable tail_commits : int; (* Commit frames in the tail *)
+  scratch : Codec.Writer.t; (* the record being framed, under [tail_mu] *)
   flush_mu : Park.lock;
       (* serializes device append+sync and durable reads; reentrant, as
          recovery's redo reads the log again from inside its callback *)
@@ -135,22 +141,15 @@ type t = {
          wait on [tail_mu] for [durable_end] to move, not on [flush_mu]:
          a leader re-syncing in a loop barges a mutex queue and can
          starve waiters for many syncs, but it cannot hide the horizon. *)
-  mutable group_floor : int64 option;
-      (* first LSN of the open atomic group: no flush passes it *)
+  mutable group_floor : int;
+      (* first LSN of the open atomic group, [max_int] when none: no
+         flush passes it *)
   mutable group_depth : int; (* nesting of [atomically]; both under [tail_mu] *)
   metrics : M.t;
   mutable tracer : Imdb_obs.Tracer.t;
 }
 
 let set_tracer t tr = t.tracer <- tr
-
-let frame_of payload =
-  let len = Bytes.length payload in
-  let b = Bytes.create (frame_header + len) in
-  Codec.set_u32 b 0 len;
-  Codec.set_u32 b 4 (Checksum.bytes_int payload);
-  Codec.set_bytes b frame_header payload;
-  b
 
 exception Corrupt_frame of int64
 
@@ -173,72 +172,97 @@ let open_device ?(metrics = M.null) ?(checkpoint_lsn = 0L) device =
   {
     device;
     tail_mu = Park.spot ();
-    next = Int64.of_int size;
-    durable_end = Int64.of_int size;
+    next = size;
+    durable_end = size;
     unverified_from = (if size = 0 then max_int else Int64.to_int checkpoint_lsn);
-    tail = [];
+    tail = Bytes.create 4096;
     tail_commits = 0;
-    volatile = Hashtbl.create 64;
+    scratch = Codec.Writer.create ~size:256 ();
     flush_mu = Park.lock ();
     flush_active = false;
-    group_floor = None;
+    group_floor = max_int;
     group_depth = 0;
     metrics;
     tracer = Imdb_obs.Tracer.null;
   }
 
-let next_lsn t = Park.protect t.tail_mu (fun () -> t.next)
+let next_lsn t = Int64.of_int (Park.protect t.tail_mu (fun () -> t.next))
 
 let with_flush_mu t f =
   Park.acquire t.flush_mu;
   Fun.protect ~finally:(fun () -> Park.release t.flush_mu) f
 
-let flushed_lsn t = Park.protect t.tail_mu (fun () -> t.durable_end)
+let flushed_lsn t = Int64.of_int (Park.protect t.tail_mu (fun () -> t.durable_end))
 
-let group_floor t = Park.protect t.tail_mu (fun () -> t.group_floor)
+let group_floor t =
+  let floor = Park.protect t.tail_mu (fun () -> t.group_floor) in
+  if floor = max_int then None else Some (Int64.of_int floor)
 
 let atomically t f =
   Park.protect t.tail_mu (fun () ->
-      if t.group_depth = 0 then t.group_floor <- Some t.next;
+      if t.group_depth = 0 then t.group_floor <- t.next;
       t.group_depth <- t.group_depth + 1);
   Fun.protect
     ~finally:(fun () ->
       Park.protect t.tail_mu (fun () ->
           t.group_depth <- t.group_depth - 1;
-          if t.group_depth = 0 then t.group_floor <- None))
+          if t.group_depth = 0 then t.group_floor <- max_int))
     f
 
-(* Queue one frame; returns its LSN and the number of Commit frames in
-   the tail right after it. *)
-let push t body =
-  let payload = Log_record.encode body in
-  let frame = frame_of payload in
-  let commit = match body with Log_record.Commit _ -> 1 | _ -> 0 in
-  let placed =
-    Park.protect t.tail_mu (fun () ->
-        if t.unverified_from < max_int then
-          invalid_arg "Wal.append: the log has not been read to its end since the open";
-        let lsn = t.next in
-        t.next <- Int64.add lsn (Int64.of_int (Bytes.length frame));
-        t.tail <- (lsn, frame) :: t.tail;
-        t.tail_commits <- t.tail_commits + commit;
-        Hashtbl.replace t.volatile lsn frame;
-        (lsn, t.tail_commits))
-  in
+(* Frame [body] at the end of the tail; returns its LSN.  Caller holds
+   [tail_mu], so reserving the LSN and writing the frame are one step
+   and the tail has no gaps.  The record is encoded into the scratch
+   writer and copied once into the tail, where its header and CRC are
+   written in place. *)
+let place t body =
+  if t.unverified_from < max_int then
+    invalid_arg "Wal.append: the log has not been read to its end since the open";
+  let w = t.scratch in
+  Codec.Writer.clear w;
+  Log_record.encode_into w body;
+  let len = Codec.Writer.length w in
+  let lsn = t.next in
+  let off = lsn - t.durable_end in
+  let need = off + frame_header + len in
+  if need > Bytes.length t.tail then begin
+    let bigger = Bytes.create (max need (2 * Bytes.length t.tail)) in
+    Bytes.blit t.tail 0 bigger 0 off;
+    t.tail <- bigger
+  end;
+  Codec.Writer.blit w t.tail (off + frame_header);
+  Codec.set_u32 t.tail off len;
+  Codec.set_u32 t.tail (off + 4) (Checksum.range t.tail ~pos:(off + frame_header) ~len);
+  t.next <- lsn + frame_header + len;
   M.incr t.metrics log_appends;
-  M.add t.metrics log_bytes (Bytes.length frame);
-  M.observe t.metrics h_log_record_bytes (Bytes.length frame);
-  placed
+  M.add t.metrics log_bytes (frame_header + len);
+  M.observe t.metrics h_log_record_bytes (frame_header + len);
+  lsn
 
-let append t body = fst (push t body)
+let append t body = Int64.of_int (Park.protect t.tail_mu (fun () -> place t body))
+
+(* A Commit frame also joins the tail's commit batch: its position is
+   the number of Commit frames in the tail right after it. *)
 let append_commit t ~tid ~ts ~wrote_versions =
-  push t (Log_record.Commit { tid; ts; wrote_versions })
+  Park.protect t.tail_mu (fun () ->
+      let lsn = place t (Log_record.Commit { tid; ts; wrote_versions }) in
+      t.tail_commits <- t.tail_commits + 1;
+      (Int64.of_int lsn, t.tail_commits))
 
-(* One leader's append+sync of the whole tail, or of the part before an
-   open atomic group.  Caller has claimed leadership ([flush_active]
-   set); runs under [flush_mu] to serialize device access against
-   readers and other (reentrant) flushers.  The batch stays in [tail]
-   and [volatile] until the sync returns, so a frame is findable until
+(* Frames in a batch cut from the tail (the flush span's attribute). *)
+let frames_in batch =
+  let rec go off n =
+    if off >= Bytes.length batch then n
+    else go (off + frame_header + Codec.get_u32 batch off) (n + 1)
+  in
+  go 0 0
+
+(* One leader's append+sync of the tail, or of its part before an open
+   atomic group.  Caller has claimed leadership ([flush_active] set);
+   runs under [flush_mu] to serialize device access against readers and
+   other (reentrant) flushers.  The batch is the tail's prefix, copied
+   once: appenders keep filling the tail while the device works.  Only
+   after the sync returns does the prefix leave the tail (the rest moves
+   to offset 0 as [durable_end] advances), so a frame is readable until
    it is durable and a failed write leaves the tail intact for the next
    leader.  The sync's commit batch is every Commit frame in the tail: a
    Commit record is never appended inside an atomic group (both run
@@ -248,43 +272,32 @@ let flush_as_leader t needed =
   with_flush_mu t (fun () ->
       (* the flush that held leadership before us may have covered our
          record already *)
-      let frames, new_end, commits, old_end =
+      let batch, commits, old_end =
         Park.protect t.tail_mu (fun () ->
-            if Int64.compare needed t.durable_end < 0 then ([], t.next, 0, t.durable_end)
+            if needed < t.durable_end then (Bytes.empty, 0, t.durable_end)
             else
-              let frames, new_end =
-                match t.group_floor with
-                | None -> (List.rev t.tail, t.next)
-                | Some floor ->
-                    ( List.filter (fun (lsn, _) -> Int64.compare lsn floor < 0) (List.rev t.tail),
-                      floor )
-              in
-              (frames, new_end, t.tail_commits, t.durable_end))
+              ( Bytes.sub t.tail 0 (min t.next t.group_floor - t.durable_end),
+                t.tail_commits,
+                t.durable_end ))
       in
-      if frames <> [] then begin
+      let bytes = Bytes.length batch in
+      if bytes > 0 then begin
         Imdb_obs.Tracer.with_span t.tracer "wal.flush" (fun sp ->
-            let bytes =
-              List.fold_left (fun acc (_, f) -> acc + Bytes.length f) 0 frames
-            in
             (* cut off what lies past the durable log (the torn tail an
                open ended the log before, or a failed append's part); the
                sync below covers the cut too *)
-            if t.device.Device.size () > Int64.to_int old_end then
-              t.device.Device.truncate (Int64.to_int old_end);
-            List.iter (fun (_, frame) -> t.device.Device.append frame) frames;
+            if t.device.Device.size () > old_end then t.device.Device.truncate old_end;
+            t.device.Device.append batch;
             t.device.Device.sync ();
             Park.protect t.tail_mu (fun () ->
-                List.iter (fun (lsn, _) -> Hashtbl.remove t.volatile lsn) frames;
-                t.tail <-
-                  List.filter (fun (lsn, _) -> Int64.compare lsn new_end >= 0) t.tail;
+                let rest = t.next - old_end - bytes in
+                if rest > 0 then Bytes.blit t.tail bytes t.tail 0 rest;
                 t.tail_commits <- t.tail_commits - commits;
-                t.durable_end <- new_end);
+                t.durable_end <- old_end + bytes);
             M.incr t.metrics log_flushes;
             M.observe t.metrics h_log_flush_bytes bytes;
             Imdb_obs.Tracer.add_attr sp "bytes" string_of_int bytes;
-            Imdb_obs.Tracer.add_attr sp "frames"
-              (fun l -> string_of_int (List.length l))
-              frames);
+            Imdb_obs.Tracer.add_attr sp "frames" (fun b -> string_of_int (frames_in b)) batch);
         if commits > 0 then begin
           M.observe t.metrics h_group_commit_batch commits;
           Imdb_obs.Tracer.instant t.tracer "wal.group_commit"
@@ -302,10 +315,12 @@ let flush_as_leader t needed =
    from [flush ~lsn:commit_lsn] is its durability acknowledgment. *)
 let flush ?lsn t =
   let needed =
-    match lsn with Some l -> l | None -> Int64.pred (next_lsn t)
+    match lsn with
+    | Some l -> Int64.to_int l
+    | None -> Park.protect t.tail_mu (fun () -> t.next) - 1
   in
   let rec run () =
-    if Int64.compare needed (flushed_lsn t) >= 0 then
+    if needed >= Park.protect t.tail_mu (fun () -> t.durable_end) then
       if
         Park.protect t.tail_mu (fun () ->
             (* follower, unless the sync in flight is our own (recovery
@@ -313,8 +328,7 @@ let flush ?lsn t =
                horizon moves or leadership frees *)
             let follow = t.flush_active && Park.holder t.flush_mu <> Park.self () in
             if follow then
-              Park.wait t.tail_mu (fun () ->
-                  (not t.flush_active) || Int64.compare needed t.durable_end < 0)
+              Park.wait t.tail_mu (fun () -> (not t.flush_active) || needed < t.durable_end)
             else t.flush_active <- true;
             follow)
       then run ()
@@ -327,10 +341,8 @@ let flush ?lsn t =
           (fun () -> flush_as_leader t needed)
   in
   run ();
-  (match group_floor t with
-  | Some floor when Int64.compare needed floor >= 0 ->
-      invalid_arg "Wal.flush: record inside an open atomic group"
-  | _ -> ())
+  if needed >= Park.protect t.tail_mu (fun () -> t.group_floor) then
+    invalid_arg "Wal.flush: record inside an open atomic group"
 
 (* Drop the volatile tail: crash simulation.  Commits still in it were
    never acknowledged — their transactions were never durable.  The end
@@ -338,11 +350,9 @@ let flush ?lsn t =
 let crash_volatile t =
   Park.protect t.tail_mu (fun () ->
       t.next <- t.durable_end;
-      t.group_floor <- None;
+      t.group_floor <- max_int;
       t.group_depth <- 0;
-      t.tail <- [];
       t.tail_commits <- 0;
-      Hashtbl.reset t.volatile;
       Park.wake t.tail_mu)
 
 (* Iterate durable records from [from_lsn] (must be a frame boundary).
@@ -357,7 +367,7 @@ let iter_from t ~from_lsn f =
   with_flush_mu t (fun () ->
       let rec go pos =
         (* both fields change only under [flush_mu], which we hold *)
-        let total = Int64.to_int t.durable_end in
+        let total = t.durable_end in
         match if pos < total then read_frame t.device ~limit:total pos else None with
         | Some payload ->
             f (Int64.of_int pos) (Log_record.decode payload);
@@ -366,22 +376,30 @@ let iter_from t ~from_lsn f =
             Park.protect t.tail_mu (fun () ->
                 t.unverified_from <- max_int;
                 if pos < total then begin
-                  t.durable_end <- Int64.of_int pos;
-                  t.next <- Int64.of_int pos
+                  t.durable_end <- pos;
+                  t.next <- pos
                 end)
         | None -> raise (Corrupt_frame (Int64.of_int pos))
       in
       go (Int64.to_int from_lsn))
 
-(* Read the single record at [lsn] (durable or volatile). *)
+(* Read the single record at [lsn] (durable or volatile).  A volatile
+   frame is copied out under [tail_mu]: a flush may shift the tail as
+   soon as it is released. *)
 let read_at t lsn =
-  match Park.protect t.tail_mu (fun () -> Hashtbl.find_opt t.volatile lsn) with
-  | Some frame ->
-      let len = Codec.get_u32 frame 0 in
-      Log_record.decode (Bytes.sub frame frame_header len)
+  let pos = Int64.to_int lsn in
+  let volatile =
+    Park.protect t.tail_mu (fun () ->
+        if pos < t.durable_end || pos >= t.next then None
+        else
+          let off = pos - t.durable_end in
+          Some (Bytes.sub t.tail (off + frame_header) (Codec.get_u32 t.tail off)))
+  in
+  match volatile with
+  | Some payload -> Log_record.decode payload
   | None ->
       with_flush_mu t (fun () ->
-          match read_frame t.device ~limit:(Int64.to_int t.durable_end) (Int64.to_int lsn) with
+          match read_frame t.device ~limit:t.durable_end pos with
           | Some payload -> Log_record.decode payload
           | None -> raise (Corrupt_frame lsn))
 

@@ -9,11 +9,13 @@
     flush after that cuts the tail off the device.  Every frame read is
     checked against its CRC.
 
-    Safe to share across sessions: an append reserves its LSN and queues
-    its frame on the one volatile tail, device access is serialized
-    separately, and concurrent commits batch into one sync (group
-    commit); every wait goes through {!Imdb_util.Park}.  A commit record
-    is durable once [flush ~lsn] at its LSN returns. *)
+    Safe to share across sessions: an append reserves its LSN and
+    encodes its frame in place at the end of the one contiguous volatile
+    tail, device access is serialized separately, and concurrent commits
+    batch into one sync (group commit): a flush hands the device the
+    tail's prefix as one append, then syncs once.  Every wait goes
+    through {!Imdb_util.Park}.  A commit record is durable once
+    [flush ~lsn] at its LSN returns. *)
 
 (** Log storage devices. *)
 module Device : sig
@@ -64,7 +66,8 @@ val append_commit :
 val flush : ?lsn:int64 -> t -> unit
 (** Make the log durable through [lsn] (default: everything buffered).
     Returns without touching the device when [lsn] is already durable;
-    otherwise one append+sync covers the whole tail.  Return is the
+    otherwise one {!Device.append} of the tail's prefix and one sync
+    cover the whole tail (up to an open atomic group).  Return is the
     durability acknowledgment: every record through [lsn] is on the
     device.  The sync observes [txn.group_commit_batch] once, with the
     number of Commit records it covered. *)

@@ -181,7 +181,7 @@ let test_pre_flush_hook () =
 let test_dirty_table_and_unlogged () =
   let _, wal, pool = setup () in
   let fr = new_page pool 0 in
-  ignore (Wal.append wal (LR.Begin { tid = Tid.of_int 1 }));
+  ignore (Wal.append wal (LR.End { tid = Tid.of_int 1 }));
   BP.mark_dirty_unlogged pool fr;
   let dpt = BP.dirty_page_table pool in
   (match dpt with
@@ -225,7 +225,7 @@ let test_atomic_group_pages_stay_cached () =
   Wal.atomically wal (fun () ->
       for pid = 1 to 6 do
         let fr = new_page pool pid in
-        let lsn = Wal.append wal (LR.Begin { tid = Tid.of_int pid }) in
+        let lsn = Wal.append wal (LR.End { tid = Tid.of_int pid }) in
         BP.mark_dirty_logged pool fr ~lsn;
         BP.unpin pool fr
       done;

@@ -167,7 +167,7 @@ let test_trigger_predicate () =
 
 let test_wal_append_read () =
   let w = Wal.open_device (Wal.Device.in_memory ()) in
-  let l1 = Wal.append w (LR.Begin { tid = Tid.of_int 1 }) in
+  let l1 = Wal.append w (LR.End { tid = Tid.of_int 1 }) in
   let l2 =
     Wal.append w
       (LR.Commit { tid = Tid.of_int 1; ts = Ts.make ~ttime:100L ~sn:0; wrote_versions = true })
@@ -176,7 +176,7 @@ let test_wal_append_read () =
   Alcotest.(check bool) "lsns grow" true (Int64.compare l2 l1 > 0);
   (* read from the volatile tail *)
   (match Wal.read_at w l1 with
-  | LR.Begin { tid } -> Alcotest.(check bool) "tid" true (Tid.equal tid (Tid.of_int 1))
+  | LR.End { tid } -> Alcotest.(check bool) "tid" true (Tid.equal tid (Tid.of_int 1))
   | _ -> Alcotest.fail "wrong record");
   Wal.flush w;
   (* read from the durable region *)
@@ -188,9 +188,9 @@ let test_wal_append_read () =
 let test_wal_crash_drops_tail () =
   let dev = Wal.Device.in_memory () in
   let w = Wal.open_device dev in
-  ignore (Wal.append w (LR.Begin { tid = Tid.of_int 1 }));
+  ignore (Wal.append w (LR.End { tid = Tid.of_int 1 }));
   Wal.flush w;
-  ignore (Wal.append w (LR.Begin { tid = Tid.of_int 2 }));
+  ignore (Wal.append w (LR.End { tid = Tid.of_int 2 }));
   (* crash: tail never flushed *)
   Wal.crash_volatile w;
   let w2 = Wal.open_device dev in
@@ -201,7 +201,7 @@ let test_wal_crash_drops_tail () =
 let test_wal_torn_tail_truncated () =
   let dev = Wal.Device.in_memory () in
   let w = Wal.open_device dev in
-  ignore (Wal.append w (LR.Begin { tid = Tid.of_int 1 }));
+  ignore (Wal.append w (LR.End { tid = Tid.of_int 1 }));
   ignore (Wal.append w (LR.End { tid = Tid.of_int 1 }));
   Wal.flush w;
   let good_size = dev.Wal.Device.size () in
@@ -209,7 +209,7 @@ let test_wal_torn_tail_truncated () =
   dev.Wal.Device.append (Bytes.of_string "\x40\x00\x00\x00\xde\xad");
   let torn_size = dev.Wal.Device.size () in
   let w2 = Wal.open_device dev in
-  (match Wal.append w2 (LR.Begin { tid = Tid.of_int 2 }) with
+  (match Wal.append w2 (LR.End { tid = Tid.of_int 2 }) with
   | _ -> Alcotest.fail "appended before the log's end was read"
   | exception Invalid_argument _ -> ());
   let seen = ref 0 in
@@ -232,8 +232,8 @@ let test_wal_corrupt_middle_frame () =
   (* a bit flip in a flushed frame's payload must stop the scan there *)
   let dev = Wal.Device.in_memory () in
   let w = Wal.open_device dev in
-  ignore (Wal.append w (LR.Begin { tid = Tid.of_int 1 }));
-  let l2 = ignore (Wal.append w (LR.Begin { tid = Tid.of_int 2 })) in
+  ignore (Wal.append w (LR.End { tid = Tid.of_int 1 }));
+  let l2 = ignore (Wal.append w (LR.End { tid = Tid.of_int 2 })) in
   ignore l2;
   Wal.flush w;
   (* flip a byte inside the second frame's payload *)
@@ -250,7 +250,7 @@ let test_wal_corrupt_middle_frame () =
 let test_wal_all_record_types_roundtrip () =
   let samples =
     [
-      LR.Begin { tid = Tid.of_int 5 };
+      LR.End { tid = Tid.of_int 5 };
       LR.Update
         {
           tid = Tid.of_int 5;
@@ -360,7 +360,7 @@ let counting_log_device () =
 let test_wal_flush_skips_durable_lsn () =
   let dev, syncs = counting_log_device () in
   let w = Wal.open_device dev in
-  let l1 = Wal.append w (LR.Begin { tid = Tid.of_int 1 }) in
+  let l1 = Wal.append w (LR.End { tid = Tid.of_int 1 }) in
   Wal.flush w;
   Alcotest.(check int) "first flush syncs" 1 !syncs;
   let l2 = Wal.append w (LR.End { tid = Tid.of_int 1 }) in
@@ -399,7 +399,7 @@ let test_wal_one_sync_covers_batch () =
   in
   Alcotest.(check (pair int int)) "one observation of 3" (1, 3) (batches ());
   (* a sync that covers no Commit record observes nothing *)
-  ignore (Wal.append w (LR.Begin { tid = Tid.of_int 9 }));
+  ignore (Wal.append w (LR.End { tid = Tid.of_int 9 }));
   Wal.flush w;
   Alcotest.(check int) "second sync" 2 !syncs;
   Alcotest.(check (pair int int)) "no commit, no observation" (1, 3) (batches ());
@@ -429,7 +429,7 @@ let test_wal_file_device () =
     ~finally:(fun () -> Sys.remove path)
     (fun () ->
       let w = Wal.open_device (Wal.Device.file ~path) in
-      ignore (Wal.append w (LR.Begin { tid = Tid.of_int 1 }));
+      ignore (Wal.append w (LR.End { tid = Tid.of_int 1 }));
       Wal.flush w;
       Wal.close w;
       let w2 = Wal.open_device (Wal.Device.file ~path) in
@@ -448,7 +448,7 @@ let test_wal_multi_domain_appends () =
   let appender d () =
     List.init per_domain (fun i ->
         let tid = Tid.of_int ((d * per_domain) + i + 1) in
-        let lsn = Wal.append w (LR.Begin { tid }) in
+        let lsn = Wal.append w (LR.End { tid }) in
         if i mod 50 = 49 then Wal.flush w;
         (lsn, tid))
   in
@@ -461,7 +461,7 @@ let test_wal_multi_domain_appends () =
   List.iter
     (fun (lsn, tid) ->
       match Wal.read_at w lsn with
-      | LR.Begin { tid = t } when Tid.equal t tid -> ()
+      | LR.End { tid = t } when Tid.equal t tid -> ()
       | body -> Alcotest.failf "lsn %Ld: %a" lsn LR.pp body)
     appended;
   Wal.flush w;
@@ -482,10 +482,10 @@ let test_wal_multi_domain_appends () =
 let test_wal_atomic_group () =
   let dev = Wal.Device.in_memory () in
   let w = Wal.open_device dev in
-  let before = Wal.append w (LR.Begin { tid = Tid.of_int 1 }) in
+  let before = Wal.append w (LR.End { tid = Tid.of_int 1 }) in
   let inside = ref 0L in
   Wal.atomically w (fun () ->
-      inside := Wal.append w (LR.Begin { tid = Tid.of_int 2 });
+      inside := Wal.append w (LR.End { tid = Tid.of_int 2 });
       ignore (Wal.append w (LR.End { tid = Tid.of_int 2 }));
       Domain.join (Domain.spawn (fun () -> Wal.flush ~lsn:before w));
       Alcotest.(check int64) "flush stops at the group" !inside (Wal.flushed_lsn w);
@@ -501,13 +501,149 @@ let test_wal_atomic_group () =
   Alcotest.(check int) "no record of the group survives" 1 !seen;
   (* once closed, the group flushes as a whole *)
   Wal.atomically w (fun () ->
-      ignore (Wal.append w (LR.Begin { tid = Tid.of_int 3 }));
+      ignore (Wal.append w (LR.End { tid = Tid.of_int 3 }));
       ignore (Wal.append w (LR.End { tid = Tid.of_int 3 })));
   Wal.flush w;
   Wal.crash_volatile w;
   let seen = ref 0 in
   Wal.iter_from (Wal.open_device dev) ~from_lsn:0L (fun _ _ -> incr seen);
   Alcotest.(check int) "whole group durable" 3 !seen
+
+(* --- the volatile tail ------------------------------------------------------ *)
+
+(* One record of each envelope the engine logs, for the golden tests. *)
+let golden_records =
+  [
+    LR.Update
+      {
+        tid = Tid.of_int 3;
+        prev_lsn = LR.nil_lsn;
+        page_id = 7;
+        op = LR.Op_kv_replace
+            { slot = 1; old_body = Bytes.of_string "old"; new_body = Bytes.of_string "new"; table_id = 2 };
+      };
+    LR.Redo_only { page_id = 9; op = LR.Op_image { image = Bytes.init 200 (fun i -> Char.chr i) } };
+    LR.Commit { tid = Tid.of_int 3; ts = Ts.make ~ttime:42L ~sn:5; wrote_versions = true };
+    LR.Checkpoint
+      {
+        att = [ (Tid.of_int 4, 11L) ];
+        dpt = [ (9, 25L) ];
+        next_tid = Tid.of_int 5;
+        clock = Ts.make ~ttime:42L ~sn:5;
+        redo_start = 25L;
+      };
+    LR.End { tid = Tid.of_int 4 };
+  ]
+
+(* The on-device format: each record is [u32 len | u32 crc | encode r],
+   frames back to back from LSN 0, whether it was framed in the tail or
+   encoded alone. *)
+let test_wal_golden_frames () =
+  let dev = Wal.Device.in_memory () in
+  let w = Wal.open_device dev in
+  let lsns = List.map (Wal.append w) golden_records in
+  Wal.flush w;
+  let expected = Buffer.create 512 in
+  List.iter
+    (fun r ->
+      let payload = LR.encode r in
+      let hdr = Bytes.create 8 in
+      Imdb_util.Codec.set_u32 hdr 0 (Bytes.length payload);
+      Imdb_util.Codec.set_u32 hdr 4 (Imdb_util.Checksum.bytes_int payload);
+      Buffer.add_bytes expected hdr;
+      Buffer.add_bytes expected payload)
+    golden_records;
+  let on_device = dev.Wal.Device.read ~pos:0 ~len:(dev.Wal.Device.size ()) in
+  Alcotest.(check string) "device bytes" (Buffer.contents expected) (Bytes.to_string on_device);
+  let offsets =
+    List.rev
+      (snd
+         (List.fold_left
+            (fun (at, acc) r -> (at + 8 + Bytes.length (LR.encode r), Int64.of_int at :: acc))
+            (0, []) golden_records))
+  in
+  Alcotest.(check (list int64)) "lsns are frame offsets" offsets lsns
+
+(* A log device that counts appends and syncs. *)
+let counting_appends () =
+  let d = Wal.Device.in_memory () in
+  let appends = ref 0 and syncs = ref 0 in
+  let dev =
+    {
+      d with
+      Wal.Device.append =
+        (fun b ->
+          incr appends;
+          d.Wal.Device.append b);
+      sync =
+        (fun () ->
+          incr syncs;
+          d.Wal.Device.sync ());
+    }
+  in
+  (dev, appends, syncs)
+
+(* However many frames a flush carries, the device sees one append and
+   one sync: the batch is the tail's prefix, in one piece. *)
+let test_wal_one_append_per_sync () =
+  let dev, appends, syncs = counting_appends () in
+  let w = Wal.open_device dev in
+  List.iter
+    (fun n ->
+      for _ = 1 to n do
+        List.iter (fun r -> ignore (Wal.append w r)) golden_records
+      done;
+      Wal.flush w)
+    [ 1; 3; 40 ];
+  Alcotest.(check int) "syncs" 3 !syncs;
+  Alcotest.(check int) "one append per sync" !syncs !appends;
+  (* the 40-round batch outgrew the tail's first buffer; all of it is
+     readable after the reopen *)
+  let seen = ref 0 in
+  Wal.iter_from (Wal.open_device dev) ~from_lsn:0L (fun _ _ -> incr seen);
+  Alcotest.(check int) "every frame durable" (44 * List.length golden_records) !seen
+
+(* [read_at] answers every LSN, wherever its frame is: all in the tail;
+   split by a flush that stopped at an open atomic group's floor, so the
+   group's frames moved to the front of the tail; and after a crash drops
+   the tail, for new frames whose LSNs restart at the durable end. *)
+let test_wal_read_at_volatile () =
+  let dev = Wal.Device.in_memory () in
+  let w = Wal.open_device dev in
+  let check_all what appended =
+    List.iter
+      (fun (lsn, r) ->
+        let got = Wal.read_at w lsn in
+        if got <> r then Alcotest.failf "%s: lsn %Ld reads %a, not %a" what lsn LR.pp got LR.pp r)
+      appended
+  in
+  (* each round ends with its own marker, so a frame read at another
+     round's offset reads wrong *)
+  let append_all round =
+    List.map
+      (fun r -> (Wal.append w r, r))
+      (golden_records @ [ LR.End { tid = Tid.of_int (100 + round) } ])
+  in
+  let first = append_all 1 in
+  check_all "all volatile" first;
+  let group = ref [] in
+  Wal.atomically w (fun () ->
+      group := append_all 2;
+      let last_before = fst (List.nth first (List.length first - 1)) in
+      Domain.join (Domain.spawn (fun () -> Wal.flush ~lsn:last_before w)));
+  let floor = fst (List.hd !group) in
+  Alcotest.(check int64) "the flush stopped at the group" floor (Wal.flushed_lsn w);
+  check_all "durable prefix" first;
+  check_all "group mid-tail" !group;
+  let after = append_all 3 in
+  check_all "behind the group" after;
+  Wal.crash_volatile w;
+  Alcotest.(check int64) "the end rewinds" floor (Wal.next_lsn w);
+  let again = append_all 4 in
+  Alcotest.(check int64) "lsns restart at the durable end" floor (fst (List.hd again));
+  check_all "after the crash" (first @ again);
+  Wal.flush w;
+  check_all "all durable" (first @ again)
 
 let suite =
   [
@@ -531,4 +667,7 @@ let suite =
     Alcotest.test_case "wal file device" `Quick test_wal_file_device;
     Alcotest.test_case "wal appends from 4 domains" `Quick test_wal_multi_domain_appends;
     Alcotest.test_case "wal atomic group" `Quick test_wal_atomic_group;
+    Alcotest.test_case "wal golden frames" `Quick test_wal_golden_frames;
+    Alcotest.test_case "wal one append per sync" `Quick test_wal_one_append_per_sync;
+    Alcotest.test_case "wal read_at across the tail" `Quick test_wal_read_at_volatile;
   ]

@@ -192,6 +192,37 @@ let abort_sweep ~isolation () =
     (Printf.sprintf "injections fired inside the abort (%d crashes)" !crashes)
     true (!crashes >= 10)
 
+(* A finished abort ends its log with [End] (its undo effects are
+   redo-only, so [End] is its only record after the updates), and
+   recovery does not undo it again: [End] takes it out of the ATT. *)
+let test_finished_abort_not_undone () =
+  let db, clock = Helpers.fresh_db () in
+  Db.create_table db ~name:"t" ~mode:Db.Immortal ~schema:kv_schema;
+  Imdb_clock.Clock.advance clock 20L;
+  Db.with_txn db (fun txn -> Db.insert_row db txn ~table:"t" (row 1 "keep"));
+  Imdb_clock.Clock.advance clock 20L;
+  let txn = Db.begin_txn db in
+  Db.update_row db txn ~table:"t" (row 1 "aborted");
+  let wal = (Db.engine db).E.wal in
+  let from = Wal.next_lsn wal in
+  Db.abort db txn;
+  Wal.flush wal;
+  let mine = ref [] in
+  Wal.iter_from wal ~from_lsn:from (fun _ body ->
+      match body with
+      | Imdb_wal.Log_record.(End { tid } | Update { tid; _ } | Commit { tid; _ })
+        when Imdb_clock.Tid.equal tid txn.E.tx_tid ->
+          mine := body :: !mine
+      | _ -> ());
+  (match !mine with
+  | [ Imdb_wal.Log_record.End _ ] -> ()
+  | _ -> Alcotest.failf "the abort logged %d records of its own, not one End" (List.length !mine));
+  let db = Db.crash_and_reopen ~clock db in
+  Alcotest.(check int) "nothing undone again" 0
+    Imdb_obs.Metrics.(get (Db.metrics db) recovery_undo);
+  Helpers.check_row db ~table:"t" ~id:1 (Some (row 1 "keep"));
+  Db.close db
+
 (* --- torn-page twin regressions --------------------------------------------
 
    Run the same deterministic workload on a crash engine and an uncrashed
@@ -316,6 +347,8 @@ let suite =
     Alcotest.test_case "work continues after recovery" `Quick
       test_work_continues_after_recovery;
     Alcotest.test_case "torn meta page" `Quick test_torn_meta_page;
+    Alcotest.test_case "finished abort is not undone again" `Quick
+      test_finished_abort_not_undone;
     Alcotest.test_case "crash inside abort: per-row path" `Quick
       (abort_sweep ~isolation:Db.Snapshot_isolation);
     Alcotest.test_case "crash inside abort: buffered path" `Quick

@@ -113,8 +113,9 @@ let test_sessions_durable_at_return () =
 (* A checkpoint taken while a committer is out of the gate for its sync
    must not list that committer as active.  Its commit record precedes
    the checkpoint record, so recovery starting at the checkpoint never
-   sees it; once the End record is lost with the volatile tail, an ATT
-   entry would roll the committed transaction back as a loser.  The log
+   sees it, and no later record of the transaction (a commit logs no
+   End) would take it out again: an ATT entry would roll the committed
+   transaction back as a loser.  The log
    device's sync starts the checkpoint on a second domain and waits until
    it holds the gate, so the checkpoint always lands inside the window. *)
 let test_checkpoint_during_commit_sync () =

@@ -284,7 +284,8 @@ let prop_crash_model =
    version 1 into the on-disk meta page, append a version-1 Abort record
    (body tag 5) to the log, and reopen. *)
 (* Version 1 logged CLR and Abort records; version 2 checkpoints never
-   posted snapshot-table mappings to the PTT.  Both are refused. *)
+   posted snapshot-table mappings to the PTT; versions 3-5 differ as
+   [Meta] lists (5 still logged Begin records).  All are refused. *)
 let test_old_format_refused () =
   List.iter
     (fun old_version ->
@@ -310,7 +311,7 @@ let test_old_format_refused () =
       match Db.open_devices ~disk ~log_device () with
       | _ -> Alcotest.failf "a version-%d database opened" old_version
       | exception Imdb_core.Meta.Bad_meta _ -> ())
-    [ 1; 2; 3 ]
+    [ 1; 2; 3; 4; 5 ]
 
 (* --- how much log recovery reads ------------------------------------------ *)
 
@@ -357,12 +358,87 @@ let log_maxima db =
   let tid t = if Tid.compare t !max_tid > 0 then max_tid := t in
   Wal.iter_from (Db.engine db).E.wal ~from_lsn:0L (fun _ body ->
       match body with
-      | LR.Begin { tid = t } | LR.Update { tid = t; _ } | LR.End { tid = t } -> tid t
+      | LR.Update { tid = t; _ } | LR.End { tid = t } -> tid t
       | LR.Commit { tid = t; ts; _ } ->
           tid t;
           if Ts.compare ts !max_ts > 0 then max_ts := ts
       | LR.Redo_only _ | LR.Checkpoint _ -> ());
   (!max_tid, !max_ts)
+
+(* --- what a transaction logs -------------------------------------------------- *)
+
+(* [tid]'s records from [from] on, with their LSNs. *)
+let records_of db ~from tid =
+  let acc = ref [] in
+  Wal.iter_from (Db.engine db).E.wal ~from_lsn:from (fun lsn body ->
+      match body with
+      | (LR.Update { tid = t; _ } | LR.Commit { tid = t; _ } | LR.End { tid = t })
+        when Tid.equal t tid ->
+          acc := (lsn, body) :: !acc
+      | _ -> ());
+  List.rev !acc
+
+let kind_of = function
+  | LR.Update _ -> "update"
+  | LR.Commit _ -> "commit"
+  | LR.End _ -> "end"
+  | LR.Redo_only _ -> "redo-only"
+  | LR.Checkpoint _ -> "checkpoint"
+
+let check_chain_starts_at_nil what records =
+  match records with
+  | (_, LR.Update { prev_lsn; _ }) :: _ ->
+      Alcotest.(check int64) (what ^ ": the first update has no predecessor") LR.nil_lsn prev_lsn
+  | _ -> Alcotest.failf "%s: the transaction's log does not start with an update" what
+
+(* A committed transaction logs its updates and its Commit record,
+   nothing else: no Begin and no End.  The Commit alone keeps it out of
+   recovery's losers. *)
+let test_commit_logs_update_and_commit () =
+  let db, clock = setup () in
+  tick clock;
+  ignore (commit_write db (fun txn -> Db.insert_row db txn ~table:"t" (row 1 "a")));
+  let wal = (Db.engine db).E.wal in
+  let from = Wal.next_lsn wal in
+  tick clock;
+  let txn = Db.begin_txn db in
+  Db.update_row db txn ~table:"t" (row 1 "b");
+  ignore (Db.commit db txn);
+  Alcotest.(check int64) "the commit left nothing to flush" (Wal.next_lsn wal)
+    (Wal.flushed_lsn wal);
+  let records = records_of db ~from txn.E.tx_tid in
+  Alcotest.(check (list string)) "records" [ "update"; "commit" ]
+    (List.map (fun (_, r) -> kind_of r) records);
+  check_chain_starts_at_nil "committed" records;
+  let db = Db.crash_and_reopen ~clock db in
+  check_row db ~table:"t" ~id:1 (Some (row 1 "b"));
+  Alcotest.(check int) "nothing undone" 0
+    Imdb_obs.Metrics.(get (Db.metrics db) recovery_undo);
+  Db.close db
+
+(* An uncommitted writer's durable chain starts at [nil_lsn]; its first
+   update alone puts it in recovery's ATT, and it is rolled back. *)
+let test_loser_chain_from_nil () =
+  let db, clock = setup () in
+  tick clock;
+  ignore (commit_write db (fun txn -> Db.insert_row db txn ~table:"t" (row 1 "keep")));
+  let wal = (Db.engine db).E.wal in
+  let from = Wal.next_lsn wal in
+  tick clock;
+  let loser = Db.begin_txn db in
+  Db.update_row db loser ~table:"t" (row 1 "loser");
+  Db.insert_row db loser ~table:"t" (row 2 "ghost");
+  Wal.flush wal;
+  let records = records_of db ~from loser.E.tx_tid in
+  Alcotest.(check bool) "only updates" true
+    (records <> [] && List.for_all (fun (_, r) -> kind_of r = "update") records);
+  check_chain_starts_at_nil "loser" records;
+  let db = Db.crash_and_reopen ~clock db in
+  check_row db ~table:"t" ~id:1 (Some (row 1 "keep"));
+  check_row db ~table:"t" ~id:2 None;
+  Alcotest.(check bool) "the loser was undone" true
+    Imdb_obs.Metrics.(get (Db.metrics db) recovery_undo > 0);
+  Db.close db
 
 (* Crash right after the checkpoint that closes the [intervals]-th
    interval and reopen under a fresh clock.  Recovery reads the
@@ -965,6 +1041,9 @@ let suite =
     Alcotest.test_case "conventional recovery" `Quick test_conventional_table_recovery;
     Alcotest.test_case "DDL crash" `Quick test_ddl_crash;
     Alcotest.test_case "old log format refused" `Quick test_old_format_refused;
+    Alcotest.test_case "commit logs update and commit only" `Quick
+      test_commit_logs_update_and_commit;
+    Alcotest.test_case "loser chain from nil rolled back" `Quick test_loser_chain_from_nil;
     Alcotest.test_case "recovery reads one checkpoint interval of log" `Quick
       test_recovery_reads_one_interval;
     Alcotest.test_case "torn meta page falls back to LSN 0" `Quick test_torn_meta_falls_back;

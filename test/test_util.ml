@@ -75,7 +75,7 @@ let test_crc_range () =
   let b = Bytes.of_string "xxxHELLOxxx" in
   Alcotest.(check int) "sub-range crc"
     (Checksum.bytes_int (Bytes.of_string "HELLO"))
-    (Checksum.bytes_int ~pos:3 ~len:5 b)
+    (Checksum.range b ~pos:3 ~len:5)
 
 (* The textbook one-table, byte-at-a-time CRC-32: the reference the
    sliced implementation must match bit for bit. *)
@@ -100,7 +100,7 @@ let test_crc_matches_bytewise () =
   for pos = 0 to 64 do
     for len = 0 to 64 do
       let want = crc_bytewise b ~pos ~len in
-      let got = Checksum.bytes_int ~pos ~len b in
+      let got = Checksum.range b ~pos ~len in
       if got <> want then Alcotest.failf "pos %d len %d: %08x <> %08x" pos len got want
     done
   done;
@@ -109,7 +109,7 @@ let test_crc_matches_bytewise () =
     (Checksum.bytes_int page);
   Alcotest.(check int) "page body, as Page.seal covers it"
     (crc_bytewise page ~pos:8 ~len:8184)
-    (Checksum.bytes_int ~pos:8 ~len:8184 page)
+    (Checksum.range page ~pos:8 ~len:8184)
 
 let test_rng_determinism () =
   let a = Rng.create 1 and b = Rng.create 1 in

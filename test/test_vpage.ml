@@ -64,18 +64,18 @@ let test_stamping () =
   (* the unkeyed probe is the disjunction of the keyed ones *)
   let probes_agree what =
     Alcotest.(check bool) (what ^ ": probes agree") (V.has_unstamped page)
-      (List.exists (fun key -> V.has_unstamped ~key page) [ "a"; "b"; "c" ])
+      (List.exists (fun key -> V.has_unstamped_record ~key page) [ "a"; "b"; "c" ])
   in
   probes_agree "fresh";
   (* keyed: only b's committed version, though a's first version shares
      the committed TID *)
-  let n = V.stamp ~key:"b" page ~resolve ~on_stamp in
+  let n = V.stamp_record ~metrics:Imdb_obs.Metrics.null ~key:"b" page ~resolve ~on_stamp in
   Alcotest.(check int) "one of b stamped" 1 n;
   Alcotest.(check (list (pair int int))) "on_stamp saw b's slot" [ (b1, 1) ] !stamped;
   Alcotest.(check bool) "a untouched" true (R.in_page_timestamp page s1 = None);
-  Alcotest.(check bool) "b done" false (V.has_unstamped ~key:"b" page);
-  Alcotest.(check bool) "a pending" true (V.has_unstamped ~key:"a" page);
-  Alcotest.(check bool) "absent key" false (V.has_unstamped ~key:"c" page);
+  Alcotest.(check bool) "b done" false (V.has_unstamped_record ~key:"b" page);
+  Alcotest.(check bool) "a pending" true (V.has_unstamped_record ~key:"a" page);
+  Alcotest.(check bool) "absent key" false (V.has_unstamped_record ~key:"c" page);
   probes_agree "after keyed";
   (* unkeyed: every committed version; the active one stays *)
   stamped := [];
@@ -88,7 +88,11 @@ let test_stamping () =
   Alcotest.(check bool) "still has unstamped" true (V.has_unstamped page);
   probes_agree "after unkeyed";
   (* tid 2 commits *)
-  let n2 = V.stamp ~key:"a" page ~resolve:(fun _ -> V.Committed (ts 200)) ~on_stamp in
+  let n2 =
+    V.stamp_record ~metrics:Imdb_obs.Metrics.null ~key:"a" page
+      ~resolve:(fun _ -> V.Committed (ts 200))
+      ~on_stamp
+  in
   Alcotest.(check int) "second stamped" 1 n2;
   Alcotest.(check bool) "no unstamped left" false (V.has_unstamped page);
   probes_agree "all stamped"
